@@ -6,6 +6,9 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test -q
+# The root run covers only the root package; the crates' own unit and
+# integration tests (the bulk of the suite) gate here.
+cargo test --workspace -q
 # cast_possible_truncation is a workspace-level warn (see [workspace.lints])
 # surfaced for review but not yet a build failure; everything else is -D.
 cargo clippy --workspace --all-targets -- -D warnings -A clippy::cast_possible_truncation

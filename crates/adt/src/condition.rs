@@ -1,14 +1,13 @@
 //! Splitter conditions: threshold tests over a single feature with
 //! three-valued evaluation (true / false / missing).
 
-use serde::{Deserialize, Serialize};
 
 /// A threshold condition `value(feature) < threshold`.
 ///
 /// Trinary and binary features are handled by the same mechanism: e.g. the
 /// paper's `sameFFN = no` corresponds to `sameFFN < 0.25` over our encoding
 /// (no = 0, partial = 0.5, yes = 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Condition {
     pub feature: usize,
     pub threshold: f64,

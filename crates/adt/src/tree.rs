@@ -1,13 +1,12 @@
 //! The alternating decision tree structure and its scorer.
 
 use crate::condition::Condition;
-use serde::{Deserialize, Serialize};
 
 /// Where a splitter attaches: the root prediction node or one of the two
 /// prediction nodes of an earlier splitter. Several splitters may share an
 /// anchor — that is what makes the tree *alternating* (Figure 6 of the
 /// paper shows a prediction node with two splitter children).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Anchor {
     Root,
     /// `(splitter index, branch)` — `branch` is `true` for the
@@ -16,7 +15,7 @@ pub enum Anchor {
 }
 
 /// One splitter with its two prediction nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Splitter {
     pub anchor: Anchor,
     pub condition: Condition,
@@ -28,7 +27,7 @@ pub struct Splitter {
 
 /// An alternating decision tree: a root prediction value plus an ordered
 /// list of splitters whose anchors always point at earlier splitters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdTree {
     pub root_value: f64,
     pub splitters: Vec<Splitter>,

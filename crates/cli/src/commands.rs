@@ -361,20 +361,11 @@ fn bench_concurrent_adds(
             r
         })
         .collect();
-    let clone_ds = || clone_dataset(ds);
     let clock = yv_obs::MonotonicClock::new();
     let mut timings = [0u64; 2];
     for (slot, shards) in [(0usize, 1usize), (1, BENCH_ADD_THREADS)] {
-        let dir = std::env::temp_dir().join("yv-bench-store").join(format!("{shards}-shard"));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).map_err(err)?;
-        let resolver = yv_core::IncrementalResolver::bootstrap(
-            clone_ds(),
-            pipeline.clone(),
-            config.clone(),
-            yv_core::IncrementalConfig::default(),
-        );
-        let store = yv_store::Store::create(&dir, resolver, shards).map_err(err)?;
+        let (_scratch, store) =
+            bench_store(&format!("{shards}-shard"), ds, pipeline, config, shards)?;
         let started = clock.now_nanos();
         std::thread::scope(|scope| {
             for t in 0..BENCH_ADD_THREADS {
@@ -393,7 +384,6 @@ fn bench_concurrent_adds(
             return Err("concurrent-ADD bench lost arrivals".to_owned());
         }
         drop(store);
-        std::fs::remove_dir_all(&dir).ok();
     }
     registry.set_gauge(
         "yv_store_concurrent_add_single_us",
@@ -406,6 +396,49 @@ fn bench_concurrent_adds(
         timings[1],
     );
     Ok((timings[0], timings[1]))
+}
+
+/// A scratch directory for one bench stage (or one test), unique per call
+/// — process id plus a counter — so concurrent `yv bench` runs and
+/// parallel tests never share files; removed on drop.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(label: &str) -> Result<ScratchDir, String> {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("yv-bench-{}-{n}-{label}", std::process::id()));
+        std::fs::create_dir_all(&dir).map_err(err)?;
+        Ok(ScratchDir(dir))
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// A store for one bench stage: a resolver bootstrapped over a copy of the
+/// corpus, in a scratch directory of its own. Keep the directory guard
+/// alive as long as the store.
+fn bench_store(
+    label: &str,
+    ds: &yv_records::Dataset,
+    pipeline: &Pipeline,
+    config: &PipelineConfig,
+    shards: usize,
+) -> Result<(ScratchDir, yv_store::Store), String> {
+    let scratch = ScratchDir::new(label)?;
+    let resolver = yv_core::IncrementalResolver::bootstrap(
+        clone_dataset(ds),
+        pipeline.clone(),
+        config.clone(),
+        yv_core::IncrementalConfig::default(),
+    );
+    let store = yv_store::Store::create(&scratch.0, resolver, shards).map_err(err)?;
+    Ok((scratch, store))
 }
 
 /// Dataset is intentionally not Clone; rebuild it source-by-source so a
@@ -463,16 +496,7 @@ fn bench_resolve(
         return Err("resolve bench found no probe names".to_owned());
     }
 
-    let dir = std::env::temp_dir().join("yv-bench-store").join("resolve");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).map_err(err)?;
-    let resolver = yv_core::IncrementalResolver::bootstrap(
-        clone_dataset(ds),
-        pipeline.clone(),
-        config.clone(),
-        yv_core::IncrementalConfig::default(),
-    );
-    let store = yv_store::Store::create(&dir, resolver, BENCH_ADD_THREADS).map_err(err)?;
+    let (_scratch, store) = bench_store("resolve", ds, pipeline, config, BENCH_ADD_THREADS)?;
 
     let clock = yv_obs::MonotonicClock::new();
     let hist = yv_obs::Histogram::new();
@@ -487,7 +511,6 @@ fn bench_resolve(
         }
     }
     drop(store);
-    std::fs::remove_dir_all(&dir).ok();
 
     let summary = hist.summary();
     registry.set_gauge(
@@ -557,16 +580,8 @@ fn bench_trace_overhead(
         return Err("trace-overhead bench found no query names".to_owned());
     }
 
-    let dir = std::env::temp_dir().join("yv-bench-store").join("trace-overhead");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).map_err(err)?;
-    let resolver = yv_core::IncrementalResolver::bootstrap(
-        clone_dataset(ds),
-        pipeline.clone(),
-        config.clone(),
-        yv_core::IncrementalConfig::default(),
-    );
-    let store = yv_store::Store::create(&dir, resolver, BENCH_ADD_THREADS).map_err(err)?;
+    let (_scratch, store) =
+        bench_store("trace-overhead", ds, pipeline, config, BENCH_ADD_THREADS)?;
 
     let clock = yv_obs::MonotonicClock::new();
     let trace_clock: std::sync::Arc<dyn yv_obs::Clock> =
@@ -623,7 +638,6 @@ fn bench_trace_overhead(
         }
     }
     drop(store);
-    std::fs::remove_dir_all(&dir).ok();
 
     registry.set_gauge(
         "yv_trace_overhead_disabled_p50_us",
@@ -692,16 +706,9 @@ fn bench_serve_protocols(
     let mut rates = [0u64; 2];
     let mut elapsed = [0u64; 2];
     for (slot, mode) in [(0usize, "text"), (1, "binary")] {
-        let dir = std::env::temp_dir().join("yv-bench-store").join(format!("serve-{mode}"));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).map_err(err)?;
-        let resolver = yv_core::IncrementalResolver::bootstrap(
-            clone_dataset(&gen.dataset),
-            pipeline.clone(),
-            config.clone(),
-            yv_core::IncrementalConfig::default(),
-        );
-        let store = yv_store::Store::create(&dir, resolver, BENCH_ADD_THREADS).map_err(err)?;
+        let label = format!("serve-{mode}");
+        let (_scratch, store) =
+            bench_store(&label, &gen.dataset, pipeline, config, BENCH_ADD_THREADS)?;
         let records_before = store.stats().records;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").map_err(err)?;
         let addr = listener.local_addr().map_err(err)?;
@@ -755,7 +762,6 @@ fn bench_serve_protocols(
             return Err(format!("serve bench ({mode}) lost arrivals"));
         }
         drop(store);
-        std::fs::remove_dir_all(&dir).ok();
         let per_s =
             (BENCH_SERVE_ARRIVALS as u128 * 1_000_000) / u128::from(elapsed[slot].max(1));
         rates[slot] = u64::try_from(per_s).unwrap_or(u64::MAX);
@@ -863,9 +869,6 @@ pub fn serve(args: &Args) -> CliResult {
     };
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
     let workers: usize = args.parse_or("workers", 4, "integer").map_err(err)?;
-    let map_cache: usize = args
-        .parse_or("map-cache", yv_store::DEFAULT_ENTITY_MAP_CAPACITY, "integer")
-        .map_err(err)?;
     let slow_us = match args.get("slow-us") {
         Some(v) => Some(v.parse::<u64>().map_err(|_| {
             "option --slow-us: expects an integer (microseconds)".to_owned()
@@ -888,7 +891,6 @@ pub fn serve(args: &Args) -> CliResult {
     };
     let telemetry_dir = args.get("telemetry-dir").map(std::path::PathBuf::from);
     let store = open_or_bootstrap(args, std::path::Path::new(dir))?;
-    store.set_entity_map_capacity(map_cache);
     let stats = store.stats();
     let listener = std::net::TcpListener::bind(addr).map_err(err)?;
     println!(
@@ -1263,6 +1265,11 @@ mod tests {
         Args::parse(tokens.iter().map(|s| (*s).to_owned()), &["italy", "quick"]).unwrap()
     }
 
+    /// `yv bench` gates on its own timings (trace and rollup overhead,
+    /// binary-vs-text throughput); two full runs sharing the CPU trip
+    /// each other's gates, so the tests that run one take turns.
+    static BENCH_RUN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn generate_runs() {
         let args = args_for(&["generate", "--records", "200", "--seed", "3"]);
@@ -1289,7 +1296,9 @@ mod tests {
 
     #[test]
     fn bench_writes_machine_readable_json() {
-        let path = std::env::temp_dir().join("yv_cli_bench_test.json");
+        let _turn = BENCH_RUN.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let scratch = ScratchDir::new("test-json").unwrap();
+        let path = scratch.0.join("bench.json");
         let path_str = path.to_string_lossy().into_owned();
         let args = args_for(&["bench", "--records", "250", "--out", &path_str]);
         bench(&args).unwrap();
@@ -1312,7 +1321,6 @@ mod tests {
         assert!(content.contains("\"yv_serve_binary_req_per_s\":"));
         assert!(content.contains("\"yv_serve_text_elapsed_us\":"));
         assert!(content.contains("\"yv_serve_binary_elapsed_us\":"));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1438,7 +1446,9 @@ mod tests {
 
     #[test]
     fn bench_compare_passes_on_self_and_fails_on_injected_regression() {
-        let path = std::env::temp_dir().join("yv_cli_bench_cmp_base.json");
+        let _turn = BENCH_RUN.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let scratch = ScratchDir::new("test-compare").unwrap();
+        let path = scratch.0.join("base.json");
         let path_str = path.to_string_lossy().into_owned();
         let args = args_for(&["bench", "--records", "250", "--out", &path_str]);
         bench(&args).unwrap();
@@ -1462,7 +1472,7 @@ mod tests {
                 None => format!("{line}\n"),
             })
             .collect();
-        let slow_path = std::env::temp_dir().join("yv_cli_bench_cmp_slow.json");
+        let slow_path = scratch.0.join("slow.json");
         let slow_str = slow_path.to_string_lossy().into_owned();
         std::fs::write(&slow_path, slowed).unwrap();
         let args = args_for(&["bench", "--compare", &path_str, "--against", &slow_str]);
@@ -1472,8 +1482,6 @@ mod tests {
         // --against without a baseline is a usage error.
         let args = args_for(&["bench", "--against", &path_str]);
         assert!(bench(&args).is_err());
-        std::fs::remove_file(path).ok();
-        std::fs::remove_file(slow_path).ok();
     }
 
     #[test]

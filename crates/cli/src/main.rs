@@ -88,7 +88,6 @@ SERVING OPTIONS:
                         fixed at creation, existing stores keep theirs)
     --addr A:P          listen address (default 127.0.0.1:7878)
     --workers N         worker threads (default 4)
-    --map-cache N       entity-map memo capacity (default 8)
     --metrics-addr A:P  Prometheus scrape sidecar answering GET /metrics
     --slow-us N         log requests slower than N microseconds as JSON
                         lines on stderr (arguments appear only as a digest)
@@ -157,8 +156,8 @@ fn spec(command: &str) -> Option<(&'static [&'static str], &'static [&'static st
         "serve" => Some((
             &[
                 "records", "seed", "ng", "max-minsup", "dir", "shards", "addr",
-                "workers", "map-cache", "metrics-addr", "slow-us", "trace-ring",
-                "telemetry-dir", "slo",
+                "workers", "metrics-addr", "slow-us", "trace-ring", "telemetry-dir",
+                "slo",
             ],
             &["italy", "no-trace"],
         )),

@@ -17,7 +17,7 @@
 use crate::model::RankedMatch;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::resolution::Resolution;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use yv_records::{Dataset, Record, RecordId};
 
 /// Configuration of the incremental candidate rule.
@@ -46,7 +46,19 @@ pub struct IncrementalResolver {
     /// `postings[item] = records containing it`, kept in insertion order.
     postings: Vec<Vec<RecordId>>,
     matches: Vec<RankedMatch>,
+    /// `incident[record] = indices into `matches` of the matches touching
+    /// it` — the match graph's adjacency, an index rather than a second
+    /// copy of the scores. Grown only where a match lands, so a record
+    /// past its end has no matches.
+    incident: Vec<Vec<u32>>,
+    /// `best[record] = max(0, best incident match score)`, grown like
+    /// `incident`.
+    best: Vec<f64>,
 }
+
+/// Entity size up to which [`IncrementalResolver::entity_of`] tests
+/// membership by scanning the entity instead of hashing.
+const LINEAR_SCAN_MAX: usize = 64;
 
 impl IncrementalResolver {
     /// Bootstrap from an existing dataset: one batch resolution, then the
@@ -58,21 +70,8 @@ impl IncrementalResolver {
         config: PipelineConfig,
         inc: IncrementalConfig,
     ) -> IncrementalResolver {
-        let resolution = pipeline.resolve(&dataset, &config);
-        let mut postings: Vec<Vec<RecordId>> = vec![Vec::new(); dataset.interner().len()];
-        for rid in dataset.record_ids() {
-            for &item in dataset.bag(rid) {
-                postings[item.index()].push(rid);
-            }
-        }
-        IncrementalResolver {
-            dataset,
-            pipeline,
-            config,
-            inc,
-            postings,
-            matches: resolution.matches,
-        }
+        let matches = pipeline.resolve(&dataset, &config).matches;
+        IncrementalResolver::from_parts(dataset, pipeline, config, inc, matches)
     }
 
     /// Number of records currently resolved.
@@ -118,9 +117,9 @@ impl IncrementalResolver {
 
     /// Reassemble a resolver from persisted state — dataset, model and the
     /// already-accumulated matches — without re-running batch resolution.
-    /// This is how a snapshot restores serving state: the postings index is
-    /// rebuilt from the dataset (it is derived data), the matches are taken
-    /// as-is.
+    /// This is how a snapshot restores serving state: the postings index
+    /// and the match-graph index are rebuilt (they are derived data), the
+    /// matches are taken as-is.
     #[must_use]
     pub fn from_parts(
         dataset: Dataset,
@@ -135,7 +134,36 @@ impl IncrementalResolver {
                 postings[item.index()].push(rid);
             }
         }
-        IncrementalResolver { dataset, pipeline, config, inc, postings, matches }
+        let mut resolver = IncrementalResolver {
+            dataset,
+            pipeline,
+            config,
+            inc,
+            postings,
+            matches,
+            incident: Vec::new(),
+            best: Vec::new(),
+        };
+        for i in 0..resolver.matches.len() {
+            resolver.index_match(i);
+        }
+        resolver
+    }
+
+    /// Index `matches[i]` under both of its records.
+    fn index_match(&mut self, i: usize) {
+        let m = self.matches[i];
+        for rid in [m.a, m.b] {
+            let r = rid.index();
+            if r >= self.incident.len() {
+                self.incident.resize(r + 1, Vec::new());
+                self.best.resize(r + 1, 0.0);
+            }
+            self.incident[r].push(i as u32);
+            if m.score > self.best[r] {
+                self.best[r] = m.score;
+            }
+        }
     }
 
     /// Insert one arriving record; returns the new ranked matches it
@@ -184,7 +212,19 @@ impl IncrementalResolver {
         new_matches.sort_by(|a, b| {
             b.score.total_cmp(&a.score).then_with(|| (a.a, a.b).cmp(&(b.a, b.b)))
         });
-        self.matches.extend(new_matches.iter().copied());
+        // Grow the match list by an eighth when full, not by doubling: an
+        // arrival that shares evidence with many records adds hundreds of
+        // matches, this list is the resolver's largest once arrivals
+        // accumulate, and doubling it leaves up to half of it unused —
+        // room the incidence lists now need.
+        let spare = self.matches.capacity() - self.matches.len();
+        if spare < new_matches.len() {
+            self.matches.reserve_exact(new_matches.len().max(self.matches.len() / 8));
+        }
+        for &m in &new_matches {
+            self.matches.push(m);
+            self.index_match(self.matches.len() - 1);
+        }
         new_matches
     }
 
@@ -198,6 +238,56 @@ impl IncrementalResolver {
     #[must_use]
     pub fn resolution(&self) -> Resolution {
         Resolution::new(self.matches.clone(), vec![])
+    }
+
+    /// The entity of `rid` at a certainty threshold: its connected
+    /// component in the match graph restricted to scores ≥ `threshold`
+    /// (Section 3's query-time disambiguation), ascending; `vec![rid]`
+    /// when nothing survives the cut. Equal to the component
+    /// `self.resolution().entities(threshold)` puts `rid` in, without
+    /// materializing the other components: a breadth-first walk over
+    /// incident matches.
+    ///
+    /// At any useful certainty an entity is person-sized, so "already
+    /// reached" is a scan of the entity so far and the walk allocates
+    /// nothing but its answer. A permissive threshold can chain thousands
+    /// of records through negative-score matches; past
+    /// [`LINEAR_SCAN_MAX`] records a hash set takes over, which keeps the
+    /// walk linear in the matches it visits.
+    #[must_use]
+    pub fn entity_of(&self, rid: RecordId, threshold: f64) -> Vec<RecordId> {
+        let mut entity = vec![rid];
+        let mut reached: Option<HashSet<RecordId>> = None;
+        let mut walked = 0;
+        while let Some(&r) = entity.get(walked) {
+            walked += 1;
+            let Some(incident) = self.incident.get(r.index()) else { continue };
+            for &i in incident {
+                let m = self.matches[i as usize];
+                let other = if m.a == r { m.b } else { m.a };
+                let new = m.score >= threshold
+                    && match &mut reached {
+                        Some(set) => set.insert(other),
+                        None => !entity.contains(&other),
+                    };
+                if new {
+                    entity.push(other);
+                    if reached.is_none() && entity.len() > LINEAR_SCAN_MAX {
+                        reached = Some(entity.iter().copied().collect());
+                    }
+                }
+            }
+        }
+        entity.sort_unstable();
+        entity
+    }
+
+    /// The best score among the matches touching `rid`, floored at 0 —
+    /// the resolver's own confidence that the record belongs to a
+    /// multi-report person (0 meaning "no evidence").
+    #[must_use]
+    pub fn best_score(&self, rid: RecordId) -> f64 {
+        self.best.get(rid.index()).copied().unwrap_or(0.0)
     }
 }
 
@@ -281,6 +371,72 @@ mod tests {
             resolver.resolution().matches.len(),
             base_matches + new.len()
         );
+    }
+
+    #[test]
+    fn entities_and_best_scores_follow_inserts() {
+        let (gen, pipeline, config) = trained_fixture();
+        let mut resolver = IncrementalResolver::bootstrap(
+            clone_dataset(&gen.dataset),
+            pipeline,
+            config,
+            IncrementalConfig::default(),
+        );
+        for r in 0..40 {
+            resolver.insert(gen.dataset.record(yv_records::RecordId(r * 7)).clone());
+        }
+        let resolution = resolver.resolution();
+        let mut multi = 0;
+        for threshold in [f64::NEG_INFINITY, -1.0, 0.0, 0.8, f64::INFINITY] {
+            let map = resolution.entity_map(threshold);
+            for rid in resolver.dataset().record_ids() {
+                let entity = resolver.entity_of(rid, threshold);
+                assert_eq!(entity, crate::query::expand(&map, rid), "{rid:?} at {threshold}");
+                multi += usize::from(entity.len() > 1);
+            }
+        }
+        assert!(multi > 0, "the fixture must resolve some multi-report entities");
+        for rid in resolver.dataset().record_ids() {
+            let best =
+                resolution.matches_of(rid).first().map_or(0.0, |m| m.score.max(0.0));
+            assert_eq!(resolver.best_score(rid), best, "{rid:?}");
+        }
+    }
+
+    /// A chain far longer than [`LINEAR_SCAN_MAX`], with chords so that
+    /// most records are reached more than once: the hash-set path must
+    /// agree with the batch components like the scan path does.
+    #[test]
+    fn entities_larger_than_the_linear_scan_bound() {
+        let n = 40 * LINEAR_SCAN_MAX as u32;
+        let mut matches = Vec::new();
+        for r in 0..n - 1 {
+            let score = if r == n / 2 { -3.0 } else { -1.0 };
+            matches.push(RankedMatch::new(RecordId(r), RecordId(r + 1), score));
+            if r % 3 == 0 && r + 7 < n / 2 {
+                matches.push(RankedMatch::new(RecordId(r), RecordId(r + 7), -0.5));
+            }
+        }
+        let resolver = IncrementalResolver::from_parts(
+            Dataset::new(),
+            Pipeline::with_model(yv_adt::AdTree::prior(0.0)),
+            PipelineConfig::default(),
+            IncrementalConfig::default(),
+            matches,
+        );
+        let resolution = resolver.resolution();
+        for threshold in [f64::NEG_INFINITY, -1.0, -0.5] {
+            let map = resolution.entity_map(threshold);
+            for rid in [0, 1, n / 2, n / 2 + 1, n - 1].map(RecordId) {
+                assert_eq!(
+                    resolver.entity_of(rid, threshold),
+                    crate::query::expand(&map, rid),
+                    "{rid:?} at {threshold}"
+                );
+            }
+        }
+        assert_eq!(resolver.entity_of(RecordId(0), f64::NEG_INFINITY).len(), n as usize);
+        assert_eq!(resolver.entity_of(RecordId(0), -1.0).len(), n as usize / 2 + 1);
     }
 
     fn clone_dataset(ds: &Dataset) -> Dataset {

@@ -5,13 +5,12 @@
 //! match/non-match decision", over a set of possibly overlapping clusters
 //! where "a tuple may be simultaneously associated with multiple entities".
 
-use serde::{Deserialize, Serialize};
 use yv_records::{ItemId, RecordId};
 
 /// One scored candidate match. Scores come from the ADTree and are
 /// unbounded reals; the sign is the default match decision and the
 /// magnitude the confidence (Section 5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedMatch {
     pub a: RecordId,
     pub b: RecordId,

@@ -1,14 +1,13 @@
 //! Field value types shared by records: gender, date components, places and
 //! geographic coordinates.
 
-use serde::{Deserialize, Serialize};
 
 /// Victim gender as recorded on the report.
 ///
 /// The Names Project encodes gender as a code (`G 0` / `G 1` in the item-bag
 /// sample of Table 2). `Unknown` models reports where the field is missing —
 /// about 12% of the full dataset per Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gender {
     Male,
     Female,
@@ -40,7 +39,7 @@ impl Gender {
 /// Many sources record only a year (`YB 1927` in Table 2); the feature
 /// extractor (Section 5.1, `BXDist`) therefore measures per-component
 /// distances normalized by 31 (days), 12 (months) and 100 (years).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct DateParts {
     pub day: Option<u8>,
     pub month: Option<u8>,
@@ -72,7 +71,7 @@ impl DateParts {
 /// The Names Project database stores GPS coordinates per place (Figure 3);
 /// the `PlaceXGeoDistance` features and the `Geo` branch of the expert item
 /// similarity (Eq. 1) measure great-circle distance in kilometres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     pub lat: f64,
     pub lon: f64,
@@ -90,7 +89,7 @@ impl GeoPoint {
 /// Schema reconciliation at Yad Vashem established reliable semantics for
 /// these attributes, so places are *never* compared across types (a birth
 /// place is never matched against a permanent residence — Section 5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PlaceType {
     Birth,
     Permanent,
@@ -126,7 +125,7 @@ impl PlaceType {
 }
 
 /// The four hierarchical parts of a place, from most to least specific.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PlacePart {
     City,
     County,
@@ -160,7 +159,7 @@ impl PlacePart {
 }
 
 /// One typed place with its four optional parts and optional coordinates.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Place {
     pub city: Option<String>,
     pub county: Option<String>,

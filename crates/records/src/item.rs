@@ -8,13 +8,12 @@
 //! [`ItemId`]s.
 
 use crate::field::{PlacePart, PlaceType};
-use serde::{Deserialize, Serialize};
 
 /// A dense identifier for an interned `(ItemType, value)` pair.
 ///
 /// Item ids are indices into the owning [`crate::Interner`]; all mining and
 /// blocking structures operate on these `u32`s rather than strings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ItemId(pub u32);
 
 impl ItemId {
@@ -25,7 +24,7 @@ impl ItemId {
 }
 
 /// The 28 item types of the Names Project schema (rows of Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ItemType {
     FirstName,
     LastName,

@@ -3,10 +3,9 @@
 use crate::field::{DateParts, Gender, Place, PlaceType};
 use crate::item::AggregateType;
 use crate::source::SourceId;
-use serde::{Deserialize, Serialize};
 
 /// Dense identifier of a record within a [`crate::Dataset`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecordId(pub u32);
 
 impl RecordId {
@@ -20,7 +19,7 @@ impl RecordId {
 /// (Figure 3). First and last names are multi-valued (a person may be
 /// reported under several first names or transliterations); the remaining
 /// name attributes are single-valued in the schema.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Record {
     /// Sequential BookID assigned on database entry.
     pub book_id: u64,

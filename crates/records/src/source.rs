@@ -4,10 +4,9 @@
 //! manifests, camp card files, ghetto registers; 16,656 lists in the full
 //! dataset).
 
-use serde::{Deserialize, Serialize};
 
 /// Dense identifier of a source within a [`crate::Dataset`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SourceId(pub u32);
 
 impl SourceId {
@@ -18,7 +17,7 @@ impl SourceId {
 }
 
 /// What kind of source a record came from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SourceKind {
     /// A Page of Testimony submitter. Submitters have no unique id in the
     /// original database; they are grouped by first name, last name and city
@@ -29,7 +28,7 @@ pub enum SourceKind {
 }
 
 /// A record source.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Source {
     pub id: SourceId,
     pub kind: SourceKind,

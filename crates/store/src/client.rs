@@ -316,8 +316,6 @@ pub struct StatsReport {
     pub wal_entries: usize,
     pub wal_bytes: u64,
     pub vocabulary: usize,
-    pub entity_maps: usize,
-    pub evictions: u64,
     pub fuzzy_names: usize,
     pub fuzzy_grams: usize,
     pub fuzzy_postings: usize,
@@ -1178,8 +1176,6 @@ fn parse_stats(status: &str, data: &[String]) -> Result<StatsReport, ClientError
         wal_entries: field(status, "wal")?,
         wal_bytes: field(status, "wal_bytes")?,
         vocabulary: field(status, "vocabulary")?,
-        entity_maps: field(status, "entity_maps")?,
-        evictions: field(status, "evictions")?,
         fuzzy_names: field(status, "fuzzy_names")?,
         fuzzy_grams: field(status, "fuzzy_grams")?,
         fuzzy_postings: field(status, "fuzzy_postings")?,
@@ -1440,8 +1436,8 @@ mod tests {
     #[test]
     fn stats_response_parses_shard_and_cmd_rows() {
         let status = "OK records=7 sources=2 matches=9 shards=2 wal=1 wal_bytes=104 \
-                      vocabulary=13 entity_maps=1 evictions=0 fuzzy_names=13 fuzzy_grams=48 \
-                      fuzzy_postings=58 fuzzy_examined=21 fuzzy_pruned=6 errors=3";
+                      vocabulary=13 fuzzy_names=13 fuzzy_grams=48 fuzzy_postings=58 \
+                      fuzzy_examined=21 fuzzy_pruned=6 errors=3";
         let data = vec![
             "SHARD 0 records=5 vocabulary=9 postings=11 wal=1 wal_bytes=104 \
              fuzzy_names=9 fuzzy_grams=31 fuzzy_postings=40"

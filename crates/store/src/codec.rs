@@ -1,8 +1,8 @@
 //! Deterministic binary encoding for store payloads.
 //!
-//! Hand-rolled like `yv_adt::persist` (the workspace's serde derives are
-//! offline stubs — see `vendor/README.md`). Every encoder is paired with a
-//! decoder reading exactly the bytes it wrote; floats go through
+//! Hand-rolled like `yv_adt::persist` (the build is offline and the
+//! workspace carries no serialization framework). Every encoder is paired
+//! with a decoder reading exactly the bytes it wrote; floats go through
 //! `f64::to_bits` so that encode ∘ decode ∘ encode is byte-identical,
 //! which is what makes the snapshot round-trip test
 //! (`save(load(save(x))) == save(x)`) meaningful.

@@ -88,7 +88,7 @@ pub use telemetry::{TelemetryLog, DEFAULT_CAP_BYTES as DEFAULT_TELEMETRY_CAP_BYT
 pub use shard::{shard_of_name, shard_of_record, Manifest, ShardStats, MANIFEST_FILE, ROUTING_RULE};
 pub use store::{
     segment_file_name, wal_file_name, ResolveOptions, ResolveOutcome, Store, StoreStats,
-    DEFAULT_ENTITY_MAP_CAPACITY, DEFAULT_RESOLVE_K, SNAPSHOT_FILE,
+    DEFAULT_RESOLVE_K, SNAPSHOT_FILE,
 };
 pub use yv_fuzzy::{RankedEntity, ScoreBlend};
 pub use wal::{Wal, WalEntry, WalScan};

@@ -1,7 +1,7 @@
 //! Concurrent line-protocol server over a [`Store`].
 //!
 //! Architecture: the calling thread accepts connections and feeds them
-//! through a crossbeam channel to a scoped worker pool. Workers share
+//! through a channel to a scoped worker pool. Workers share
 //! the store as a plain `&Store` — the store's own per-shard and
 //! resolver locks (see [`Store`]) replace the whole-store `RwLock` an
 //! earlier design used, so `ADD`s routed to distinct shards overlap
@@ -751,6 +751,17 @@ struct ServerCtx<'a> {
     telemetry: &'a Telemetry,
 }
 
+/// Take the next accepted connection off the workers' shared queue;
+/// `None` once the acceptor has dropped its sender and the queue is
+/// drained. The mutex is held only while waiting, never while the
+/// connection is served: the guard dies with this call. (Inlined into a
+/// `while let` scrutinee it would live through the loop body.)
+fn next_connection(
+    queue: &parking_lot::Mutex<std::sync::mpsc::Receiver<(u64, TcpStream)>>,
+) -> Option<(u64, TcpStream)> {
+    queue.lock().recv().ok()
+}
+
 #[allow(clippy::too_many_arguments)]
 fn serve_inner(
     store: Store,
@@ -772,7 +783,10 @@ fn serve_inner(
     let shutdown = AtomicBool::new(false);
     let conn_ids = AtomicU64::new(0);
     let last_slow = AtomicU64::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(u64, TcpStream)>();
+    // One queue, many workers: `mpsc` has a single receiver, so the pool
+    // shares it behind a mutex — see `next_connection`.
+    let (tx, rx) = std::sync::mpsc::channel::<(u64, TcpStream)>();
+    let rx = Arc::new(parking_lot::Mutex::new(rx));
     let ctx = ServerCtx {
         store: &store,
         metrics: &metrics,
@@ -786,16 +800,18 @@ fn serve_inner(
         telemetry: &telemetry,
     };
 
-    let result = crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let ctx = &ctx;
         for _ in 0..workers.max(1) {
-            let rx = rx.clone();
-            s.spawn(move |_| {
-                for (conn, stream) in rx.iter() {
+            let rx = Arc::clone(&rx);
+            s.spawn(move || {
+                while let Some((conn, stream)) = next_connection(&rx) {
                     handle_connection(stream, conn, ctx);
                 }
             });
         }
+        // Only the workers keep the receiver alive, so `send` below fails
+        // once every one of them is gone.
         drop(rx);
         // The telemetry tick: rotate windows, persist closed buckets and
         // refresh the SLO gauges every TICK_MILLIS of *real* time. Under
@@ -803,7 +819,7 @@ fn serve_inner(
         // rotation happens lazily on the HISTORY/METRICS read paths —
         // which keeps deterministic tests byte-identical regardless of
         // ticker scheduling.
-        s.spawn(move |_| {
+        s.spawn(move || {
             while !ctx.shutdown.load(Ordering::SeqCst) {
                 std::thread::sleep(std::time::Duration::from_millis(TICK_MILLIS));
                 ctx.telemetry.rotate_and_persist();
@@ -811,7 +827,7 @@ fn serve_inner(
             }
         });
         if let Some(mlistener) = &metrics_listener {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for stream in mlistener.incoming() {
                     if ctx.shutdown.load(Ordering::SeqCst) {
                         break;
@@ -845,9 +861,6 @@ fn serve_inner(
         shutdown.store(true, Ordering::SeqCst);
         drop(tx);
     });
-    if result.is_err() {
-        return Err(StoreError::Corrupt("a server worker panicked".into()));
-    }
 
     store.snapshot()?;
     Ok(store)
@@ -930,16 +943,6 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
             s.wal_bytes,
         );
     }
-    reg.set_gauge(
-        "yv_store_entity_maps_cached",
-        "Entity maps currently memoized",
-        stats.entity_maps_cached as u64,
-    );
-    reg.counter_value(
-        "yv_store_entity_map_evictions_total",
-        "Lifetime LRU evictions from the entity-map cache",
-    )
-    .set(stats.entity_map_evictions);
 
     let t = ctx.sink.stats();
     reg.set_gauge("yv_trace_ring_capacity", "Trace capture ring slot count", t.capacity);
@@ -1372,7 +1375,7 @@ fn dispatch(
             protocol::format_stats(
                 &format!(
                     "OK records={} sources={} matches={} shards={} wal={} wal_bytes={} \
-                     vocabulary={} entity_maps={} evictions={} \
+                     vocabulary={} \
                      fuzzy_names={} fuzzy_grams={} fuzzy_postings={} \
                      fuzzy_examined={} fuzzy_pruned={} errors={}",
                     stats.records,
@@ -1382,8 +1385,6 @@ fn dispatch(
                     stats.wal_entries,
                     stats.wal_bytes,
                     stats.vocabulary,
-                    stats.entity_maps_cached,
-                    stats.entity_map_evictions,
                     stats.fuzzy_names,
                     stats.fuzzy_grams,
                     stats.fuzzy_postings,

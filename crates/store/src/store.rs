@@ -1,6 +1,7 @@
 //! The persistent resolution store: an [`IncrementalResolver`] wrapped
 //! with durability (snapshot + WAL), serving-speed lookups (name
-//! postings and per-threshold entity maps), and name-hash sharding so
+//! postings; entities come straight from the resolver's match graph),
+//! and name-hash sharding so
 //! concurrent writers on distinct shards never contend on the
 //! durability path.
 //!
@@ -30,13 +31,11 @@ use crate::index::QueryIndex;
 use crate::shard::{self, Manifest, ShardStats};
 use crate::snapshot;
 use crate::wal::{Wal, WalEntry, WalScan};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
-use yv_core::{
-    EntityMap, IncrementalResolver, PersonQuery, QueryHit, RankedMatch, Resolution,
-};
+use std::sync::{Condvar, Mutex, PoisonError};
+use yv_core::{IncrementalResolver, PersonQuery, QueryHit, RankedMatch, Resolution};
 use yv_fuzzy::{rank_entities, FuzzyIndex, RankedEntity, ScoreBlend, DEFAULT_QGRAM_BOUND};
 use yv_obs::{Counter, TraceCtx};
 use yv_records::{Dataset, Record, RecordId, Source, SourceId};
@@ -56,12 +55,6 @@ pub fn segment_file_name(shard: usize) -> String {
     format!("snapshot.{shard}.yvs")
 }
 
-/// Default number of per-threshold entity maps kept memoized. Each map
-/// holds an entry per record, so an unbounded cache grows linearly in
-/// (distinct thresholds × records); serving workloads rarely use more
-/// than a handful of thresholds at once.
-pub const DEFAULT_ENTITY_MAP_CAPACITY: usize = 8;
-
 /// Point-in-time counters for `STATS`: store-wide totals plus one
 /// [`ShardStats`] row per shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,10 +72,6 @@ pub struct StoreStats {
     pub vocabulary: usize,
     /// Total posting entries, summed over shard indexes.
     pub postings: usize,
-    /// Entity maps currently memoized (≤ the configured capacity).
-    pub entity_maps_cached: usize,
-    /// Lifetime LRU evictions from the entity-map cache.
-    pub entity_map_evictions: u64,
     /// Distinct names in the fuzzy indexes, summed over shards.
     pub fuzzy_names: usize,
     /// Distinct q-grams in the fuzzy indexes, summed over shards.
@@ -107,7 +96,7 @@ pub struct ResolveOptions {
     pub k: usize,
     /// Drop candidates scoring below this (inclusive bound).
     pub min_score: f64,
-    /// Q-gram Jaccard bound for candidate generation.
+    /// Q-gram Jaccard bound for the candidate scan.
     pub bound: f64,
     /// Signal weights for the ranked scorer.
     pub blend: ScoreBlend,
@@ -140,70 +129,6 @@ pub struct ResolveOutcome {
     pub pruned: u64,
 }
 
-/// A bounded LRU of entity maps keyed by (write generation, certainty
-/// bits).
-///
-/// The generation component replaces the old clear-on-write
-/// invalidation: with queries and writes running concurrently under
-/// different locks, a clear could race a query that was already
-/// computing a map from pre-write state and re-inserting it *after* the
-/// clear. Keying by generation makes stale entries unreachable instead
-/// — they age out of the LRU naturally.
-///
-/// Capacities are small (single digits), so recency is a sequence stamp
-/// per entry and eviction is a linear scan — no linked list needed.
-#[derive(Debug)]
-struct EntityMapCache {
-    capacity: usize,
-    seq: u64,
-    entries: Vec<((u64, u64), Arc<EntityMap>, u64)>,
-}
-
-impl EntityMapCache {
-    fn new(capacity: usize) -> EntityMapCache {
-        EntityMapCache { capacity: capacity.max(1), seq: 0, entries: Vec::new() }
-    }
-
-    fn get(&mut self, key: (u64, u64)) -> Option<Arc<EntityMap>> {
-        self.seq += 1;
-        let seq = self.seq;
-        self.entries.iter_mut().find(|(k, _, _)| *k == key).map(|entry| {
-            entry.2 = seq;
-            Arc::clone(&entry.1)
-        })
-    }
-
-    /// Insert `map`, evicting the least-recently-used entry when full.
-    /// Returns the number of evictions (0 or 1).
-    fn insert(&mut self, key: (u64, u64), map: Arc<EntityMap>) -> u64 {
-        self.seq += 1;
-        if let Some(entry) = self.entries.iter_mut().find(|(k, _, _)| *k == key) {
-            entry.1 = map;
-            entry.2 = self.seq;
-            return 0;
-        }
-        let mut evicted = 0;
-        if self.entries.len() >= self.capacity {
-            if let Some(lru) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, used))| *used)
-                .map(|(i, _)| i)
-            {
-                self.entries.swap_remove(lru);
-                evicted = 1;
-            }
-        }
-        self.entries.push((key, map, self.seq));
-        evicted
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 /// Hands the global arrival order out as tickets and serializes the
 /// in-memory applies behind it.
 ///
@@ -225,13 +150,13 @@ struct Sequencer {
     /// Next ticket to hand out.
     next: AtomicU64,
     /// Next ticket allowed to apply.
-    turn: StdMutex<u64>,
+    turn: Mutex<u64>,
     cv: Condvar,
 }
 
 impl Sequencer {
     fn new(start: u64) -> Sequencer {
-        Sequencer { next: AtomicU64::new(start), turn: StdMutex::new(start), cv: Condvar::new() }
+        Sequencer { next: AtomicU64::new(start), turn: Mutex::new(start), cv: Condvar::new() }
     }
 
     fn ticket(&self) -> u64 {
@@ -284,18 +209,6 @@ pub struct Store {
     shards: Vec<RwLock<ShardState>>,
     seq: Sequencer,
     dir: PathBuf,
-    /// Bumped under the resolver write lock on every applied write;
-    /// keys the resolution and entity-map caches.
-    generation: AtomicU64,
-    /// Ranked-match resolution memo for the generation that built it.
-    resolution: Mutex<Option<(u64, Arc<Resolution>)>>,
-    /// Bounded per-(generation, threshold) entity-map memo.
-    entity_maps: Mutex<EntityMapCache>,
-    /// Per-record best incident match score, memoized per generation
-    /// (the `RESOLVE` certainty signal).
-    certainties: Mutex<Option<(u64, Arc<Vec<f64>>)>>,
-    /// Lifetime LRU evictions (capacity pressure).
-    evictions: Counter,
     /// Lifetime candidate names examined by `RESOLVE` scans.
     fuzzy_examined: Counter,
     /// Lifetime candidate names pruned by the `RESOLVE` filters.
@@ -403,11 +316,6 @@ impl Store {
             shards: shard_states,
             seq: Sequencer::new(0),
             dir: dir.to_path_buf(),
-            generation: AtomicU64::new(0),
-            resolution: Mutex::new(None),
-            entity_maps: Mutex::new(EntityMapCache::new(DEFAULT_ENTITY_MAP_CAPACITY)),
-            certainties: Mutex::new(None),
-            evictions: Counter::new(),
             fuzzy_examined: Counter::new(),
             fuzzy_pruned: Counter::new(),
         })
@@ -583,11 +491,6 @@ impl Store {
             shards: shard_states,
             seq: Sequencer::new(wal_entries_total),
             dir: dir.to_path_buf(),
-            generation: AtomicU64::new(0),
-            resolution: Mutex::new(None),
-            entity_maps: Mutex::new(EntityMapCache::new(DEFAULT_ENTITY_MAP_CAPACITY)),
-            certainties: Mutex::new(None),
-            evictions: Counter::new(),
             fuzzy_examined: Counter::new(),
             fuzzy_pruned: Counter::new(),
         })
@@ -597,25 +500,6 @@ impl Store {
     #[must_use]
     pub fn n_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Bound the entity-map memo to `capacity` entries (minimum 1).
-    /// Shrinking below the current population evicts oldest-first.
-    pub fn set_entity_map_capacity(&self, capacity: usize) {
-        let mut cache = self.entity_maps.lock();
-        cache.capacity = capacity.max(1);
-        while cache.len() > cache.capacity {
-            if let Some(lru) = cache
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, used))| *used)
-                .map(|(i, _)| i)
-            {
-                cache.entries.swap_remove(lru);
-                self.evictions.incr();
-            }
-        }
     }
 
     /// Run `f` against the growing dataset, under the resolver read
@@ -658,8 +542,6 @@ impl Store {
             wal_bytes: shards.iter().map(|s| s.wal_bytes).sum(),
             vocabulary: shards.iter().map(|s| s.vocabulary).sum(),
             postings: shards.iter().map(|s| s.postings).sum(),
-            entity_maps_cached: self.entity_maps.lock().len(),
-            entity_map_evictions: self.evictions.get(),
             fuzzy_names: shards.iter().map(|s| s.fuzzy_names).sum(),
             fuzzy_grams: shards.iter().map(|s| s.fuzzy_grams).sum(),
             fuzzy_postings: shards.iter().map(|s| s.fuzzy_postings).sum(),
@@ -682,9 +564,7 @@ impl Store {
             Ok(()) => {
                 shard.wal_entries += 1;
                 let mut resolver = self.resolver.write();
-                let id = resolver.add_source(source);
-                self.generation.fetch_add(1, Ordering::SeqCst);
-                Ok(id)
+                Ok(resolver.add_source(source))
             }
         };
         self.seq.finish();
@@ -727,7 +607,6 @@ impl Store {
                 let matches = resolver.insert(record);
                 shard.index.add_record(rid, resolver.dataset().record(rid));
                 shard.fuzzy.add_record(rid, resolver.dataset().record(rid));
-                self.generation.fetch_add(1, Ordering::SeqCst);
                 Ok(matches)
             }
         };
@@ -810,7 +689,6 @@ impl Store {
                         let matches = resolver.insert(record);
                         shard.index.add_record(rid, resolver.dataset().record(rid));
                         shard.fuzzy.add_record(rid, resolver.dataset().record(rid));
-                        self.generation.fetch_add(1, Ordering::SeqCst);
                         Ok(matches)
                     }
                 };
@@ -829,54 +707,20 @@ impl Store {
             .collect()
     }
 
-    /// The current resolution and the write generation it reflects,
-    /// memoized per generation.
-    fn resolution_at(&self) -> (u64, Arc<Resolution>) {
-        let mut cached = self.resolution.lock();
-        let generation = self.generation.load(Ordering::SeqCst);
-        if let Some((cached_gen, r)) = cached.as_ref() {
-            if *cached_gen == generation {
-                return (generation, Arc::clone(r));
-            }
-        }
-        let resolver = self.resolver.read();
-        // Re-read under the resolver lock: the generation only moves
-        // under the resolver *write* lock, so this value is pinned for
-        // as long as we hold the read lock — the memo key is honest.
-        let generation = self.generation.load(Ordering::SeqCst);
-        let fresh = Arc::new(resolver.resolution());
-        *cached = Some((generation, Arc::clone(&fresh)));
-        (generation, fresh)
-    }
-
-    /// The current resolution, memoized until the next applied write.
+    /// The current resolution as a batch [`Resolution`]: a copy of every
+    /// match, re-sorted. The serving paths never need it — they ask the
+    /// resolver's match graph directly — so nothing is kept.
     #[must_use]
-    pub fn resolution(&self) -> Arc<Resolution> {
-        self.resolution_at().1
-    }
-
-    /// The entity map at a certainty threshold, memoized per (write
-    /// generation, threshold bits). The memo is a small LRU — see
-    /// [`DEFAULT_ENTITY_MAP_CAPACITY`] and
-    /// [`Store::set_entity_map_capacity`]; evictions are counted in
-    /// [`StoreStats::entity_map_evictions`].
-    #[must_use]
-    pub fn entity_map(&self, certainty: f64) -> Arc<EntityMap> {
-        let (generation, resolution) = self.resolution_at();
-        let key = (generation, certainty.to_bits());
-        if let Some(m) = self.entity_maps.lock().get(key) {
-            return m;
-        }
-        let fresh = Arc::new(resolution.entity_map(certainty));
-        self.evictions.add(self.entity_maps.lock().insert(key, Arc::clone(&fresh)));
-        fresh
+    pub fn resolution(&self) -> Resolution {
+        self.resolver.read().resolution()
     }
 
     /// Answer a person query: fan the seed lookup out over every shard's
     /// index, merge deterministically (ascending [`RecordId`]; shards
     /// hold disjoint records, so the merge is a sort, not a dedup), then
-    /// expand each seed through the entity map — same hits, same order,
-    /// as `PersonQuery::run` over the full dataset.
+    /// expand each seed into its entity at the query's certainty
+    /// ([`IncrementalResolver::entity_of`]) — same hits, same order, as
+    /// `PersonQuery::run` over the full dataset.
     #[must_use]
     pub fn query(&self, query: &PersonQuery) -> Vec<QueryHit> {
         self.query_traced(query, &mut TraceCtx::disabled())
@@ -901,46 +745,17 @@ impl Store {
         trace.exit();
         trace.enter("merge");
         seeds.sort_unstable();
-        let entity_map = self.entity_map(query.certainty);
-        let hits = seeds
-            .into_iter()
-            .map(|seed| QueryHit {
-                seed,
-                entity: entity_map
-                    .entity_of(seed)
-                    .map_or_else(|| vec![seed], <[RecordId]>::to_vec),
-            })
-            .collect();
+        // The shard guards are gone; the resolver read guard spans the
+        // expansion, so every hit sees one state of the match graph.
+        let hits = {
+            let resolver = self.resolver.read();
+            seeds
+                .into_iter()
+                .map(|seed| QueryHit { seed, entity: resolver.entity_of(seed, query.certainty) })
+                .collect()
+        };
         trace.exit();
         hits
-    }
-
-    /// Per-record best incident ranked-match score — the resolver's own
-    /// confidence that a record belongs to a multi-report person —
-    /// memoized per write generation alongside the resolution.
-    fn certainties_at(&self) -> Arc<Vec<f64>> {
-        let (generation, resolution) = self.resolution_at();
-        let mut cached = self.certainties.lock();
-        if let Some((cached_gen, c)) = cached.as_ref() {
-            if *cached_gen == generation {
-                return Arc::clone(c);
-            }
-        }
-        let mut best: Vec<f64> = Vec::new();
-        for m in &resolution.matches {
-            for rid in [m.a, m.b] {
-                let i = rid.index();
-                if i >= best.len() {
-                    best.resize(i + 1, 0.0);
-                }
-                if m.score > best[i] {
-                    best[i] = m.score;
-                }
-            }
-        }
-        let fresh = Arc::new(best);
-        *cached = Some((generation, Arc::clone(&fresh)));
-        fresh
     }
 
     /// Fuzzily resolve a (possibly misspelled) name into ranked
@@ -972,7 +787,7 @@ impl Store {
     ) -> ResolveOutcome {
         let query = name.to_lowercase();
         // Collect owned candidates so the shard read locks drop before
-        // ranking (which may take the resolver lock via the memos).
+        // ranking takes the resolver lock.
         let mut names: Vec<(String, f64, Vec<RecordId>)> = Vec::new();
         let mut examined = 0;
         let mut pruned = 0;
@@ -995,17 +810,18 @@ impl Store {
         self.fuzzy_pruned.add(pruned);
 
         trace.enter("merge");
-        let entity_map = self.entity_map(0.0);
-        let certainties = self.certainties_at();
-        let hits = rank_entities(
-            &query,
-            names.iter().map(|(n, j, rs)| (n.as_str(), *j, rs.as_slice())),
-            |rid| entity_map.entity_of(rid).map_or_else(|| vec![rid], <[RecordId]>::to_vec),
-            |rid| certainties.get(rid.index()).copied().unwrap_or(0.0),
-            &options.blend,
-            options.k,
-            options.min_score,
-        );
+        let hits = {
+            let resolver = self.resolver.read();
+            rank_entities(
+                &query,
+                names.iter().map(|(n, j, rs)| (n.as_str(), *j, rs.as_slice())),
+                |rid| resolver.entity_of(rid, 0.0),
+                |rid| resolver.best_score(rid),
+                &options.blend,
+                options.k,
+                options.min_score,
+            )
+        };
         trace.exit();
         ResolveOutcome { hits, examined, pruned }
     }
