@@ -9,6 +9,12 @@ cargo test -q
 # The root run covers only the root package; the crates' own unit and
 # integration tests (the bulk of the suite) gate here.
 cargo test --workspace -q
+# yv-benchmark is a package of its own, outside the workspace, driving the
+# product crates' public APIs (`extract`, `AdTree::score`,
+# `Pipeline::score_pair`/`resolve_recorded`, the string kernels, the store,
+# the wire). Its unit tests and a toy-size run of all four workloads gate
+# here, so breaking one of those APIs fails CI, not the next benchmark run.
+cargo test --offline -q --manifest-path yv-benchmark/Cargo.toml
 # cast_possible_truncation is a workspace-level warn (see [workspace.lints])
 # surfaced for review but not yet a build failure; everything else is -D.
 cargo clippy --workspace --all-targets -- -D warnings -A clippy::cast_possible_truncation

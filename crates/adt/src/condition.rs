@@ -24,7 +24,13 @@ impl Condition {
     /// Freund & Mason's graceful missing-value handling).
     #[must_use]
     pub fn eval(&self, row: &[Option<f64>]) -> Option<bool> {
-        row[self.feature].map(|v| v < self.threshold)
+        row[self.feature].map(|v| self.holds(v))
+    }
+
+    /// Whether a present feature value satisfies the condition.
+    #[must_use]
+    pub fn holds(&self, value: f64) -> bool {
+        value < self.threshold
     }
 }
 

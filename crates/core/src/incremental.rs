@@ -17,7 +17,7 @@
 use crate::model::RankedMatch;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::resolution::Resolution;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use yv_records::{Dataset, Record, RecordId};
 
 /// Configuration of the incremental candidate rule.
@@ -54,6 +54,12 @@ pub struct IncrementalResolver {
     /// `best[record] = max(0, best incident match score)`, grown like
     /// `incident`.
     best: Vec<f64>,
+    /// Scratch of [`IncrementalResolver::insert`], reused across arrivals:
+    /// `shared[record]` counts the informative items the arriving record
+    /// shares with `record` and is all zero between calls; `touched`
+    /// lists the records counted, in first-touch order.
+    shared: Vec<u16>,
+    touched: Vec<RecordId>,
 }
 
 /// Entity size up to which [`IncrementalResolver::entity_of`] tests
@@ -143,6 +149,8 @@ impl IncrementalResolver {
             matches,
             incident: Vec::new(),
             best: Vec::new(),
+            shared: Vec::new(),
+            touched: Vec::new(),
         };
         for i in 0..resolver.matches.len() {
             resolver.index_match(i);
@@ -174,22 +182,27 @@ impl IncrementalResolver {
         let rid = self.dataset.add_record(record);
         // Extend postings for any newly interned items.
         self.postings.resize(self.dataset.interner().len(), Vec::new());
-        let bag: Vec<yv_records::ItemId> = self.dataset.bag(rid).to_vec();
+        let bag = self.dataset.bag(rid);
         let n = self.dataset.len();
         let cap = ((n as f64) * self.inc.common_fraction).ceil() as usize;
 
         // Candidate partners: records sharing enough informative items.
-        let mut shared: HashMap<RecordId, usize> = HashMap::new();
-        for &item in &bag {
+        self.shared.resize(n, 0);
+        for &item in bag {
             let list = &self.postings[item.index()];
             if list.len() <= cap.max(8) {
                 for &other in list {
-                    *shared.entry(other).or_insert(0) += 1;
+                    let count = &mut self.shared[other.index()];
+                    if *count == 0 {
+                        self.touched.push(other);
+                    }
+                    *count = count.saturating_add(1);
                 }
             }
         }
         let mut new_matches = Vec::new();
-        for (other, count) in shared {
+        for other in self.touched.drain(..) {
+            let count = usize::from(std::mem::take(&mut self.shared[other.index()]));
             if count < self.inc.min_shared_items {
                 continue;
             }
@@ -203,12 +216,11 @@ impl IncrementalResolver {
             new_matches.push(RankedMatch::new(rid, other, score));
         }
         // Index the new record *after* candidate search (no self-pairs).
-        for &item in &bag {
+        for &item in bag {
             self.postings[item.index()].push(rid);
         }
-        // Deterministic order: score descending, then pair ids — the
-        // candidate map iterates in hash order, and equal scores are
-        // common enough (identical twins of a record) to surface it.
+        // Ranked order: score descending, then pair ids — equal scores
+        // are common (identical twins of a record).
         new_matches.sort_by(|a, b| {
             b.score.total_cmp(&a.score).then_with(|| (a.a, a.b).cmp(&(b.a, b.b)))
         });

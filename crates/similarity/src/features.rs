@@ -26,8 +26,10 @@
 
 use crate::dates::{day_diff, month_diff, year_diff};
 use crate::geo::haversine_km;
-use crate::jaccard::{qgram_jaccard, token_jaccard};
-use crate::jaro::jaro_winkler;
+use crate::jaccard::QgramJaccard;
+use crate::jaro::JaroWinkler;
+use crate::symbols::{eq_folded, folded, with_scratch, Kernel};
+use yv_records::field::PlacePart;
 use yv_records::{PlaceType, Record};
 
 /// Index of a feature within a [`FeatureVector`].
@@ -151,6 +153,13 @@ impl FeatureVector {
         self.values[id] = Some(value);
     }
 
+    /// All 48 values in id order — the row shape the ADT trainer and
+    /// scorer take.
+    #[must_use]
+    pub fn as_row(&self) -> &[Option<f64>; FEATURE_COUNT] {
+        &self.values
+    }
+
     /// Number of present (non-missing) features.
     #[must_use]
     pub fn present(&self) -> usize {
@@ -167,205 +176,193 @@ impl FeatureVector {
 /// value sets are equal, 0.5 when they intersect, 0.0 when disjoint
 /// (case-insensitive).
 fn trinary(a: &[String], b: &[String]) -> f64 {
-    let sa: std::collections::BTreeSet<String> = a.iter().map(|s| s.to_lowercase()).collect();
-    let sb: std::collections::BTreeSet<String> = b.iter().map(|s| s.to_lowercase()).collect();
-    if sa == sb {
+    let within = |x: &String, set: &[String]| set.iter().any(|y| eq_folded(x, y));
+    if a.iter().all(|x| within(x, b)) && b.iter().all(|y| within(y, a)) {
         1.0
-    } else if sa.intersection(&sb).next().is_some() {
+    } else if a.iter().any(|x| within(x, b)) {
         0.5
     } else {
         0.0
     }
 }
 
-/// Max q-gram (q=2) Jaccard similarity over the cross product of two
+/// Max of a case-folded string kernel over the cross product of two
 /// multi-valued names.
-fn name_dist(a: &[String], b: &[String]) -> f64 {
+fn best_over(a: &[String], b: &[String], kernel: impl Kernel<Out = f64> + Copy) -> f64 {
     let mut best: f64 = 0.0;
     for x in a {
         for y in b {
-            best = best.max(qgram_jaccard(&x.to_lowercase(), &y.to_lowercase(), 2));
+            best = best.max(folded(x, y, kernel));
         }
     }
     best
+}
+
+/// Max q-gram (q=2) Jaccard similarity over the cross product of two
+/// multi-valued names.
+fn name_dist(a: &[String], b: &[String]) -> f64 {
+    best_over(a, b, QgramJaccard { q: 2 })
 }
 
 /// Max Jaro-Winkler over the cross product of two multi-valued names.
 fn name_jw(a: &[String], b: &[String]) -> f64 {
-    let mut best: f64 = 0.0;
-    for x in a {
-        for y in b {
-            best = best.max(jaro_winkler(&x.to_lowercase(), &y.to_lowercase()));
+    best_over(a, b, JaroWinkler)
+}
+
+/// Whether any two values start with the same letter, case-insensitively
+/// (two empty values count as agreeing).
+fn same_initial(a: &[String], b: &[String]) -> bool {
+    let initial = |s: &String| s.chars().next().map(char::to_lowercase);
+    a.iter().any(|x| {
+        b.iter().any(|y| match (initial(x), initial(y)) {
+            (Some(p), Some(q)) => p.eq(q),
+            (None, None) => true,
+            _ => false,
+        })
+    })
+}
+
+/// The values both records carry for the `k`-th name attribute (first,
+/// last, maiden, father's, mother's, mother's maiden, spouse's), or `None`
+/// when either record lacks it.
+fn name_values<'r>(k: usize, a: &'r Record, b: &'r Record) -> Option<(&'r [String], &'r [String])> {
+    let values = |r: &'r Record| -> Option<&'r [String]> {
+        let single = |v: &'r Option<String>| v.as_ref().map(std::slice::from_ref);
+        let values = match k {
+            0 => Some(r.first_names.as_slice()),
+            1 => Some(r.last_names.as_slice()),
+            2 => single(&r.maiden_name),
+            3 => single(&r.father_name),
+            4 => single(&r.mother_name),
+            5 => single(&r.mothers_maiden),
+            6 => single(&r.spouse_name),
+            _ => None,
+        }?;
+        (!values.is_empty()).then_some(values)
+    };
+    Some((values(a)?, values(b)?))
+}
+
+/// Run `f` over the distinct (case-insensitively) whitespace-delimited
+/// tokens of all name attributes of a record.
+fn with_name_tokens<R>(r: &Record, f: impl FnOnce(&[&str]) -> R) -> R {
+    let tokens = || {
+        let singles =
+            [&r.maiden_name, &r.father_name, &r.mother_name, &r.mothers_maiden, &r.spouse_name];
+        r.first_names
+            .iter()
+            .chain(&r.last_names)
+            .chain(singles.into_iter().flatten())
+            .flat_map(|name| name.split_whitespace())
+    };
+    with_scratch(tokens().count(), |distinct: &mut [&str]| {
+        let mut kept = 0;
+        for token in tokens() {
+            if !distinct[..kept].iter().any(|seen| eq_folded(seen, token)) {
+                distinct[kept] = token;
+                kept += 1;
+            }
         }
-    }
-    best
+        f(&distinct[..kept])
+    })
 }
 
-fn opt_slice(v: &Option<String>) -> Option<Vec<String>> {
-    v.as_ref().map(|s| vec![s.clone()])
+/// Token Jaccard over the union of all name tokens of each record
+/// (case-insensitive), absent when either record has no name token.
+fn all_names_dist(a: &Record, b: &Record) -> Option<f64> {
+    with_name_tokens(a, |ta| {
+        with_name_tokens(b, |tb| {
+            if ta.is_empty() || tb.is_empty() {
+                return None;
+            }
+            let inter = ta.iter().filter(|t| tb.iter().any(|u| eq_folded(t, u))).count();
+            Some(inter as f64 / (ta.len() + tb.len() - inter) as f64)
+        })
+    })
 }
 
-fn set_name_features(
-    fv: &mut FeatureVector,
-    same_id: FeatureId,
-    dist_id: FeatureId,
-    a: Option<&[String]>,
-    b: Option<&[String]>,
-) {
-    if let (Some(a), Some(b)) = (a, b) {
-        if !a.is_empty() && !b.is_empty() {
-            fv.set(same_id, trinary(a, b));
-            fv.set(dist_id, name_dist(a, b));
-        }
-    }
-}
-
-fn eq_ci(a: &str, b: &str) -> bool {
-    a.eq_ignore_ascii_case(b) || a.to_lowercase() == b.to_lowercase()
-}
-
-/// Extract the 48-feature vector for a candidate record pair.
+/// One feature of a candidate record pair — the single definition of each
+/// of the 48; `None` when either record lacks the underlying attribute
+/// (and for an id that names no feature).
+///
+/// Scoring asks for features one at a time because the ADTree reaches
+/// only a few of them per pair; every name comparison runs on stack
+/// buffers (see `symbols.rs`), so no feature touches the heap unless a
+/// name is longer than 64 characters or contains a capital sigma.
 ///
 /// The `sameSource` feature comes from comparing the records'
 /// [`yv_records::SourceId`]s — equal ids mean the same victim list or the
 /// same testimony submitter.
 #[must_use]
-pub fn extract(a: &Record, b: &Record) -> FeatureVector {
-    let mut fv = FeatureVector::default();
-
-    // -- Name families -----------------------------------------------------
-    set_name_features(
-        &mut fv,
-        ids::SAME_FN,
-        ids::FN_DIST,
-        Some(&a.first_names),
-        Some(&b.first_names),
-    );
-    set_name_features(
-        &mut fv,
-        ids::SAME_LN,
-        ids::LN_DIST,
-        Some(&a.last_names),
-        Some(&b.last_names),
-    );
-    let pairs = [
-        (ids::SAME_MN, ids::MN_DIST, &a.maiden_name, &b.maiden_name),
-        (ids::SAME_FFN, ids::FFN_DIST, &a.father_name, &b.father_name),
-        (ids::SAME_MFN, ids::MFN_DIST, &a.mother_name, &b.mother_name),
-        (ids::SAME_MMN, ids::MMN_DIST, &a.mothers_maiden, &b.mothers_maiden),
-        (ids::SAME_SN, ids::SN_DIST, &a.spouse_name, &b.spouse_name),
-    ];
-    for (same_id, dist_id, va, vb) in pairs {
-        let (sa, sb) = (opt_slice(va), opt_slice(vb));
-        set_name_features(&mut fv, same_id, dist_id, sa.as_deref(), sb.as_deref());
-    }
-
-    // -- Birth-date components ----------------------------------------------
-    if let (Some(d1), Some(d2)) = (a.birth.day, b.birth.day) {
-        fv.set(ids::B1_DIST, f64::from(day_diff(d1, d2)));
-    }
-    if let (Some(m1), Some(m2)) = (a.birth.month, b.birth.month) {
-        fv.set(ids::B2_DIST, f64::from(month_diff(m1, m2)));
-    }
-    if let (Some(y1), Some(y2)) = (a.birth.year, b.birth.year) {
-        fv.set(ids::B3_DIST, f64::from(year_diff(y1, y2)));
-        fv.set(ids::B3_DIST_NORM, 1.0 - (f64::from(year_diff(y1, y2)) / 100.0).min(1.0));
-    }
-    if let (Some(da), Some(db)) = (
-        a.birth.day.zip(a.birth.month).zip(a.birth.year),
-        b.birth.day.zip(b.birth.month).zip(b.birth.year),
-    ) {
-        fv.set(ids::SAME_FULL_DOB, f64::from(da == db));
-    }
-
-    // -- Places ---------------------------------------------------------------
-    let place_feature_base: [(PlaceType, FeatureId, FeatureId); 4] = [
-        (PlaceType::Birth, ids::SAME_BP1, ids::BP_GEO),
-        (PlaceType::Permanent, ids::SAME_P1, ids::P_GEO),
-        (PlaceType::Wartime, ids::SAME_WP1, ids::WP_GEO),
-        (PlaceType::Death, ids::SAME_DP1, ids::DP_GEO),
-    ];
-    for (ty, same_base, geo_id) in place_feature_base {
-        if let (Some(pa), Some(pb)) = (a.place(ty), b.place(ty)) {
-            for (k, part) in yv_records::field::PlacePart::ALL.iter().enumerate() {
-                if let (Some(x), Some(y)) = (pa.part(*part), pb.part(*part)) {
-                    fv.set(same_base + k, f64::from(eq_ci(x, y)));
-                }
-            }
-            if let (Some(g1), Some(g2)) = (pa.coords, pb.coords) {
-                fv.set(geo_id, haversine_km(g1, g2));
+pub fn feature(id: FeatureId, a: &Record, b: &Record) -> Option<f64> {
+    let value = match id {
+        // -- Name families ---------------------------------------------------
+        ids::SAME_FN..=ids::SAME_SN => {
+            let (x, y) = name_values(id - ids::SAME_FN, a, b)?;
+            trinary(x, y)
+        }
+        ids::FN_DIST..=ids::SN_DIST => {
+            let (x, y) = name_values(id - ids::FN_DIST, a, b)?;
+            name_dist(x, y)
+        }
+        // -- Birth-date components -------------------------------------------
+        ids::B1_DIST => f64::from(day_diff(a.birth.day?, b.birth.day?)),
+        ids::B2_DIST => f64::from(month_diff(a.birth.month?, b.birth.month?)),
+        ids::B3_DIST => f64::from(year_diff(a.birth.year?, b.birth.year?)),
+        ids::B3_DIST_NORM => {
+            1.0 - (f64::from(year_diff(a.birth.year?, b.birth.year?)) / 100.0).min(1.0)
+        }
+        ids::SAME_FULL_DOB => {
+            let full = |d: &yv_records::DateParts| d.day.zip(d.month).zip(d.year);
+            f64::from(full(&a.birth)? == full(&b.birth)?)
+        }
+        // -- Places (never compared across types) -----------------------------
+        ids::SAME_BP1..=ids::SAME_DP4 => {
+            let k = id - ids::SAME_BP1;
+            let (ty, part) = (PlaceType::ALL[k / 4], PlacePart::ALL[k % 4]);
+            f64::from(eq_folded(a.place(ty)?.part(part)?, b.place(ty)?.part(part)?))
+        }
+        ids::BP_GEO..=ids::DP_GEO => {
+            let ty = PlaceType::ALL[id - ids::BP_GEO];
+            haversine_km(a.place(ty)?.coords?, b.place(ty)?.coords?)
+        }
+        // -- Codes -------------------------------------------------------------
+        ids::SAME_SOURCE => f64::from(a.source == b.source),
+        ids::SAME_GENDER => f64::from(a.gender? == b.gender?),
+        ids::SAME_PROFESSION => {
+            f64::from(eq_folded(a.profession.as_ref()?, b.profession.as_ref()?))
+        }
+        // -- Extra conceivable features ----------------------------------------
+        ids::FN_JW | ids::LN_JW => {
+            let (x, y) = name_values(id - ids::FN_JW, a, b)?;
+            name_jw(x, y)
+        }
+        ids::SAME_FIRST_INIT | ids::SAME_LAST_INIT => {
+            let (x, y) = name_values(id - ids::SAME_FIRST_INIT, a, b)?;
+            f64::from(same_initial(x, y))
+        }
+        // Married-name evidence: one record's maiden name equals the other's
+        // last name.
+        ids::CROSS_MAIDEN_LAST => {
+            let cross = |x: &Record, y: &Record| {
+                x.maiden_name.as_ref().map(|m| y.last_names.iter().any(|l| eq_folded(m, l)))
+            };
+            match (cross(a, b), cross(b, a)) {
+                (None, None) => return None,
+                (x, y) => f64::from(x.unwrap_or(false) || y.unwrap_or(false)),
             }
         }
-    }
-
-    // -- Codes ------------------------------------------------------------------
-    if let (Some(g1), Some(g2)) = (a.gender, b.gender) {
-        fv.set(ids::SAME_GENDER, f64::from(g1 == g2));
-    }
-    if let (Some(p1), Some(p2)) = (&a.profession, &b.profession) {
-        fv.set(ids::SAME_PROFESSION, f64::from(eq_ci(p1, p2)));
-    }
-    fv.set(ids::SAME_SOURCE, f64::from(a.source == b.source));
-
-    // -- Extra conceivable features ----------------------------------------------
-    if !a.first_names.is_empty() && !b.first_names.is_empty() {
-        fv.set(ids::FN_JW, name_jw(&a.first_names, &b.first_names));
-        let init_match = a.first_names.iter().any(|x| {
-            b.first_names.iter().any(|y| {
-                x.chars().next().map(|c| c.to_lowercase().to_string())
-                    == y.chars().next().map(|c| c.to_lowercase().to_string())
-            })
-        });
-        fv.set(ids::SAME_FIRST_INIT, f64::from(init_match));
-    }
-    if !a.last_names.is_empty() && !b.last_names.is_empty() {
-        fv.set(ids::LN_JW, name_jw(&a.last_names, &b.last_names));
-        let init_match = a.last_names.iter().any(|x| {
-            b.last_names.iter().any(|y| {
-                x.chars().next().map(|c| c.to_lowercase().to_string())
-                    == y.chars().next().map(|c| c.to_lowercase().to_string())
-            })
-        });
-        fv.set(ids::SAME_LAST_INIT, f64::from(init_match));
-    }
-    // Married-name evidence: one record's maiden name equals the other's
-    // last name.
-    let cross_ab = a
-        .maiden_name
-        .as_ref()
-        .map(|m| b.last_names.iter().any(|l| eq_ci(m, l)));
-    let cross_ba = b
-        .maiden_name
-        .as_ref()
-        .map(|m| a.last_names.iter().any(|l| eq_ci(m, l)));
-    if let Some(hit) = match (cross_ab, cross_ba) {
-        (None, None) => None,
-        (x, y) => Some(x.unwrap_or(false) || y.unwrap_or(false)),
-    } {
-        fv.set(ids::CROSS_MAIDEN_LAST, f64::from(hit));
-    }
-    // Token Jaccard over the union of all name tokens of each record.
-    let all_names = |r: &Record| {
-        let mut s = String::new();
-        for n in r.first_names.iter().chain(&r.last_names) {
-            s.push_str(n);
-            s.push(' ');
-        }
-        for n in [&r.maiden_name, &r.father_name, &r.mother_name, &r.mothers_maiden, &r.spouse_name]
-            .into_iter()
-            .flatten()
-        {
-            s.push_str(n);
-            s.push(' ');
-        }
-        s
+        ids::ALL_NAMES_DIST => all_names_dist(a, b)?,
+        _ => return None,
     };
-    let (na, nb) = (all_names(a), all_names(b));
-    if !na.trim().is_empty() && !nb.trim().is_empty() {
-        fv.set(ids::ALL_NAMES_DIST, token_jaccard(&na, &nb));
-    }
+    Some(value)
+}
 
-    fv
+/// Extract the 48-feature vector for a candidate record pair: every
+/// [`feature`], eagerly — what training and evaluation consume.
+#[must_use]
+pub fn extract(a: &Record, b: &Record) -> FeatureVector {
+    FeatureVector { values: std::array::from_fn(|id| feature(id, a, b)) }
 }
 
 #[cfg(test)]
@@ -494,11 +491,155 @@ mod tests {
         assert_eq!(fv.get(ids::SAME_SOURCE), Some(0.0));
     }
 
+    /// `feature` and `extract` against the eager allocating extractor, bit
+    /// for bit, in both argument orders.
+    fn assert_matches_reference(a: &Record, b: &Record) {
+        for (x, y) in [(a, b), (b, a), (a, a)] {
+            let expected = crate::reference::extract(x, y);
+            let bits = |v: Option<f64>| v.map(f64::to_bits);
+            for (id, def) in FEATURES.iter().enumerate() {
+                assert_eq!(
+                    bits(feature(id, x, y)),
+                    bits(expected.get(id)),
+                    "{} of {x:?} / {y:?}",
+                    def.name
+                );
+            }
+            assert_eq!(extract(x, y), expected);
+        }
+    }
+
     #[test]
-    fn iter_present_matches_get() {
+    fn features_match_the_eager_reference_on_hand_built_records() {
+        let long = "Wolfeschlegelsteinhausenbergerdorff".repeat(2);
+        let records = [
+            guido_a(),
+            guido_b(),
+            RecordBuilder::new(1, SourceId(0)).build(),
+            // Empty and multi-valued names, a name with a space.
+            RecordBuilder::new(2, SourceId(0))
+                .first_name("")
+                .first_name("John")
+                .first_name("HARRIS")
+                .last_name("Della Torre")
+                .maiden_name("")
+                .build(),
+            RecordBuilder::new(3, SourceId(1))
+                .first_name("john")
+                .last_name("della torre")
+                .last_name("Levi")
+                .maiden_name("DELLA TORRE")
+                .mother_name("Della")
+                .build(),
+            // Non-ASCII: final sigma, dotted capital I, sharp s.
+            RecordBuilder::new(4, SourceId(1))
+                .first_name("ΟΔΥΣΣΕΥΣ")
+                .last_name("İpekçi")
+                .father_name("Straße")
+                .profession("ΣΟΦΟΣ")
+                .place(PlaceType::Birth, Place::full("İzmir", "x", "y", "Türkiye", GeoPoint::new(38.4, 27.1)))
+                .build(),
+            RecordBuilder::new(5, SourceId(2))
+                .first_name("οδυσσευς")
+                .last_name("i̇pekçi")
+                .father_name("STRASSE")
+                .profession("σοφος")
+                .birth(DateParts::year_only(1901))
+                .place(PlaceType::Birth, Place::full("i̇zmir", "X", "Y", "TÜRKIYE", GeoPoint::new(38.4, 27.1)))
+                .build(),
+            // Longer than the stack buffers.
+            RecordBuilder::new(6, SourceId(2))
+                .first_name(long.clone())
+                .last_name(long.to_uppercase())
+                .spouse_name(format!("{long}é"))
+                .build(),
+            RecordBuilder::new(7, SourceId(2))
+                .first_name(long.to_uppercase())
+                .last_name(format!("{long}x"))
+                .spouse_name(format!("{long}É"))
+                .build(),
+        ];
+        for a in &records {
+            for b in &records {
+                assert_matches_reference(a, b);
+            }
+        }
+    }
+
+    /// A record whose every attribute is absent or drawn from the small
+    /// `names` pool, as 22 `picks` decide — so that equal, case-differing
+    /// and partially overlapping values all occur between two records.
+    fn record_from(id: u64, names: &[String], picks: &[u32]) -> Record {
+        let name = |k: usize| names[picks[k] as usize % names.len()].clone();
+        let has = |k: usize| !picks[k].is_multiple_of(3);
+        let mut r = RecordBuilder::new(id, SourceId(picks[0] % 2));
+        for k in 1..=(picks[1] as usize % 3) {
+            r = r.first_name(name(k));
+        }
+        for k in 4..4 + (picks[4] as usize % 3) {
+            r = r.last_name(name(k));
+        }
+        let singles: [fn(RecordBuilder, String) -> RecordBuilder; 6] = [
+            RecordBuilder::maiden_name,
+            RecordBuilder::father_name,
+            RecordBuilder::mother_name,
+            RecordBuilder::mothers_maiden,
+            RecordBuilder::spouse_name,
+            RecordBuilder::profession,
+        ];
+        for (k, set) in singles.into_iter().enumerate() {
+            if has(7 + k) {
+                r = set(r, name(7 + k));
+            }
+        }
+        if has(13) {
+            r = r.gender(if picks[13] % 2 == 1 { Gender::Male } else { Gender::Female });
+        }
+        r = r.birth(DateParts {
+            day: has(14).then_some((picks[14] % 28) as u8 + 1),
+            month: has(15).then_some((picks[15] % 12) as u8 + 1),
+            year: has(16).then_some(1880 + (picks[16] % 60) as i32),
+        });
+        for (k, ty) in PlaceType::ALL.into_iter().enumerate() {
+            if has(17 + k) {
+                let coords = GeoPoint::new(45.0, f64::from(picks[17 + k] % 40));
+                let mut place = Place::full(name(17 + k), name(18 + k), "r", "c", coords);
+                if picks[17 + k] % 5 == 1 {
+                    place.coords = None;
+                }
+                r = r.place(ty, place);
+            }
+        }
+        r.build()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn features_match_the_eager_reference_on_generated_records(
+            names in proptest::collection::vec("[a-cA-CΣσİß ]{0,5}", 36..37),
+            picks in proptest::collection::vec(0u32..1000, 44..45),
+        ) {
+            assert_matches_reference(
+                &record_from(1, &names, &picks[..22]),
+                &record_from(2, &names, &picks[22..]),
+            );
+        }
+    }
+
+    #[test]
+    fn ids_beyond_the_table_are_missing() {
+        assert_eq!(feature(FEATURE_COUNT, &guido_a(), &guido_b()), None);
+        assert_eq!(feature(usize::MAX, &guido_a(), &guido_b()), None);
+    }
+
+    #[test]
+    fn iter_present_and_as_row_match_get() {
         let fv = extract(&guido_a(), &guido_b());
         for (id, v) in fv.iter_present() {
             assert_eq!(fv.get(id), Some(v));
+        }
+        for (id, v) in fv.as_row().iter().enumerate() {
+            assert_eq!(fv.get(id), *v);
         }
         assert_eq!(fv.iter_present().count(), fv.present());
     }

@@ -5,7 +5,9 @@
 //! MFIBlocks' block score is a Jaccard-style commonality measure over record
 //! item bags (Section 4.1.2 / [18]).
 
-use crate::strings::{qgrams, tokens};
+use crate::strings::tokens;
+use crate::symbols::{exact, with_scratch, Kernel};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::hash::Hash;
 
@@ -34,10 +36,90 @@ pub fn token_jaccard(a: &str, b: &str) -> f64 {
 }
 
 /// Jaccard over q-grams of two strings — the `XnameDist` measure
-/// (1.0 = perfectly similar).
+/// (1.0 = perfectly similar). The grams are those of
+/// [`crate::strings::qgrams`], compared as sets.
 #[must_use]
 pub fn qgram_jaccard(a: &str, b: &str, q: usize) -> f64 {
-    jaccard_sets(&qgrams(a, q), &qgrams(b, q))
+    exact(a, b, QgramJaccard { q })
+}
+
+#[derive(Clone, Copy)]
+pub(crate) struct QgramJaccard {
+    pub(crate) q: usize,
+}
+
+impl Kernel for QgramJaccard {
+    type Out = f64;
+
+    fn run<T: Copy + Ord>(self, a: &[T], b: &[T]) -> f64 {
+        let q = self.q;
+        assert!(q > 0, "q must be positive");
+        // A gram is the window starting at an offset; each side's distinct
+        // grams are its offsets sorted and deduplicated by window content,
+        // and the intersection is a merge of the two sorted lists.
+        with_scratch(gram_count(a, q), |a_grams: &mut [usize]| {
+            with_scratch(gram_count(b, q), |b_grams: &mut [usize]| {
+                let a_grams = distinct_grams(a, q, a_grams);
+                let b_grams = distinct_grams(b, q, b_grams);
+                if a_grams.is_empty() && b_grams.is_empty() {
+                    return 1.0;
+                }
+                let (mut i, mut j, mut inter) = (0, 0, 0usize);
+                while i < a_grams.len() && j < b_grams.len() {
+                    match cmp_grams(gram(a, a_grams[i], q), gram(b, b_grams[j], q)) {
+                        Ordering::Less => i += 1,
+                        Ordering::Greater => j += 1,
+                        Ordering::Equal => {
+                            inter += 1;
+                            i += 1;
+                            j += 1;
+                        }
+                    }
+                }
+                inter as f64 / (a_grams.len() + b_grams.len() - inter) as f64
+            })
+        })
+    }
+}
+
+/// How many q-grams `s` has: none when empty, the whole string when it is
+/// no longer than `q`, one per window otherwise.
+fn gram_count<T>(s: &[T], q: usize) -> usize {
+    match s.len() {
+        0 => 0,
+        n if n <= q => 1,
+        n => n - q + 1,
+    }
+}
+
+fn gram<T>(s: &[T], start: usize, q: usize) -> &[T] {
+    &s[start..(start + q).min(s.len())]
+}
+
+/// Lexicographic order of two grams, symbol by symbol: grams are a couple
+/// of symbols long, where a `memcmp` call costs more than the comparison.
+fn cmp_grams<T: Ord>(x: &[T], y: &[T]) -> Ordering {
+    x.iter().cmp(y)
+}
+
+/// Fill `offsets` (one slot per gram of `s`) with the gram offsets, sorted
+/// by gram content, and return the prefix holding one offset per distinct
+/// gram.
+fn distinct_grams<'o, T: Ord>(s: &[T], q: usize, offsets: &'o mut [usize]) -> &'o [usize] {
+    for (start, slot) in offsets.iter_mut().enumerate() {
+        *slot = start;
+    }
+    offsets.sort_unstable_by(|&x, &y| cmp_grams(gram(s, x, q), gram(s, y, q)));
+    let mut kept = 0;
+    for k in 0..offsets.len() {
+        let repeats =
+            kept > 0 && cmp_grams(gram(s, offsets[kept - 1], q), gram(s, offsets[k], q)).is_eq();
+        if !repeats {
+            offsets[kept] = offsets[k];
+            kept += 1;
+        }
+    }
+    &offsets[..kept]
 }
 
 /// Jaccard coefficient of two strictly sorted id slices, computed by a

@@ -5,28 +5,56 @@
 //! rewards agreeing prefixes, matching the observation that clerical errors
 //! tend to hit the tail of a transcribed name.
 
+use crate::symbols::{exact, with_scratch, Kernel};
+
 /// Jaro similarity in `[0, 1]`.
 #[must_use]
 pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
+    exact(a, b, Jaro)
+}
+
+/// Jaro-Winkler similarity with the standard prefix scale of 0.1 and a
+/// prefix cap of 4 characters.
+#[must_use]
+pub fn jaro_winkler(a: &str, b: &str) -> f64 {
+    exact(a, b, JaroWinkler)
+}
+
+pub(crate) struct Jaro;
+
+impl Kernel for Jaro {
+    type Out = f64;
+
+    fn run<T: Copy + Ord>(self, a: &[T], b: &[T]) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        with_scratch(a.len(), |a_matched: &mut [bool]| {
+            with_scratch(b.len(), |b_matched: &mut [bool]| jaro_marking(a, b, a_matched, b_matched))
+        })
     }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
+}
+
+/// Jaro over non-empty inputs, marking the matched positions of each side
+/// in the (all-false) flag slices.
+fn jaro_marking<T: Copy + Ord>(
+    a: &[T],
+    b: &[T],
+    a_matched: &mut [bool],
+    b_matched: &mut [bool],
+) -> f64 {
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_matched = vec![false; b.len()];
     let mut matches = 0usize;
-    let mut a_match_flags = vec![false; a.len()];
     for (i, &ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
         let hi = (i + window + 1).min(b.len());
         for j in lo..hi {
             if !b_matched[j] && b[j] == ca {
                 b_matched[j] = true;
-                a_match_flags[i] = true;
+                a_matched[i] = true;
                 matches += 1;
                 break;
             }
@@ -36,29 +64,29 @@ pub fn jaro(a: &str, b: &str) -> f64 {
         return 0.0;
     }
     // Count transpositions: matched characters out of order.
-    let a_matches: Vec<char> =
-        a.iter().zip(&a_match_flags).filter(|(_, &f)| f).map(|(&c, _)| c).collect();
-    let b_matches: Vec<char> =
-        b.iter().zip(&b_matched).filter(|(_, &f)| f).map(|(&c, _)| c).collect();
     let transpositions =
-        a_matches.iter().zip(&b_matches).filter(|(x, y)| x != y).count() / 2;
+        matched(a, a_matched).zip(matched(b, b_matched)).filter(|(x, y)| x != y).count() / 2;
     let m = matches as f64;
     (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
 }
 
-/// Jaro-Winkler similarity with the standard prefix scale of 0.1 and a
-/// prefix cap of 4 characters.
-#[must_use]
-pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count();
-    let jw = j + prefix as f64 * 0.1 * (1.0 - j);
-    jw.clamp(0.0, 1.0)
+/// The symbols of `s` at flagged positions, in order.
+fn matched<'s, T: Copy>(s: &'s [T], flags: &'s [bool]) -> impl Iterator<Item = T> + 's {
+    s.iter().zip(flags).filter(|(_, &f)| f).map(|(&c, _)| c)
+}
+
+#[derive(Clone, Copy)]
+pub(crate) struct JaroWinkler;
+
+impl Kernel for JaroWinkler {
+    type Out = f64;
+
+    fn run<T: Copy + Ord>(self, a: &[T], b: &[T]) -> f64 {
+        let j = Jaro.run(a, b);
+        let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
+        let jw = j + prefix as f64 * 0.1 * (1.0 - j);
+        jw.clamp(0.0, 1.0)
+    }
 }
 
 #[cfg(test)]

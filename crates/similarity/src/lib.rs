@@ -18,10 +18,13 @@ pub mod geo;
 pub mod jaccard;
 pub mod jaro;
 pub mod phonetic;
+#[cfg(test)]
+mod reference;
 pub mod strings;
+mod symbols;
 
 pub use features::{
-    extract, FeatureDef, FeatureId, FeatureKind, FeatureVector, FEATURES, FEATURE_COUNT,
+    extract, feature, FeatureDef, FeatureId, FeatureKind, FeatureVector, FEATURES, FEATURE_COUNT,
 };
 pub use fsim::{item_similarity, weighted_item_weight, ExpertWeights};
 pub use geo::haversine_km;

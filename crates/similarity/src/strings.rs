@@ -1,28 +1,39 @@
 //! Basic string utilities: Levenshtein distance, tokenization and q-grams.
 
+use crate::symbols::{exact, with_scratch, Kernel};
+
 /// Levenshtein edit distance between two strings (unit costs), computed over
-/// Unicode scalar values with the classic two-row dynamic program.
+/// Unicode scalar values with the classic single-row dynamic program.
 #[must_use]
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
+    exact(a, b, Levenshtein)
+}
+
+struct Levenshtein;
+
+impl Kernel for Levenshtein {
+    type Out = usize;
+
+    fn run<T: Copy + Ord>(self, a: &[T], b: &[T]) -> usize {
+        // row[j] = distance between the prefix of `a` consumed so far and
+        // b[..j]; `diagonal` carries the previous row's row[j].
+        with_scratch(b.len() + 1, |row: &mut [usize]| {
+            for (j, cell) in row.iter_mut().enumerate() {
+                *cell = j;
+            }
+            for (i, &ca) in a.iter().enumerate() {
+                let mut diagonal = row[0];
+                row[0] = i + 1;
+                for (j, &cb) in b.iter().enumerate() {
+                    let above = row[j + 1];
+                    let substitute = diagonal + usize::from(ca != cb);
+                    row[j + 1] = substitute.min(above + 1).min(row[j] + 1);
+                    diagonal = above;
+                }
+            }
+            row[b.len()]
+        })
     }
-    if b.is_empty() {
-        return a.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
 }
 
 /// Normalized Levenshtein similarity in `[0, 1]` (1 = identical).

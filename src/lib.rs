@@ -74,6 +74,8 @@ pub mod prelude {
         Dataset, DateParts, Gender, GeoPoint, Place, PlaceType, Record, RecordBuilder, RecordId,
         Source, SourceId,
     };
-    pub use yv_similarity::{extract, jaro_winkler, FeatureVector, FEATURES, FEATURE_COUNT};
+    pub use yv_similarity::{
+        extract, feature, jaro_winkler, FeatureVector, FEATURES, FEATURE_COUNT,
+    };
     pub use yv_store::{Store, StoreError};
 }

@@ -8,6 +8,29 @@ fn sample_records() -> Generated {
     GenConfig::random(500, 33).generate()
 }
 
+proptest::proptest! {
+    /// `feature` is the definition, `extract` the loop over it: asked one at
+    /// a time (as the ADTree asks) or all at once, a pair yields the same
+    /// bits.
+    #[test]
+    fn single_features_are_the_extracted_vector(a in 0u32..500, b in 0u32..500) {
+        static SAMPLE: std::sync::OnceLock<Generated> = std::sync::OnceLock::new();
+        let gen = SAMPLE.get_or_init(sample_records);
+        let n = gen.dataset.len() as u32;
+        let ra = gen.dataset.record(RecordId(a % n));
+        let rb = gen.dataset.record(RecordId(b % n));
+        let fv = extract(ra, rb);
+        for (id, def) in FEATURES.iter().enumerate() {
+            assert_eq!(
+                feature(id, ra, rb).map(f64::to_bits),
+                fv.get(id).map(f64::to_bits),
+                "{} of records {a} / {b}",
+                def.name
+            );
+        }
+    }
+}
+
 #[test]
 #[allow(clippy::needless_range_loop)] // f indexes parallel FEATURES metadata
 fn extraction_is_symmetric() {
