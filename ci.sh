@@ -90,7 +90,7 @@ with open(sys.argv[1]) as f:
     trace = json.load(f)
 events = trace["traceEvents"]
 names = {e["name"] for e in events if e.get("ph") == "X"}
-for span in ["blocking", "iteration", "mine", "score_blocks", "ng_filter"]:
+for span in ["blocking", "prune_items", "iteration", "mine", "find_support", "score_blocks", "ng_filter"]:
     assert span in names, f"trace is missing span {span!r}: {sorted(names)}"
 counters = {e["name"] for e in events if e.get("ph") == "C"}
 assert "candidate_pairs" in counters, f"missing counter: {sorted(counters)}"

@@ -26,6 +26,7 @@
 //! ```
 
 pub mod config;
+mod csr;
 pub mod diagnostics;
 pub mod mfiblocks;
 pub mod neighborhood;

@@ -1,11 +1,11 @@
 //! Algorithm 1: the MFIBlocks main loop.
 
 use crate::config::MfiBlocksConfig;
+use crate::csr::{group_by_key, row};
 use crate::neighborhood::ng_threshold;
 use crate::score::block_score;
-use std::collections::HashSet;
 use std::time::Duration;
-use yv_mfi::{mine_maximal, prune_common_items, prune_top_frequent};
+use yv_mfi::{common_items, mine_maximal, top_frequent};
 use yv_obs::{MetricsRegistry, Recorder};
 use yv_records::{Dataset, ItemId, RecordId};
 
@@ -95,31 +95,41 @@ pub fn mfi_blocks_recorded(
 ) -> BlockingResult {
     let blocking_span = rec.span("blocking");
     let n = ds.len();
+    let n_items = ds.interner().len();
     let mut stats = BlockingStats::default();
     let mut mining_ns = 0u64;
 
-    // Item bags as raw u32s, optionally with ultra-frequent items pruned.
+    // Item bags as raw u32s, with ultra-frequent items pruned. One dense
+    // frequency pass decides both prunings: items of a bag have frequency
+    // >= 1, so a zeroed entry marks its item pruned (and hides it from
+    // the common-item cap, as if it had already left the bags).
     let prune_span = rec.span("prune_items");
-    let raw_bags: Vec<Vec<u32>> =
-        ds.bags().iter().map(|bag| bag.iter().map(|id| id.0).collect()).collect();
-    let mut mining_bags: Vec<Vec<u32>> = match config.prune_frequent {
-        Some(fraction) => {
-            let (pruned, removed) = prune_top_frequent(&raw_bags, fraction);
-            stats.items_pruned = removed.len();
-            pruned
-        }
-        None => raw_bags,
-    };
-    if let Some(fraction) = config.prune_common {
-        let (pruned, removed) = prune_common_items(&mining_bags, fraction);
-        stats.items_pruned += removed.len();
-        mining_bags = pruned;
+    let mut freq = vec![0u64; n_items];
+    for id in ds.bags().iter().flatten() {
+        freq[id.index()] += 1;
     }
+    let mut pruned = config.prune_frequent.map_or_else(Vec::new, |f| top_frequent(&freq, f));
+    for &item in &pruned {
+        freq[item as usize] = 0;
+    }
+    if let Some(fraction) = config.prune_common {
+        pruned.extend(common_items(&freq, n, fraction));
+    }
+    for &item in &pruned {
+        freq[item as usize] = 0;
+    }
+    stats.items_pruned = pruned.len();
+    let mining_bags: Vec<Vec<u32>> = ds
+        .bags()
+        .iter()
+        .map(|bag| bag.iter().filter(|id| freq[id.index()] > 0).map(|id| id.0).collect())
+        .collect();
     prune_span.finish();
 
     let mut covered = vec![false; n];
-    let mut pairs: HashSet<(RecordId, RecordId)> = HashSet::new();
+    let mut candidate_pairs: Vec<(RecordId, RecordId)> = Vec::new();
     let mut kept_blocks: Vec<Block> = Vec::new();
+    let (mut support, mut spare) = (Vec::new(), Vec::new());
 
     let mut minsup = config.max_minsup.max(2);
     loop {
@@ -129,8 +139,7 @@ pub fn mfi_blocks_recorded(
         }
         let iteration_span = rec.span_with("iteration", &[("minsup", minsup)]);
         // Mine MFIs from the uncovered records (line 6).
-        let subset: Vec<Vec<u32>> =
-            uncovered.iter().map(|&i| mining_bags[i].clone()).collect();
+        let subset: Vec<&[u32]> = uncovered.iter().map(|&i| mining_bags[i].as_slice()).collect();
         let mine_span = rec.span_with("mine", &[("minsup", minsup)]);
         let mfis = mine_maximal(&subset, minsup);
         mining_ns += mine_span.finish();
@@ -139,60 +148,54 @@ pub fn mfi_blocks_recorded(
 
         // FindSupport (line 7): inverted index over the uncovered subset.
         let support_span = rec.span_with("find_support", &[("minsup", minsup)]);
-        let n_items = ds.interner().len();
-        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); n_items];
-        for (local, &global) in uncovered.iter().enumerate() {
-            for &item in &mining_bags[global] {
-                postings[item as usize].push(local as u32);
-            }
-        }
-
-        let size_cap = (minsup as f64 * config.p).floor() as usize;
-        let mut candidates: Vec<(Vec<ItemId>, Vec<RecordId>)> = Vec::new();
-        for mfi in &mfis {
-            let Some(support) = intersect_postings(&postings, &mfi.items) else {
+        let (starts, locals) = group_by_key(
+            n_items,
+            subset.iter().enumerate().flat_map(|(local, bag)| {
+                bag.iter().map(move |&item| (item as usize, local as u32))
+            }),
+        );
+        // Filter blocks larger than minsup * p (line 8). A block is its
+        // MFI's support set, whose size the miner already counted, so
+        // oversized ones are dropped without being materialized.
+        let size_cap = ((minsup as f64 * config.p).floor() as u64).max(2);
+        // Candidate blocks, flat: block `i` is keyed by `mfis[keys[i]]` and
+        // holds `row(&members, &offsets, i)`.
+        let (mut keys, mut members, mut offsets) = (Vec::new(), Vec::new(), vec![0u32]);
+        for (mi, mfi) in mfis.iter().enumerate() {
+            if mfi.support > size_cap
+                || !intersect_postings(&starts, &locals, &mfi.items, &mut support, &mut spare)
+            {
                 continue;
-            };
-            // Filter blocks larger than minsup * p (line 8).
-            if support.len() < 2 || support.len() > size_cap.max(2) {
-                continue;
             }
-            let records: Vec<RecordId> =
-                support.iter().map(|&local| RecordId(uncovered[local as usize] as u32)).collect();
-            let items: Vec<ItemId> = mfi.items.iter().map(|&i| ItemId(i)).collect();
-            candidates.push((items, records));
+            debug_assert_eq!(support.len() as u64, mfi.support);
+            keys.push(mi);
+            members.extend(support.iter().map(|&l| RecordId(uncovered[l as usize] as u32)));
+            offsets.push(members.len() as u32);
         }
-        stats.blocks_considered += candidates.len();
+        stats.blocks_considered += keys.len();
         support_span.finish();
 
         // Score blocks (parallel when configured).
         let score_span = rec.span_with("score_blocks", &[("minsup", minsup)]);
-        let scores = score_blocks(ds, &candidates, config);
-        let scored: Vec<(Vec<RecordId>, f64)> = candidates
-            .iter()
-            .zip(&scores)
-            .map(|((_, records), &s)| (records.clone(), s))
-            .collect();
+        let scores = score_blocks(ds, &members, &offsets, config);
         score_span.finish();
 
         // Sparse-neighborhood threshold (lines 9–14) and filtering
         // (lines 15–16).
         let filter_span = rec.span_with("ng_filter", &[("minsup", minsup)]);
-        let min_th = ng_threshold(&scored, config.ng, minsup);
-        for ((items, records), &score) in candidates.iter().zip(&scores) {
+        let min_th = ng_threshold(&members, &offsets, &scores, config.ng, minsup);
+        for (ci, &score) in scores.iter().enumerate() {
             if score <= min_th {
                 continue;
             }
             // Surviving block: emit pairs and mark coverage (lines 17–19).
-            // Membership is sorted before emission so cluster output is
-            // canonical regardless of how support was materialized.
-            let mut items = items.clone();
-            items.sort_unstable();
-            let mut records = records.clone();
-            records.sort_unstable();
+            // Membership is canonical as it stands: the miner returns
+            // sorted items, and records ascend with the posting lists.
+            let items = mfis[keys[ci]].items.iter().map(|&i| ItemId(i)).collect();
+            let records = row(&members, &offsets, ci).to_vec();
             let block = Block { items, records, score, minsup };
             for (a, b) in block.pairs() {
-                pairs.insert((a, b));
+                candidate_pairs.push((a, b));
                 covered[a.index()] = true;
                 covered[b.index()] = true;
             }
@@ -211,8 +214,8 @@ pub fn mfi_blocks_recorded(
     stats.records_covered = covered.iter().filter(|&&c| c).count();
     stats.mining_time = Duration::from_nanos(mining_ns);
 
-    let mut candidate_pairs: Vec<(RecordId, RecordId)> = pairs.into_iter().collect();
     candidate_pairs.sort_unstable();
+    candidate_pairs.dedup(); // overlapping blocks repeat pairs
 
     rec.incr("mfis_mined", stats.mfis_mined as u64);
     rec.incr("blocks_considered", stats.blocks_considered as u64);
@@ -224,35 +227,40 @@ pub fn mfi_blocks_recorded(
     BlockingResult { blocks: kept_blocks, candidate_pairs, stats }
 }
 
-/// Intersect sorted posting lists of an itemset, rarest item first.
-/// Returns `None` when any item has no postings.
-fn intersect_postings(postings: &[Vec<u32>], items: &[u32]) -> Option<Vec<u32>> {
-    let mut lists: Vec<&Vec<u32>> = items.iter().map(|&i| &postings[i as usize]).collect();
-    lists.sort_by_key(|l| l.len());
-    if lists.first().is_some_and(|l| l.is_empty()) {
-        return None;
-    }
-    let mut acc: Vec<u32> = lists[0].clone();
-    for list in &lists[1..] {
-        let mut out = Vec::with_capacity(acc.len().min(list.len()));
+/// Intersect the sorted posting lists (`row(locals, starts, item)`) of an
+/// itemset into `acc`, rarest item first; `spare` is the merge buffer.
+/// False when the itemset or the intersection is empty.
+fn intersect_postings(
+    starts: &[u32],
+    locals: &[u32],
+    items: &[u32],
+    acc: &mut Vec<u32>,
+    spare: &mut Vec<u32>,
+) -> bool {
+    let list = |item: u32| row(locals, starts, item as usize);
+    let Some(rarest) = items.iter().copied().min_by_key(|&i| list(i).len()) else {
+        return false;
+    };
+    acc.clear();
+    acc.extend_from_slice(list(rarest));
+    for &item in items.iter().filter(|&&i| i != rarest) {
+        let other = list(item);
+        spare.clear();
         let (mut i, mut j) = (0, 0);
-        while i < acc.len() && j < list.len() {
-            match acc[i].cmp(&list[j]) {
+        while i < acc.len() && j < other.len() {
+            match acc[i].cmp(&other[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    out.push(acc[i]);
+                    spare.push(acc[i]);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        acc = out;
-        if acc.is_empty() {
-            return None;
-        }
+        std::mem::swap(acc, spare);
     }
-    Some(acc)
+    !acc.is_empty()
 }
 
 /// [`mfi_blocks_recorded`], then publish the aggregated view into
@@ -285,24 +293,24 @@ pub fn mfi_blocks_published(
 /// are our substitution).
 fn score_blocks(
     ds: &Dataset,
-    candidates: &[(Vec<ItemId>, Vec<RecordId>)],
+    members: &[RecordId],
+    offsets: &[u32],
     config: &MfiBlocksConfig,
 ) -> Vec<f64> {
-    if config.threads <= 1 || candidates.len() < 64 {
-        return candidates
-            .iter()
-            .map(|(_, records)| block_score(ds, records, &config.score))
-            .collect();
+    let n = offsets.len() - 1;
+    let score = |i: usize| block_score(ds, row(members, offsets, i), &config.score);
+    if config.threads <= 1 || n < 64 {
+        return (0..n).map(score).collect();
     }
-    let chunk = candidates.len().div_ceil(config.threads);
-    let mut scores = vec![0.0; candidates.len()];
+    let chunk = n.div_ceil(config.threads);
+    let mut scores = vec![0.0; n];
     // std scoped threads re-raise any worker panic on join — no Result to
     // unwrap, and a panicking worker cannot yield half-written scores.
     std::thread::scope(|scope| {
-        for (slot, work) in scores.chunks_mut(chunk).zip(candidates.chunks(chunk)) {
+        for (c, slot) in scores.chunks_mut(chunk).enumerate() {
             scope.spawn(move || {
-                for (out, (_, records)) in slot.iter_mut().zip(work) {
-                    *out = block_score(ds, records, &config.score);
+                for (k, out) in slot.iter_mut().enumerate() {
+                    *out = score(c * chunk + k);
                 }
             });
         }
@@ -313,6 +321,7 @@ fn score_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use yv_datagen::GenConfig;
 
     fn generated() -> yv_datagen::Generated {
@@ -467,6 +476,19 @@ mod tests {
             assert!(a < b);
             assert!(seen.insert((a, b)));
         }
+    }
+
+    #[test]
+    fn posting_lists_intersect_rarest_first_and_reject_the_empty_itemset() {
+        // Item 0 is in records {0, 2}, item 1 in {1}, item 2 in all three.
+        let pairs = [(0, 0), (2, 0), (1, 1), (2, 1), (0, 2), (2, 2)];
+        let (starts, locals) = group_by_key(3, pairs.into_iter());
+        assert_eq!(row(&locals, &starts, 2), [0, 1, 2]);
+        let (mut acc, mut spare) = (Vec::new(), Vec::new());
+        assert!(intersect_postings(&starts, &locals, &[2, 0], &mut acc, &mut spare));
+        assert_eq!(acc, [0, 2]);
+        assert!(!intersect_postings(&starts, &locals, &[0, 1, 2], &mut acc, &mut spare));
+        assert!(!intersect_postings(&starts, &locals, &[], &mut acc, &mut spare));
     }
 
     #[test]

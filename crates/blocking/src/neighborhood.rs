@@ -6,10 +6,11 @@
 //! accumulates more than `NG · minsup` distinct candidate neighbors. Higher
 //! NG tolerates more overlap (higher recall, lower precision — Figure 16).
 
-use std::collections::BTreeMap;
+use crate::csr::{group_by_key, row};
 use yv_records::RecordId;
 
-/// Derive the NG score threshold for one minsup iteration.
+/// Derive the NG score threshold for one minsup iteration. Block `i` holds
+/// `records[offsets[i]..offsets[i + 1]]` and scored `scores[i]`.
 ///
 /// For every record, blocks containing it are visited from highest to
 /// lowest score, accumulating distinct neighbors; once the cap
@@ -19,32 +20,44 @@ use yv_records::RecordId;
 /// (blocks scoring strictly above survive).
 #[must_use]
 pub fn ng_threshold(
-    blocks: &[(Vec<RecordId>, f64)],
+    records: &[RecordId],
+    offsets: &[u32],
+    scores: &[f64],
     ng: f64,
     minsup: u64,
 ) -> f64 {
     let cap = (ng * minsup as f64).ceil() as usize;
-    // Record -> list of (block index) sorted later by score. BTreeMap so
-    // the per-record visit order (and thus any score-tie behavior) is the
-    // same on every run.
-    let mut memberships: BTreeMap<RecordId, Vec<usize>> = BTreeMap::new();
-    for (bi, (records, _)) in blocks.iter().enumerate() {
-        for &r in records {
-            memberships.entry(r).or_default().push(bi);
-        }
-    }
+    let block = |bi: u32| row(records, offsets, bi as usize);
+    // Record -> blocks containing it, in block order:
+    // `member_of[starts[r]..starts[r + 1]]`.
+    let n_records = records.iter().map(|r| r.index() + 1).max().unwrap_or(0);
+    let (starts, mut member_of) = group_by_key(
+        n_records,
+        (0..scores.len() as u32).flat_map(|bi| block(bi).iter().map(move |r| (r.index(), bi))),
+    );
     let mut min_th = f64::NEG_INFINITY;
-    let mut neighbors: std::collections::HashSet<RecordId> = std::collections::HashSet::new();
-    for (record, mut block_ids) in memberships {
-        block_ids.sort_by(|&a, &b| blocks[b].1.total_cmp(&blocks[a].1));
-        neighbors.clear();
-        for bi in block_ids {
-            let (records, score) = &blocks[bi];
-            neighbors.extend(records.iter().copied().filter(|&r| r != record));
-            if neighbors.len() > cap {
+    // `seen[r] == record + 1` marks r as already counted for `record`.
+    let mut seen = vec![0u32; n_records];
+    for record in 0..n_records {
+        let blocks = &mut member_of[starts[record] as usize..starts[record + 1] as usize];
+        // Score-descending, ties in block order: the same visit order on
+        // every run.
+        blocks.sort_unstable_by(|&a, &b| {
+            scores[b as usize].total_cmp(&scores[a as usize]).then(a.cmp(&b))
+        });
+        let stamp = record as u32 + 1;
+        let mut neighbors = 0usize;
+        for &bi in blocks.iter() {
+            for r in block(bi) {
+                if r.index() != record && seen[r.index()] != stamp {
+                    seen[r.index()] = stamp;
+                    neighbors += 1;
+                }
+            }
+            if neighbors > cap {
                 // Every block of this record scoring <= this one must go.
-                if *score > min_th {
-                    min_th = *score;
+                if scores[bi as usize] > min_th {
+                    min_th = scores[bi as usize];
                 }
                 break;
             }
@@ -55,10 +68,21 @@ pub fn ng_threshold(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use yv_records::RecordId;
 
     fn block(ids: &[u32], score: f64) -> (Vec<RecordId>, f64) {
         (ids.iter().map(|&i| RecordId(i)).collect(), score)
+    }
+
+    /// [`super::ng_threshold`] over blocks given one by one.
+    fn ng_threshold(blocks: &[(Vec<RecordId>, f64)], ng: f64, minsup: u64) -> f64 {
+        let records: Vec<RecordId> = blocks.iter().flat_map(|(r, _)| r.iter().copied()).collect();
+        let mut offsets = vec![0u32];
+        for (r, _) in blocks {
+            offsets.push(offsets[offsets.len() - 1] + r.len() as u32);
+        }
+        let scores: Vec<f64> = blocks.iter().map(|&(_, s)| s).collect();
+        super::ng_threshold(&records, &offsets, &scores, ng, minsup)
     }
 
     #[test]

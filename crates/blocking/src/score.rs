@@ -26,11 +26,7 @@ pub fn block_score(ds: &Dataset, records: &[RecordId], score: &ScoreFunction) ->
             let a = ds.bag(records[i]);
             let b = ds.bag(records[j]);
             let s = match score {
-                ScoreFunction::Jaccard => {
-                    let a_raw: Vec<u32> = a.iter().map(|id| id.0).collect();
-                    let b_raw: Vec<u32> = b.iter().map(|id| id.0).collect();
-                    jaccard_sorted(&a_raw, &b_raw)
-                }
+                ScoreFunction::Jaccard => jaccard_sorted(a, b),
                 ScoreFunction::WeightedJaccard(w) => weighted_jaccard(ds, a, b, w),
                 ScoreFunction::ExpertSim => soft_jaccard(ds, a, b),
             };

@@ -75,7 +75,7 @@ pub fn run(scale: &Scale) -> Report {
         body: t.render(),
         notes: "Shape: runtime increases sharply as minsup decreases, grows \
                 roughly linearly with dataset size, and pruning the most \
-                frequent items cuts it by an order of magnitude. Sizes are \
+                frequent items cuts it severalfold. Sizes are \
                 scaled from the paper's 6.5M/600K to laptop scale keeping \
                 the ~10x ratio; pruning uses the scale-free record-fraction \
                 criterion (see DESIGN.md)."

@@ -5,7 +5,7 @@
 //! enumeration is exponential in the number of items shared by duplicate
 //! records.
 
-use crate::fptree::FpTree;
+use crate::fptree::Forest;
 use crate::maximal::Itemset;
 
 /// Mine all frequent itemsets (support ≥ `minsup`) from the given item
@@ -14,9 +14,10 @@ use crate::maximal::Itemset;
 #[must_use]
 pub fn mine_frequent(bags: &[Vec<u32>], minsup: u64) -> Vec<Itemset> {
     assert!(minsup >= 1, "minsup must be at least 1");
-    let tree = FpTree::build(bags.iter().map(|b| (b.as_slice(), 1)), minsup);
+    let mut forest = Forest::default();
+    forest.plant(bags, minsup);
     let mut out = Vec::new();
-    grow(&tree, &mut Vec::new(), minsup, &mut out);
+    grow(&mut forest, 0, &mut Vec::new(), minsup, &mut out);
     for set in &mut out {
         set.items.sort_unstable();
     }
@@ -24,18 +25,22 @@ pub fn mine_frequent(bags: &[Vec<u32>], minsup: u64) -> Vec<Itemset> {
     out
 }
 
-fn grow(tree: &FpTree, prefix: &mut Vec<u32>, minsup: u64, out: &mut Vec<Itemset>) {
-    for rank in tree.ranks_ascending_frequency() {
+fn grow(
+    forest: &mut Forest,
+    depth: usize,
+    prefix: &mut Vec<u32>,
+    minsup: u64,
+    out: &mut Vec<Itemset>,
+) {
+    for rank in (0..forest.tree(depth).items().len()).rev() {
+        let tree = forest.tree(depth);
         let support = tree.rank_count(rank);
         debug_assert!(support >= minsup);
-        prefix.push(tree.item_of(rank));
+        prefix.push(tree.items()[rank]);
         out.push(Itemset { items: prefix.clone(), support });
-        let base = tree.conditional_base(rank);
-        if !base.is_empty() {
-            let cond = FpTree::build(base.iter().map(|(p, w)| (p.as_slice(), *w)), minsup);
-            if !cond.is_empty() {
-                grow(&cond, prefix, minsup, out);
-            }
+        if forest.conditional_ranks(depth, rank, minsup) {
+            forest.build_conditional(depth, rank);
+            grow(forest, depth + 1, prefix, minsup, out);
         }
         prefix.pop();
     }
@@ -119,12 +124,22 @@ mod tests {
             #[test]
             fn agrees_with_brute_force(
                 bags in proptest::collection::vec(
-                    proptest::collection::vec(0u32..8, 0..6), 0..8),
-                minsup in 1u64..4,
+                    proptest::collection::vec(0u32..14, 0..10), 0..41),
+                minsup in 1u64..5,
             ) {
-                let fast = mine_frequent(&bags, minsup);
-                let slow = brute_force(&bags, minsup);
-                prop_assert_eq!(fast, slow);
+                prop_assert_eq!(mine_frequent(&bags, minsup), brute_force(&bags, minsup));
+            }
+
+            /// Many bags over few items: prefix paths repeat, so conditional
+            /// trees are built from paths of weight > 1 and items drop out
+            /// of them at every level.
+            #[test]
+            fn agrees_with_brute_force_on_weighted_paths(
+                bags in proptest::collection::vec(
+                    proptest::collection::vec(0u32..6, 0..7), 20..41),
+                minsup in 3u64..8,
+            ) {
+                prop_assert_eq!(mine_frequent(&bags, minsup), brute_force(&bags, minsup));
             }
         }
     }

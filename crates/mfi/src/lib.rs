@@ -31,7 +31,9 @@ pub mod fpgrowth;
 pub mod fptree;
 pub mod maximal;
 pub mod prune;
+#[cfg(test)]
+mod reference;
 
 pub use fpgrowth::mine_frequent;
 pub use maximal::{mine_maximal, Itemset};
-pub use prune::{item_frequencies, prune_common_items, prune_top_frequent};
+pub use prune::{common_items, item_frequencies, prune_common_items, top_frequent};

@@ -12,7 +12,7 @@
 //!    conditional tree`) is checked against the MFI set; subsumed branches
 //!    are skipped wholesale.
 
-use crate::fptree::FpTree;
+use crate::fptree::Forest;
 
 /// A mined itemset: sorted item ids and the number of supporting
 /// transactions.
@@ -53,64 +53,43 @@ pub fn is_subset(small: &[u32], big: &[u32]) -> bool {
 /// a subsumption test only inspects sets sharing the candidate's rarest
 /// item instead of the whole collection (large minsup-2 runs record
 /// hundreds of thousands of MFIs).
-#[derive(Debug, Default)]
+///
+/// Recorded sets are never superseded. FPMax conditions on ranks from
+/// least to most frequent, so a candidate from a later branch never
+/// contains the item an earlier sibling branch (at this or any enclosing
+/// level) was conditioned on, while every set recorded from that branch
+/// does: no later candidate can be a superset of a recorded set.
+#[derive(Debug)]
 struct MfiSet {
-    /// Tombstoned storage: superseded sets become `None`.
-    slots: Vec<Option<Itemset>>,
-    postings: std::collections::HashMap<u32, Vec<u32>>,
-    live: usize,
+    sets: Vec<Itemset>,
+    /// Indexed by item id.
+    postings: Vec<Vec<u32>>,
 }
 
 impl MfiSet {
     /// True when `candidate` (sorted) is a subset of an already-recorded
     /// MFI.
     fn subsumed(&self, candidate: &[u32]) -> bool {
-        let Some(rarest) = candidate
-            .iter()
-            .min_by_key(|i| self.postings.get(i).map_or(0, Vec::len))
-        else {
-            return false; // the empty set is never recorded
-        };
-        let Some(list) = self.postings.get(rarest) else {
-            return false;
-        };
-        list.iter().any(|&idx| {
-            self.slots[idx as usize]
-                .as_ref()
-                .is_some_and(|m| is_subset(candidate, &m.items))
+        let lists = candidate.iter().map(|&i| &self.postings[i as usize]);
+        // The empty set is never recorded.
+        lists.min_by_key(|list| list.len()).is_some_and(|rarest| {
+            rarest.iter().any(|&idx| is_subset(candidate, &self.sets[idx as usize].items))
         })
     }
 
-    /// Insert a candidate known to be frequent; drops recorded sets it
-    /// strictly contains. No-op when subsumed.
-    fn insert(&mut self, items: Vec<u32>, support: u64) {
-        if self.subsumed(&items) {
-            return;
+    /// Record a frequent candidate (sorted) no recorded set subsumes.
+    fn record(&mut self, items: &[u32], support: u64) {
+        debug_assert!(!self.subsumed(items));
+        let mut sharing = items.iter().flat_map(|&i| &self.postings[i as usize]);
+        debug_assert!(
+            !sharing.any(|&idx| self.sets[idx as usize].is_subset_of(items)),
+            "FPMax order: {items:?} contains an earlier MFI"
+        );
+        let idx = self.sets.len() as u32;
+        for &item in items {
+            self.postings[item as usize].push(idx);
         }
-        // Tombstone subsets of the new set: any such subset shares the new
-        // set's first item or... every item of the subset is in `items`,
-        // so scanning the postings of each new item finds them all.
-        for &item in &items {
-            if let Some(list) = self.postings.get(&item) {
-                for &idx in list {
-                    let slot = &mut self.slots[idx as usize];
-                    if slot.as_ref().is_some_and(|m| is_subset(&m.items, &items)) {
-                        *slot = None;
-                        self.live -= 1;
-                    }
-                }
-            }
-        }
-        let idx = self.slots.len() as u32;
-        for &item in &items {
-            self.postings.entry(item).or_default().push(idx);
-        }
-        self.slots.push(Some(Itemset { items, support }));
-        self.live += 1;
-    }
-
-    fn into_sets(self) -> Vec<Itemset> {
-        self.slots.into_iter().flatten().collect()
+        self.sets.push(Itemset { items: items.to_vec(), support });
     }
 }
 
@@ -118,60 +97,72 @@ impl MfiSet {
 /// given item bags. Items within each returned set are sorted; the result
 /// is sorted for determinism. Singleton maximal itemsets are included
 /// (they arise when a frequent item co-occurs with nothing frequently).
+/// Working memory is linear in the largest item id (dense tables): pass
+/// interner ids.
 #[must_use]
-pub fn mine_maximal(bags: &[Vec<u32>], minsup: u64) -> Vec<Itemset> {
-    assert!(minsup >= 1, "minsup must be at least 1");
-    let tree = FpTree::build(bags.iter().map(|b| (b.as_slice(), 1)), minsup);
-    let mut mfis = MfiSet::default();
-    fpmax(&tree, &mut Vec::new(), minsup, &mut mfis);
-    let mut out = mfis.into_sets();
-    out.sort();
-    out
+pub fn mine_maximal<B: AsRef<[u32]>>(bags: &[B], minsup: u64) -> Vec<Itemset> {
+    mine_maximal_in(&mut Forest::default(), bags, minsup)
 }
 
-fn fpmax(tree: &FpTree, prefix: &mut Vec<u32>, minsup: u64, mfis: &mut MfiSet) {
-    if tree.is_empty() {
-        return;
-    }
-    if let Some(path) = tree.single_path() {
-        // Single path: every count level yields one candidate — the prefix
-        // plus the path items down to that level. Only the deepest frequent
-        // level can be maximal for this branch, plus shallower levels are
-        // subsets, so one candidate suffices: all path nodes are already
-        // ≥ minsup (infrequent items never enter the tree).
-        let mut items = prefix.clone();
-        items.extend(path.iter().map(|&(rank, _)| tree.item_of(rank)));
-        items.sort_unstable();
-        let support = path.last().map_or(0, |&(_, c)| c);
-        if !items.is_empty() {
-            mfis.insert(items, support);
+/// [`mine_maximal`] on a caller-owned forest, whose pooled trees and
+/// scratch a later run reuses.
+pub(crate) fn mine_maximal_in<B: AsRef<[u32]>>(
+    forest: &mut Forest,
+    bags: &[B],
+    minsup: u64,
+) -> Vec<Itemset> {
+    assert!(minsup >= 1, "minsup must be at least 1");
+    forest.plant(bags, minsup);
+    let mut head = forest.tree(0).items().to_vec();
+    head.sort_unstable();
+    let n_ids = head.last().map_or(0, |&max| max as usize + 1);
+    let mut mfis = MfiSet { sets: Vec::new(), postings: vec![Vec::new(); n_ids] };
+    fpmax(forest, 0, &mut Vec::new(), &mut head, minsup, &mut mfis);
+    mfis.sets.sort();
+    mfis.sets
+}
+
+/// Mine the tree at `depth`, whose `head` — `prefix` plus all its items,
+/// sorted: the largest set it can produce — the caller has checked is not
+/// subsumed (trivially so at depth 0, where nothing is recorded yet). The
+/// buffer is reused for the heads further down.
+fn fpmax(
+    forest: &mut Forest,
+    depth: usize,
+    prefix: &mut Vec<u32>,
+    head: &mut Vec<u32>,
+    minsup: u64,
+    mfis: &mut MfiSet,
+) {
+    let tree = forest.tree(depth);
+    let n_ranks = tree.items().len();
+    if tree.is_single_path() {
+        // Single path: the deepest level is the only candidate that can be
+        // maximal for this branch (shallower levels are its subsets, and
+        // all path nodes are ≥ minsup: infrequent items never enter the
+        // tree) — and it is the head itself.
+        if n_ranks > 0 {
+            mfis.record(head, tree.rank_count(n_ranks - 1));
         }
         return;
     }
-    for rank in tree.ranks_ascending_frequency() {
-        let item = tree.item_of(rank);
+    // Least frequent rank first.
+    for rank in (0..n_ranks).rev() {
+        let tree = forest.tree(depth);
         let support = tree.rank_count(rank);
-        prefix.push(item);
-        let base = tree.conditional_base(rank);
-        if base.is_empty() {
-            let mut items = prefix.clone();
-            items.sort_unstable();
-            mfis.insert(items, support);
-        } else {
-            let cond = FpTree::build(base.iter().map(|(p, w)| (p.as_slice(), *w)), minsup);
-            if cond.is_empty() {
-                let mut items = prefix.clone();
-                items.sort_unstable();
-                mfis.insert(items, support);
+        prefix.push(tree.items()[rank]);
+        let extends = forest.conditional_ranks(depth, rank, minsup);
+        // Head pruning, before the conditional tree is built.
+        head.clear();
+        head.extend_from_slice(prefix);
+        head.extend(forest.conditional_items(depth));
+        head.sort_unstable();
+        if !mfis.subsumed(head) {
+            if extends {
+                forest.build_conditional(depth, rank);
+                fpmax(forest, depth + 1, prefix, head, minsup, mfis);
             } else {
-                // Head pruning: the largest set this branch can produce.
-                let mut head = prefix.clone();
-                head.extend((0..cond.n_ranks()).map(|r| cond.item_of(r)));
-                head.sort_unstable();
-                head.dedup();
-                if !mfis.subsumed(&head) {
-                    fpmax(&cond, prefix, minsup, mfis);
-                }
+                mfis.record(head, support);
             }
         }
         prefix.pop();
@@ -280,18 +271,45 @@ mod tests {
         assert!(!is_subset(&[1], &[]));
     }
 
+    #[test]
+    fn pooled_trees_and_scratch_are_clean_between_runs() {
+        // Two databases through one forest, the second shallower than the
+        // first: stale nodes, ranks or counts from the first run would
+        // show in the second.
+        let deep: Vec<Vec<u32>> =
+            (0..40u32).map(|i| (0..9).map(|j| (i * j + j) % 14).collect()).collect();
+        let shallow = vec![vec![1, 2, 3], vec![1, 2, 4], vec![2, 3, 4], vec![1, 2, 3, 4]];
+        let mut forest = Forest::default();
+        for minsup in 1..=4 {
+            for bags in [&deep, &shallow, &deep] {
+                let pooled = mine_maximal_in(&mut forest, bags, minsup);
+                assert!(forest.is_clean(), "scratch arrays dirty after a run");
+                assert_eq!(pooled, mine_maximal(bags, minsup), "minsup={minsup}");
+            }
+        }
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Up to 40 bags of up to 9 draws from 14 items: repeated items
+        /// within a bag and empty bags both occur.
+        fn bags() -> impl Strategy<Value = Vec<Vec<u32>>> {
+            proptest::collection::vec(proptest::collection::vec(0u32..14, 0..10), 0..41)
+        }
+
+        fn sorted_set(bag: &[u32]) -> Vec<u32> {
+            let mut b = bag.to_vec();
+            b.sort_unstable();
+            b.dedup();
+            b
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
             #[test]
-            fn agrees_with_reference(
-                bags in proptest::collection::vec(
-                    proptest::collection::vec(0u32..10, 0..7), 0..10),
-                minsup in 1u64..4,
-            ) {
+            fn agrees_with_reference(bags in bags(), minsup in 1u64..5) {
                 prop_assert_eq!(
                     mine_maximal(&bags, minsup),
                     maximal_reference(&bags, minsup)
@@ -299,11 +317,7 @@ mod tests {
             }
 
             #[test]
-            fn results_are_mutually_incomparable(
-                bags in proptest::collection::vec(
-                    proptest::collection::vec(0u32..12, 0..8), 0..12),
-                minsup in 2u64..4,
-            ) {
+            fn results_are_mutually_incomparable(bags in bags(), minsup in 1u64..5) {
                 let mfis = mine_maximal(&bags, minsup);
                 for (i, a) in mfis.iter().enumerate() {
                     for (j, b) in mfis.iter().enumerate() {
@@ -315,23 +329,35 @@ mod tests {
             }
 
             #[test]
-            fn supports_are_correct(
-                bags in proptest::collection::vec(
-                    proptest::collection::vec(0u32..10, 0..7), 0..10),
-                minsup in 1u64..4,
-            ) {
+            fn supports_are_correct(bags in bags(), minsup in 1u64..5) {
                 for mfi in mine_maximal(&bags, minsup) {
                     let true_support = bags
                         .iter()
-                        .filter(|bag| {
-                            let mut b = (*bag).clone();
-                            b.sort_unstable();
-                            b.dedup();
-                            is_subset(&mfi.items, &b)
-                        })
+                        .filter(|bag| is_subset(&mfi.items, &sorted_set(bag)))
                         .count() as u64;
                     prop_assert_eq!(mfi.support, true_support);
                     prop_assert!(mfi.support >= minsup);
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+            /// The array-based miners against the pointer-based ones they
+            /// replaced.
+            #[test]
+            fn agrees_with_the_pointer_miner(bags in bags(), minsup in 1u64..5) {
+                prop_assert_eq!(
+                    mine_maximal(&bags, minsup),
+                    crate::reference::mine_maximal(&bags, minsup)
+                );
+                // All-FI enumeration is exponential in the bag width: keep
+                // it to the levels where most sets are already infrequent.
+                if minsup >= 3 {
+                    prop_assert_eq!(
+                        mine_frequent(&bags, minsup),
+                        crate::reference::mine_frequent(&bags, minsup)
+                    );
                 }
             }
         }

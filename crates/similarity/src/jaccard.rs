@@ -126,41 +126,28 @@ fn distinct_grams<'o, T: Ord>(s: &[T], q: usize, offsets: &'o mut [usize]) -> &'
 /// linear merge (no allocation). This is the hot-path variant used by block
 /// scoring over interned item bags.
 #[must_use]
-pub fn jaccard_sorted(a: &[u32], b: &[u32]) -> f64 {
+pub fn jaccard_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> f64 {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
-    let mut i = 0;
-    let mut j = 0;
-    let mut inter = 0usize;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
+    let inter = intersection_size(a, b);
     let union = a.len() + b.len() - inter;
     inter as f64 / union as f64
 }
 
 /// Size of the intersection of two strictly sorted id slices.
 #[must_use]
-pub fn intersection_size(a: &[u32], b: &[u32]) -> usize {
+pub fn intersection_size<T: Ord + Copy>(a: &[T], b: &[T]) -> usize {
     let mut i = 0;
     let mut j = 0;
     let mut inter = 0usize;
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
                 inter += 1;
                 i += 1;
                 j += 1;
