@@ -20,8 +20,8 @@
 //! All of them were designed for *high recall* under the assumption that
 //! blocking is mere preprocessing; on the pre-cleaned, code-valued Yad
 //! Vashem data they reach recall close to 1 at precision below 0.001, two
-//! orders of magnitude under MFIBlocks (Table 10) -- the result the bench
-//! reproduces.
+//! orders of magnitude under MFIBlocks (Table 10) -- the result
+//! `yv reproduce` regenerates.
 
 pub mod canopy;
 pub mod common;

@@ -35,6 +35,5 @@ pub mod score;
 pub use config::{MfiBlocksConfig, ScoreFunction};
 pub use diagnostics::{audit, BlockingDiagnostics};
 pub use mfiblocks::{
-    mfi_blocks, mfi_blocks_published, mfi_blocks_recorded, Block, BlockingResult,
-    BlockingStats,
+    mfi_blocks, mfi_blocks_recorded, Block, BlockingResult, BlockingStats,
 };

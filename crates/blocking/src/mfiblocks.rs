@@ -6,7 +6,7 @@ use crate::neighborhood::ng_threshold;
 use crate::score::block_score;
 use std::time::Duration;
 use yv_mfi::{common_items, mine_maximal, top_frequent};
-use yv_obs::{MetricsRegistry, Recorder};
+use yv_obs::Recorder;
 use yv_records::{Dataset, ItemId, RecordId};
 
 /// A surviving block: the maximal frequent itemset acting as its implicit
@@ -263,31 +263,6 @@ fn intersect_postings(
     !acc.is_empty()
 }
 
-/// [`mfi_blocks_recorded`], then publish the aggregated view into
-/// `registry`: one `yv_blocking_stage_{span}_us` gauge per span name in
-/// the taxonomy above, one `yv_blocking_{counter}` gauge per recorder
-/// counter, and `yv_blocking_peak_alloc_bytes` — the high-water mark of
-/// live bytes across this run (zero unless the counting allocator is
-/// installed). The peak is reset on entry so the reading attributes to
-/// this blocking pass, not the process lifetime.
-#[must_use]
-pub fn mfi_blocks_published(
-    ds: &Dataset,
-    config: &MfiBlocksConfig,
-    rec: &Recorder,
-    registry: &MetricsRegistry,
-) -> BlockingResult {
-    yv_obs::reset_peak();
-    let result = mfi_blocks_recorded(ds, config, rec);
-    registry.publish_recorder("yv_blocking", rec);
-    registry.set_gauge(
-        "yv_blocking_peak_alloc_bytes",
-        "Peak live bytes during blocking (0 without the counting allocator)",
-        yv_obs::alloc_stats().peak_bytes,
-    );
-    result
-}
-
 /// Score candidate blocks, chunked over `config.threads` workers (the
 /// paper distributes this stage over a Spark pseudo-cluster; scoped threads
 /// are our substitution).
@@ -426,24 +401,6 @@ mod tests {
         assert!(result.stats.blocks_kept > 0);
         assert!(result.stats.records_covered > 0);
         assert!(result.stats.total_time >= result.stats.mining_time);
-    }
-
-    #[test]
-    fn published_run_exports_stage_gauges_and_counters() {
-        let gen = generated();
-        let (rec, _clock) = Recorder::manual();
-        let registry = MetricsRegistry::new();
-        let result =
-            mfi_blocks_published(&gen.dataset, &MfiBlocksConfig::default(), &rec, &registry);
-        assert!(!result.blocks.is_empty());
-        let names: Vec<String> =
-            registry.scalar_values().into_iter().map(|(n, _)| n).collect();
-        for stage in ["blocking", "mine", "find_support", "score_blocks", "ng_filter"] {
-            let metric = format!("yv_blocking_stage_{stage}_us");
-            assert!(names.contains(&metric), "missing {metric} in {names:?}");
-        }
-        assert!(names.contains(&"yv_blocking_peak_alloc_bytes".to_owned()));
-        assert!(registry.gauge("yv_blocking_mfis_mined", "").get() > 0);
     }
 
     #[test]

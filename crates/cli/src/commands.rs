@@ -1,12 +1,11 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
-use crate::bench_compare::{self, CompareConfig};
 use std::io::Write as _;
 use yv_blocking::{audit, mfi_blocks, mfi_blocks_recorded, MfiBlocksConfig};
 use yv_core::{PersonProfile, PersonQuery, Pipeline, PipelineConfig};
 use yv_datagen::{tag_pairs, GenConfig, Generated};
-use yv_obs::{chrome_trace, timings_table, MetricsRegistry, Recorder};
+use yv_obs::{chrome_trace, timings_table, Recorder};
 
 type CliResult = Result<(), String>;
 
@@ -210,590 +209,6 @@ pub fn resolve(args: &Args) -> CliResult {
         above.len()
     );
     emit_obs(args, &rec)
-}
-
-/// Read two bench JSON files and gate on the comparison: print the
-/// per-metric report, fail (nonzero exit from `main`) when any metric
-/// regresses past the configured threshold.
-fn compare_files(baseline: &str, current: &str, config: &CompareConfig) -> CliResult {
-    let old = bench_compare::parse_flat_json(&std::fs::read_to_string(baseline).map_err(err)?)
-        .map_err(|e| format!("{baseline}: {e}"))?;
-    let new = bench_compare::parse_flat_json(&std::fs::read_to_string(current).map_err(err)?)
-        .map_err(|e| format!("{current}: {e}"))?;
-    let report = bench_compare::compare(&old, &new, config)?;
-    print!("{}", report.render());
-    if report.regressions > 0 {
-        return Err(format!("{} regression(s) vs baseline {baseline}", report.regressions));
-    }
-    Ok(())
-}
-
-/// Run the full pipeline under the recorder and write the stage timings
-/// as machine-readable JSON (fixed field order, so diffs between runs and
-/// commits stay meaningful). With `--compare OLD.json` the fresh run is
-/// gated against a baseline; with `--compare OLD.json --against NEW.json`
-/// no pipeline runs at all — the two files are compared as they stand.
-pub fn bench(args: &Args) -> CliResult {
-    let threshold: f64 = args.parse_or("threshold", 1.5, "number").map_err(err)?;
-    let min_delta: u64 = args.parse_or("min-delta", 10_000, "integer").map_err(err)?;
-    let gate = CompareConfig { threshold, min_delta };
-    let baseline = args.get("compare").map(str::to_owned);
-    if let Some(current) = args.get("against") {
-        let Some(baseline) = baseline else {
-            return Err("--against requires --compare BASELINE.json".to_owned());
-        };
-        return compare_files(&baseline, current, &gate);
-    }
-
-    let out = args.get("out").unwrap_or("BENCH_pipeline.json").to_owned();
-    let records: usize = args.parse_or("records", 2_000, "integer").map_err(err)?;
-    let seed: u64 = args.parse_or("seed", 7, "integer").map_err(err)?;
-    let rec = Recorder::monotonic();
-    let registry = MetricsRegistry::new();
-
-    let total = rec.span("total");
-    let preprocess = rec.span("preprocess");
-    let gen = dataset(args)?;
-    preprocess.finish();
-
-    let config = PipelineConfig { blocking: blocking_config(args)?, ..PipelineConfig::default() };
-    let train = rec.span("train");
-    let pipeline = trained(&gen, &config);
-    train.finish();
-
-    let resolution = pipeline.resolve_published(&gen.dataset, &config, &rec, &registry);
-    total.finish();
-    let peak = registry.gauge("yv_pipeline_peak_alloc_bytes", "").get();
-
-    let (add_single_us, add_multi_us) = bench_concurrent_adds(&gen, &pipeline, &config, &registry)?;
-    let (resolve_summary, resolve_candidates) =
-        bench_resolve(&gen, &pipeline, &config, &registry)?;
-    let (trace_disabled_us, trace_enabled_us) =
-        bench_trace_overhead(&gen, &pipeline, &config, &registry)?;
-    let (serve_text_per_s, serve_binary_per_s) =
-        bench_serve_protocols(&gen, &pipeline, &config, &registry)?;
-
-    const STAGES: &[&str] =
-        &["preprocess", "train", "blocking", "extract", "score", "resolve", "total"];
-    let mut json = String::from("{\n  \"schema\": \"yv-bench-pipeline/v2\",\n");
-    json.push_str(&format!("  \"records\": {records},\n  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"sources\": {},\n", gen.dataset.sources().len()));
-    json.push_str(&format!("  \"scored_matches\": {},\n", resolution.matches.len()));
-    json.push_str(&format!("  \"peak_alloc_bytes\": {peak},\n"));
-    json.push_str("  \"stages_us\": {\n");
-    for (i, stage) in STAGES.iter().enumerate() {
-        let comma = if i + 1 == STAGES.len() { "" } else { "," };
-        json.push_str(&format!("    \"{stage}\": {}{comma}\n", rec.sum_ns(stage) / 1_000));
-    }
-    json.push_str("  },\n  \"counters\": {\n");
-    let counters = rec.counters();
-    for (i, (name, value)) in counters.iter().enumerate() {
-        let comma = if i + 1 == counters.len() { "" } else { "," };
-        json.push_str(&format!("    \"{name}\": {value}{comma}\n"));
-    }
-    json.push_str("  },\n  \"metrics\": {\n");
-    let metrics = registry.scalar_values();
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        let comma = if i + 1 == metrics.len() { "" } else { "," };
-        json.push_str(&format!("    \"{name}\": {value}{comma}\n"));
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out, json).map_err(err)?;
-
-    println!("resolved {records} records: {} scored matches", resolution.matches.len());
-    for stage in STAGES {
-        println!("  {:<12} {:>9} us", stage, rec.sum_ns(stage) / 1_000);
-    }
-    println!("peak alloc:   {peak} bytes");
-    println!(
-        "concurrent ADD (4 threads, {BENCH_ADD_ARRIVALS} arrivals): \
-         1 shard {add_single_us} us, 4 shards {add_multi_us} us"
-    );
-    println!(
-        "RESOLVE ({} queries): p50 {} us, p99 {} us, max {} us, \
-         {resolve_candidates} candidates examined",
-        resolve_summary.count, resolve_summary.p50_us, resolve_summary.p99_us,
-        resolve_summary.max_us
-    );
-    println!(
-        "trace capture overhead: QUERY p50 {trace_enabled_us} us traced \
-         vs {trace_disabled_us} us untraced"
-    );
-    println!(
-        "serve transports ({BENCH_SERVE_ARRIVALS} ADDs): text {serve_text_per_s} req/s, \
-         binary BATCH_ADD x{BENCH_SERVE_BATCH} {serve_binary_per_s} req/s"
-    );
-    println!("wrote {out}");
-    emit_obs(args, &rec)?;
-    match baseline {
-        Some(baseline) => compare_files(&baseline, &out, &gate),
-        None => Ok(()),
-    }
-}
-
-/// Writer threads in the concurrent-ADD bench stage, and the shard count
-/// of its multi-shard store.
-const BENCH_ADD_THREADS: usize = 4;
-/// Arrivals each store absorbs in the concurrent-ADD bench stage.
-const BENCH_ADD_ARRIVALS: usize = 120;
-
-/// The store stage of `yv bench`: fill a 1-shard and a 4-shard store
-/// with the same arrivals from 4 writer threads, timing each fill.
-/// Single-shard writers serialize on one WAL (lock + fsync each);
-/// multi-shard writers fsync distinct WALs concurrently — the published
-/// `yv_store_concurrent_add_{single,multi}_us` gauges are the regression
-/// guard on that advantage.
-fn bench_concurrent_adds(
-    gen: &Generated,
-    pipeline: &Pipeline,
-    config: &PipelineConfig,
-    registry: &MetricsRegistry,
-) -> Result<(u64, u64), String> {
-    use yv_obs::Clock as _;
-    let ds = &gen.dataset;
-    // Arrivals are clones of corpus records under fresh book ids: real
-    // name shapes, so shard routing spreads like production data.
-    let n = u32::try_from(ds.len()).map_err(err)?;
-    let arrivals: Vec<yv_records::Record> = (0..BENCH_ADD_ARRIVALS)
-        .map(|i| {
-            let mut r = ds.record(yv_records::RecordId(i as u32 % n)).clone();
-            r.book_id = 900_000 + i as u64;
-            r
-        })
-        .collect();
-    let clock = yv_obs::MonotonicClock::new();
-    let mut timings = [0u64; 2];
-    for (slot, shards) in [(0usize, 1usize), (1, BENCH_ADD_THREADS)] {
-        let (_scratch, store) =
-            bench_store(&format!("{shards}-shard"), ds, pipeline, config, shards)?;
-        let started = clock.now_nanos();
-        std::thread::scope(|scope| {
-            for t in 0..BENCH_ADD_THREADS {
-                let store = &store;
-                let arrivals = &arrivals;
-                scope.spawn(move || {
-                    for record in arrivals.iter().skip(t).step_by(BENCH_ADD_THREADS) {
-                        // Failures surface through the count check below.
-                        let _ = store.add_record(record.clone());
-                    }
-                });
-            }
-        });
-        timings[slot] = clock.now_nanos().saturating_sub(started) / 1_000;
-        if store.stats().wal_entries != BENCH_ADD_ARRIVALS {
-            return Err("concurrent-ADD bench lost arrivals".to_owned());
-        }
-        drop(store);
-    }
-    registry.set_gauge(
-        "yv_store_concurrent_add_single_us",
-        "4-thread ADD fill of a 1-shard store",
-        timings[0],
-    );
-    registry.set_gauge(
-        "yv_store_concurrent_add_multi_us",
-        "4-thread ADD fill of a 4-shard store",
-        timings[1],
-    );
-    Ok((timings[0], timings[1]))
-}
-
-/// A scratch directory for one bench stage (or one test), unique per call
-/// — process id plus a counter — so concurrent `yv bench` runs and
-/// parallel tests never share files; removed on drop.
-struct ScratchDir(std::path::PathBuf);
-
-impl ScratchDir {
-    fn new(label: &str) -> Result<ScratchDir, String> {
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("yv-bench-{}-{n}-{label}", std::process::id()));
-        std::fs::create_dir_all(&dir).map_err(err)?;
-        Ok(ScratchDir(dir))
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-/// A store for one bench stage: a resolver bootstrapped over a copy of the
-/// corpus, in a scratch directory of its own. Keep the directory guard
-/// alive as long as the store.
-fn bench_store(
-    label: &str,
-    ds: &yv_records::Dataset,
-    pipeline: &Pipeline,
-    config: &PipelineConfig,
-    shards: usize,
-) -> Result<(ScratchDir, yv_store::Store), String> {
-    let scratch = ScratchDir::new(label)?;
-    let resolver = yv_core::IncrementalResolver::bootstrap(
-        clone_dataset(ds),
-        pipeline.clone(),
-        config.clone(),
-        yv_core::IncrementalConfig::default(),
-    );
-    let store = yv_store::Store::create(&scratch.0, resolver, shards).map_err(err)?;
-    Ok((scratch, store))
-}
-
-/// Dataset is intentionally not Clone; rebuild it source-by-source so a
-/// bench store starts from a resolver identical to the pipeline's.
-fn clone_dataset(ds: &yv_records::Dataset) -> yv_records::Dataset {
-    let mut out = yv_records::Dataset::new();
-    for s in ds.sources() {
-        out.add_source(s.clone());
-    }
-    for rid in ds.record_ids() {
-        out.add_record(ds.record(rid).clone());
-    }
-    out
-}
-
-/// Rounds the resolve bench replays its probe battery for, so the
-/// latency histogram has enough samples for stable percentiles.
-const BENCH_RESOLVE_ROUNDS: usize = 3;
-
-/// The RESOLVE stage of `yv bench`: build a 4-shard store over the bench
-/// corpus and time fuzzy resolution of deterministically misspelled
-/// corpus names. Publishes `yv_resolve_p50_us` / `yv_resolve_p99_us`
-/// (ratio-gated latency) and `yv_resolve_candidates` (candidate names
-/// examined — a pure function of the corpus, so the compare gate pins
-/// the pruning behaviour exactly).
-fn bench_resolve(
-    gen: &Generated,
-    pipeline: &Pipeline,
-    config: &PipelineConfig,
-    registry: &MetricsRegistry,
-) -> Result<(yv_obs::LatencySummary, u64), String> {
-    use yv_obs::Clock as _;
-    let ds = &gen.dataset;
-    // One probe per stride-th record: its first last name, lowercased,
-    // with one deterministic edit (substitute or delete the middle
-    // character, alternating) — the clerical-error shapes the fuzzy
-    // index is built to absorb.
-    let stride = (ds.len() / 16).max(1);
-    let mut probes: Vec<String> = Vec::new();
-    for i in (0..ds.len()).step_by(stride) {
-        let record = ds.record(yv_records::RecordId(i as u32));
-        let Some(last) = record.last_names.first() else { continue };
-        let mut chars: Vec<char> = last.to_lowercase().chars().collect();
-        let mid = chars.len() / 2;
-        if chars.len() > 2 {
-            if probes.len().is_multiple_of(2) {
-                chars[mid] = 'x';
-            } else {
-                chars.remove(mid);
-            }
-        }
-        probes.push(chars.into_iter().collect());
-    }
-    if probes.is_empty() {
-        return Err("resolve bench found no probe names".to_owned());
-    }
-
-    let (_scratch, store) = bench_store("resolve", ds, pipeline, config, BENCH_ADD_THREADS)?;
-
-    let clock = yv_obs::MonotonicClock::new();
-    let hist = yv_obs::Histogram::new();
-    let options = yv_store::ResolveOptions::default();
-    let mut candidates = 0u64;
-    for _ in 0..BENCH_RESOLVE_ROUNDS {
-        for probe in &probes {
-            let started = clock.now_nanos();
-            let outcome = store.resolve(probe, &options);
-            hist.record_ns(clock.now_nanos().saturating_sub(started));
-            candidates += outcome.examined;
-        }
-    }
-    drop(store);
-
-    let summary = hist.summary();
-    registry.set_gauge(
-        "yv_resolve_p50_us",
-        "Median RESOLVE latency over the misspelled-probe battery",
-        summary.p50_us,
-    );
-    registry.set_gauge(
-        "yv_resolve_p99_us",
-        "p99 RESOLVE latency over the misspelled-probe battery",
-        summary.p99_us,
-    );
-    registry.set_gauge(
-        "yv_resolve_max_us",
-        "Worst single RESOLVE latency over the misspelled-probe battery",
-        summary.max_us,
-    );
-    registry.set_gauge(
-        "yv_resolve_candidates",
-        "Candidate names examined across the battery (deterministic)",
-        candidates,
-    );
-    Ok((summary, candidates))
-}
-
-/// Rounds of the trace-overhead stage; the per-mode p50 is the best
-/// across rounds, squeezing out scheduler noise.
-const BENCH_TRACE_ROUNDS: usize = 3;
-/// Battery repetitions per round, so each round's histogram has enough
-/// samples for a stable median.
-const BENCH_TRACE_REPS: usize = 4;
-
-/// The tracing stage of `yv bench`: run the same QUERY battery against a
-/// 4-shard store with request-trace capture enabled (span recording plus
-/// a push into the lock-free ring, exactly the server's hot path) and
-/// with a disabled [`yv_obs::TraceCtx`] (every trace call early-returns).
-/// A third mode layers the windowed-telemetry rollup on top of the traced
-/// path — histogram record plus a [`yv_obs::WindowedHistogram`] rotation
-/// per request, the server's worst case (the ticker normally amortizes
-/// rotations). Publishes `yv_trace_overhead_{enabled,disabled}_p50_us`
-/// and `yv_window_rollup_p50_us`, and fails the bench when capture costs
-/// more than 5% of the untraced QUERY p50, or the windowed rollup more
-/// than 5% of the traced p50 (plus an absolute floor so micro-latency
-/// jitter cannot flake).
-fn bench_trace_overhead(
-    gen: &Generated,
-    pipeline: &Pipeline,
-    config: &PipelineConfig,
-    registry: &MetricsRegistry,
-) -> Result<(u64, u64), String> {
-    use yv_obs::Clock as _;
-    let ds = &gen.dataset;
-    // Last-name queries over corpus names: the same shard fan-out shape
-    // the server traces in production.
-    let stride = (ds.len() / 16).max(1);
-    let battery: Vec<PersonQuery> = (0..ds.len())
-        .step_by(stride)
-        .filter_map(|i| {
-            let record = ds.record(yv_records::RecordId(i as u32));
-            record.last_names.first().map(|last| PersonQuery {
-                last_name: Some(last.clone()),
-                ..PersonQuery::default()
-            })
-        })
-        .collect();
-    if battery.is_empty() {
-        return Err("trace-overhead bench found no query names".to_owned());
-    }
-
-    let (_scratch, store) =
-        bench_store("trace-overhead", ds, pipeline, config, BENCH_ADD_THREADS)?;
-
-    let clock = yv_obs::MonotonicClock::new();
-    let trace_clock: std::sync::Arc<dyn yv_obs::Clock> =
-        std::sync::Arc::new(yv_obs::MonotonicClock::new());
-    // Tail threshold u64::MAX: the ring still takes every capture, the
-    // reservoir copies nothing — the steady-state fast path.
-    let sink = yv_obs::TraceSink::new(
-        yv_store::DEFAULT_TRACE_CAPACITY,
-        u64::MAX,
-        yv_store::DEFAULT_TRACE_SEED,
-        true,
-    );
-    // The windowed mode's rollup target: a histogram observed by a
-    // WindowedHistogram, rotated on every request (worst case).
-    let window_hist = std::sync::Arc::new(yv_obs::Histogram::new());
-    let windows = yv_obs::WindowedHistogram::new(
-        std::sync::Arc::clone(&window_hist),
-        std::sync::Arc::clone(&trace_clock),
-    );
-    // best[0] = capture disabled, best[1] = capture enabled,
-    // best[2] = capture enabled + windowed rollup.
-    let mut best = [u64::MAX; 3];
-    for _ in 0..BENCH_TRACE_ROUNDS {
-        for (slot, enabled) in [(0usize, false), (1, true), (2, true)] {
-            let hist = yv_obs::Histogram::new();
-            for _ in 0..BENCH_TRACE_REPS {
-                for query in &battery {
-                    let started = clock.now_nanos();
-                    if enabled {
-                        let mut trace = yv_obs::TraceCtx::start(
-                            sink.next_id(),
-                            0,
-                            std::sync::Arc::clone(&trace_clock),
-                        );
-                        trace.set_command("QUERY");
-                        let hits = store.query_traced(query, &mut trace);
-                        trace.annotate("hits", hits.len() as u64);
-                        if let Some(done) = trace.finish(true) {
-                            sink.capture(done);
-                        }
-                    } else {
-                        let mut trace = yv_obs::TraceCtx::disabled();
-                        let _hits = store.query_traced(query, &mut trace);
-                    }
-                    let elapsed = clock.now_nanos().saturating_sub(started);
-                    if slot == 2 {
-                        window_hist.record_ns(elapsed);
-                        let _ = windows.rotate();
-                    }
-                    hist.record_ns(clock.now_nanos().saturating_sub(started));
-                }
-            }
-            best[slot] = best[slot].min(hist.summary().p50_us);
-        }
-    }
-    drop(store);
-
-    registry.set_gauge(
-        "yv_trace_overhead_disabled_p50_us",
-        "QUERY p50 with trace capture disabled (battery, best of 3)",
-        best[0],
-    );
-    registry.set_gauge(
-        "yv_trace_overhead_enabled_p50_us",
-        "QUERY p50 with trace capture + ring push enabled (battery, best of 3)",
-        best[1],
-    );
-    registry.set_gauge(
-        "yv_window_rollup_p50_us",
-        "QUERY p50 traced + windowed rollup with per-request rotation (battery, best of 3)",
-        best[2],
-    );
-    // 5% of the untraced p50, floored at 100us: capture is a bounded
-    // stack write plus one seqlock slot copy, and must stay invisible.
-    let allowed = best[0] + (best[0] / 20).max(100);
-    if best[1] > allowed {
-        return Err(format!(
-            "trace capture overhead regression: QUERY p50 {} us traced vs {} us untraced \
-             (allowed {} us)",
-            best[1], best[0], allowed
-        ));
-    }
-    // Same discipline for the windowed rollup: one histogram record plus
-    // one (usually no-op) rotation must stay within 5% of the traced p50.
-    let allowed = best[1] + (best[1] / 20).max(100);
-    if best[2] > allowed {
-        return Err(format!(
-            "windowed rollup overhead regression: QUERY p50 {} us windowed vs {} us traced \
-             (allowed {} us)",
-            best[2], best[1], allowed
-        ));
-    }
-    Ok((best[0], best[1]))
-}
-
-/// Arrivals each transport pushes through the serve bench stage.
-const BENCH_SERVE_ARRIVALS: usize = 768;
-/// Records per `BATCH_ADD` frame in the binary serve stage — the batch
-/// size the 3x acceptance gate is defined at.
-const BENCH_SERVE_BATCH: usize = 256;
-/// `BATCH_ADD` frames the binary serve stage keeps in flight at once.
-const BENCH_SERVE_WINDOW: usize = 4;
-
-/// The transport stage of `yv bench`: start a real `yv serve` over a
-/// 4-shard store and push the same arrival stream through each wire —
-/// per-request text `ADD`s on one connection, pipelined binary
-/// `BATCH_ADD` frames (batch = [`BENCH_SERVE_BATCH`]) on another with a
-/// fresh identical store. Publishes records/second for both as
-/// `yv_serve_text_req_per_s` / `yv_serve_binary_req_per_s` (rate-gated
-/// by the compare gate) plus the raw `*_elapsed_us` timings. The binary
-/// wire must clear 3x the text rate in-process: below that, batching has
-/// stopped paying for its framing and the stage fails the bench.
-fn bench_serve_protocols(
-    gen: &Generated,
-    pipeline: &Pipeline,
-    config: &PipelineConfig,
-    registry: &MetricsRegistry,
-) -> Result<(u64, u64), String> {
-    use yv_obs::Clock as _;
-    let clock = yv_obs::MonotonicClock::new();
-    let book_base: u64 = 800_000;
-    let mut rates = [0u64; 2];
-    let mut elapsed = [0u64; 2];
-    for (slot, mode) in [(0usize, "text"), (1, "binary")] {
-        let label = format!("serve-{mode}");
-        let (_scratch, store) =
-            bench_store(&label, &gen.dataset, pipeline, config, BENCH_ADD_THREADS)?;
-        let records_before = store.stats().records;
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").map_err(err)?;
-        let addr = listener.local_addr().map_err(err)?;
-        let server =
-            std::thread::spawn(move || yv_store::ServeOptions::new(store).workers(2).serve(listener));
-
-        let started = clock.now_nanos();
-        let mut acked = 0usize;
-        if slot == 1 {
-            let mut client = yv_store::ClientOptions::new()
-                .protocol(yv_store::Protocol::Binary)
-                .connect(addr)
-                .map_err(err)?;
-            let mut pipe = client.pipeline(BENCH_SERVE_WINDOW);
-            for start in (0..BENCH_SERVE_ARRIVALS).step_by(BENCH_SERVE_BATCH) {
-                let chunk: Vec<_> = (start..(start + BENCH_SERVE_BATCH).min(BENCH_SERVE_ARRIVALS))
-                    .map(|i| load_record(book_base, i))
-                    .collect();
-                pipe.push(&yv_store::RequestFrame::BatchAdd(chunk)).map_err(err)?;
-            }
-            for reply in pipe.flush().map_err(err)? {
-                for status in reply.batch().map_err(err)? {
-                    match status {
-                        yv_store::BatchStatus::Ok { .. } => acked += 1,
-                        yv_store::BatchStatus::Err(e) => {
-                            return Err(format!("serve bench BATCH_ADD refused a record: {e}"))
-                        }
-                    }
-                }
-            }
-        } else {
-            let mut client = yv_store::Client::connect(addr).map_err(err)?;
-            for i in 0..BENCH_SERVE_ARRIVALS {
-                client.add(&load_record(book_base, i)).map_err(err)?;
-                acked += 1;
-            }
-        }
-        elapsed[slot] = clock.now_nanos().saturating_sub(started) / 1_000;
-        if acked != BENCH_SERVE_ARRIVALS {
-            return Err(format!(
-                "serve bench ({mode}) acked {acked} of {BENCH_SERVE_ARRIVALS} arrivals"
-            ));
-        }
-        let mut closer = yv_store::Client::connect(addr).map_err(err)?;
-        closer.shutdown().map_err(err)?;
-        let store = server
-            .join()
-            .map_err(|_| "serve bench server panicked".to_owned())?
-            .map_err(err)?;
-        if store.stats().records != records_before + BENCH_SERVE_ARRIVALS {
-            return Err(format!("serve bench ({mode}) lost arrivals"));
-        }
-        drop(store);
-        let per_s =
-            (BENCH_SERVE_ARRIVALS as u128 * 1_000_000) / u128::from(elapsed[slot].max(1));
-        rates[slot] = u64::try_from(per_s).unwrap_or(u64::MAX);
-    }
-    registry.set_gauge(
-        "yv_serve_text_req_per_s",
-        "Per-request text ADD throughput over one serve connection",
-        rates[0],
-    );
-    registry.set_gauge(
-        "yv_serve_binary_req_per_s",
-        "Pipelined binary BATCH_ADD throughput (batch=256) over one serve connection",
-        rates[1],
-    );
-    registry.set_gauge(
-        "yv_serve_text_elapsed_us",
-        "Wall time for the text half of the serve transport stage",
-        elapsed[0],
-    );
-    registry.set_gauge(
-        "yv_serve_binary_elapsed_us",
-        "Wall time for the binary half of the serve transport stage",
-        elapsed[1],
-    );
-    if rates[1] < rates[0].saturating_mul(3) {
-        return Err(format!(
-            "binary transport regression: BATCH_ADD {} req/s is under 3x the per-request \
-             text ADD {} req/s",
-            rates[1], rates[0]
-        ));
-    }
-    Ok((rates[0], rates[1]))
 }
 
 pub fn query(args: &Args) -> CliResult {
@@ -1265,11 +680,6 @@ mod tests {
         Args::parse(tokens.iter().map(|s| (*s).to_owned()), &["italy", "quick"]).unwrap()
     }
 
-    /// `yv bench` gates on its own timings (trace and rollup overhead,
-    /// binary-vs-text throughput); two full runs sharing the CPU trip
-    /// each other's gates, so the tests that run one take turns.
-    static BENCH_RUN: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn generate_runs() {
         let args = args_for(&["generate", "--records", "200", "--seed", "3"]);
@@ -1284,7 +694,8 @@ mod tests {
 
     #[test]
     fn export_writes_csv() {
-        let path = std::env::temp_dir().join("yv_cli_export_test.csv");
+        let path =
+            std::env::temp_dir().join(format!("yv_cli_export_test_{}.csv", std::process::id()));
         let path_str = path.to_string_lossy().into_owned();
         let args = args_for(&["export", "--records", "50", "--path", &path_str]);
         export(&args).unwrap();
@@ -1292,35 +703,6 @@ mod tests {
         assert!(content.lines().count() > 10);
         assert!(content.starts_with("book_id,"));
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn bench_writes_machine_readable_json() {
-        let _turn = BENCH_RUN.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let scratch = ScratchDir::new("test-json").unwrap();
-        let path = scratch.0.join("bench.json");
-        let path_str = path.to_string_lossy().into_owned();
-        let args = args_for(&["bench", "--records", "250", "--out", &path_str]);
-        bench(&args).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("\"schema\": \"yv-bench-pipeline/v2\""));
-        assert!(content.contains("\"stages_us\""));
-        assert!(content.contains("\"blocking\":"));
-        assert!(content.contains("\"total\":"));
-        assert!(content.contains("\"peak_alloc_bytes\":"));
-        assert!(content.contains("\"pairs_scored\":"));
-        assert!(content.contains("\"yv_pipeline_stage_blocking_us\":"));
-        assert!(content.contains("\"yv_resolve_p50_us\":"));
-        assert!(content.contains("\"yv_resolve_p99_us\":"));
-        assert!(content.contains("\"yv_resolve_max_us\":"));
-        assert!(content.contains("\"yv_resolve_candidates\":"));
-        assert!(content.contains("\"yv_trace_overhead_disabled_p50_us\":"));
-        assert!(content.contains("\"yv_trace_overhead_enabled_p50_us\":"));
-        assert!(content.contains("\"yv_window_rollup_p50_us\":"));
-        assert!(content.contains("\"yv_serve_text_req_per_s\":"));
-        assert!(content.contains("\"yv_serve_binary_req_per_s\":"));
-        assert!(content.contains("\"yv_serve_text_elapsed_us\":"));
-        assert!(content.contains("\"yv_serve_binary_elapsed_us\":"));
     }
 
     #[test]
@@ -1442,46 +824,6 @@ mod tests {
         assert!(!rendered.contains("windows ("), "{rendered}");
         assert!(rendered.contains("slo query"), "{rendered}");
         assert_eq!(render_top_history(&[]), "");
-    }
-
-    #[test]
-    fn bench_compare_passes_on_self_and_fails_on_injected_regression() {
-        let _turn = BENCH_RUN.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let scratch = ScratchDir::new("test-compare").unwrap();
-        let path = scratch.0.join("base.json");
-        let path_str = path.to_string_lossy().into_owned();
-        let args = args_for(&["bench", "--records", "250", "--out", &path_str]);
-        bench(&args).unwrap();
-
-        // Pure-file mode against itself: zero deltas, zero regressions.
-        let args =
-            args_for(&["bench", "--compare", &path_str, "--against", &path_str]);
-        bench(&args).unwrap();
-
-        // Inflate the total stage well past the ratio and the floor.
-        let content = std::fs::read_to_string(&path).unwrap();
-        let prefix = "    \"total\": ";
-        let slowed: String = content
-            .lines()
-            .map(|line| match line.strip_prefix(prefix) {
-                Some(rest) => {
-                    let n: u64 = rest.trim_end_matches(',').parse().unwrap();
-                    let comma = if rest.ends_with(',') { "," } else { "" };
-                    format!("{prefix}{}{comma}\n", n * 3 + 50_000)
-                }
-                None => format!("{line}\n"),
-            })
-            .collect();
-        let slow_path = scratch.0.join("slow.json");
-        let slow_str = slow_path.to_string_lossy().into_owned();
-        std::fs::write(&slow_path, slowed).unwrap();
-        let args = args_for(&["bench", "--compare", &path_str, "--against", &slow_str]);
-        let msg = bench(&args).unwrap_err();
-        assert!(msg.contains("regression"), "{msg}");
-
-        // --against without a baseline is a usage error.
-        let args = args_for(&["bench", "--against", &path_str]);
-        assert!(bench(&args).is_err());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! yv resolve  --records 2000 [--certainty 0.0] [--italy]
 //! yv resolve  --addr 127.0.0.1:7878 --name Lewi [--k 5] [--min 0.3]
 //! yv pipeline ...                                    alias for resolve
-//! yv bench    --records 2000 [--out BENCH_pipeline.json] [--compare OLD.json]
 //! yv query    --first Guido --last Foa [--certainty 0.0] [--records N]
 //! yv narrate  --records 2000 [--top 3]
 //! yv serve    --dir people.store [--shards 4] [--addr 127.0.0.1:7878]
@@ -20,13 +19,12 @@
 //! yv audit    check|fix-baseline [--format human|json|sarif] [--jobs N]
 //! ```
 //!
-//! `block`, `resolve`/`pipeline` and `bench` accept `--timings` (print a
-//! per-stage table) and `--trace-json <path>` (write a Chrome-trace file,
-//! loadable in `about:tracing` / Perfetto). `bench --compare` gates the
-//! run against a baseline JSON and exits nonzero on regression.
+//! `block` and `resolve`/`pipeline` accept `--timings` (print a per-stage
+//! table) and `--trace-json <path>` (write a Chrome-trace file, loadable
+//! in `about:tracing` / Perfetto). Performance numbers come from
+//! `yv-benchmark/` (see its README), not from this binary.
 
 mod args;
-mod bench_compare;
 mod commands;
 
 use args::Args;
@@ -45,8 +43,6 @@ COMMANDS:
                or, with --name (and optionally --addr), ask a running server to
                fuzzy-resolve a possibly misspelled name into ranked candidates
     pipeline   alias for resolve (the paper's end-to-end pipeline)
-    bench      run the pipeline and write machine-readable stage timings
-               (BENCH_pipeline.json, or --out PATH)
     query      relative search with a certainty knob (--first / --last)
     narrate    print narratives for the best-attested resolved entities
     serve      persistent store + TCP query server (--dir required; bootstraps
@@ -71,16 +67,9 @@ COMMON OPTIONS:
     --max-minsup N  MFIBlocks MaxMinSup (default 5)
     --certainty X   query-time certainty threshold (default 0.0)
 
-OBSERVABILITY OPTIONS (block, resolve/pipeline, bench):
+OBSERVABILITY OPTIONS (block, resolve/pipeline):
     --timings          print a per-stage timing table after the run
     --trace-json PATH  write spans + counters as a Chrome-trace JSON file
-
-BENCH REGRESSION GATE:
-    --compare OLD.json   compare this run against a baseline bench file;
-                         exit nonzero when any metric regresses
-    --against NEW.json   with --compare: skip the run, compare two files
-    --threshold X        ratio gate for _us/_ns/_bytes metrics (default 1.5)
-    --min-delta N        absolute floor in metric units (default 10000)
 
 SERVING OPTIONS:
     --dir PATH          store directory (snapshot segments + per-shard WALs)
@@ -144,13 +133,6 @@ fn spec(command: &str) -> Option<(&'static [&'static str], &'static [&'static st
             ],
             &["italy", "timings"],
         )),
-        "bench" => Some((
-            &[
-                "records", "seed", "ng", "max-minsup", "out", "trace-json", "compare",
-                "against", "threshold", "min-delta",
-            ],
-            &["italy", "timings"],
-        )),
         "query" => Some((&["records", "seed", "first", "last", "certainty"], &["italy"])),
         "narrate" => Some((&["records", "seed", "top"], &["italy"])),
         "serve" => Some((
@@ -199,7 +181,6 @@ fn main() {
         "import" => commands::import(&args),
         "block" => commands::block(&args),
         "resolve" | "pipeline" => commands::resolve(&args),
-        "bench" => commands::bench(&args),
         "query" => commands::query(&args),
         "narrate" => commands::narrate(&args),
         "serve" => commands::serve(&args),

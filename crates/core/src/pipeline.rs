@@ -5,7 +5,7 @@ use crate::model::{RankedMatch, SoftCluster};
 use crate::resolution::Resolution;
 use yv_adt::{train, AdTree, TrainConfig, TrainSet};
 use yv_blocking::{mfi_blocks_recorded, MfiBlocksConfig};
-use yv_obs::{MetricsRegistry, Recorder};
+use yv_obs::Recorder;
 use yv_records::{Dataset, RecordId};
 use yv_similarity::{extract, feature, FeatureId, FEATURE_COUNT};
 
@@ -162,32 +162,6 @@ impl Pipeline {
         resolve_span.finish();
         resolution
     }
-
-    /// [`Pipeline::resolve_recorded`], then publish the aggregated view
-    /// into `registry`: one `yv_pipeline_stage_{span}_us` gauge per span
-    /// name, one `yv_pipeline_{counter}` gauge per counter, and
-    /// `yv_pipeline_peak_alloc_bytes` — the high-water mark of live bytes
-    /// across this run (zero unless the counting allocator is installed;
-    /// see `yv_obs::alloc_stats`). The peak is reset on entry so the
-    /// reading attributes to this resolve, not the process lifetime.
-    #[must_use]
-    pub fn resolve_published(
-        &self,
-        ds: &Dataset,
-        config: &PipelineConfig,
-        rec: &Recorder,
-        registry: &MetricsRegistry,
-    ) -> Resolution {
-        yv_obs::reset_peak();
-        let resolution = self.resolve_recorded(ds, config, rec);
-        registry.publish_recorder("yv_pipeline", rec);
-        registry.set_gauge(
-            "yv_pipeline_peak_alloc_bytes",
-            "Peak live bytes during resolve (0 without the counting allocator)",
-            yv_obs::alloc_stats().peak_bytes,
-        );
-        resolution
-    }
 }
 
 #[cfg(test)]
@@ -285,27 +259,6 @@ mod tests {
         }
         assert!(rec.counter("pairs_scored") > 0);
         assert_eq!(rec.counter("matches_kept"), resolution.matches.len() as u64);
-    }
-
-    #[test]
-    fn resolve_published_exports_stages_and_counters_to_the_registry() {
-        let (gen, pipeline, config) = fixture();
-        let (rec, _clock) = Recorder::manual();
-        let registry = MetricsRegistry::new();
-        let resolution = pipeline.resolve_published(&gen.dataset, &config, &rec, &registry);
-        assert!(!resolution.matches.is_empty());
-        let names: Vec<String> =
-            registry.scalar_values().into_iter().map(|(n, _)| n).collect();
-        for stage in ["blocking", "extract", "score", "resolve"] {
-            let metric = format!("yv_pipeline_stage_{stage}_us");
-            assert!(names.contains(&metric), "missing {metric} in {names:?}");
-        }
-        assert!(names.contains(&"yv_pipeline_peak_alloc_bytes".to_owned()));
-        assert!(registry.gauge("yv_pipeline_pairs_scored", "").get() > 0);
-        assert_eq!(
-            registry.gauge("yv_pipeline_matches_kept", "").get(),
-            resolution.matches.len() as u64
-        );
     }
 
     #[test]

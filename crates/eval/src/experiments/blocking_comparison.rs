@@ -18,7 +18,7 @@ pub struct ComparisonRow {
     pub precision: f64,
 }
 
-/// Measure MFIBlocks plus every baseline (shared with the bench).
+/// Measure MFIBlocks plus every baseline.
 #[must_use]
 pub fn measure(ctx: &Context) -> Vec<ComparisonRow> {
     let gold = &ctx.standard.matched;

@@ -15,7 +15,7 @@ pub struct ConditionQuality {
     pub quality: Prf,
 }
 
-/// Measure all six conditions (shared with the bench).
+/// Measure all six conditions.
 #[must_use]
 pub fn measure(ctx: &Context) -> Vec<ConditionQuality> {
     let ngs = [3.0, 3.5, 4.0];

@@ -13,7 +13,7 @@ pub struct SweepPoint {
     pub quality: Prf,
 }
 
-/// Run the sweep; shared by Figures 15 and 16 (and the bench).
+/// Run the sweep; shared by Figures 15 and 16.
 #[must_use]
 pub fn measure(ctx: &Context) -> Vec<SweepPoint> {
     let mut points = Vec::new();

@@ -172,18 +172,6 @@ impl Recorder {
         self.lock().spans.iter().filter(|s| s.name == name).map(|s| s.dur_ns).sum()
     }
 
-    /// Total recorded nanoseconds per span name, sorted by name
-    /// (BTreeMap order — deterministic). The aggregated view
-    /// [`crate::MetricsRegistry::publish_recorder`] exports.
-    #[must_use]
-    pub fn span_sums(&self) -> Vec<(String, u64)> {
-        let mut sums: BTreeMap<String, u64> = BTreeMap::new();
-        for span in &self.lock().spans {
-            *sums.entry(span.name.clone()).or_insert(0) += span.dur_ns;
-        }
-        sums.into_iter().collect()
-    }
-
     /// Time a closure under a named span.
     pub fn time<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
         let _span = self.span(name);
@@ -276,18 +264,6 @@ mod tests {
         assert_eq!(
             rec.counters(),
             vec![("alpha".to_owned(), 1), ("zeta".to_owned(), 5)]
-        );
-    }
-
-    #[test]
-    fn span_sums_aggregate_by_name_sorted() {
-        let (rec, clock) = Recorder::manual();
-        rec.time("zeta", || clock.advance(5));
-        rec.time("alpha", || clock.advance(2));
-        rec.time("zeta", || clock.advance(3));
-        assert_eq!(
-            rec.span_sums(),
-            vec![("alpha".to_owned(), 2), ("zeta".to_owned(), 8)]
         );
     }
 

@@ -17,7 +17,6 @@
 //! metric name order — deterministic across runs and platforms.
 
 use crate::histogram::{Counter, Histogram};
-use crate::recorder::Recorder;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -168,40 +167,6 @@ impl MetricsRegistry {
         self.gauge(name, help).set(value);
     }
 
-    /// Publish a [`Recorder`]'s aggregated view into the registry: one
-    /// `{prefix}_stage_{span}_us` gauge per span name (total recorded
-    /// microseconds) and one `{prefix}_{counter}` gauge per counter.
-    /// Gauges, not counters, so republishing after another run replaces
-    /// rather than double-counts.
-    pub fn publish_recorder(&self, prefix: &str, rec: &Recorder) {
-        for (name, ns) in rec.span_sums() {
-            self.set_gauge(
-                &format!("{prefix}_stage_{name}_us"),
-                "Total recorded stage time in microseconds",
-                ns / 1_000,
-            );
-        }
-        for (name, value) in rec.counters() {
-            // audit:allow(N1) `name` is a recorder counter label (a code constant), not victim data
-            self.set_gauge(&format!("{prefix}_{name}"), "Recorder counter", value);
-        }
-    }
-
-    /// Every scalar metric (counters and gauges) as sorted `(name, value)`
-    /// pairs — the machine-readable view `yv bench` writes to JSON.
-    /// Histograms are omitted: their scrape form is the bucket series.
-    #[must_use]
-    pub fn scalar_values(&self) -> Vec<(String, u64)> {
-        self.lock()
-            .iter()
-            .filter_map(|(name, entry)| match &entry.handle {
-                Handle::Counter(c) => Some((name.clone(), c.get())),
-                Handle::Gauge(g, _) => Some((name.clone(), g.get())),
-                Handle::Histogram(_) => None,
-            })
-            .collect()
-    }
-
     /// Render every registered metric in the Prometheus text exposition
     /// format, version 0.0.4. Histograms emit cumulative
     /// `_bucket{le="..."}` series (integer-microsecond boundaries, the
@@ -270,18 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_values_are_sorted_and_skip_histograms() {
-        let reg = MetricsRegistry::new();
-        reg.gauge("yv_b", "b").set(2);
-        reg.counter("yv_a", "a").add(1);
-        let _ = reg.histogram("yv_h_us", "h");
-        assert_eq!(
-            reg.scalar_values(),
-            vec![("yv_a".to_owned(), 1), ("yv_b".to_owned(), 2)]
-        );
-    }
-
-    #[test]
     fn prometheus_rendering_covers_all_kinds() {
         let reg = MetricsRegistry::new();
         reg.counter("yv_requests_total", "Requests served").add(5);
@@ -311,26 +264,5 @@ mod tests {
             .map(|n| text.find(&format!("# HELP {n} ")).expect("metric rendered"))
             .collect();
         assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
-    }
-
-    #[test]
-    fn publish_recorder_exports_span_sums_and_counters() {
-        let (rec, clock) = Recorder::manual();
-        {
-            let _s = rec.span("blocking");
-            clock.advance(5_000_000);
-        }
-        {
-            let _s = rec.span("blocking");
-            clock.advance(1_000_000);
-        }
-        rec.incr("pairs_scored", 42);
-        let reg = MetricsRegistry::new();
-        reg.publish_recorder("yv_pipeline", &rec);
-        assert_eq!(reg.gauge("yv_pipeline_stage_blocking_us", "").get(), 6_000);
-        assert_eq!(reg.gauge("yv_pipeline_pairs_scored", "").get(), 42);
-        // Republishing replaces rather than accumulates.
-        reg.publish_recorder("yv_pipeline", &rec);
-        assert_eq!(reg.gauge("yv_pipeline_stage_blocking_us", "").get(), 6_000);
     }
 }

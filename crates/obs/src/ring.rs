@@ -290,8 +290,7 @@ impl TraceSink {
 
     /// True when completed traces are being retained. When false,
     /// requests still get trace ids (the token stays on the wire) but
-    /// `capture` is a no-op — the configuration the `trace_overhead`
-    /// bench compares against.
+    /// `capture` is a no-op (`yv serve --no-trace`).
     #[must_use]
     pub fn capture_enabled(&self) -> bool {
         self.capture

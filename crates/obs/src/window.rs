@@ -216,8 +216,7 @@ impl HistTier {
 /// Ring-of-snapshots rollup over a cumulative [`Histogram`].
 ///
 /// All mutation happens under one mutex on the rotate/read path; the
-/// source histogram's recording path is untouched (the bench gate pins
-/// windowed rollup within 5% of plain traced serving).
+/// source histogram's recording path is untouched.
 #[derive(Debug)]
 pub struct WindowedHistogram {
     source: Arc<Histogram>,

@@ -15,10 +15,20 @@ use yv_similarity::ExpertWeights;
 /// FNV-1a 64-bit — the checksum guarding snapshot payloads and WAL frames.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_parts(&[bytes])
+}
+
+/// FNV-1a 64-bit folded over `parts` in order: the hash of their
+/// concatenation, without building it. Frame checksums cover a header
+/// (tag, seq) plus a payload of up to 32 MiB that is already in memory.
+#[must_use]
+pub fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    for part in parts {
+        for &b in *part {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
     hash
 }
@@ -438,6 +448,25 @@ mod tests {
                 Place::full("Torino", "Torino", "Piemonte", "Italy", GeoPoint::new(45.07, 7.69)),
             )
             .build()
+    }
+
+    #[test]
+    fn fnv1a64_parts_equals_the_hash_of_the_concatenation() {
+        let (tag, seq) = (7u8, 0x0102_0304_0506_0708u64);
+        for len in [0usize, 1, 100 * 1024] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 5) as u8).collect();
+            let mut framed = vec![tag];
+            framed.extend_from_slice(&payload);
+            assert_eq!(fnv1a64_parts(&[&[tag], &payload]), fnv1a64(&framed), "len {len}");
+            let mut sequenced = vec![tag];
+            sequenced.extend_from_slice(&seq.to_le_bytes());
+            sequenced.extend_from_slice(&payload);
+            assert_eq!(
+                fnv1a64_parts(&[&[tag], &seq.to_le_bytes(), &payload]),
+                fnv1a64(&sequenced),
+                "len {len}"
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 
-use crate::codec::{self, fnv1a64, Reader, Writer};
+use crate::codec::{self, fnv1a64_parts, Reader, Writer};
 use crate::error::StoreError;
 use crate::protocol::{Request, DEFAULT_TOP_SLOW};
 use crate::store::DEFAULT_RESOLVE_K;
@@ -51,6 +51,10 @@ pub const HELLO_OK: &str = "OK hello proto=binary";
 /// `BATCH_ADD` of tens of thousands of records, small enough that a
 /// corrupt length prefix cannot ask the peer to allocate gigabytes.
 pub const MAX_PAYLOAD: u32 = 32 * 1024 * 1024;
+
+/// Payload buffer reserved up front by [`read_raw_frame`]; longer
+/// payloads grow the buffer as their bytes arrive.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Frame header bytes: tag (1) + payload length (4).
 pub const HEADER_LEN: usize = 5;
@@ -425,10 +429,7 @@ fn encode_frame(tag: u8, payload: &[u8]) -> Result<Vec<u8>, StoreError> {
 /// byte followed by the payload (the WAL's discipline, minus the seq).
 #[must_use]
 pub fn frame_checksum(tag: u8, payload: &[u8]) -> u64 {
-    let mut bytes = Vec::with_capacity(1 + payload.len());
-    bytes.push(tag);
-    bytes.extend_from_slice(payload);
-    fnv1a64(&bytes)
+    fnv1a64_parts(&[&[tag], payload])
 }
 
 /// Write a pre-encoded frame to a stream (no flush; callers decide when
@@ -444,7 +445,7 @@ pub fn write_frame<W: Write>(w: &mut W, frame_bytes: &[u8]) -> Result<(), StoreE
 /// - `StoreError::Corrupt("torn frame: ...")`: the connection died
 ///   mid-frame — the unread tail must not be acted on.
 /// - `StoreError::LimitExceeded`: the length prefix exceeds
-///   [`MAX_PAYLOAD`] (refused before allocating).
+///   [`MAX_PAYLOAD`] (refused before reading further).
 /// - `StoreError::ChecksumMismatch`: a complete frame whose trailer does
 ///   not match its bytes.
 pub fn read_raw_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, StoreError> {
@@ -464,8 +465,14 @@ pub fn read_raw_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, Store
     if len > MAX_PAYLOAD {
         return Err(StoreError::LimitExceeded { what: "frame payload", len: len as usize });
     }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or_torn(r, &mut payload, "payload")?;
+    // The buffer grows with the bytes that arrive, not with the length
+    // the peer claimed: a header alone must not pin `MAX_PAYLOAD`.
+    let want = len as usize;
+    let mut payload = Vec::with_capacity(want.min(READ_CHUNK));
+    r.by_ref().take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < want {
+        return Err(torn("payload"));
+    }
     let mut sum_buf = [0u8; 8];
     read_exact_or_torn(r, &mut sum_buf, "checksum trailer")?;
     let expected = u64::from_le_bytes(sum_buf);
@@ -479,11 +486,15 @@ pub fn read_raw_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, Store
 fn read_exact_or_torn<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<(), StoreError> {
     r.read_exact(buf).map_err(|e| {
         if e.kind() == ErrorKind::UnexpectedEof {
-            StoreError::Corrupt(format!("torn frame: connection closed mid-{what}"))
+            torn(what)
         } else {
             StoreError::Io(e)
         }
     })
+}
+
+fn torn(what: &str) -> StoreError {
+    StoreError::Corrupt(format!("torn frame: connection closed mid-{what}"))
 }
 
 fn read_bool(r: &mut Reader<'_>, what: &str) -> Result<bool, StoreError> {

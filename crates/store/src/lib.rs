@@ -61,6 +61,8 @@ pub mod error;
 pub mod frame;
 pub mod index;
 pub mod protocol;
+#[cfg(test)]
+mod scratch;
 pub mod server;
 pub mod shard;
 pub mod snapshot;

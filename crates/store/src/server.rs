@@ -1560,8 +1560,7 @@ mod tests {
 
     #[test]
     fn file_slow_log_rotates_at_the_size_cap_keeping_one_generation() {
-        let dir = std::env::temp_dir().join("yv-store-slowlog-tests").join("rotate");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::scratch::ScratchDir::new("slowlog-rotate");
         let path = dir.join("slow.jsonl");
         // Each line is ~130 bytes; a 300-byte cap rotates every 2-3 lines.
         let slow = SlowLog::file(1, &path, 300).expect("open slow log");

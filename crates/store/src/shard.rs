@@ -199,8 +199,7 @@ mod tests {
     fn manifest_round_trips() {
         let m = Manifest::new(4).expect("4 shards");
         assert_eq!(Manifest::from_text(&m.to_text()).expect("parse"), m);
-        let dir = std::env::temp_dir().join("yv-store-manifest-test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = crate::scratch::ScratchDir::new("manifest");
         m.write(&dir).expect("write");
         assert_eq!(Manifest::read(&dir).expect("read"), m);
     }

@@ -123,7 +123,9 @@ impl TelemetryLog {
         frame.push(TAG_BUCKET);
         frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&frame_checksum(TAG_BUCKET, &payload).to_le_bytes());
+        // The checksum covers the tag and the payload.
+        let checksum = codec::fnv1a64_parts(&[&[TAG_BUCKET], &payload]);
+        frame.extend_from_slice(&checksum.to_le_bytes());
         self.file.write_all(&frame)?;
         self.bytes += frame.len() as u64;
         self.frames += 1;
@@ -206,14 +208,6 @@ fn decode_bucket(payload: &[u8]) -> Result<(String, ClosedBucket), StoreError> {
     Ok((metric, ClosedBucket { tier, epoch, delta }))
 }
 
-/// The frame checksum covers the tag and the payload.
-fn frame_checksum(tag: u8, payload: &[u8]) -> u64 {
-    let mut hashed = Vec::with_capacity(payload.len() + 1);
-    hashed.push(tag);
-    hashed.extend_from_slice(payload);
-    codec::fnv1a64(&hashed)
-}
-
 /// Result of scanning one segment: decoded frames in file order plus the
 /// byte length of the valid prefix (a torn tail is a clean stop).
 #[derive(Debug)]
@@ -252,7 +246,7 @@ fn scan(bytes: &[u8]) -> Result<Scan, StoreError> {
                 .try_into()
                 .map_err(|_| StoreError::Corrupt("truncated frame checksum".into()))?,
         );
-        let actual = frame_checksum(tag, payload);
+        let actual = codec::fnv1a64_parts(&[&[tag], payload]);
         if expected != actual {
             return Err(StoreError::ChecksumMismatch { expected, actual });
         }
@@ -285,15 +279,9 @@ pub fn replay(dir: &Path) -> Result<Vec<(String, ClosedBucket)>, StoreError> {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::scratch::ScratchDir;
     use std::sync::Arc;
     use yv_obs::{Histogram, ManualClock, WindowedHistogram};
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("yv-store-telemetry-tests").join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn sample_bucket(epoch: u64, micros: &[u64]) -> ClosedBucket {
         let h = Histogram::new();
@@ -305,7 +293,7 @@ mod tests {
 
     #[test]
     fn append_then_replay_round_trips() {
-        let dir = tmp("roundtrip");
+        let dir = ScratchDir::new("telemetry-roundtrip");
         let b1 = sample_bucket(3, &[10, 20, 4000]);
         let b2 = sample_bucket(4, &[7]);
         let mut log = TelemetryLog::open(&dir, DEFAULT_CAP_BYTES).unwrap();
@@ -319,7 +307,7 @@ mod tests {
 
     #[test]
     fn empty_buckets_are_never_written() {
-        let dir = tmp("empty");
+        let dir = ScratchDir::new("telemetry-empty");
         let mut log = TelemetryLog::open(&dir, DEFAULT_CAP_BYTES).unwrap();
         let empty = ClosedBucket { tier: Tier::Minutes, epoch: 9, delta: HistogramSnapshot::default() };
         log.append("query", &empty).unwrap();
@@ -330,7 +318,7 @@ mod tests {
 
     #[test]
     fn size_cap_rotates_to_one_old_generation() {
-        let dir = tmp("rotate");
+        let dir = ScratchDir::new("telemetry-rotate");
         // A cap just above the floor forces a rotation every few frames.
         let mut log = TelemetryLog::open(&dir, 1).unwrap();
         for epoch in 0..64 {
@@ -351,7 +339,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_a_clean_stop_and_reopen_truncates() {
-        let dir = tmp("torn");
+        let dir = ScratchDir::new("telemetry-torn");
         let b1 = sample_bucket(1, &[10]);
         let b2 = sample_bucket(2, &[20]);
         let mut log = TelemetryLog::open(&dir, DEFAULT_CAP_BYTES).unwrap();
@@ -371,7 +359,7 @@ mod tests {
 
     #[test]
     fn bitflip_is_a_typed_checksum_error() {
-        let dir = tmp("bitflip");
+        let dir = ScratchDir::new("telemetry-bitflip");
         let mut log = TelemetryLog::open(&dir, DEFAULT_CAP_BYTES).unwrap();
         log.append("query", &sample_bucket(1, &[10, 20])).unwrap();
         drop(log);
@@ -384,7 +372,7 @@ mod tests {
 
     #[test]
     fn replayed_buckets_restore_a_windowed_histogram() {
-        let dir = tmp("restore");
+        let dir = ScratchDir::new("telemetry-restore");
         let clock = Arc::new(ManualClock::at(0));
         let w = WindowedHistogram::new(Arc::new(Histogram::new()), clock.clone());
         w.source().record_ns(40_000);

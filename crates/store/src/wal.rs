@@ -157,7 +157,10 @@ impl Wal {
         frame.extend_from_slice(&seq.to_le_bytes());
         frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(payload);
-        frame.extend_from_slice(&frame_checksum(tag, seq, payload).to_le_bytes());
+        // The checksum covers the tag, the sequence number and the
+        // payload, so a bitflip in any of them is caught.
+        let checksum = codec::fnv1a64_parts(&[&[tag], &seq.to_le_bytes(), payload]);
+        frame.extend_from_slice(&checksum.to_le_bytes());
         self.file.write_all(&frame)?;
         if sync {
             self.file.sync_data()?;
@@ -165,16 +168,6 @@ impl Wal {
         self.bytes += frame.len() as u64;
         Ok(())
     }
-}
-
-/// The frame checksum covers the tag, the sequence number and the
-/// payload, so a bitflip in any of them is caught.
-fn frame_checksum(tag: u8, seq: u64, payload: &[u8]) -> u64 {
-    let mut hashed = Vec::with_capacity(payload.len() + 9);
-    hashed.push(tag);
-    hashed.extend_from_slice(&seq.to_le_bytes());
-    hashed.extend_from_slice(payload);
-    codec::fnv1a64(&hashed)
 }
 
 /// Replay a WAL file into `(seq, entry)` pairs, in file order. A
@@ -222,7 +215,7 @@ fn scan(bytes: &[u8]) -> Result<WalScan, StoreError> {
         };
         let payload = &frame_rest[..len];
         let expected = le_u64(&frame_rest[len..], "frame checksum")?;
-        let actual = frame_checksum(tag, seq, payload);
+        let actual = codec::fnv1a64_parts(&[&[tag], &seq.to_le_bytes(), payload]);
         if expected != actual {
             return Err(StoreError::ChecksumMismatch { expected, actual });
         }
@@ -264,13 +257,8 @@ fn le_u64(bytes: &[u8], what: &str) -> Result<u64, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use yv_records::{RecordBuilder, SourceId};
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("yv-store-wal-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     fn sample_entries() -> (Source, Record, Record) {
         (
@@ -282,7 +270,8 @@ mod tests {
 
     #[test]
     fn append_then_replay_round_trips_with_seqs() {
-        let path = tmp("roundtrip.wal");
+        let dir = ScratchDir::new("wal-roundtrip");
+        let path = dir.join("log.wal");
         let (src, r1, r2) = sample_entries();
         let mut wal = Wal::create(&path).unwrap();
         wal.append_source(0, &src).unwrap();
@@ -303,7 +292,8 @@ mod tests {
 
     #[test]
     fn byte_tracking_matches_the_file() {
-        let path = tmp("bytes.wal");
+        let dir = ScratchDir::new("wal-bytes");
+        let path = dir.join("log.wal");
         let (src, r1, _) = sample_entries();
         let mut wal = Wal::create(&path).unwrap();
         assert_eq!(wal.bytes(), 12, "fresh log is just the header");
@@ -318,7 +308,8 @@ mod tests {
 
     #[test]
     fn torn_tail_is_a_clean_stop_and_flagged() {
-        let path = tmp("torn.wal");
+        let dir = ScratchDir::new("wal-torn");
+        let path = dir.join("log.wal");
         let (src, r1, _) = sample_entries();
         let mut wal = Wal::create(&path).unwrap();
         wal.append_source(0, &src).unwrap();
@@ -340,7 +331,8 @@ mod tests {
 
     #[test]
     fn bitflip_in_complete_frame_is_checksum_error() {
-        let path = tmp("bitflip.wal");
+        let dir = ScratchDir::new("wal-bitflip");
+        let path = dir.join("log.wal");
         let (src, r1, _) = sample_entries();
         let mut wal = Wal::create(&path).unwrap();
         wal.append_source(0, &src).unwrap();
@@ -358,7 +350,8 @@ mod tests {
 
     #[test]
     fn bitflip_in_seq_field_is_checksum_error() {
-        let path = tmp("seqflip.wal");
+        let dir = ScratchDir::new("wal-seqflip");
+        let path = dir.join("log.wal");
         let (src, _, _) = sample_entries();
         let mut wal = Wal::create(&path).unwrap();
         wal.append_source(3, &src).unwrap();
@@ -375,7 +368,8 @@ mod tests {
 
     #[test]
     fn pathological_inputs_are_errors_or_clean_stops_never_panics() {
-        let path = tmp("pathological.wal");
+        let dir = ScratchDir::new("wal-pathological");
+        let path = dir.join("log.wal");
         let (src, r1, _) = sample_entries();
         let mut wal = Wal::create(&path).unwrap();
         wal.append_source(0, &src).unwrap();
@@ -405,7 +399,8 @@ mod tests {
         payload_frame.extend_from_slice(&0u64.to_le_bytes());
         payload_frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         payload_frame.extend_from_slice(payload);
-        payload_frame.extend_from_slice(&frame_checksum(tag, 0, payload).to_le_bytes());
+        let checksum = codec::fnv1a64_parts(&[&[tag], &0u64.to_le_bytes(), payload]);
+        payload_frame.extend_from_slice(&checksum.to_le_bytes());
         std::fs::write(&path, &payload_frame).unwrap();
         assert!(matches!(replay(&path), Err(StoreError::Corrupt(_))));
 
@@ -427,7 +422,8 @@ mod tests {
 
     #[test]
     fn wrong_magic_and_version_are_typed() {
-        let path = tmp("magic.wal");
+        let dir = ScratchDir::new("wal-magic");
+        let path = dir.join("log.wal");
         std::fs::write(&path, b"NOTAWAL\0rest").unwrap();
         assert!(matches!(replay(&path), Err(StoreError::BadMagic)));
         let mut header = MAGIC.to_vec();

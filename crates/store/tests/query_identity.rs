@@ -10,7 +10,9 @@
 // workspace unwrap_used deny targets library code).
 #![allow(clippy::unwrap_used)]
 
-use std::path::PathBuf;
+mod common;
+
+use common::ScratchDir;
 use yv_core::{IncrementalConfig, IncrementalResolver, PersonQuery, Pipeline, PipelineConfig};
 use yv_datagen::{tag_pairs, GenConfig};
 use yv_fuzzy::{rank_entities, FuzzyIndex, RankedEntity, DEFAULT_QGRAM_BOUND};
@@ -21,13 +23,6 @@ use yv_store::{ResolveOptions, Store};
 /// spread of positives.
 const CERTAINTIES: [f64; 10] =
     [f64::NEG_INFINITY, -2.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, f64::INFINITY];
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("yv-store-query-identity").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// A resolver bootstrapped over four fifths of a generated corpus, plus
 /// the held-out fifth as arrivals — duplicates of persons already in the
@@ -93,7 +88,8 @@ fn reference_resolve(store: &Store, name: &str, options: &ResolveOptions) -> Vec
 fn reads_after_every_write_equal_the_batch_api() {
     let (resolver, arrivals) = resolver_and_arrivals(300, 23);
     assert!(arrivals.len() >= 50);
-    let store = Store::create(&fresh_dir("interleaved"), resolver, 4).unwrap();
+    let dir = ScratchDir::new("interleaved");
+    let store = Store::create(&dir, resolver, 4).unwrap();
     let options = ResolveOptions::default();
     assert_eq!(options.bound, DEFAULT_QGRAM_BOUND);
 

@@ -10,19 +10,14 @@
 // workspace unwrap_used deny targets library code).
 #![allow(clippy::unwrap_used)]
 
-use std::path::PathBuf;
+mod common;
+
+use common::ScratchDir;
 use yv_core::{IncrementalConfig, IncrementalResolver, Pipeline, PipelineConfig};
 use yv_datagen::{tag_pairs, GenConfig};
 use yv_records::{Record, RecordBuilder, SourceId};
 use yv_store::protocol::format_candidates;
 use yv_store::{ResolveOptions, Store};
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("yv-store-resolve-identity").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn trained_resolver(n_records: usize, seed: u64) -> IncrementalResolver {
     let gen = GenConfig::random(n_records, seed).generate();
@@ -80,8 +75,8 @@ fn battery(store: &Store) -> Vec<String> {
 /// snapshot/reopen cycle.
 #[test]
 fn resolve_rankings_survive_restart_and_ignore_shard_count() {
-    let multi_dir = fresh_dir("rankings-multi");
-    let single_dir = fresh_dir("rankings-single");
+    let multi_dir = ScratchDir::new("rankings-multi");
+    let single_dir = ScratchDir::new("rankings-single");
     let multi = Store::create(&multi_dir, trained_resolver(100, 17), 4).unwrap();
     let single = Store::create(&single_dir, trained_resolver(100, 17), 1).unwrap();
 
@@ -148,7 +143,7 @@ fn resolve_rankings_survive_restart_and_ignore_shard_count() {
 /// inclusive floor.
 #[test]
 fn resolve_options_truncate_and_floor_the_default_ranking() {
-    let dir = fresh_dir("options");
+    let dir = ScratchDir::new("options");
     let store = Store::create(&dir, trained_resolver(120, 29), 2).unwrap();
     for record in arrivals(20) {
         store.add_record(record).unwrap();

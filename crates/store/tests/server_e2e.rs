@@ -8,22 +8,17 @@
 // workspace unwrap_used deny targets library code).
 #![allow(clippy::unwrap_used)]
 
+mod common;
+
+use common::ScratchDir;
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
 use yv_core::{
     IncrementalConfig, IncrementalResolver, PersonQuery, Pipeline, PipelineConfig, QueryHit,
 };
 use yv_datagen::{tag_pairs, GenConfig};
 use yv_store::client::{Client, ClientError, ClientOptions, Protocol};
 use yv_store::{BatchStatus, RequestFrame, ServeOptions, Store, HELLO_LINE, HELLO_OK};
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("yv-store-e2e").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn trained_resolver(n_records: usize, seed: u64) -> IncrementalResolver {
     let gen = GenConfig::random(n_records, seed).generate();
@@ -63,7 +58,7 @@ fn run_battery(addr: std::net::SocketAddr) -> Vec<Vec<QueryHit>> {
 
 #[test]
 fn concurrent_clients_durable_adds_and_restart_identity() {
-    let dir = fresh_dir("serve-restart");
+    let dir = ScratchDir::new("serve-restart");
     let store = Store::create(&dir, trained_resolver(250, 21), 4).unwrap();
     let records_before = store.stats().records;
 
@@ -172,7 +167,7 @@ fn concurrent_clients_durable_adds_and_restart_identity() {
 
 #[test]
 fn resolve_serves_ranked_candidates_and_typed_errors() {
-    let dir = fresh_dir("resolve-e2e");
+    let dir = ScratchDir::new("resolve-e2e");
     let store = Store::create(&dir, trained_resolver(200, 77), 3).unwrap();
     let records_before = store.stats().records;
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -269,7 +264,7 @@ impl Write for SharedSink {
 
 #[test]
 fn metrics_command_and_sidecar_scrape_expose_prometheus_text() {
-    let dir = fresh_dir("metrics-scrape");
+    let dir = ScratchDir::new("metrics-scrape");
     let store = Store::create(&dir, trained_resolver(150, 55), 2).unwrap();
     let records = store.stats().records;
 
@@ -372,7 +367,7 @@ fn metrics_command_and_sidecar_scrape_expose_prometheus_text() {
 
 #[test]
 fn slow_log_emits_one_json_line_per_slow_request() {
-    let dir = fresh_dir("slow-log");
+    let dir = ScratchDir::new("slow-log");
     let store = Store::create(&dir, trained_resolver(120, 66), 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -461,7 +456,7 @@ fn raw_exchange(
 #[test]
 fn trace_of_a_slow_resolve_serves_the_span_tree_and_top_deterministically() {
     fn run(tag: &str) -> String {
-        let dir = fresh_dir(tag);
+        let dir = ScratchDir::new(tag);
         let store = Store::create(&dir, trained_resolver(200, 88), 4).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -622,8 +617,8 @@ fn history_is_byte_identical_across_seeds_and_replays_across_restart() {
         rendered
     }
 
-    let dir_a = fresh_dir("history-e2e-a");
-    let dir_b = fresh_dir("history-e2e-b");
+    let dir_a = ScratchDir::new("history-e2e-a");
+    let dir_b = ScratchDir::new("history-e2e-b");
     let first = drive(Store::create(&dir_a, trained_resolver(200, 88), 4).unwrap(), &dir_a, true);
     let second = drive(Store::create(&dir_b, trained_resolver(200, 88), 4).unwrap(), &dir_b, true);
     assert_eq!(first, second, "same seed + manual clock must render byte-identical HISTORY");
@@ -633,7 +628,7 @@ fn history_is_byte_identical_across_seeds_and_replays_across_restart() {
 
 #[test]
 fn kill_without_snapshot_replays_the_wal() {
-    let dir = fresh_dir("kill-replay");
+    let dir = ScratchDir::new("kill-replay");
     let store = Store::create(&dir, trained_resolver(200, 33), 3).unwrap();
 
     // Apply arrivals through the durable path, then record the answers.
@@ -684,7 +679,7 @@ fn raw_hello(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) {
 /// at exactly the ten command kinds on both transports.
 #[test]
 fn binary_negotiation_matches_text_semantics_and_streams_batches() {
-    let dir = fresh_dir("binary-parity");
+    let dir = ScratchDir::new("binary-parity");
     let store = Store::create(&dir, trained_resolver(250, 21), 4).unwrap();
     let records_before = store.stats().records;
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -776,7 +771,7 @@ fn binary_negotiation_matches_text_semantics_and_streams_batches() {
 /// disk afterwards (group commit never leaves a WAL sequence gap).
 #[test]
 fn mid_frame_connection_drop_applies_nothing_from_the_torn_batch() {
-    let dir = fresh_dir("torn-batch");
+    let dir = ScratchDir::new("torn-batch");
     let store = Store::create(&dir, trained_resolver(200, 33), 4).unwrap();
     let records_before = store.stats().records;
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -837,7 +832,7 @@ fn mid_frame_connection_drop_applies_nothing_from_the_torn_batch() {
 /// applies the same shard-grouped arrival order the batch committed in.
 #[test]
 fn group_committed_batches_replay_after_a_kill() {
-    let dir = fresh_dir("batch-kill-replay");
+    let dir = ScratchDir::new("batch-kill-replay");
     let store = Store::create(&dir, trained_resolver(150, 55), 3).unwrap();
     let records_before = store.stats().records;
     let records: Vec<_> = (0..10u64)
@@ -867,7 +862,7 @@ fn group_committed_batches_replay_after_a_kill() {
 
 #[test]
 fn store_queries_match_person_query_run() {
-    let dir = fresh_dir("index-equivalence");
+    let dir = ScratchDir::new("index-equivalence");
     let resolver = trained_resolver(250, 44);
     let store = Store::create(&dir, resolver, 4).unwrap();
     let resolution = store.resolution();
@@ -901,7 +896,7 @@ fn store_queries_match_person_query_run() {
 /// that wakeup about once in 300 shutdowns and `serve` never returns.
 #[test]
 fn every_shutdown_returns_from_serve() {
-    let dir = fresh_dir("shutdown-cycles");
+    let dir = ScratchDir::new("shutdown-cycles");
     let mut store = Store::create(&dir, trained_resolver(60, 5), 1).unwrap();
     for cycle in 0..200 {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

@@ -8,19 +8,15 @@
 // workspace unwrap_used deny targets library code).
 #![allow(clippy::unwrap_used)]
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::ScratchDir;
+use std::path::Path;
 use yv_core::{IncrementalConfig, IncrementalResolver, Pipeline, PipelineConfig};
 use yv_datagen::{tag_pairs, GenConfig};
 use yv_records::{Record, RecordBuilder, SourceId};
 use yv_store::wal::{self, WalEntry};
 use yv_store::{shard_of_record, wal_file_name, Store, StoreError};
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("yv-store-shard-identity").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Deterministic: two calls with the same arguments build
 /// byte-for-byte identical resolvers (datagen is seeded, training is
@@ -75,8 +71,8 @@ fn merged_wal_order(dir: &Path, shards: usize) -> Vec<(u64, WalEntry)> {
 #[test]
 fn multi_shard_concurrent_fill_is_byte_identical_to_single_shard() {
     for round in 0..5 {
-        let multi_dir = fresh_dir(&format!("identity-multi-{round}"));
-        let single_dir = fresh_dir(&format!("identity-single-{round}"));
+        let multi_dir = ScratchDir::new(&format!("identity-multi-{round}"));
+        let single_dir = ScratchDir::new(&format!("identity-single-{round}"));
         let multi = Store::create(&multi_dir, trained_resolver(100, 17), 4).unwrap();
         let single = Store::create(&single_dir, trained_resolver(100, 17), 1).unwrap();
         assert_eq!(
@@ -175,7 +171,7 @@ fn tear_wal_tail(dir: &Path, shard: usize, cut: u64) {
 
 #[test]
 fn losing_one_shards_tail_under_later_survivors_is_a_shard_naming_error() {
-    let dir = fresh_dir("gap");
+    let dir = ScratchDir::new("gap");
     let store = Store::create(&dir, trained_resolver(80, 23), 3).unwrap();
     let (a, b, shard_a, shard_b) = two_cross_shard_records();
     store.add_record(a).unwrap(); // seq 0 → shard_a's WAL
@@ -201,7 +197,7 @@ fn losing_one_shards_tail_under_later_survivors_is_a_shard_naming_error() {
 
 #[test]
 fn torn_tail_on_the_globally_last_arrival_recovers_cleanly() {
-    let dir = fresh_dir("torn-last");
+    let dir = ScratchDir::new("torn-last");
     let store = Store::create(&dir, trained_resolver(80, 23), 3).unwrap();
     let base_records = store.stats().records;
     let (a, b, _, shard_b) = two_cross_shard_records();

@@ -6,8 +6,10 @@
 // workspace unwrap_used deny targets library code).
 #![allow(clippy::unwrap_used)]
 
+mod common;
+
+use common::ScratchDir;
 use proptest::prelude::*;
-use std::path::PathBuf;
 use yv_core::{IncrementalConfig, IncrementalResolver, Pipeline, PipelineConfig};
 use yv_datagen::{tag_pairs, GenConfig};
 use yv_store::{segment_file_name, snapshot, Store, StoreError, SNAPSHOT_FILE};
@@ -24,13 +26,6 @@ fn resolver(n_records: usize, seed: u64) -> IncrementalResolver {
     IncrementalResolver::bootstrap(gen.dataset, pipeline, config, IncrementalConfig::default())
 }
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("yv-store-snapshot").join(name);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// Read the base file plus every shard segment.
 fn snapshot_files(dir: &std::path::Path, shards: usize) -> Vec<Vec<u8>> {
     let mut files = vec![std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap()];
@@ -42,7 +37,7 @@ fn snapshot_files(dir: &std::path::Path, shards: usize) -> Vec<Vec<u8>> {
 
 #[test]
 fn save_load_save_is_byte_identical() {
-    let dir = fresh_dir("save-load-save");
+    let dir = ScratchDir::new("save-load-save");
     let original = resolver(300, 11);
     let expected_state = snapshot::state_bytes(&original).unwrap();
     let store = Store::create(&dir, original, 3).unwrap();
@@ -63,7 +58,7 @@ fn save_load_save_is_byte_identical() {
 
 #[test]
 fn reloaded_store_keeps_resolving_incrementally() {
-    let dir = fresh_dir("keeps-resolving");
+    let dir = ScratchDir::new("keeps-resolving");
     let original = resolver(300, 13);
     let probe = original.dataset().record(yv_records::RecordId(0)).clone();
     drop(Store::create(&dir, original, 2).unwrap());
