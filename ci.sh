@@ -5,9 +5,9 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo test -q
-# The root run covers only the root package; the crates' own unit and
-# integration tests (the bulk of the suite) gate here.
+# Tier-1's bare `cargo test -q` covers the root package and every crates/*
+# member (`default-members` in Cargo.toml); --workspace adds the vendored
+# stubs' own tests, so one run gates both.
 cargo test --workspace -q
 # yv-benchmark is a package of its own, outside the workspace, driving the
 # product crates' public APIs (`extract`, `AdTree::score`,

@@ -42,8 +42,6 @@ pub struct MfiBlocksConfig {
     /// fraction presumes a 6.5M-record multilingual vocabulary; on small
     /// subsets this record-fraction cap is the scale-free equivalent.
     pub prune_common: Option<f64>,
-    /// Worker threads for block scoring (1 = sequential).
-    pub threads: usize,
 }
 
 impl Default for MfiBlocksConfig {
@@ -55,7 +53,6 @@ impl Default for MfiBlocksConfig {
             score: ScoreFunction::default(),
             prune_frequent: Some(0.0003),
             prune_common: Some(0.05),
-            threads: 1,
         }
     }
 }

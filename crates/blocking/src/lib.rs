@@ -30,6 +30,8 @@ mod csr;
 pub mod diagnostics;
 pub mod mfiblocks;
 pub mod neighborhood;
+#[cfg(test)]
+mod reference;
 pub mod score;
 
 pub use config::{MfiBlocksConfig, ScoreFunction};

@@ -3,9 +3,9 @@
 use crate::config::MfiBlocksConfig;
 use crate::csr::{group_by_key, row};
 use crate::neighborhood::ng_threshold;
-use crate::score::block_score;
+use crate::score::{block_score_above, pair_score};
 use std::time::Duration;
-use yv_mfi::{common_items, mine_maximal, top_frequent};
+use yv_mfi::{common_items, mine_maximal, signature, top_frequent};
 use yv_obs::Recorder;
 use yv_records::{Dataset, ItemId, RecordId};
 
@@ -35,6 +35,9 @@ pub struct BlockingStats {
     pub iterations: u32,
     pub mfis_mined: usize,
     pub blocks_considered: usize,
+    /// Blocks scored to the end, every pair compared: the lazy NG pass
+    /// gives up on a block once it cannot survive the threshold.
+    pub blocks_scored: usize,
     pub blocks_kept: usize,
     pub records_covered: usize,
     /// Time spent inside the FP-Growth/FPMax miner — the bottleneck the
@@ -62,6 +65,10 @@ impl BlockingResult {
     }
 }
 
+/// Blocks scored before the first NG threshold of an iteration is taken;
+/// the scored prefix doubles from there.
+const FIRST_PREFIX: usize = 16;
+
 /// Run MFIBlocks over a dataset.
 ///
 /// Timings in [`BlockingStats`] come from an internal wall-clock
@@ -79,9 +86,9 @@ pub fn mfi_blocks(ds: &Dataset, config: &MfiBlocksConfig) -> BlockingResult {
 /// ├── prune_items              frequent/common-item pruning before mining
 /// └── iteration (minsup=k)     one pass of the minsup loop
 ///     ├── mine                 FP-Growth/FPMax maximal-itemset mining
-///     ├── find_support         posting-list intersection + maximality/size pruning
-///     ├── score_blocks         block scoring (parallel when configured)
-///     └── ng_filter            sparse-neighborhood threshold + coverage update
+///     ├── find_support         signature-filtered support lookup + size pruning
+///     ├── score_blocks         lazy block scoring against the running NG threshold
+///     └── ng_filter            surviving blocks: pairs + coverage update
 /// ```
 ///
 /// The clock is injected through the recorder, so this function never
@@ -129,7 +136,6 @@ pub fn mfi_blocks_recorded(
     let mut covered = vec![false; n];
     let mut candidate_pairs: Vec<(RecordId, RecordId)> = Vec::new();
     let mut kept_blocks: Vec<Block> = Vec::new();
-    let (mut support, mut spare) = (Vec::new(), Vec::new());
 
     let mut minsup = config.max_minsup.max(2);
     loop {
@@ -146,7 +152,8 @@ pub fn mfi_blocks_recorded(
         stats.mfis_mined += mfis.len();
         stats.iterations += 1;
 
-        // FindSupport (line 7): inverted index over the uncovered subset.
+        // FindSupport (line 7): inverted index and item signatures over
+        // the uncovered subset.
         let support_span = rec.span_with("find_support", &[("minsup", minsup)]);
         let (starts, locals) = group_by_key(
             n_items,
@@ -154,6 +161,7 @@ pub fn mfi_blocks_recorded(
                 bag.iter().map(move |&item| (item as usize, local as u32))
             }),
         );
+        let signatures: Vec<u64> = subset.iter().map(|bag| signature(bag)).collect();
         // Filter blocks larger than minsup * p (line 8). A block is its
         // MFI's support set, whose size the miner already counted, so
         // oversized ones are dropped without being materialized.
@@ -161,29 +169,59 @@ pub fn mfi_blocks_recorded(
         // Candidate blocks, flat: block `i` is keyed by `mfis[keys[i]]` and
         // holds `row(&members, &offsets, i)`.
         let (mut keys, mut members, mut offsets) = (Vec::new(), Vec::new(), vec![0u32]);
-        for (mi, mfi) in mfis.iter().enumerate() {
-            if mfi.support > size_cap
-                || !intersect_postings(&starts, &locals, &mfi.items, &mut support, &mut spare)
-            {
-                continue;
-            }
-            debug_assert_eq!(support.len() as u64, mfi.support);
+        for (mi, mfi) in mfis.iter().enumerate().filter(|(_, mfi)| mfi.support <= size_cap) {
+            let support = support_of(&starts, &locals, &signatures, &subset, &mfi.items);
+            members.extend(support.map(|local| RecordId(uncovered[local as usize] as u32)));
+            debug_assert_eq!(members.len() as u64, u64::from(offsets[keys.len()]) + mfi.support);
             keys.push(mi);
-            members.extend(support.iter().map(|&l| RecordId(uncovered[l as usize] as u32)));
             offsets.push(members.len() as u32);
         }
         stats.blocks_considered += keys.len();
         support_span.finish();
 
-        // Score blocks (parallel when configured).
+        // Score blocks, lazily: only a block scoring above minTh survives,
+        // and minTh (lines 9–14) neither falls when blocks are added nor
+        // sees blocks scoring at or below it (`ng_threshold`). So blocks
+        // are taken by descending one-pair upper bound, each scored only
+        // while its running minimum stays above the threshold of the blocks
+        // scored before it, until no remaining bound is above that
+        // threshold: every block left out scores at or below the final one,
+        // which is therefore the threshold of all blocks.
         let score_span = rec.span_with("score_blocks", &[("minsup", minsup)]);
-        let scores = score_blocks(ds, &members, &offsets, config);
+        let records_of = |ci: u32| row(&members, &offsets, ci as usize);
+        let bounds: Vec<f64> = (0..keys.len() as u32)
+            .map(|ci| pair_score(ds, records_of(ci)[0], records_of(ci)[1], &config.score))
+            .collect();
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            bounds[b as usize].total_cmp(&bounds[a as usize]).then(a.cmp(&b))
+        });
+        // −∞ marks a block not scored to the end: it is at or below minTh.
+        let mut scores = vec![f64::NEG_INFINITY; keys.len()];
+        let mut scored: Vec<u32> = Vec::new();
+        let (mut min_th, mut next) = (f64::NEG_INFINITY, 0);
+        while next < order.len() && bounds[order[next] as usize] > min_th {
+            // A doubling prefix keeps the thresholds' total cost linear.
+            let end = (2 * next).max(FIRST_PREFIX).min(order.len());
+            for &ci in &order[next..end] {
+                let bound = bounds[ci as usize];
+                let score = block_score_above(ds, records_of(ci), &config.score, bound, min_th);
+                if score > min_th {
+                    scores[ci as usize] = score;
+                    scored.push(ci);
+                }
+            }
+            next = end;
+            min_th = ng_threshold(&members, &offsets, &scores, &scored, config.ng, minsup);
+        }
+        stats.blocks_scored += scored.len();
         score_span.finish();
 
-        // Sparse-neighborhood threshold (lines 9–14) and filtering
-        // (lines 15–16).
-        let filter_span = rec.span_with("ng_filter", &[("minsup", minsup)]);
-        let min_th = ng_threshold(&members, &offsets, &scores, config.ng, minsup);
+        // Filtering (lines 15–16), in block order.
+        let filter_span = rec.span_with(
+            "ng_filter",
+            &[("minsup", minsup), ("blocks_scored", scored.len() as u64)],
+        );
         for (ci, &score) in scores.iter().enumerate() {
             if score <= min_th {
                 continue;
@@ -192,7 +230,7 @@ pub fn mfi_blocks_recorded(
             // Membership is canonical as it stands: the miner returns
             // sorted items, and records ascend with the posting lists.
             let items = mfis[keys[ci]].items.iter().map(|&i| ItemId(i)).collect();
-            let records = row(&members, &offsets, ci).to_vec();
+            let records = records_of(ci as u32).to_vec();
             let block = Block { items, records, score, minsup };
             for (a, b) in block.pairs() {
                 candidate_pairs.push((a, b));
@@ -219,6 +257,7 @@ pub fn mfi_blocks_recorded(
 
     rec.incr("mfis_mined", stats.mfis_mined as u64);
     rec.incr("blocks_considered", stats.blocks_considered as u64);
+    rec.incr("blocks_scored", stats.blocks_scored as u64);
     rec.incr("blocks_kept", stats.blocks_kept as u64);
     rec.incr("candidate_pairs", candidate_pairs.len() as u64);
     rec.incr("items_pruned", stats.items_pruned as u64);
@@ -227,70 +266,24 @@ pub fn mfi_blocks_recorded(
     BlockingResult { blocks: kept_blocks, candidate_pairs, stats }
 }
 
-/// Intersect the sorted posting lists (`row(locals, starts, item)`) of an
-/// itemset into `acc`, rarest item first; `spare` is the merge buffer.
-/// False when the itemset or the intersection is empty.
-fn intersect_postings(
+/// The bags containing every item of `items` (sorted), ascending: walk the
+/// rarest item's posting list (`row(locals, starts, item)`), let through
+/// the bags whose signature covers the itemset's, and verify those against
+/// the sorted bag itself. Empty for the empty itemset.
+fn support_of<'a>(
     starts: &[u32],
-    locals: &[u32],
-    items: &[u32],
-    acc: &mut Vec<u32>,
-    spare: &mut Vec<u32>,
-) -> bool {
-    let list = |item: u32| row(locals, starts, item as usize);
-    let Some(rarest) = items.iter().copied().min_by_key(|&i| list(i).len()) else {
-        return false;
-    };
-    acc.clear();
-    acc.extend_from_slice(list(rarest));
-    for &item in items.iter().filter(|&&i| i != rarest) {
-        let other = list(item);
-        spare.clear();
-        let (mut i, mut j) = (0, 0);
-        while i < acc.len() && j < other.len() {
-            match acc[i].cmp(&other[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    spare.push(acc[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        std::mem::swap(acc, spare);
-    }
-    !acc.is_empty()
-}
-
-/// Score candidate blocks, chunked over `config.threads` workers (the
-/// paper distributes this stage over a Spark pseudo-cluster; scoped threads
-/// are our substitution).
-fn score_blocks(
-    ds: &Dataset,
-    members: &[RecordId],
-    offsets: &[u32],
-    config: &MfiBlocksConfig,
-) -> Vec<f64> {
-    let n = offsets.len() - 1;
-    let score = |i: usize| block_score(ds, row(members, offsets, i), &config.score);
-    if config.threads <= 1 || n < 64 {
-        return (0..n).map(score).collect();
-    }
-    let chunk = n.div_ceil(config.threads);
-    let mut scores = vec![0.0; n];
-    // std scoped threads re-raise any worker panic on join — no Result to
-    // unwrap, and a panicking worker cannot yield half-written scores.
-    std::thread::scope(|scope| {
-        for (c, slot) in scores.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (k, out) in slot.iter_mut().enumerate() {
-                    *out = score(c * chunk + k);
-                }
-            });
-        }
-    });
-    scores
+    locals: &'a [u32],
+    signatures: &'a [u64],
+    bags: &'a [&[u32]],
+    items: &'a [u32],
+) -> impl Iterator<Item = u32> + 'a {
+    let lists = items.iter().map(|&item| row(locals, starts, item as usize));
+    let rarest = lists.min_by_key(|list| list.len()).unwrap_or(&[]);
+    let mask = signature(items);
+    rarest.iter().copied().filter(move |&local| {
+        mask & !signatures[local as usize] == 0
+            && items.iter().all(|item| bags[local as usize].binary_search(item).is_ok())
+    })
 }
 
 #[cfg(test)]
@@ -369,14 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scoring_matches_sequential() {
-        let gen = generated();
-        let seq = mfi_blocks(&gen.dataset, &MfiBlocksConfig { threads: 1, ..MfiBlocksConfig::default() });
-        let par = mfi_blocks(&gen.dataset, &MfiBlocksConfig { threads: 4, ..MfiBlocksConfig::default() });
-        assert_eq!(seq.candidate_pairs, par.candidate_pairs);
-    }
-
-    #[test]
     fn pruning_reduces_mining_vocabulary() {
         let gen = generated();
         let with = mfi_blocks(&gen.dataset, &MfiBlocksConfig::default());
@@ -436,16 +421,35 @@ mod tests {
     }
 
     #[test]
-    fn posting_lists_intersect_rarest_first_and_reject_the_empty_itemset() {
-        // Item 0 is in records {0, 2}, item 1 in {1}, item 2 in all three.
+    fn support_lookup_walks_the_rarest_postings_and_rejects_the_empty_itemset() {
+        // Item 0 is in bags {0, 2}, item 1 in {1}, item 2 in all three.
+        let bags: [&[u32]; 3] = [&[0, 2], &[1, 2], &[0, 2]];
         let pairs = [(0, 0), (2, 0), (1, 1), (2, 1), (0, 2), (2, 2)];
         let (starts, locals) = group_by_key(3, pairs.into_iter());
         assert_eq!(row(&locals, &starts, 2), [0, 1, 2]);
-        let (mut acc, mut spare) = (Vec::new(), Vec::new());
-        assert!(intersect_postings(&starts, &locals, &[2, 0], &mut acc, &mut spare));
-        assert_eq!(acc, [0, 2]);
-        assert!(!intersect_postings(&starts, &locals, &[0, 1, 2], &mut acc, &mut spare));
-        assert!(!intersect_postings(&starts, &locals, &[], &mut acc, &mut spare));
+        let signatures: Vec<u64> = bags.iter().map(|bag| signature(bag)).collect();
+        let support = |items: &[u32]| -> Vec<u32> {
+            support_of(&starts, &locals, &signatures, &bags, items).collect()
+        };
+        assert_eq!(support(&[0, 2]), [0, 2]);
+        assert_eq!(support(&[2]), [0, 1, 2]);
+        assert!(support(&[0, 1, 2]).is_empty());
+        assert!(support(&[]).is_empty());
+    }
+
+    #[test]
+    fn support_lookup_verifies_what_the_signature_lets_through() {
+        // `twin` shares item 1's signature bit: bag 1 holds {0, twin}, so
+        // its signature covers the itemset {0, 1} although 1 is missing.
+        let twin = (2..).find(|&i| signature(&[i]) == signature(&[1])).expect("64 bits, u32 ids");
+        let bags: [&[u32]; 2] = [&[0, 1], &[0, twin]];
+        let pairs = [(0, 0), (1, 0), (0, 1), (twin as usize, 1)];
+        let (starts, locals) = group_by_key(twin as usize + 1, pairs.into_iter());
+        let signatures: Vec<u64> = bags.iter().map(|bag| signature(bag)).collect();
+        assert_eq!(signatures[0], signatures[1], "the filter alone cannot tell the bags apart");
+        // Item 0 is the rarest-first walk's tie-break: both bags are visited.
+        let support: Vec<u32> = support_of(&starts, &locals, &signatures, &bags, &[0, 1]).collect();
+        assert_eq!(support, [0]);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 use crate::csr::{group_by_key, row};
 use yv_records::RecordId;
 
-/// Derive the NG score threshold for one minsup iteration. Block `i` holds
-/// `records[offsets[i]..offsets[i + 1]]` and scored `scores[i]`.
+/// Derive the NG score threshold for one minsup iteration from the blocks
+/// listed in `blocks`. Block `i` holds `records[offsets[i]..offsets[i + 1]]`
+/// and scored `scores[i]`.
 ///
 /// For every record, blocks containing it are visited from highest to
 /// lowest score, accumulating distinct neighbors; once the cap
@@ -18,11 +19,18 @@ use yv_records::RecordId;
 /// scoring blocks be pruned, i.e. a per-record threshold equal to the score
 /// of the first violating block. `minTh` is the maximum such demand
 /// (blocks scoring strictly above survive).
+///
+/// Equivalently, `minTh` is the largest `t` at which some record gathers
+/// more than the cap of distinct neighbors through blocks scoring `>= t`
+/// (−∞ when none does). So it never falls when blocks are added, and
+/// blocks scoring at or below it cannot raise it: [`crate::mfiblocks`]
+/// scores blocks lazily on these two facts.
 #[must_use]
 pub fn ng_threshold(
     records: &[RecordId],
     offsets: &[u32],
     scores: &[f64],
+    blocks: &[u32],
     ng: f64,
     minsup: u64,
 ) -> f64 {
@@ -30,11 +38,9 @@ pub fn ng_threshold(
     let block = |bi: u32| row(records, offsets, bi as usize);
     // Record -> blocks containing it, in block order:
     // `member_of[starts[r]..starts[r + 1]]`.
-    let n_records = records.iter().map(|r| r.index() + 1).max().unwrap_or(0);
-    let (starts, mut member_of) = group_by_key(
-        n_records,
-        (0..scores.len() as u32).flat_map(|bi| block(bi).iter().map(move |r| (r.index(), bi))),
-    );
+    let members = blocks.iter().flat_map(|&bi| block(bi).iter().map(move |r| (r.index(), bi)));
+    let n_records = members.clone().map(|(r, _)| r + 1).max().unwrap_or(0);
+    let (starts, mut member_of) = group_by_key(n_records, members);
     let mut min_th = f64::NEG_INFINITY;
     // `seen[r] == record + 1` marks r as already counted for `record`.
     let mut seen = vec![0u32; n_records];
@@ -68,6 +74,8 @@ pub fn ng_threshold(
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
     use yv_records::RecordId;
 
     fn block(ids: &[u32], score: f64) -> (Vec<RecordId>, f64) {
@@ -82,7 +90,8 @@ mod tests {
             offsets.push(offsets[offsets.len() - 1] + r.len() as u32);
         }
         let scores: Vec<f64> = blocks.iter().map(|&(_, s)| s).collect();
-        super::ng_threshold(&records, &offsets, &scores, ng, minsup)
+        let all: Vec<u32> = (0..blocks.len() as u32).collect();
+        super::ng_threshold(&records, &offsets, &scores, &all, ng, minsup)
     }
 
     #[test]
@@ -144,5 +153,76 @@ mod tests {
     #[test]
     fn empty_input() {
         assert_eq!(ng_threshold(&[], 3.0, 2), f64::NEG_INFINITY);
+    }
+
+    /// The definition the lazy pass rests on: the largest block score `t`
+    /// at which some record has more than `ceil(ng · minsup)` distinct
+    /// neighbors through blocks scoring `>= t`.
+    fn brute_force(blocks: &[(Vec<RecordId>, f64)], ng: f64, minsup: u64) -> f64 {
+        let cap = (ng * minsup as f64).ceil() as usize;
+        let crowded = |t: f64| {
+            blocks.iter().flat_map(|(records, _)| records).any(|&record| {
+                let neighbors: BTreeSet<RecordId> = blocks
+                    .iter()
+                    .filter(|(records, score)| *score >= t && records.contains(&record))
+                    .flat_map(|(records, _)| records.iter().copied())
+                    .filter(|&r| r != record)
+                    .collect();
+                neighbors.len() > cap
+            })
+        };
+        let violating = blocks.iter().map(|&(_, t)| t).filter(|&t| crowded(t));
+        violating.fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// Up to 24 blocks of 2–5 of 12 records; scores are quarters, so ties
+    /// are common. `picks` draws a sub-collection.
+    fn blocks_from(raw: &[Vec<u32>], quarters: &[u32]) -> Vec<(Vec<RecordId>, f64)> {
+        let cleaned = raw.iter().zip(quarters).map(|(ids, &q)| {
+            let set: BTreeSet<u32> = ids.iter().copied().collect();
+            block(&set.into_iter().collect::<Vec<_>>(), f64::from(q) / 4.0)
+        });
+        cleaned.filter(|(records, _)| records.len() >= 2).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+        #[test]
+        fn threshold_is_the_brute_force_maximum(
+            raw in proptest::collection::vec(proptest::collection::vec(0u32..12, 2..6), 0..25),
+            quarters in proptest::collection::vec(0u32..5, 25..26),
+            half_ng in 1u32..6,
+        ) {
+            let blocks = blocks_from(&raw, &quarters);
+            let ng = f64::from(half_ng) / 2.0;
+            prop_assert_eq!(
+                ng_threshold(&blocks, ng, 2).to_bits(),
+                brute_force(&blocks, ng, 2).to_bits()
+            );
+        }
+
+        #[test]
+        fn threshold_never_falls_when_blocks_are_added_and_ignores_blocks_at_or_below_it(
+            raw in proptest::collection::vec(proptest::collection::vec(0u32..12, 2..6), 0..25),
+            quarters in proptest::collection::vec(0u32..5, 25..26),
+            picks in proptest::collection::vec(0u32..2, 25..26),
+            half_ng in 1u32..6,
+        ) {
+            let blocks = blocks_from(&raw, &quarters);
+            let ng = f64::from(half_ng) / 2.0;
+            let all = ng_threshold(&blocks, ng, 2);
+            let (some, rest): (Vec<_>, Vec<_>) =
+                blocks.iter().cloned().zip(&picks).partition(|(_, &pick)| pick == 1);
+            let mut some: Vec<_> = some.into_iter().map(|(b, _)| b).collect();
+            let of_some = ng_threshold(&some, ng, 2);
+            prop_assert!(of_some <= all, "{of_some} over a subset, {all} over all");
+            // Blocks at or below a collection's threshold do not move it.
+            some.extend(rest.into_iter().map(|(b, _)| b).filter(|&(_, s)| s <= of_some));
+            prop_assert_eq!(ng_threshold(&some, ng, 2).to_bits(), of_some.to_bits());
+            // In particular the blocks strictly below the full threshold
+            // can all go; the ones at it cannot (they carry the violation).
+            let above: Vec<_> = blocks.iter().filter(|&&(_, s)| s >= all).cloned().collect();
+            prop_assert_eq!(ng_threshold(&above, ng, 2).to_bits(), all.to_bits());
+        }
     }
 }

@@ -20,20 +20,40 @@ pub fn block_score(ds: &Dataset, records: &[RecordId], score: &ScoreFunction) ->
     if records.len() < 2 {
         return 1.0;
     }
-    let mut min = f64::INFINITY;
+    let first = pair_score(ds, records[0], records[1], score);
+    block_score_above(ds, records, score, first, f64::NEG_INFINITY)
+}
+
+/// Similarity of two records' bags. A block's score is the minimum of this
+/// over its pairs — for all three functions, set-monotonic or not — so any
+/// one pair bounds it from above.
+pub(crate) fn pair_score(ds: &Dataset, a: RecordId, b: RecordId, score: &ScoreFunction) -> f64 {
+    let (a, b) = (ds.bag(a), ds.bag(b));
+    match score {
+        ScoreFunction::Jaccard => jaccard_sorted(a, b),
+        ScoreFunction::WeightedJaccard(w) => weighted_jaccard(ds, a, b, w),
+        ScoreFunction::ExpertSim => soft_jaccard(ds, a, b),
+    }
+}
+
+/// [`block_score`] given `first`, the score of the pair `records[..2]`,
+/// giving up once the running minimum is at or below `bar`: a result above
+/// `bar` is the exact score, any other only says the score is not above it.
+pub(crate) fn block_score_above(
+    ds: &Dataset,
+    records: &[RecordId],
+    score: &ScoreFunction,
+    first: f64,
+    bar: f64,
+) -> f64 {
+    let mut min = first;
     for i in 0..records.len() {
-        for j in i + 1..records.len() {
-            let a = ds.bag(records[i]);
-            let b = ds.bag(records[j]);
-            let s = match score {
-                ScoreFunction::Jaccard => jaccard_sorted(a, b),
-                ScoreFunction::WeightedJaccard(w) => weighted_jaccard(ds, a, b, w),
-                ScoreFunction::ExpertSim => soft_jaccard(ds, a, b),
-            };
-            min = min.min(s);
-            if min == 0.0 {
-                return 0.0;
+        // Every pair but (0, 1), which is `first`.
+        for j in (i + 1).max(2)..records.len() {
+            if min <= bar || min == 0.0 {
+                return min;
             }
+            min = min.min(pair_score(ds, records[i], records[j], score));
         }
     }
     min

@@ -119,14 +119,3 @@ fn cluster_output_is_byte_identical_across_twenty_runs() {
         assert_eq!(bytes, reference, "run {run} diverged from run 0");
     }
 }
-
-#[test]
-fn parallel_scoring_is_byte_identical_to_sequential() {
-    let gen = GenConfig::random(500, 11).generate();
-    let seq = MfiBlocksConfig { threads: 1, ..MfiBlocksConfig::default() };
-    let par = MfiBlocksConfig { threads: 4, ..MfiBlocksConfig::default() };
-    assert_eq!(
-        canonical_bytes(&mfi_blocks(&gen.dataset, &seq)),
-        canonical_bytes(&mfi_blocks(&gen.dataset, &par))
-    );
-}

@@ -35,5 +35,5 @@ pub mod prune;
 mod reference;
 
 pub use fpgrowth::mine_frequent;
-pub use maximal::{mine_maximal, Itemset};
+pub use maximal::{mine_maximal, signature, Itemset};
 pub use prune::{common_items, item_frequencies, prune_common_items, top_frequent};

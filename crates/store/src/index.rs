@@ -135,7 +135,7 @@ fn matching(
 /// that moves `serve_read` and `serve_mixed` about tenfold (EXPERIMENTS.md,
 /// "Performance"), more than the benchmark's spread check can take in one
 /// step: it holds the change's run-to-run quartile distance to a quarter of
-/// the *parent's* median. ROADMAP item 6 carries the swap.
+/// the *parent's* median. ROADMAP item 1a carries the swap.
 fn jaro_winkler_alloc(a: &str, b: &str) -> f64 {
     let j = jaro_alloc(a, b);
     let prefix = a.chars().zip(b.chars()).take(4).take_while(|(x, y)| x == y).count();

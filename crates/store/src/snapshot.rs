@@ -273,7 +273,9 @@ fn write_pipeline_config(w: &mut Writer, c: &PipelineConfig) {
     }
     w.opt_f64(b.prune_frequent);
     w.opt_f64(b.prune_common);
-    w.u64(b.threads as u64);
+    // Format v2 carries a block-scoring thread count here; the knob is
+    // gone (every store wrote 1), the slot stays so the bytes do not move.
+    w.u64(1);
     w.u8(u8::from(c.same_src_discard));
     w.u8(u8::from(c.classify));
     w.u64(c.train.rounds as u64);
@@ -293,8 +295,7 @@ fn read_pipeline_config(r: &mut Reader<'_>) -> Result<PipelineConfig, StoreError
     };
     let prune_frequent = r.opt_f64("prune frequent")?;
     let prune_common = r.opt_f64("prune common")?;
-    let threads = usize::try_from(r.u64("threads")?)
-        .map_err(|_| StoreError::Corrupt("threads overflows usize".into()))?;
+    r.u64("retired scoring-threads slot")?;
     let same_src_discard = bool_flag(r.u8("same src discard")?, "same src discard")?;
     let classify = bool_flag(r.u8("classify")?, "classify")?;
     let rounds = usize::try_from(r.u64("train rounds")?)
@@ -310,7 +311,6 @@ fn read_pipeline_config(r: &mut Reader<'_>) -> Result<PipelineConfig, StoreError
             score,
             prune_frequent,
             prune_common,
-            threads,
         },
         same_src_discard,
         classify,
