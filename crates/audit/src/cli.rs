@@ -2,51 +2,33 @@
 //! `yv-audit` binary and the `yv audit` subcommand.
 //!
 //! ```text
-//! audit check [PATH...] [--format human|json|sarif] [--jobs N]
-//!             [--root DIR] [--no-cache] [--baseline FILE]
-//! audit fix-baseline    [--jobs N] [--root DIR] [--no-cache] [--baseline FILE]
+//! audit check [PATH...] [--format human|json] [--root DIR]
 //! ```
 //!
-//! With no PATHs, `check` runs the parallel workspace engine: incremental
-//! cache, committed baseline, interprocedural symbols. Explicit PATHs use
-//! the single-file analyzer with neither cache nor baseline — that mode
-//! is what the fixture tests and the CI seeded-violation loop drive.
+//! With no PATHs, `check` runs the workspace engine (interprocedural
+//! symbols across files). Explicit PATHs use the single-file analyzer —
+//! that mode is what the fixture tests and the CI seeded-violation loop
+//! drive.
 //!
-//! Findings and renderings go to stdout; engine statistics (file counts,
-//! cache hits, baselined totals) go to stderr, so stdout is byte-for-byte
-//! identical across `--jobs` values and cache states — CI diffs it.
+//! Findings go to stdout; the workspace run's file count goes to stderr.
 //!
-//! Exit codes: 0 clean, 1 findings (fresh or stale baseline), 2 usage/IO.
+//! Exit codes: 0 clean, 1 findings, 2 usage/IO.
 
 use std::path::{Path, PathBuf};
 
-use crate::engine::{self, AuditOutcome, EngineOptions};
-use crate::rules::Finding;
-use crate::{analyze_file, report};
+use crate::{analyze_file, engine, report};
 
-const USAGE: &str = "usage: yv-audit <check|fix-baseline> [PATH...] \
-[--format human|json|sarif] [--jobs N] [--root DIR] [--no-cache] [--baseline FILE]";
+const USAGE: &str = "usage: yv-audit check [PATH...] [--format human|json] [--root DIR]";
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
     Human,
     Json,
-    Sarif,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Command {
-    Check,
-    FixBaseline,
 }
 
 struct Options {
-    command: Command,
     format: Format,
-    jobs: usize,
     root: PathBuf,
-    no_cache: bool,
-    baseline: Option<PathBuf>,
     paths: Vec<String>,
 }
 
@@ -79,136 +61,50 @@ fn flag_value<'a>(
 
 fn parse_args(args: &[String]) -> Option<Options> {
     let mut it = args.iter();
-    let command = match it.next().map(String::as_str) {
-        Some("check") => Command::Check,
-        Some("fix-baseline") => Command::FixBaseline,
-        _ => return None,
-    };
-    let mut opts = Options {
-        command,
-        format: Format::Human,
-        jobs: 0,
-        root: workspace_root(),
-        no_cache: false,
-        baseline: None,
-        paths: Vec::new(),
-    };
+    if it.next().map(String::as_str) != Some("check") {
+        return None;
+    }
+    let mut opts = Options { format: Format::Human, root: workspace_root(), paths: Vec::new() };
     while let Some(arg) = it.next() {
         if let Some(v) = flag_value(arg, "--format", &mut it) {
             opts.format = match v {
                 Some("human") => Format::Human,
                 Some("json") => Format::Json,
-                Some("sarif") => Format::Sarif,
                 _ => return None,
             };
-        } else if let Some(v) = flag_value(arg, "--jobs", &mut it) {
-            opts.jobs = v.and_then(|s| s.parse().ok())?;
         } else if let Some(v) = flag_value(arg, "--root", &mut it) {
             opts.root = PathBuf::from(v?);
-        } else if let Some(v) = flag_value(arg, "--baseline", &mut it) {
-            opts.baseline = Some(PathBuf::from(v?));
-        } else if arg == "--no-cache" {
-            opts.no_cache = true;
         } else if arg.starts_with("--") {
             return None;
         } else {
             opts.paths.push(arg.clone());
         }
     }
-    if opts.command == Command::FixBaseline && !opts.paths.is_empty() {
-        return None;
-    }
     Some(opts)
 }
 
-fn engine_options(opts: &Options) -> EngineOptions {
-    EngineOptions {
-        jobs: opts.jobs,
-        cache_path: if opts.no_cache { None } else { Some(opts.root.join(engine::CACHE_FILE)) },
-        baseline_path: Some(
-            opts.baseline.clone().unwrap_or_else(|| opts.root.join(engine::BASELINE_FILE)),
-        ),
-    }
-}
-
-fn render(findings: &[Finding], format: Format) -> String {
-    match format {
-        Format::Human => report::render_human(findings),
-        Format::Json => report::render_json(findings),
-        Format::Sarif => report::render_sarif(findings),
-    }
-}
-
-/// Human workspace report: fresh findings, stale baseline entries, one
-/// summary line.
-fn render_outcome_human(outcome: &AuditOutcome) -> String {
-    let mut out = String::new();
-    for f in &outcome.fresh {
-        out.push_str(&format!(
-            "{}:{}: [{}] {}\n    {}\n",
-            f.file,
-            f.line,
-            f.rule.name(),
-            f.message,
-            f.snippet
-        ));
-    }
-    for s in &outcome.stale {
-        out.push_str(&format!("stale baseline entry (regenerate with fix-baseline): {s}\n"));
-    }
-    if outcome.clean() {
-        out.push_str("audit: clean\n");
+fn check(opts: &Options) -> std::io::Result<u8> {
+    let findings = if opts.paths.is_empty() {
+        let outcome = engine::run_workspace(&opts.root)?;
+        eprintln!("yv-audit: {} files", outcome.files);
+        outcome.findings
     } else {
-        out.push_str(&format!(
-            "audit: {} fresh finding{}, {} stale baseline entr{}\n",
-            outcome.fresh.len(),
-            if outcome.fresh.len() == 1 { "" } else { "s" },
-            outcome.stale.len(),
-            if outcome.stale.len() == 1 { "y" } else { "ies" },
-        ));
-    }
-    out
-}
-
-fn check_paths(opts: &Options) -> std::io::Result<u8> {
-    let mut findings = Vec::new();
-    for p in &opts.paths {
-        let path = Path::new(p);
-        let resolved =
-            if path.is_absolute() { path.to_path_buf() } else { opts.root.join(path) };
-        findings.extend(analyze_file(&resolved, p)?);
-    }
-    findings.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
-    print!("{}", render(&findings, opts.format));
-    Ok(u8::from(!findings.is_empty()))
-}
-
-fn check_workspace(opts: &Options) -> std::io::Result<u8> {
-    let outcome = engine::run_workspace(&opts.root, &engine_options(opts))?;
-    match opts.format {
-        Format::Human => print!("{}", render_outcome_human(&outcome)),
-        _ => {
-            print!("{}", render(&outcome.fresh, opts.format));
-            for s in &outcome.stale {
-                eprintln!("yv-audit: stale baseline entry: {s}");
-            }
+        let mut findings = Vec::new();
+        for p in &opts.paths {
+            let path = Path::new(p);
+            let resolved =
+                if path.is_absolute() { path.to_path_buf() } else { opts.root.join(path) };
+            findings.extend(analyze_file(&resolved, p)?);
         }
-    }
-    eprintln!(
-        "yv-audit: {} files, {} cache hits, {} baselined finding(s)",
-        outcome.files, outcome.cache_hits, outcome.baselined
-    );
-    Ok(u8::from(!outcome.clean()))
-}
-
-fn fix_baseline(opts: &Options) -> std::io::Result<u8> {
-    let outcome = engine::fix_baseline(&opts.root, &engine_options(opts))?;
-    eprintln!(
-        "yv-audit: baseline rewritten with {} finding(s) across {} files",
-        outcome.findings.len(),
-        outcome.files
-    );
-    Ok(0)
+        findings.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
+        findings
+    };
+    let rendered = match opts.format {
+        Format::Human => report::render_human(&findings),
+        Format::Json => report::render_json(&findings),
+    };
+    print!("{rendered}");
+    Ok(u8::from(!findings.is_empty()))
 }
 
 /// Run the audit CLI on pre-split arguments (without the program name).
@@ -219,12 +115,7 @@ pub fn run(args: &[String]) -> u8 {
         eprintln!("{USAGE}");
         return 2;
     };
-    let result = match (opts.command, opts.paths.is_empty()) {
-        (Command::Check, false) => check_paths(&opts),
-        (Command::Check, true) => check_workspace(&opts),
-        (Command::FixBaseline, _) => fix_baseline(&opts),
-    };
-    match result {
+    match check(&opts) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("yv-audit: {e}");
@@ -243,26 +134,33 @@ mod tests {
 
     #[test]
     fn both_flag_spellings_parse() {
-        let a = parse_args(&argv(&["check", "--format=sarif", "--jobs=4"])).expect("eq form");
-        let b = parse_args(&argv(&["check", "--format", "sarif", "--jobs", "4"]))
+        let a = parse_args(&argv(&["check", "--format=json", "--root=/ws"])).expect("eq form");
+        let b = parse_args(&argv(&["check", "--format", "json", "--root", "/ws"]))
             .expect("space form");
-        assert_eq!(a.format, Format::Sarif);
-        assert_eq!(b.format, Format::Sarif);
-        assert_eq!(a.jobs, 4);
-        assert_eq!(b.jobs, 4);
+        for o in [a, b] {
+            assert_eq!(o.format, Format::Json);
+            assert_eq!(o.root, Path::new("/ws"));
+        }
     }
 
     #[test]
     fn invalid_input_is_rejected() {
-        assert!(parse_args(&argv(&["bogus"])).is_none());
-        assert!(parse_args(&argv(&[])).is_none());
-        assert!(parse_args(&argv(&["check", "--format", "yaml"])).is_none());
-        assert!(parse_args(&argv(&["check", "--jobs", "many"])).is_none());
-        assert!(parse_args(&argv(&["check", "--unknown"])).is_none());
-        assert!(
-            parse_args(&argv(&["fix-baseline", "some/path.rs"])).is_none(),
-            "fix-baseline is workspace-only"
-        );
+        for bad in [
+            &["bogus"][..],
+            &[],
+            &["check", "--format", "yaml"],
+            &["check", "--format"],
+            &["check", "--root"],
+            &["check", "--unknown"],
+            // Options the engine no longer has.
+            &["check", "--jobs", "4"],
+            &["check", "--no-cache"],
+            &["check", "--baseline", "x"],
+            &["fix-baseline"],
+            &["check", "--format", "sarif"],
+        ] {
+            assert_eq!(run(&argv(bad)), 2, "{bad:?}");
+        }
     }
 
     #[test]
@@ -270,7 +168,6 @@ mod tests {
         let o = parse_args(&argv(&["check", "crates/x/src/lib.rs"])).expect("parse");
         assert_eq!(o.paths, ["crates/x/src/lib.rs"]);
         assert_eq!(o.format, Format::Human);
-        assert_eq!(o.jobs, 0);
-        assert!(!o.no_cache);
+        assert_eq!(o.root, workspace_root());
     }
 }

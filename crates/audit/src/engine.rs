@@ -1,101 +1,32 @@
-//! The workspace analysis engine: parallel, incremental, baselined.
+//! The workspace run: three serial passes over every source file.
 //!
-//! A run is three passes. Pass one loads and lexes every source on a
-//! scoped-thread pool (work-stealing over an atomic index, results merged
-//! back in path order, so output is byte-identical for any `--jobs`).
-//! Pass two builds the workspace [`SymbolIndex`] — cheap, pure-CPU — and
-//! digests its blocking-name set. Pass three runs the rules per file,
-//! skipping files whose (content hash, symbol digest, engine version)
-//! triple matches the `.yv-audit-cache` entry from a previous run; the
-//! cache is rewritten atomically (temp file + rename) after every run so
-//! concurrent invocations cannot tear it.
+//! Pass one loads and lexes each file in path order. Pass two builds the
+//! workspace [`SymbolIndex`] from the non-test files' function summaries,
+//! so L1 sees a blocking callee that lives in another file. Pass three
+//! runs the rules per file against that index and sorts the findings by
+//! (file, line, rule).
 //!
-//! Baseline semantics: a committed baseline file holds fingerprints of
-//! *accepted* findings (rule + file + snippet — line-drift tolerant). A
-//! `check` partitions current findings into fresh (fail CI) and
-//! baselined (reported in the summary only), and any baseline entry with
-//! no matching finding is *stale* and also fails CI — the baseline may
-//! only shrink by being regenerated (`fix-baseline`), never rot.
+//! Nothing is cached, threaded or carried between runs: all 171 workspace
+//! files take 0.17 s in a release build (0.61 s in the dev profile CI
+//! uses) on a 2-vCPU host. A finding is accepted with an inline
+//! `audit:allow`, never by a side file.
 
-use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::Path;
 
 use crate::lexer::{self, CleanLine};
 use crate::profile::FileProfile;
-use crate::rules::{check_lines, Finding, Rule};
-use crate::symbols::{fn_summaries, FnSummary, SymbolIndex};
+use crate::rules::{check_lines, Finding};
+use crate::symbols::{fn_summaries, SymbolIndex};
 use crate::{scope, walk};
-
-/// Bumped whenever rule or lexer semantics change, so stale caches from
-/// an older binary are ignored wholesale.
-pub const ENGINE_VERSION: u32 = 2;
-
-/// Default cache file name, resolved against the workspace root.
-pub const CACHE_FILE: &str = ".yv-audit-cache";
-/// Default baseline file name, resolved against the workspace root.
-pub const BASELINE_FILE: &str = "audit.baseline";
-
-/// Knobs for a workspace run.
-#[derive(Debug, Clone)]
-pub struct EngineOptions {
-    /// Worker threads; 0 means auto (min(cores, 8)).
-    pub jobs: usize,
-    /// `None` disables the incremental cache.
-    pub cache_path: Option<PathBuf>,
-    /// `None` disables baseline matching (every finding is fresh).
-    pub baseline_path: Option<PathBuf>,
-}
-
-impl EngineOptions {
-    /// Defaults for a workspace rooted at `root`: auto jobs, cache and
-    /// baseline at their standard paths.
-    #[must_use]
-    pub fn for_root(root: &Path) -> Self {
-        EngineOptions {
-            jobs: 0,
-            cache_path: Some(root.join(CACHE_FILE)),
-            baseline_path: Some(root.join(BASELINE_FILE)),
-        }
-    }
-}
 
 /// What a workspace run produced.
 #[derive(Debug)]
 pub struct AuditOutcome {
-    /// Every current finding, sorted by (file, line, rule).
+    /// Every finding, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// Findings not absorbed by the baseline — these fail the check.
-    pub fresh: Vec<Finding>,
-    /// Count of findings the baseline accepted.
-    pub baselined: usize,
-    /// Baseline entries with no matching finding — these also fail.
-    pub stale: Vec<String>,
-    /// Files analyzed (cache hits included).
+    /// Files read (test files included, although no rule runs on them).
     pub files: usize,
-    /// Files whose findings came from the cache.
-    pub cache_hits: usize,
-}
-
-impl AuditOutcome {
-    /// Does this outcome pass a `check`?
-    #[must_use]
-    pub fn clean(&self) -> bool {
-        self.fresh.is_empty() && self.stale.is_empty()
-    }
-}
-
-/// FNV-1a 64 — the workspace's deterministic hash, re-implemented here so
-/// the auditor does not depend on the crates it audits.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 struct LoadedFile {
@@ -103,378 +34,32 @@ struct LoadedFile {
     source: String,
     lines: Vec<CleanLine>,
     profile: FileProfile,
-    hash: u64,
 }
 
 /// Run the rules over every workspace source under `root`.
-pub fn run_workspace(root: &Path, opts: &EngineOptions) -> io::Result<AuditOutcome> {
-    let paths = walk::workspace_sources(root)?;
-    let jobs = effective_jobs(opts.jobs);
-
-    // Pass 1: load + lex in parallel.
-    let loaded: Vec<io::Result<LoadedFile>> = parallel_map(paths.len(), jobs, |i| {
-        let path = &paths[i];
+pub fn run_workspace(root: &Path) -> io::Result<AuditOutcome> {
+    let mut files = Vec::new();
+    for path in walk::workspace_sources(root)? {
         let display =
-            path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-        let source = std::fs::read_to_string(path)?;
-        let hash = fnv1a64(source.as_bytes());
+            path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
+        let source = std::fs::read_to_string(&path)?;
         let lines = lexer::clean_lines(&source);
         let profile = FileProfile::for_path(&display);
-        Ok(LoadedFile { display, source, lines, profile, hash })
-    });
-    let mut files = Vec::with_capacity(loaded.len());
-    for f in loaded {
-        files.push(f?);
+        files.push(LoadedFile { display, source, lines, profile });
     }
+    let audited = || files.iter().filter(|f| !f.profile.test_file);
 
-    // Pass 2: workspace symbol index + digest.
-    let mut summaries: Vec<FnSummary> = Vec::new();
-    for f in &files {
-        if f.profile.test_file {
-            continue;
-        }
-        let scopes = scope::file_scopes(&f.lines);
-        summaries.extend(fn_summaries(&f.lines, &scopes));
+    let mut summaries = Vec::new();
+    for f in audited() {
+        summaries.extend(fn_summaries(&f.lines, &scope::file_scopes(&f.lines)));
     }
     let symbols = SymbolIndex::build(&summaries);
-    let mut digest_input = format!("v{ENGINE_VERSION}");
-    for name in symbols.blocking_names() {
-        digest_input.push('\n');
-        digest_input.push_str(name);
-    }
-    let digest = fnv1a64(digest_input.as_bytes());
 
-    let cache = opts.cache_path.as_deref().map(|p| load_cache(p, digest)).unwrap_or_default();
-
-    // Pass 3: rules per file, cache-aware.
-    let hits = AtomicUsize::new(0);
-    let per_file: Vec<Vec<Finding>> = parallel_map(files.len(), jobs, |i| {
-        let f = &files[i];
-        if f.profile.test_file {
-            return Vec::new();
-        }
-        if let Some((hash, findings)) = cache.get(&f.display) {
-            if *hash == f.hash {
-                hits.fetch_add(1, Ordering::Relaxed);
-                return findings.clone();
-            }
-        }
-        check_lines(&f.display, &f.source, &f.lines, &f.profile, &symbols)
-    });
-
-    if let Some(cache_path) = opts.cache_path.as_deref() {
-        write_cache(cache_path, digest, &files, &per_file)?;
-    }
-
-    let mut findings: Vec<Finding> = per_file.into_iter().flatten().collect();
+    let mut findings: Vec<Finding> = audited()
+        .flat_map(|f| check_lines(&f.display, &f.source, &f.lines, &f.profile, &symbols))
+        .collect();
     findings.sort_by(|a, b| {
         a.file.cmp(&b.file).then(a.line.cmp(&b.line)).then(a.rule.cmp(&b.rule))
     });
-
-    let baseline = match opts.baseline_path.as_deref() {
-        Some(p) => load_baseline(p)?,
-        None => BTreeMap::new(),
-    };
-    let (fresh, baselined, stale) = apply_baseline(&findings, baseline);
-    Ok(AuditOutcome {
-        files: files.len(),
-        cache_hits: hits.load(Ordering::Relaxed),
-        findings,
-        fresh,
-        baselined,
-        stale,
-    })
-}
-
-/// Regenerate the baseline from the current findings; returns the
-/// outcome *before* rewriting (so callers can report what was accepted).
-pub fn fix_baseline(root: &Path, opts: &EngineOptions) -> io::Result<AuditOutcome> {
-    let outcome = run_workspace(root, opts)?;
-    let path = opts
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| root.join(BASELINE_FILE));
-    write_baseline(&path, &outcome.findings)?;
-    Ok(outcome)
-}
-
-fn effective_jobs(jobs: usize) -> usize {
-    if jobs > 0 {
-        return jobs;
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8)
-}
-
-/// Map `f` over `0..n` with `jobs` scoped threads, returning results in
-/// index order — the merged output is independent of the thread count.
-fn parallel_map<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, T)> = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..jobs.min(n) {
-            handles.push(s.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    local.push((i, f(i)));
-                }
-                local
-            }));
-        }
-        for h in handles {
-            if let Ok(local) = h.join() {
-                indexed.extend(local);
-            }
-        }
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, t)| t).collect()
-}
-
-// ---------------------------------------------------------------- cache
-
-type Cache = BTreeMap<String, (u64, Vec<Finding>)>;
-
-/// Parse the cache file; any anomaly (old version, wrong digest, torn
-/// write) discards it wholesale — the cache is an accelerator, never a
-/// source of truth.
-fn load_cache(path: &Path, digest: u64) -> Cache {
-    let Ok(body) = std::fs::read_to_string(path) else {
-        return Cache::new();
-    };
-    let mut lines = body.lines();
-    let expected_header = format!("yv-audit-cache v{ENGINE_VERSION} digest={digest:016x}");
-    if lines.next() != Some(expected_header.as_str()) {
-        return Cache::new();
-    }
-    let mut cache = Cache::new();
-    let mut current: Option<String> = None;
-    for line in lines {
-        if let Some(rest) = line.strip_prefix('!') {
-            let Some(file) = current.clone() else { return Cache::new() };
-            let mut parts = rest.splitn(4, '|');
-            let (Some(rule), Some(line_no), Some(message), Some(snippet)) =
-                (parts.next(), parts.next(), parts.next(), parts.next())
-            else {
-                return Cache::new();
-            };
-            let (Some(rule), Ok(line_no)) = (rule_by_name(rule), line_no.parse::<usize>())
-            else {
-                return Cache::new();
-            };
-            if let Some(entry) = cache.get_mut(&file) {
-                entry.1.push(Finding {
-                    rule,
-                    file,
-                    line: line_no,
-                    message: unescape_field(message),
-                    snippet: unescape_field(snippet),
-                });
-            }
-        } else {
-            let Some((hash, file)) = line.split_once(' ') else { return Cache::new() };
-            let Ok(hash) = u64::from_str_radix(hash, 16) else { return Cache::new() };
-            current = Some(file.to_owned());
-            cache.insert(file.to_owned(), (hash, Vec::new()));
-        }
-    }
-    cache
-}
-
-fn write_cache(
-    path: &Path,
-    digest: u64,
-    files: &[LoadedFile],
-    per_file: &[Vec<Finding>],
-) -> io::Result<()> {
-    let mut out = format!("yv-audit-cache v{ENGINE_VERSION} digest={digest:016x}\n");
-    for (f, findings) in files.iter().zip(per_file) {
-        if f.profile.test_file {
-            continue;
-        }
-        out.push_str(&format!("{:016x} {}\n", f.hash, f.display));
-        for finding in findings {
-            out.push_str(&format!(
-                "!{}|{}|{}|{}\n",
-                finding.rule.name(),
-                finding.line,
-                escape_field(&finding.message),
-                escape_field(&finding.snippet)
-            ));
-        }
-    }
-    // Atomic publish: concurrent runs (e.g. parallel test binaries) must
-    // never observe a torn cache.
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, out)?;
-    std::fs::rename(&tmp, path)
-}
-
-fn rule_by_name(name: &str) -> Option<Rule> {
-    Rule::all().into_iter().find(|r| r.name() == name)
-}
-
-fn escape_field(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('|', "\\p").replace('\n', "\\n")
-}
-
-fn unescape_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('p') => out.push('|'),
-            Some('n') => out.push('\n'),
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-// ------------------------------------------------------------- baseline
-
-/// Fingerprint of an accepted finding: rule + file + trimmed snippet.
-/// Line numbers are deliberately absent so unrelated edits above a
-/// baselined finding do not un-accept it.
-fn fingerprint(f: &Finding) -> u64 {
-    let key = format!("{}\0{}\0{}", f.rule.name(), f.file, f.snippet.trim());
-    fnv1a64(key.as_bytes())
-}
-
-/// fingerprint -> (display line, remaining multiplicity)
-type Baseline = BTreeMap<u64, (String, usize)>;
-
-fn load_baseline(path: &Path) -> io::Result<Baseline> {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Baseline::new()),
-        Err(e) => return Err(e),
-    };
-    let mut baseline = Baseline::new();
-    for line in body.lines() {
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let mut parts = t.split_whitespace();
-        let (Some(_rule), Some(fp), Some(_file)) = (parts.next(), parts.next(), parts.next())
-        else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed baseline line: {t:?}"),
-            ));
-        };
-        let fp = u64::from_str_radix(fp, 16).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed baseline fingerprint: {t:?}"),
-            )
-        })?;
-        let entry = baseline.entry(fp).or_insert_with(|| (t.to_owned(), 0));
-        entry.1 += 1;
-    }
-    Ok(baseline)
-}
-
-fn write_baseline(path: &Path, findings: &[Finding]) -> io::Result<()> {
-    let mut out = String::from(
-        "# yv-audit baseline — accepted findings, one `RULE FINGERPRINT FILE` per line.\n\
-         # Regenerate with `yv audit fix-baseline`; stale entries fail `yv audit check`.\n",
-    );
-    for f in findings {
-        out.push_str(&format!("{} {:016x} {}\n", f.rule.name(), fingerprint(f), f.file));
-    }
-    std::fs::write(path, out)
-}
-
-/// Partition findings against the baseline: (fresh, baselined count,
-/// stale entries).
-fn apply_baseline(
-    findings: &[Finding],
-    mut baseline: Baseline,
-) -> (Vec<Finding>, usize, Vec<String>) {
-    let mut fresh = Vec::new();
-    let mut baselined = 0;
-    for f in findings {
-        match baseline.get_mut(&fingerprint(f)) {
-            Some(entry) if entry.1 > 0 => {
-                entry.1 -= 1;
-                baselined += 1;
-            }
-            _ => fresh.push(f.clone()),
-        }
-    }
-    let stale = baseline
-        .values()
-        .filter(|(_, remaining)| *remaining > 0)
-        .map(|(line, _)| line.clone())
-        .collect();
-    (fresh, baselined, stale)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_matches_the_workspace_reference_vector() {
-        // Same constants as crates/store/src/codec.rs — the digest the
-        // N1 rule sanctions must be the one the store actually uses.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn escape_roundtrips_delimiters() {
-        for s in ["plain", "with|pipe", "back\\slash", "multi\nline", "\\p|\\n"] {
-            assert_eq!(unescape_field(&escape_field(s)), s, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_map_is_order_stable() {
-        let sq = parallel_map(100, 8, |i| i * i);
-        assert_eq!(sq, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        let seq = parallel_map(100, 1, |i| i * i);
-        assert_eq!(sq, seq);
-    }
-
-    #[test]
-    fn baseline_multiset_accepts_and_reports_stale() {
-        let f = |line: usize, snippet: &str| Finding {
-            rule: Rule::P1,
-            file: "crates/x/src/lib.rs".to_owned(),
-            line,
-            message: "m".to_owned(),
-            snippet: snippet.to_owned(),
-        };
-        let current = vec![f(3, "a.unwrap();"), f(9, "b.unwrap();")];
-        let mut baseline = Baseline::new();
-        for finding in [&current[0], &current[1]] {
-            baseline.insert(fingerprint(finding), ("line".to_owned(), 1));
-        }
-        // gone() was accepted once but no longer occurs -> stale.
-        let gone = f(1, "gone.unwrap();");
-        baseline.insert(fingerprint(&gone), ("stale-entry".to_owned(), 1));
-        let (fresh, accepted, stale) = apply_baseline(&current, baseline);
-        assert!(fresh.is_empty(), "{fresh:?}");
-        assert_eq!(accepted, 2);
-        assert_eq!(stale, vec!["stale-entry".to_owned()]);
-    }
+    Ok(AuditOutcome { files: files.len(), findings })
 }

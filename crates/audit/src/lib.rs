@@ -11,12 +11,13 @@
 //! interprocedural [`symbols`] pass. See [`rules`] for exact semantics
 //! and `DESIGN.md` §10 for the rationale.
 //!
-//! The [`engine`] runs the rules workspace-wide in parallel with an
-//! incremental cache and a committed findings baseline; [`cli`] is the
-//! shared driver behind both the `yv-audit` binary and `yv audit`.
+//! The [`engine`] runs the rules workspace-wide in one serial pass;
+//! [`cli`] is the shared driver behind both the `yv-audit` binary and
+//! `yv audit`.
 //!
 //! Suppression: `// audit:allow(RULE) <justification>` on the offending
-//! line, or alone on the line above it.
+//! line, or alone on the line above it — the only way to accept a
+//! finding.
 
 pub mod cli;
 pub mod engine;
@@ -30,7 +31,7 @@ pub mod walk;
 
 use std::path::Path;
 
-pub use engine::{AuditOutcome, EngineOptions};
+pub use engine::AuditOutcome;
 pub use profile::FileProfile;
 pub use rules::{Finding, Rule};
 
@@ -52,12 +53,4 @@ pub fn analyze_file(path: &Path, display_path: &str) -> std::io::Result<Vec<Find
     let source = std::fs::read_to_string(path)?;
     let profile = FileProfile::for_path(display_path);
     Ok(analyze_source(display_path, &source, &profile))
-}
-
-/// Analyze every workspace source under `root` with full interprocedural
-/// symbols, no cache, no baseline. Findings come back sorted by
-/// (file, line, rule).
-pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let opts = EngineOptions { jobs: 0, cache_path: None, baseline_path: None };
-    Ok(engine::run_workspace(root, &opts)?.findings)
 }

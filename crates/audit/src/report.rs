@@ -4,7 +4,7 @@
 //! so the escaping here covers exactly what source lines can contain:
 //! quotes, backslashes and control characters.
 
-use crate::rules::{Finding, Rule};
+use crate::rules::Finding;
 
 /// Human-readable report: one `file:line` anchored diagnostic per finding.
 #[must_use]
@@ -54,50 +54,6 @@ pub fn render_json(findings: &[Finding]) -> String {
     out
 }
 
-/// SARIF 2.1.0 report — one run, every rule declared in the driver
-/// metadata, one `result` per finding. Hand-rolled like the JSON above;
-/// the schema subset here is what GitHub code scanning and VS Code's
-/// SARIF viewer consume.
-#[must_use]
-pub fn render_sarif(findings: &[Finding]) -> String {
-    let mut out = String::from(
-        "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\
-         \"name\":\"yv-audit\",\"rules\":[",
-    );
-    for (i, rule) in Rule::all().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-            rule.name(),
-            escape(rule.summary())
-        ));
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"ruleId\":\"{}\",\"level\":\"error\",\
-             \"message\":{{\"text\":\"{}\"}},\
-             \"locations\":[{{\"physicalLocation\":{{\
-             \"artifactLocation\":{{\"uri\":\"{}\"}},\
-             \"region\":{{\"startLine\":{},\"snippet\":{{\"text\":\"{}\"}}}}}}}}]}}",
-            f.rule.name(),
-            escape(&f.message),
-            escape(&f.file),
-            f.line,
-            escape(&f.snippet)
-        ));
-    }
-    out.push_str("]}]}");
-    out.push('\n');
-    out
-}
-
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -143,19 +99,5 @@ mod tests {
         assert!(r.contains("\"count\":1"));
         assert!(r.contains("\\\"quoted\\\""));
         assert!(render_json(&[]).contains("\"count\":0"));
-    }
-
-    #[test]
-    fn sarif_declares_every_rule_and_locates_results() {
-        let r = render_sarif(&sample());
-        assert!(r.contains("\"version\":\"2.1.0\""));
-        for rule in Rule::all() {
-            assert!(r.contains(&format!("\"id\":\"{}\"", rule.name())), "{}", rule.name());
-        }
-        assert!(r.contains("\"ruleId\":\"P1\""));
-        assert!(r.contains("\"uri\":\"crates/store/src/wal.rs\""));
-        assert!(r.contains("\"startLine\":91"));
-        let empty = render_sarif(&[]);
-        assert!(empty.contains("\"results\":[]"));
     }
 }

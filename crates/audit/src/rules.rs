@@ -56,26 +56,6 @@ impl Rule {
             Rule::C1 => "C1",
         }
     }
-
-    /// One-line hazard summary (SARIF rule metadata).
-    #[must_use]
-    pub fn summary(self) -> &'static str {
-        match self {
-            Rule::D1 => "hash-order iteration feeds an order-sensitive sink",
-            Rule::P1 => "panicking call in library code",
-            Rule::F1 => "lossy float formatting or cast in a persistence/protocol path",
-            Rule::S1 => "wall-clock read in a deterministic pipeline crate",
-            Rule::A1 => "global allocator installed outside yv-obs",
-            Rule::L1 => "lock guard held across blocking I/O, or shard locks out of order",
-            Rule::N1 => "name-derived value reaches a log/metrics sink undigested",
-            Rule::C1 => "lossy integer narrowing on a seq/len/offset/id value",
-        }
-    }
-
-    #[must_use]
-    pub fn all() -> [Rule; 8] {
-        [Rule::D1, Rule::P1, Rule::F1, Rule::S1, Rule::A1, Rule::L1, Rule::N1, Rule::C1]
-    }
 }
 
 /// One diagnostic.
@@ -468,8 +448,8 @@ fn a1(file: &str, lines: &[CleanLine], raw_lines: &[&str], findings: &mut Vec<Fi
 // ------------------------------------------------------------------- L1
 
 /// Guard-acquisition markers in a binding's initializer. `.write()` /
-/// `.read()` are the `parking_lot::RwLock` methods (argless, unlike
-/// `io::Write::write`), `.lock()` covers both mutex families.
+/// `.read()` are the `RwLock` acquisitions (argless, unlike
+/// `io::Write::write`), `.lock()` the `Mutex` one.
 const GUARD_INITS: [&str; 5] =
     [".lock()", ".write()", ".read()", "MutexGuard", "RwLockWriteGuard"];
 

@@ -16,10 +16,6 @@
 //!    every false positive costs an `audit:allow` annotation.
 //! 3. Short or ubiquitous names (`write`, `lock`, ...) never propagate:
 //!    `.write()` is how this workspace *acquires* a lock.
-//!
-//! Because file A's findings now depend on file B's contents, the engine
-//! folds a digest of the blocking-name set into its cache key; editing
-//! `wal.rs` correctly invalidates cached findings for `store.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -118,11 +114,6 @@ impl SymbolIndex {
             .map(|(name, _)| (*name).to_owned())
             .collect();
         SymbolIndex { blocking }
-    }
-
-    /// The blocking-name set, for digesting into the engine cache key.
-    pub fn blocking_names(&self) -> impl Iterator<Item = &str> {
-        self.blocking.iter().map(String::as_str)
     }
 
     /// Does this cleaned line block on I/O — directly, or by calling a

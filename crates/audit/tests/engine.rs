@@ -1,12 +1,11 @@
-//! Engine-level end-to-end tests: parallel determinism, the incremental
-//! cache, baseline semantics, and the self-audit property — run against
-//! small synthetic workspaces so cache/baseline files never touch the
-//! real repository root.
+//! Engine-level end-to-end tests: cross-file findings on small synthetic
+//! workspaces, the workspace CLI run, and the self-audit property.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use yv_audit::engine::{self, EngineOptions};
+use yv_audit::engine;
 use yv_audit::Rule;
 
 /// A throwaway workspace under the system temp dir, rebuilt per test.
@@ -26,143 +25,102 @@ fn workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
 const PANICKY: &str = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
 const CLEAN: &str = "pub fn g(x: u32) -> u32 {\n    x + 1\n}\n";
 
-fn opts(root: &Path) -> EngineOptions {
-    EngineOptions {
-        jobs: 2,
-        cache_path: Some(root.join(engine::CACHE_FILE)),
-        baseline_path: Some(root.join(engine::BASELINE_FILE)),
-    }
-}
-
 #[test]
-fn jobs_do_not_change_findings() {
-    let files: Vec<(String, String)> = (0..12)
-        .map(|i| {
-            let body = if i % 3 == 0 { PANICKY } else { CLEAN };
-            (format!("c{i}/src/lib.rs"), body.to_owned())
-        })
-        .collect();
-    let borrowed: Vec<(&str, &str)> =
-        files.iter().map(|(p, b)| (p.as_str(), b.as_str())).collect();
-    let root = workspace("jobs", &borrowed);
-    let base = EngineOptions { jobs: 1, cache_path: None, baseline_path: None };
-    let serial = engine::run_workspace(&root, &base).expect("serial run");
-    let parallel = engine::run_workspace(
-        &root,
-        &EngineOptions { jobs: 8, ..base },
-    )
-    .expect("parallel run");
-    assert_eq!(serial.findings, parallel.findings, "findings are job-count invariant");
-    assert_eq!(serial.findings.len(), 4, "each panicky crate fires P1 once");
-}
-
-#[test]
-fn cache_is_honored_and_invalidated_by_edits() {
+fn findings_come_back_sorted_by_file_with_every_file_counted() {
     let root = workspace(
-        "cache",
-        &[("a/src/lib.rs", PANICKY), ("b/src/lib.rs", CLEAN)],
+        "sorted",
+        &[
+            ("c2/src/lib.rs", PANICKY),
+            ("c0/src/lib.rs", PANICKY),
+            ("c1/src/lib.rs", CLEAN),
+            ("c1/tests/it.rs", PANICKY),
+        ],
     );
-    let o = opts(&root);
-    let first = engine::run_workspace(&root, &o).expect("first run");
-    assert_eq!(first.cache_hits, 0, "cold cache");
-    assert_eq!(first.findings.len(), 1);
-
-    let second = engine::run_workspace(&root, &o).expect("second run");
-    assert_eq!(second.cache_hits, 2, "warm cache covers every non-test file");
-    assert_eq!(second.findings, first.findings, "cached findings replay exactly");
-
-    // Edit one file: only it re-analyzes, and its finding disappears.
-    std::fs::write(root.join("a/src/lib.rs"), CLEAN).expect("edit");
-    let third = engine::run_workspace(&root, &o).expect("third run");
-    assert_eq!(third.cache_hits, 1, "the edited file missed the cache");
-    assert_eq!(third.findings, vec![], "the edit removed the P1");
+    let outcome = engine::run_workspace(&root).expect("run");
+    let at: Vec<(&str, usize, Rule)> =
+        outcome.findings.iter().map(|f| (f.file.as_str(), f.line, f.rule)).collect();
+    assert_eq!(
+        at,
+        [("c0/src/lib.rs", 2, Rule::P1), ("c2/src/lib.rs", 2, Rule::P1)],
+        "each panicky crate fires P1 once; the test file is exempt"
+    );
+    assert_eq!(outcome.files, 4);
 }
 
 #[test]
-fn cache_is_invalidated_when_a_callee_changes_blockingness() {
-    // caller.rs never changes, but its finding depends on whether
-    // callee.rs's `persist_batch` blocks — the symbol digest must carry
-    // that dependency into the cache key.
+fn l1_fires_exactly_when_the_callee_in_another_file_blocks() {
+    // caller.rs holds a guard across `persist_batch()`; whether that is
+    // an L1 depends only on what callee.rs's `persist_batch` does.
     let caller = "pub fn apply(m: &std::sync::Mutex<u32>) {\n    \
                   let g = m.lock();\n    persist_batch();\n    drop(g);\n}\n";
     let pure_callee = "pub fn persist_batch() {\n    let _x = 1;\n}\n";
     let blocking_callee = "pub fn persist_batch() {\n    \
                            std::fs::write(\"p\", b\"x\");\n}\n";
     let root = workspace(
-        "symbol-digest",
+        "cross-file-l1",
         &[("crates/a/src/caller.rs", caller), ("crates/a/src/callee.rs", pure_callee)],
     );
-    let o = opts(&root);
-    let first = engine::run_workspace(&root, &o).expect("first run");
-    assert_eq!(first.findings, vec![], "pure callee: no L1");
+    let pure = engine::run_workspace(&root).expect("pure run");
+    assert_eq!(pure.findings, vec![], "pure callee: no L1");
 
     std::fs::write(root.join("crates/a/src/callee.rs"), blocking_callee).expect("edit");
-    let second = engine::run_workspace(&root, &o).expect("second run");
-    assert_eq!(second.cache_hits, 0, "digest change drops the whole cache");
-    assert_eq!(second.findings.len(), 1, "{:?}", second.findings);
-    assert_eq!(second.findings[0].rule, Rule::L1);
-    assert!(second.findings[0].file.ends_with("caller.rs"));
+    let blocking = engine::run_workspace(&root).expect("blocking run");
+    assert_eq!(blocking.findings.len(), 1, "{:?}", blocking.findings);
+    assert_eq!(blocking.findings[0].rule, Rule::L1);
+    assert_eq!(blocking.findings[0].file, "crates/a/src/caller.rs");
+    assert_eq!(blocking.findings[0].line, 3);
+}
+
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root")
+}
+
+/// Every file under `dir`, outside `target` and dot-directories.
+fn files_under(dir: &Path, into: &mut BTreeSet<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable dir") {
+        let path = entry.expect("dir entry").path();
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+        if !path.is_dir() {
+            into.insert(path);
+        } else if name != "target" && !name.starts_with('.') {
+            files_under(&path, into);
+        }
+    }
 }
 
 #[test]
-fn baseline_accepts_known_findings_and_flags_stale_ones() {
-    let root = workspace("baseline", &[("a/src/lib.rs", PANICKY)]);
-    let o = opts(&root);
-
-    let before = engine::run_workspace(&root, &o).expect("pre-baseline");
-    assert_eq!(before.fresh.len(), 1, "unbaselined finding is fresh");
-    assert!(!before.clean());
-
-    engine::fix_baseline(&root, &o).expect("fix-baseline");
-    let after = engine::run_workspace(&root, &o).expect("post-baseline");
-    assert_eq!(after.fresh, vec![], "baselined finding no longer fails");
-    assert_eq!(after.baselined, 1);
-    assert!(after.clean());
-
-    // Fixing the code makes the baseline entry stale — the check fails
-    // until the baseline is regenerated.
-    std::fs::write(root.join("a/src/lib.rs"), CLEAN).expect("fix code");
-    let stale = engine::run_workspace(&root, &o).expect("stale run");
-    assert_eq!(stale.findings, vec![]);
-    assert_eq!(stale.stale.len(), 1, "fixed finding leaves a stale entry");
-    assert!(!stale.clean());
-
-    engine::fix_baseline(&root, &o).expect("regenerate");
-    let regenerated = engine::run_workspace(&root, &o).expect("final run");
-    assert!(regenerated.clean());
-}
-
-fn run_cli(args: &[&str]) -> (i32, String, String) {
+fn cli_workspace_check_is_clean_and_leaves_no_file_behind() {
+    let mut before = BTreeSet::new();
+    files_under(workspace_root(), &mut before);
     let out = Command::new(env!("CARGO_BIN_EXE_yv-audit"))
-        .args(args)
+        .arg("check")
         .output()
         .expect("yv-audit binary runs");
-    (
-        out.status.code().unwrap_or(-1),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
-}
+    let mut after = BTreeSet::new();
+    files_under(workspace_root(), &mut after);
 
-#[test]
-fn cli_workspace_stdout_is_byte_identical_across_jobs_and_cache_states() {
-    let (c1, out1, _) = run_cli(&["check", "--jobs", "1", "--no-cache"]);
-    let (c8, out8, _) = run_cli(&["check", "--jobs", "8", "--no-cache"]);
-    let (cc, outc, err) = run_cli(&["check", "--jobs", "8"]);
-    assert_eq!(c1, 0, "workspace stays clean: {out1}");
-    assert_eq!(c8, 0);
-    assert_eq!(cc, 0);
-    assert_eq!(out1, out8, "stdout must not depend on --jobs");
-    assert_eq!(out1, outc, "stdout must not depend on the cache");
-    assert!(err.contains("files"), "stats go to stderr: {err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "workspace stays clean: {stdout}");
+    assert_eq!(stdout, "audit: clean\n");
+    let count = stderr
+        .strip_prefix("yv-audit: ")
+        .and_then(|s| s.trim_end().strip_suffix(" files"))
+        .and_then(|n| n.parse::<usize>().ok());
+    assert!(count.is_some_and(|n| n > 100), "file count goes to stderr: {stderr:?}");
+    let new: Vec<_> = after.difference(&before).collect();
+    assert!(new.is_empty(), "the check wrote into the workspace: {new:?}");
 }
 
 #[test]
 fn self_audit_is_clean() {
     // The analyzer passes its own rules: every finding it would raise on
-    // crates/audit has been fixed or justified, with no baseline help.
+    // crates/audit has been fixed or justified inline.
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = manifest.parent().and_then(Path::parent).expect("workspace root");
+    let root = workspace_root();
     let mut findings = Vec::new();
     for path in yv_audit::walk::workspace_sources(&manifest.join("src")).expect("walk src") {
         let display = path

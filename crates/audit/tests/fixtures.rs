@@ -175,17 +175,6 @@ fn cli_json_output_is_machine_readable() {
 }
 
 #[test]
-fn cli_sarif_output_names_rule_and_location() {
-    let (_, display) = fixture("bad_l1.rs");
-    let (code, stdout) = run_cli(&["check", &display, "--format", "sarif"]);
-    assert_eq!(code, 1);
-    assert!(stdout.contains("\"version\":\"2.1.0\""));
-    assert!(stdout.contains("\"ruleId\":\"L1\""));
-    assert!(stdout.contains("\"startLine\":8"));
-    assert!(stdout.contains(&format!("\"uri\":\"{display}\"")));
-}
-
-#[test]
 fn cli_usage_error_is_exit_two() {
     let (code, _) = run_cli(&["bogus-subcommand"]);
     assert_eq!(code, 2);

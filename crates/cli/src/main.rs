@@ -16,7 +16,7 @@
 //! yv top      --addr 127.0.0.1:7878 [--k 5] [--watch] live server introspection
 //! yv load     --addr 127.0.0.1:7878 [--adds 24 --threads 4] [--binary [--batch N]] [--shutdown]
 //! yv reproduce [--quick]                             all tables & figures
-//! yv audit    check|fix-baseline [--format human|json|sarif] [--jobs N]
+//! yv audit    check [PATH...] [--format human|json] [--root DIR]
 //! ```
 //!
 //! `block` and `resolve`/`pipeline` accept `--timings` (print a per-stage
@@ -56,8 +56,7 @@ COMMANDS:
                digest of a fixed query battery (--addr required)
     reproduce  regenerate every table and figure of the paper (--quick for a smoke run)
     audit      static analysis over the workspace's own sources (yv audit
-               check [PATH...] | fix-baseline; --format human|json|sarif,
-               --jobs N, --no-cache, --baseline FILE, --root DIR)
+               check [PATH...]; --format human|json, --root DIR)
 
 COMMON OPTIONS:
     --records N     dataset size (default 2000)

@@ -33,7 +33,7 @@
 //! let mut client = ClientOptions::new()
 //!     .connect_timeout(Duration::from_secs(2))
 //!     .read_timeout(Duration::from_secs(30))
-//!     .protocol(Protocol::Negotiate)
+//!     .protocol(Protocol::Binary)
 //!     .connect("127.0.0.1:7878")?;
 //! # Ok::<(), yv_store::client::ClientError>(())
 //! ```
@@ -336,10 +336,6 @@ pub enum Protocol {
     /// Send `HELLO proto=binary` on connect and require the upgrade; a
     /// server that refuses is an error ([`ClientError::Server`]).
     Binary,
-    /// Try the `HELLO` upgrade, but fall back to the text protocol on
-    /// the same connection if the server refuses (an `ERR` reply leaves
-    /// the text session usable by design).
-    Negotiate,
 }
 
 /// Builder for how a [`Client`] connects: socket timeouts and the
@@ -395,34 +391,25 @@ impl ClientOptions {
         let read_half = stream.try_clone()?;
         let mut reader = BufReader::new(read_half);
         let mut writer = stream;
-        let binary = match self.protocol {
-            Protocol::Text => false,
-            Protocol::Binary | Protocol::Negotiate => {
+        let conn: Box<dyn Connection> = match self.protocol {
+            Protocol::Text => Box::new(TextConnection { reader, writer }),
+            Protocol::Binary => {
                 writer.write_all(HELLO_LINE.as_bytes())?;
                 writer.write_all(b"\n")?;
                 writer.flush()?;
                 let (status, _) = read_text_block(&mut reader)?;
-                if status == HELLO_OK {
-                    true
-                } else if let Some(msg) = status.strip_prefix("ERR ") {
-                    if self.protocol == Protocol::Binary {
-                        return Err(ClientError::Server(msg.to_owned()));
-                    }
-                    false
-                } else {
-                    return Err(ClientError::Protocol(format!(
-                        "unexpected HELLO reply {status:?}"
-                    )));
+                if status != HELLO_OK {
+                    return Err(match status.strip_prefix("ERR ") {
+                        Some(msg) => ClientError::Server(msg.to_owned()),
+                        None => {
+                            ClientError::Protocol(format!("unexpected HELLO reply {status:?}"))
+                        }
+                    });
                 }
+                Box::new(BinaryConnection { reader, writer })
             }
         };
-        let negotiated = if binary { Protocol::Binary } else { Protocol::Text };
-        let conn: Box<dyn Connection> = if binary {
-            Box::new(BinaryConnection { reader, writer })
-        } else {
-            Box::new(TextConnection { reader, writer })
-        };
-        Ok(Client { conn, negotiated })
+        Ok(Client { conn, protocol: self.protocol })
     }
 
     fn open_stream<A: ToSocketAddrs>(&self, addr: A) -> Result<TcpStream, ClientError> {
@@ -581,7 +568,7 @@ impl Connection for BinaryConnection {
 #[derive(Debug)]
 pub struct Client {
     conn: Box<dyn Connection>,
-    negotiated: Protocol,
+    protocol: Protocol,
 }
 
 impl Client {
@@ -591,11 +578,11 @@ impl Client {
         ClientOptions::new().connect(addr)
     }
 
-    /// The transport this connection actually speaks after negotiation:
-    /// [`Protocol::Binary`] iff the `HELLO` upgrade happened.
+    /// The transport this connection speaks: [`Protocol::Binary`] iff
+    /// the `HELLO` upgrade happened.
     #[must_use]
     pub fn protocol(&self) -> Protocol {
-        self.negotiated
+        self.protocol
     }
 
     /// Run a `QUERY` and parse the hits.

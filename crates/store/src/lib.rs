@@ -39,7 +39,7 @@
 //!   that streams many records per round trip;
 //! - [`client`] — a typed client for both transports: a [`Connection`]
 //!   trait with text and binary backends, a [`ClientOptions`] builder
-//!   (timeouts, `Text`/`Binary`/`Negotiate` protocol choice) and a
+//!   (timeouts, `Text`/`Binary` protocol choice) and a
 //!   [`Pipeline`] for order-preserving pipelined requests with a
 //!   bounded in-flight window.
 //!
@@ -67,6 +67,7 @@ pub mod server;
 pub mod shard;
 pub mod snapshot;
 pub mod store;
+mod sync;
 pub mod telemetry;
 pub mod wal;
 

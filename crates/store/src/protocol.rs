@@ -118,23 +118,61 @@ pub enum Request {
     Shutdown,
 }
 
+/// The ten commands in protocol order; `as usize` is the command's row
+/// in [`COMMANDS`] and in the server's per-command metric sets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Command {
+    Query,
+    Resolve,
+    Add,
+    Stats,
+    Metrics,
+    Top,
+    Trace,
+    History,
+    Snapshot,
+    Shutdown,
+}
+
+/// `(kind, NAME)` per [`Command`]: the kind names the `yv_cmd_<kind>_*`
+/// series and the `HISTORY` metric, the name is what `CMD` rows, traces
+/// and the slow log print.
+pub const COMMANDS: [(&str, &str); 10] = [
+    ("query", "QUERY"),
+    ("resolve", "RESOLVE"),
+    ("add", "ADD"),
+    ("stats", "STATS"),
+    ("metrics", "METRICS"),
+    ("top", "TOP"),
+    ("trace", "TRACE"),
+    ("history", "HISTORY"),
+    ("snapshot", "SNAPSHOT"),
+    ("shutdown", "SHUTDOWN"),
+];
+
 impl Request {
+    /// Which of the ten commands this request is.
+    #[must_use]
+    pub const fn command(&self) -> Command {
+        match self {
+            Request::Query(_) => Command::Query,
+            Request::Resolve { .. } => Command::Resolve,
+            Request::Add(_) => Command::Add,
+            Request::Stats => Command::Stats,
+            Request::Metrics => Command::Metrics,
+            Request::Top { .. } => Command::Top,
+            Request::Trace { .. } => Command::Trace,
+            Request::History { .. } => Command::History,
+            Request::Snapshot => Command::Snapshot,
+            Request::Shutdown => Command::Shutdown,
+        }
+    }
+
     /// The canonical command name — a static string safe to embed in
     /// structured logs without escaping.
     #[must_use]
     pub const fn name(&self) -> &'static str {
-        match self {
-            Request::Query(_) => "QUERY",
-            Request::Resolve { .. } => "RESOLVE",
-            Request::Add(_) => "ADD",
-            Request::Stats => "STATS",
-            Request::Metrics => "METRICS",
-            Request::Top { .. } => "TOP",
-            Request::Trace { .. } => "TRACE",
-            Request::History { .. } => "HISTORY",
-            Request::Snapshot => "SNAPSHOT",
-            Request::Shutdown => "SHUTDOWN",
-        }
+        COMMANDS[self.command() as usize].1
     }
 }
 
@@ -901,6 +939,27 @@ mod tests {
         assert_eq!(Request::Metrics.name(), "METRICS");
         assert_eq!(Request::Stats.name(), "STATS");
         assert_eq!(Request::Shutdown.name(), "SHUTDOWN");
+        // One request per command, in protocol order: the enum, the table
+        // and the parser agree row by row.
+        let lines = [
+            "QUERY first=Guido",
+            "RESOLVE Levi",
+            "ADD book=1 source=0 first=Sara",
+            "STATS",
+            "METRICS",
+            "TOP",
+            "TRACE 00000000000000ab",
+            "HISTORY query",
+            "SNAPSHOT",
+            "SHUTDOWN",
+        ];
+        for (i, (line, (kind, name))) in lines.iter().zip(COMMANDS).enumerate() {
+            let request = parse_request(line).expect(line);
+            assert_eq!(request.command() as usize, i, "{line}");
+            assert_eq!(request.name(), name);
+            assert_eq!(line.split(' ').next(), Some(name));
+            assert_eq!(kind, name.to_ascii_lowercase());
+        }
     }
 
     #[test]

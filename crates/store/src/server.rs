@@ -48,11 +48,12 @@
 
 use crate::error::StoreError;
 use crate::frame;
-use crate::protocol::{self, CommandStats, Request};
+use crate::protocol::{self, Command, CommandStats, Request, COMMANDS};
 use crate::store::Store;
+use crate::sync::Mutex;
 use crate::telemetry::{self, TelemetryLog};
 use yv_records::Record;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -73,6 +74,13 @@ pub const DEFAULT_SLOW_LOG_CAP_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Interval of the window-rotation tick thread (real time).
 const TICK_MILLIS: u64 = 250;
+
+/// Longest text request line accepted, newline included. An `ADD` with
+/// every text-encodable field is a few hundred bytes; a peer that sends
+/// this much without a newline gets an `ERR` and is disconnected, so it
+/// cannot grow a worker's line buffer without bound (the binary path
+/// refuses past [`frame::MAX_PAYLOAD`] the same way).
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Per-command metrics: success/error counters plus a lock-free latency
 /// histogram (percentiles via [`Histogram::summary`]). Latency covers the
@@ -146,16 +154,8 @@ impl CommandMetrics {
 #[derive(Debug)]
 pub struct ServerMetrics {
     pub registry: Arc<MetricsRegistry>,
-    pub query: CommandMetrics,
-    pub resolve: CommandMetrics,
-    pub add: CommandMetrics,
-    pub stats: CommandMetrics,
-    pub metrics: CommandMetrics,
-    pub top: CommandMetrics,
-    pub trace: CommandMetrics,
-    pub history: CommandMetrics,
-    pub snapshot: CommandMetrics,
-    pub shutdown: CommandMetrics,
+    /// One metric set per row of [`COMMANDS`]; read through [`Self::of`].
+    commands: [CommandMetrics; 10],
     /// Request lines that never parsed into a command.
     pub parse_errors: Arc<Counter>,
 }
@@ -170,18 +170,8 @@ impl ServerMetrics {
     /// Register every per-command metric set in `registry`.
     #[must_use]
     pub fn new(registry: Arc<MetricsRegistry>) -> ServerMetrics {
-        let cmd = |kind, display| CommandMetrics::register(&registry, kind, display);
         ServerMetrics {
-            query: cmd("query", "QUERY"),
-            resolve: cmd("resolve", "RESOLVE"),
-            add: cmd("add", "ADD"),
-            stats: cmd("stats", "STATS"),
-            metrics: cmd("metrics", "METRICS"),
-            top: cmd("top", "TOP"),
-            trace: cmd("trace", "TRACE"),
-            history: cmd("history", "HISTORY"),
-            snapshot: cmd("snapshot", "SNAPSHOT"),
-            shutdown: cmd("shutdown", "SHUTDOWN"),
+            commands: COMMANDS.map(|(kind, name)| CommandMetrics::register(&registry, kind, name)),
             parse_errors: registry.counter(
                 "yv_cmd_parse_errors_total",
                 "Request lines that never parsed into a command",
@@ -190,37 +180,23 @@ impl ServerMetrics {
         }
     }
 
+    /// The set `command` records under. Each record of a `BATCH_ADD`
+    /// frame counts as one [`Command::Add`].
+    #[must_use]
+    pub fn of(&self, command: Command) -> &CommandMetrics {
+        &self.commands[command as usize]
+    }
+
     /// Per-command stats rows in protocol order.
     #[must_use]
     pub fn command_stats(&self) -> [CommandStats; 10] {
-        [
-            self.query.stats("QUERY"),
-            self.resolve.stats("RESOLVE"),
-            self.add.stats("ADD"),
-            self.stats.stats("STATS"),
-            self.metrics.stats("METRICS"),
-            self.top.stats("TOP"),
-            self.trace.stats("TRACE"),
-            self.history.stats("HISTORY"),
-            self.snapshot.stats("SNAPSHOT"),
-            self.shutdown.stats("SHUTDOWN"),
-        ]
+        std::array::from_fn(|i| self.commands[i].stats(COMMANDS[i].1))
     }
 
     /// Total failed requests (parse failures plus per-command errors).
     #[must_use]
     pub fn errors(&self) -> u64 {
-        self.parse_errors.get()
-            + self.query.errors.get()
-            + self.resolve.errors.get()
-            + self.add.errors.get()
-            + self.stats.errors.get()
-            + self.metrics.errors.get()
-            + self.top.errors.get()
-            + self.trace.errors.get()
-            + self.history.errors.get()
-            + self.snapshot.errors.get()
-            + self.shutdown.errors.get()
+        self.parse_errors.get() + self.commands.iter().map(|c| c.errors.get()).sum::<u64>()
     }
 }
 
@@ -244,7 +220,7 @@ struct SlowLog {
     threshold_ns: u64,
     cap_bytes: u64,
     rotations: AtomicU64,
-    sink: parking_lot::Mutex<SlowSink>,
+    sink: Mutex<SlowSink>,
 }
 
 /// Where slow-request lines go, with the bytes written since the last
@@ -262,7 +238,7 @@ impl SlowLog {
             threshold_ns: threshold_us.saturating_mul(1_000),
             cap_bytes: cap_bytes.max(1),
             rotations: AtomicU64::new(0),
-            sink: parking_lot::Mutex::new(SlowSink::Stream { out, written: 0 }),
+            sink: Mutex::new(SlowSink::Stream { out, written: 0 }),
         }
     }
 
@@ -278,7 +254,7 @@ impl SlowLog {
             threshold_ns: threshold_us.saturating_mul(1_000),
             cap_bytes: cap_bytes.max(1),
             rotations: AtomicU64::new(0),
-            sink: parking_lot::Mutex::new(SlowSink::File { path: path.to_path_buf(), out, written }),
+            sink: Mutex::new(SlowSink::File { path: path.to_path_buf(), out, written }),
         })
     }
 
@@ -354,13 +330,11 @@ pub struct ServeOptions {
     metrics_addr: Option<SocketAddr>,
     slow_log: Option<Box<dyn Write + Send>>,
     slow_log_path: Option<PathBuf>,
-    slow_log_cap: u64,
     trace_capacity: usize,
     trace_capture: bool,
     trace_seed: u64,
     clock: Option<Arc<dyn Clock>>,
     telemetry_dir: Option<PathBuf>,
-    telemetry_cap: u64,
     slo: Vec<SloRule>,
 }
 
@@ -378,13 +352,11 @@ impl ServeOptions {
             metrics_addr: None,
             slow_log: None,
             slow_log_path: None,
-            slow_log_cap: DEFAULT_SLOW_LOG_CAP_BYTES,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             trace_capture: true,
             trace_seed: DEFAULT_TRACE_SEED,
             clock: None,
             telemetry_dir: None,
-            telemetry_cap: telemetry::DEFAULT_CAP_BYTES,
             slo: Vec::new(),
         }
     }
@@ -432,8 +404,8 @@ impl ServeOptions {
     }
 
     /// Write the slow-request log to `path`, size-capped: at
-    /// [`ServeOptions::slow_log_cap_bytes`] the file rotates to
-    /// `<path>.1` (one previous generation is kept). Ignored unless
+    /// [`DEFAULT_SLOW_LOG_CAP_BYTES`] the file rotates to `<path>.1`
+    /// (one previous generation is kept). Ignored unless
     /// [`ServeOptions::slow_us`] is set.
     #[must_use]
     pub fn slow_log_file(mut self, path: PathBuf) -> ServeOptions {
@@ -441,29 +413,13 @@ impl ServeOptions {
         self
     }
 
-    /// Size cap (bytes) the slow-request log rotates at. Defaults to
-    /// [`DEFAULT_SLOW_LOG_CAP_BYTES`].
-    #[must_use]
-    pub fn slow_log_cap_bytes(mut self, cap: u64) -> ServeOptions {
-        self.slow_log_cap = cap;
-        self
-    }
-
     /// Persist closed telemetry buckets to `dir/telemetry.yvt` and
     /// replay any existing history there on startup, so `HISTORY`
-    /// windows survive a restart.
+    /// windows survive a restart. A segment rotates to
+    /// `telemetry.old.yvt` at [`crate::telemetry::DEFAULT_CAP_BYTES`].
     #[must_use]
     pub fn telemetry_dir(mut self, dir: PathBuf) -> ServeOptions {
         self.telemetry_dir = Some(dir);
-        self
-    }
-
-    /// Size cap (bytes) per telemetry segment before it rotates to
-    /// `telemetry.old.yvt`. Defaults to
-    /// [`crate::telemetry::DEFAULT_CAP_BYTES`].
-    #[must_use]
-    pub fn telemetry_cap_bytes(mut self, cap: u64) -> ServeOptions {
-        self.telemetry_cap = cap;
         self
     }
 
@@ -527,13 +483,11 @@ impl ServeOptions {
             metrics_addr,
             slow_log,
             slow_log_path,
-            slow_log_cap,
             trace_capacity,
             trace_capture,
             trace_seed,
             clock,
             telemetry_dir,
-            telemetry_cap,
             slo,
         } = self;
         let Some(store) = store else {
@@ -550,15 +504,17 @@ impl ServeOptions {
         let sink = TraceSink::new(trace_capacity, sampler_slow_ns, trace_seed, trace_capture);
         let clock = clock.unwrap_or_else(|| Arc::new(MonotonicClock::new()));
         let slow = match (slow_us, slow_log_path) {
-            (Some(us), Some(path)) => Some(SlowLog::file(us, &path, slow_log_cap)?),
+            (Some(us), Some(path)) => {
+                Some(SlowLog::file(us, &path, DEFAULT_SLOW_LOG_CAP_BYTES)?)
+            }
             (Some(us), None) => Some(SlowLog::stream(
                 us,
                 slow_log.unwrap_or_else(|| Box::new(std::io::stderr())),
-                slow_log_cap,
+                DEFAULT_SLOW_LOG_CAP_BYTES,
             )),
             (None, _) => None,
         };
-        let telemetry_cfg = TelemetryConfig { dir: telemetry_dir, cap_bytes: telemetry_cap, slo };
+        let telemetry_cfg = TelemetryConfig { dir: telemetry_dir, slo };
         serve_inner(store, listener, workers, slow, metrics_listener, sink, clock, telemetry_cfg)
     }
 }
@@ -572,13 +528,11 @@ impl std::fmt::Debug for ServeOptions {
             .field("metrics_addr", &self.metrics_addr)
             .field("slow_log", &self.slow_log.as_ref().map(|_| "<sink>"))
             .field("slow_log_path", &self.slow_log_path)
-            .field("slow_log_cap", &self.slow_log_cap)
             .field("trace_capacity", &self.trace_capacity)
             .field("trace_capture", &self.trace_capture)
             .field("trace_seed", &self.trace_seed)
             .field("clock", &self.clock.as_ref().map(|_| "<injected>"))
             .field("telemetry_dir", &self.telemetry_dir)
-            .field("telemetry_cap", &self.telemetry_cap)
             .field("slo", &self.slo)
             .finish_non_exhaustive()
     }
@@ -588,7 +542,6 @@ impl std::fmt::Debug for ServeOptions {
 /// into the serving loop.
 struct TelemetryConfig {
     dir: Option<PathBuf>,
-    cap_bytes: u64,
     slo: Vec<SloRule>,
 }
 
@@ -605,7 +558,7 @@ struct Telemetry {
     windows: Vec<(&'static str, WindowedHistogram)>,
     parse_errors_window: WindowedCounter,
     slo: Vec<SloRule>,
-    log: Option<parking_lot::Mutex<TelemetryLog>>,
+    log: Option<Mutex<TelemetryLog>>,
 }
 
 impl Telemetry {
@@ -616,22 +569,11 @@ impl Telemetry {
         clock: &Arc<dyn Clock>,
         cfg: TelemetryConfig,
     ) -> Result<Telemetry, StoreError> {
-        let kinds: [(&'static str, &CommandMetrics); 10] = [
-            ("query", &metrics.query),
-            ("resolve", &metrics.resolve),
-            ("add", &metrics.add),
-            ("stats", &metrics.stats),
-            ("metrics", &metrics.metrics),
-            ("top", &metrics.top),
-            ("trace", &metrics.trace),
-            ("history", &metrics.history),
-            ("snapshot", &metrics.snapshot),
-            ("shutdown", &metrics.shutdown),
-        ];
-        let windows: Vec<(&'static str, WindowedHistogram)> = kinds
-            .into_iter()
-            .map(|(kind, m)| {
-                (kind, WindowedHistogram::new(Arc::clone(&m.latency), Arc::clone(clock)))
+        let windows: Vec<(&'static str, WindowedHistogram)> = COMMANDS
+            .iter()
+            .zip(&metrics.commands)
+            .map(|((kind, _), m)| {
+                (*kind, WindowedHistogram::new(Arc::clone(&m.latency), Arc::clone(clock)))
             })
             .collect();
         let parse_errors_window =
@@ -643,7 +585,7 @@ impl Telemetry {
                         w.restore(bucket);
                     }
                 }
-                Some(parking_lot::Mutex::new(TelemetryLog::open(&dir, cfg.cap_bytes)?))
+                Some(Mutex::new(TelemetryLog::open(&dir, telemetry::DEFAULT_CAP_BYTES)?))
             }
             None => None,
         };
@@ -757,7 +699,7 @@ struct ServerCtx<'a> {
 /// connection is served: the guard dies with this call. (Inlined into a
 /// `while let` scrutinee it would live through the loop body.)
 fn next_connection(
-    queue: &parking_lot::Mutex<std::sync::mpsc::Receiver<(u64, TcpStream)>>,
+    queue: &Mutex<std::sync::mpsc::Receiver<(u64, TcpStream)>>,
 ) -> Option<(u64, TcpStream)> {
     queue.lock().recv().ok()
 }
@@ -786,7 +728,7 @@ fn serve_inner(
     // One queue, many workers: `mpsc` has a single receiver, so the pool
     // shares it behind a mutex — see `next_connection`.
     let (tx, rx) = std::sync::mpsc::channel::<(u64, TcpStream)>();
-    let rx = Arc::new(parking_lot::Mutex::new(rx));
+    let rx = Arc::new(Mutex::new(rx));
     let ctx = ServerCtx {
         store: &store,
         metrics: &metrics,
@@ -1085,9 +1027,15 @@ fn handle_connection(stream: TcpStream, conn: u64, ctx: &ServerCtx<'_>) {
     let mut first_request = true;
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match reader.by_ref().take(MAX_LINE_BYTES as u64).read_line(&mut line) {
             Ok(0) | Err(_) => return, // client closed
             Ok(_) => {}
+        }
+        if line.len() == MAX_LINE_BYTES && !line.ends_with('\n') {
+            ctx.metrics.parse_errors.incr();
+            let refusal = format!("ERR request line exceeds {MAX_LINE_BYTES} bytes");
+            let _ = writer.write_all(protocol::format_status(&refusal).as_bytes());
+            return;
         }
         if line.trim().is_empty() {
             continue;
@@ -1224,7 +1172,7 @@ fn batch_add_reply(
         // batch): a batch of N shows up as N adds in every CMD row,
         // latency window and HISTORY bucket, so the two transports
         // report load on the same scale.
-        ctx.metrics.add.record(outcome.is_ok(), apply_ns / count);
+        ctx.metrics.of(Command::Add).record(outcome.is_ok(), apply_ns / count);
         statuses.push(match outcome {
             Ok(matches) => frame::BatchStatus::Ok {
                 matches: u32::try_from(matches.len()).unwrap_or(u32::MAX),
@@ -1325,20 +1273,24 @@ fn dispatch(
 ) -> (String, &'static str, bool) {
     let command = parsed.as_ref().map_or("INVALID", Request::name);
     trace.set_command(command);
-    let mut closing = false;
-    let elapsed = || ctx.clock.now_nanos().saturating_sub(started);
-    let response = match parsed {
+    let request = match parsed {
+        Ok(request) => request,
         Err(msg) => {
             ctx.metrics.parse_errors.incr();
-            protocol::format_status(&format!("ERR {msg}"))
+            return (protocol::format_status(&format!("ERR {msg}")), command, false);
         }
-        Ok(Request::Query(query)) => {
+    };
+    let cmd = ctx.metrics.of(request.command());
+    let mut closing = false;
+    let elapsed = || ctx.clock.now_nanos().saturating_sub(started);
+    let response = match request {
+        Request::Query(query) => {
             let hits = ctx.store.query_traced(&query, trace);
             trace.annotate("hits", hits.len() as u64);
-            ctx.metrics.query.record(true, elapsed());
+            cmd.record(true, elapsed());
             protocol::format_hits(&hits)
         }
-        Ok(Request::Resolve { name, k, min }) => {
+        Request::Resolve { name, k, min } => {
             // The name itself never enters the trace — only its
             // sanctioned digest, same policy as the slow log.
             trace.annotate("name_digest", crate::codec::fnv1a64(name.as_bytes()));
@@ -1351,14 +1303,14 @@ fn dispatch(
             let outcome = ctx.store.resolve_traced(&name, &options, trace);
             let cands = outcome.hits.len() as u64;
             trace.annotate("cands", cands);
-            ctx.metrics.resolve.record(true, elapsed());
+            cmd.record(true, elapsed());
             protocol::format_candidates(&outcome.hits)
         }
-        Ok(Request::Add(record)) => {
+        Request::Add(record) => {
             trace.enter("apply");
             let outcome = ctx.store.add_record(*record);
             trace.exit();
-            ctx.metrics.add.record(outcome.is_ok(), elapsed());
+            cmd.record(outcome.is_ok(), elapsed());
             match outcome {
                 Ok(matches) => {
                     trace.annotate("matches", matches.len() as u64);
@@ -1367,11 +1319,11 @@ fn dispatch(
                 Err(e) => protocol::format_status(&format!("ERR {e}")),
             }
         }
-        Ok(Request::Stats) => {
+        Request::Stats => {
             let stats = ctx.store.stats();
             // Record before rendering so this request appears in its
             // own CMD row.
-            ctx.metrics.stats.record(true, elapsed());
+            cmd.record(true, elapsed());
             protocol::format_stats(
                 &format!(
                     "OK records={} sources={} matches={} shards={} wal={} wal_bytes={} \
@@ -1396,16 +1348,16 @@ fn dispatch(
                 &ctx.metrics.command_stats(),
             )
         }
-        Ok(Request::Metrics) => {
+        Request::Metrics => {
             // Record first so this scrape's own latency sample is in
             // the exposition it returns.
-            ctx.metrics.metrics.record(true, elapsed());
+            cmd.record(true, elapsed());
             protocol::format_metrics(&render_metrics(ctx))
         }
-        Ok(Request::Top { k }) => {
+        Request::Top { k } => {
             let ring = ctx.sink.stats();
             let slow_traces = ctx.sink.recent_slow(k);
-            ctx.metrics.top.record(true, elapsed());
+            cmd.record(true, elapsed());
             protocol::format_top(
                 &ring,
                 ctx.last_slow.load(Ordering::Relaxed),
@@ -1413,9 +1365,9 @@ fn dispatch(
                 &slow_traces,
             )
         }
-        Ok(Request::Trace { id, json }) => match ctx.sink.find(id) {
+        Request::Trace { id, json } => match ctx.sink.find(id) {
             Some(found) => {
-                ctx.metrics.trace.record(true, elapsed());
+                cmd.record(true, elapsed());
                 if json {
                     protocol::format_trace_json(&found)
                 } else {
@@ -1423,17 +1375,17 @@ fn dispatch(
                 }
             }
             None => {
-                ctx.metrics.trace.record(false, elapsed());
+                cmd.record(false, elapsed());
                 protocol::format_status(&format!(
                     "ERR TRACE: no trace {id:016x} (never captured or already evicted)"
                 ))
             }
         },
-        Ok(Request::History { metric, window, tier, json }) => {
+        Request::History { metric, window, tier, json } => {
             match ctx.telemetry.view(&metric, tier, window) {
                 Some(view) => {
                     let slo = ctx.telemetry.slo_for(&metric);
-                    ctx.metrics.history.record(true, elapsed());
+                    cmd.record(true, elapsed());
                     if json {
                         protocol::format_history_json(&metric, &view, &slo)
                     } else {
@@ -1441,28 +1393,29 @@ fn dispatch(
                     }
                 }
                 None => {
-                    ctx.metrics.history.record(false, elapsed());
+                    cmd.record(false, elapsed());
+                    let [kinds @ .., (last, _)] = COMMANDS;
                     protocol::format_status(&format!(
                         "ERR HISTORY: unknown metric {metric:?} (expected a command kind: \
-                         query, resolve, add, stats, metrics, top, trace, history, \
-                         snapshot or shutdown)"
+                         {} or {last})",
+                        kinds.map(|(kind, _)| kind).join(", ")
                     ))
                 }
             }
         }
-        Ok(Request::Snapshot) => {
+        Request::Snapshot => {
             trace.enter("snapshot");
             let outcome = ctx.store.snapshot();
             trace.exit();
-            ctx.metrics.snapshot.record(outcome.is_ok(), elapsed());
+            cmd.record(outcome.is_ok(), elapsed());
             match outcome {
                 Ok(()) => protocol::format_status("OK snapshot"),
                 Err(e) => protocol::format_status(&format!("ERR {e}")),
             }
         }
-        Ok(Request::Shutdown) => {
+        Request::Shutdown => {
             ctx.shutdown.store(true, Ordering::SeqCst);
-            ctx.metrics.shutdown.record(true, elapsed());
+            cmd.record(true, elapsed());
             closing = true;
             protocol::format_status("OK bye")
         }
@@ -1488,9 +1441,10 @@ mod tests {
         for (us, ok) in [(100u64, true), (200, true), (400, true), (800, false)] {
             let started = clock.now_nanos();
             clock.advance(us * 1_000);
-            metrics.query.record(ok, clock.now_nanos().saturating_sub(started));
+            metrics.of(Command::Query).record(ok, clock.now_nanos().saturating_sub(started));
         }
-        let row = metrics.query.stats("QUERY");
+        let row = metrics.command_stats()[Command::Query as usize];
+        assert_eq!(row.name, "QUERY");
         // Count covers every measured request — including the error — and
         // comes from the same snapshot as the percentiles.
         assert_eq!(row.count, 4);
@@ -1505,7 +1459,7 @@ mod tests {
     #[test]
     fn server_metrics_register_one_set_per_command() {
         let metrics = ServerMetrics::default();
-        metrics.add.record(true, 5_000);
+        metrics.of(Command::Add).record(true, 5_000);
         let rendered = metrics.registry.render_prometheus();
         for kind in [
             "query", "resolve", "add", "stats", "metrics", "top", "trace", "history", "snapshot",
@@ -1526,17 +1480,26 @@ mod tests {
     fn errors_sum_every_command_and_parse_failures() {
         let metrics = ServerMetrics::default();
         metrics.parse_errors.incr();
-        metrics.add.record(false, 1_000);
-        metrics.snapshot.record(false, 1_000);
-        metrics.trace.record(false, 1_000);
+        metrics.of(Command::Add).record(false, 1_000);
+        metrics.of(Command::Snapshot).record(false, 1_000);
+        metrics.of(Command::Trace).record(false, 1_000);
         assert_eq!(metrics.errors(), 4);
-        assert_eq!(metrics.command_stats().len(), 10);
+        let rows = metrics.command_stats();
+        assert_eq!(
+            rows.map(|r| r.name),
+            [
+                "QUERY", "RESOLVE", "ADD", "STATS", "METRICS", "TOP", "TRACE", "HISTORY",
+                "SNAPSHOT", "SHUTDOWN"
+            ],
+            "CMD rows keep protocol order"
+        );
+        assert_eq!(rows.map(|r| r.errors), [0, 0, 1, 0, 0, 0, 1, 0, 1, 0]);
     }
 
     #[test]
     fn slow_log_lines_are_json_with_hex_digest() {
-        let buf = Arc::new(parking_lot::Mutex::new(Vec::<u8>::new()));
-        struct Sink(Arc<parking_lot::Mutex<Vec<u8>>>);
+        let buf = Arc::new(Mutex::new(Vec::<u8>::new()));
+        struct Sink(Arc<Mutex<Vec<u8>>>);
         impl Write for Sink {
             fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
                 self.0.lock().extend_from_slice(data);
@@ -1584,8 +1547,8 @@ mod tests {
 
     #[test]
     fn stream_slow_log_rotation_is_logical_with_a_marker() {
-        let buf = Arc::new(parking_lot::Mutex::new(Vec::<u8>::new()));
-        struct Sink(Arc<parking_lot::Mutex<Vec<u8>>>);
+        let buf = Arc::new(Mutex::new(Vec::<u8>::new()));
+        struct Sink(Arc<Mutex<Vec<u8>>>);
         impl Write for Sink {
             fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
                 self.0.lock().extend_from_slice(data);

@@ -30,11 +30,11 @@ use crate::error::StoreError;
 use crate::index::QueryIndex;
 use crate::shard::{self, Manifest, ShardStats};
 use crate::snapshot;
+use crate::sync::{Mutex, RwLock};
 use crate::wal::{Wal, WalEntry, WalScan};
-use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, PoisonError};
 use yv_core::{IncrementalResolver, PersonQuery, QueryHit, RankedMatch, Resolution};
 use yv_fuzzy::{rank_entities, FuzzyIndex, RankedEntity, ScoreBlend, DEFAULT_QGRAM_BOUND};
 use yv_obs::{Counter, TraceCtx};
@@ -142,9 +142,8 @@ pub struct ResolveOutcome {
 /// no deadlock. An errored writer must still consume its ticket
 /// ([`Sequencer::finish`]) or every later arrival stalls forever.
 ///
-/// Built on `std::sync` because the workspace's vendored `parking_lot`
-/// stub has no condvar; poisoning is recovered (the protected state is a
-/// bare counter, always valid).
+/// Poisoning is recovered (the protected state is a bare counter, always
+/// valid).
 #[derive(Debug)]
 struct Sequencer {
     /// Next ticket to hand out.
@@ -164,14 +163,14 @@ impl Sequencer {
     }
 
     fn wait_turn(&self, ticket: u64) {
-        let mut turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut turn = self.turn.lock();
         while *turn != ticket {
             turn = self.cv.wait(turn).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn finish(&self) {
-        let mut turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut turn = self.turn.lock();
         *turn += 1;
         self.cv.notify_all();
     }
@@ -179,7 +178,7 @@ impl Sequencer {
     /// Rewind after a snapshot truncated the WALs. Only sound while every
     /// shard is quiesced (no ticket in flight).
     fn reset(&self, to: u64) {
-        let mut turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut turn = self.turn.lock();
         self.next.store(to, Ordering::SeqCst);
         *turn = to;
     }

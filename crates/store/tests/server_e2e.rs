@@ -671,9 +671,9 @@ fn raw_hello(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) {
 }
 
 /// The binary-vs-text acceptance path: one seeded 4-shard server, a
-/// text client, a `HELLO`-negotiated binary client and a `Negotiate`
-/// client side by side on concurrent connections. QUERY and RESOLVE
-/// answers are identical across transports; `BATCH_ADD` streams records
+/// text client and a `HELLO`-negotiated binary client side by side on
+/// concurrent connections. QUERY and RESOLVE answers are identical
+/// across transports; `BATCH_ADD` streams records
 /// with per-record statuses (errors included, in submission order) that
 /// the text session then observes; the per-command metrics table stays
 /// at exactly the ten command kinds on both transports.
@@ -687,21 +687,17 @@ fn binary_negotiation_matches_text_semantics_and_streams_batches() {
     let server =
         std::thread::spawn(move || ServeOptions::new(store).workers(4).serve(listener).unwrap());
 
-    // Three concurrent sessions, one per connection flavor. The plain
-    // text session keeps working while binary frames flow on the others.
+    // Two concurrent sessions, one per transport. The plain text session
+    // keeps working while binary frames flow on the other.
     let mut text = Client::connect(addr).unwrap();
     assert_eq!(text.protocol(), Protocol::Text);
     let mut binary = ClientOptions::new().protocol(Protocol::Binary).connect(addr).unwrap();
     assert_eq!(binary.protocol(), Protocol::Binary);
-    let mut negotiated = ClientOptions::new().protocol(Protocol::Negotiate).connect(addr).unwrap();
-    assert_eq!(negotiated.protocol(), Protocol::Binary, "a binary server upgrades Negotiate");
 
     // QUERY: every transport answers the battery identically.
     let text_answers = battery_with(&mut text);
     let binary_answers = battery_with(&mut binary);
-    let negotiated_answers = battery_with(&mut negotiated);
     assert_eq!(text_answers, binary_answers);
-    assert_eq!(text_answers, negotiated_answers);
 
     // RESOLVE: identical hits, and identical typed refusals.
     assert_eq!(
@@ -757,11 +753,45 @@ fn binary_negotiation_matches_text_semantics_and_streams_batches() {
     // Both transports answer the post-batch battery identically too.
     assert_eq!(battery_with(&mut text), battery_with(&mut binary));
 
-    drop(negotiated);
     drop(binary);
     text.shutdown().unwrap();
     let store = server.join().unwrap();
     assert_eq!(store.stats().records, records_before + 6);
+}
+
+/// A peer that never sends a newline must not grow a worker's line
+/// buffer without bound: past the 64 KiB cap the server answers `ERR`
+/// and closes — while the peer is still mid-"line" — counts a parse
+/// error, and keeps serving everyone else.
+#[test]
+fn overlong_text_line_is_refused_before_its_newline() {
+    let dir = ScratchDir::new("line-cap");
+    let store = Store::create(&dir, trained_resolver(200, 33), 2).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server =
+        std::thread::spawn(move || ServeOptions::new(store).workers(2).serve(listener).unwrap());
+
+    let mut hostile = TcpStream::connect(addr).unwrap();
+    hostile.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    // 1 MiB and no newline, ever. The server may hang up mid-write; the
+    // reset is one of the two accepted outcomes.
+    let _ = hostile.write_all(&vec![b'A'; 1 << 20]);
+    let mut reply = String::new();
+    match BufReader::new(&hostile).read_line(&mut reply) {
+        Ok(0) => {}
+        Ok(_) => assert_eq!(reply, "ERR request line exceeds 65536 bytes\n"),
+        Err(e) => assert!(
+            !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+            "the server is still waiting for a newline: {e}"
+        ),
+    }
+    drop(hostile);
+
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.stats().unwrap().errors, 1, "the refusal counts as a parse error");
+    client.shutdown().unwrap();
+    server.join().unwrap();
 }
 
 /// A connection cut mid-`BATCH_ADD`-frame must leave the store exactly
