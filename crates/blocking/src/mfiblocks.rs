@@ -57,14 +57,6 @@ pub struct BlockingResult {
     pub stats: BlockingStats,
 }
 
-impl BlockingResult {
-    /// Blocks containing a given record (soft clustering: may be several).
-    #[must_use]
-    pub fn blocks_of(&self, r: RecordId) -> Vec<&Block> {
-        self.blocks.iter().filter(|b| b.records.contains(&r)).collect()
-    }
-}
-
 /// Blocks scored before the first NG threshold of an iteration is taken;
 /// the scored prefix doubles from there.
 const FIRST_PREFIX: usize = 16;

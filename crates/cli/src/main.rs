@@ -79,10 +79,10 @@ SERVING OPTIONS:
     --metrics-addr A:P  Prometheus scrape sidecar answering GET /metrics
     --slow-us N         log requests slower than N microseconds as JSON
                         lines on stderr (arguments appear only as a digest)
-                        and tail-sample them into the trace reservoir
-    --trace-ring N      trace capture-ring capacity, rounded up to a power
-                        of two (default 512; completed request traces,
-                        introspectable via TOP / TRACE <id> / yv top)
+                        and tail-sample them into the slow-trace window
+    --trace-ring N      completed request traces kept, most recent N
+                        (default 512; ~3.4 KiB each, allocated as they
+                        arrive; introspectable via TOP / TRACE <id> / yv top)
     --no-trace          disable request-trace capture entirely
     --telemetry-dir DIR persist closed telemetry buckets to DIR/telemetry.yvt
                         (size-capped, one old generation kept) and replay

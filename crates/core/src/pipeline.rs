@@ -22,19 +22,6 @@ pub struct PipelineConfig {
     pub train: TrainConfig,
 }
 
-impl PipelineConfig {
-    /// Build a config from a Table 9 condition.
-    #[must_use]
-    pub fn for_condition(cond: crate::conditions::Condition) -> Self {
-        PipelineConfig {
-            blocking: cond.blocking(),
-            same_src_discard: cond.same_src(),
-            classify: cond.classify(),
-            train: TrainConfig::default(),
-        }
-    }
-}
-
 /// Assemble an ADT training set from labelled record pairs.
 #[must_use]
 pub fn build_train_set(ds: &Dataset, labelled: &[(RecordId, RecordId, bool)]) -> TrainSet {

@@ -6,9 +6,8 @@
 //! (which shares a span vector across threads behind a mutex) it needs no
 //! locking at all: `enter`/`exit`/`arg` are plain writes into
 //! fixed-capacity arrays. When the request finishes, the context folds
-//! into a [`RequestTrace`] — a `Copy`, heap-free value sized for the
-//! seqlock slots of [`crate::ring::TraceRing`] — and is handed to the
-//! capture ring.
+//! into a [`RequestTrace`] — a `Copy`, heap-free value — and is handed
+//! to the capture store ([`crate::ring::TraceSink`]).
 //!
 //! Trace ids come from a [`TraceIdGen`]: a seeded splitmix64 permutation
 //! of an atomic counter. No wall clock, no OS randomness — the id
@@ -35,8 +34,8 @@ const NO_SHARD: u32 = u32::MAX;
 /// One stage of a request: a static name, tree depth, optional shard
 /// index, absolute start (clock nanoseconds) and duration, plus up to
 /// [`MAX_SPAN_ARGS`] integer annotations. Entirely `Copy` — names and
-/// arg keys are `&'static str` — so whole traces move through the
-/// seqlock ring by memcpy.
+/// arg keys are `&'static str`, values are integers — so no request text
+/// can enter a span and recording one never allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSpan {
     pub name: &'static str,
@@ -85,8 +84,9 @@ impl TraceSpan {
 }
 
 /// A completed request's trace: identity, outcome, and the span tree.
-/// `Copy` and heap-free by construction so the capture ring can seqlock
-/// it in and out of fixed slots (see [`crate::ring::TraceRing`]).
+/// `Copy` and heap-free by construction: static names and `u64` args are
+/// what keeps a victim's name structurally out of every trace (audit rule
+/// N1), and a capture into [`crate::ring::TraceSink`] is a plain copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestTrace {
     /// The request's trace id (never 0; 0 means "untraced").
@@ -111,7 +111,7 @@ pub struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// A zeroed placeholder (id 0): what empty ring slots hold.
+    /// A zeroed placeholder (id 0) for a trace under construction.
     #[must_use]
     pub const fn empty() -> RequestTrace {
         RequestTrace {

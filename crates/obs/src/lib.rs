@@ -20,11 +20,11 @@
 //!   histograms with p50/p95/p99 summaries, shared across `yv serve`
 //!   workers and reported per command kind in `STATS`. Histograms take
 //!   consistent [`HistogramSnapshot`]s and [`Histogram::merge`] exactly.
-//! - [`TraceCtx`] / [`TraceRing`] / [`TraceSink`] — request-scoped
-//!   tracing: seeded deterministic trace ids, single-owner per-request
-//!   span capture ([`RequestTrace`] is `Copy` and heap-free), and a
-//!   lock-free seqlock capture ring with a tail-sampling reservoir,
-//!   surfaced by `yv serve` as `TOP`/`TRACE` protocol commands.
+//! - [`TraceCtx`] / [`TraceSink`] — request-scoped tracing: seeded
+//!   deterministic trace ids, single-owner per-request span capture
+//!   ([`RequestTrace`] is `Copy` and heap-free), and one mutexed capture
+//!   store of two bounded windows (recent, and slow-or-ERR), surfaced by
+//!   `yv serve` as `TOP`/`TRACE` protocol commands.
 //! - [`WindowedHistogram`] / [`WindowedCounter`] / [`SloRule`] — windowed
 //!   telemetry: rings of per-bucket snapshot deltas (60 × 1s and 60 × 1m
 //!   tiers) rotated lazily from the injected clock, plus multi-window SLO
@@ -55,6 +55,11 @@
 //! assert!(yv_obs::chrome_trace(&rec).contains("\"name\":\"mine\""));
 //! ```
 
+#[allow(
+    unsafe_code,
+    reason = "the counting allocator implements `GlobalAlloc`, which cannot be done without it; \
+              nothing else in the workspace opts out of the deny"
+)]
 pub mod alloc;
 pub mod clock;
 pub mod ctx;
@@ -71,7 +76,7 @@ pub use ctx::{RequestTrace, TraceCtx, TraceIdGen, TraceSpan, MAX_SPAN_ARGS, MAX_
 pub use histogram::{Counter, Histogram, HistogramSnapshot, LatencySummary, BUCKET_COUNT};
 pub use recorder::{Recorder, Span, SpanRecord};
 pub use registry::{Gauge, MetricsRegistry};
-pub use ring::{RingStats, TailSampler, TraceRing, TraceSink};
+pub use ring::{RingStats, TraceSink};
 pub use trace::{chrome_trace, timings_table};
 pub use window::{
     ClosedBucket, SloRule, SloState, SloStatus, Tier, WindowView, WindowedCounter,

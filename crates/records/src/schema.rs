@@ -87,11 +87,6 @@ impl Dataset {
         &self.interner
     }
 
-    #[must_use]
-    pub fn interner_mut(&mut self) -> &mut Interner {
-        &mut self.interner
-    }
-
     /// The sorted item bag of a record.
     #[must_use]
     pub fn bag(&self, id: RecordId) -> &[ItemId] {

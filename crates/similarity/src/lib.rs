@@ -17,7 +17,6 @@ pub mod fsim;
 pub mod geo;
 pub mod jaccard;
 pub mod jaro;
-pub mod phonetic;
 #[cfg(test)]
 mod reference;
 pub mod strings;

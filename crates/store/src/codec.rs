@@ -9,7 +9,7 @@
 
 use crate::error::StoreError;
 use yv_records::field::{DateParts, Gender, GeoPoint, Place};
-use yv_records::{Record, RecordId, Source, SourceId};
+use yv_records::{Record, Source, SourceId};
 use yv_similarity::ExpertWeights;
 
 /// FNV-1a 64-bit — the checksum guarding snapshot payloads and WAL frames.
@@ -404,10 +404,6 @@ pub fn read_record(r: &mut Reader<'_>) -> Result<Record, StoreError> {
         profession,
         places,
     })
-}
-
-pub fn write_record_id(w: &mut Writer, id: RecordId) {
-    w.u32(id.0);
 }
 
 pub fn write_expert_weights(w: &mut Writer, weights: &ExpertWeights) {

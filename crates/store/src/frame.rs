@@ -29,7 +29,7 @@
 //! [`ResponseFrame::Batch`], answering the binary-only `BATCH_ADD`
 //! request with one status per record in request order.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 
 use crate::codec::{self, fnv1a64_parts, Reader, Writer};
 use crate::error::StoreError;
@@ -250,11 +250,12 @@ impl RequestFrame {
         Ok(frame)
     }
 
-    /// Apply the text protocol's defaults and semantic checks, yielding
-    /// the same [`Request`] (or the same `ERR` message) `parse_request`
-    /// would have produced for the equivalent line. `BatchAdd` has no
-    /// line-protocol counterpart and is dispatched by the server before
-    /// this conversion.
+    /// Apply the protocol's defaults and semantic checks. Both transports
+    /// end here — the binary one after [`RequestFrame::decode`], the text
+    /// one after `parse_request` has collected a line's raw optionals into
+    /// a frame — so a request means the same, and is refused with the same
+    /// `ERR` message, however it arrived. `BatchAdd` has no line-protocol
+    /// counterpart and is dispatched by the server before this conversion.
     pub fn into_request(self) -> Result<Request, String> {
         match self {
             RequestFrame::Query(q) => Ok(Request::Query(q)),
@@ -284,7 +285,7 @@ impl RequestFrame {
                 }
                 Ok(Request::Trace { id, json })
             }
-            RequestFrame::History { metric, window, tier, json } => {
+            RequestFrame::History { mut metric, window, tier, json } => {
                 if metric.is_empty() {
                     return Err(
                         "HISTORY: a metric argument is required (a command kind, e.g. query)"
@@ -303,12 +304,8 @@ impl RequestFrame {
                         w
                     }
                 };
-                Ok(Request::History {
-                    metric: metric.to_ascii_lowercase(),
-                    window,
-                    tier: tier.unwrap_or(Tier::Seconds),
-                    json,
-                })
+                metric.make_ascii_lowercase();
+                Ok(Request::History { metric, window, tier: tier.unwrap_or(Tier::Seconds), json })
             }
             RequestFrame::Snapshot => Ok(Request::Snapshot),
             RequestFrame::Shutdown => Ok(Request::Shutdown),
@@ -430,13 +427,6 @@ fn encode_frame(tag: u8, payload: &[u8]) -> Result<Vec<u8>, StoreError> {
 #[must_use]
 pub fn frame_checksum(tag: u8, payload: &[u8]) -> u64 {
     fnv1a64_parts(&[&[tag], payload])
-}
-
-/// Write a pre-encoded frame to a stream (no flush; callers decide when
-/// to flush so pipelined writes can coalesce).
-pub fn write_frame<W: Write>(w: &mut W, frame_bytes: &[u8]) -> Result<(), StoreError> {
-    w.write_all(frame_bytes)?;
-    Ok(())
 }
 
 /// Read one raw frame (tag + verified payload) off a stream.

@@ -27,9 +27,9 @@
 //!   [`yv_obs::MetricsRegistry`] (scraped via the `METRICS` command or a
 //!   `GET /metrics` sidecar listener), optional slow-request JSON
 //!   logging, and request-scoped tracing: every request carries a trace
-//!   id accept-to-reply, completed traces land in a lock-free capture
-//!   ring with a tail-sampling reservoir, and the `TOP` / `TRACE <id>`
-//!   commands expose them live — see [`ServeOptions`]. Per-command
+//!   id accept-to-reply, completed traces land in a bounded capture
+//!   window with a second one for slow-or-ERR requests, and the `TOP` /
+//!   `TRACE <id>` commands expose them live — see [`ServeOptions`]. Per-command
 //!   latencies additionally roll into windowed telemetry (60 × 1s and
 //!   60 × 1m rings) served by `HISTORY`, evaluated against `--slo`
 //!   burn-rate rules, and persisted via [`telemetry`]. A first-request

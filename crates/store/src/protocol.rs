@@ -65,7 +65,7 @@
 //! < .
 //! ```
 
-use crate::store::DEFAULT_RESOLVE_K;
+use crate::frame::RequestFrame;
 use yv_core::{PersonQuery, QueryHit};
 use yv_fuzzy::RankedEntity;
 use yv_obs::{RequestTrace, RingStats, SloRule, SloStatus, Tier, WindowView, WINDOW_BUCKETS};
@@ -82,7 +82,7 @@ pub enum Request {
         /// The (possibly misspelled) name to resolve.
         name: String,
         /// Maximum candidates returned (defaults to
-        /// [`DEFAULT_RESOLVE_K`], never 0).
+        /// [`crate::store::DEFAULT_RESOLVE_K`], never 0).
         k: usize,
         /// Minimum blended score, if the client set one.
         min: Option<f64>,
@@ -205,23 +205,35 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 /// Parse `TOP [k=N]` — live per-command stats plus the `N` most recent
 /// slow-trace summaries.
+///
+/// Like the three parsers below, this one owns the *syntax* — numbers,
+/// keys, duplicates, argument order — and collects the raw optionals into
+/// a [`RequestFrame`]; the defaults and semantic refusals live once, in
+/// [`RequestFrame::into_request`], for both transports.
 fn parse_top(args: &[&str]) -> Result<Request, String> {
-    let mut k = DEFAULT_TOP_SLOW;
-    let mut seen = false;
+    let mut k = None;
     for token in args {
         let (key, value) = split_kv(token, "TOP")?;
         match key {
-            "k" if seen => return Err("TOP: duplicate key k".to_owned()),
+            "k" if k.is_some() => return Err("TOP: duplicate key k".to_owned()),
             "k" => {
-                k = value.parse().map_err(|_| {
+                k = Some(value.parse().map_err(|_| {
                     format!("TOP: bad k value {value:?} (expected a non-negative integer)")
-                })?;
-                seen = true;
+                })?);
             }
             other => return Err(format!("TOP: unknown key {other}")),
         }
     }
-    Ok(Request::Top { k })
+    RequestFrame::Top { k }.into_request()
+}
+
+/// Parse a `format=human|json` value for `command`.
+fn parse_format(command: &str, value: &str) -> Result<bool, String> {
+    match value {
+        "json" => Ok(true),
+        "human" => Ok(false),
+        other => Err(format!("{command}: bad format {other:?} (expected human or json)")),
+    }
 }
 
 /// Parse `TRACE <id> [format=human|json]`. The id is the hex token the
@@ -234,31 +246,16 @@ fn parse_trace(args: &[&str]) -> Result<Request, String> {
     let hex = raw.strip_prefix("trace=").unwrap_or(raw);
     let id = u64::from_str_radix(hex, 16)
         .map_err(|_| format!("TRACE: bad trace id {raw:?} (expected hex)"))?;
-    if id == 0 {
-        return Err("TRACE: trace id 0 means untraced".to_owned());
-    }
-    let mut json = false;
-    let mut seen = false;
+    let mut json = None;
     for token in options {
         let (key, value) = split_kv(token, "TRACE")?;
         match key {
-            "format" if seen => return Err("TRACE: duplicate key format".to_owned()),
-            "format" => {
-                json = match value {
-                    "json" => true,
-                    "human" => false,
-                    other => {
-                        return Err(format!(
-                            "TRACE: bad format {other:?} (expected human or json)"
-                        ))
-                    }
-                };
-                seen = true;
-            }
+            "format" if json.is_some() => return Err("TRACE: duplicate key format".to_owned()),
+            "format" => json = Some(parse_format("TRACE", value)?),
             other => return Err(format!("TRACE: unknown key {other}")),
         }
     }
-    Ok(Request::Trace { id, json })
+    RequestFrame::Trace { id, json: json.unwrap_or(false) }.into_request()
 }
 
 /// Parse `HISTORY <metric> [window=N] [tier=s|m] [format=human|json]`.
@@ -266,56 +263,33 @@ fn parse_trace(args: &[&str]) -> Result<Request, String> {
 /// case-insensitively so `HISTORY QUERY` and `HISTORY query` agree);
 /// the server rejects kinds it does not track.
 fn parse_history(args: &[&str]) -> Result<Request, String> {
-    let Some((&metric, options)) = args.split_first() else {
-        return Err("HISTORY: a metric argument is required (a command kind, e.g. query)".to_owned());
-    };
+    let (metric, options) = args.split_first().map_or(("", args), |(&m, rest)| (m, rest));
     if metric.contains('=') {
         return Err(format!("HISTORY: first argument must be a bare metric name, got {metric:?}"));
     }
-    let metric = metric.to_ascii_lowercase();
-    let mut window = WINDOW_BUCKETS;
-    let mut tier = Tier::Seconds;
-    let mut json = false;
-    let (mut seen_window, mut seen_tier, mut seen_format) = (false, false, false);
+    let (mut window, mut tier, mut json) = (None, None, None);
     for token in options {
         let (key, value) = split_kv(token, "HISTORY")?;
         match key {
-            "window" if seen_window => return Err("HISTORY: duplicate key window".to_owned()),
+            "window" if window.is_some() => return Err("HISTORY: duplicate key window".to_owned()),
             "window" => {
-                let parsed: usize = value.parse().map_err(|_| {
+                window = Some(value.parse().map_err(|_| {
                     format!("HISTORY: bad window value {value:?} (expected 1..={WINDOW_BUCKETS})")
-                })?;
-                if parsed == 0 || parsed > WINDOW_BUCKETS {
-                    return Err(format!(
-                        "HISTORY: window {parsed} out of range (expected 1..={WINDOW_BUCKETS})"
-                    ));
-                }
-                window = parsed;
-                seen_window = true;
+                })?);
             }
-            "tier" if seen_tier => return Err("HISTORY: duplicate key tier".to_owned()),
+            "tier" if tier.is_some() => return Err("HISTORY: duplicate key tier".to_owned()),
             "tier" => {
-                tier = Tier::parse(value)
-                    .ok_or_else(|| format!("HISTORY: bad tier {value:?} (expected s or m)"))?;
-                seen_tier = true;
+                tier = Some(Tier::parse(value).ok_or_else(|| {
+                    format!("HISTORY: bad tier {value:?} (expected s or m)")
+                })?);
             }
-            "format" if seen_format => return Err("HISTORY: duplicate key format".to_owned()),
-            "format" => {
-                json = match value {
-                    "json" => true,
-                    "human" => false,
-                    other => {
-                        return Err(format!(
-                            "HISTORY: bad format {other:?} (expected human or json)"
-                        ))
-                    }
-                };
-                seen_format = true;
-            }
+            "format" if json.is_some() => return Err("HISTORY: duplicate key format".to_owned()),
+            "format" => json = Some(parse_format("HISTORY", value)?),
             other => return Err(format!("HISTORY: unknown key {other}")),
         }
     }
-    Ok(Request::History { metric, window, tier, json })
+    RequestFrame::History { metric: metric.to_owned(), window, tier, json: json.unwrap_or(false) }
+        .into_request()
 }
 
 /// Parse `RESOLVE <name> [k=N] [min=SCORE]`. The name comes first as a
@@ -324,29 +298,20 @@ fn parse_history(args: &[&str]) -> Result<Request, String> {
 /// dedicated message — it would silently answer nothing — as are
 /// non-numeric `k`/`min` values.
 fn parse_resolve(args: &[&str]) -> Result<Request, String> {
-    let Some((&name, options)) = args.split_first() else {
-        return Err("RESOLVE: a name argument is required".to_owned());
-    };
+    let (name, options) = args.split_first().map_or(("", args), |(&n, rest)| (n, rest));
     if name.contains('=') {
         return Err(format!("RESOLVE: the name must come before options, got {name:?}"));
     }
-    let mut k = DEFAULT_RESOLVE_K;
-    let mut min = None;
-    let mut seen: Vec<&str> = Vec::new();
+    let (mut k, mut min) = (None, None);
     for token in options {
         let (key, value) = split_kv(token, "RESOLVE")?;
-        if seen.contains(&key) {
-            return Err(format!("RESOLVE: duplicate key {key}"));
-        }
         match key {
+            "k" if k.is_some() => return Err("RESOLVE: duplicate key k".to_owned()),
+            "min" if min.is_some() => return Err("RESOLVE: duplicate key min".to_owned()),
             "k" => {
-                let parsed: usize = value.parse().map_err(|_| {
+                k = Some(value.parse().map_err(|_| {
                     format!("RESOLVE: bad k value {value:?} (expected a positive integer)")
-                })?;
-                if parsed == 0 {
-                    return Err("RESOLVE: k must be at least 1".to_owned());
-                }
-                k = parsed;
+                })?);
             }
             "min" => {
                 min = Some(value.parse().map_err(|_| {
@@ -355,9 +320,8 @@ fn parse_resolve(args: &[&str]) -> Result<Request, String> {
             }
             other => return Err(format!("RESOLVE: unknown key {other}")),
         }
-        seen.push(key);
     }
-    Ok(Request::Resolve { name: name.to_owned(), k, min })
+    RequestFrame::Resolve { name: name.to_owned(), k, min }.into_request()
 }
 
 fn expect_no_args(command: &str, args: &[&str]) -> Result<(), String> {
@@ -705,16 +669,11 @@ pub fn format_trace_json(trace: &RequestTrace) -> String {
 /// `STATS`), and one `SLOW` summary line per recent tail-sampled trace,
 /// newest first.
 #[must_use]
-pub fn format_top(
-    ring: &RingStats,
-    last_slow_id: u64,
-    commands: &[CommandStats],
-    slow: &[RequestTrace],
-) -> String {
+pub fn format_top(ring: &RingStats, commands: &[CommandStats], slow: &[RequestTrace]) -> String {
     let mut out = format!(
         "OK top\nRING capacity={} occupancy={} captured={} evicted={} sampled={} \
          last_slow_trace={:016x}\n",
-        ring.capacity, ring.occupancy, ring.captured, ring.evicted, ring.sampled, last_slow_id
+        ring.capacity, ring.occupancy, ring.captured, ring.evicted, ring.sampled, ring.last_slow
     );
     for c in commands {
         out.push_str(&format_cmd_row(c));
@@ -851,6 +810,7 @@ pub fn format_history_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::DEFAULT_RESOLVE_K;
     use yv_records::RecordId;
 
     #[test]
@@ -1343,6 +1303,7 @@ mod tests {
             captured: 912,
             evicted: 400,
             sampled: 2,
+            last_slow: 0x00ab_00cd_00ef_0011,
         };
         let rows = [CommandStats {
             name: "RESOLVE",
@@ -1356,7 +1317,7 @@ mod tests {
         }];
         let slow = [sample_trace()];
         assert_eq!(
-            format_top(&ring, 0x00ab_00cd_00ef_0011, &rows, &slow),
+            format_top(&ring, &rows, &slow),
             "OK top\n\
              RING capacity=512 occupancy=17 captured=912 evicted=400 sampled=2 \
              last_slow_trace=00ab00cd00ef0011\n\
@@ -1367,7 +1328,7 @@ mod tests {
              .\n"
         );
         assert_eq!(
-            format_top(&RingStats::default(), 0, &[], &[]),
+            format_top(&RingStats::default(), &[], &[]),
             "OK top\nRING capacity=0 occupancy=0 captured=0 evicted=0 sampled=0 \
              last_slow_trace=0000000000000000\n.\n"
         );

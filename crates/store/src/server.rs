@@ -63,7 +63,7 @@ use yv_obs::{
     TraceCtx, TraceSink, WindowView, WindowedCounter, WindowedHistogram,
 };
 
-/// Default capture-ring capacity (power of two; ~2 KiB per slot).
+/// Default trace-capture capacity (~3.4 KiB per retained trace).
 pub const DEFAULT_TRACE_CAPACITY: usize = 512;
 
 /// Default seed for the deterministic trace-id generator.
@@ -433,9 +433,10 @@ impl ServeOptions {
         self
     }
 
-    /// Capture-ring capacity in traces (rounded up to a power of two).
-    /// Memory is bounded at roughly `capacity × 2 KiB` plus a quarter
-    /// of that for the tail-sampling reservoir.
+    /// Most recent traces retained (minimum 1); the slow-or-ERR window
+    /// holds a quarter of that (minimum 16). Memory grows with the traces
+    /// actually captured, up to `(capacity + max(capacity / 4, 16)) ×
+    /// size_of::<RequestTrace>()` — 3 416 B each, ≈ 2.1 MiB at the default.
     #[must_use]
     pub fn trace_ring(mut self, capacity: usize) -> ServeOptions {
         self.trace_capacity = capacity;
@@ -444,8 +445,8 @@ impl ServeOptions {
 
     /// Enable or disable retaining completed traces. When disabled,
     /// requests still carry `trace=` ids on the wire, but `TOP`/`TRACE`
-    /// see an empty ring — the configuration the `trace_overhead` bench
-    /// compares against.
+    /// see an empty window and the server holds no trace slot — how
+    /// `yv-benchmark` runs every gated repetition.
     #[must_use]
     pub fn trace_capture(mut self, capture: bool) -> ServeOptions {
         self.trace_capture = capture;
@@ -684,11 +685,8 @@ struct ServerCtx<'a> {
     /// The scrape sidecar's address, when one is running.
     metrics_addr: Option<SocketAddr>,
     slow: Option<&'a SlowLog>,
-    /// The trace capture ring + tail sampler + id generator.
+    /// The trace id generator and capture store.
     sink: &'a TraceSink,
-    /// Trace id of the most recent tail-sampled request (the
-    /// `yv_trace_last_slow_id` gauge).
-    last_slow: &'a AtomicU64,
     /// Windowed rollups, SLO rules and the telemetry history log.
     telemetry: &'a Telemetry,
 }
@@ -724,7 +722,6 @@ fn serve_inner(
     let telemetry = Telemetry::new(&metrics, &clock, telemetry_cfg)?;
     let shutdown = AtomicBool::new(false);
     let conn_ids = AtomicU64::new(0);
-    let last_slow = AtomicU64::new(0);
     // One queue, many workers: `mpsc` has a single receiver, so the pool
     // shares it behind a mutex — see `next_connection`.
     let (tx, rx) = std::sync::mpsc::channel::<(u64, TcpStream)>();
@@ -738,7 +735,6 @@ fn serve_inner(
         metrics_addr,
         slow: slow.as_ref(),
         sink: &sink,
-        last_slow: &last_slow,
         telemetry: &telemetry,
     };
 
@@ -911,7 +907,7 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
     reg.set_gauge(
         "yv_trace_last_slow_id",
         "Trace id of the most recent tail-sampled request (0 when none)",
-        ctx.last_slow.load(Ordering::Relaxed),
+        t.last_slow,
     );
 
     // Windowed telemetry: refresh the SLO gauges (rotating and
@@ -968,28 +964,39 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
 /// the request line, drain headers to the blank line, answer
 /// `GET /metrics` (or `/`) with the exposition and anything else with
 /// 404 — so a stock Prometheus scraper works without any HTTP dependency
-/// in the build.
+/// in the build. The sidecar has one thread, so the whole request head
+/// is read through one [`MAX_LINE_BYTES`] budget: a peer that streams a
+/// header without end gets `431` and is disconnected instead of growing
+/// a line buffer and stalling every later scrape.
 fn serve_scrape(stream: TcpStream, ctx: &ServerCtx<'_>) {
     let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
+    let mut writer = stream;
+    let mut reader = BufReader::new(read_half.take(MAX_LINE_BYTES as u64));
     let mut request = String::new();
     match reader.read_line(&mut request) {
         Ok(0) | Err(_) => return,
         Ok(_) => {}
     }
     // Drain the header block; the blank line ends the request head.
-    loop {
-        let mut header = String::new();
+    let mut header = String::new();
+    let head_ended = loop {
+        header.clear();
         match reader.read_line(&mut header) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
+            Ok(0) | Err(_) => break false,
+            Ok(_) if header == "\r\n" || header == "\n" => break true,
             Ok(_) => {}
         }
+    };
+    if !head_ended && reader.get_ref().limit() == 0 {
+        let _ = writer.write_all(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\nContent-Length: 0\r\n\
+              Connection: close\r\n\r\n",
+        );
+        return;
     }
     let mut parts = request.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
-    let mut writer = stream;
     if method != "GET" || !(path == "/metrics" || path == "/") {
         let _ = writer.write_all(
             b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
@@ -1185,16 +1192,7 @@ fn batch_add_reply(
     }
     trace.exit();
     let dur_ns = ctx.clock.now_nanos().saturating_sub(started);
-    if let Some(slow) = ctx.slow {
-        if dur_ns >= slow.threshold_ns {
-            slow.log(conn, "BATCH_ADD", args_digest, dur_ns, trace.id());
-        }
-    }
-    if let Some(done) = trace.finish(all_ok) {
-        if ctx.sink.capture(done) {
-            ctx.last_slow.store(done.id, Ordering::Relaxed);
-        }
-    }
+    finish_request(ctx, conn, "BATCH_ADD", args_digest, dur_ns, trace, Some(all_ok));
     frame::ResponseFrame::Batch(statuses)
 }
 
@@ -1220,11 +1218,33 @@ fn unblock_acceptors(ctx: &ServerCtx<'_>) {
     }
 }
 
+/// The epilogue of every request, whichever path built its reply: one
+/// slow-log line if it crossed the threshold, then — for the commands
+/// whose traces are kept, `outcome` being their OK/ERR — the trace is
+/// sealed and captured. All *before* the reply is written, so a client
+/// can `TRACE` the id from the response it just read.
+fn finish_request(
+    ctx: &ServerCtx<'_>,
+    conn: u64,
+    command: &'static str,
+    args_digest: u64,
+    dur_ns: u64,
+    trace: TraceCtx,
+    outcome: Option<bool>,
+) {
+    if let Some(slow) = ctx.slow {
+        if dur_ns >= slow.threshold_ns {
+            slow.log(conn, command, args_digest, dur_ns, trace.id());
+        }
+    }
+    if let Some(done) = outcome.and_then(|ok| trace.finish(ok)) {
+        ctx.sink.capture(done);
+    }
+}
+
 /// Post-process one response block identically on both transports:
-/// slow-log the request when it crossed the threshold, splice the trace
-/// token into traced commands' status lines, and seal + capture the
-/// trace *before* the reply is written so a client can `TRACE` the id
-/// from the response it just read.
+/// splice the trace token into traced commands' status lines (the
+/// `reply` span), then run the [`finish_request`] epilogue.
 fn seal_response(
     ctx: &ServerCtx<'_>,
     conn: u64,
@@ -1235,27 +1255,15 @@ fn seal_response(
     response: String,
 ) -> String {
     let dur_ns = ctx.clock.now_nanos().saturating_sub(started);
-    if let Some(slow) = ctx.slow {
-        if dur_ns >= slow.threshold_ns {
-            slow.log(conn, command, args_digest, dur_ns, trace.id());
-        }
-    }
-    // The reply span covers response post-processing (trace-token
-    // splice); the trace is sealed and captured before the write so a
-    // client can `TRACE` the id from the response it just read.
     trace.enter("reply");
     let traced = matches!(command, "QUERY" | "RESOLVE" | "ADD" | "SNAPSHOT");
     let response =
         if traced { protocol::with_trace_token(&response, trace.id()) } else { response };
     trace.exit();
-    if traced || command == "INVALID" {
-        let ok = !response.starts_with("ERR");
-        if let Some(done) = trace.finish(ok) {
-            if ctx.sink.capture(done) {
-                ctx.last_slow.store(done.id, Ordering::Relaxed);
-            }
-        }
-    }
+    // The introspection commands (STATS, TOP, TRACE, …) are slow-logged
+    // but leave no trace of their own.
+    let outcome = (traced || command == "INVALID").then(|| !response.starts_with("ERR"));
+    finish_request(ctx, conn, command, args_digest, dur_ns, trace, outcome);
     response
 }
 
@@ -1358,12 +1366,7 @@ fn dispatch(
             let ring = ctx.sink.stats();
             let slow_traces = ctx.sink.recent_slow(k);
             cmd.record(true, elapsed());
-            protocol::format_top(
-                &ring,
-                ctx.last_slow.load(Ordering::Relaxed),
-                &ctx.metrics.command_stats(),
-                &slow_traces,
-            )
+            protocol::format_top(&ring, &ctx.metrics.command_stats(), &slow_traces)
         }
         Request::Trace { id, json } => match ctx.sink.find(id) {
             Some(found) => {

@@ -794,6 +794,48 @@ fn overlong_text_line_is_refused_before_its_newline() {
     server.join().unwrap();
 }
 
+/// The scrape sidecar answers on one thread, so a peer that streams a
+/// header without ever ending it must be cut off at the 64 KiB head cap
+/// — `431`, or the reset its unread bytes provoke — and the next scrape
+/// must be served.
+#[test]
+fn overlong_scrape_head_is_refused_and_the_sidecar_keeps_serving() {
+    let dir = ScratchDir::new("scrape-cap");
+    let store = Store::create(&dir, trained_resolver(200, 33), 2).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let metrics_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let metrics_addr = metrics_listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        ServeOptions::new(store).workers(2).metrics_listener(metrics_listener).serve(listener).unwrap()
+    });
+
+    let mut hostile = TcpStream::connect(metrics_addr).unwrap();
+    hostile.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    let _ = hostile.write_all(b"GET /metrics HTTP/1.1\r\nX-Pad: ");
+    let _ = hostile.write_all(&vec![b'A'; 1 << 20]);
+    let mut reply = String::new();
+    match BufReader::new(&hostile).read_line(&mut reply) {
+        Ok(0) => {}
+        Ok(_) => assert_eq!(reply, "HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+        Err(e) => assert!(
+            !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+            "the sidecar is still waiting for a newline: {e}"
+        ),
+    }
+    drop(hostile);
+
+    let mut scrape = TcpStream::connect(metrics_addr).unwrap();
+    scrape.write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+    let mut http = String::new();
+    BufReader::new(scrape).read_to_string(&mut http).unwrap();
+    assert!(http.starts_with("HTTP/1.1 200 OK\r\n"), "{http}");
+    assert!(http.contains("\nyv_store_records "), "{http}");
+
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    server.join().unwrap();
+}
+
 /// A connection cut mid-`BATCH_ADD`-frame must leave the store exactly
 /// as the last *complete* frame left it: the torn frame applies nothing
 /// (the checksum gate never admits it), an earlier acknowledged batch on
