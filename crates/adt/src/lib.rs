@@ -24,6 +24,16 @@
 //! `2·(√(W₊(p∧c)W₋(p∧c)) + √(W₊(p∧¬c)W₋(p∧¬c))) + W(¬p)` and reweights
 //! instances by `exp(-y·r(x))`.
 
+// Library code behind `yv serve` propagates errors; it does not panic.
+// (`unwrap_used` is denied workspace-wide; tests are exempt via clippy.toml.)
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod condition;
 pub mod instance;
 pub mod persist;

@@ -79,6 +79,6 @@ mod tests {
     #[test]
     fn prior_only_tree() {
         let t = AdTree::prior(0.5);
-        assert_eq!(render(&t, &|_| unreachable!()), ": 0.500\n");
+        assert_eq!(render(&t, &|i| format!("f{i}")), ": 0.500\n");
     }
 }

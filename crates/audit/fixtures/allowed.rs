@@ -1,11 +1,11 @@
-// Suppression fixture: the same P1 violation as bad_p1.rs, discharged by
-// an audit:allow marker — once inline, once on the preceding line.
+// Suppression fixture: the same F1 cast as bad_f1.rs, discharged by an
+// audit:allow marker — once inline, once on the preceding line.
 
-pub fn head(values: &[u32]) -> u32 {
-    *values.first().unwrap() // audit:allow(P1) fixture demonstrates inline suppression
+pub fn narrow(score: f64) -> f32 {
+    score as f32 // audit:allow(F1) fixture demonstrates inline suppression
 }
 
-pub fn tail(values: &[u32]) -> u32 {
-    // audit:allow(P1) fixture demonstrates preceding-line suppression
-    *values.last().unwrap()
+pub fn narrow_again(score: f64) -> f32 {
+    // audit:allow(F1) fixture demonstrates preceding-line suppression
+    score as f32
 }

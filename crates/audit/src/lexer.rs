@@ -319,9 +319,9 @@ mod tests {
 
     #[test]
     fn line_comments_are_separated() {
-        let lines = clean_lines("let x = 1; // audit:allow(P1) reason\n");
+        let lines = clean_lines("let x = 1; // audit:allow(L1) reason\n");
         assert_eq!(lines[0].code.trim(), "let x = 1;");
-        assert!(lines[0].comment.contains("audit:allow(P1)"));
+        assert!(lines[0].comment.contains("audit:allow(L1)"));
     }
 
     #[test]

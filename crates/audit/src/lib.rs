@@ -1,15 +1,16 @@
 //! yv-audit: static analysis over the workspace's own sources.
 //!
 //! The resolver's ranked output (paper §4.2) is only meaningful if scores
-//! and cluster orderings are bit-for-bit reproducible, the serving path
-//! must not panic, and victim names must never leak into operator-visible
-//! logs. This crate enforces those invariants mechanically with eight
-//! rules: five line-level (D1 hash-order determinism, P1 panic-freedom,
-//! F1 score/float hygiene, S1 wall-clock hygiene, A1 global-allocator
-//! uniqueness) and three scope-aware (L1 lock discipline, N1
-//! privacy-taint, C1 cast safety) built on the [`scope`] tracker and the
-//! interprocedural [`symbols`] pass. See [`rules`] for exact semantics
-//! and `DESIGN.md` §10 for the rationale.
+//! and cluster orderings are bit-for-bit reproducible, and victim names
+//! must never leak into operator-visible logs. This crate enforces those invariants mechanically with six
+//! rules: three line-level (D1 hash-order determinism, F1 score/float
+//! hygiene, A1 global-allocator uniqueness) and three scope-aware (L1
+//! lock discipline, N1 privacy-taint, C1 cast safety) built on the
+//! [`scope`] tracker and the interprocedural [`symbols`] pass. See
+//! [`rules`] for exact semantics and `DESIGN.md` §10 for the rationale.
+//! Panic-freedom and wall-clock hygiene are not here: clippy holds them
+//! (`#![deny(clippy::expect_used, …)]` in the serving crates,
+//! `disallowed-methods` in `clippy.toml`).
 //!
 //! The [`engine`] runs the rules workspace-wide in one serial pass;
 //! [`cli`] is the shared driver behind both the `yv-audit` binary and

@@ -1,21 +1,11 @@
 //! Mapping a file path to the set of rules that apply to it.
 //!
-//! The rule scoping mirrors ISSUE-2: panic-freedom (P1) is demanded of the
-//! library crates that back `yv serve`, wall-clock hygiene (S1) of
-//! everything except the one crate sanctioned to own the wall clock
-//! (`yv-obs`), float hygiene (F1) of persistence and protocol code, and
-//! hash-order determinism (D1) everywhere. Files whose path does not
-//! identify a workspace crate (e.g. audit fixtures) get every rule — the
-//! conservative default.
-
-/// Crates whose non-test code must be panic-free (P1).
-const P1_CRATES: [&str; 7] = ["core", "blocking", "mfi", "store", "similarity", "adt", "obs"];
-
-/// The only crate allowed to read the wall clock: `yv-obs` wraps
-/// `Instant::now` behind its `Clock` trait, and every other crate takes
-/// time through an injected clock — so S1 holds by construction
-/// everywhere else, and this exemption is the single escape hatch.
-const S1_EXEMPT_CRATES: [&str; 1] = ["obs"];
+//! Float hygiene (F1) and cast safety (C1) are demanded of persistence
+//! and protocol code, privacy taint (N1) of the serving and observability
+//! crates, allocator uniqueness (A1) of everything except `yv-obs`, and
+//! hash-order determinism (D1) and lock discipline (L1) everywhere. Files
+//! whose path does not identify a workspace crate (e.g. audit fixtures)
+//! get every rule — the conservative default.
 
 /// The only crate allowed to install a global allocator (A1): `yv-obs`
 /// hosts the counting allocator behind its `global-alloc` feature, and the
@@ -37,9 +27,7 @@ const N1_CRATES: [&str; 3] = ["store", "obs", "fuzzy"];
 #[derive(Debug, Clone, Copy)]
 pub struct FileProfile {
     pub d1: bool,
-    pub p1: bool,
     pub f1: bool,
-    pub s1: bool,
     pub a1: bool,
     /// Lock-discipline: guards across blocking I/O, shard lock order.
     pub l1: bool,
@@ -58,9 +46,7 @@ impl FileProfile {
     pub fn all() -> Self {
         FileProfile {
             d1: true,
-            p1: true,
             f1: true,
-            s1: true,
             a1: true,
             l1: true,
             n1: true,
@@ -72,9 +58,7 @@ impl FileProfile {
     fn none_test() -> Self {
         FileProfile {
             d1: false,
-            p1: false,
             f1: false,
-            s1: false,
             a1: false,
             l1: false,
             n1: false,
@@ -109,9 +93,7 @@ impl FileProfile {
         match crate_name {
             Some(name) => FileProfile {
                 d1: true,
-                p1: P1_CRATES.contains(&name),
                 f1: persisted,
-                s1: !S1_EXEMPT_CRATES.contains(&name),
                 a1: !A1_EXEMPT_CRATES.contains(&name),
                 // Lock discipline holds everywhere non-test code takes a
                 // lock; the rule is inert in lock-free crates.
@@ -131,31 +113,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pipeline_crate_gets_p1_and_s1() {
+    fn pipeline_crate_gets_d1_but_not_f1_or_n1() {
         let p = FileProfile::for_path("crates/blocking/src/mfiblocks.rs");
-        assert!(p.d1 && p.p1 && p.s1 && !p.f1);
+        assert!(p.d1 && p.l1 && !p.f1 && !p.c1 && !p.n1);
     }
 
     #[test]
     fn store_persistence_file_gets_f1() {
         let p = FileProfile::for_path("crates/store/src/wal.rs");
-        assert!(p.f1 && p.p1 && p.s1);
-    }
-
-    #[test]
-    fn cli_crate_gets_d1_and_s1_but_not_p1_or_f1() {
-        let p = FileProfile::for_path("crates/cli/src/commands.rs");
-        assert!(p.d1 && !p.p1 && p.s1 && !p.f1);
-    }
-
-    #[test]
-    fn obs_is_the_sole_s1_exemption() {
-        let p = FileProfile::for_path("crates/obs/src/clock.rs");
-        assert!(p.d1 && p.p1 && !p.s1, "yv-obs owns the wall clock");
-        for other in ["core", "blocking", "store", "eval", "bench", "cli", "datagen"] {
-            let p = FileProfile::for_path(&format!("crates/{other}/src/lib.rs"));
-            assert!(p.s1, "{other} must stay under S1");
-        }
+        assert!(p.f1 && p.c1 && p.n1);
     }
 
     #[test]
@@ -171,7 +137,7 @@ mod tests {
     #[test]
     fn test_dirs_are_exempt() {
         let p = FileProfile::for_path("crates/store/tests/server_e2e.rs");
-        assert!(p.test_file && !p.d1 && !p.p1);
+        assert!(p.test_file && !p.d1 && !p.l1);
         let b = FileProfile::for_path("crates/similarity/benches/jw.rs");
         assert!(b.test_file);
     }
@@ -180,8 +146,8 @@ mod tests {
     fn unknown_paths_get_everything() {
         let p = FileProfile::for_path("crates/audit/fixtures/bad_f1.rs");
         // `fixtures` is not a test dir; unknown crate layout → all rules.
-        assert!(p.d1 && p.p1 && p.f1 && p.s1);
+        assert!(p.d1 && p.f1 && p.a1 && p.n1 && p.c1);
         let r = FileProfile::for_path("src/lib.rs");
-        assert!(r.d1 && r.p1);
+        assert!(r.d1 && r.f1);
     }
 }

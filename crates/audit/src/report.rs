@@ -77,10 +77,10 @@ mod tests {
 
     fn sample() -> Vec<Finding> {
         vec![Finding {
-            rule: Rule::P1,
+            rule: Rule::C1,
             file: "crates/store/src/wal.rs".to_owned(),
             line: 91,
-            message: "`unwrap` can panic".to_owned(),
+            message: "lossy `as u32` narrowing".to_owned(),
             snippet: "let s = \"quoted\";".to_owned(),
         }]
     }
@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn human_report_anchors_file_line() {
         let r = render_human(&sample());
-        assert!(r.contains("crates/store/src/wal.rs:91: [P1]"));
+        assert!(r.contains("crates/store/src/wal.rs:91: [C1]"));
         assert!(r.contains("audit: 1 finding\n"));
         assert!(render_human(&[]).contains("audit: clean"));
     }

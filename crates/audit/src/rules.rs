@@ -1,7 +1,7 @@
 //! The audit rules.
 //!
-//! Every rule works on [`CleanLine`]s. D1/P1/S1 match against `code`
-//! (comments and string contents stripped) so prose never triggers them;
+//! Every rule works on [`CleanLine`]s. D1 matches against `code`
+//! (comments and string contents stripped) so prose never triggers it;
 //! F1's precision check matches against `text` (comments stripped,
 //! string contents kept) because format specifiers like `{:.17}` live
 //! inside string literals. See each rule's doc for exact semantics.
@@ -9,13 +9,15 @@
 //! | rule | hazard | fires on |
 //! |------|--------|----------|
 //! | D1   | hash-order nondeterminism | `HashMap`/`HashSet` iteration feeding `push`/`extend`/serialization within [`SINK_WINDOW`] lines with no `.sort` within [`SORT_WINDOW`] lines after the sink |
-//! | P1   | panic in library code | `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` outside test code |
 //! | F1   | lossy score persistence | fixed-precision float formatting (`{:.17}`) and lossy `as` casts on score values in persistence/protocol files |
-//! | S1   | wall-clock in deterministic pipeline | `Instant::now` / `SystemTime::now` in pipeline crates |
 //! | A1   | rogue global allocator | `global_allocator` in code position outside `yv-obs` (the counting allocator is the single sanctioned installation) |
 //! | L1   | lock held across blocking I/O / lock-order inversion | a `lock()`/`write()`/`read()` guard binding live (scope tracker) across a blocking call — [`crate::symbols::DIRECT_IO`] patterns or a call into a function the symbol pass proved blocking — or two indexed shard locks acquired in non-ascending index order |
 //! | N1   | victim-name leak into logs/metrics | an identifier tainted from a name field (`last_names`, `first_names`, ..., `read_line` input, a `name` argument) reaching a logging sink (`println!`/`eprintln!`, `write!`/`writeln!` to a log-like target, `.log(...)`, a `.annotate(...)` trace annotation) or a `format!`-built metrics label, without passing through the sanctioned `fnv1a` digest |
 //! | C1   | lossy integer narrowing in persisted formats | `as u8/u16/u32/i8/i16/i32` on seq/len/offset/id-like values — or `u64 as usize` — in codec/WAL/snapshot/protocol files; the sanctioned pattern is `try_from` with a typed error (generalizes F1 beyond floats) |
+//!
+//! Panic-freedom and wall-clock hygiene are clippy's: crate-level
+//! `#![deny(clippy::expect_used, clippy::panic, …)]` next to the
+//! workspace's `unwrap_used`, and `disallowed-methods` in `clippy.toml`.
 
 use crate::lexer::CleanLine;
 use crate::profile::FileProfile;
@@ -33,9 +35,7 @@ pub const SORT_WINDOW: usize = 12;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     D1,
-    P1,
     F1,
-    S1,
     A1,
     L1,
     N1,
@@ -47,9 +47,7 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::D1 => "D1",
-            Rule::P1 => "P1",
             Rule::F1 => "F1",
-            Rule::S1 => "S1",
             Rule::A1 => "A1",
             Rule::L1 => "L1",
             Rule::N1 => "N1",
@@ -87,14 +85,8 @@ pub fn check_lines(
     if profile.d1 {
         d1(file, lines, &raw_lines, &mut findings);
     }
-    if profile.p1 {
-        p1(file, lines, &raw_lines, &mut findings);
-    }
     if profile.f1 {
         f1(file, lines, &raw_lines, &mut findings);
-    }
-    if profile.s1 {
-        s1(file, lines, &raw_lines, &mut findings);
     }
     if profile.a1 {
         a1(file, lines, &raw_lines, &mut findings);
@@ -283,39 +275,6 @@ fn d1(file: &str, lines: &[CleanLine], raw_lines: &[&str], findings: &mut Vec<Fi
     }
 }
 
-// ------------------------------------------------------------------- P1
-
-const PANIC_CALLS: [&str; 6] =
-    [".unwrap()", ".expect(", "panic!(", "unreachable!(", "todo!(", "unimplemented!("];
-
-fn p1(file: &str, lines: &[CleanLine], raw_lines: &[&str], findings: &mut Vec<Finding>) {
-    for (idx, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for call in PANIC_CALLS {
-            if let Some(at) = line.code.find(call) {
-                // `.expect(` must not match `.expect_err(`; find() can hit a
-                // prefix of a longer identifier only for the macro names,
-                // which end in `!(` and are unambiguous.
-                let _ = at;
-                push_finding(
-                    findings,
-                    Rule::P1,
-                    file,
-                    idx + 1,
-                    raw_lines,
-                    format!(
-                        "`{}` can panic in library code; propagate an error with `?` instead",
-                        call.trim_start_matches('.').trim_end_matches('(')
-                    ),
-                );
-                break;
-            }
-        }
-    }
-}
-
 // ------------------------------------------------------------------- F1
 
 const LOSSY_CAST_TARGETS: [&str; 9] =
@@ -394,31 +353,6 @@ fn f1(file: &str, lines: &[CleanLine], raw_lines: &[&str], findings: &mut Vec<Fi
                  keep scores f64 end to end"
                     .to_owned(),
             );
-        }
-    }
-}
-
-// ------------------------------------------------------------------- S1
-
-fn s1(file: &str, lines: &[CleanLine], raw_lines: &[&str], findings: &mut Vec<Finding>) {
-    for (idx, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for call in ["Instant::now", "SystemTime::now"] {
-            if line.code.contains(call) {
-                push_finding(
-                    findings,
-                    Rule::S1,
-                    file,
-                    idx + 1,
-                    raw_lines,
-                    format!(
-                        "`{call}` in a deterministic pipeline crate; wall-clock reads \
-                         must not influence scores or cluster output"
-                    ),
-                );
-            }
         }
     }
 }
@@ -761,17 +695,12 @@ mod tests {
     }
 
     #[test]
-    fn p1_fires_outside_tests_only() {
-        let src = "fn a() { x.unwrap(); }\n#[cfg(test)]\nmod t { fn b() { y.unwrap(); } }\n";
+    fn f1_fires_outside_tests_only() {
+        let src = "fn a() { let x = score as f32; }\n#[cfg(test)]\nmod t { fn b() { let y = score as f32; } }\n";
         let f = check_all(src);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::P1);
+        assert_eq!(f[0].rule, Rule::F1);
         assert_eq!(f[0].line, 1);
-    }
-
-    #[test]
-    fn p1_does_not_match_unwrap_or() {
-        assert!(check_all("fn a() { x.unwrap_or(0); y.unwrap_or_default(); }\n").is_empty());
     }
 
     #[test]
@@ -808,13 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn s1_fires_on_wall_clock() {
-        let f = check_all("fn f() { let t = std::time::Instant::now(); }\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::S1);
-    }
-
-    #[test]
     fn a1_fires_even_inside_test_modules() {
         let src = "#[global_allocator]\nstatic A: MyAlloc = MyAlloc;\n";
         let f = check_all(src);
@@ -833,17 +755,17 @@ mod tests {
 
     #[test]
     fn allow_comment_suppresses_same_line_and_preceding_line() {
-        let same = "fn f() { x.unwrap(); } // audit:allow(P1) startup-only\n";
+        let same = "fn f() { let x = score as f32; } // audit:allow(F1) display-only\n";
         assert!(check_all(same).is_empty());
-        let above = "// audit:allow(P1) startup-only\nfn f() { x.unwrap(); }\n";
+        let above = "// audit:allow(F1) display-only\nfn f() { let x = score as f32; }\n";
         assert!(check_all(above).is_empty());
-        let wrong_rule = "fn f() { x.unwrap(); } // audit:allow(D1)\n";
+        let wrong_rule = "fn f() { let x = score as f32; } // audit:allow(D1)\n";
         assert_eq!(check_all(wrong_rule).len(), 1);
     }
 
     #[test]
     fn findings_are_line_sorted() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\nfn g() { x.unwrap(); }\n";
+        let src = "#[global_allocator]\nstatic A: M = M;\nfn g() { let x = score as f32; }\n";
         let f = check_all(src);
         assert_eq!(f.len(), 2);
         assert!(f[0].line < f[1].line);

@@ -22,7 +22,7 @@ fn workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
     root
 }
 
-const PANICKY: &str = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
+const LOSSY: &str = "pub fn f(score: f64) -> f32 {\n    score as f32\n}\n";
 const CLEAN: &str = "pub fn g(x: u32) -> u32 {\n    x + 1\n}\n";
 
 #[test]
@@ -30,10 +30,10 @@ fn findings_come_back_sorted_by_file_with_every_file_counted() {
     let root = workspace(
         "sorted",
         &[
-            ("c2/src/lib.rs", PANICKY),
-            ("c0/src/lib.rs", PANICKY),
+            ("c2/src/lib.rs", LOSSY),
+            ("c0/src/lib.rs", LOSSY),
             ("c1/src/lib.rs", CLEAN),
-            ("c1/tests/it.rs", PANICKY),
+            ("c1/tests/it.rs", LOSSY),
         ],
     );
     let outcome = engine::run_workspace(&root).expect("run");
@@ -41,8 +41,8 @@ fn findings_come_back_sorted_by_file_with_every_file_counted() {
         outcome.findings.iter().map(|f| (f.file.as_str(), f.line, f.rule)).collect();
     assert_eq!(
         at,
-        [("c0/src/lib.rs", 2, Rule::P1), ("c2/src/lib.rs", 2, Rule::P1)],
-        "each panicky crate fires P1 once; the test file is exempt"
+        [("c0/src/lib.rs", 2, Rule::F1), ("c2/src/lib.rs", 2, Rule::F1)],
+        "each lossy crate fires F1 once; the test file is exempt"
     );
     assert_eq!(outcome.files, 4);
 }

@@ -25,6 +25,16 @@
 //! assert!(!result.candidate_pairs.is_empty());
 //! ```
 
+// Library code behind `yv serve` propagates errors; it does not panic.
+// (`unwrap_used` is denied workspace-wide; tests are exempt via clippy.toml.)
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod config;
 mod csr;
 pub mod diagnostics;

@@ -84,8 +84,8 @@ pub fn mfi_blocks(ds: &Dataset, config: &MfiBlocksConfig) -> BlockingResult {
 /// ```
 ///
 /// The clock is injected through the recorder, so this function never
-/// reads the wall clock itself (the yv-audit S1 rule holds by
-/// construction) and timing can never influence which blocks survive.
+/// reads the wall clock itself (clippy's `disallowed-methods` would
+/// refuse it) and timing can never influence which blocks survive.
 #[must_use]
 pub fn mfi_blocks_recorded(
     ds: &Dataset,

@@ -33,6 +33,16 @@
 //! }
 //! ```
 
+// Library code behind `yv serve` propagates errors; it does not panic.
+// (`unwrap_used` is denied workspace-wide; tests are exempt via clippy.toml.)
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod conditions;
 pub mod granularity;
 pub mod incremental;

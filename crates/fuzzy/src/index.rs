@@ -79,10 +79,10 @@ pub struct CandidateName<'a> {
     pub records: &'a [RecordId],
 }
 
-/// The per-shard secondary index: distinct names with record postings,
+/// The store's secondary index: distinct names with record postings,
 /// inverted by padded q-gram.
 ///
-/// Rebuilt deterministically from the shard's records on `create`,
+/// Rebuilt deterministically from the store's records on `create`,
 /// `open` (snapshot load + WAL replay) and every `add`, so it needs no
 /// on-disk format of its own — the record segments and WALs already
 /// carry everything.

@@ -13,10 +13,9 @@
 //!   q-gram Jaccard, a log report-count prior, and the incremental
 //!   resolver's own certainty.
 //!
-//! `yv-store` maintains one [`FuzzyIndex`] per shard next to its exact
-//! `QueryIndex` and fans `RESOLVE` queries across them; the shard
-//! outputs are unions, not top-k truncations, so the merged ranking from
-//! [`rank_entities`] is provably independent of the shard count.
+//! `yv-store` maintains one [`FuzzyIndex`] next to its exact
+//! `QueryIndex`, whatever its shard count, and answers `RESOLVE` from
+//! it: one candidate scan, then [`rank_entities`].
 //!
 //! ```
 //! use yv_fuzzy::{FuzzyIndex, ScoreBlend, rank_entities, DEFAULT_QGRAM_BOUND};

@@ -94,11 +94,10 @@ pub struct RankedEntity {
 /// Rank the merged candidate names of a fuzzy scan into a deterministic
 /// entity ranking.
 ///
-/// `names` is the (possibly cross-shard) union of surviving candidates:
-/// `(lowercased name, exact q-gram Jaccard, records posting it)`. The
-/// same name may appear once per shard; occurrences are merged here, so
-/// the output depends only on the union — the shard count can never leak
-/// into the ranking. `entity_of` maps a record to its entity's full,
+/// `names` is the surviving candidates, possibly the union of several
+/// scans: `(lowercased name, exact q-gram Jaccard, records posting it)`.
+/// A name may appear more than once; occurrences are merged here, so
+/// the output depends only on the union. `entity_of` maps a record to its entity's full,
 /// ascending member list (callers return `vec![rid]` for singletons);
 /// `certainty_of` returns the resolver's best incident match score for
 /// a record (≤ 0 meaning "no evidence").
@@ -115,8 +114,8 @@ pub fn rank_entities<'a>(
     k: usize,
     min_score: f64,
 ) -> Vec<RankedEntity> {
-    // Merge per-shard occurrences of the same name. The Jaccard is a
-    // pure function of (query, name) so shards agree on it exactly.
+    // Merge repeated occurrences of the same name. The Jaccard is a
+    // pure function of (query, name) so occurrences agree on it exactly.
     let mut merged: BTreeMap<&str, (f64, Vec<RecordId>)> = BTreeMap::new();
     for (name, jaccard, records) in names {
         let entry = merged.entry(name).or_insert((jaccard, Vec::new()));

@@ -27,6 +27,16 @@
 //! assert_eq!(mfis[0].support, 2);
 //! ```
 
+// Library code behind `yv serve` propagates errors; it does not panic.
+// (`unwrap_used` is denied workspace-wide; tests are exempt via clippy.toml.)
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod fpgrowth;
 pub mod fptree;
 pub mod maximal;

@@ -1,8 +1,8 @@
 //! Clock injection: the single place in the workspace that is allowed to
 //! read the wall clock.
 //!
-//! The yv-audit S1 rule forbids `Instant::now` / `SystemTime::now` in
-//! every other crate (see `crates/audit/src/profile.rs`), so deterministic
+//! Clippy's `disallowed-methods` (root `clippy.toml`) forbids
+//! `Instant::now` / `SystemTime::now` everywhere else, so deterministic
 //! pipeline code can only obtain time through a [`Clock`] — either the
 //! real [`MonotonicClock`] or a test-controlled [`ManualClock`]. That
 //! makes "timing never influences scores or cluster output" true by
@@ -30,6 +30,10 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     #[must_use]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the workspace's one wall-clock read; everything else takes a Clock"
+    )]
     pub fn new() -> MonotonicClock {
         MonotonicClock { origin: std::time::Instant::now() }
     }

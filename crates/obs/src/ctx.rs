@@ -12,7 +12,7 @@
 //! Trace ids come from a [`TraceIdGen`]: a seeded splitmix64 permutation
 //! of an atomic counter. No wall clock, no OS randomness — the id
 //! sequence for a given seed is fixed, so tests replay byte-identical
-//! `TRACE` renderings (audit rule S1 stays intact).
+//! `TRACE` renderings.
 //!
 //! [`Recorder`]: crate::recorder::Recorder
 
@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Spans a [`RequestTrace`] can hold. A request records one span per
-/// protocol stage plus one per shard touched; overflow increments
+/// protocol stage (five today) plus any nested children; overflow increments
 /// [`RequestTrace::dropped_spans`] instead of allocating.
 pub const MAX_TRACE_SPANS: usize = 24;
 
@@ -39,7 +39,7 @@ const NO_SHARD: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSpan {
     pub name: &'static str,
-    /// Nesting depth: 0 for protocol stages, 1 for per-shard children.
+    /// Nesting depth: 0 for protocol stages, 1 for their children.
     pub depth: u8,
     shard: u32,
     pub start_ns: u64,

@@ -9,7 +9,7 @@
 //!
 //! - [`Clock`] / [`MonotonicClock`] / [`ManualClock`] — clock injection.
 //!   This crate is the **only sanctioned wall-clock owner** in the
-//!   workspace: the yv-audit S1 rule bans `Instant::now` everywhere else,
+//!   workspace: clippy's `disallowed-methods` bans `Instant::now` everywhere else,
 //!   so deterministic code can only read time through an injected clock
 //!   (and tests substitute a [`ManualClock`] for byte-identical traces).
 //! - [`Recorder`] / [`Span`] — nested named spans plus counters. Blocking
@@ -54,6 +54,16 @@
 //! assert_eq!(rec.sum_ns("mine"), 1_000_000);
 //! assert!(yv_obs::chrome_trace(&rec).contains("\"name\":\"mine\""));
 //! ```
+
+// Library code behind `yv serve` propagates errors; it does not panic.
+// (`unwrap_used` is denied workspace-wide; tests are exempt via clippy.toml.)
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 #[allow(
     unsafe_code,

@@ -11,6 +11,16 @@
 //! * the 48 similarity features computed over candidate record pairs and fed
 //!   to the ADT classifier, with first-class missing-value support.
 
+// Library code behind `yv serve` propagates errors; it does not panic.
+// (`unwrap_used` is denied workspace-wide; tests are exempt via clippy.toml.)
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod dates;
 pub mod features;
 pub mod fsim;

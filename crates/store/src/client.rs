@@ -1181,13 +1181,8 @@ fn parse_stats(status: &str, data: &[String]) -> Result<StatsReport, ClientError
             report.shard_rows.push(ShardRow {
                 shard,
                 records: field(line, "records")?,
-                vocabulary: field(line, "vocabulary")?,
-                postings: field(line, "postings")?,
                 wal_entries: field(line, "wal")?,
                 wal_bytes: field(line, "wal_bytes")?,
-                fuzzy_names: field(line, "fuzzy_names")?,
-                fuzzy_grams: field(line, "fuzzy_grams")?,
-                fuzzy_postings: field(line, "fuzzy_postings")?,
             });
         } else if line.starts_with("CMD ") {
             report.commands.push(parse_cmd_row(line)?);
@@ -1426,12 +1421,8 @@ mod tests {
                       vocabulary=13 fuzzy_names=13 fuzzy_grams=48 fuzzy_postings=58 \
                       fuzzy_examined=21 fuzzy_pruned=6 errors=3";
         let data = vec![
-            "SHARD 0 records=5 vocabulary=9 postings=11 wal=1 wal_bytes=104 \
-             fuzzy_names=9 fuzzy_grams=31 fuzzy_postings=40"
-                .to_owned(),
-            "SHARD 1 records=2 vocabulary=4 postings=4 wal=0 wal_bytes=0 \
-             fuzzy_names=4 fuzzy_grams=17 fuzzy_postings=18"
-                .to_owned(),
+            "SHARD 0 records=5 wal=1 wal_bytes=104".to_owned(),
+            "SHARD 1 records=2 wal=0 wal_bytes=0".to_owned(),
             "CMD QUERY count=3 errors=0 mean_us=40 p50_us=32 p95_us=64 p99_us=64 max_us=71"
                 .to_owned(),
         ];
@@ -1442,11 +1433,10 @@ mod tests {
         assert_eq!(report.errors, 3);
         assert_eq!(report.shard_rows.len(), 2);
         assert_eq!(report.shard_rows[1].shard, 1);
-        assert_eq!(report.shard_rows[0].postings, 11);
+        assert_eq!(report.shard_rows[0].records, 5);
+        assert_eq!(report.shard_rows[0].wal_bytes, 104);
         assert_eq!(report.fuzzy_names, 13);
         assert_eq!(report.fuzzy_pruned, 6);
-        assert_eq!(report.shard_rows[0].fuzzy_grams, 31);
-        assert_eq!(report.shard_rows[1].fuzzy_postings, 18);
         assert_eq!(report.commands.len(), 1);
         assert_eq!(report.commands[0].name, "QUERY");
         assert_eq!(report.commands[0].p95_us, 64);

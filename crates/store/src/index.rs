@@ -12,19 +12,16 @@ use yv_core::PersonQuery;
 use yv_records::{Dataset, Record, RecordId};
 
 /// Postings from distinct lowercased first/last names to the records
-/// carrying them.
-///
-/// An index no longer spans the whole dataset: the sharded store keeps
-/// one per shard, each holding only the records routed to it. Member
-/// records are therefore tracked explicitly (in ascending-rid insertion
-/// order) instead of being derived from a dense `0..n` range.
+/// carrying them. One index spans the whole dataset — record ids
+/// `0..len` — whatever the store's shard count: no lookup carries the
+/// shards' routing key, so a partitioned index would be visited whole.
 #[derive(Debug, Clone, Default)]
 pub struct QueryIndex {
     first: HashMap<String, Vec<RecordId>>,
     last: HashMap<String, Vec<RecordId>>,
-    /// Every indexed record, ascending — the seed set of an
+    /// Records indexed; ids are dense, so `0..len` is the seed set of an
     /// unconstrained query.
-    members: Vec<RecordId>,
+    len: usize,
 }
 
 impl QueryIndex {
@@ -38,26 +35,25 @@ impl QueryIndex {
         index
     }
 
-    /// Index one (newly arrived) record. Records must be added in
-    /// ascending-rid order (they are: rids are assigned in arrival
-    /// order, and each record is indexed exactly once, by its shard).
+    /// Index one (newly arrived) record. Records must be added densely,
+    /// in ascending-rid order (they are: rids are assigned in arrival
+    /// order, and each record is indexed exactly once).
     pub fn add_record(&mut self, rid: RecordId, record: &Record) {
+        debug_assert_eq!(rid.index(), self.len, "record ids must arrive densely");
         post(&mut self.first, &record.first_names, rid);
         post(&mut self.last, &record.last_names, rid);
-        if self.members.last() != Some(&rid) {
-            self.members.push(rid);
-        }
+        self.len += 1;
     }
 
     /// Number of records indexed.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.len
     }
 
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.len == 0
     }
 
     /// Number of distinct lowercased names indexed.
@@ -81,7 +77,7 @@ impl QueryIndex {
         let first = matching(&self.first, query.first_name.as_deref(), query.name_similarity);
         let last = matching(&self.last, query.last_name.as_deref(), query.name_similarity);
         let mut out: Vec<RecordId> = match (first, last) {
-            (None, None) => self.members.clone(),
+            (None, None) => (0..self.len as u32).map(RecordId).collect(),
             (Some(f), None) => f.into_iter().collect(),
             (None, Some(l)) => l.into_iter().collect(),
             (Some(f), Some(l)) => {
@@ -250,19 +246,6 @@ mod tests {
         let index = QueryIndex::build(&ds);
         let q = PersonQuery { first_name: Some("Avram".into()), ..PersonQuery::default() };
         assert_eq!(index.seeds(&q), vec![RecordId(0)]);
-    }
-
-    #[test]
-    fn sparse_membership_seeds_only_indexed_records() {
-        // A per-shard index holds a sparse rid subset; unconstrained
-        // queries must return exactly its members, not a dense 0..max.
-        let ds = dataset();
-        let mut index = QueryIndex::default();
-        for rid in [RecordId(0), RecordId(2)] {
-            index.add_record(rid, ds.record(rid));
-        }
-        assert_eq!(index.seeds(&PersonQuery::default()), vec![RecordId(0), RecordId(2)]);
-        assert_eq!(index.len(), 2);
     }
 
     #[test]

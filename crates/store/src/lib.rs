@@ -7,11 +7,13 @@
 //! durable across restarts, queryable concurrently, and open to the
 //! Pages of Testimony that still arrive.
 //!
-//! The store is **sharded by name-hash**: records route to one of N
-//! shards by `fnv1a64(lowercase(last name)) % N` (see [`shard`]), each
-//! shard owning its own WAL file, snapshot segment and query index
-//! behind its own lock, so writers on distinct shards never contend.
-//! The pieces:
+//! The store's files are **sharded by name-hash**: records route to one
+//! of N shards by `fnv1a64(lowercase(last name)) % N` (see [`shard`]),
+//! each shard owning its own WAL file and snapshot segment behind its
+//! own lock, so writers on distinct shards overlap their fsyncs. What is
+//! served from memory — the match graph and one pair of name indexes —
+//! sits behind one lock that reads share and never hold across I/O (see
+//! [`store`]). The pieces:
 //!
 //! - [`shard`] — the routing function and the store manifest recording
 //!   the shard count (fixed at [`Store::create`]);
@@ -54,6 +56,16 @@
 //! let _store = ServeOptions::new(store).workers(4).serve(listener)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+
+// Library code behind `yv serve` propagates errors; it does not panic.
+// (`unwrap_used` is denied workspace-wide; tests are exempt via clippy.toml.)
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod client;
 pub mod codec;

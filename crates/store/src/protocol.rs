@@ -21,10 +21,10 @@
 //! < .
 //! > STATS
 //! < OK records=5000 sources=12 matches=10817 shards=4 wal=1 wal_bytes=104 vocabulary=1943 ...
-//! < SHARD 0 records=1290 vocabulary=522 postings=2581 wal=1 wal_bytes=104
-//! < SHARD 1 records=1244 vocabulary=489 postings=2487 wal=0 wal_bytes=0
-//! < SHARD 2 records=1267 vocabulary=501 postings=2530 wal=0 wal_bytes=0
-//! < SHARD 3 records=1199 vocabulary=431 postings=2399 wal=0 wal_bytes=0
+//! < SHARD 0 records=1290 wal=1 wal_bytes=104
+//! < SHARD 1 records=1244 wal=0 wal_bytes=0
+//! < SHARD 2 records=1267 wal=0 wal_bytes=0
+//! < SHARD 3 records=1199 wal=0 wal_bytes=0
 //! < CMD QUERY count=240 errors=0 mean_us=412 p50_us=256 p95_us=1024 p99_us=2048 max_us=1940
 //! < CMD ADD count=12 errors=1 mean_us=95 p50_us=64 p95_us=256 p99_us=256 max_us=221
 //! < CMD SNAPSHOT count=1 errors=0 mean_us=5210 p50_us=8192 p95_us=8192 p99_us=8192 max_us=5210
@@ -34,14 +34,15 @@
 //! < RING capacity=512 occupancy=253 captured=253 evicted=0 sampled=2 last_slow_trace=b10e24d1fa8c0f37
 //! < CMD QUERY count=240 errors=0 mean_us=412 p50_us=256 p95_us=1024 p99_us=2048 max_us=1940
 //! < ...
-//! < SLOW trace=b10e24d1fa8c0f37 command=RESOLVE status=ok conn=3 total_ns=2104930 spans=8
+//! < SLOW trace=b10e24d1fa8c0f37 command=RESOLVE status=ok conn=3 total_ns=2104930 spans=5
 //! < .
 //! > TRACE b10e24d1fa8c0f37
-//! < OK trace=b10e24d1fa8c0f37 command=RESOLVE status=ok conn=3 total_ns=2104930 spans=8 dropped=0 name_digest=5817832
+//! < OK trace=b10e24d1fa8c0f37 command=RESOLVE status=ok conn=3 total_ns=2104930 spans=5 dropped=0 name_digest=5817832
+//! < SPAN name=accept depth=0 start_ns=0 dur_ns=90
 //! < SPAN name=parse depth=0 start_ns=110 dur_ns=1800
-//! < SPAN name=shard_fanout depth=0 start_ns=2050 dur_ns=1990000
-//! <   SPAN name=shard depth=1 shard=0 start_ns=2300 dur_ns=470000 cands=2
-//! < ...
+//! < SPAN name=candidates depth=0 start_ns=2050 dur_ns=1210000 cands=7 examined=412
+//! < SPAN name=rank depth=0 start_ns=1212300 dur_ns=880000
+//! < SPAN name=reply depth=0 start_ns=2093000 dur_ns=9000
 //! < .
 //! > HISTORY query window=5 tier=s
 //! < OK history metric=query tier=s window=5 now_epoch=93 buckets=2
@@ -526,17 +527,8 @@ pub fn format_stats(
     let mut out = format!("{status}\n");
     for s in shards {
         out.push_str(&format!(
-            "SHARD {} records={} vocabulary={} postings={} wal={} wal_bytes={} \
-             fuzzy_names={} fuzzy_grams={} fuzzy_postings={}\n",
-            s.shard,
-            s.records,
-            s.vocabulary,
-            s.postings,
-            s.wal_entries,
-            s.wal_bytes,
-            s.fuzzy_names,
-            s.fuzzy_grams,
-            s.fuzzy_postings
+            "SHARD {} records={} wal={} wal_bytes={}\n",
+            s.shard, s.records, s.wal_entries, s.wal_bytes
         ));
     }
     for c in commands {
@@ -960,37 +952,15 @@ mod tests {
             },
         ];
         let shards = [
-            crate::shard::ShardStats {
-                shard: 0,
-                records: 5,
-                vocabulary: 9,
-                postings: 11,
-                wal_entries: 1,
-                wal_bytes: 104,
-                fuzzy_names: 9,
-                fuzzy_grams: 31,
-                fuzzy_postings: 40,
-            },
-            crate::shard::ShardStats {
-                shard: 1,
-                records: 2,
-                vocabulary: 4,
-                postings: 4,
-                wal_entries: 0,
-                wal_bytes: 0,
-                fuzzy_names: 4,
-                fuzzy_grams: 17,
-                fuzzy_postings: 18,
-            },
+            crate::shard::ShardStats { shard: 0, records: 5, wal_entries: 1, wal_bytes: 104 },
+            crate::shard::ShardStats { shard: 1, records: 2, wal_entries: 0, wal_bytes: 0 },
         ];
         let rendered = format_stats("OK records=7", &shards, &rows);
         assert_eq!(
             rendered,
             "OK records=7\n\
-             SHARD 0 records=5 vocabulary=9 postings=11 wal=1 wal_bytes=104 \
-             fuzzy_names=9 fuzzy_grams=31 fuzzy_postings=40\n\
-             SHARD 1 records=2 vocabulary=4 postings=4 wal=0 wal_bytes=0 \
-             fuzzy_names=4 fuzzy_grams=17 fuzzy_postings=18\n\
+             SHARD 0 records=5 wal=1 wal_bytes=104\n\
+             SHARD 1 records=2 wal=0 wal_bytes=0\n\
              CMD QUERY count=3 errors=0 mean_us=40 p50_us=32 p95_us=64 p99_us=64 max_us=57\n\
              CMD ADD count=0 errors=1 mean_us=0 p50_us=0 p95_us=0 p99_us=0 max_us=0\n\
              .\n"

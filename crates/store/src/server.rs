@@ -3,9 +3,9 @@
 //! Architecture: the calling thread accepts connections and feeds them
 //! through a channel to a scoped worker pool. Workers share
 //! the store as a plain `&Store` — the store's own per-shard and
-//! resolver locks (see [`Store`]) replace the whole-store `RwLock` an
+//! state locks (see [`Store`]) replace the whole-store `RwLock` an
 //! earlier design used, so `ADD`s routed to distinct shards overlap
-//! their WAL fsyncs instead of serializing. `SHUTDOWN` sets a flag and
+//! their WAL fsyncs instead of serializing, and reads wait on neither. `SHUTDOWN` sets a flag and
 //! self-connects to unblock the acceptor(s); once the pool drains, the
 //! WALs are flushed into a fresh snapshot and the store is handed back
 //! to the caller.
@@ -30,8 +30,8 @@
 //! [`ServeOptions::metrics_addr`]) a sidecar TCP listener answering
 //! `GET /metrics` in plain HTTP/1.1 with the Prometheus text exposition,
 //! so a stock Prometheus scraper needs no protocol client. Per-shard
-//! gauges (`yv_shard_<i>_records` / `_postings` / `_wal_bytes`) expose
-//! the shard balance. Requests slower than [`ServeOptions::slow_us`] are
+//! gauges (`yv_shard_<i>_records` / `_wal_bytes`) expose the shard
+//! balance. Requests slower than [`ServeOptions::slow_us`] are
 //! logged as one JSON line each (see [`SlowLog`]), into a size-capped,
 //! rotating file when [`ServeOptions::slow_log_file`] is set.
 //!
@@ -826,28 +826,28 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
     );
     reg.set_gauge(
         "yv_store_vocabulary",
-        "Distinct lowercased names in the query indexes",
+        "Distinct lowercased first names plus distinct lowercased last names in the query index",
         stats.vocabulary as u64,
     );
     reg.set_gauge(
         "yv_store_postings",
-        "Total posting entries in the query indexes",
+        "Total posting entries in the query index",
         stats.postings as u64,
     );
     reg.set_gauge("yv_store_shards", "Shard count (fixed at create)", stats.shards.len() as u64);
     reg.set_gauge(
         "yv_store_fuzzy_names",
-        "Distinct lowercased names in the fuzzy q-gram indexes",
+        "Distinct lowercased names in the fuzzy q-gram index",
         stats.fuzzy_names as u64,
     );
     reg.set_gauge(
         "yv_store_fuzzy_grams",
-        "Distinct q-grams in the fuzzy indexes",
+        "Distinct q-grams in the fuzzy index",
         stats.fuzzy_grams as u64,
     );
     reg.set_gauge(
         "yv_store_fuzzy_postings",
-        "Gram-to-name posting entries in the fuzzy indexes",
+        "Gram-to-name posting entries in the fuzzy index",
         stats.fuzzy_postings as u64,
     );
     reg.counter_value(
@@ -869,11 +869,6 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
             &format!("yv_shard_{i}_records"),
             "Records routed to this shard",
             s.records as u64,
-        );
-        reg.set_gauge(
-            &format!("yv_shard_{i}_postings"),
-            "Posting entries in this shard's query index",
-            s.postings as u64,
         );
         reg.set_gauge(
             &format!("yv_shard_{i}_wal_bytes"),
@@ -1315,7 +1310,8 @@ fn dispatch(
             protocol::format_candidates(&outcome.hits)
         }
         Request::Add(record) => {
-            trace.enter("apply");
+            let shard = crate::shard::shard_of_record(&record, ctx.store.n_shards());
+            trace.enter_shard("apply", shard as u32);
             let outcome = ctx.store.add_record(*record);
             trace.exit();
             cmd.record(outcome.is_ok(), elapsed());

@@ -1,10 +1,11 @@
 //! Name-hash sharding: routing, the store manifest, and per-shard stats.
 //!
-//! The serving workload keys on victim names at every layer — MFIBlocks
-//! candidates share name items, and the query index posts by lowercased
-//! name — so partitioning the store by a *name* hash preserves block
-//! locality while letting writer threads on distinct shards proceed in
-//! parallel. The routing function is part of the on-disk format: a record
+//! What shards partition is the store's *files*: each shard owns one WAL
+//! and one snapshot segment, so writer threads whose records route to
+//! distinct shards append and fsync in parallel. Nothing in memory is
+//! partitioned — the name indexes and the match graph are one each (see
+//! [`crate::store`]), because no lookup carries the routing key. The
+//! routing function is part of the on-disk format: a record
 //! lands in shard `fnv1a64(lowercase(last_names[0])) % shards` (the empty
 //! string when it has no last name), and the shard count is fixed at
 //! `create` time in the manifest. Changing either silently scatters
@@ -26,7 +27,7 @@ pub const MANIFEST_FILE: &str = "manifest.yvm";
 pub const ROUTING_RULE: &str = "fnv1a64(lowercase(last_names[0]))%shards";
 
 /// Hard ceiling on the shard count: each shard costs a WAL file handle
-/// and a snapshot segment, and the fan-out paths iterate all of them.
+/// and a snapshot segment, and `BATCH_ADD` / `SNAPSHOT` lock all of them.
 pub const MAX_SHARDS: usize = 1024;
 
 /// The shard owning a last name: FNV-1a 64 of the lowercased name modulo
@@ -156,20 +157,10 @@ pub struct ShardStats {
     pub shard: usize,
     /// Records routed to this shard.
     pub records: usize,
-    /// Distinct lowercased names in this shard's query index.
-    pub vocabulary: usize,
-    /// Posting entries in this shard's query index.
-    pub postings: usize,
     /// Arrivals pending in this shard's WAL since the last snapshot.
     pub wal_entries: usize,
     /// On-disk size of this shard's WAL in bytes.
     pub wal_bytes: u64,
-    /// Distinct names in this shard's fuzzy (q-gram) index.
-    pub fuzzy_names: usize,
-    /// Distinct q-grams in this shard's fuzzy index.
-    pub fuzzy_grams: usize,
-    /// Gram → name posting entries in this shard's fuzzy index.
-    pub fuzzy_postings: usize,
 }
 
 #[cfg(test)]

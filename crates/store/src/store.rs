@@ -1,16 +1,19 @@
 //! The persistent resolution store: an [`IncrementalResolver`] wrapped
 //! with durability (snapshot + WAL), serving-speed lookups (name
 //! postings; entities come straight from the resolver's match graph),
-//! and name-hash sharding so
-//! concurrent writers on distinct shards never contend on the
-//! durability path.
+//! and name-hash sharding so concurrent writers on distinct shards never
+//! contend on the durability path.
 //!
-//! Sharding: the store is partitioned into N shards fixed at `create`
-//! time (see [`crate::shard::Manifest`]). Each shard owns its own query
-//! index, WAL file and snapshot segment behind a per-shard lock. A
-//! record belongs to the shard of its first last name
+//! Sharding: the store's *files* are partitioned into N shards fixed at
+//! `create` time (see [`crate::shard::Manifest`]). Each shard owns its
+//! WAL file and snapshot segment behind a per-shard lock. A record
+//! belongs to the shard of its first last name
 //! ([`crate::shard::shard_of_record`]); sources — global, shard-less
-//! state — are logged to shard 0 by convention.
+//! state — are logged to shard 0 by convention. Memory is not
+//! partitioned: the resolver and both name indexes sit behind one lock
+//! (`State`), since applies are serial anyway and no lookup carries the
+//! routing key. Reads take that lock, shared, and never a shard's, so
+//! they wait on nobody's fsync. Lock order: shards (ascending) → state.
 //!
 //! Durability protocol: `create` writes a full snapshot (base + one
 //! segment per shard) and empty WALs. Every arrival takes a global
@@ -67,17 +70,15 @@ pub struct StoreStats {
     pub wal_entries: usize,
     /// On-disk WAL size in bytes, summed over shards.
     pub wal_bytes: u64,
-    /// Distinct lowercased names, summed over shard indexes. A name
-    /// spanning shards counts once per shard holding it.
+    /// Distinct lowercased first names + distinct last names indexed.
     pub vocabulary: usize,
-    /// Total posting entries, summed over shard indexes.
+    /// Total posting entries in the query index.
     pub postings: usize,
-    /// Distinct names in the fuzzy indexes, summed over shards.
+    /// Distinct names in the fuzzy index.
     pub fuzzy_names: usize,
-    /// Distinct q-grams in the fuzzy indexes, summed over shards.
+    /// Distinct q-grams in the fuzzy index.
     pub fuzzy_grams: usize,
-    /// Gram → name posting entries in the fuzzy indexes, summed over
-    /// shards.
+    /// Gram → name posting entries in the fuzzy index.
     pub fuzzy_postings: usize,
     /// Lifetime candidate names examined by `RESOLVE` scans.
     pub fuzzy_examined: u64,
@@ -184,27 +185,57 @@ impl Sequencer {
     }
 }
 
-/// Everything one shard owns, behind its per-shard lock.
+/// What one shard owns on disk, behind its per-shard lock.
 #[derive(Debug)]
 struct ShardState {
     wal: Wal,
-    index: QueryIndex,
-    /// Secondary q-gram index over this shard's names, maintained in
-    /// lockstep with `index` (create, open, WAL replay, add).
-    fuzzy: FuzzyIndex,
     /// Arrivals logged to this shard since the last snapshot.
     wal_entries: usize,
+    /// Records routed to this shard (segment + WAL).
+    records: usize,
+}
+
+/// Everything a read is answered from — the match graph and the two name
+/// indexes over its records — behind the one lock that serialises applies.
+#[derive(Debug)]
+struct State {
+    resolver: IncrementalResolver,
+    index: QueryIndex,
+    fuzzy: FuzzyIndex,
+}
+
+impl State {
+    /// Index every record the resolver holds (`create`; `open`, pre-replay).
+    fn build(resolver: IncrementalResolver) -> State {
+        let ds = resolver.dataset();
+        let index = QueryIndex::build(ds);
+        let mut fuzzy = FuzzyIndex::new();
+        for rid in ds.record_ids() {
+            fuzzy.add_record(rid, ds.record(rid));
+        }
+        State { resolver, index, fuzzy }
+    }
+
+    /// Apply one arrival to all three; returns its new ranked matches.
+    fn apply(&mut self, record: Record) -> Vec<RankedMatch> {
+        let rid = RecordId(self.resolver.len() as u32);
+        let matches = self.resolver.insert(record);
+        let record = self.resolver.dataset().record(rid);
+        self.index.add_record(rid, record);
+        self.fuzzy.add_record(rid, record);
+        matches
+    }
 }
 
 /// A durable, queryable, sharded resolution store rooted at a directory.
 ///
-/// All methods take `&self`: interior locks (per-shard + resolver)
-/// replace the old whole-store `RwLock<Store>`, so the server's workers
-/// share a plain reference and `ADD`s on distinct shards overlap their
-/// WAL fsyncs.
+/// All methods take `&self`: interior locks (per-shard + state) replace
+/// the old whole-store `RwLock<Store>`, so the server's workers share a
+/// plain reference and `ADD`s on distinct shards overlap their WAL
+/// fsyncs.
 #[derive(Debug)]
 pub struct Store {
-    resolver: RwLock<IncrementalResolver>,
+    state: RwLock<State>,
     shards: Vec<RwLock<ShardState>>,
     seq: Sequencer,
     dir: PathBuf,
@@ -245,8 +276,6 @@ fn write_snapshot_files(
 
 /// What one shard contributes to `open`, loaded in parallel.
 struct ShardLoad {
-    index: QueryIndex,
-    fuzzy: FuzzyIndex,
     records: Vec<(RecordId, Record)>,
     scan: WalScan,
 }
@@ -260,19 +289,11 @@ fn load_shard(dir: &Path, s: usize) -> Result<ShardLoad, StoreError> {
             segment_file_name(s)
         )));
     }
-    let mut index = QueryIndex::default();
-    let mut fuzzy = FuzzyIndex::new();
-    let mut prev: Option<RecordId> = None;
-    for (rid, record) in &records {
-        if prev.is_some_and(|p| p >= *rid) {
-            return Err(StoreError::Corrupt(format!(
-                "shard {s} segment records out of order at rid {}",
-                rid.0
-            )));
-        }
-        prev = Some(*rid);
-        index.add_record(*rid, record);
-        fuzzy.add_record(*rid, record);
+    if let Some(pair) = records.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+        return Err(StoreError::Corrupt(format!(
+            "shard {s} segment records out of order at rid {}",
+            pair[1].0 .0
+        )));
     }
     let wal_path = dir.join(wal_file_name(s));
     if !wal_path.exists() {
@@ -282,7 +303,7 @@ fn load_shard(dir: &Path, s: usize) -> Result<ShardLoad, StoreError> {
         )));
     }
     let scan = crate::wal::scan_file(&wal_path)?;
-    Ok(ShardLoad { index, fuzzy, records, scan })
+    Ok(ShardLoad { records, scan })
 }
 
 impl Store {
@@ -299,19 +320,16 @@ impl Store {
         write_snapshot_files(dir, &resolver, shards)?;
         manifest.write(dir)?;
         let mut shard_states = Vec::with_capacity(shards);
-        let parts = partition(resolver.dataset(), shards);
-        for (s, entries) in parts.iter().enumerate() {
+        for (s, entries) in partition(resolver.dataset(), shards).iter().enumerate() {
             let wal = Wal::create(&dir.join(wal_file_name(s)))?;
-            let mut index = QueryIndex::default();
-            let mut fuzzy = FuzzyIndex::new();
-            for (rid, record) in entries {
-                index.add_record(*rid, record);
-                fuzzy.add_record(*rid, record);
-            }
-            shard_states.push(RwLock::new(ShardState { wal, index, fuzzy, wal_entries: 0 }));
+            shard_states.push(RwLock::new(ShardState {
+                wal,
+                wal_entries: 0,
+                records: entries.len(),
+            }));
         }
         Ok(Store {
-            resolver: RwLock::new(resolver),
+            state: RwLock::new(State::build(resolver)),
             shards: shard_states,
             seq: Sequencer::new(0),
             dir: dir.to_path_buf(),
@@ -333,7 +351,7 @@ impl Store {
         let n_shards = manifest.shards;
         let base = snapshot::read_base_file(&snap_path)?;
 
-        // Parallel phase: segment read + index build + WAL scan per shard.
+        // Parallel phase: segment read + WAL scan per shard.
         let mut loads: Vec<Option<Result<ShardLoad, StoreError>>> =
             (0..n_shards).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -359,6 +377,8 @@ impl Store {
         // Reassemble the dataset: segments must cover 0..n_records
         // exactly, each record in the shard its name routes to.
         let mut slots: Vec<Option<Record>> = (0..base.n_records).map(|_| None).collect();
+        let mut records_per_shard: Vec<usize> =
+            shard_loads.iter().map(|l| l.records.len()).collect();
         for (s, load) in shard_loads.iter_mut().enumerate() {
             for (rid, record) in load.records.drain(..) {
                 if shard::shard_of_record(&record, n_shards) != s {
@@ -398,8 +418,9 @@ impl Store {
             }
             ds.add_record(record);
         }
-        let mut resolver =
+        let resolver =
             IncrementalResolver::from_parts(ds, base.pipeline, base.config, base.inc, base.matches);
+        let mut state = State::build(resolver);
 
         // Merge the shard WALs back into global arrival order and demand
         // the sequence is gapless from 0 — see [`StoreError::ShardWalGap`].
@@ -450,7 +471,7 @@ impl Store {
                             "source frame in shard {s} WAL; sources are logged to shard 0"
                         )));
                     }
-                    resolver.add_source(source);
+                    state.resolver.add_source(source);
                 }
                 WalEntry::Record(record) => {
                     if shard::shard_of_record(&record, n_shards) != s {
@@ -459,34 +480,31 @@ impl Store {
                             record.book_id
                         )));
                     }
-                    if record.source.index() >= resolver.dataset().sources().len() {
+                    if record.source.index() >= state.resolver.dataset().sources().len() {
                         return Err(StoreError::Corrupt(format!(
                             "WAL record {} references unknown source {}",
                             record.book_id, record.source.0
                         )));
                     }
-                    let rid = RecordId(resolver.len() as u32);
-                    resolver.insert(*record);
-                    shard_loads[s].index.add_record(rid, resolver.dataset().record(rid));
-                    shard_loads[s].fuzzy.add_record(rid, resolver.dataset().record(rid));
+                    records_per_shard[s] += 1;
+                    state.apply(*record);
                 }
             }
         }
 
         let mut shard_states = Vec::with_capacity(n_shards);
-        for (s, load) in shard_loads.into_iter().enumerate() {
+        for s in 0..n_shards {
             // `Wal::open` truncates any torn tail, so the next append
             // lands after the last complete frame.
             let wal = Wal::open(&dir.join(wal_file_name(s)))?;
             shard_states.push(RwLock::new(ShardState {
                 wal,
-                index: load.index,
-                fuzzy: load.fuzzy,
                 wal_entries: wal_entries_per_shard[s],
+                records: records_per_shard[s],
             }));
         }
         Ok(Store {
-            resolver: RwLock::new(resolver),
+            state: RwLock::new(state),
             shards: shard_states,
             seq: Sequencer::new(wal_entries_total),
             dir: dir.to_path_buf(),
@@ -501,49 +519,43 @@ impl Store {
         self.shards.len()
     }
 
-    /// Run `f` against the growing dataset, under the resolver read
-    /// lock. (References cannot escape the lock, hence the closure.)
+    /// Run `f` against the growing dataset, under the state read lock.
+    /// (References cannot escape the lock, hence the closure.)
     pub fn with_dataset<R>(&self, f: impl FnOnce(&Dataset) -> R) -> R {
-        f(self.resolver.read().dataset())
+        f(self.state.read().resolver.dataset())
     }
 
     /// Run `f` against the underlying resolver, under the read lock.
     pub fn with_resolver<R>(&self, f: impl FnOnce(&IncrementalResolver) -> R) -> R {
-        f(&self.resolver.read())
+        f(&self.state.read().resolver)
     }
 
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        let (records, sources, matches) = {
-            let r = self.resolver.read();
-            (r.len(), r.dataset().sources().len(), r.matches().len())
-        };
+        // Shards first, one guard at a time and none kept: the state
+        // lock is never held while waiting for a shard's.
         let mut shards = Vec::with_capacity(self.shards.len());
-        for (i, s) in self.shards.iter().enumerate() {
+        for (shard, s) in self.shards.iter().enumerate() {
             let s = s.read();
             shards.push(ShardStats {
-                shard: i,
-                records: s.index.len(),
-                vocabulary: s.index.vocabulary_size(),
-                postings: s.index.postings(),
+                shard,
+                records: s.records,
                 wal_entries: s.wal_entries,
                 wal_bytes: s.wal.bytes(),
-                fuzzy_names: s.fuzzy.names(),
-                fuzzy_grams: s.fuzzy.grams(),
-                fuzzy_postings: s.fuzzy.postings(),
             });
         }
+        let state = self.state.read();
         StoreStats {
-            records,
-            sources,
-            matches,
+            records: state.resolver.len(),
+            sources: state.resolver.dataset().sources().len(),
+            matches: state.resolver.matches().len(),
             wal_entries: shards.iter().map(|s| s.wal_entries).sum(),
             wal_bytes: shards.iter().map(|s| s.wal_bytes).sum(),
-            vocabulary: shards.iter().map(|s| s.vocabulary).sum(),
-            postings: shards.iter().map(|s| s.postings).sum(),
-            fuzzy_names: shards.iter().map(|s| s.fuzzy_names).sum(),
-            fuzzy_grams: shards.iter().map(|s| s.fuzzy_grams).sum(),
-            fuzzy_postings: shards.iter().map(|s| s.fuzzy_postings).sum(),
+            vocabulary: state.index.vocabulary_size(),
+            postings: state.index.postings(),
+            fuzzy_names: state.fuzzy.names(),
+            fuzzy_grams: state.fuzzy.grams(),
+            fuzzy_postings: state.fuzzy.postings(),
             fuzzy_examined: self.fuzzy_examined.get(),
             fuzzy_pruned: self.fuzzy_pruned.get(),
             shards,
@@ -562,8 +574,7 @@ impl Store {
             Err(e) => Err(e),
             Ok(()) => {
                 shard.wal_entries += 1;
-                let mut resolver = self.resolver.write();
-                Ok(resolver.add_source(source))
+                Ok(self.state.write().resolver.add_source(source))
             }
         };
         self.seq.finish();
@@ -580,14 +591,11 @@ impl Store {
     /// ticket order, keeping record-id assignment identical to a
     /// single-threaded arrival stream.
     pub fn add_record(&self, record: Record) -> Result<Vec<RankedMatch>, StoreError> {
-        {
-            let resolver = self.resolver.read();
-            if record.source.index() >= resolver.dataset().sources().len() {
-                return Err(StoreError::Corrupt(format!(
-                    "record {} references unknown source {}",
-                    record.book_id, record.source.0
-                )));
-            }
+        if record.source.index() >= self.state.read().resolver.dataset().sources().len() {
+            return Err(StoreError::Corrupt(format!(
+                "record {} references unknown source {}",
+                record.book_id, record.source.0
+            )));
         }
         let s = shard::shard_of_record(&record, self.shards.len());
         let mut shard = self.shards[s].write();
@@ -601,12 +609,8 @@ impl Store {
             Err(e) => Err(e),
             Ok(()) => {
                 shard.wal_entries += 1;
-                let mut resolver = self.resolver.write();
-                let rid = RecordId(resolver.len() as u32);
-                let matches = resolver.insert(record);
-                shard.index.add_record(rid, resolver.dataset().record(rid));
-                shard.fuzzy.add_record(rid, resolver.dataset().record(rid));
-                Ok(matches)
+                shard.records += 1;
+                Ok(self.state.write().apply(record))
             }
         };
         self.seq.finish();
@@ -641,7 +645,7 @@ impl Store {
     ) -> Vec<Result<Vec<RankedMatch>, StoreError>> {
         let mut statuses: Vec<Option<Result<Vec<RankedMatch>, StoreError>>> =
             records.iter().map(|_| None).collect();
-        let sources = self.resolver.read().dataset().sources().len();
+        let sources = self.state.read().resolver.dataset().sources().len();
         let shard_count = self.shards.len();
         let mut groups: Vec<Vec<(usize, Record)>> =
             (0..shard_count).map(|_| Vec::new()).collect();
@@ -683,12 +687,8 @@ impl Store {
                     (None, Err(e)) => Err(e),
                     (None, Ok(())) => {
                         shard.wal_entries += 1;
-                        let mut resolver = self.resolver.write();
-                        let rid = RecordId(resolver.len() as u32);
-                        let matches = resolver.insert(record);
-                        shard.index.add_record(rid, resolver.dataset().record(rid));
-                        shard.fuzzy.add_record(rid, resolver.dataset().record(rid));
-                        Ok(matches)
+                        shard.records += 1;
+                        Ok(self.state.write().apply(record))
                     }
                 };
                 statuses[i] = Some(outcome);
@@ -711,72 +711,53 @@ impl Store {
     /// resolver's match graph directly — so nothing is kept.
     #[must_use]
     pub fn resolution(&self) -> Resolution {
-        self.resolver.read().resolution()
+        self.state.read().resolver.resolution()
     }
 
-    /// Answer a person query: fan the seed lookup out over every shard's
-    /// index, merge deterministically (ascending [`RecordId`]; shards
-    /// hold disjoint records, so the merge is a sort, not a dedup), then
-    /// expand each seed into its entity at the query's certainty
-    /// ([`IncrementalResolver::entity_of`]) — same hits, same order, as
-    /// `PersonQuery::run` over the full dataset.
+    /// Answer a person query: look the seed records up in the name
+    /// index, then expand each seed into its entity at the query's
+    /// certainty ([`IncrementalResolver::entity_of`]) — same hits, same
+    /// order, as `PersonQuery::run` over the full dataset.
     #[must_use]
     pub fn query(&self, query: &PersonQuery) -> Vec<QueryHit> {
         self.query_traced(query, &mut TraceCtx::disabled())
     }
 
-    /// [`Store::query`] with request-scoped tracing: the shard fan-out
-    /// and the merge/expand phase each record a span, with one child
-    /// span per shard annotated with the seeds it contributed. A
-    /// [`TraceCtx::disabled`] context makes every trace call a no-op, so
-    /// the untraced path pays one branch per shard.
+    /// [`Store::query`] with request-scoped tracing: a `seed` span (lock
+    /// wait included, annotated with the seed count) and an `expand` span
+    /// under one read guard, so every hit sees one state of index and match
+    /// graph. A [`TraceCtx::disabled`] context makes every trace call a no-op.
     #[must_use]
     pub fn query_traced(&self, query: &PersonQuery, trace: &mut TraceCtx) -> Vec<QueryHit> {
-        trace.enter("shard_fanout");
-        let mut seeds: Vec<RecordId> = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            trace.enter_shard("shard", i as u32);
-            let before = seeds.len();
-            seeds.extend(shard.read().index.seeds(query));
-            trace.arg("seeds", (seeds.len() - before) as u64);
-            trace.exit();
-        }
+        trace.enter("seed");
+        let state = self.state.read();
+        let resolver = &state.resolver;
+        let seeds = state.index.seeds(query);
+        trace.arg("seeds", seeds.len() as u64);
         trace.exit();
-        trace.enter("merge");
-        seeds.sort_unstable();
-        // The shard guards are gone; the resolver read guard spans the
-        // expansion, so every hit sees one state of the match graph.
-        let hits = {
-            let resolver = self.resolver.read();
-            seeds
-                .into_iter()
-                .map(|seed| QueryHit { seed, entity: resolver.entity_of(seed, query.certainty) })
-                .collect()
-        };
+        trace.enter("expand");
+        let hits = seeds
+            .into_iter()
+            .map(|seed| QueryHit { seed, entity: resolver.entity_of(seed, query.certainty) })
+            .collect();
         trace.exit();
         hits
     }
 
-    /// Fuzzily resolve a (possibly misspelled) name into ranked
-    /// entities: scan every shard's q-gram index for candidate names
-    /// within `options.bound`, then rank the union with
-    /// [`yv_fuzzy::rank_entities`] against the current resolution.
-    ///
-    /// Determinism: the per-shard phase applies only the pure per-name
-    /// Jaccard predicate — no per-shard truncation — so the candidate
-    /// union, and therefore the ranking, depends only on the store's
-    /// logical state, never on the shard count, arrival interleaving, or
-    /// a restart.
+    /// Fuzzily resolve a (possibly misspelled) name into ranked entities:
+    /// scan the q-gram index for candidate names within `options.bound`,
+    /// then rank them with [`yv_fuzzy::rank_entities`] against the current
+    /// resolution. The answer depends only on the store's logical state —
+    /// one index whatever the shard count, interleaving or restart history.
     #[must_use]
     pub fn resolve(&self, name: &str, options: &ResolveOptions) -> ResolveOutcome {
         self.resolve_traced(name, options, &mut TraceCtx::disabled())
     }
 
-    /// [`Store::resolve`] with request-scoped tracing: one span for the
-    /// q-gram shard fan-out (a child per shard annotated with the
-    /// candidates it surfaced and the names it examined) and one for the
-    /// ranking merge. Only counts enter the trace — candidate names stay
-    /// out, same privacy discipline as the slow log.
+    /// [`Store::resolve`] with request-scoped tracing: a `candidates` span
+    /// (lock wait included, annotated with the candidates surfaced and the
+    /// names examined) and a `rank` span, both under one read guard. Only
+    /// counts enter the trace — names stay out, as in the slow log.
     #[must_use]
     pub fn resolve_traced(
         &self,
@@ -785,42 +766,27 @@ impl Store {
         trace: &mut TraceCtx,
     ) -> ResolveOutcome {
         let query = name.to_lowercase();
-        // Collect owned candidates so the shard read locks drop before
-        // ranking takes the resolver lock.
-        let mut names: Vec<(String, f64, Vec<RecordId>)> = Vec::new();
-        let mut examined = 0;
-        let mut pruned = 0;
-        trace.enter("shard_fanout");
-        for (i, shard) in self.shards.iter().enumerate() {
-            trace.enter_shard("shard", i as u32);
-            let s = shard.read();
-            let (candidates, stats) = s.fuzzy.candidates(&query, options.bound);
-            examined += stats.examined;
-            pruned += stats.pruned_length + stats.pruned_jaccard;
-            trace.arg("cands", candidates.len() as u64);
-            trace.arg("examined", stats.examined);
-            for c in candidates {
-                names.push((c.name.to_owned(), c.jaccard, c.records.to_vec()));
-            }
-            trace.exit();
-        }
+        trace.enter("candidates");
+        let state = self.state.read();
+        let (candidates, stats) = state.fuzzy.candidates(&query, options.bound);
+        let examined = stats.examined;
+        let pruned = stats.pruned_length + stats.pruned_jaccard;
+        trace.arg("cands", candidates.len() as u64);
+        trace.arg("examined", examined);
         trace.exit();
         self.fuzzy_examined.add(examined);
         self.fuzzy_pruned.add(pruned);
 
-        trace.enter("merge");
-        let hits = {
-            let resolver = self.resolver.read();
-            rank_entities(
-                &query,
-                names.iter().map(|(n, j, rs)| (n.as_str(), *j, rs.as_slice())),
-                |rid| resolver.entity_of(rid, 0.0),
-                |rid| resolver.best_score(rid),
-                &options.blend,
-                options.k,
-                options.min_score,
-            )
-        };
+        trace.enter("rank");
+        let hits = rank_entities(
+            &query,
+            candidates.iter().map(|c| (c.name, c.jaccard, c.records)),
+            |rid| state.resolver.entity_of(rid, 0.0),
+            |rid| state.resolver.best_score(rid),
+            &options.blend,
+            options.k,
+            options.min_score,
+        );
         trace.exit();
         ResolveOutcome { hits, examined, pruned }
     }
@@ -830,17 +796,15 @@ impl Store {
     /// Quiesce protocol: take every shard's write lock in ascending
     /// order (writers hold their shard lock from ticket to apply, so
     /// once all locks are held no arrival is in flight anywhere), write
-    /// segments + base, truncate each WAL, rewind the sequencer.
+    /// segments + base, truncate each WAL, rewind the sequencer. The state
+    /// lock is only shared here: reads are answered throughout, arrivals wait.
     pub fn snapshot(&self) -> Result<(), StoreError> {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
         {
-            let resolver = self.resolver.read();
-            // audit:allow(L1) the quiesce protocol writes the segment files while every shard (and the resolver) is pinned — this hold is the point
-            write_snapshot_files(&self.dir, &resolver, guards.len())?;
+            let state = self.state.read();
+            // audit:allow(L1) the quiesce protocol writes the segment files while every shard (and, shared, the state) is pinned — this hold is the point
+            write_snapshot_files(&self.dir, &state.resolver, guards.len())?;
         }
-        // The resolver read lock is released before the WAL churn below:
-        // recreating the per-shard WALs needs only the shard guards, and
-        // resolve() calls may proceed concurrently with those fsyncs.
         for (s, guard) in guards.iter_mut().enumerate() {
             guard.wal = Wal::create(&self.dir.join(wal_file_name(s)))?;
             guard.wal_entries = 0;
@@ -855,12 +819,46 @@ impl Store {
     /// the same arrival order), matches, model and configuration,
     /// *regardless of shard count*.
     pub fn state_bytes(&self) -> Result<Vec<u8>, StoreError> {
-        snapshot::state_bytes(&self.resolver.read())
+        snapshot::state_bytes(&self.state.read().resolver)
     }
 
     /// The store's root directory.
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use yv_adt::AdTree;
+    use yv_core::{IncrementalConfig, Pipeline, PipelineConfig};
+    use yv_records::RecordBuilder;
+
+    /// An in-flight `BATCH_ADD` or `SNAPSHOT` holds every shard's write
+    /// lock across its fsyncs; reads must be answered regardless.
+    #[test]
+    fn reads_never_wait_on_a_shard_lock() {
+        let mut ds = Dataset::new();
+        let source = ds.add_source(Source::list(SourceId(0), "list"));
+        ds.add_record(RecordBuilder::new(1, source).first_name("Sara").last_name("Levi").build());
+        let pipeline = Pipeline::with_model(AdTree::prior(0.0));
+        let (config, inc) = (PipelineConfig::default(), IncrementalConfig::default());
+        let resolver = IncrementalResolver::bootstrap(ds, pipeline, config, inc);
+        let dir = crate::scratch::ScratchDir::new("reads-vs-shard-locks");
+        let store = &Store::create(&dir, resolver, 4).expect("create");
+        let (answer, answered) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let guards: Vec<_> = store.shards.iter().map(|s| s.write()).collect();
+            scope.spawn(move || {
+                let hits = store.query(&PersonQuery::default()).len();
+                let ranked = store.resolve("Lewi", &ResolveOptions::default()).hits.len();
+                let _ = answer.send((hits, ranked, store.with_dataset(Dataset::len)));
+            });
+            let got = answered.recv_timeout(std::time::Duration::from_secs(10));
+            drop(guards);
+            assert_eq!(got.expect("a read waited on a shard lock"), (1, 1, 1));
+        });
     }
 }

@@ -18,7 +18,10 @@ use yv_core::{
 };
 use yv_datagen::{tag_pairs, GenConfig};
 use yv_store::client::{Client, ClientError, ClientOptions, Protocol};
-use yv_store::{BatchStatus, RequestFrame, ServeOptions, Store, HELLO_LINE, HELLO_OK};
+use yv_store::protocol::parse_request;
+use yv_store::{
+    shard_of_record, BatchStatus, Request, RequestFrame, ServeOptions, Store, HELLO_LINE, HELLO_OK,
+};
 
 fn trained_resolver(n_records: usize, seed: u64) -> IncrementalResolver {
     let gen = GenConfig::random(n_records, seed).generate();
@@ -237,10 +240,6 @@ fn resolve_serves_ranked_candidates_and_typed_errors() {
     let stats = client.stats().unwrap();
     assert!(stats.fuzzy_names > 0 && stats.fuzzy_postings >= stats.fuzzy_names);
     assert!(stats.fuzzy_examined > 0, "{stats:?}");
-    assert_eq!(
-        stats.shard_rows.iter().map(|r| r.fuzzy_postings).sum::<usize>(),
-        stats.fuzzy_postings
-    );
     let resolve_row = stats.commands.iter().find(|c| c.name == "RESOLVE").unwrap();
     assert_eq!(resolve_row.count, 5, "{resolve_row:?}");
 
@@ -315,10 +314,8 @@ fn metrics_command_and_sidecar_scrape_expose_prometheus_text() {
         "yv_store_fuzzy_examined_total",
         "yv_store_fuzzy_pruned_total",
         "yv_shard_0_records",
-        "yv_shard_0_postings",
         "yv_shard_0_wal_bytes",
         "yv_shard_1_records",
-        "yv_shard_1_postings",
         "yv_shard_1_wal_bytes",
         "yv_alloc_bytes_total",
         "yv_alloc_live_bytes",
@@ -446,13 +443,23 @@ fn raw_exchange(
     (status, data)
 }
 
+/// The `trace=<id>` token of an `OK` status line.
+fn trace_id(status: &str) -> u64 {
+    let hex = status
+        .split_whitespace()
+        .find_map(|t| t.strip_prefix("trace="))
+        .unwrap_or_else(|| panic!("no trace= token in {status:?}"));
+    u64::from_str_radix(hex, 16).unwrap()
+}
+
 /// The tracing acceptance path: a slow RESOLVE against a 4-shard store
 /// hands back a `trace=` id on its status line; `TRACE <id>` serves the
-/// span tree accept → parse → shard fan-out (one child per shard) →
-/// merge → reply; `TOP` cross-references the same id in its ring
-/// counters and SLOW rows; and under an injected [`ManualClock`] the
-/// whole rendering is byte-identical across independent server
-/// instances.
+/// span tree accept → parse → candidates → rank → reply, none of it
+/// shard-scoped (reads touch no shard); an `ADD`'s `apply` span names
+/// the shard its record routes to; `TOP` cross-references the same id in
+/// its ring counters and SLOW rows; and under an injected
+/// [`ManualClock`] the whole rendering is byte-identical across
+/// independent server instances.
 #[test]
 fn trace_of_a_slow_resolve_serves_the_span_tree_and_top_deterministically() {
     fn run(tag: &str) -> String {
@@ -478,11 +485,7 @@ fn trace_of_a_slow_resolve_serves_the_span_tree_and_top_deterministically() {
         let mut reader = BufReader::new(raw.try_clone().unwrap());
         let (status, _) = raw_exchange(&mut raw, &mut reader, "RESOLVE Levi k=3");
         assert!(status.starts_with("OK "), "{status}");
-        let id_hex = status
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix("trace="))
-            .unwrap_or_else(|| panic!("no trace= token in {status:?}"));
-        let id = u64::from_str_radix(id_hex, 16).unwrap();
+        let id = trace_id(&status);
         assert_ne!(id, 0, "trace id 0 means untraced");
 
         // The typed client parses the span tree.
@@ -494,21 +497,14 @@ fn trace_of_a_slow_resolve_serves_the_span_tree_and_top_deterministically() {
         assert_eq!(report.conn, 0, "the raw socket was the first connection");
         assert_eq!(report.dropped_spans, 0);
         let names: Vec<&str> = report.spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["accept", "parse", "shard_fanout", "shard", "shard", "shard", "shard", "merge",
-             "reply"],
-            "{report:?}"
-        );
-        // The per-shard children cover every shard exactly once, nested
-        // one level under the fan-out, each annotated with its local
-        // candidate count.
-        let shards: Vec<u32> = report.spans.iter().filter_map(|s| s.shard).collect();
-        assert_eq!(shards, [0, 1, 2, 3], "{report:?}");
-        for span in report.spans.iter().filter(|s| s.shard.is_some()) {
-            assert_eq!(span.depth, 1, "{span:?}");
-            assert!(span.args.iter().any(|(k, _)| k == "cands"), "{span:?}");
+        assert_eq!(names, ["accept", "parse", "candidates", "rank", "reply"], "{report:?}");
+        // The one index scan carries the candidate and examined counts;
+        // a read touches no shard, so no span names one.
+        let scan = &report.spans[2];
+        for key in ["cands", "examined"] {
+            assert!(scan.args.iter().any(|(k, _)| k == key), "{scan:?}");
         }
+        assert!(report.spans.iter().all(|s| s.shard.is_none()), "{report:?}");
         // The queried name never enters the trace — only its digest.
         assert!(report.args.iter().any(|(k, _)| k == "name_digest"), "{report:?}");
         assert!(!format!("{report:?}").contains("Levi"));
@@ -529,6 +525,16 @@ fn trace_of_a_slow_resolve_serves_the_span_tree_and_top_deterministically() {
         assert!(err.is_server(), "{err:?}");
         assert!(err.server_message().unwrap().contains("no trace"), "{err:?}");
         assert!(client.top(Some(1)).is_ok());
+
+        // The request that still has a shard: an ADD's `apply` span
+        // names the one its record routes to.
+        let line = "ADD book=990001 source=0 first=Sara last=Levi";
+        let Ok(Request::Add(record)) = parse_request(line) else { panic!("{line}") };
+        let (status, _) = raw_exchange(&mut raw, &mut reader, line);
+        assert!(status.starts_with("OK "), "{status}");
+        let add = client.trace_get(trace_id(&status)).unwrap();
+        let apply = add.spans.iter().find(|s| s.name == "apply").unwrap();
+        assert_eq!(apply.shard, Some(shard_of_record(&record, 4) as u32), "{add:?}");
 
         // Raw TRACE bytes for the cross-instance determinism check.
         let (trace_status, trace_data) =

@@ -121,6 +121,10 @@ fn multi_shard_concurrent_fill_is_byte_identical_to_single_shard() {
             multi_state,
             "round {round}: shard count must not leak into logical state"
         );
+        let of = |s: &yv_store::StoreStats| {
+            (s.vocabulary, s.postings, s.fuzzy_names, s.fuzzy_grams, s.fuzzy_postings)
+        };
+        assert_eq!(of(&single.stats()), of(&stats), "round {round}: nor into STATS");
 
         // Restart identity: replaying the 4 WALs reproduces the state...
         let reopened = Store::open(&multi_dir).unwrap();
