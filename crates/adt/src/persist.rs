@@ -15,6 +15,8 @@
 //! Each `splitter` line is: anchor (`root` or `<index> <branch>`), feature
 //! index, threshold, yes-value, no-value.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::condition::Condition;
 use crate::tree::{AdTree, Anchor, Splitter};
 

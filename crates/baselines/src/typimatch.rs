@@ -82,6 +82,10 @@ impl Blocker for TypiMatch {
             }
             root
         }
+        #[allow(
+            clippy::iter_over_hash_type,
+            reason = "union-find: visit order picks a component's root, not its members; a key pairs root with token, so records group by token either way, and `keymap_to_blocks` sorts"
+        )]
         for (&(a, b), &count) in &cooc {
             let denom = freq[a as usize].min(freq[b as usize]) as f64;
             if denom > 0.0 && count as f64 / denom >= self.threshold {

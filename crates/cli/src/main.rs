@@ -16,7 +16,6 @@
 //! yv top      --addr 127.0.0.1:7878 [--k 5] [--watch] live server introspection
 //! yv load     --addr 127.0.0.1:7878 [--adds 24 --threads 4] [--binary [--batch N]] [--shutdown]
 //! yv reproduce [--quick]                             all tables & figures
-//! yv audit    check [PATH...] [--format human|json] [--root DIR]
 //! ```
 //!
 //! `block` and `resolve`/`pipeline` accept `--timings` (print a per-stage
@@ -55,8 +54,6 @@ COMMANDS:
     load       typed TCP client for a running server: concurrent ADDs plus a
                digest of a fixed query battery (--addr required)
     reproduce  regenerate every table and figure of the paper (--quick for a smoke run)
-    audit      static analysis over the workspace's own sources (yv audit
-               check [PATH...]; --format human|json, --root DIR)
 
 COMMON OPTIONS:
     --records N     dataset size (default 2000)
@@ -152,12 +149,6 @@ fn spec(command: &str) -> Option<(&'static [&'static str], &'static [&'static st
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    // `audit` has its own grammar (bare subcommand positionals like
-    // `check` that Args would reject), so it is dispatched to the shared
-    // yv-audit driver before general argument parsing.
-    if raw.first().map(String::as_str) == Some("audit") {
-        std::process::exit(i32::from(yv_audit::cli::run(&raw[1..])));
-    }
     let args = match Args::parse(
         raw,
         &["italy", "quick", "timings", "help", "shutdown", "watch", "no-trace", "binary"],

@@ -85,6 +85,10 @@ pub fn resolve_submitters(
         }
         root
     }
+    #[allow(
+        clippy::iter_over_hash_type,
+        reason = "union-find: the components are the same in any visit order, and the clusters are sorted below"
+    )]
     for members in blocks.values() {
         for (i, &a) in members.iter().enumerate() {
             for &b in &members[i + 1..] {

@@ -192,6 +192,10 @@ mod tests {
             by_family.entry(p.family).or_default().push(p);
         }
         assert_eq!(by_family.len(), 10);
+        #[allow(
+            clippy::iter_over_hash_type,
+            reason = "asserts the same thing about every family; nothing is emitted"
+        )]
         for members in by_family.values() {
             assert!(members.len() >= 2, "at least both parents");
             let surname = &members[0].last_name;

@@ -68,6 +68,10 @@ impl Generated {
             by_person.entry(self.person_of(rid)).or_default().push(rid);
         }
         let mut pairs = Vec::new();
+        #[allow(
+            clippy::iter_over_hash_type,
+            reason = "the pairs are sorted before they are returned"
+        )]
         for records in by_person.values() {
             for i in 0..records.len() {
                 for j in i + 1..records.len() {

@@ -95,6 +95,10 @@ mod tests {
         let (_, std) = standard();
         assert!(!std.pairs.is_empty());
         assert!(!std.matched.is_empty());
+        #[allow(
+            clippy::iter_over_hash_type,
+            reason = "asserts the same thing about every pair; nothing is emitted"
+        )]
         for &(a, b) in &std.matched {
             assert!(a < b);
         }

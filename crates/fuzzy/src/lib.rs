@@ -38,6 +38,10 @@
 //! assert_eq!(hits[0].name, "levi");
 //! ```
 
+// This crate holds every indexed name and sits on the serve path: it
+// hands names back to its caller and prints none.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod index;
 pub mod rank;
 

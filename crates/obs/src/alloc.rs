@@ -13,8 +13,8 @@
 //! every thread, and count requested layout sizes, not allocator-internal
 //! overhead; the high-water mark is monotone per process unless reset via
 //! [`reset_peak`], which batch drivers call between phases to attribute
-//! peaks. The yv-audit A1 rule keeps `#[global_allocator]` out of every
-//! other crate so these counters can never be silently bypassed.
+//! peaks. A second `#[global_allocator]` in any crate the binary links is
+//! a compile error, so these counters cannot be silently bypassed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

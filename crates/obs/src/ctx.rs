@@ -85,8 +85,8 @@ impl TraceSpan {
 
 /// A completed request's trace: identity, outcome, and the span tree.
 /// `Copy` and heap-free by construction: static names and `u64` args are
-/// what keeps a victim's name structurally out of every trace (audit rule
-/// N1), and a capture into [`crate::ring::TraceSink`] is a plain copy.
+/// what keeps a victim's name structurally out of every trace, and a
+/// capture into [`crate::ring::TraceSink`] is a plain copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestTrace {
     /// The request's trace id (never 0; 0 means "untraced").

@@ -57,12 +57,17 @@
 
 // Library code behind `yv serve` propagates errors; it does not panic.
 // (`unwrap_used` is denied workspace-wide; tests are exempt via clippy.toml.)
+// Nor does it print: what an operator reads goes through a sink the
+// caller handed in, so a victim's name cannot reach a terminal or a log
+// by way of a stray `println!`.
 #![deny(
     clippy::expect_used,
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
 )]
 
 #[allow(

@@ -17,6 +17,8 @@
 //! `gender` is the 0/1 code; empty cells are missing values; `person_id`
 //! may be empty throughout (no ground truth).
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::field::{DateParts, Gender, Place, PlaceType};
 use crate::record::RecordBuilder;
 use crate::schema::Dataset;
@@ -122,6 +124,26 @@ pub fn write_dataset(ds: &Dataset, truth: Option<&[u64]>) -> String {
     out
 }
 
+/// The unsigned number in column `idx`, `None` when the column is empty.
+/// One that does not parse, or that the field's type cannot hold, is
+/// refused — never wrapped into a value nobody wrote.
+fn number<T: TryFrom<u64>>(
+    fields: &[String],
+    idx: usize,
+    line: usize,
+    what: &str,
+) -> Result<Option<T>, CsvError> {
+    let v = fields[idx].trim();
+    if v.is_empty() {
+        return Ok(None);
+    }
+    v.parse::<u64>()
+        .ok()
+        .and_then(|n| T::try_from(n).ok())
+        .map(Some)
+        .ok_or_else(|| CsvError::Row { line, problem: format!("bad {what}: '{v}'") })
+}
+
 /// Parse a CSV export back into a dataset. Sources are reconstructed as
 /// anonymous lists keyed by the `source` column (the export does not carry
 /// submitter metadata). Returns the dataset and, when the `person_id`
@@ -141,27 +163,16 @@ pub fn read_dataset(text: &str) -> Result<(Dataset, Option<Vec<u64>>), CsvError>
             continue;
         }
         let fields = split_line(line);
+        let line_no = no + 1;
         if fields.len() != 19 {
             return Err(CsvError::Row {
-                line: no + 1,
+                line: line_no,
                 problem: format!("expected 19 columns, found {}", fields.len()),
             });
         }
-        let parse_u = |idx: usize, what: &str| -> Result<Option<u64>, CsvError> {
-            let v = fields[idx].trim();
-            if v.is_empty() {
-                return Ok(None);
-            }
-            v.parse().map(Some).map_err(|_| CsvError::Row {
-                line: no + 1,
-                problem: format!("bad {what}: '{v}'"),
-            })
-        };
-        let book_id = parse_u(0, "book_id")?.ok_or(CsvError::Row {
-            line: no + 1,
-            problem: "missing book_id".to_owned(),
-        })?;
-        let raw_source = parse_u(1, "source")?.unwrap_or(0) as u32;
+        let book_id = number(&fields, 0, line_no, "book_id")?
+            .ok_or(CsvError::Row { line: line_no, problem: "missing book_id".to_owned() })?;
+        let raw_source: u32 = number(&fields, 1, line_no, "source")?.unwrap_or(0);
         let source = *source_map.entry(raw_source).or_insert_with(|| {
             ds.add_source(Source::list(SourceId(0), &format!("imported source {raw_source}")))
         });
@@ -172,17 +183,17 @@ pub fn read_dataset(text: &str) -> Result<(Dataset, Option<Vec<u64>>), CsvError>
         for name in fields[3].split(';').filter(|s| !s.trim().is_empty()) {
             b = b.last_name(name.trim());
         }
-        if let Some(code) = parse_u(4, "gender")? {
-            let gender = Gender::from_code(code as u8).ok_or(CsvError::Row {
-                line: no + 1,
+        if let Some(code) = number(&fields, 4, line_no, "gender")? {
+            let gender = Gender::from_code(code).ok_or(CsvError::Row {
+                line: line_no,
                 problem: format!("bad gender code {code}"),
             })?;
             b = b.gender(gender);
         }
         let birth = DateParts {
-            day: parse_u(5, "birth_day")?.map(|d| d as u8),
-            month: parse_u(6, "birth_month")?.map(|m| m as u8),
-            year: parse_u(7, "birth_year")?.map(|y| y as i32),
+            day: number(&fields, 5, line_no, "birth_day")?,
+            month: number(&fields, 6, line_no, "birth_month")?,
+            year: number(&fields, 7, line_no, "birth_year")?,
         };
         if !birth.is_empty() {
             b = b.birth(birth);
@@ -220,7 +231,7 @@ pub fn read_dataset(text: &str) -> Result<(Dataset, Option<Vec<u64>>), CsvError>
             }
         }
         ds.add_record(b.build());
-        match parse_u(18, "person_id")? {
+        match number(&fields, 18, line_no, "person_id")? {
             Some(pid) => {
                 any_truth = true;
                 truth.push(pid);
@@ -313,6 +324,26 @@ mod tests {
         }
         let bad_gender = format!("{HEADER}\n1,0,a,b,9,,,,,,,,,,,,,,\n");
         assert!(matches!(read_dataset(&bad_gender), Err(CsvError::Row { .. })));
+        // Out of the field's range: each of these parses as a number and,
+        // narrowed with `as`, would be read as a value nobody wrote
+        // (source 1, gender 1, day 44, month 0, year 1900).
+        for (column, field, value) in [
+            (1, "source", "4294967297"),
+            (4, "gender", "257"),
+            (5, "birth_day", "300"),
+            (6, "birth_month", "256"),
+            (7, "birth_year", "4294969196"),
+        ] {
+            let mut row = vec![""; 19];
+            (row[0], row[2], row[3]) = ("1", "a", "b");
+            let good = format!("{HEADER}\n{}\n", row.join(","));
+            row[column] = value;
+            let text = format!("{good}{}\n", row.join(","));
+            assert_eq!(
+                read_dataset(&text).map(|_| ()),
+                Err(CsvError::Row { line: 3, problem: format!("bad {field}: '{value}'") }),
+            );
+        }
     }
 
     #[test]

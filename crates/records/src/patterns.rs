@@ -104,6 +104,10 @@ impl PatternStats {
             .iter()
             .map(|&upper| PatternBucket { upper, pattern_count: 0, record_sum: 0 })
             .collect();
+        #[allow(
+            clippy::iter_over_hash_type,
+            reason = "commutative accumulation: integer sums into fixed buckets"
+        )]
         for &count in self.counts.values() {
             let slot = bounds.iter().position(|&b| count <= b).expect("MAX bound catches all");
             buckets[slot].pattern_count += 1;

@@ -55,6 +55,8 @@
 //! an encoding gap never half-transmits a record. The binary codec
 //! carries every record verbatim.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::error::StoreError;
 use crate::frame::{BatchStatus, RequestFrame, ResponseFrame, HELLO_LINE, HELLO_OK};
 use crate::protocol::TERMINATOR;
@@ -1278,6 +1280,27 @@ mod tests {
         assert!(parse_cand("CAND entity=17 score=0.5 name=levi").is_err());
         assert!(parse_cand("HIT seed=17 entity=1").is_err());
         assert!(parse_cand("CAND entity=17 score=x name=levi members=17").is_err());
+
+        // A score survives the text wire bit for bit: what the server
+        // renders parses back to the same f64, which no fixed precision
+        // gives for all of these.
+        let scores = [0.1 + 0.2, 1.0 / 3.0, f64::MIN_POSITIVE, -0.0, 1e300];
+        let hits: Vec<yv_fuzzy::RankedEntity> = scores
+            .iter()
+            .map(|&score| yv_fuzzy::RankedEntity {
+                entity: RecordId(17),
+                score,
+                name: "levi".to_owned(),
+                members: vec![RecordId(17)],
+            })
+            .collect();
+        let rendered = crate::protocol::format_candidates(&hits);
+        let parsed: Vec<u64> = rendered
+            .lines()
+            .filter(|line| line.starts_with("CAND "))
+            .map(|line| parse_cand(line).expect("rendered by the server").score.to_bits())
+            .collect();
+        assert_eq!(parsed, scores.map(f64::to_bits));
     }
 
     /// A scripted [`Connection`] that records the high-water mark of

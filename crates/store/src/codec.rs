@@ -7,6 +7,8 @@
 //! which is what makes the snapshot round-trip test
 //! (`save(load(save(x))) == save(x)`) meaningful.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::error::StoreError;
 use yv_records::field::{DateParts, Gender, GeoPoint, Place};
 use yv_records::{Record, Source, SourceId};
@@ -450,7 +452,7 @@ mod tests {
     fn fnv1a64_parts_equals_the_hash_of_the_concatenation() {
         let (tag, seq) = (7u8, 0x0102_0304_0506_0708u64);
         for len in [0usize, 1, 100 * 1024] {
-            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 5) as u8).collect();
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 5).to_le_bytes()[0]).collect();
             let mut framed = vec![tag];
             framed.extend_from_slice(&payload);
             assert_eq!(fnv1a64_parts(&[&[tag], &payload]), fnv1a64(&framed), "len {len}");

@@ -29,6 +29,8 @@
 //! [`ResponseFrame::Batch`], answering the binary-only `BATCH_ADD`
 //! request with one status per record in request order.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::io::{ErrorKind, Read};
 
 use crate::codec::{self, fnv1a64_parts, Reader, Writer};

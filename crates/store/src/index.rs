@@ -111,9 +111,10 @@ fn matching(
 ) -> Option<HashSet<RecordId>> {
     let q = query?.to_lowercase();
     let mut out = HashSet::new();
-    // The accumulator is itself an unordered membership set and the only
-    // caller (`seeds`) sorts before returning, so visit order is moot.
-    // audit:allow(D1)
+    #[allow(
+        clippy::iter_over_hash_type,
+        reason = "the accumulator is a membership set, and the only caller (`seeds`) sorts before returning"
+    )]
     for (name, postings) in map {
         if jaro_winkler_alloc(name, &q) >= similarity {
             out.extend(postings.iter().copied());

@@ -66,6 +66,8 @@
 //! < .
 //! ```
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::frame::RequestFrame;
 use yv_core::{PersonQuery, QueryHit};
 use yv_fuzzy::RankedEntity;

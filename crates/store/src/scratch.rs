@@ -16,7 +16,6 @@ impl ScratchDir {
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("yv-store-{}-{n}-{label}", std::process::id()));
-        // Test-only module: a scratch directory that cannot be created fails the test.
         std::fs::create_dir_all(&dir).expect("create scratch directory");
         ScratchDir(dir)
     }

@@ -275,7 +275,10 @@ impl SlowLog {
             SlowSink::Stream { out, written } => {
                 if *written + line.len() as u64 > self.cap_bytes {
                     let n = self.rotations.fetch_add(1, Ordering::Relaxed) + 1;
-                    // audit:allow(L1) the line is formatted before acquisition; the lock exists to serialize exactly this rotate-check+write+flush sequence into the JSONL sink
+                    // Written under the sink lock on purpose: the line was
+                    // formatted before acquisition, and the lock exists to
+                    // serialize exactly this rotate-check + write + flush
+                    // sequence into the JSONL sink.
                     let _ = out.write_all(
                         format!("{{\"slow_log_rotated\":true,\"generation\":{n}}}\n").as_bytes(),
                     );
@@ -610,8 +613,10 @@ impl Telemetry {
                 let mut log = log.lock();
                 for bucket in &closed {
                     // Telemetry is best-effort history: an IO error here
-                    // must not take down request serving.
-                    // audit:allow(L1) frames are pre-encoded scalars; the lock serializes append order into the segment
+                    // must not take down request serving. Appended under
+                    // the log lock on purpose: frames are pre-encoded
+                    // scalars, and the lock is what orders them in the
+                    // segment.
                     let _ = log.append(kind, bucket);
                 }
             }
@@ -916,7 +921,7 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
     );
     if let Some(log) = &ctx.telemetry.log {
         let log = log.lock();
-        // audit:allow(L1) three counter reads under the log lock; no IO
+        // Three counter reads under the log lock; no IO.
         reg.set_gauge(
             "yv_telemetry_log_bytes",
             "Bytes in the active telemetry.yvt segment",

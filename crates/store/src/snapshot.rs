@@ -33,6 +33,8 @@
 //! is how the shard-identity tests compare an N-shard store against a
 //! 1-shard control without caring how the records were partitioned.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::codec::{self, Reader, Writer};
 use crate::error::StoreError;
 use std::path::Path;

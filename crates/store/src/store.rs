@@ -567,7 +567,8 @@ impl Store {
     pub fn add_source(&self, source: Source) -> Result<SourceId, StoreError> {
         let mut shard = self.shards[0].write();
         let ticket = self.seq.ticket();
-        // audit:allow(L1) WAL fsync under the shard lock is the arrival-ordering invariant (the lock spans ticket to apply)
+        // The WAL fsync under the shard lock is the arrival-ordering
+        // invariant: the lock spans ticket to apply.
         let logged = shard.wal.append_source(ticket, &source);
         self.seq.wait_turn(ticket);
         let outcome = match logged {
@@ -600,7 +601,8 @@ impl Store {
         let s = shard::shard_of_record(&record, self.shards.len());
         let mut shard = self.shards[s].write();
         let ticket = self.seq.ticket();
-        // audit:allow(L1) WAL fsync under the shard lock is the arrival-ordering invariant (the lock spans ticket to apply)
+        // The WAL fsync under the shard lock is the arrival-ordering
+        // invariant: the lock spans ticket to apply.
         let logged = shard.wal.append_record(ticket, &record);
         self.seq.wait_turn(ticket);
         // Even a failed append must consume its ticket, or every later
@@ -670,11 +672,13 @@ impl Store {
                 Vec::with_capacity(group.len());
             for (i, record) in group {
                 let ticket = self.seq.ticket();
-                // audit:allow(L1) WAL append under every shard lock is the group-commit invariant (the locks pin the batch's run of the sequence)
+                // The WAL append under every shard lock is the group-commit
+                // invariant: the locks pin the batch's run of the sequence.
                 let logged = shard.wal.append_record_nosync(ticket, &record);
                 appended.push((i, record, ticket, logged));
             }
-            // audit:allow(L1) one fsync per dirty shard under its lock is the group-commit payoff
+            // One fsync per dirty shard, under its lock: the group-commit
+            // payoff.
             let sync_err = shard.wal.sync().err().map(|e| e.to_string());
             for (i, record, ticket, logged) in appended {
                 self.seq.wait_turn(ticket);
@@ -802,7 +806,9 @@ impl Store {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
         {
             let state = self.state.read();
-            // audit:allow(L1) the quiesce protocol writes the segment files while every shard (and, shared, the state) is pinned — this hold is the point
+            // The quiesce protocol writes the segment files while every
+            // shard (and, shared, the state) is pinned — this hold is the
+            // point.
             write_snapshot_files(&self.dir, &state.resolver, guards.len())?;
         }
         for (s, guard) in guards.iter_mut().enumerate() {

@@ -3,7 +3,7 @@
 //! one worker's panic must not turn every later request on that shard
 //! into a second panic. Written once here so the ≈ 30 `.lock()` /
 //! `.read()` / `.write()` sites in `store.rs` and `server.rs` stay bare
-//! acquisitions, which is also the shape the auditor's L1 rule tracks.
+//! acquisitions.
 
 use std::sync::{self, MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 

@@ -34,6 +34,8 @@
 //! a fresh segment is started — replay reads the old generation first, so
 //! at most `2 × cap` bytes of history are ever kept.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::codec::{self, Reader, Writer};
 use crate::error::StoreError;
 use std::fs::{File, OpenOptions};
@@ -168,10 +170,12 @@ fn encode_bucket(metric: &str, bucket: &ClosedBucket) -> Result<Vec<u8>, StoreEr
         .filter(|&(_, &n)| n > 0)
         .map(|(i, &n)| (i, n))
         .collect();
-    // BUCKET_COUNT is 28, so the count and every index fit a u8.
-    w.u8(nonzero.len() as u8);
+    let small = |len: usize| {
+        u8::try_from(len).map_err(|_| StoreError::LimitExceeded { what: "telemetry bucket", len })
+    };
+    w.u8(small(nonzero.len())?);
     for (i, n) in nonzero {
-        w.u8(i as u8);
+        w.u8(small(i)?);
         w.u64(n);
     }
     w.u64(bucket.delta.sum_ns);

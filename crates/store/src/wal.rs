@@ -32,6 +32,8 @@
 //! next append overwrites it. A frame that is complete but fails its
 //! checksum is real corruption and surfaces as a typed error.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::codec::{self, Reader, Writer};
 use crate::error::StoreError;
 use std::fs::{File, OpenOptions};
@@ -397,7 +399,7 @@ mod tests {
         let payload = b"junk";
         payload_frame.push(tag);
         payload_frame.extend_from_slice(&0u64.to_le_bytes());
-        payload_frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        payload_frame.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
         payload_frame.extend_from_slice(payload);
         let checksum = codec::fnv1a64_parts(&[&[tag], &0u64.to_le_bytes(), payload]);
         payload_frame.extend_from_slice(&checksum.to_le_bytes());

@@ -452,6 +452,132 @@ fn trace_id(status: &str) -> u64 {
     u64::from_str_radix(hex, 16).unwrap()
 }
 
+/// No operator-visible sink carries a raw name. A record whose first,
+/// last, father's and place names occur nowhere else is filed, queried
+/// and resolved (once misspelled, once malformed so the `ERR` path runs)
+/// with every sink on: the slow log at threshold zero, persisted
+/// telemetry, trace capture and the scrape sidecar. The answers carry the
+/// name — that is what they are for — and nothing an operator reads does.
+#[test]
+fn no_operator_sink_carries_a_raw_name() {
+    fn leaks(bytes: &[u8]) -> bool {
+        bytes.to_ascii_lowercase().windows(6).any(|w| w == b"zzyzxq")
+    }
+
+    let dir = ScratchDir::new("sentinel-name");
+    let store = Store::create(&dir, trained_resolver(150, 55), 2).unwrap();
+    let filed = store.stats().records as u32;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let metrics_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let metrics_addr = metrics_listener.local_addr().unwrap();
+    let sink = SharedSink(std::sync::Arc::new(std::sync::Mutex::new(Vec::new())));
+    let log = sink.clone();
+    let clock = std::sync::Arc::new(yv_obs::ManualClock::at(0));
+    let driver_clock = clock.clone();
+    let telemetry_dir = dir.join("telemetry");
+    let telemetry_file = telemetry_dir.join("telemetry.yvt");
+    let server = std::thread::spawn(move || {
+        ServeOptions::new(store)
+            .workers(2)
+            // Threshold zero under a manual clock: every request is
+            // logged and tail-sampled, no timing games.
+            .slow_us(0)
+            .slow_log(Box::new(log))
+            .telemetry_dir(telemetry_dir)
+            .metrics_listener(metrics_listener)
+            .clock(clock)
+            .serve(listener)
+            .unwrap()
+    });
+
+    // File the record: over the binary transport, which carries places,
+    // and again over the text one.
+    let record = yv_records::RecordBuilder::new(990_001, yv_records::SourceId(0))
+        .first_name("Zzyzxqfirst")
+        .last_name("Zzyzxqlast")
+        .father_name("Zzyzxqfather")
+        .place(
+            yv_records::PlaceType::Permanent,
+            yv_records::Place { city: Some("Zzyzxqplace".to_owned()), ..Default::default() },
+        )
+        .build();
+    let mut binary = ClientOptions::new().protocol(Protocol::Binary).connect(addr).unwrap();
+    binary.add(&record).unwrap();
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut ask = |request: &str| {
+        let (status, data) = raw_exchange(&mut raw, &mut reader, request);
+        format!("{status}{}", data.concat())
+    };
+    let added = ask("ADD book=990002 source=0 first=Zzyzxqfirst last=Zzyzxqlast father=Zzyzxqfather");
+    assert!(added.starts_with("OK "), "{added}");
+
+    // The answers do carry the name: the QUERY hits are the two filed
+    // records, the misspelled RESOLVE finds the filed spelling.
+    let hits = ask("QUERY first=Zzyzxqfirst last=Zzyzxqlast");
+    assert!(hits.starts_with("OK 2 "), "{hits}");
+    for seed in [filed, filed + 1] {
+        assert!(hits.contains(&format!("HIT seed={seed} ")), "{hits}");
+    }
+    let cands = ask("RESOLVE Zzyzxqlasd k=3");
+    assert!(cands.contains(" name=zzyzxqlast "), "{cands}");
+    let refused = ask("RESOLVE Zzyzxqlast k=many");
+    assert!(refused.starts_with("ERR "), "{refused}");
+
+    // Close the second so the rollups reach HISTORY and telemetry.yvt.
+    driver_clock.advance(1_000_000_000);
+    let mut seen = Vec::new();
+    for kind in ["add", "query", "resolve"] {
+        for format in ["human", "json"] {
+            let history = ask(&format!("HISTORY {kind} window=5 format={format}"));
+            assert!(history.starts_with("OK history "), "{history}");
+            seen.push(history);
+        }
+    }
+    seen.push(ask("METRICS"));
+    let mut scrape = TcpStream::connect(metrics_addr).unwrap();
+    scrape.write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+    let mut http = String::new();
+    BufReader::new(scrape).read_to_string(&mut http).unwrap();
+    assert!(http.contains("yv_cmd_add_latency_us_count 2"), "{http}");
+    seen.push(http);
+    seen.push(ask("STATS"));
+    // Every request so far was tail-sampled, the refused one included:
+    // TOP lists them, TRACE renders each.
+    let top = ask("TOP k=64");
+    let slow: Vec<&str> = top.lines().filter(|row| row.starts_with("SLOW ")).collect();
+    for command in ["ADD", "QUERY", "RESOLVE", "INVALID"] {
+        assert!(slow.iter().any(|row| row.contains(&format!(" command={command} "))), "{top}");
+    }
+    for id in slow.into_iter().map(trace_id) {
+        for format in ["human", "json"] {
+            let trace = ask(&format!("TRACE {id:016x} format={format}"));
+            assert!(trace.starts_with("OK trace="), "{trace}");
+            seen.push(trace);
+        }
+    }
+    seen.push(top);
+    for text in &seen {
+        assert!(!leaks(text.as_bytes()), "{text}");
+    }
+
+    drop(reader);
+    drop(raw);
+    binary.shutdown().unwrap();
+    server.join().unwrap();
+
+    let logged = sink.0.lock().unwrap().clone();
+    let lines = String::from_utf8_lossy(&logged).into_owned();
+    for command in ["ADD", "QUERY", "RESOLVE", "INVALID"] {
+        assert!(lines.contains(&format!("\"command\":\"{command}\"")), "{lines}");
+    }
+    assert!(!leaks(&logged), "{lines}");
+    let persisted = std::fs::read(telemetry_file).unwrap();
+    assert!(persisted.len() > 12, "telemetry.yvt holds no bucket");
+    assert!(!leaks(&persisted));
+}
+
 /// The tracing acceptance path: a slow RESOLVE against a 4-shard store
 /// hands back a `trace=` id on its status line; `TRACE <id>` serves the
 /// span tree accept → parse → candidates → rank → reply, none of it
