@@ -292,6 +292,23 @@ assert apply and f"shard={owner}" in apply[0], \
     f"ADD's apply span does not name owning shard {owner}: {spans}"
 print(f"trace smoke test: trace {trace_id} replays {len(names)} spans,"
       f" ADD applied on owner shard {owner}")
+
+# Transposition QUERY smoke (DESIGN.md §9 "Query index"): "lvei" keeps
+# every letter of "levi" (Jaro-Winkler 0.925 >= 0.88) but shares one
+# padded bigram in four, so a q-gram candidate step would drop it while
+# the common-letter bound must not. A NaN threshold is a protocol error.
+def seeds(line):
+    lines = request(line)
+    assert lines[0].startswith("OK"), lines
+    return {l.split()[1] for l in lines[1:] if l.startswith("HIT ")}
+
+levi = seeds("QUERY last=Levi")
+assert levi, "QUERY last=Levi found none of the planted Levi records"
+lost = levi - seeds("QUERY last=Lvei")
+assert not lost, f"QUERY last=Lvei lost seeds of QUERY last=Levi: {sorted(lost)}"
+refused = request("QUERY last=Levi similarity=NaN")
+assert refused[0].startswith("ERR"), refused
+print(f"query smoke test: the transposition kept all {len(levi)} Levi seeds, NaN refused")
 PYEOF
 # Binary wire smoke test (DESIGN.md §13): one socket sends the HELLO
 # line and upgrades to checksummed binary frames (STATS, then QUERY);

@@ -1,17 +1,26 @@
-//! Allocation guard for pair scoring: it must not touch the heap (the
-//! generator's names are ASCII plus the odd Latin diacritic; only a
-//! capital sigma or a name past 64 characters would).
+//! Allocation guards for the two per-name hot loops: pair scoring must not
+//! touch the heap (the generator's names are ASCII plus the odd Latin
+//! diacritic; only a capital sigma or a name past 64 characters would),
+//! and the query index's vocabulary scan allocates for the names it
+//! matches, not for the names it scans.
 //!
-//! One test in a test binary of its own: the counting allocator (the
-//! default `alloc-metrics` feature, as in the shipped `yv`) is
-//! process-wide, so no other test may run beside the measured section.
-//!
-//! The query index's vocabulary scan is not guarded yet: `QueryIndex::seeds`
-//! still runs the allocating Jaro-Winkler (see `crates/store/src/index.rs`).
+//! One test binary of their own: the counting allocator (the default
+//! `alloc-metrics` feature, as in the shipped `yv`) is process-wide, so
+//! the two tests take turns and nothing else runs beside a measured
+//! section.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use yv_blocking::mfi_blocks;
-use yv_core::{Pipeline, PipelineConfig};
+use yv_core::{PersonQuery, Pipeline, PipelineConfig};
 use yv_datagen::{tag_pairs, GenConfig};
+use yv_records::RecordId;
+use yv_store::QueryIndex;
+
+/// Held by each test for its whole run.
+fn measuring_alone() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Allocation calls made by `f`.
 fn alloc_calls(f: impl FnOnce()) -> u64 {
@@ -22,6 +31,7 @@ fn alloc_calls(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn score_pair_does_not_allocate() {
+    let _turn = measuring_alone();
     if !yv_obs::alloc_stats().enabled {
         // Built with --no-default-features: nothing counts allocations.
         return;
@@ -52,4 +62,41 @@ fn score_pair_does_not_allocate() {
         "score_pair allocated {scoring} times over {} pairs",
         pairs.len()
     );
+}
+
+#[test]
+fn query_seeds_allocate_per_match_not_per_name() {
+    let _turn = measuring_alone();
+    if !yv_obs::alloc_stats().enabled {
+        return;
+    }
+    // One query — the first generated person's names — against a small
+    // and a ten-times larger vocabulary.
+    let small = GenConfig::random(200, 41).generate().dataset;
+    let record = small.record(RecordId(0));
+    let query = PersonQuery {
+        first_name: record.first_names.first().cloned(),
+        last_name: record.last_names.first().cloned(),
+        ..PersonQuery::default()
+    };
+    let one_role = |first: bool| PersonQuery {
+        first_name: if first { query.first_name.clone() } else { None },
+        last_name: if first { None } else { query.last_name.clone() },
+        ..query.clone()
+    };
+    let mut vocabularies = Vec::new();
+    for ds in [small, GenConfig::random(2_000, 41).generate().dataset] {
+        let index = QueryIndex::build(&ds);
+        // The records the matched names post, role by role.
+        let matched = index.seeds(&one_role(true)).len() + index.seeds(&one_role(false)).len();
+        let calls = alloc_calls(|| drop(index.seeds(&query)));
+        assert!(
+            calls <= 8 + matched as u64,
+            "seeds made {calls} allocator calls for {matched} matched postings over {} names",
+            index.vocabulary_size()
+        );
+        vocabularies.push((index.vocabulary_size(), matched));
+    }
+    assert!(vocabularies[1].0 > 4 * vocabularies[0].0, "vocabularies {vocabularies:?}");
+    assert!(vocabularies.iter().all(|&(_, matched)| matched > 0), "{vocabularies:?}");
 }

@@ -5,10 +5,12 @@
 //! Names are the unit of indexing, not records: victim reports repeat a
 //! small vocabulary of first and last names millions of times, so the
 //! index stores each distinct lowercased name once, keyed by a dense
-//! `u32` name id, and hangs the record posting list off the name entry.
-//! A fuzzy query then runs entirely in name space — merge the posting
-//! lists of the query's grams, filter by the q-gram Jaccard bound — and
-//! only the surviving names fan out to records.
+//! `u32` name id, and hangs the record posting lists off the name entry —
+//! one for every report of the name, one per role (first, last). A fuzzy
+//! query then runs entirely in name space — merge the posting lists of
+//! the query's grams, filter by the q-gram Jaccard bound — and only the
+//! surviving names fan out to records. The same entries are the
+//! vocabulary `yv-store`'s `QueryIndex` scans with Jaro-Winkler.
 //!
 //! The filters are the standard q-gram containment bounds (see the
 //! blocking-and-filtering survey in PAPERS.md): writing `gq`/`gc` for
@@ -45,16 +47,21 @@ pub const DEFAULT_QGRAM_BOUND: f64 = 0.3;
 /// comparison runs without it.
 const EPS: f64 = 1e-9;
 
-/// One distinct lowercased name and the records that report it.
+/// One distinct lowercased name and the records that report it. Every
+/// posting list is in arrival order, deduplicated against the tail (a
+/// record listing the same name twice posts once).
 #[derive(Debug, Clone)]
-struct NameEntry {
-    name: String,
+pub struct NameEntry {
+    /// The lowercased name.
+    pub name: String,
     /// Distinct padded q-grams in the name (the `gc` of the filters).
     gram_count: u32,
-    /// Records reporting this name, in arrival order, deduplicated
-    /// against the tail (a record listing the same name twice posts
-    /// once).
-    postings: Vec<RecordId>,
+    /// Records reporting this name in any role — what `RESOLVE` ranks.
+    records: Vec<RecordId>,
+    /// Records reporting this name as a first name.
+    pub first: Vec<RecordId>,
+    /// Records reporting this name as a last name.
+    pub last: Vec<RecordId>,
 }
 
 /// Filter telemetry for one candidate scan, surfaced as counters in
@@ -79,7 +86,7 @@ pub struct CandidateName<'a> {
     pub records: &'a [RecordId],
 }
 
-/// The store's secondary index: distinct names with record postings,
+/// The store's name table: distinct names with record postings by role,
 /// inverted by padded q-gram.
 ///
 /// Rebuilt deterministically from the store's records on `create`,
@@ -104,18 +111,23 @@ impl FuzzyIndex {
         FuzzyIndex::default()
     }
 
-    /// Index every first and last name of a record. Empty names are
-    /// skipped — they carry no grams and can never match a query.
+    /// Index every first and last name of a record, each under its role.
+    /// An empty name gets an entry too — `QUERY` can ask for it — but it
+    /// has no grams, so no candidate scan ever reaches it.
     pub fn add_record(&mut self, rid: RecordId, record: &Record) {
-        for name in record.first_names.iter().chain(record.last_names.iter()) {
-            let lower = name.to_lowercase();
-            if !lower.is_empty() {
-                self.add_name(&lower, rid);
-            }
+        for name in &record.first_names {
+            let entry = self.entry(&name.to_lowercase());
+            post(&mut entry.records, rid);
+            post(&mut entry.first, rid);
+        }
+        for name in &record.last_names {
+            let entry = self.entry(&name.to_lowercase());
+            post(&mut entry.records, rid);
+            post(&mut entry.last, rid);
         }
     }
 
-    fn add_name(&mut self, lower: &str, rid: RecordId) {
+    fn entry(&mut self, lower: &str) -> &mut NameEntry {
         let id = match self.ids.get(lower) {
             Some(&id) => id,
             None => {
@@ -128,22 +140,28 @@ impl FuzzyIndex {
                 self.names.push(NameEntry {
                     name: lower.to_owned(),
                     gram_count: name_grams.len() as u32,
-                    postings: Vec::new(),
+                    records: Vec::new(),
+                    first: Vec::new(),
+                    last: Vec::new(),
                 });
                 self.ids.insert(lower.to_owned(), id);
                 id
             }
         };
-        let entry = &mut self.names[id as usize];
-        if entry.postings.last() != Some(&rid) {
-            entry.postings.push(rid);
-        }
+        &mut self.names[id as usize]
     }
 
-    /// Distinct lowercased names indexed.
+    /// Every distinct lowercased name indexed, the empty one included, in
+    /// the order they first arrived.
+    #[must_use]
+    pub fn entries(&self) -> &[NameEntry] {
+        &self.names
+    }
+
+    /// Distinct non-empty lowercased names indexed.
     #[must_use]
     pub fn names(&self) -> usize {
-        self.names.len()
+        self.names.len() - usize::from(self.ids.contains_key(""))
     }
 
     /// Distinct q-grams in the inverted index.
@@ -205,7 +223,7 @@ impl FuzzyIndex {
                 out.push(CandidateName {
                     name: &entry.name,
                     jaccard,
-                    records: &entry.postings,
+                    records: &entry.records,
                 });
             } else {
                 stats.pruned_jaccard += 1;
@@ -216,6 +234,14 @@ impl FuzzyIndex {
         // arrival orders) emit identical candidate lists.
         out.sort_unstable_by(|a, b| a.name.cmp(b.name));
         (out, stats)
+    }
+}
+
+/// Append a record to a posting list unless it already ends it: a
+/// record's names are posted one after another.
+fn post(postings: &mut Vec<RecordId>, rid: RecordId) {
+    if postings.last() != Some(&rid) {
+        postings.push(rid);
     }
 }
 
@@ -298,7 +324,12 @@ mod tests {
     fn empty_names_and_empty_queries_are_inert() {
         let mut index = FuzzyIndex::new();
         index.add_record(RecordId(0), &RecordBuilder::new(1, SourceId(0)).build());
+        // An empty first name is kept for QUERY's role postings only.
+        index.add_record(RecordId(1), &RecordBuilder::new(2, SourceId(0)).first_name("").build());
         assert_eq!(index.names(), 0);
+        assert_eq!((index.grams(), index.postings()), (0, 0));
+        let empty = &index.entries()[0];
+        assert_eq!((empty.name.as_str(), empty.first.as_slice()), ("", &[RecordId(1)][..]));
         let (cands, stats) = index.candidates("", 0.3);
         assert!(cands.is_empty());
         assert_eq!(stats, CandidateStats::default());

@@ -6,16 +6,17 @@
 //! that answer.
 //!
 //! - [`index`] — a q-gram inverted index over distinct lowercased names
-//!   (gram → name-id posting lists, record postings per name) with the
-//!   classic length and count filters, so a scan touches only names that
-//!   can possibly reach the similarity bound;
+//!   (gram → name-id posting lists, record postings per name and role)
+//!   with the classic length and count filters, so a scan touches only
+//!   names that can possibly reach the similarity bound;
 //! - [`rank`] — a deterministic entity ranker blending Jaro-Winkler,
 //!   q-gram Jaccard, a log report-count prior, and the incremental
 //!   resolver's own certainty.
 //!
-//! `yv-store` maintains one [`FuzzyIndex`] next to its exact
-//! `QueryIndex`, whatever its shard count, and answers `RESOLVE` from
-//! it: one candidate scan, then [`rank_entities`].
+//! `yv-store` keeps one [`FuzzyIndex`] per store, whatever its shard
+//! count, inside its `QueryIndex`: `RESOLVE` asks it for candidates, then
+//! [`rank_entities`]; `QUERY` scans its [`FuzzyIndex::entries`] by role with
+//! an exact Jaro-Winkler threshold.
 //!
 //! ```
 //! use yv_fuzzy::{FuzzyIndex, ScoreBlend, rank_entities, DEFAULT_QGRAM_BOUND};
@@ -45,5 +46,7 @@
 pub mod index;
 pub mod rank;
 
-pub use index::{CandidateName, CandidateStats, FuzzyIndex, DEFAULT_QGRAM_BOUND, QGRAM_Q};
+pub use index::{
+    CandidateName, CandidateStats, FuzzyIndex, NameEntry, DEFAULT_QGRAM_BOUND, QGRAM_Q,
+};
 pub use rank::{rank_entities, RankedEntity, ScoreBlend};

@@ -6,7 +6,7 @@
 //! item bags (Section 4.1.2 / [18]).
 
 use crate::strings::tokens;
-use crate::symbols::{exact, with_scratch, Kernel};
+use crate::symbols::{exact, with_scratch, Kernel, Symbol};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -51,7 +51,7 @@ pub(crate) struct QgramJaccard {
 impl Kernel for QgramJaccard {
     type Out = f64;
 
-    fn run<T: Copy + Ord>(self, a: &[T], b: &[T]) -> f64 {
+    fn run<T: Symbol>(self, a: &[T], b: &[T]) -> f64 {
         let q = self.q;
         assert!(q > 0, "q must be positive");
         // A gram is the window starting at an offset; each side's distinct

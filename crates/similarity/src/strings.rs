@@ -1,6 +1,6 @@
 //! Basic string utilities: Levenshtein distance, tokenization and q-grams.
 
-use crate::symbols::{exact, with_scratch, Kernel};
+use crate::symbols::{exact, with_scratch, Kernel, Symbol};
 
 /// Levenshtein edit distance between two strings (unit costs), computed over
 /// Unicode scalar values with the classic single-row dynamic program.
@@ -14,7 +14,7 @@ struct Levenshtein;
 impl Kernel for Levenshtein {
     type Out = usize;
 
-    fn run<T: Copy + Ord>(self, a: &[T], b: &[T]) -> usize {
+    fn run<T: Symbol>(self, a: &[T], b: &[T]) -> usize {
         // row[j] = distance between the prefix of `a` consumed so far and
         // b[..j]; `diagonal` carries the previous row's row[j].
         with_scratch(b.len() + 1, |row: &mut [usize]| {

@@ -33,11 +33,17 @@ pub(crate) fn with_scratch<T: Copy + Default, R>(n: usize, f: impl FnOnce(&mut [
     }
 }
 
+/// What a kernel sees of one symbol — a byte or a `char`: comparable, and
+/// convertible to its code point for kernels that count symbols.
+pub(crate) trait Symbol: Copy + Ord + Into<u32> {}
+
+impl<T: Copy + Ord + Into<u32>> Symbol for T {}
+
 /// A string kernel: one implementation, generic over the symbol type, so
 /// ASCII pairs run on their bytes and everything else on `char`s.
 pub(crate) trait Kernel {
     type Out;
-    fn run<T: Copy + Ord>(self, a: &[T], b: &[T]) -> Self::Out;
+    fn run<T: Symbol>(self, a: &[T], b: &[T]) -> Self::Out;
 }
 
 /// Run `kernel` on the two strings as they are.
@@ -94,7 +100,7 @@ struct Equal;
 impl Kernel for Equal {
     type Out = bool;
 
-    fn run<T: Copy + Ord>(self, a: &[T], b: &[T]) -> bool {
+    fn run<T: Symbol>(self, a: &[T], b: &[T]) -> bool {
         a == b
     }
 }
@@ -108,7 +114,7 @@ mod tests {
     struct Seen;
     impl Kernel for Seen {
         type Out = (Vec<u32>, Vec<u32>);
-        fn run<T: Copy + Ord>(self, a: &[T], b: &[T]) -> Self::Out {
+        fn run<T: Symbol>(self, a: &[T], b: &[T]) -> Self::Out {
             // Order-preserving rank within the union is all a generic
             // kernel can observe; equal ranks <=> equal symbols.
             let mut all: Vec<T> = a.iter().chain(b).copied().collect();

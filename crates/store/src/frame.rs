@@ -260,7 +260,17 @@ impl RequestFrame {
     /// counterpart and is dispatched by the server before this conversion.
     pub fn into_request(self) -> Result<Request, String> {
         match self {
-            RequestFrame::Query(q) => Ok(Request::Query(q)),
+            RequestFrame::Query(q) => {
+                // A NaN threshold compares false with everything: no name
+                // would match, and every entity would fall apart.
+                let thresholds = [("similarity", q.name_similarity), ("certainty", q.certainty)];
+                for (what, value) in thresholds {
+                    if value.is_nan() {
+                        return Err(format!("bad {what} value \"{value}\""));
+                    }
+                }
+                Ok(Request::Query(q))
+            }
             RequestFrame::Resolve { name, k, min } => {
                 if name.is_empty() {
                     return Err("RESOLVE: a name argument is required".to_owned());
@@ -676,6 +686,19 @@ mod tests {
             RequestFrame::Trace { id: 0, json: false }.into_request().unwrap_err(),
             parse_request("TRACE 0").unwrap_err()
         );
+        for (similarity, certainty, line, message) in [
+            (f64::NAN, 0.0, "QUERY last=Levi similarity=NaN", "bad similarity value \"NaN\""),
+            (0.88, f64::NAN, "QUERY last=Levi certainty=NaN", "bad certainty value \"NaN\""),
+        ] {
+            let query = PersonQuery {
+                last_name: Some("Levi".to_owned()),
+                name_similarity: similarity,
+                certainty,
+                ..PersonQuery::default()
+            };
+            assert_eq!(RequestFrame::Query(query).into_request().unwrap_err(), message);
+            assert_eq!(parse_request(line).unwrap_err(), message);
+        }
         let over = u32::try_from(WINDOW_BUCKETS + 1).unwrap();
         assert_eq!(
             RequestFrame::History {

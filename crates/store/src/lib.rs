@@ -11,7 +11,7 @@
 //! of N shards by `fnv1a64(lowercase(last name)) % N` (see [`shard`]),
 //! each shard owning its own WAL file and snapshot segment behind its
 //! own lock, so writers on distinct shards overlap their fsyncs. What is
-//! served from memory — the match graph and one pair of name indexes —
+//! served from memory — the match graph and one name table —
 //! sits behind one lock that reads share and never hold across I/O (see
 //! [`store`]). The pieces:
 //!

@@ -189,7 +189,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let command = tokens.next().ok_or_else(|| "empty request".to_owned())?;
     let args: Vec<&str> = tokens.collect();
     match command.to_ascii_uppercase().as_str() {
-        "QUERY" => parse_query(&args).map(Request::Query),
+        "QUERY" => parse_query(&args),
         "RESOLVE" => parse_resolve(&args),
         "ADD" => parse_add(&args).map(|r| Request::Add(Box::new(r))),
         "STATS" => expect_no_args("STATS", &args).map(|()| Request::Stats),
@@ -209,7 +209,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// Parse `TOP [k=N]` — live per-command stats plus the `N` most recent
 /// slow-trace summaries.
 ///
-/// Like the three parsers below, this one owns the *syntax* — numbers,
+/// Like the four parsers below, this one owns the *syntax* — numbers,
 /// keys, duplicates, argument order — and collects the raw optionals into
 /// a [`RequestFrame`]; the defaults and semantic refusals live once, in
 /// [`RequestFrame::into_request`], for both transports.
@@ -341,7 +341,7 @@ fn split_kv<'a>(token: &'a str, command: &str) -> Result<(&'a str, &'a str), Str
         .ok_or_else(|| format!("{command}: expected key=value, got {token:?}"))
 }
 
-fn parse_query(args: &[&str]) -> Result<PersonQuery, String> {
+fn parse_query(args: &[&str]) -> Result<Request, String> {
     let mut query = PersonQuery::default();
     // Every QUERY key is single-valued, so a repeat is a client bug: the
     // earlier value would be silently discarded and the client would get
@@ -361,7 +361,7 @@ fn parse_query(args: &[&str]) -> Result<PersonQuery, String> {
         }
         seen.push(key);
     }
-    Ok(query)
+    RequestFrame::Query(query).into_request()
 }
 
 fn parse_add(args: &[&str]) -> Result<Record, String> {
@@ -881,6 +881,10 @@ mod tests {
         assert!(parse_request("FROB").is_err());
         assert!(parse_request("").is_err());
         assert!(parse_request("QUERY color=blue").is_err());
+        assert_eq!(
+            parse_request("QUERY last=Levi similarity=NaN"),
+            Err("bad similarity value \"NaN\"".to_owned())
+        );
         assert!(parse_request("ADD book=1 source=0 color=blue").is_err());
         assert!(parse_request("STATS now").is_err());
         assert!(parse_request("METRICS now").is_err());

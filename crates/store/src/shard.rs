@@ -3,7 +3,7 @@
 //! What shards partition is the store's *files*: each shard owns one WAL
 //! and one snapshot segment, so writer threads whose records route to
 //! distinct shards append and fsync in parallel. Nothing in memory is
-//! partitioned — the name indexes and the match graph are one each (see
+//! partitioned — the name table and the match graph are one each (see
 //! [`crate::store`]), because no lookup carries the routing key. The
 //! routing function is part of the on-disk format: a record
 //! lands in shard `fnv1a64(lowercase(last_names[0])) % shards` (the empty

@@ -10,7 +10,7 @@
 //! belongs to the shard of its first last name
 //! ([`crate::shard::shard_of_record`]); sources — global, shard-less
 //! state — are logged to shard 0 by convention. Memory is not
-//! partitioned: the resolver and both name indexes sit behind one lock
+//! partitioned: the resolver and the one name table sit behind one lock
 //! (`State`), since applies are serial anyway and no lookup carries the
 //! routing key. Reads take that lock, shared, and never a shard's, so
 //! they wait on nobody's fsync. Lock order: shards (ascending) → state.
@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, PoisonError};
 use yv_core::{IncrementalResolver, PersonQuery, QueryHit, RankedMatch, Resolution};
-use yv_fuzzy::{rank_entities, FuzzyIndex, RankedEntity, ScoreBlend, DEFAULT_QGRAM_BOUND};
+use yv_fuzzy::{rank_entities, RankedEntity, ScoreBlend, DEFAULT_QGRAM_BOUND};
 use yv_obs::{Counter, TraceCtx};
 use yv_records::{Dataset, Record, RecordId, Source, SourceId};
 
@@ -72,13 +72,13 @@ pub struct StoreStats {
     pub wal_bytes: u64,
     /// Distinct lowercased first names + distinct last names indexed.
     pub vocabulary: usize,
-    /// Total posting entries in the query index.
+    /// Record postings by role (first, last) in the name table.
     pub postings: usize,
-    /// Distinct names in the fuzzy index.
+    /// Distinct non-empty names in the name table.
     pub fuzzy_names: usize,
-    /// Distinct q-grams in the fuzzy index.
+    /// Distinct q-grams in the name table's inverted index.
     pub fuzzy_grams: usize,
-    /// Gram → name posting entries in the fuzzy index.
+    /// Gram → name posting entries in the name table's inverted index.
     pub fuzzy_postings: usize,
     /// Lifetime candidate names examined by `RESOLVE` scans.
     pub fuzzy_examined: u64,
@@ -195,34 +195,26 @@ struct ShardState {
     records: usize,
 }
 
-/// Everything a read is answered from — the match graph and the two name
-/// indexes over its records — behind the one lock that serialises applies.
+/// Everything a read is answered from — the match graph and the one name
+/// table over its records — behind the one lock that serialises applies.
 #[derive(Debug)]
 struct State {
     resolver: IncrementalResolver,
     index: QueryIndex,
-    fuzzy: FuzzyIndex,
 }
 
 impl State {
     /// Index every record the resolver holds (`create`; `open`, pre-replay).
     fn build(resolver: IncrementalResolver) -> State {
-        let ds = resolver.dataset();
-        let index = QueryIndex::build(ds);
-        let mut fuzzy = FuzzyIndex::new();
-        for rid in ds.record_ids() {
-            fuzzy.add_record(rid, ds.record(rid));
-        }
-        State { resolver, index, fuzzy }
+        let index = QueryIndex::build(resolver.dataset());
+        State { resolver, index }
     }
 
-    /// Apply one arrival to all three; returns its new ranked matches.
+    /// Apply one arrival to both; returns its new ranked matches.
     fn apply(&mut self, record: Record) -> Vec<RankedMatch> {
         let rid = RecordId(self.resolver.len() as u32);
         let matches = self.resolver.insert(record);
-        let record = self.resolver.dataset().record(rid);
-        self.index.add_record(rid, record);
-        self.fuzzy.add_record(rid, record);
+        self.index.add_record(rid, self.resolver.dataset().record(rid));
         matches
     }
 }
@@ -553,9 +545,9 @@ impl Store {
             wal_bytes: shards.iter().map(|s| s.wal_bytes).sum(),
             vocabulary: state.index.vocabulary_size(),
             postings: state.index.postings(),
-            fuzzy_names: state.fuzzy.names(),
-            fuzzy_grams: state.fuzzy.grams(),
-            fuzzy_postings: state.fuzzy.postings(),
+            fuzzy_names: state.index.fuzzy().names(),
+            fuzzy_grams: state.index.fuzzy().grams(),
+            fuzzy_postings: state.index.fuzzy().postings(),
             fuzzy_examined: self.fuzzy_examined.get(),
             fuzzy_pruned: self.fuzzy_pruned.get(),
             shards,
@@ -772,7 +764,7 @@ impl Store {
         let query = name.to_lowercase();
         trace.enter("candidates");
         let state = self.state.read();
-        let (candidates, stats) = state.fuzzy.candidates(&query, options.bound);
+        let (candidates, stats) = state.index.fuzzy().candidates(&query, options.bound);
         let examined = stats.examined;
         let pruned = stats.pruned_length + stats.pruned_jaccard;
         trace.arg("cands", candidates.len() as u64);

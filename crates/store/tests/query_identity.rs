@@ -5,6 +5,11 @@
 //! certainties equals `PersonQuery::run` over `with_dataset` /
 //! `resolution()` hit for hit, and `RESOLVE` equals `rank_entities` fed
 //! from `Resolution::entity_map(0.0)` and a fold over the matches.
+//!
+//! `QUERY`'s seeds come from a vocabulary scan that refuses most names on
+//! a bound before computing Jaro-Winkler, so the probes also sit where
+//! that bound is tight: misspellings of the arrival's names at five name
+//! similarities, and hand-built names the byte path never sees.
 
 // Test-only binary: helper fns outside #[test] may unwrap freely (the
 // workspace unwrap_used deny targets library code).
@@ -13,16 +18,47 @@
 mod common;
 
 use common::ScratchDir;
-use yv_core::{IncrementalConfig, IncrementalResolver, PersonQuery, Pipeline, PipelineConfig};
+use yv_core::{
+    IncrementalConfig, IncrementalResolver, PersonQuery, Pipeline, PipelineConfig, QueryHit,
+};
 use yv_datagen::{tag_pairs, GenConfig};
 use yv_fuzzy::{rank_entities, FuzzyIndex, RankedEntity, DEFAULT_QGRAM_BOUND};
-use yv_records::{Dataset, Record, RecordId};
+use yv_records::{Dataset, Record, RecordBuilder, RecordId, SourceId};
 use yv_store::{ResolveOptions, Store};
 
 /// Ten distinct certainties: both infinities, negatives, zero and a
 /// spread of positives.
 const CERTAINTIES: [f64; 10] =
     [f64::NEG_INFINITY, -2.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, f64::INFINITY];
+
+/// Name similarities from "every name" to "the name itself".
+const SIMILARITIES: [f64; 5] = [0.0, 0.7, 0.88, 0.95, 1.0];
+
+/// One clerical error each, in the middle of the name: the adjacent pair
+/// swapped, the letter dropped, the letter doubled.
+fn misspellings(name: &str) -> Vec<String> {
+    let chars: Vec<char> = name.chars().collect();
+    if chars.len() < 2 {
+        return Vec::new();
+    }
+    let at = chars.len() / 2;
+    let mut swapped = chars.clone();
+    swapped.swap(at - 1, at);
+    let mut dropped = chars.clone();
+    dropped.remove(at);
+    let mut doubled = chars.clone();
+    doubled.insert(at, chars[at]);
+    [swapped, dropped, doubled].iter().map(|c| c.iter().collect()).collect()
+}
+
+/// `QUERY` served by the store, checked hit for hit against
+/// `PersonQuery::run` over the same state.
+fn served_query(store: &Store, query: &PersonQuery) -> Vec<QueryHit> {
+    let hits = store.query(query);
+    let resolution = store.resolution();
+    assert_eq!(hits, store.with_dataset(|ds| query.run(ds, &resolution)), "{query:?}");
+    hits
+}
 
 /// A resolver bootstrapped over four fifths of a generated corpus, plus
 /// the held-out fifth as arrivals — duplicates of persons already in the
@@ -95,6 +131,7 @@ fn reads_after_every_write_equal_the_batch_api() {
 
     let mut grown = 0;
     let mut ranked = 0;
+    let mut misspelled_hits = 0;
     for (i, arrival) in arrivals.into_iter().enumerate() {
         let first = arrival.first_names.first().cloned();
         let last = arrival.last_names.first().cloned();
@@ -106,16 +143,35 @@ fn reads_after_every_write_equal_the_batch_api() {
         let certainty = CERTAINTIES[i % CERTAINTIES.len()];
         for query in [
             PersonQuery { certainty, ..PersonQuery::default() },
-            PersonQuery { first_name: first, last_name: last.clone(), certainty, ..PersonQuery::default() },
+            PersonQuery { first_name: first.clone(), last_name: last.clone(), certainty, ..PersonQuery::default() },
         ] {
-            let hits = store.query(&query);
-            let resolution = store.resolution();
-            assert_eq!(
-                hits,
-                store.with_dataset(|ds| query.run(ds, &resolution)),
-                "after arrival {i}: {query:?}"
-            );
+            let hits = served_query(&store, &query);
             assert!(hits.iter().any(|h| h.seed == rid), "arrival {i} must find itself");
+        }
+
+        // Misspelled last names alone, and misspelled first names under
+        // the exact last name, from every name to the name itself.
+        let last_probes = last.as_deref().map_or_else(Vec::new, misspellings);
+        let first_probes = first.as_deref().map_or_else(Vec::new, misspellings);
+        for name_similarity in SIMILARITIES {
+            for probe in &last_probes {
+                let query = PersonQuery {
+                    last_name: Some(probe.clone()),
+                    name_similarity,
+                    certainty,
+                    ..PersonQuery::default()
+                };
+                misspelled_hits += served_query(&store, &query).len();
+            }
+            for probe in &first_probes {
+                let query = PersonQuery {
+                    first_name: Some(probe.clone()),
+                    last_name: last.clone(),
+                    name_similarity,
+                    certainty,
+                };
+                misspelled_hits += served_query(&store, &query).len();
+            }
         }
 
         // The arrival's last name, misspelled by dropping its last letter.
@@ -130,4 +186,52 @@ fn reads_after_every_write_equal_the_batch_api() {
     // real candidates.
     assert!(grown >= 10, "only {grown} arrivals produced matches");
     assert!(ranked > 0);
+    assert!(misspelled_hits > 0);
+}
+
+/// Names the generator never writes, filed into a store and asked for
+/// in both roles: non-ASCII letters (`İ` lowercases to two characters, a
+/// capital sigma by its place in the word), a name past the 64 symbols a
+/// string kernel keeps on the stack, an empty first name, and one name
+/// that is a first name in one record and a last name in another.
+#[test]
+fn hand_built_names_equal_the_batch_api() {
+    let (resolver, _) = resolver_and_arrivals(60, 29);
+    let dir = ScratchDir::new("hand-built");
+    let store = Store::create(&dir, resolver, 2).unwrap();
+    let long = "Abramovich-Rabinowitz-Kaplan-Goldberg-Friedman-Rosenthal-Weinberg-Mandelbaum";
+    assert!(long.chars().count() > 64);
+    let people = [
+        ("Dávid", "İzmir"),
+        ("David", "Weiß"),
+        ("", "ΟΔΥΣΣΕΥΣ"),
+        ("Israel", long),
+        ("Sara", "Israel"),
+        ("", "Levi"),
+    ];
+    for (i, (first, last)) in people.into_iter().enumerate() {
+        let record =
+            RecordBuilder::new(900_000 + i as u64, SourceId(0)).first_name(first).last_name(last);
+        store.add_record(record.build()).unwrap();
+    }
+
+    let probes = [
+        "", "dávid", "DAVID", "İzmir", "izmir", "weiß", "WEISS", "Οδυσσευς", "ΟΔΥΣΣΕΥΣ", long,
+        "israel", "Levi", "lvei",
+    ];
+    let mut hits = 0;
+    for name_similarity in SIMILARITIES {
+        for probe in probes {
+            for (first_name, last_name) in [(Some(probe), None), (None, Some(probe))] {
+                let query = PersonQuery {
+                    first_name: first_name.map(str::to_owned),
+                    last_name: last_name.map(str::to_owned),
+                    name_similarity,
+                    ..PersonQuery::default()
+                };
+                hits += served_query(&store, &query).len();
+            }
+        }
+    }
+    assert!(hits > 0);
 }

@@ -33,6 +33,13 @@ fn trained_resolver(n_records: usize, seed: u64) -> IncrementalResolver {
     IncrementalResolver::bootstrap(gen.dataset, pipeline, config, IncrementalConfig::default())
 }
 
+/// `(vocabulary, postings, fuzzy_names, fuzzy_grams, fuzzy_postings)` of
+/// the identity fixture below — `trained_resolver(100, 17)` plus
+/// `arrivals(40)` — as two separate indexes counted them before `QUERY`
+/// and `RESOLVE` shared one name table. Operators read these in `STATS`
+/// and the `yv_store_*` gauges; the table's layout must not move them.
+const INDEX_COUNTS: (usize, usize, usize, usize, usize) = (86, 277, 86, 205, 589);
+
 /// A pool of arrivals with enough last-name variety to touch every
 /// shard of a 4-way store.
 fn arrivals(n: usize) -> Vec<Record> {
@@ -125,6 +132,7 @@ fn multi_shard_concurrent_fill_is_byte_identical_to_single_shard() {
             (s.vocabulary, s.postings, s.fuzzy_names, s.fuzzy_grams, s.fuzzy_postings)
         };
         assert_eq!(of(&single.stats()), of(&stats), "round {round}: nor into STATS");
+        assert_eq!(of(&stats), INDEX_COUNTS, "round {round}: the counts STATS has always shown");
 
         // Restart identity: replaying the 4 WALs reproduces the state...
         let reopened = Store::open(&multi_dir).unwrap();
