@@ -296,7 +296,7 @@ print(f"trace smoke test: trace {trace_id} replays {len(names)} spans,"
 # Transposition QUERY smoke (DESIGN.md §9 "Query index"): "lvei" keeps
 # every letter of "levi" (Jaro-Winkler 0.925 >= 0.88) but shares one
 # padded bigram in four, so a q-gram candidate step would drop it while
-# the common-letter bound must not. A NaN threshold is a protocol error.
+# the letter-count sketch must not. A NaN threshold is a protocol error.
 def seeds(line):
     lines = request(line)
     assert lines[0].startswith("OK"), lines
@@ -308,7 +308,16 @@ lost = levi - seeds("QUERY last=Lvei")
 assert not lost, f"QUERY last=Lvei lost seeds of QUERY last=Levi: {sorted(lost)}"
 refused = request("QUERY last=Levi similarity=NaN")
 assert refused[0].startswith("ERR"), refused
-print(f"query smoke test: the transposition kept all {len(levi)} Levi seeds, NaN refused")
+# The seed span counts the vocabulary scan: last names scanned, passed by
+# the letter sketch, and matched (DESIGN.md §9 "Query index").
+_, spans = traced("QUERY last=Levi")
+seed = [s for s in spans if "name=seed" in s]
+assert seed, f"QUERY's trace has no seed span: {spans}"
+counts = dict(t.split("=", 1) for t in seed[0][1:])
+scanned, admitted, matched = (int(counts[k]) for k in ("names", "admitted", "matched"))
+assert 1 <= matched <= admitted <= scanned, counts
+print(f"query smoke test: the transposition kept all {len(levi)} Levi seeds, NaN refused,"
+      f" seed span matched {matched} of {admitted} admitted of {scanned} names")
 PYEOF
 # Binary wire smoke test (DESIGN.md §13): one socket sends the HELLO
 # line and upgrades to checksummed binary frames (STATS, then QUERY);

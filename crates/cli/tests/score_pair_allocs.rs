@@ -1,20 +1,20 @@
-//! Allocation guards for the two per-name hot loops: pair scoring must not
+//! Allocation guards for the per-name hot loops: pair scoring must not
 //! touch the heap (the generator's names are ASCII plus the odd Latin
 //! diacritic; only a capital sigma or a name past 64 characters would),
-//! and the query index's vocabulary scan allocates for the names it
-//! matches, not for the names it scans.
+//! the query index's vocabulary scan allocates for the names it matches,
+//! not for the names it scans, and `RESOLVE`'s q-gram candidate scan
+//! allocates the same however many names it examines.
 //!
 //! One test binary of their own: the counting allocator (the default
 //! `alloc-metrics` feature, as in the shipped `yv`) is process-wide, so
-//! the two tests take turns and nothing else runs beside a measured
-//! section.
+//! the tests take turns and nothing else runs beside a measured section.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use yv_blocking::mfi_blocks;
 use yv_core::{PersonQuery, Pipeline, PipelineConfig};
 use yv_datagen::{tag_pairs, GenConfig};
-use yv_records::RecordId;
-use yv_store::QueryIndex;
+use yv_records::{Dataset, RecordBuilder, RecordId, Source, SourceId};
+use yv_store::{QueryIndex, ResolveOptions};
 
 /// Held by each test for its whole run.
 fn measuring_alone() -> MutexGuard<'static, ()> {
@@ -99,4 +99,34 @@ fn query_seeds_allocate_per_match_not_per_name() {
     }
     assert!(vocabularies[1].0 > 4 * vocabularies[0].0, "vocabularies {vocabularies:?}");
     assert!(vocabularies.iter().all(|&(_, matched)| matched > 0), "{vocabularies:?}");
+}
+
+#[test]
+fn candidate_scans_allocate_the_same_whatever_they_examine() {
+    let _turn = measuring_alone();
+    if !yv_obs::alloc_stats().enabled {
+        return;
+    }
+    let bound = ResolveOptions::default().bound;
+    let mut readings = Vec::new();
+    for fillers in [10, 1_000] {
+        // "Levi" and names sharing only its leading padded gram: the scan
+        // examines every filler and keeps none.
+        let mut ds = Dataset::new();
+        let source = ds.add_source(Source::list(SourceId(0), "list"));
+        ds.add_record(RecordBuilder::new(0, source).last_name("Levi").build());
+        for i in 1..=fillers {
+            ds.add_record(RecordBuilder::new(i, source).last_name(format!("L{i}")).build());
+        }
+        let index = QueryIndex::build(&ds);
+        let mut found = (0, 0);
+        let calls = alloc_calls(|| {
+            let (names, stats) = index.fuzzy().candidates("levi", bound);
+            found = (names.len(), stats.examined);
+        });
+        readings.push((calls, found));
+    }
+    assert_eq!(readings[0].1, (1, 11), "{readings:?}");
+    assert_eq!(readings[1].1, (1, 1_001), "{readings:?}");
+    assert_eq!(readings[0].0, readings[1].0, "allocator calls differ: {readings:?}");
 }

@@ -10,7 +10,8 @@
 //! query then runs entirely in name space — merge the posting lists of
 //! the query's grams, filter by the q-gram Jaccard bound — and only the
 //! surviving names fan out to records. The same entries are the
-//! vocabulary `yv-store`'s `QueryIndex` scans with Jaro-Winkler.
+//! vocabulary `yv-store`'s `QueryIndex` scans with Jaro-Winkler, through a
+//! letter sketch per name ([`NameSketch`]) kept in an array of its own.
 //!
 //! The filters are the standard q-gram containment bounds (see the
 //! blocking-and-filtering survey in PAPERS.md): writing `gq`/`gc` for
@@ -30,6 +31,7 @@
 
 use std::collections::HashMap;
 use yv_records::{Record, RecordId};
+use yv_similarity::letter_sketch;
 use yv_similarity::strings::padded_qgrams;
 
 /// Gram width. Two is the sweet spot for short personal names: a name of
@@ -64,6 +66,55 @@ pub struct NameEntry {
     pub last: Vec<RecordId>,
 }
 
+impl NameEntry {
+    /// Records reporting this name in `role`.
+    #[must_use]
+    pub fn postings(&self, role: Role) -> &[RecordId] {
+        match role {
+            Role::First => &self.first,
+            Role::Last => &self.last,
+        }
+    }
+}
+
+/// The role a name plays in a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    First,
+    Last,
+}
+
+impl Role {
+    const fn bit(self) -> u8 {
+        match self {
+            Role::First => 1,
+            Role::Last => 2,
+        }
+    }
+}
+
+/// What `QUERY`'s vocabulary scan reads of one name, kept in a contiguous
+/// array by name id so the scan streams through 32 bytes a name and touches
+/// the name itself only for the few that pass
+/// ([`yv_similarity::JaroWinklerFilter`]).
+#[derive(Debug, Clone, Copy)]
+pub struct NameSketch {
+    /// [`letter_sketch`] of the name.
+    pub letters: u128,
+    /// Symbols (`char`s) in the name.
+    pub len: u32,
+    /// [`Role::bit`]s of the roles with postings.
+    roles: u8,
+}
+
+impl NameSketch {
+    /// Whether some record reports the name in `role`.
+    #[must_use]
+    pub fn has(&self, role: Role) -> bool {
+        self.roles & role.bit() != 0
+    }
+}
+
 /// Filter telemetry for one candidate scan, surfaced as counters in
 /// `STATS`/`METRICS`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -96,6 +147,8 @@ pub struct CandidateName<'a> {
 #[derive(Debug, Clone, Default)]
 pub struct FuzzyIndex {
     names: Vec<NameEntry>,
+    /// One per name, same ids.
+    sketches: Vec<NameSketch>,
     /// Lowercased name → dense name id.
     ids: HashMap<String, u32>,
     /// Padded q-gram → sorted-unique name ids containing it (ids are
@@ -115,40 +168,49 @@ impl FuzzyIndex {
     /// An empty name gets an entry too — `QUERY` can ask for it — but it
     /// has no grams, so no candidate scan ever reaches it.
     pub fn add_record(&mut self, rid: RecordId, record: &Record) {
-        for name in &record.first_names {
-            let entry = self.entry(&name.to_lowercase());
-            post(&mut entry.records, rid);
-            post(&mut entry.first, rid);
-        }
-        for name in &record.last_names {
-            let entry = self.entry(&name.to_lowercase());
-            post(&mut entry.records, rid);
-            post(&mut entry.last, rid);
+        for (role, names) in [(Role::First, &record.first_names), (Role::Last, &record.last_names)]
+        {
+            for name in names {
+                let id = self.intern(&name.to_lowercase());
+                self.sketches[id].roles |= role.bit();
+                let entry = &mut self.names[id];
+                post(&mut entry.records, rid);
+                post(
+                    match role {
+                        Role::First => &mut entry.first,
+                        Role::Last => &mut entry.last,
+                    },
+                    rid,
+                );
+            }
         }
     }
 
-    fn entry(&mut self, lower: &str) -> &mut NameEntry {
-        let id = match self.ids.get(lower) {
-            Some(&id) => id,
-            None => {
-                let id = self.names.len() as u32;
-                let name_grams = distinct_grams(lower);
-                for gram in &name_grams {
-                    self.grams.entry(gram.clone()).or_default().push(id);
-                }
-                self.gram_postings += name_grams.len();
-                self.names.push(NameEntry {
-                    name: lower.to_owned(),
-                    gram_count: name_grams.len() as u32,
-                    records: Vec::new(),
-                    first: Vec::new(),
-                    last: Vec::new(),
-                });
-                self.ids.insert(lower.to_owned(), id);
-                id
-            }
-        };
-        &mut self.names[id as usize]
+    /// The id of a lowercased name, allocated on first sight.
+    fn intern(&mut self, lower: &str) -> usize {
+        if let Some(&id) = self.ids.get(lower) {
+            return id as usize;
+        }
+        let id = self.names.len();
+        let name_grams = distinct_grams(lower);
+        for gram in &name_grams {
+            self.grams.entry(gram.clone()).or_default().push(id as u32);
+        }
+        self.gram_postings += name_grams.len();
+        self.names.push(NameEntry {
+            name: lower.to_owned(),
+            gram_count: name_grams.len() as u32,
+            records: Vec::new(),
+            first: Vec::new(),
+            last: Vec::new(),
+        });
+        self.sketches.push(NameSketch {
+            letters: letter_sketch(lower),
+            len: u32::try_from(lower.chars().count()).unwrap_or(u32::MAX),
+            roles: 0,
+        });
+        self.ids.insert(lower.to_owned(), id as u32);
+        id
     }
 
     /// Every distinct lowercased name indexed, the empty one included, in
@@ -156,6 +218,12 @@ impl FuzzyIndex {
     #[must_use]
     pub fn entries(&self) -> &[NameEntry] {
         &self.names
+    }
+
+    /// [`Self::entries`]' sketches, same order.
+    #[must_use]
+    pub fn sketches(&self) -> &[NameSketch] {
+        &self.sketches
     }
 
     /// Distinct non-empty lowercased names indexed.
@@ -188,22 +256,28 @@ impl FuzzyIndex {
             return (Vec::new(), stats);
         }
 
-        // Merge posting lists into per-name intersection counts.
-        let mut inter_counts: HashMap<u32, u32> = HashMap::new();
+        // Merge posting lists into per-name intersection counts: one
+        // counter per name, and the names touched, in first-touch order —
+        // each name at most once, so neither buffer grows after this.
+        let mut inter_counts = vec![0u32; self.names.len()];
+        let mut hits: Vec<u32> = Vec::with_capacity(self.names.len());
         for gram in &query_grams {
             if let Some(ids) = self.grams.get(gram) {
                 for &id in ids {
-                    *inter_counts.entry(id).or_insert(0) += 1;
+                    let count = &mut inter_counts[id as usize];
+                    if *count == 0 {
+                        hits.push(id);
+                    }
+                    *count += 1;
                 }
             }
         }
-        let mut hits: Vec<(u32, u32)> = inter_counts.into_iter().collect();
-        hits.sort_unstable_by_key(|&(id, _)| id);
         stats.examined = hits.len() as u64;
 
         let (lo, hi) = (gq as f64 * bound - EPS, gq as f64 / bound.max(f64::EPSILON) + EPS);
         let mut out = Vec::new();
-        for (id, inter) in hits {
+        for id in hits {
+            let inter = inter_counts[id as usize];
             let entry = &self.names[id as usize];
             let gc = entry.gram_count as usize;
             if (gc as f64) < lo || (gc as f64) > hi {
@@ -318,6 +392,23 @@ mod tests {
         assert_eq!(foa.records, &[RecordId(0), RecordId(1)]);
         assert_eq!(index.names(), 2, "guido and foa");
         assert!(index.grams() > 0 && index.postings() >= index.grams());
+    }
+
+    #[test]
+    fn sketches_follow_the_entries_and_their_roles() {
+        let mut index = FuzzyIndex::new();
+        index.add_record(RecordId(0), &record(0, "Israel", "Levi"));
+        index.add_record(RecordId(1), &record(1, "Sara", "Israel"));
+        assert_eq!(index.sketches().len(), index.entries().len());
+        for (entry, sketch) in index.entries().iter().zip(index.sketches()) {
+            assert_eq!(sketch.letters, letter_sketch(&entry.name));
+            assert_eq!(sketch.len as usize, entry.name.chars().count());
+            for role in [Role::First, Role::Last] {
+                assert_eq!(sketch.has(role), !entry.postings(role).is_empty(), "{}", entry.name);
+            }
+        }
+        let israel = index.sketches()[0];
+        assert!(israel.has(Role::First) && israel.has(Role::Last));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!
 //! `yv-store` keeps one [`FuzzyIndex`] per store, whatever its shard
 //! count, inside its `QueryIndex`: `RESOLVE` asks it for candidates, then
-//! [`rank_entities`]; `QUERY` scans its [`FuzzyIndex::entries`] by role with
-//! an exact Jaro-Winkler threshold.
+//! [`rank_entities`]; `QUERY` scans its [`FuzzyIndex::sketches`] by role and
+//! holds the names that pass to an exact Jaro-Winkler threshold.
 //!
 //! ```
 //! use yv_fuzzy::{FuzzyIndex, ScoreBlend, rank_entities, DEFAULT_QGRAM_BOUND};
@@ -47,6 +47,7 @@ pub mod index;
 pub mod rank;
 
 pub use index::{
-    CandidateName, CandidateStats, FuzzyIndex, NameEntry, DEFAULT_QGRAM_BOUND, QGRAM_Q,
+    CandidateName, CandidateStats, FuzzyIndex, NameEntry, NameSketch, Role, DEFAULT_QGRAM_BOUND,
+    QGRAM_Q,
 };
 pub use rank::{rank_entities, RankedEntity, ScoreBlend};

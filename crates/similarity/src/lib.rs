@@ -3,8 +3,8 @@
 //! Similarity measures and the pairwise feature extractor of the Yad Vashem
 //! uncertain-ER pipeline (Section 5.1 of the paper):
 //!
-//! * string measures — Jaro, Jaro-Winkler (and an exact filtered
-//!   `jaro_winkler(a, b) >= s` test for vocabulary scans), Levenshtein,
+//! * string measures — Jaro, Jaro-Winkler (and an exact letter-sketch
+//!   filter for `jaro_winkler(name, query) >= s` over a vocabulary), Levenshtein,
 //!   token and q-gram Jaccard;
 //! * geographic distance (haversine, km);
 //! * date-component distances normalized by 31 / 12 / 100;
@@ -38,4 +38,4 @@ pub use features::{
 };
 pub use fsim::{item_similarity, weighted_item_weight, ExpertWeights};
 pub use geo::haversine_km;
-pub use jaro::{jaro, jaro_winkler, jaro_winkler_at_least};
+pub use jaro::{jaro, jaro_winkler, letter_sketch, JaroWinklerFilter};

@@ -33,11 +33,10 @@ pub(crate) fn with_scratch<T: Copy + Default, R>(n: usize, f: impl FnOnce(&mut [
     }
 }
 
-/// What a kernel sees of one symbol — a byte or a `char`: comparable, and
-/// convertible to its code point for kernels that count symbols.
-pub(crate) trait Symbol: Copy + Ord + Into<u32> {}
+/// What a kernel sees of one symbol — a byte or a `char`: comparable.
+pub(crate) trait Symbol: Copy + Ord {}
 
-impl<T: Copy + Ord + Into<u32>> Symbol for T {}
+impl<T: Copy + Ord> Symbol for T {}
 
 /// A string kernel: one implementation, generic over the symbol type, so
 /// ASCII pairs run on their bytes and everything else on `char`s.

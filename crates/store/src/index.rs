@@ -6,16 +6,16 @@
 //! thousands of times (the full Names Project has 6.5M records over a far
 //! smaller name vocabulary), so the index keys postings by *distinct
 //! lowercased name* and decides one similarity threshold per vocabulary
-//! entry instead of one per record occurrence — most of them on a bound
-//! from shared letters alone ([`jaro_winkler_at_least`]).
+//! entry instead of one per record occurrence — most of them on a letter
+//! sketch alone ([`JaroWinklerFilter`]).
 //!
 //! The table is the [`FuzzyIndex`] `RESOLVE` asks for q-gram candidates:
 //! one entry per distinct name serves both commands.
 
 use yv_core::PersonQuery;
-use yv_fuzzy::{FuzzyIndex, NameEntry};
+use yv_fuzzy::{FuzzyIndex, NameEntry, Role};
 use yv_records::{Dataset, Record, RecordId};
-use yv_similarity::jaro_winkler_at_least;
+use yv_similarity::JaroWinklerFilter;
 
 /// The name table over every record of the store — record ids `0..len` —
 /// whatever its shard count: no lookup carries the shards' routing key,
@@ -85,10 +85,21 @@ impl QueryIndex {
     /// the same set (and order) `PersonQuery::run` derives by scanning.
     #[must_use]
     pub fn seeds(&self, query: &PersonQuery) -> Vec<RecordId> {
+        self.seeds_counted(query).0
+    }
+
+    /// [`QueryIndex::seeds`], plus what the vocabulary scans did, summed
+    /// over both roles.
+    #[must_use]
+    pub(crate) fn seeds_counted(&self, query: &PersonQuery) -> (Vec<RecordId>, ScanCounts) {
         let s = query.name_similarity;
-        let first = query.first_name.as_deref().map(|q| self.matching(q, s, |e| &e.first));
-        let last = query.last_name.as_deref().map(|q| self.matching(q, s, |e| &e.last));
-        match (first, last) {
+        let mut counts = ScanCounts::default();
+        let mut scan = |name: Option<&str>, role| {
+            name.map(|q| self.matching(&q.to_lowercase(), s, role, &mut counts))
+        };
+        let first = scan(query.first_name.as_deref(), Role::First);
+        let last = scan(query.last_name.as_deref(), Role::Last);
+        let seeds = match (first, last) {
             (None, None) => (0..self.len as u32).map(RecordId).collect(),
             (Some(one), None) | (None, Some(one)) => one,
             (Some(f), Some(l)) => {
@@ -96,29 +107,50 @@ impl QueryIndex {
                 small.retain(|r| large.binary_search(r).is_ok());
                 small
             }
-        }
+        };
+        (seeds, counts)
     }
 
-    /// Records with at least one name in the given role within
-    /// `similarity` of the query, ascending and distinct.
+    /// Records with at least one name in `role` within `similarity` of the
+    /// lowercased query, ascending and distinct.
     fn matching(
         &self,
         query: &str,
         similarity: f64,
-        role: impl Fn(&NameEntry) -> &[RecordId],
+        role: Role,
+        counts: &mut ScanCounts,
     ) -> Vec<RecordId> {
-        let q = query.to_lowercase();
+        let filter = JaroWinklerFilter::new(query, similarity);
+        let entries = self.names.entries();
         let mut out = Vec::new();
-        for entry in self.names.entries() {
-            let records = role(entry);
-            if !records.is_empty() && jaro_winkler_at_least(&entry.name, &q, similarity) {
-                out.extend_from_slice(records);
+        for (entry, sketch) in entries.iter().zip(self.names.sketches()) {
+            if !sketch.has(role) {
+                continue;
+            }
+            counts.names += 1;
+            if !filter.passes(sketch.letters, sketch.len) {
+                continue;
+            }
+            counts.admitted += 1;
+            if filter.verify(&entry.name) {
+                counts.matched += 1;
+                out.extend_from_slice(entry.postings(role));
             }
         }
         out.sort_unstable();
         out.dedup();
         out
     }
+}
+
+/// What one `QUERY`'s vocabulary scans did: names with postings in the
+/// scanned role, names whose sketch passed, names that reached the
+/// similarity. Counts only — no name leaves the index this way.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ScanCounts {
+    pub(crate) names: u64,
+    pub(crate) admitted: u64,
+    pub(crate) matched: u64,
 }
 
 #[cfg(test)]

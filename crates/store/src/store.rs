@@ -21,8 +21,9 @@
 //! (and fsynced) to that shard's WAL — fsyncs on distinct shards run in
 //! parallel — and is then applied to the shared resolver strictly in
 //! sequence order (a condvar sequencer hands applies out in ticket
-//! order). `open` replays the shard WALs in parallel, merges the frames
-//! by sequence number, and refuses to open if the merge has a hole
+//! order). `open` reads the shard segments and scans the shard WALs in
+//! parallel, then replays the frames serially, merged by sequence number
+//! (arrival order), and refuses to open if the merge has a hole
 //! ([`StoreError::ShardWalGap`]): record ids are assigned in apply
 //! order, so replaying past a hole would renumber every later record. A
 //! torn tail on the globally *last* arrival is the ordinary
@@ -720,7 +721,8 @@ impl Store {
     }
 
     /// [`Store::query`] with request-scoped tracing: a `seed` span (lock
-    /// wait included, annotated with the seed count) and an `expand` span
+    /// wait included, annotated with the seed count and the vocabulary
+    /// scan's `names` / `admitted` / `matched` counts) and an `expand` span
     /// under one read guard, so every hit sees one state of index and match
     /// graph. A [`TraceCtx::disabled`] context makes every trace call a no-op.
     #[must_use]
@@ -728,8 +730,11 @@ impl Store {
         trace.enter("seed");
         let state = self.state.read();
         let resolver = &state.resolver;
-        let seeds = state.index.seeds(query);
+        let (seeds, counts) = state.index.seeds_counted(query);
         trace.arg("seeds", seeds.len() as u64);
+        trace.arg("names", counts.names);
+        trace.arg("admitted", counts.admitted);
+        trace.arg("matched", counts.matched);
         trace.exit();
         trace.enter("expand");
         let hits = seeds
@@ -834,16 +839,41 @@ mod tests {
     use yv_core::{IncrementalConfig, Pipeline, PipelineConfig};
     use yv_records::RecordBuilder;
 
+    fn resolver_of(names: &[(&str, &str)]) -> IncrementalResolver {
+        let mut ds = Dataset::new();
+        let source = ds.add_source(Source::list(SourceId(0), "list"));
+        for (i, &(first, last)) in names.iter().enumerate() {
+            let record = RecordBuilder::new(i as u64 + 1, source).first_name(first).last_name(last);
+            ds.add_record(record.build());
+        }
+        let pipeline = Pipeline::with_model(AdTree::prior(0.0));
+        let (config, inc) = (PipelineConfig::default(), IncrementalConfig::default());
+        IncrementalResolver::bootstrap(ds, pipeline, config, inc)
+    }
+
+    /// The `seed` span counts what the vocabulary scan did — and only
+    /// counts: last names scanned, passed by the sketch, matched.
+    #[test]
+    fn the_seed_span_counts_the_vocabulary_scan() {
+        let names = [("Sara", "Levi"), ("Moshe", "Lvei"), ("Sara", "Roth"), ("Levi", "Cohen")];
+        let dir = crate::scratch::ScratchDir::new("seed-span-counts");
+        let store = Store::create(&dir, resolver_of(&names), 1).expect("create");
+        let clock = std::sync::Arc::new(yv_obs::ManualClock::new());
+        let mut trace = TraceCtx::start(1, 1, clock);
+        let query = PersonQuery { last_name: Some("Levi".into()), ..PersonQuery::default() };
+        let hits = store.query_traced(&query, &mut trace);
+        let trace = trace.finish(true).expect("an enabled trace");
+        let seed = trace.spans().iter().find(|s| s.name == "seed").expect("a seed span");
+        let args = seed.args();
+        assert_eq!(args[0], ("seeds", hits.len() as u64));
+        assert_eq!(&args[1..], &[("names", 4), ("admitted", 2), ("matched", 2)]);
+    }
+
     /// An in-flight `BATCH_ADD` or `SNAPSHOT` holds every shard's write
     /// lock across its fsyncs; reads must be answered regardless.
     #[test]
     fn reads_never_wait_on_a_shard_lock() {
-        let mut ds = Dataset::new();
-        let source = ds.add_source(Source::list(SourceId(0), "list"));
-        ds.add_record(RecordBuilder::new(1, source).first_name("Sara").last_name("Levi").build());
-        let pipeline = Pipeline::with_model(AdTree::prior(0.0));
-        let (config, inc) = (PipelineConfig::default(), IncrementalConfig::default());
-        let resolver = IncrementalResolver::bootstrap(ds, pipeline, config, inc);
+        let resolver = resolver_of(&[("Sara", "Levi")]);
         let dir = crate::scratch::ScratchDir::new("reads-vs-shard-locks");
         let store = &Store::create(&dir, resolver, 4).expect("create");
         let (answer, answered) = std::sync::mpsc::channel();

@@ -9,7 +9,8 @@
 //! `QUERY`'s seeds come from a vocabulary scan that refuses most names on
 //! a bound before computing Jaro-Winkler, so the probes also sit where
 //! that bound is tight: misspellings of the arrival's names at five name
-//! similarities, and hand-built names the byte path never sees.
+//! similarities, hand-built names the byte path never sees, and names whose
+//! letters collide in one sketch bucket or saturate its count.
 
 // Test-only binary: helper fns outside #[test] may unwrap freely (the
 // workspace unwrap_used deny targets library code).
@@ -193,7 +194,12 @@ fn reads_after_every_write_equal_the_batch_api() {
 /// in both roles: non-ASCII letters (`İ` lowercases to two characters, a
 /// capital sigma by its place in the word), a name past the 64 symbols a
 /// string kernel keeps on the stack, an empty first name, and one name
-/// that is a first name in one record and a last name in another.
+/// that is a first name in one record and a last name in another. The rest
+/// are built against the letter sketch the scan filters on (32 buckets of
+/// code points sharing their low five bits, counts saturating at 7):
+/// letters 32 code points apart share a bucket (`a á !`, `i é`, `v ö`,
+/// `q 1`), and eight or more of one letter saturate it on one or both
+/// sides of a pair.
 #[test]
 fn hand_built_names_equal_the_batch_api() {
     let (resolver, _) = resolver_and_arrivals(60, 29);
@@ -208,6 +214,12 @@ fn hand_built_names_equal_the_batch_api() {
         ("Israel", long),
         ("Sara", "Israel"),
         ("", "Levi"),
+        ("Sára", "Lévi"),
+        ("Sa!a", "Livi"),
+        ("Aaaaaaaaron", "Löwi"),
+        ("Annaanna", "Mississippi-Mississippi"),
+        ("Q1", "Levvvvvvvvi"),
+        ("Eeeeeeee", "Lvwi"),
     ];
     for (i, (first, last)) in people.into_iter().enumerate() {
         let record =
@@ -217,7 +229,8 @@ fn hand_built_names_equal_the_batch_api() {
 
     let probes = [
         "", "dávid", "DAVID", "İzmir", "izmir", "weiß", "WEISS", "Οδυσσευς", "ΟΔΥΣΣΕΥΣ", long,
-        "israel", "Levi", "lvei",
+        "israel", "Levi", "lvei", "Sara", "S!ra", "Livi", "Lévi", "Lövi", "Aaron", "Aaaaaaaaaron",
+        "Mississippi", "Mississippi-Mississipi", "Levvvvvvvi", "Lvvvvvvvvvi", "q!", "Eeeeeeeeee",
     ];
     let mut hits = 0;
     for name_similarity in SIMILARITIES {
