@@ -42,8 +42,9 @@ trace_file="$(mktemp -t yv-trace-XXXXXX.json)"
 serve_log="$(mktemp -t yv-serve-XXXXXX.log)"
 store_dir="$(mktemp -d -t yv-ci-store-XXXXXX)"
 shard_log_fill="$(mktemp -t yv-shard-fill-XXXXXX.log)"
+shard_log_crash="$(mktemp -t yv-shard-crash-XXXXXX.log)"
 shard_log_replay="$(mktemp -t yv-shard-replay-XXXXXX.log)"
-trap 'rm -f "$trace_file" "$serve_log" "$shard_log_fill" "$shard_log_replay"; rm -rf "$store_dir"' EXIT
+trap 'rm -f "$trace_file" "$serve_log" "$shard_log_fill" "$shard_log_crash" "$shard_log_replay"; rm -rf "$store_dir"' EXIT
 cargo run -q --release -p yv-cli --bin yv -- \
     block --records 300 --trace-json "$trace_file" > /dev/null
 python3 - "$trace_file" <<'PYEOF'
@@ -189,10 +190,11 @@ echo "telemetry smoke test: slow.jsonl + telemetry.yvt persisted"
 # Sharded-store smoke test (DESIGN.md §9, §13): bootstrap a 4-shard
 # store, fire concurrent ADDs through the typed client over both
 # transports (`yv load` text, then `yv load --binary` streaming
-# BATCH_ADD frames), shut down (folding the per-shard WALs into the
-# snapshot), restart on the same directory, and require the identical
-# logical state back: same record count, same shard count, and the same
-# query-battery digest — which must also be transport-independent.
+# BATCH_ADD frames), kill it, restart on the same directory (replaying
+# the per-shard WALs), shut down (folding them into the snapshot),
+# restart again, and require the identical logical state back every
+# time: same record count, same shard count, and the same query-battery
+# digest — which must also be transport-independent.
 serve_on_shard_dir() {
     cargo run -q --release -p yv-cli --bin yv -- \
         serve --dir "$store_dir/shards" --records 300 --shards 4 \
@@ -432,14 +434,49 @@ grep -q "via binary BATCH_ADD x8" <<< "$fill_bin" || {
 }
 fill_text="$(cargo run -q --release -p yv-cli --bin yv -- \
     load --addr "$shard_addr" --adds 0)"
-cargo run -q --release -p yv-cli --bin yv -- \
-    load --addr "$shard_addr" --shutdown > /dev/null
+# A crash, not a shutdown: the restart must replay every WAL frame the
+# STATS above counted, and find no torn tail (replay report, DESIGN.md §9).
+kill -9 "$shard_pid"
+wait "$shard_pid" 2> /dev/null || true
+serve_on_shard_dir "$shard_log_crash"
+python3 - "$shard_addr" "$(grep -o ' wal=[0-9]*' <<< "$fill_text" | head -1)" <<'PYEOF'
+import socket, sys
+
+host, port = sys.argv[1].rsplit(":", 1)
+wal_before = int(sys.argv[2].split("=")[1])
+sock = socket.create_connection((host, int(port)), timeout=10)
+f = sock.makefile("rw", newline="\n")
+f.write("METRICS\n")
+f.flush()
+body = []
+while True:
+    got = f.readline()
+    assert got, "server closed mid-response"
+    if got.rstrip("\n") == ".":
+        break
+    body.append(got.rstrip("\n"))
+assert body[0] == "OK metrics", body[:1]
+
+def gauge(name):
+    rows = [l for l in body if l.startswith(name + " ")]
+    assert rows, f"missing {name}"
+    return int(rows[0].split()[-1])
+
+replayed = gauge("yv_store_open_frames_replayed")
+assert wal_before > 0, "the fill left nothing in the WALs to replay"
+assert replayed == wal_before, f"reopen replayed {replayed} frames; STATS counted wal={wal_before}"
+assert gauge("yv_store_open_torn_bytes") == 0, "a killed idle server left a torn WAL tail"
+gauge("yv_store_open_replay_us")
+print(f"replay report smoke: reopen after kill -9 replayed all {replayed} WAL frames, 0 torn bytes")
+PYEOF
+crash="$(cargo run -q --release -p yv-cli --bin yv -- \
+    load --addr "$shard_addr" --shutdown)"
 wait "$shard_pid"
 serve_on_shard_dir "$shard_log_replay"
 replay="$(cargo run -q --release -p yv-cli --bin yv -- \
     load --addr "$shard_addr" --shutdown)"
 wait "$shard_pid"
-for run in fill fill_bin fill_text replay; do
+for run in fill fill_bin fill_text crash replay; do
     grep -q "shards=4" <<< "${!run}" || {
         echo "sharded smoke test: $run run lost the shard count: ${!run}" >&2
         exit 1
@@ -447,32 +484,35 @@ for run in fill fill_bin fill_text replay; do
 done
 records_fill="$(grep -o 'records=[0-9]*' <<< "$fill")"
 records_bin="$(grep -o 'records=[0-9]*' <<< "$fill_bin")"
+records_crash="$(grep -o 'records=[0-9]*' <<< "$crash")"
 records_replay="$(grep -o 'records=[0-9]*' <<< "$replay")"
 if [ "$records_fill" != "records=324" ]; then
     echo "sharded smoke test: expected records=324 after the text ADDs," \
         "got '$records_fill'" >&2
     exit 1
 fi
-if [ "$records_bin" != "records=349" ] || [ "$records_replay" != "records=349" ]; then
+if [ "$records_bin" != "records=349" ] || [ "$records_crash" != "records=349" ] \
+        || [ "$records_replay" != "records=349" ]; then
     echo "sharded smoke test: expected records=349 after the binary load and" \
-        "after restart, got '$records_bin' / '$records_replay'" >&2
+        "after both restarts, got '$records_bin' / '$records_crash' / '$records_replay'" >&2
     exit 1
 fi
 digest_bin="$(grep '^battery digest:' <<< "$fill_bin")"
 digest_text="$(grep '^battery digest:' <<< "$fill_text")"
+digest_crash="$(grep '^battery digest:' <<< "$crash")"
 digest_replay="$(grep '^battery digest:' <<< "$replay")"
 if [ -z "$digest_bin" ] || [ "$digest_bin" != "$digest_text" ]; then
     echo "sharded smoke test: battery digest depends on the transport:" \
         "binary '$digest_bin' vs text '$digest_text'" >&2
     exit 1
 fi
-if [ "$digest_bin" != "$digest_replay" ]; then
+if [ "$digest_bin" != "$digest_crash" ] || [ "$digest_bin" != "$digest_replay" ]; then
     echo "sharded smoke test: query battery diverged across restart:" \
-        "'$digest_bin' vs '$digest_replay'" >&2
+        "'$digest_bin' vs '$digest_crash' (WAL replay) vs '$digest_replay' (snapshot)" >&2
     exit 1
 fi
 echo "sharded smoke test: 24 + 1 text ADDs + 24 binary BATCH_ADDs over 4 shards," \
-    "text/binary digests identical, restart identical ($digest_bin)"
+    "text/binary digests identical, crash and clean restarts identical ($digest_bin)"
 
 # Shard-routing hash gate: fnv1a64 is the only hash the store may route
 # records with (DESIGN.md §9) — a stray std/fast hasher would re-route

@@ -2,8 +2,9 @@
 //! touch the heap (the generator's names are ASCII plus the odd Latin
 //! diacritic; only a capital sigma or a name past 64 characters would),
 //! the query index's vocabulary scan allocates for the names it matches,
-//! not for the names it scans, and `RESOLVE`'s q-gram candidate scan
-//! allocates the same however many names it examines.
+//! not for the names it scans, `RESOLVE`'s q-gram candidate scan
+//! allocates the same however many names it examines, and filing a record
+//! whose items are all known allocates its bag, not a string per item.
 //!
 //! One test binary of their own: the counting allocator (the default
 //! `alloc-metrics` feature, as in the shipped `yv`) is process-wide, so
@@ -13,7 +14,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use yv_blocking::mfi_blocks;
 use yv_core::{PersonQuery, Pipeline, PipelineConfig};
 use yv_datagen::{tag_pairs, GenConfig};
-use yv_records::{Dataset, RecordBuilder, RecordId, Source, SourceId};
+use yv_records::{
+    Dataset, DateParts, Gender, GeoPoint, Place, PlaceType, RecordBuilder, RecordId, Source,
+    SourceId,
+};
 use yv_store::{QueryIndex, ResolveOptions};
 
 /// Held by each test for its whole run.
@@ -129,4 +133,45 @@ fn candidate_scans_allocate_the_same_whatever_they_examine() {
     assert_eq!(readings[0].1, (1, 11), "{readings:?}");
     assert_eq!(readings[1].1, (1, 1_001), "{readings:?}");
     assert_eq!(readings[0].0, readings[1].0, "allocator calls differ: {readings:?}");
+}
+
+#[test]
+fn filing_a_record_of_known_items_allocates_its_bag() {
+    let _turn = measuring_alone();
+    if !yv_obs::alloc_stats().enabled {
+        return;
+    }
+    let mut ds = Dataset::new();
+    let source = ds.add_source(Source::list(SourceId(0), "list"));
+    // Every kind of item itemize interns: names, codes, the three date
+    // parts, and a place's four parts. Mixed case and padding go through
+    // the normalization; all of it is ASCII.
+    let record = RecordBuilder::new(1, source)
+        .first_name("Guido")
+        .first_name(" ABRAMO ")
+        .last_name("Foa")
+        .maiden_name("Levi")
+        .father_name("Moise")
+        .mother_name("Sara")
+        .spouse_name("Rachele")
+        .gender(Gender::Male)
+        .birth(DateParts::full(18, 11, 1920))
+        .profession("Merchant")
+        .place(
+            PlaceType::Birth,
+            Place::full("Torino", "Torino", "Piemonte", "Italy", GeoPoint::new(45.07, 7.69)),
+        )
+        .build();
+    ds.add_record(record.clone());
+    let items = ds.interner().len();
+    assert!(ds.bag(RecordId(0)).len() >= 16, "{} items", ds.bag(RecordId(0)).len());
+    let copies: Vec<_> = (0..64).map(|_| record.clone()).collect();
+    for copy in copies {
+        // The bag, plus the odd doubling of the record and bag lists.
+        let calls = alloc_calls(|| {
+            ds.add_record(copy);
+        });
+        assert!(calls <= 3, "add_record of known items made {calls} allocator calls");
+    }
+    assert_eq!(ds.interner().len(), items);
 }

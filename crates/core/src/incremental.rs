@@ -54,10 +54,10 @@ pub struct IncrementalResolver {
     /// `best[record] = max(0, best incident match score)`, grown like
     /// `incident`.
     best: Vec<f64>,
-    /// Scratch of [`IncrementalResolver::insert`], reused across arrivals:
-    /// `shared[record]` counts the informative items the arriving record
-    /// shares with `record` and is all zero between calls; `touched`
-    /// lists the records counted, in first-touch order.
+    /// Scratch of [`IncrementalResolver::insert_batch`], reused across
+    /// arrivals: `shared[record]` counts the informative items the arriving
+    /// record shares with `record` and is all zero between calls;
+    /// `touched` lists the records counted, in first-touch order.
     shared: Vec<u16>,
     touched: Vec<RecordId>,
 }
@@ -177,67 +177,99 @@ impl IncrementalResolver {
     /// Insert one arriving record; returns the new ranked matches it
     /// produced (already folded into the resolver's state). The record's
     /// source must have been registered on the dataset before bootstrap,
-    /// or be added through [`IncrementalResolver::add_source`].
+    /// or be added through [`IncrementalResolver::add_source`]. A batch of
+    /// one: a single arrival's candidates are scored on this thread.
     pub fn insert(&mut self, record: Record) -> Vec<RankedMatch> {
-        let rid = self.dataset.add_record(record);
-        // Extend postings for any newly interned items.
-        self.postings.resize(self.dataset.interner().len(), Vec::new());
-        let bag = self.dataset.bag(rid);
-        let n = self.dataset.len();
-        let cap = ((n as f64) * self.inc.common_fraction).ceil() as usize;
+        self.insert_batch(vec![record]).pop().unwrap_or_default()
+    }
 
-        // Candidate partners: records sharing enough informative items.
-        self.shared.resize(n, 0);
-        for &item in bag {
-            let list = &self.postings[item.index()];
-            if list.len() <= cap.max(8) {
-                for &other in list {
-                    let count = &mut self.shared[other.index()];
-                    if *count == 0 {
-                        self.touched.push(other);
+    /// Insert arriving records in order; returns each one's new ranked
+    /// matches, exactly as inserting them one at a time would — same ids,
+    /// same matches, same bits, same order.
+    ///
+    /// Three phases. (a) Serially, per record: file it, walk the postings
+    /// for its candidates under its own `n` / `common_fraction` cap, and
+    /// post it, so a later record of the batch sees the earlier ones as
+    /// candidates. (b) Score every candidate pair at once with
+    /// [`Pipeline::score_pairs`], the only step that may use other cores.
+    /// (c) Serially, per record: the `classify` filter, the ranked sort and
+    /// the match-graph update. Nothing in (a) reads a score, so deferring
+    /// (b) changes no outcome.
+    pub fn insert_batch(&mut self, records: Vec<Record>) -> Vec<Vec<RankedMatch>> {
+        let mut pairs: Vec<(RecordId, RecordId)> = Vec::new();
+        let mut ends = Vec::with_capacity(records.len());
+        for record in records {
+            let rid = self.dataset.add_record(record);
+            // Extend postings for any newly interned items.
+            self.postings.resize(self.dataset.interner().len(), Vec::new());
+            let bag = self.dataset.bag(rid);
+            let n = self.dataset.len();
+            let cap = ((n as f64) * self.inc.common_fraction).ceil() as usize;
+
+            // Candidate partners: records sharing enough informative items.
+            self.shared.resize(n, 0);
+            for &item in bag {
+                let list = &self.postings[item.index()];
+                if list.len() <= cap.max(8) {
+                    for &other in list {
+                        let count = &mut self.shared[other.index()];
+                        if *count == 0 {
+                            self.touched.push(other);
+                        }
+                        *count = count.saturating_add(1);
                     }
-                    *count = count.saturating_add(1);
                 }
             }
-        }
-        let mut new_matches = Vec::new();
-        for other in self.touched.drain(..) {
-            let count = usize::from(std::mem::take(&mut self.shared[other.index()]));
-            if count < self.inc.min_shared_items {
-                continue;
+            for other in self.touched.drain(..) {
+                let count = usize::from(std::mem::take(&mut self.shared[other.index()]));
+                if count < self.inc.min_shared_items {
+                    continue;
+                }
+                if self.config.same_src_discard && self.dataset.same_source(rid, other) {
+                    continue;
+                }
+                pairs.push((rid, other));
             }
-            if self.config.same_src_discard && self.dataset.same_source(rid, other) {
-                continue;
+            // Index the new record *after* candidate search (no self-pairs).
+            for &item in bag {
+                self.postings[item.index()].push(rid);
             }
-            let score = self.pipeline.score_pair(&self.dataset, rid, other);
-            if self.config.classify && score <= 0.0 {
-                continue;
+            ends.push(pairs.len());
+        }
+
+        let scores = self.pipeline.score_pairs(&self.dataset, &pairs);
+
+        let mut start = 0;
+        let mut produced = Vec::with_capacity(ends.len());
+        for end in ends {
+            let mut new_matches: Vec<RankedMatch> = pairs[start..end]
+                .iter()
+                .zip(&scores[start..end])
+                .filter(|&(_, &score)| !(self.config.classify && score <= 0.0))
+                .map(|(&(rid, other), &score)| RankedMatch::new(rid, other, score))
+                .collect();
+            start = end;
+            // Ranked order: score descending, then pair ids — equal scores
+            // are common (identical twins of a record).
+            new_matches.sort_by(|a, b| {
+                b.score.total_cmp(&a.score).then_with(|| (a.a, a.b).cmp(&(b.a, b.b)))
+            });
+            // Grow the match list by an eighth when full, not by doubling:
+            // an arrival that shares evidence with many records adds
+            // hundreds of matches, this list is the resolver's largest once
+            // arrivals accumulate, and doubling it leaves up to half of it
+            // unused — room the incidence lists now need.
+            let spare = self.matches.capacity() - self.matches.len();
+            if spare < new_matches.len() {
+                self.matches.reserve_exact(new_matches.len().max(self.matches.len() / 8));
             }
-            new_matches.push(RankedMatch::new(rid, other, score));
+            for &m in &new_matches {
+                self.matches.push(m);
+                self.index_match(self.matches.len() - 1);
+            }
+            produced.push(new_matches);
         }
-        // Index the new record *after* candidate search (no self-pairs).
-        for &item in bag {
-            self.postings[item.index()].push(rid);
-        }
-        // Ranked order: score descending, then pair ids — equal scores
-        // are common (identical twins of a record).
-        new_matches.sort_by(|a, b| {
-            b.score.total_cmp(&a.score).then_with(|| (a.a, a.b).cmp(&(b.a, b.b)))
-        });
-        // Grow the match list by an eighth when full, not by doubling: an
-        // arrival that shares evidence with many records adds hundreds of
-        // matches, this list is the resolver's largest once arrivals
-        // accumulate, and doubling it leaves up to half of it unused —
-        // room the incidence lists now need.
-        let spare = self.matches.capacity() - self.matches.len();
-        if spare < new_matches.len() {
-            self.matches.reserve_exact(new_matches.len().max(self.matches.len() / 8));
-        }
-        for &m in &new_matches {
-            self.matches.push(m);
-            self.index_match(self.matches.len() - 1);
-        }
-        new_matches
+        produced
     }
 
     /// Register a new source (a new victim list or submitter) so arriving

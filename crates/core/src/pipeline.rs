@@ -3,6 +3,7 @@
 
 use crate::model::{RankedMatch, SoftCluster};
 use crate::resolution::Resolution;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use yv_adt::{train, AdTree, TrainConfig, TrainSet};
 use yv_blocking::{mfi_blocks_recorded, MfiBlocksConfig};
 use yv_obs::Recorder;
@@ -43,6 +44,25 @@ fn score_on_demand(model: &AdTree, mut compute: impl FnMut(FeatureId) -> Option<
     model.score_with(|f| *memo.get_mut(f)?.get_or_insert_with(|| compute(f)))
 }
 
+/// Pairs below which [`Pipeline::score_pairs`] stays on the calling thread.
+/// A scoped worker costs tens of microseconds to spawn and join, and a pair
+/// ≈ 1 µs to score: one arrival's ≈ 200 candidates are cheaper scored in
+/// place, a replay's or a `BATCH_ADD` slice's thousands are not.
+const PARALLEL_MIN_PAIRS: usize = 2_048;
+
+/// Pairs a [`Pipeline::score_pairs`] worker takes at a time (≈ 0.3 ms of
+/// scoring). Runs are handed out as workers free up rather than one fixed
+/// share each, so a worker the scheduler delays holds the others up by one
+/// run, not by its whole share.
+const SCORE_RUN: usize = 256;
+
+/// Workers for [`Pipeline::score_pairs`]: the host's parallelism, asked
+/// once per process — the query is a syscall, and arrivals are many.
+fn scoring_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 /// A trained pipeline: the ADTree model ready to score candidate pairs.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -74,6 +94,46 @@ impl Pipeline {
     pub fn score_pair(&self, ds: &Dataset, a: RecordId, b: RecordId) -> f64 {
         let (a, b) = (ds.record(a), ds.record(b));
         score_on_demand(&self.model, |f| feature(f, a, b))
+    }
+
+    /// Score many pairs: `out[i]` is `score_pair(ds, pairs[i].0,
+    /// pairs[i].1)`, bit for bit. A score is a pure function of its two
+    /// records, so the pairs are cut into runs of [`SCORE_RUN`] that the
+    /// calling thread and its workers take in turn, each writing its run's
+    /// own slice of the output — unless there are fewer than
+    /// [`PARALLEL_MIN_PAIRS`], which are scored in place.
+    #[must_use]
+    pub fn score_pairs(&self, ds: &Dataset, pairs: &[(RecordId, RecordId)]) -> Vec<f64> {
+        let workers = if pairs.len() < PARALLEL_MIN_PAIRS { 1 } else { scoring_workers() };
+        self.score_pairs_on(ds, pairs, workers)
+    }
+
+    /// [`Pipeline::score_pairs`] on exactly `workers` threads, the calling
+    /// thread included.
+    fn score_pairs_on(
+        &self,
+        ds: &Dataset,
+        pairs: &[(RecordId, RecordId)],
+        workers: usize,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; pairs.len()];
+        let runs = Mutex::new(pairs.chunks(SCORE_RUN).zip(out.chunks_mut(SCORE_RUN)));
+        let work = || loop {
+            // The guard drops at the end of this statement: runs are
+            // handed out under the lock, scored outside it.
+            let next = runs.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((pairs, out)) = next else { break };
+            for (&(a, b), score) in pairs.iter().zip(out) {
+                *score = self.score_pair(ds, a, b);
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
+        });
+        out
     }
 
     /// Run the full pipeline over a dataset: block, filter, score, rank.
@@ -246,6 +306,29 @@ mod tests {
         }
         assert!(rec.counter("pairs_scored") > 0);
         assert_eq!(rec.counter("matches_kept"), resolution.matches.len() as u64);
+    }
+
+    /// The parallel split is only taken past [`PARALLEL_MIN_PAIRS`], which
+    /// small fixtures never reach, so drive it directly: every worker count
+    /// (including more workers than there are runs) gives the serial scores
+    /// bit for bit, in pair order.
+    #[test]
+    fn score_pairs_splits_without_changing_a_bit() {
+        let (gen, pipeline, _) = fixture();
+        let n = gen.dataset.len() as u32;
+        let pairs: Vec<_> =
+            (0..1_000).map(|i| (RecordId(i % n), RecordId((i * 7 + 1) % n))).collect();
+        let bits = |scores: Vec<f64>| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let serial =
+            bits(pairs.iter().map(|&(a, b)| pipeline.score_pair(&gen.dataset, a, b)).collect());
+        for workers in [1, 2, 3, 8] {
+            let split = pipeline.score_pairs_on(&gen.dataset, &pairs, workers);
+            assert_eq!(bits(split), serial, "{workers} workers");
+            let short = pipeline.score_pairs_on(&gen.dataset, &pairs[..2], workers);
+            assert_eq!(bits(short), serial[..2], "{workers} workers, 2 pairs");
+            assert!(pipeline.score_pairs_on(&gen.dataset, &[], workers).is_empty());
+        }
+        assert_eq!(bits(pipeline.score_pairs(&gen.dataset, &pairs)), serial);
     }
 
     #[test]

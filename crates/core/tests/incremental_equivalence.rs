@@ -109,24 +109,60 @@ proptest! {
         }
     }
 
+    /// Streaming is deterministic, and batching does not change it: the
+    /// held-out suffix filed one record at a time, and the same suffix cut
+    /// into random slices filed through `insert_batch`, leave bit-identical
+    /// matches in the same order, the same per-arrival matches, and the
+    /// same entities and best scores for every record.
     #[test]
-    fn streaming_is_deterministic(seed in 0u64..40) {
+    fn streaming_is_deterministic(
+        seed in 0u64..40,
+        holdout in 3usize..40,
+        cuts in proptest::collection::vec(0usize..40, 0..6),
+    ) {
         let gen = GenConfig::random(150, seed).generate();
         let config = PipelineConfig::default();
         let pipeline = trained(&gen, &config);
         let n = gen.dataset.len();
-        let run = || {
-            let mut r = IncrementalResolver::bootstrap(
-                clone_prefix(&gen.dataset, n - 3),
+        let holdout = holdout.min(n - 1);
+        let bootstrap = || {
+            IncrementalResolver::bootstrap(
+                clone_prefix(&gen.dataset, n - holdout),
                 pipeline.clone(),
                 config.clone(),
                 IncrementalConfig::default(),
-            );
-            for rid in gen.dataset.record_ids().skip(n - 3) {
-                r.insert(gen.dataset.record(rid).clone());
-            }
-            r.matches().to_vec()
+            )
         };
-        prop_assert_eq!(run(), run());
+        let suffix: Vec<_> = gen.dataset.records()[n - holdout..].to_vec();
+        let one_at_a_time = || {
+            let mut r = bootstrap();
+            let produced: Vec<_> = suffix.iter().map(|record| r.insert(record.clone())).collect();
+            (r, produced)
+        };
+        let (serial, serial_produced) = one_at_a_time();
+        prop_assert_eq!(one_at_a_time().1, serial_produced.clone());
+
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (holdout + 1)).collect();
+        bounds.extend([0, holdout]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut batched = bootstrap();
+        let mut batched_produced = Vec::new();
+        for run in bounds.windows(2) {
+            batched_produced.extend(batched.insert_batch(suffix[run[0]..run[1]].to_vec()));
+        }
+
+        let bits = |r: &IncrementalResolver| -> Vec<(RecordId, RecordId, u64)> {
+            r.matches().iter().map(|m| (m.a, m.b, m.score.to_bits())).collect()
+        };
+        prop_assert_eq!(bits(&batched), bits(&serial), "slices {:?}", bounds);
+        prop_assert_eq!(batched_produced, serial_produced);
+        prop_assert_eq!(batched.len(), serial.len());
+        for rid in serial.dataset().record_ids() {
+            prop_assert_eq!(batched.best_score(rid).to_bits(), serial.best_score(rid).to_bits());
+            for at in [f64::NEG_INFINITY, 0.0, 0.8] {
+                prop_assert_eq!(batched.entity_of(rid, at), serial.entity_of(rid, at));
+            }
+        }
     }
 }

@@ -23,8 +23,13 @@ struct ItemMeta {
 /// An append-only dictionary of typed items.
 #[derive(Debug, Default)]
 pub struct Interner {
-    lookup: HashMap<(ItemType, String), ItemId>,
+    /// `lookup[ty.index()]`: normalized value → id. One map per item type,
+    /// keyed by `Box<str>`, so a hit is looked up by `&str` and builds no
+    /// key.
+    lookup: [HashMap<Box<str>, ItemId>; ItemType::COUNT],
     items: Vec<ItemMeta>,
+    /// Normalization buffer of [`Interner::intern`], reused across calls.
+    scratch: String,
 }
 
 impl Interner {
@@ -34,23 +39,25 @@ impl Interner {
     }
 
     /// Intern a value under an item type, normalizing case and surrounding
-    /// whitespace. Repeated interning increments the occurrence count.
+    /// whitespace ([`normalize`]). Repeated interning increments the
+    /// occurrence count. A hit on an ASCII value allocates nothing.
     pub fn intern(&mut self, ty: ItemType, value: &str) -> ItemId {
-        let norm = normalize(value);
-        if let Some(&id) = self.lookup.get(&(ty, norm.clone())) {
+        let norm = normalized(value, &mut self.scratch);
+        let lookup = &mut self.lookup[ty.index()];
+        if let Some(&id) = lookup.get(norm) {
             self.items[id.index()].occurrences += 1;
             return id;
         }
         let id = ItemId(u32::try_from(self.items.len()).expect("interner overflow"));
-        self.items.push(ItemMeta { ty, value: norm.clone(), occurrences: 1, geo: None });
-        self.lookup.insert((ty, norm), id);
+        self.items.push(ItemMeta { ty, value: norm.to_owned(), occurrences: 1, geo: None });
+        lookup.insert(norm.into(), id);
         id
     }
 
     /// Look an item up without inserting.
     #[must_use]
     pub fn get(&self, ty: ItemType, value: &str) -> Option<ItemId> {
-        self.lookup.get(&(ty, normalize(value))).copied()
+        self.lookup[ty.index()].get(normalized(value, &mut String::new())).copied()
     }
 
     /// Attach geographic coordinates to an item (idempotent; the first
@@ -125,6 +132,24 @@ impl Interner {
 #[must_use]
 pub fn normalize(value: &str) -> String {
     value.trim().to_lowercase()
+}
+
+/// [`normalize`] without the `String` where it can: an ASCII value that is
+/// already lowercase is returned trimmed in place, other ASCII is lowercased
+/// into `buf`, and only non-ASCII goes through `str::to_lowercase`, which
+/// knows the context rules (a final capital sigma) a per-char map does not.
+fn normalized<'a>(value: &'a str, buf: &'a mut String) -> &'a str {
+    let trimmed = value.trim();
+    if !trimmed.is_ascii() {
+        *buf = trimmed.to_lowercase();
+    } else if trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+        buf.clear();
+        buf.push_str(trimmed);
+        buf.make_ascii_lowercase();
+    } else {
+        return trimmed;
+    }
+    buf
 }
 
 #[cfg(test)]

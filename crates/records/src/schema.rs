@@ -151,17 +151,18 @@ pub fn itemize(record: &Record, interner: &mut Interner) -> Vec<ItemId> {
     if let Some(n) = &record.spouse_name {
         bag.push(interner.intern(ItemType::SpouseName, n));
     }
+    let mut digits = [0u8; 11];
     if let Some(g) = record.gender {
-        bag.push(interner.intern(ItemType::Gender, &g.code().to_string()));
+        bag.push(interner.intern(ItemType::Gender, decimal(g.code().into(), &mut digits)));
     }
     if let Some(d) = record.birth.day {
-        bag.push(interner.intern(ItemType::BirthDay, &d.to_string()));
+        bag.push(interner.intern(ItemType::BirthDay, decimal(d.into(), &mut digits)));
     }
     if let Some(m) = record.birth.month {
-        bag.push(interner.intern(ItemType::BirthMonth, &m.to_string()));
+        bag.push(interner.intern(ItemType::BirthMonth, decimal(m.into(), &mut digits)));
     }
     if let Some(y) = record.birth.year {
-        bag.push(interner.intern(ItemType::BirthYear, &y.to_string()));
+        bag.push(interner.intern(ItemType::BirthYear, decimal(y, &mut digits)));
     }
     if let Some(p) = &record.profession {
         bag.push(interner.intern(ItemType::Profession, p));
@@ -184,6 +185,26 @@ pub fn itemize(record: &Record, interner: &mut Interner) -> Vec<ItemId> {
     bag.sort_unstable();
     bag.dedup();
     bag
+}
+
+/// `n` in decimal, as `n.to_string()` spells it, written into `buf`
+/// instead of a fresh `String` (11 bytes hold `i32::MIN`).
+fn decimal(n: i32, buf: &mut [u8; 11]) -> &str {
+    let mut rest = n.unsigned_abs();
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    std::str::from_utf8(&buf[at..]).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -272,6 +293,14 @@ mod tests {
     fn unknown_source_panics() {
         let mut ds = Dataset::new();
         ds.add_record(RecordBuilder::new(1, SourceId(9)).build());
+    }
+
+    #[test]
+    fn decimal_spells_integers_like_to_string() {
+        let mut buf = [0u8; 11];
+        for n in [0, 7, 10, 31, 1920, -1, -45, i32::MAX, i32::MIN] {
+            assert_eq!(decimal(n, &mut buf), n.to_string());
+        }
     }
 
     #[test]

@@ -107,8 +107,8 @@ pub use server::{
 pub use telemetry::{TelemetryLog, DEFAULT_CAP_BYTES as DEFAULT_TELEMETRY_CAP_BYTES};
 pub use shard::{shard_of_name, shard_of_record, Manifest, ShardStats, MANIFEST_FILE, ROUTING_RULE};
 pub use store::{
-    segment_file_name, wal_file_name, ResolveOptions, ResolveOutcome, Store, StoreStats,
-    DEFAULT_RESOLVE_K, SNAPSHOT_FILE,
+    segment_file_name, wal_file_name, OpenReport, ResolveOptions, ResolveOutcome, Store,
+    StoreStats, DEFAULT_RESOLVE_K, SNAPSHOT_FILE,
 };
 pub use yv_fuzzy::{RankedEntity, ScoreBlend};
 pub use wal::{Wal, WalEntry, WalScan};

@@ -840,6 +840,22 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
         stats.postings as u64,
     );
     reg.set_gauge("yv_store_shards", "Shard count (fixed at create)", stats.shards.len() as u64);
+    let opened = ctx.store.open_report();
+    reg.set_gauge(
+        "yv_store_open_frames_replayed",
+        "WAL frames the last open replayed, all shards",
+        opened.frames,
+    );
+    reg.set_gauge(
+        "yv_store_open_torn_bytes",
+        "Torn-tail WAL bytes the last open dropped, all shards",
+        opened.torn_bytes,
+    );
+    reg.set_gauge(
+        "yv_store_open_replay_us",
+        "Wall time of the last open's WAL merge and replay in microseconds",
+        opened.replay_ns / 1_000,
+    );
     reg.set_gauge(
         "yv_store_fuzzy_names",
         "Distinct lowercased names in the fuzzy q-gram index",

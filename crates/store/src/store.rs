@@ -22,13 +22,25 @@
 //! parallel — and is then applied to the shared resolver strictly in
 //! sequence order (a condvar sequencer hands applies out in ticket
 //! order). `open` reads the shard segments and scans the shard WALs in
-//! parallel, then replays the frames serially, merged by sequence number
-//! (arrival order), and refuses to open if the merge has a hole
+//! parallel, then replays the frames merged by sequence number (arrival
+//! order), and refuses to open if the merge has a hole
 //! ([`StoreError::ShardWalGap`]): record ids are assigned in apply
 //! order, so replaying past a hole would renumber every later record. A
 //! torn tail on the globally *last* arrival is the ordinary
-//! crash-mid-append case and recovers cleanly. `snapshot` quiesces all
-//! shards, folds the WALs into fresh snapshot files and truncates them.
+//! crash-mid-append case and recovers cleanly; the truncation reuses the
+//! length the scan found, so each WAL is read and decoded once.
+//! [`Store::open_report`] says what the replay did. `snapshot` quiesces
+//! all shards, folds the WALs into fresh snapshot files and truncates
+//! them.
+//!
+//! Applies run in slices: up to [`APPLY_SLICE`] consecutive arrivals go
+//! through [`IncrementalResolver::insert_batch`] under one hold of the
+//! state write lock — a `BATCH_ADD`'s shard group after its fsync, and a
+//! replay's run of record frames between source frames. Inside a slice
+//! the candidate pairs are scored on every core (`Pipeline::score_pairs`),
+//! the store's one use of threads after `open`'s shard loads. A read
+//! therefore waits on at most one slice, whatever size of batch a client
+//! sends.
 
 use crate::error::StoreError;
 use crate::index::QueryIndex;
@@ -41,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, PoisonError};
 use yv_core::{IncrementalResolver, PersonQuery, QueryHit, RankedMatch, Resolution};
 use yv_fuzzy::{rank_entities, RankedEntity, ScoreBlend, DEFAULT_QGRAM_BOUND};
-use yv_obs::{Counter, TraceCtx};
+use yv_obs::{Clock, Counter, MonotonicClock, TraceCtx};
 use yv_records::{Dataset, Record, RecordId, Source, SourceId};
 
 /// Base snapshot file name inside a store directory.
@@ -171,9 +183,10 @@ impl Sequencer {
         }
     }
 
-    fn finish(&self) {
+    /// Retire the `tickets` tickets whose turn began at the current one.
+    fn finish(&self, tickets: u64) {
         let mut turn = self.turn.lock();
-        *turn += 1;
+        *turn += tickets;
         self.cv.notify_all();
     }
 
@@ -211,13 +224,38 @@ impl State {
         State { resolver, index }
     }
 
-    /// Apply one arrival to both; returns its new ranked matches.
-    fn apply(&mut self, record: Record) -> Vec<RankedMatch> {
-        let rid = RecordId(self.resolver.len() as u32);
-        let matches = self.resolver.insert(record);
-        self.index.add_record(rid, self.resolver.dataset().record(rid));
+    /// Apply consecutive arrivals to both, in order; returns each one's
+    /// new ranked matches.
+    fn apply_batch(&mut self, records: Vec<Record>) -> Vec<Vec<RankedMatch>> {
+        let first = self.resolver.len();
+        let matches = self.resolver.insert_batch(records);
+        let ds = self.resolver.dataset();
+        for rid in ds.record_ids().skip(first) {
+            self.index.add_record(rid, ds.record(rid));
+        }
         matches
     }
+}
+
+/// Most arrivals applied under one hold of the state write lock. Scoring a
+/// slice's candidates (≈ 200 an arrival) is what spreads over the cores,
+/// so a slice must hold thousands of pairs; a read issued meanwhile waits
+/// for the whole slice, so it must stay a few milliseconds. Without the
+/// cap a read would wait on a whole `BATCH_ADD` shard group, whose size
+/// the client picks — up to ≈ 170 k records in one 32 MiB frame.
+const APPLY_SLICE: usize = 32;
+
+/// What [`Store::open`] found in the WALs and how long replaying them
+/// took. All zero for a store that was created, not opened.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpenReport {
+    /// WAL frames replayed, records and sources, summed over shards.
+    pub frames: u64,
+    /// Torn-tail bytes dropped: file length minus the valid prefix,
+    /// summed over shards.
+    pub torn_bytes: u64,
+    /// Wall time of the merge and replay, on the `yv_obs` monotonic clock.
+    pub replay_ns: u64,
 }
 
 /// A durable, queryable, sharded resolution store rooted at a directory.
@@ -236,6 +274,7 @@ pub struct Store {
     fuzzy_examined: Counter,
     /// Lifetime candidate names pruned by the `RESOLVE` filters.
     fuzzy_pruned: Counter,
+    open_report: OpenReport,
 }
 
 /// Partition a dataset's records by shard, ascending rid within each.
@@ -328,6 +367,7 @@ impl Store {
             dir: dir.to_path_buf(),
             fuzzy_examined: Counter::new(),
             fuzzy_pruned: Counter::new(),
+            open_report: OpenReport::default(),
         })
     }
 
@@ -415,6 +455,8 @@ impl Store {
             IncrementalResolver::from_parts(ds, base.pipeline, base.config, base.inc, base.matches);
         let mut state = State::build(resolver);
 
+        let clock = MonotonicClock::new();
+        let replay_started = clock.now_nanos();
         // Merge the shard WALs back into global arrival order and demand
         // the sequence is gapless from 0 — see [`StoreError::ShardWalGap`].
         let mut merged: Vec<(u64, usize, WalEntry)> = Vec::new();
@@ -437,7 +479,7 @@ impl Store {
                     // A hole. Blame the shard that demonstrably lost its
                     // tail; without one, the loss is unattributable.
                     let torn =
-                        shard_loads.iter().position(|l| l.scan.torn).ok_or_else(|| {
+                        shard_loads.iter().position(|l| l.scan.torn_bytes > 0).ok_or_else(|| {
                             StoreError::Corrupt(format!(
                                 "WAL merge is missing arrival seq {expected} and no shard \
                                  has a torn tail"
@@ -452,9 +494,11 @@ impl Store {
         }
 
         // Replay in arrival order, re-deriving each record's id exactly
-        // as the original apply did.
+        // as the original apply did: record frames collect into slices,
+        // and a source frame or a full slice applies what has collected.
         let wal_entries_total = merged.len() as u64;
         let mut wal_entries_per_shard = vec![0usize; n_shards];
+        let mut slice = Vec::with_capacity(APPLY_SLICE);
         for (_, s, entry) in merged {
             wal_entries_per_shard[s] += 1;
             match entry {
@@ -464,6 +508,7 @@ impl Store {
                             "source frame in shard {s} WAL; sources are logged to shard 0"
                         )));
                     }
+                    state.apply_batch(std::mem::take(&mut slice));
                     state.resolver.add_source(source);
                 }
                 WalEntry::Record(record) => {
@@ -480,16 +525,25 @@ impl Store {
                         )));
                     }
                     records_per_shard[s] += 1;
-                    state.apply(*record);
+                    slice.push(*record);
+                    if slice.len() == APPLY_SLICE {
+                        state.apply_batch(std::mem::take(&mut slice));
+                    }
                 }
             }
         }
+        state.apply_batch(slice);
+        let open_report = OpenReport {
+            frames: wal_entries_total,
+            torn_bytes: shard_loads.iter().map(|l| l.scan.torn_bytes as u64).sum(),
+            replay_ns: clock.now_nanos().saturating_sub(replay_started),
+        };
 
         let mut shard_states = Vec::with_capacity(n_shards);
-        for s in 0..n_shards {
-            // `Wal::open` truncates any torn tail, so the next append
-            // lands after the last complete frame.
-            let wal = Wal::open(&dir.join(wal_file_name(s)))?;
+        for (s, load) in shard_loads.iter().enumerate() {
+            // Truncating to the scan's valid prefix drops any torn tail,
+            // so the next append lands after the last complete frame.
+            let wal = Wal::open(&dir.join(wal_file_name(s)), load.scan.valid_len)?;
             shard_states.push(RwLock::new(ShardState {
                 wal,
                 wal_entries: wal_entries_per_shard[s],
@@ -503,7 +557,14 @@ impl Store {
             dir: dir.to_path_buf(),
             fuzzy_examined: Counter::new(),
             fuzzy_pruned: Counter::new(),
+            open_report,
         })
+    }
+
+    /// What the [`Store::open`] that produced this store replayed.
+    #[must_use]
+    pub fn open_report(&self) -> OpenReport {
+        self.open_report
     }
 
     /// Number of shards, fixed at `create` time.
@@ -571,7 +632,7 @@ impl Store {
                 Ok(self.state.write().resolver.add_source(source))
             }
         };
-        self.seq.finish();
+        self.seq.finish(1);
         outcome
     }
 
@@ -605,10 +666,10 @@ impl Store {
             Ok(()) => {
                 shard.wal_entries += 1;
                 shard.records += 1;
-                Ok(self.state.write().apply(record))
+                Ok(self.state.write().apply_batch(vec![record]).pop().unwrap_or_default())
             }
         };
-        self.seq.finish();
+        self.seq.finish(1);
         outcome
     }
 
@@ -634,9 +695,23 @@ impl Store {
     /// Record ids are assigned in (shard, batch) order rather than
     /// submission order; replay reproduces the same order from the
     /// sequence stamps.
+    ///
+    /// Each shard group is applied after its fsync in slices of at most
+    /// [`APPLY_SLICE`] arrivals, one state write-lock hold each, so reads
+    /// interleave with a batch of any size.
     pub fn add_records(
         &self,
         records: Vec<Record>,
+    ) -> Vec<Result<Vec<RankedMatch>, StoreError>> {
+        self.add_records_sliced(records, || {})
+    }
+
+    /// [`Store::add_records`], calling `between_slices` after each applied
+    /// slice, while every shard lock is held and the state lock is not.
+    fn add_records_sliced(
+        &self,
+        records: Vec<Record>,
+        mut between_slices: impl FnMut(),
     ) -> Vec<Result<Vec<RankedMatch>, StoreError>> {
         let mut statuses: Vec<Option<Result<Vec<RankedMatch>, StoreError>>> =
             records.iter().map(|_| None).collect();
@@ -673,23 +748,40 @@ impl Store {
             // One fsync per dirty shard, under its lock: the group-commit
             // payoff.
             let sync_err = shard.wal.sync().err().map(|e| e.to_string());
-            for (i, record, ticket, logged) in appended {
-                self.seq.wait_turn(ticket);
+            let mut pending = appended.into_iter().peekable();
+            // The group's tickets are consecutive (every shard lock is
+            // held), so a slice's turn is its first ticket's.
+            while let Some(&(_, _, first_ticket, _)) = pending.peek() {
+                let mut filed = Vec::with_capacity(APPLY_SLICE);
+                let mut applied = Vec::with_capacity(APPLY_SLICE);
+                let mut tickets = 0;
+                for (i, record, _, logged) in pending.by_ref().take(APPLY_SLICE) {
+                    tickets += 1;
+                    statuses[i] = match (&sync_err, logged) {
+                        (Some(e), _) => {
+                            Some(Err(StoreError::Corrupt(format!("batch WAL sync failed: {e}"))))
+                        }
+                        (None, Err(e)) => Some(Err(e)),
+                        (None, Ok(())) => {
+                            filed.push(i);
+                            applied.push(record);
+                            None
+                        }
+                    };
+                }
+                self.seq.wait_turn(first_ticket);
+                shard.wal_entries += applied.len();
+                shard.records += applied.len();
+                if !applied.is_empty() {
+                    let outcomes = self.state.write().apply_batch(applied);
+                    for (i, matches) in filed.into_iter().zip(outcomes) {
+                        statuses[i] = Some(Ok(matches));
+                    }
+                }
                 // Even a failed append must consume its ticket, or every
                 // later arrival waits forever.
-                let outcome = match (&sync_err, logged) {
-                    (Some(e), _) => {
-                        Err(StoreError::Corrupt(format!("batch WAL sync failed: {e}")))
-                    }
-                    (None, Err(e)) => Err(e),
-                    (None, Ok(())) => {
-                        shard.wal_entries += 1;
-                        shard.records += 1;
-                        Ok(self.state.write().apply(record))
-                    }
-                };
-                statuses[i] = Some(outcome);
-                self.seq.finish();
+                self.seq.finish(tickets);
+                between_slices();
             }
         }
         drop(guards);
@@ -839,6 +931,30 @@ mod tests {
     use yv_core::{IncrementalConfig, Pipeline, PipelineConfig};
     use yv_records::RecordBuilder;
 
+    /// A resolver trained on 240 generated reports and bootstrapped on the
+    /// first `base`; the rest come back as arrivals, many of them reports
+    /// of people already filed, so arrivals score real candidates.
+    /// Deterministic: two calls build identical resolvers.
+    fn trained_split(base: usize) -> (IncrementalResolver, Vec<Record>) {
+        let gen = yv_datagen::GenConfig::random(240, 5).generate();
+        let config = PipelineConfig::default();
+        let blocked = yv_blocking::mfi_blocks(&gen.dataset, &config.blocking);
+        let tags = yv_datagen::tag_pairs(&gen, &blocked.candidate_pairs, 3);
+        let labelled: Vec<_> =
+            tags.iter().filter_map(|t| t.simplified().map(|m| (t.a, t.b, m))).collect();
+        let pipeline = Pipeline::train(&gen.dataset, &labelled, &config);
+        let mut ds = Dataset::new();
+        for source in gen.dataset.sources() {
+            ds.add_source(source.clone());
+        }
+        for record in &gen.dataset.records()[..base] {
+            ds.add_record(record.clone());
+        }
+        let resolver =
+            IncrementalResolver::bootstrap(ds, pipeline, config, IncrementalConfig::default());
+        (resolver, gen.dataset.records()[base..].to_vec())
+    }
+
     fn resolver_of(names: &[(&str, &str)]) -> IncrementalResolver {
         let mut ds = Dataset::new();
         let source = ds.add_source(Source::list(SourceId(0), "list"));
@@ -888,5 +1004,106 @@ mod tests {
             drop(guards);
             assert_eq!(got.expect("a read waited on a shard lock"), (1, 1, 1));
         });
+    }
+
+    /// A `BATCH_ADD` of more than two slices leaves the state that filing
+    /// the same records one `add_record` at a time — in the batch's
+    /// (shard, submission) order — leaves, answers each record with the
+    /// same matches, and both survive a WAL-replay reopen byte for byte.
+    #[test]
+    fn a_batch_of_slices_equals_one_record_at_a_time() {
+        for shards in [1, 4] {
+            let (resolver, arrivals) = trained_split(160);
+            assert!(arrivals.len() > 2 * APPLY_SLICE);
+            let dir = crate::scratch::ScratchDir::new(&format!("batch-slices-{shards}"));
+            let batched = Store::create(&dir, resolver, shards).expect("create");
+            let matches_before = batched.stats().matches;
+            let outcomes = batched.add_records(arrivals.clone());
+
+            let mut order: Vec<usize> = (0..arrivals.len()).collect();
+            order.sort_by_key(|&i| shard::shard_of_record(&arrivals[i], shards));
+            let control_dir = crate::scratch::ScratchDir::new(&format!("one-at-a-time-{shards}"));
+            let control =
+                Store::create(&control_dir, trained_split(160).0, shards).expect("create");
+            for &i in &order {
+                let filed = control.add_record(arrivals[i].clone()).expect("add_record");
+                let batch = outcomes[i].as_ref().expect("a batch record failed");
+                assert_eq!(batch, &filed, "arrival {i} on {shards} shards");
+            }
+            assert!(batched.stats().matches > matches_before, "the arrivals must match something");
+
+            let state = batched.state_bytes().expect("state bytes");
+            assert_eq!(state, control.state_bytes().expect("state bytes"), "{shards} shards");
+            drop((batched, control));
+            for dir in [&dir, &control_dir] {
+                let reopened = Store::open(dir).expect("reopen");
+                assert_eq!(reopened.state_bytes().expect("state bytes"), state);
+                assert_eq!(reopened.open_report().frames, arrivals.len() as u64);
+            }
+        }
+    }
+
+    /// A read issued while a `BATCH_ADD` is between slices is answered
+    /// there, from the slices applied so far: the batch holds every shard
+    /// lock, but the state lock only per slice.
+    #[test]
+    fn reads_are_answered_between_slices() {
+        let (resolver, arrivals) = trained_split(160);
+        let dir = crate::scratch::ScratchDir::new("reads-between-slices");
+        let store = &Store::create(&dir, resolver, 1).expect("create");
+        let before = store.with_dataset(Dataset::len);
+        let mut seen = Vec::new();
+        std::thread::scope(|scope| {
+            let outcomes = store.add_records_sliced(arrivals.clone(), || {
+                let (answer, answered) = std::sync::mpsc::channel();
+                scope.spawn(move || {
+                    let hits = store.query(&PersonQuery::default()).len();
+                    let _ = answer.send((hits, store.with_dataset(Dataset::len)));
+                });
+                let got = answered.recv_timeout(std::time::Duration::from_secs(10));
+                seen.push(got.expect("a read waited on the batch"));
+            });
+            assert!(outcomes.iter().all(Result::is_ok));
+        });
+        let filed: Vec<usize> = (1..=arrivals.len().div_ceil(APPLY_SLICE))
+            .map(|slices| before + (slices * APPLY_SLICE).min(arrivals.len()))
+            .collect();
+        assert_eq!(seen, filed.iter().map(|&n| (n, n)).collect::<Vec<_>>());
+    }
+
+    /// `open_report` counts the frames replayed and the torn tail dropped:
+    /// of n frames, keeping only k bytes of the last replays n − 1 and
+    /// reports the k bytes dropped.
+    #[test]
+    fn open_reports_frames_replayed_and_torn_bytes() {
+        let dir = crate::scratch::ScratchDir::new("open-report");
+        let store = Store::create(&dir, resolver_of(&[("Sara", "Levi")]), 1).expect("create");
+        assert_eq!(store.open_report(), OpenReport::default());
+        let n: u64 = 5;
+        let mut last_frame_at = 0;
+        for book in 0..n {
+            last_frame_at = store.stats().wal_bytes;
+            let record = RecordBuilder::new(100 + book, SourceId(0))
+                .first_name("Moshe")
+                .last_name("Katz")
+                .build();
+            store.add_record(record).expect("add_record");
+        }
+        drop(store);
+        let wal = dir.join(wal_file_name(0));
+        let full = std::fs::read(&wal).expect("read WAL");
+        let clean = Store::open(&dir).expect("reopen").open_report();
+        assert_eq!((clean.frames, clean.torn_bytes), (n, 0));
+        for k in [1, 9, 20] {
+            let cut = usize::try_from(last_frame_at).expect("WAL length") + k;
+            assert!(cut < full.len());
+            std::fs::write(&wal, &full[..cut]).expect("cut WAL");
+            let reopened = Store::open(&dir).expect("reopen a torn WAL");
+            let report = reopened.open_report();
+            assert_eq!((report.frames, report.torn_bytes), (n - 1, k as u64), "kept {k}");
+            assert_eq!(reopened.stats().records, n as usize);
+            assert_eq!(reopened.stats().wal_bytes, last_frame_at, "the torn tail is dropped");
+            assert_eq!(std::fs::metadata(&wal).expect("WAL").len(), last_frame_at);
+        }
     }
 }

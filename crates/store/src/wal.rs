@@ -27,7 +27,7 @@
 //! ```
 //!
 //! A *truncated* final frame is how a crash mid-append looks; replay
-//! treats it as a clean stop (surfaced via [`WalScan::torn`] so the store
+//! treats it as a clean stop (surfaced via [`WalScan::torn_bytes`] so the store
 //! can tell a harmless torn tail from a cross-shard sequence gap) and the
 //! next append overwrites it. A frame that is complete but fails its
 //! checksum is real corruption and surfaces as a typed error.
@@ -62,12 +62,13 @@ const HEADER_LEN: u64 = 12;
 
 /// Result of scanning one WAL file: the complete frames (with their
 /// global sequence numbers, in file order), the byte length of the valid
-/// prefix, and whether a torn (incomplete) final frame followed it.
+/// prefix, and the bytes of a torn (incomplete) final frame after it.
 #[derive(Debug)]
 pub struct WalScan {
     pub entries: Vec<(u64, WalEntry)>,
     pub valid_len: usize,
-    pub torn: bool,
+    /// File length minus `valid_len`: zero unless a crash tore the tail.
+    pub torn_bytes: usize,
 }
 
 /// Append handle over a WAL file.
@@ -91,11 +92,10 @@ impl Wal {
         Ok(Wal { file, bytes: HEADER_LEN })
     }
 
-    /// Open an existing log for appending, positioned after the last
-    /// complete frame (a torn tail from a crash is overwritten).
-    pub fn open(path: &Path) -> Result<Wal, StoreError> {
-        let bytes = std::fs::read(path)?;
-        let valid_len = scan(&bytes)?.valid_len;
+    /// Open an existing log for appending, truncated to `valid_len` —
+    /// the [`WalScan::valid_len`] its scan found — and positioned there,
+    /// so a torn tail from a crash is dropped and overwritten.
+    pub fn open(path: &Path, valid_len: usize) -> Result<Wal, StoreError> {
         let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len as u64)?;
         file.seek(SeekFrom::End(0))?;
@@ -186,8 +186,9 @@ pub fn scan_file(path: &Path) -> Result<WalScan, StoreError> {
     scan(&bytes)
 }
 
-/// Parse the log bytes.
-fn scan(bytes: &[u8]) -> Result<WalScan, StoreError> {
+/// Parse the log bytes. Any input yields a scan or a typed error, never a
+/// panic.
+pub fn scan(bytes: &[u8]) -> Result<WalScan, StoreError> {
     if bytes.len() < 12 {
         return Err(StoreError::BadMagic);
     }
@@ -236,7 +237,7 @@ fn scan(bytes: &[u8]) -> Result<WalScan, StoreError> {
         entries.push((seq, entry));
         pos += 13 + len + 8;
     }
-    Ok(WalScan { entries, valid_len: pos, torn: pos < bytes.len() })
+    Ok(WalScan { entries, valid_len: pos, torn_bytes: bytes.len() - pos })
 }
 
 /// Little-endian u32 from an exactly-sized slice; callers bound-check for
@@ -304,7 +305,7 @@ mod tests {
         assert_eq!(wal.bytes(), std::fs::metadata(&path).unwrap().len());
         drop(wal);
         // Re-opening recovers the length from the valid prefix.
-        let wal = Wal::open(&path).unwrap();
+        let wal = Wal::open(&path, scan_file(&path).unwrap().valid_len).unwrap();
         assert_eq!(wal.bytes(), std::fs::metadata(&path).unwrap().len());
     }
 
@@ -322,13 +323,14 @@ mod tests {
         std::fs::write(&path, &full[..full.len() - 7]).unwrap();
         let scan = scan_file(&path).unwrap();
         assert_eq!(scan.entries, vec![(0, WalEntry::Source(src.clone()))]);
-        assert!(scan.torn, "the incomplete final frame must be flagged");
+        assert_eq!(scan.torn_bytes, full.len() - 7 - scan.valid_len, "the torn frame's bytes");
+        assert!(scan.torn_bytes > 0, "the incomplete final frame must be flagged");
         // Re-opening for append truncates the torn tail and continues.
-        let mut wal = Wal::open(&path).unwrap();
+        let mut wal = Wal::open(&path, scan.valid_len).unwrap();
         wal.append_record(1, &r1).unwrap();
         let scan = scan_file(&path).unwrap();
         assert_eq!(scan.entries.len(), 2);
-        assert!(!scan.torn);
+        assert_eq!(scan.torn_bytes, 0);
     }
 
     #[test]
@@ -389,7 +391,7 @@ mod tests {
         std::fs::write(&path, &huge).unwrap();
         assert_eq!(replay(&path).unwrap(), vec![]);
         // And re-opening for append truncates it back to the header.
-        let mut wal = Wal::open(&path).unwrap();
+        let mut wal = Wal::open(&path, scan_file(&path).unwrap().valid_len).unwrap();
         wal.append_source(0, &src).unwrap();
         assert_eq!(replay(&path).unwrap().len(), 1);
 
