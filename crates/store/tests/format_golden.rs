@@ -1,0 +1,292 @@
+//! Golden digests of every byte the store puts on disk or on the wire.
+//!
+//! FNV-1a 64 of each file a 2-shard store writes — at `create`, after a
+//! source, a single record and a batch have arrived, and after `SNAPSHOT`
+//! — of a standalone WAL (synced and unsynced appends), of the telemetry
+//! segments with and without a rotation, of one encoded frame per request
+//! and response kind, and of `state_bytes` after a reopen. The fixture is
+//! hand-built (no datagen, no training), so only a change to a format can
+//! move a digest. A change meant to keep every byte must leave the tables
+//! alone; one that changes a format on purpose re-pins them from the table
+//! a failing run prints.
+
+// Test-only binary: helper fns outside #[test] may unwrap freely (the
+// workspace unwrap_used deny targets library code).
+#![allow(clippy::unwrap_used)]
+
+mod common;
+
+use common::ScratchDir;
+use std::path::Path;
+use yv_adt::AdTree;
+use yv_blocking::ScoreFunction;
+use yv_core::{
+    IncrementalConfig, IncrementalResolver, PersonQuery, Pipeline, PipelineConfig, RankedMatch,
+};
+use yv_obs::{ClosedBucket, Histogram, Tier};
+use yv_records::{
+    Dataset, DateParts, Gender, GeoPoint, Place, PlaceType, Record, RecordBuilder, RecordId,
+    Source, SourceId,
+};
+use yv_similarity::ExpertWeights;
+use yv_store::codec::fnv1a64;
+use yv_store::{
+    segment_file_name, wal_file_name, BatchStatus, RequestFrame, ResponseFrame, Store,
+    TelemetryLog, Wal, MANIFEST_FILE, SNAPSHOT_FILE,
+};
+
+fn record(book: u64, source: u32, first: &str, last: &str) -> Record {
+    RecordBuilder::new(book, SourceId(source)).first_name(first).last_name(last).build()
+}
+
+/// A record with every optional field set, places and coordinates included.
+fn full_record(book: u64) -> Record {
+    RecordBuilder::new(book, SourceId(1))
+        .first_name("Guido")
+        .first_name("Guidino")
+        .last_name("Foa")
+        .maiden_name("Levi")
+        .father_name("Italo")
+        .mother_name("Estela")
+        .mothers_maiden("Colombo")
+        .spouse_name("Rosa")
+        .gender(Gender::Male)
+        .birth(DateParts::full(2, 8, 1936))
+        .profession("tailor")
+        .place(
+            PlaceType::Birth,
+            Place::full("Torino", "Torino", "Piemonte", "Italy", GeoPoint::new(45.07, 7.69)),
+        )
+        .build()
+}
+
+/// Eight base records over two sources, two pinned matches, a weighted
+/// score function and one pruning knob unset: every field of the base and
+/// segment payloads carries something.
+fn resolver() -> IncrementalResolver {
+    let mut ds = Dataset::new();
+    ds.add_source(Source::list(SourceId(0), "deportation list 1943"));
+    ds.add_source(Source::testimony(SourceId(1), "Massimo", "Foa", "Cuorgne"));
+    ds.add_record(full_record(1_016_196));
+    for (i, last) in ["Levi", "Roth", "Katz", "Blum", "Stern", "Weiss", "Foa"].iter().enumerate() {
+        ds.add_record(record(100 + i as u64, u32::from(i % 2 == 0), "Sara", last));
+    }
+    let mut config = PipelineConfig::default();
+    config.blocking.score = ScoreFunction::WeightedJaccard(ExpertWeights::default());
+    config.blocking.prune_common = None;
+    let matches = vec![
+        RankedMatch { a: RecordId(0), b: RecordId(7), score: 0.875 },
+        RankedMatch { a: RecordId(1), b: RecordId(2), score: 0.25 },
+    ];
+    IncrementalResolver::from_parts(
+        ds,
+        Pipeline::with_model(AdTree::prior(0.5)),
+        config,
+        IncrementalConfig::default(),
+        matches,
+    )
+}
+
+fn digest_file(out: &mut Vec<(String, u64)>, label: &str, path: &Path) {
+    out.push((label.to_owned(), fnv1a64(&std::fs::read(path).unwrap())));
+}
+
+fn store_files(out: &mut Vec<(String, u64)>, stage: &str, dir: &Path) {
+    let mut names = vec![MANIFEST_FILE.to_owned(), SNAPSHOT_FILE.to_owned()];
+    for s in 0..2 {
+        names.push(segment_file_name(s));
+        names.push(wal_file_name(s));
+    }
+    for name in names {
+        digest_file(out, &format!("{stage}/{name}"), &dir.join(name));
+    }
+}
+
+/// Compare with the pinned table; on a mismatch the panic message is the
+/// whole actual table in source form.
+fn check(what: &str, actual: &[(String, u64)], expected: &[(&str, u64)]) {
+    let same = actual.len() == expected.len()
+        && actual.iter().zip(expected).all(|((a, x), (b, y))| a == b && x == y);
+    if !same {
+        let rows: Vec<String> =
+            actual.iter().map(|(label, d)| format!("    (\"{label}\", 0x{d:016x}),")).collect();
+        panic!("{what} digests moved:\n&[\n{}\n]", rows.join("\n"));
+    }
+}
+
+#[test]
+fn store_directory_files_are_byte_identical() {
+    let dir = ScratchDir::new("golden-store");
+    let mut actual = Vec::new();
+    let store = Store::create(&dir, resolver(), 2).unwrap();
+    store_files(&mut actual, "create", &dir);
+
+    let late = store.add_source(Source::list(SourceId(0), "late list")).unwrap();
+    store.add_record(full_record(2_000_001)).unwrap();
+    let batch: Vec<Record> = ["Levi", "Postel", "Adler", "Braun", "Segal"]
+        .iter()
+        .enumerate()
+        .map(|(i, last)| record(3_000_000 + i as u64, late.0, "Moshe", last))
+        .collect();
+    for outcome in store.add_records(batch) {
+        outcome.unwrap();
+    }
+    store_files(&mut actual, "arrivals", &dir);
+    let before = store.state_bytes().unwrap();
+    drop(store);
+
+    let reopened = Store::open(&dir).unwrap();
+    let state = reopened.state_bytes().unwrap();
+    assert_eq!(state, before, "replay reproduces the state");
+    actual.push(("reopen/state_bytes".to_owned(), fnv1a64(&state)));
+    // Appends after a reopen land behind the replayed frames.
+    reopened.add_record(record(4_000_000, 0, "Rivka", "Roth")).unwrap();
+    reopened.add_record(record(4_000_001, 1, "Chana", "Segal")).unwrap();
+    for s in 0..2 {
+        let name = wal_file_name(s);
+        digest_file(&mut actual, &format!("reopen/{name}"), &dir.join(&name));
+    }
+    reopened.snapshot().unwrap();
+    store_files(&mut actual, "snapshot", &dir);
+
+    check(
+        "store directory",
+        &actual,
+        &[
+            ("create/manifest.yvm", 0x9cb0f48c5155d070),
+            ("create/snapshot.yvs", 0xe58bc2b5cb2706c9),
+            ("create/snapshot.0.yvs", 0x8d0df1c6b1ea4ee5),
+            ("create/wal.0.yvl", 0xe9dc3b54347e5868),
+            ("create/snapshot.1.yvs", 0x21eed2d635ca8920),
+            ("create/wal.1.yvl", 0xe9dc3b54347e5868),
+            ("arrivals/manifest.yvm", 0x9cb0f48c5155d070),
+            ("arrivals/snapshot.yvs", 0xe58bc2b5cb2706c9),
+            ("arrivals/snapshot.0.yvs", 0x8d0df1c6b1ea4ee5),
+            ("arrivals/wal.0.yvl", 0x46cad4a4b0e99dba),
+            ("arrivals/snapshot.1.yvs", 0x21eed2d635ca8920),
+            ("arrivals/wal.1.yvl", 0x9810ef8864914c31),
+            ("reopen/state_bytes", 0x59ac53e7dd25a323),
+            ("reopen/wal.0.yvl", 0x57f53b9bc93ee850),
+            ("reopen/wal.1.yvl", 0x99207e811b9761d9),
+            ("snapshot/manifest.yvm", 0x9cb0f48c5155d070),
+            ("snapshot/snapshot.yvs", 0x90a3549db66d9b97),
+            ("snapshot/snapshot.0.yvs", 0xd10793ffcfb26ead),
+            ("snapshot/wal.0.yvl", 0xe9dc3b54347e5868),
+            ("snapshot/snapshot.1.yvs", 0x22f75d35b5250ab9),
+            ("snapshot/wal.1.yvl", 0xe9dc3b54347e5868),
+        ],
+    );
+}
+
+fn bucket(epoch: u64, micros: &[u64]) -> ClosedBucket {
+    let h = Histogram::new();
+    for &us in micros {
+        h.record_ns(us * 1_000);
+    }
+    let tier = if epoch.is_multiple_of(2) { Tier::Seconds } else { Tier::Minutes };
+    ClosedBucket { tier, epoch, delta: h.snapshot() }
+}
+
+#[test]
+fn log_files_are_byte_identical() {
+    let dir = ScratchDir::new("golden-logs");
+    let mut actual = Vec::new();
+
+    let path = dir.join("wal.yvl");
+    let mut wal = Wal::create(&path).unwrap();
+    wal.append_source(0, &Source::testimony(SourceId(2), "Rivka", "Katz", "Lodz")).unwrap();
+    wal.append_record(1, &full_record(7)).unwrap();
+    wal.append_record_nosync(4, &record(8, 0, "David", "Adler")).unwrap();
+    wal.append_record_nosync(9, &record(9, 2, "Chana", "")).unwrap();
+    wal.sync().unwrap();
+    assert_eq!(wal.bytes(), std::fs::metadata(&path).unwrap().len());
+    digest_file(&mut actual, "wal", &path);
+
+    let steady = dir.join("steady");
+    let mut log = TelemetryLog::open(&steady, yv_store::DEFAULT_TELEMETRY_CAP_BYTES).unwrap();
+    log.append("query", &bucket(1, &[10, 20, 4_000])).unwrap();
+    log.append("resolve", &bucket(2, &[7])).unwrap();
+    drop(log);
+    digest_file(&mut actual, "telemetry", &steady.join("telemetry.yvt"));
+
+    let rotating = dir.join("rotating");
+    let mut log = TelemetryLog::open(&rotating, 1).unwrap();
+    for epoch in 0..5 {
+        log.append("add", &bucket(epoch, &[5, 50, 500 + epoch])).unwrap();
+    }
+    assert!(log.rotations() > 0, "cap = 1 rotates");
+    drop(log);
+    digest_file(&mut actual, "telemetry rotated/old", &rotating.join("telemetry.old.yvt"));
+    digest_file(&mut actual, "telemetry rotated/active", &rotating.join("telemetry.yvt"));
+
+    check(
+        "log file",
+        &actual,
+        &[
+            ("wal", 0xeb5ea301b9b6eeca),
+            ("telemetry", 0x54027e4f2ed17b28),
+            ("telemetry rotated/old", 0xcaf69d97c2805f2c),
+            ("telemetry rotated/active", 0xcb5f0bde013cc9c9),
+        ],
+    );
+}
+
+#[test]
+fn wire_frames_are_byte_identical() {
+    let requests = [
+        RequestFrame::Query(PersonQuery {
+            first_name: Some("Guido".to_owned()),
+            last_name: None,
+            name_similarity: 0.88,
+            certainty: 0.25,
+        }),
+        RequestFrame::Resolve { name: "Lewi".to_owned(), k: Some(5), min: Some(0.5) },
+        RequestFrame::Add(Box::new(full_record(99))),
+        RequestFrame::BatchAdd(vec![record(1, 0, "Sara", "Levi"), full_record(2)]),
+        RequestFrame::Stats,
+        RequestFrame::Metrics,
+        RequestFrame::Top { k: Some(3) },
+        RequestFrame::Trace { id: 0xb10e_24d1, json: true },
+        RequestFrame::History {
+            metric: "query".to_owned(),
+            window: Some(5),
+            tier: Some(Tier::Minutes),
+            json: false,
+        },
+        RequestFrame::Snapshot,
+        RequestFrame::Shutdown,
+    ];
+    let responses = [
+        ResponseFrame::Block("OK 2\nHIT seed=1 entity=1,2\n.\n".to_owned()),
+        ResponseFrame::Batch(vec![
+            BatchStatus::Ok { matches: 3 },
+            BatchStatus::Err("ADD: bad book id".to_owned()),
+        ]),
+    ];
+    let mut actual = Vec::new();
+    for frame in &requests {
+        actual.push((format!("request {:#04x}", frame.tag()), fnv1a64(&frame.encode().unwrap())));
+    }
+    for frame in &responses {
+        actual.push((format!("response {:#04x}", frame.tag()), fnv1a64(&frame.encode().unwrap())));
+    }
+    check(
+        "wire frame",
+        &actual,
+        &[
+            ("request 0x01", 0x14d377ad45f9c680),
+            ("request 0x02", 0x9f2fabfc46953ad6),
+            ("request 0x03", 0x1f8dc9a2928dc54f),
+            ("request 0x0b", 0xfab0b418ed45f833),
+            ("request 0x04", 0x19803878f4347cc9),
+            ("request 0x05", 0xaf08f7255a8cb494),
+            ("request 0x06", 0x8528d53ce393c29e),
+            ("request 0x07", 0xbf7e710cfb78778f),
+            ("request 0x08", 0x1f3001ce187f8a7e),
+            ("request 0x09", 0xb9be15ca2f6713f4),
+            ("request 0x0a", 0xff59e25de853c804),
+            ("response 0x20", 0xe9cffbd49fb30b40),
+            ("response 0x21", 0x90cc3455d2d94035),
+        ],
+    );
+}
