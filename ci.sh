@@ -436,11 +436,15 @@ fill_text="$(cargo run -q --release -p yv-cli --bin yv -- \
     load --addr "$shard_addr" --adds 0)"
 # A crash, not a shutdown: the restart must replay every WAL frame the
 # STATS above counted, and find no torn tail (replay report, DESIGN.md §9).
+# An independent reader of the WAL format (DESIGN.md §9 "Byte layer")
+# then parses the four shard WALs by hand: every checksum holds, and the
+# seqs across the files are exactly 0..n-1 with n the frames replayed.
 kill -9 "$shard_pid"
 wait "$shard_pid" 2> /dev/null || true
 serve_on_shard_dir "$shard_log_crash"
-python3 - "$shard_addr" "$(grep -o ' wal=[0-9]*' <<< "$fill_text" | head -1)" <<'PYEOF'
-import socket, sys
+python3 - "$shard_addr" "$(grep -o ' wal=[0-9]*' <<< "$fill_text" | head -1)" \
+    "$store_dir/shards" <<'PYEOF'
+import glob, os, socket, struct, sys
 
 host, port = sys.argv[1].rsplit(":", 1)
 wal_before = int(sys.argv[2].split("=")[1])
@@ -468,6 +472,37 @@ assert replayed == wal_before, f"reopen replayed {replayed} frames; STATS counte
 assert gauge("yv_store_open_torn_bytes") == 0, "a killed idle server left a torn WAL tail"
 gauge("yv_store_open_replay_us")
 print(f"replay report smoke: reopen after kill -9 replayed all {replayed} WAL frames, 0 torn bytes")
+
+def fnv1a64(data):
+    h = 0xCBF29CE484222325
+    for b in data:
+        h ^= b
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+# magic "YVWAL\0\0\0", u32 version 2, then frames of
+# tag u8 | seq u64 | len u32 | payload | fnv1a64(tag || seq || payload).
+paths = sorted(glob.glob(os.path.join(sys.argv[3], "wal.*.yvl")))
+assert len(paths) == 4, paths
+seqs = []
+for path in paths:
+    data = open(path, "rb").read()
+    assert data[:12] == b"YVWAL\0\0\0" + struct.pack("<I", 2), f"{path}: bad header"
+    pos = 12
+    while pos < len(data):
+        tag, seq, length = struct.unpack_from("<BQI", data, pos)
+        end = pos + 13 + length
+        assert end + 8 <= len(data), f"{path}: torn frame at byte {pos}"
+        (checksum,) = struct.unpack_from("<Q", data, end)
+        assert checksum == fnv1a64(data[pos:pos + 9] + data[pos + 13:end]), \
+            f"{path}: checksum mismatch at byte {pos}"
+        assert tag in (1, 2), f"{path}: unknown entry tag {tag}"
+        seqs.append(seq)
+        pos = end + 8
+assert sorted(seqs) == list(range(len(seqs))), "WAL seqs are not exactly 0..n-1"
+assert len(seqs) == replayed, f"{len(seqs)} frames on disk; reopen replayed {replayed}"
+print(f"WAL reader smoke: {len(paths)} shard WALs parsed by hand, {len(seqs)} checksums hold,"
+      f" seqs exactly 0..{len(seqs) - 1}")
 PYEOF
 crash="$(cargo run -q --release -p yv-cli --bin yv -- \
     load --addr "$shard_addr" --shutdown)"

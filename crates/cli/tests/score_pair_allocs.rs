@@ -124,10 +124,18 @@ fn candidate_scans_allocate_the_same_whatever_they_examine() {
         }
         let index = QueryIndex::build(&ds);
         let mut found = (0, 0);
-        let calls = alloc_calls(|| {
-            let (names, stats) = index.fuzzy().candidates("levi", bound);
-            found = (names.len(), stats.examined);
-        });
+        // The test harness's own thread may allocate inside one window
+        // (reporting the previous test); that only adds, so the least of
+        // three readings is the scan's.
+        let calls = (0..3)
+            .map(|_| {
+                alloc_calls(|| {
+                    let (names, stats) = index.fuzzy().candidates("levi", bound);
+                    found = (names.len(), stats.examined);
+                })
+            })
+            .min()
+            .unwrap_or(u64::MAX);
         readings.push((calls, found));
     }
     assert_eq!(readings[0].1, (1, 11), "{readings:?}");

@@ -6,6 +6,11 @@
 //! `f64::to_bits` so that encode ∘ decode ∘ encode is byte-identical,
 //! which is what makes the snapshot round-trip test
 //! (`save(load(save(x))) == save(x)`) meaningful.
+//!
+//! Each check a payload decoder needs exists once: [`Writer::len`] for a
+//! u32 count prefix, [`Writer::opt`] / [`Reader::opt`] for an option,
+//! [`Reader::bool`] for a flag and [`Reader::finish`] for trailing bytes.
+//! What wraps a payload on disk or on the wire is [`crate::framed`]'s.
 
 #![deny(clippy::cast_possible_truncation)]
 
@@ -14,17 +19,18 @@ use yv_records::field::{DateParts, Gender, GeoPoint, Place};
 use yv_records::{Record, Source, SourceId};
 use yv_similarity::ExpertWeights;
 
-/// FNV-1a 64-bit — the checksum guarding snapshot payloads and WAL frames.
+/// FNV-1a 64-bit — the checksum guarding snapshot payloads, log frames
+/// and wire frames, and the shard routing hash.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_parts(&[bytes])
 }
 
 /// FNV-1a 64-bit folded over `parts` in order: the hash of their
-/// concatenation, without building it. Frame checksums cover a header
-/// (tag, seq) plus a payload of up to 32 MiB that is already in memory.
-#[must_use]
-pub fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
+/// concatenation, without building it. Only the frame checksum
+/// ([`crate::framed`]) folds more than one part: a header (tag, extra)
+/// plus a payload of up to 32 MiB that is already in memory.
+pub(crate) fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
         for &b in *part {
@@ -75,17 +81,32 @@ impl Writer {
         self.u64(v.to_bits());
     }
 
-    /// Length-prefixed string; a string whose length does not fit the u32
-    /// prefix is a typed error, not a panic.
+    /// A u32 length or count prefix; one that does not fit is a typed
+    /// error naming `what`, not a panic.
+    pub fn len(&mut self, len: usize, what: &'static str) -> Result<(), StoreError> {
+        self.u32(u32::try_from(len).map_err(|_| StoreError::LimitExceeded { what, len })?);
+        Ok(())
+    }
+
+    /// Length-prefixed string.
     pub fn str(&mut self, s: &str) -> Result<(), StoreError> {
-        self.u32(
-            u32::try_from(s.len())
-                .map_err(|_| StoreError::LimitExceeded { what: "string", len: s.len() })?,
-        );
+        self.len(s.len(), "string")?;
         self.buf.extend_from_slice(s.as_bytes());
         Ok(())
     }
 
+    /// An option: tag 0, or tag 1 followed by what `put` writes.
+    pub fn opt<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Writer, T)) {
+        match v {
+            None => self.u8(0),
+            Some(v) => {
+                self.u8(1);
+                put(self, v);
+            }
+        }
+    }
+
+    /// [`Writer::opt`] for a string, whose length prefix can fail.
     pub fn opt_str(&mut self, s: Option<&str>) -> Result<(), StoreError> {
         match s {
             None => self.u8(0),
@@ -95,46 +116,6 @@ impl Writer {
             }
         }
         Ok(())
-    }
-
-    pub fn opt_u8(&mut self, v: Option<u8>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.u8(v);
-            }
-        }
-    }
-
-    pub fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.u32(v);
-            }
-        }
-    }
-
-    pub fn opt_i32(&mut self, v: Option<i32>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.i32(v);
-            }
-        }
-    }
-
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.f64(v);
-            }
-        }
     }
 }
 
@@ -160,7 +141,8 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
+    /// The next `n` bytes, borrowed.
+    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
         if self.remaining() < n {
             return Err(StoreError::Corrupt(format!(
                 "truncated while reading {what}: need {n} bytes, have {}",
@@ -207,43 +189,36 @@ impl<'a> Reader<'a> {
             .map_err(|_| StoreError::Corrupt(format!("invalid UTF-8 in {what}")))
     }
 
-    pub fn opt_str(&mut self, what: &str) -> Result<Option<String>, StoreError> {
+    pub fn bool(&mut self, what: &str) -> Result<bool, StoreError> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(StoreError::Corrupt(format!("bad bool value {t} for {what}"))),
+        }
+    }
+
+    /// An option written by [`Writer::opt`]: tag 0, or tag 1 followed by
+    /// what `get` reads.
+    pub fn opt<T>(
+        &mut self,
+        what: &str,
+        get: impl FnOnce(&mut Self, &str) -> Result<T, StoreError>,
+    ) -> Result<Option<T>, StoreError> {
         match self.u8(what)? {
             0 => Ok(None),
-            1 => Ok(Some(self.str(what)?)),
+            1 => get(self, what).map(Some),
             t => Err(StoreError::Corrupt(format!("bad option tag {t} for {what}"))),
         }
     }
 
-    pub fn opt_u8(&mut self, what: &str) -> Result<Option<u8>, StoreError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u8(what)?)),
-            t => Err(StoreError::Corrupt(format!("bad option tag {t} for {what}"))),
-        }
-    }
-
-    pub fn opt_u32(&mut self, what: &str) -> Result<Option<u32>, StoreError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32(what)?)),
-            t => Err(StoreError::Corrupt(format!("bad option tag {t} for {what}"))),
-        }
-    }
-
-    pub fn opt_i32(&mut self, what: &str) -> Result<Option<i32>, StoreError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.i32(what)?)),
-            t => Err(StoreError::Corrupt(format!("bad option tag {t} for {what}"))),
-        }
-    }
-
-    pub fn opt_f64(&mut self, what: &str) -> Result<Option<f64>, StoreError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64(what)?)),
-            t => Err(StoreError::Corrupt(format!("bad option tag {t} for {what}"))),
+    /// End of a payload: bytes left over after decoding `what` are
+    /// trailing garbage, refused rather than ignored.
+    pub fn finish(self, what: &str) -> Result<(), StoreError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(StoreError::Corrupt(format!(
+                "trailing garbage: {n} byte(s) left after decoding {what}"
+            ))),
         }
     }
 }
@@ -301,10 +276,10 @@ fn write_place(w: &mut Writer, p: &Place) -> Result<(), StoreError> {
 }
 
 fn read_place(r: &mut Reader<'_>) -> Result<Place, StoreError> {
-    let city = r.opt_str("place city")?;
-    let county = r.opt_str("place county")?;
-    let region = r.opt_str("place region")?;
-    let country = r.opt_str("place country")?;
+    let city = r.opt("place city", Reader::str)?;
+    let county = r.opt("place county", Reader::str)?;
+    let region = r.opt("place region", Reader::str)?;
+    let country = r.opt("place country", Reader::str)?;
     let coords = match r.u8("coords tag")? {
         0 => None,
         1 => Some(GeoPoint { lat: r.f64("lat")?, lon: r.f64("lon")? }),
@@ -314,10 +289,7 @@ fn read_place(r: &mut Reader<'_>) -> Result<Place, StoreError> {
 }
 
 fn write_str_vec(w: &mut Writer, v: &[String]) -> Result<(), StoreError> {
-    w.u32(
-        u32::try_from(v.len())
-            .map_err(|_| StoreError::LimitExceeded { what: "name list", len: v.len() })?,
-    );
+    w.len(v.len(), "name list")?;
     for s in v {
         w.str(s)?;
     }
@@ -343,10 +315,10 @@ pub fn write_record(w: &mut Writer, rec: &Record) -> Result<(), StoreError> {
     w.opt_str(rec.mother_name.as_deref())?;
     w.opt_str(rec.mothers_maiden.as_deref())?;
     w.opt_str(rec.spouse_name.as_deref())?;
-    w.opt_u8(rec.gender.map(Gender::code));
-    w.opt_u8(rec.birth.day);
-    w.opt_u8(rec.birth.month);
-    w.opt_i32(rec.birth.year);
+    w.opt(rec.gender.map(Gender::code), Writer::u8);
+    w.opt(rec.birth.day, Writer::u8);
+    w.opt(rec.birth.month, Writer::u8);
+    w.opt(rec.birth.year, Writer::i32);
     w.opt_str(rec.profession.as_deref())?;
     for place in &rec.places {
         match place {
@@ -365,12 +337,12 @@ pub fn read_record(r: &mut Reader<'_>) -> Result<Record, StoreError> {
     let source = SourceId(r.u32("record source")?);
     let first_names = read_str_vec(r, "first names")?;
     let last_names = read_str_vec(r, "last names")?;
-    let maiden_name = r.opt_str("maiden name")?;
-    let father_name = r.opt_str("father name")?;
-    let mother_name = r.opt_str("mother name")?;
-    let mothers_maiden = r.opt_str("mothers maiden")?;
-    let spouse_name = r.opt_str("spouse name")?;
-    let gender = match r.opt_u8("gender")? {
+    let maiden_name = r.opt("maiden name", Reader::str)?;
+    let father_name = r.opt("father name", Reader::str)?;
+    let mother_name = r.opt("mother name", Reader::str)?;
+    let mothers_maiden = r.opt("mothers maiden", Reader::str)?;
+    let spouse_name = r.opt("spouse name", Reader::str)?;
+    let gender = match r.opt("gender", Reader::u8)? {
         None => None,
         Some(code) => Some(
             Gender::from_code(code)
@@ -378,11 +350,11 @@ pub fn read_record(r: &mut Reader<'_>) -> Result<Record, StoreError> {
         ),
     };
     let birth = DateParts {
-        day: r.opt_u8("birth day")?,
-        month: r.opt_u8("birth month")?,
-        year: r.opt_i32("birth year")?,
+        day: r.opt("birth day", Reader::u8)?,
+        month: r.opt("birth month", Reader::u8)?,
+        year: r.opt("birth year", Reader::i32)?,
     };
-    let profession = r.opt_str("profession")?;
+    let profession = r.opt("profession", Reader::str)?;
     let mut places: [Option<Place>; 4] = [None, None, None, None];
     for slot in &mut places {
         *slot = match r.u8("place tag")? {

@@ -4,7 +4,8 @@
 //! client's *first* request is the literal line `HELLO proto=binary`. The
 //! server acknowledges with a normal text response block and from that
 //! point on the same socket carries length-prefixed frames in both
-//! directions — the same codec family as the WAL and telemetry files:
+//! directions — the [`crate::framed`] frame the WAL and telemetry files
+//! carry, with no `extra`:
 //!
 //! ```text
 //! +-----+-------------+----------------+---------------------+
@@ -33,8 +34,9 @@
 
 use std::io::{ErrorKind, Read};
 
-use crate::codec::{self, fnv1a64_parts, Reader, Writer};
+use crate::codec::{self, Reader, Writer};
 use crate::error::StoreError;
+use crate::framed;
 use crate::protocol::{Request, DEFAULT_TOP_SLOW};
 use crate::store::DEFAULT_RESOLVE_K;
 use yv_core::PersonQuery;
@@ -153,15 +155,12 @@ impl RequestFrame {
             }
             RequestFrame::Resolve { name, k, min } => {
                 w.str(name)?;
-                w.opt_u32(*k);
-                w.opt_f64(*min);
+                w.opt(*k, Writer::u32);
+                w.opt(*min, Writer::f64);
             }
             RequestFrame::Add(record) => codec::write_record(&mut w, record)?,
             RequestFrame::BatchAdd(records) => {
-                w.u32(u32::try_from(records.len()).map_err(|_| StoreError::LimitExceeded {
-                    what: "BATCH_ADD record count",
-                    len: records.len(),
-                })?);
+                w.len(records.len(), "BATCH_ADD record count")?;
                 for record in records {
                     codec::write_record(&mut w, record)?;
                 }
@@ -170,15 +169,15 @@ impl RequestFrame {
             | RequestFrame::Metrics
             | RequestFrame::Snapshot
             | RequestFrame::Shutdown => {}
-            RequestFrame::Top { k } => w.opt_u32(*k),
+            RequestFrame::Top { k } => w.opt(*k, Writer::u32),
             RequestFrame::Trace { id, json } => {
                 w.u64(*id);
                 w.u8(u8::from(*json));
             }
             RequestFrame::History { metric, window, tier, json } => {
                 w.str(metric)?;
-                w.opt_u32(*window);
-                w.opt_u8(tier.map(Tier::code));
+                w.opt(*window, Writer::u32);
+                w.opt(tier.map(Tier::code), Writer::u8);
                 w.u8(u8::from(*json));
             }
         }
@@ -196,15 +195,15 @@ impl RequestFrame {
         let mut r = Reader::new(payload);
         let frame = match tag {
             TAG_QUERY => RequestFrame::Query(PersonQuery {
-                first_name: r.opt_str("QUERY first")?,
-                last_name: r.opt_str("QUERY last")?,
+                first_name: r.opt("QUERY first", Reader::str)?,
+                last_name: r.opt("QUERY last", Reader::str)?,
                 name_similarity: r.f64("QUERY similarity")?,
                 certainty: r.f64("QUERY certainty")?,
             }),
             TAG_RESOLVE => RequestFrame::Resolve {
                 name: r.str("RESOLVE name")?,
-                k: r.opt_u32("RESOLVE k")?,
-                min: r.opt_f64("RESOLVE min")?,
+                k: r.opt("RESOLVE k", Reader::u32)?,
+                min: r.opt("RESOLVE min", Reader::f64)?,
             },
             TAG_ADD => RequestFrame::Add(Box::new(codec::read_record(&mut r)?)),
             TAG_BATCH_ADD => {
@@ -224,15 +223,15 @@ impl RequestFrame {
             }
             TAG_STATS => RequestFrame::Stats,
             TAG_METRICS => RequestFrame::Metrics,
-            TAG_TOP => RequestFrame::Top { k: r.opt_u32("TOP k")? },
+            TAG_TOP => RequestFrame::Top { k: r.opt("TOP k", Reader::u32)? },
             TAG_TRACE => RequestFrame::Trace {
                 id: r.u64("TRACE id")?,
-                json: read_bool(&mut r, "TRACE format")?,
+                json: r.bool("TRACE format")?,
             },
             TAG_HISTORY => RequestFrame::History {
                 metric: r.str("HISTORY metric")?,
-                window: r.opt_u32("HISTORY window")?,
-                tier: match r.opt_u8("HISTORY tier")? {
+                window: r.opt("HISTORY window", Reader::u32)?,
+                tier: match r.opt("HISTORY tier", Reader::u8)? {
                     None => None,
                     Some(0) => Some(Tier::Seconds),
                     Some(1) => Some(Tier::Minutes),
@@ -240,7 +239,7 @@ impl RequestFrame {
                         return Err(StoreError::Corrupt(format!("bad HISTORY tier code {t}")))
                     }
                 },
-                json: read_bool(&mut r, "HISTORY format")?,
+                json: r.bool("HISTORY format")?,
             },
             TAG_SNAPSHOT => RequestFrame::Snapshot,
             TAG_SHUTDOWN => RequestFrame::Shutdown,
@@ -248,7 +247,7 @@ impl RequestFrame {
                 return Err(StoreError::Corrupt(format!("unknown request frame tag {other:#04x}")))
             }
         };
-        expect_drained(&r, "request frame")?;
+        r.finish("request frame")?;
         Ok(frame)
     }
 
@@ -349,10 +348,7 @@ impl ResponseFrame {
         match self {
             ResponseFrame::Block(text) => w.str(text)?,
             ResponseFrame::Batch(statuses) => {
-                w.u32(u32::try_from(statuses.len()).map_err(|_| StoreError::LimitExceeded {
-                    what: "batch status count",
-                    len: statuses.len(),
-                })?);
+                w.len(statuses.len(), "batch status count")?;
                 for status in statuses {
                     match status {
                         BatchStatus::Ok { matches } => {
@@ -405,7 +401,7 @@ impl ResponseFrame {
                 )))
             }
         };
-        expect_drained(&r, "response frame")?;
+        r.finish("response frame")?;
         Ok(frame)
     }
 
@@ -419,26 +415,20 @@ impl ResponseFrame {
     }
 }
 
-/// Assemble a complete frame: header, payload, checksum trailer.
+/// Assemble a complete frame ([`framed::encode`] with no `extra`),
+/// refusing a payload over [`MAX_PAYLOAD`].
 fn encode_frame(tag: u8, payload: &[u8]) -> Result<Vec<u8>, StoreError> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| StoreError::LimitExceeded { what: "frame payload", len: payload.len() })?;
-    if len > MAX_PAYLOAD {
+    if payload.len() > MAX_PAYLOAD as usize {
         return Err(StoreError::LimitExceeded { what: "frame payload", len: payload.len() });
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    out.push(tag);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&frame_checksum(tag, payload).to_le_bytes());
-    Ok(out)
+    framed::encode(tag, &[], payload)
 }
 
 /// The checksum a frame's trailer must carry: FNV-1a 64 over the tag
 /// byte followed by the payload (the WAL's discipline, minus the seq).
 #[must_use]
 pub fn frame_checksum(tag: u8, payload: &[u8]) -> u64 {
-    fnv1a64_parts(&[&[tag], payload])
+    framed::checksum(tag, &[], payload)
 }
 
 /// Read one raw frame (tag + verified payload) off a stream.
@@ -497,25 +487,6 @@ fn read_exact_or_torn<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<
 
 fn torn(what: &str) -> StoreError {
     StoreError::Corrupt(format!("torn frame: connection closed mid-{what}"))
-}
-
-fn read_bool(r: &mut Reader<'_>, what: &str) -> Result<bool, StoreError> {
-    match r.u8(what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(StoreError::Corrupt(format!("bad bool value {t} for {what}"))),
-    }
-}
-
-fn expect_drained(r: &Reader<'_>, what: &str) -> Result<(), StoreError> {
-    if r.remaining() == 0 {
-        Ok(())
-    } else {
-        Err(StoreError::Corrupt(format!(
-            "trailing garbage: {} byte(s) left after decoding {what}",
-            r.remaining()
-        )))
-    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,11 @@
 //! sits behind one lock that reads share and never hold across I/O (see
 //! [`store`]). The pieces:
 //!
+//! - [`framed`] — the one byte layer under every file and frame: the
+//!   `magic ‖ version` file header, the checksummed `tag ‖ extra ‖ len ‖
+//!   payload` frame (the WAL's `extra` is its seq), the one tolerant log
+//!   scan and the one append-only log handle; [`codec`] holds the payload
+//!   primitives inside it;
 //! - [`shard`] — the routing function and the store manifest recording
 //!   the shard count (fixed at [`Store::create`]);
 //! - [`snapshot`] — versioned, checksummed files: one base snapshot
@@ -36,7 +41,8 @@
 //!   60 × 1m rings) served by `HISTORY`, evaluated against `--slo`
 //!   burn-rate rules, and persisted via [`telemetry`]. A first-request
 //!   `HELLO proto=binary` line upgrades a connection to the
-//!   length-prefixed, checksummed binary framing in [`frame`] (text
+//!   length-prefixed, checksummed binary framing in [`frame`] (the
+//!   [`framed`] frame, read by a strict streaming reader; text
 //!   stays for telnet-style inspection), adding a `BATCH_ADD` frame
 //!   that streams many records per round trip;
 //! - [`client`] — a typed client for both transports: a [`Connection`]
@@ -76,6 +82,7 @@ pub mod client;
 pub mod codec;
 pub mod error;
 pub mod frame;
+pub mod framed;
 pub mod index;
 pub mod protocol;
 #[cfg(test)]

@@ -26,8 +26,8 @@
 //!
 //! Observability: every command kind registers its counters and latency
 //! histogram in a [`MetricsRegistry`], scraped two ways — the `METRICS`
-//! protocol command, and (via [`ServeOptions::metrics_listener`] or
-//! [`ServeOptions::metrics_addr`]) a sidecar TCP listener answering
+//! protocol command, and (via [`ServeOptions::metrics_listener`]) a
+//! sidecar TCP listener answering
 //! `GET /metrics` in plain HTTP/1.1 with the Prometheus text exposition,
 //! so a stock Prometheus scraper needs no protocol client. Per-shard
 //! gauges (`yv_shard_<i>_records` / `_wal_bytes`) expose the shard
@@ -330,12 +330,10 @@ pub struct ServeOptions {
     workers: usize,
     slow_us: Option<u64>,
     metrics_listener: Option<TcpListener>,
-    metrics_addr: Option<SocketAddr>,
     slow_log: Option<Box<dyn Write + Send>>,
     slow_log_path: Option<PathBuf>,
     trace_capacity: usize,
     trace_capture: bool,
-    trace_seed: u64,
     clock: Option<Arc<dyn Clock>>,
     telemetry_dir: Option<PathBuf>,
     slo: Vec<SloRule>,
@@ -352,12 +350,10 @@ impl ServeOptions {
             workers: 4,
             slow_us: None,
             metrics_listener: None,
-            metrics_addr: None,
             slow_log: None,
             slow_log_path: None,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             trace_capture: true,
-            trace_seed: DEFAULT_TRACE_SEED,
             clock: None,
             telemetry_dir: None,
             slo: Vec::new(),
@@ -376,16 +372,6 @@ impl ServeOptions {
     #[must_use]
     pub fn slow_us(mut self, slow_us: u64) -> ServeOptions {
         self.slow_us = Some(slow_us);
-        self
-    }
-
-    /// Bind the `GET /metrics` scrape sidecar to `addr` when serving
-    /// starts. For port-0 flows where the caller needs the bound port up
-    /// front, bind it yourself and use
-    /// [`ServeOptions::metrics_listener`] (which takes precedence).
-    #[must_use]
-    pub fn metrics_addr(mut self, addr: SocketAddr) -> ServeOptions {
-        self.metrics_addr = Some(addr);
         self
     }
 
@@ -456,15 +442,6 @@ impl ServeOptions {
         self
     }
 
-    /// Seed for the deterministic trace-id generator. Two servers with
-    /// the same seed issue the same id sequence — what the restart and
-    /// byte-identity tests rely on.
-    #[must_use]
-    pub fn trace_seed(mut self, seed: u64) -> ServeOptions {
-        self.trace_seed = seed;
-        self
-    }
-
     /// Inject the clock requests are timed and traced with. Defaults to
     /// a fresh [`MonotonicClock`]; tests inject a
     /// [`yv_obs::ManualClock`] for deterministic span trees.
@@ -484,12 +461,10 @@ impl ServeOptions {
             workers,
             slow_us,
             metrics_listener,
-            metrics_addr,
             slow_log,
             slow_log_path,
             trace_capacity,
             trace_capture,
-            trace_seed,
             clock,
             telemetry_dir,
             slo,
@@ -497,15 +472,11 @@ impl ServeOptions {
         let Some(store) = store else {
             return Err(StoreError::Corrupt("ServeOptions has no store".into()));
         };
-        let metrics_listener = match (metrics_listener, metrics_addr) {
-            (Some(l), _) => Some(l),
-            (None, Some(addr)) => Some(TcpListener::bind(addr)?),
-            (None, None) => None,
-        };
         // The tail sampler reuses the slow-log threshold; without one,
         // only ERR-status traces are tail-retained.
         let sampler_slow_ns = slow_us.map_or(u64::MAX, |us| us.saturating_mul(1_000));
-        let sink = TraceSink::new(trace_capacity, sampler_slow_ns, trace_seed, trace_capture);
+        let sink =
+            TraceSink::new(trace_capacity, sampler_slow_ns, DEFAULT_TRACE_SEED, trace_capture);
         let clock = clock.unwrap_or_else(|| Arc::new(MonotonicClock::new()));
         let slow = match (slow_us, slow_log_path) {
             (Some(us), Some(path)) => {
@@ -529,12 +500,10 @@ impl std::fmt::Debug for ServeOptions {
             .field("workers", &self.workers)
             .field("slow_us", &self.slow_us)
             .field("metrics_listener", &self.metrics_listener)
-            .field("metrics_addr", &self.metrics_addr)
             .field("slow_log", &self.slow_log.as_ref().map(|_| "<sink>"))
             .field("slow_log_path", &self.slow_log_path)
             .field("trace_capacity", &self.trace_capacity)
             .field("trace_capture", &self.trace_capture)
-            .field("trace_seed", &self.trace_seed)
             .field("clock", &self.clock.as_ref().map(|_| "<injected>"))
             .field("telemetry_dir", &self.telemetry_dir)
             .field("slo", &self.slo)

@@ -125,14 +125,10 @@ impl Manifest {
         Manifest::new(shards)
     }
 
-    /// Write the manifest into a store directory (atomically, like the
-    /// snapshot: temp file then rename).
+    /// Write the manifest into a store directory, atomically
+    /// ([`crate::snapshot::write_atomically`]: temp file then rename).
     pub fn write(self, dir: &Path) -> Result<(), StoreError> {
-        let path = dir.join(MANIFEST_FILE);
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_text())?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
+        crate::snapshot::write_atomically(&dir.join(MANIFEST_FILE), self.to_text().as_bytes())
     }
 
     /// Read the manifest from a store directory.

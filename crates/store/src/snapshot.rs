@@ -4,6 +4,9 @@
 //! and the record count), plus one *segment* file per shard holding that
 //! shard's records with their global record ids.
 //!
+//! Both files open with the [`crate::framed`] file header; what follows it
+//! is one length-prefixed, checksummed payload (not a log of frames).
+//!
 //! Base file (`snapshot.yvs`) layout, all integers little-endian:
 //!
 //! ```text
@@ -37,6 +40,7 @@
 
 use crate::codec::{self, Reader, Writer};
 use crate::error::StoreError;
+use crate::framed;
 use std::path::Path;
 use yv_blocking::{MfiBlocksConfig, ScoreFunction};
 use yv_core::{IncrementalConfig, IncrementalResolver, Pipeline, PipelineConfig, RankedMatch};
@@ -67,19 +71,19 @@ pub struct BaseSnapshot {
 pub fn base_to_bytes(resolver: &IncrementalResolver) -> Result<Vec<u8>, StoreError> {
     let mut p = Writer::new();
     write_base_payload(&mut p, resolver)?;
-    Ok(frame(MAGIC, p.into_bytes()))
+    Ok(frame(MAGIC, &p.into_bytes()))
 }
 
 fn write_base_payload(p: &mut Writer, resolver: &IncrementalResolver) -> Result<(), StoreError> {
     let ds = resolver.dataset();
     let sources = ds.sources();
-    p.u32(len_u32(sources.len(), "source count")?);
+    p.len(sources.len(), "source count")?;
     for s in sources {
         codec::write_source(p, s)?;
     }
-    p.u32(len_u32(ds.len(), "record count")?);
+    p.len(ds.len(), "record count")?;
     let matches = resolver.matches();
-    p.u32(len_u32(matches.len(), "match count")?);
+    p.len(matches.len(), "match count")?;
     for m in matches {
         p.u32(m.a.0);
         p.u32(m.b.0);
@@ -102,71 +106,35 @@ pub fn segment_to_bytes(
     entries: &[(RecordId, &Record)],
 ) -> Result<Vec<u8>, StoreError> {
     let mut p = Writer::new();
-    p.u32(len_u32(shard, "shard index")?);
-    p.u32(len_u32(entries.len(), "segment entry count")?);
+    p.len(shard, "shard index")?;
+    p.len(entries.len(), "segment entry count")?;
     for (rid, record) in entries {
         p.u32(rid.0);
         codec::write_record(&mut p, record)?;
     }
-    Ok(frame(SEGMENT_MAGIC, p.into_bytes()))
+    Ok(frame(SEGMENT_MAGIC, &p.into_bytes()))
 }
 
-/// Wrap a payload in the magic/version/length/checksum frame shared by
-/// the base and segment formats.
-fn frame(magic: [u8; 8], payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Writer::new();
-    for b in magic {
-        out.u8(b);
-    }
-    out.u32(VERSION);
-    out.u64(payload.len() as u64);
-    let checksum = codec::fnv1a64(&payload);
-    let mut bytes = out.into_bytes();
-    bytes.extend_from_slice(&payload);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+/// Wrap a payload in the header/length/checksum frame shared by the base
+/// and segment formats.
+fn frame(magic: [u8; 8], payload: &[u8]) -> Vec<u8> {
+    let header = framed::header(magic, VERSION);
+    let len = (payload.len() as u64).to_le_bytes();
+    [&header[..], &len, payload, &codec::fnv1a64(payload).to_le_bytes()].concat()
 }
 
-fn len_u32(len: usize, what: &'static str) -> Result<u32, StoreError> {
-    u32::try_from(len).map_err(|_| StoreError::LimitExceeded { what, len })
-}
-
-/// Unwrap the magic/version/length/checksum frame, returning the payload.
-fn unframe<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<&'a [u8], StoreError> {
-    let mut r = Reader::new(bytes);
-    let mut found = [0u8; 8];
-    for slot in &mut found {
-        *slot = r.u8("magic")?;
-    }
-    if &found != magic {
-        return Err(StoreError::BadMagic);
-    }
-    let version = r.u32("version")?;
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version, supported: VERSION });
-    }
+/// Unwrap the header/length/checksum frame, returning the payload.
+fn unframe(bytes: &[u8], magic: [u8; 8]) -> Result<&[u8], StoreError> {
+    let mut r = Reader::new(framed::check_header(bytes, magic, VERSION)?);
     let payload_len = usize::try_from(r.u64("payload length")?)
         .map_err(|_| StoreError::Corrupt("declared payload length overflows usize".to_owned()))?;
-    if r.remaining() < payload_len + 8 {
-        return Err(StoreError::Corrupt(format!(
-            "file shorter than declared payload: need {} bytes, have {}",
-            payload_len + 8,
-            r.remaining()
-        )));
-    }
-    let payload = &bytes[bytes.len() - r.remaining()..][..payload_len];
-    let mut trailer = Reader::new(&bytes[bytes.len() - r.remaining() + payload_len..]);
-    let expected = trailer.u64("checksum")?;
+    let payload = r.take(payload_len, "payload")?;
+    let expected = r.u64("checksum")?;
     let actual = codec::fnv1a64(payload);
     if expected != actual {
         return Err(StoreError::ChecksumMismatch { expected, actual });
     }
-    if trailer.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after checksum",
-            trailer.remaining()
-        )));
-    }
+    r.finish("snapshot checksum")?;
     Ok(payload)
 }
 
@@ -174,7 +142,7 @@ fn unframe<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<&'a [u8], StoreError>
 /// checksum mismatches and matches referencing records beyond the
 /// declared count, all with typed errors.
 pub fn base_from_bytes(bytes: &[u8]) -> Result<BaseSnapshot, StoreError> {
-    let payload = unframe(bytes, &MAGIC)?;
+    let payload = unframe(bytes, MAGIC)?;
     let mut p = Reader::new(payload);
     let n_sources = p.u32("source count")?;
     let mut sources = Vec::with_capacity((n_sources as usize).min(p.remaining()));
@@ -203,12 +171,7 @@ pub fn base_from_bytes(bytes: &[u8]) -> Result<BaseSnapshot, StoreError> {
             .map_err(|_| StoreError::Corrupt("min_shared_items overflows usize".into()))?,
         common_fraction: p.f64("common fraction")?,
     };
-    if p.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after payload",
-            p.remaining()
-        )));
-    }
+    p.finish("base snapshot")?;
     Ok(BaseSnapshot {
         sources,
         n_records,
@@ -224,7 +187,7 @@ pub fn base_from_bytes(bytes: &[u8]) -> Result<BaseSnapshot, StoreError> {
 pub fn segment_from_bytes(
     bytes: &[u8],
 ) -> Result<(usize, Vec<(RecordId, Record)>), StoreError> {
-    let payload = unframe(bytes, &SEGMENT_MAGIC)?;
+    let payload = unframe(bytes, SEGMENT_MAGIC)?;
     let mut p = Reader::new(payload);
     let shard = p.u32("shard index")? as usize;
     let count = p.u32("segment entry count")?;
@@ -234,12 +197,7 @@ pub fn segment_from_bytes(
         let record = codec::read_record(&mut p)?;
         entries.push((rid, record));
     }
-    if p.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after segment payload",
-            p.remaining()
-        )));
-    }
+    p.finish("snapshot segment")?;
     Ok((shard, entries))
 }
 
@@ -273,8 +231,8 @@ fn write_pipeline_config(w: &mut Writer, c: &PipelineConfig) {
         }
         ScoreFunction::ExpertSim => w.u8(2),
     }
-    w.opt_f64(b.prune_frequent);
-    w.opt_f64(b.prune_common);
+    w.opt(b.prune_frequent, Writer::f64);
+    w.opt(b.prune_common, Writer::f64);
     // Format v2 carries a block-scoring thread count here; the knob is
     // gone (every store wrote 1), the slot stays so the bytes do not move.
     w.u64(1);
@@ -295,11 +253,11 @@ fn read_pipeline_config(r: &mut Reader<'_>) -> Result<PipelineConfig, StoreError
         2 => ScoreFunction::ExpertSim,
         t => return Err(StoreError::Corrupt(format!("unknown score function tag {t}"))),
     };
-    let prune_frequent = r.opt_f64("prune frequent")?;
-    let prune_common = r.opt_f64("prune common")?;
+    let prune_frequent = r.opt("prune frequent", Reader::f64)?;
+    let prune_common = r.opt("prune common", Reader::f64)?;
     r.u64("retired scoring-threads slot")?;
-    let same_src_discard = bool_flag(r.u8("same src discard")?, "same src discard")?;
-    let classify = bool_flag(r.u8("classify")?, "classify")?;
+    let same_src_discard = r.bool("same src discard")?;
+    let classify = r.bool("classify")?;
     let rounds = usize::try_from(r.u64("train rounds")?)
         .map_err(|_| StoreError::Corrupt("rounds overflows usize".into()))?;
     let max_thresholds = usize::try_from(r.u64("max thresholds")?)
@@ -318,14 +276,6 @@ fn read_pipeline_config(r: &mut Reader<'_>) -> Result<PipelineConfig, StoreError
         classify,
         train: yv_adt::TrainConfig { rounds, max_thresholds, epsilon },
     })
-}
-
-fn bool_flag(v: u8, what: &str) -> Result<bool, StoreError> {
-    match v {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(StoreError::Corrupt(format!("bad bool {t} for {what}"))),
-    }
 }
 
 /// Write bytes atomically: to a sibling temp file, then rename over the
@@ -347,4 +297,27 @@ pub fn read_base_file(path: &Path) -> Result<BaseSnapshot, StoreError> {
 pub fn read_segment_file(path: &Path) -> Result<(usize, Vec<(RecordId, Record)>), StoreError> {
     let bytes = std::fs::read(path)?;
     segment_from_bytes(&bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_declared_length_near_usize_max_is_corrupt_not_an_overflow() {
+        for len in [u64::MAX, u64::MAX - 7] {
+            let mut bytes = framed::header(SEGMENT_MAGIC, VERSION).to_vec();
+            bytes.extend_from_slice(&len.to_le_bytes());
+            bytes.extend_from_slice(&[0; 16]);
+            assert!(matches!(segment_from_bytes(&bytes), Err(StoreError::Corrupt(_))), "{len}");
+        }
+    }
+
+    #[test]
+    fn a_file_shorter_than_its_header_is_bad_magic() {
+        let header = framed::header(MAGIC, VERSION);
+        for cut in 0..header.len() {
+            assert!(matches!(base_from_bytes(&header[..cut]), Err(StoreError::BadMagic)), "{cut}");
+        }
+    }
 }

@@ -5,7 +5,8 @@
 //! `DIR/telemetry.yvt`, so `HISTORY` survives a restart: on startup the
 //! log is replayed into the in-memory rings before the server listens.
 //!
-//! The file reuses the WAL codec discipline (see [`crate::wal`]) but is
+//! The file shares the WAL's byte layer ([`crate::framed`]: header,
+//! frames with no `extra`, one append handle, one scan) but is
 //! deliberately *fsync-light*: telemetry is best-effort history, not
 //! durability-critical state, so frames are written without a per-frame
 //! `sync_data` and the file is only synced when a segment rotates.
@@ -36,10 +37,9 @@
 
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::codec::{self, Reader, Writer};
+use crate::codec::{Reader, Writer};
 use crate::error::StoreError;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use crate::framed::{self, LogFile};
 use std::path::{Path, PathBuf};
 use yv_obs::{ClosedBucket, HistogramSnapshot, Tier, BUCKET_COUNT};
 
@@ -56,15 +56,13 @@ pub const SEGMENT: &str = "telemetry.yvt";
 pub const OLD_SEGMENT: &str = "telemetry.old.yvt";
 
 const TAG_BUCKET: u8 = 1;
-const HEADER_LEN: u64 = 12;
 
 /// Append handle over the active telemetry segment.
 #[derive(Debug)]
 pub struct TelemetryLog {
     path: PathBuf,
     old_path: PathBuf,
-    file: File,
-    bytes: u64,
+    log: LogFile,
     cap: u64,
     rotations: u64,
     frames: u64,
@@ -77,25 +75,19 @@ impl TelemetryLog {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(SEGMENT);
         let old_path = dir.join(OLD_SEGMENT);
-        let (file, bytes) = if path.exists() {
-            let bytes = std::fs::read(&path)?;
-            let valid = scan(&bytes)?.valid_len;
-            let file = OpenOptions::new().write(true).open(&path)?;
-            file.set_len(valid as u64)?;
-            let mut file = file;
-            use std::io::Seek as _;
-            file.seek(std::io::SeekFrom::End(0))?;
-            (file, valid as u64)
+        let log = if path.exists() {
+            LogFile::open(&path, scan(&std::fs::read(&path)?)?.1)?
         } else {
-            (fresh_segment(&path)?, HEADER_LEN)
+            LogFile::create(&path, MAGIC, VERSION)?
         };
-        Ok(TelemetryLog { path, old_path, file, bytes, cap: cap.max(HEADER_LEN + 64), rotations: 0, frames: 0 })
+        let cap = cap.max(framed::HEADER_LEN as u64 + 64);
+        Ok(TelemetryLog { path, old_path, log, cap, rotations: 0, frames: 0 })
     }
 
     /// Bytes in the active segment (header plus complete frames).
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.log.bytes()
     }
 
     /// Segment rotations performed by this handle.
@@ -116,22 +108,10 @@ impl TelemetryLog {
         if bucket.delta.count() == 0 {
             return Ok(());
         }
-        let payload = encode_bucket(metric, bucket)?;
-        let len = u32::try_from(payload.len()).map_err(|_| StoreError::LimitExceeded {
-            what: "telemetry frame payload",
-            len: payload.len(),
-        })?;
-        let mut frame = Vec::with_capacity(payload.len() + 13);
-        frame.push(TAG_BUCKET);
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&payload);
-        // The checksum covers the tag and the payload.
-        let checksum = codec::fnv1a64_parts(&[&[TAG_BUCKET], &payload]);
-        frame.extend_from_slice(&checksum.to_le_bytes());
-        self.file.write_all(&frame)?;
-        self.bytes += frame.len() as u64;
+        let frame = framed::encode(TAG_BUCKET, &[], &encode_bucket(metric, bucket)?)?;
+        self.log.append(&frame, false)?;
         self.frames += 1;
-        if self.bytes > self.cap {
+        if self.log.bytes() > self.cap {
             self.rotate()?;
         }
         Ok(())
@@ -140,21 +120,12 @@ impl TelemetryLog {
     /// Retire the full active segment to `telemetry.old.yvt` and start a
     /// fresh one. The only fsync point in the log's life.
     fn rotate(&mut self) -> Result<(), StoreError> {
-        self.file.sync_data()?;
+        self.log.sync()?;
         std::fs::rename(&self.path, &self.old_path)?;
-        self.file = fresh_segment(&self.path)?;
-        self.bytes = HEADER_LEN;
+        self.log = LogFile::create(&self.path, MAGIC, VERSION)?;
         self.rotations += 1;
         Ok(())
     }
-}
-
-fn fresh_segment(path: &Path) -> Result<File, StoreError> {
-    let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
-    file.write_all(&MAGIC)?;
-    file.write_all(&VERSION.to_le_bytes())?;
-    file.sync_all()?;
-    Ok(file)
 }
 
 fn encode_bucket(metric: &str, bucket: &ClosedBucket) -> Result<Vec<u8>, StoreError> {
@@ -203,64 +174,16 @@ fn decode_bucket(payload: &[u8]) -> Result<(String, ClosedBucket), StoreError> {
     delta.sum_ns = r.u64("telemetry sum_ns")?;
     delta.max_ns = r.u64("telemetry max_ns")?;
     delta.min_ns = r.u64("telemetry min_ns")?;
-    if r.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes in telemetry frame",
-            r.remaining()
-        )));
-    }
+    r.finish("telemetry frame")?;
     Ok((metric, ClosedBucket { tier, epoch, delta }))
 }
 
-/// Result of scanning one segment: decoded frames in file order plus the
-/// byte length of the valid prefix (a torn tail is a clean stop).
-#[derive(Debug)]
-struct Scan {
-    frames: Vec<(String, ClosedBucket)>,
-    valid_len: usize,
-}
-
-fn scan(bytes: &[u8]) -> Result<Scan, StoreError> {
-    if bytes.len() < 12 || bytes[..8] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = u32::from_le_bytes(
-        bytes[8..12].try_into().map_err(|_| StoreError::Corrupt("truncated version".into()))?,
-    );
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version, supported: VERSION });
-    }
-    let mut frames = Vec::new();
-    let mut pos = 12;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.len() < 5 {
-            break; // end of file, or a torn frame header
-        }
-        let tag = rest[0];
-        let len = u32::from_le_bytes(
-            rest[1..5].try_into().map_err(|_| StoreError::Corrupt("truncated frame length".into()))?,
-        ) as usize;
-        let Some(frame_rest) = rest.get(5..5 + len + 8) else {
-            break; // torn tail: payload or checksum incomplete
-        };
-        let payload = &frame_rest[..len];
-        let expected = u64::from_le_bytes(
-            frame_rest[len..]
-                .try_into()
-                .map_err(|_| StoreError::Corrupt("truncated frame checksum".into()))?,
-        );
-        let actual = codec::fnv1a64_parts(&[&[tag], payload]);
-        if expected != actual {
-            return Err(StoreError::ChecksumMismatch { expected, actual });
-        }
-        if tag != TAG_BUCKET {
-            return Err(StoreError::Corrupt(format!("unknown telemetry frame tag {tag}")));
-        }
-        frames.push(decode_bucket(payload)?);
-        pos += 5 + len + 8;
-    }
-    Ok(Scan { frames, valid_len: pos })
+/// One segment's buckets in file order, and its valid prefix length.
+fn scan(bytes: &[u8]) -> Result<(Vec<(String, ClosedBucket)>, usize), StoreError> {
+    framed::scan(bytes, MAGIC, VERSION, |tag, [], payload| match tag {
+        TAG_BUCKET => decode_bucket(payload),
+        t => Err(StoreError::Corrupt(format!("unknown telemetry frame tag {t}"))),
+    })
 }
 
 /// Replay both generations (old first) into `(metric, bucket)` pairs in
@@ -269,12 +192,9 @@ pub fn replay(dir: &Path) -> Result<Vec<(String, ClosedBucket)>, StoreError> {
     let mut out = Vec::new();
     for name in [OLD_SEGMENT, SEGMENT] {
         let path = dir.join(name);
-        if !path.exists() {
-            continue;
+        if path.exists() {
+            out.extend(scan(&std::fs::read(&path)?)?.0);
         }
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        out.extend(scan(&bytes)?.frames);
     }
     Ok(out)
 }
@@ -316,7 +236,7 @@ mod tests {
         let empty = ClosedBucket { tier: Tier::Minutes, epoch: 9, delta: HistogramSnapshot::default() };
         log.append("query", &empty).unwrap();
         assert_eq!(log.frames(), 0);
-        assert_eq!(log.bytes(), HEADER_LEN);
+        assert_eq!(log.bytes(), framed::HEADER_LEN as u64);
         assert_eq!(replay(&dir).unwrap(), vec![]);
     }
 

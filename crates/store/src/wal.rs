@@ -13,7 +13,8 @@
 //! assigned in apply order, the merge must be gapless (see
 //! [`crate::StoreError::ShardWalGap`]).
 //!
-//! Layout:
+//! Layout: the [`crate::framed`] file header and frames, with the
+//! arrival's seq as the frame's `extra`:
 //!
 //! ```text
 //! 8 bytes   magic  "YVWAL\0\0\0"
@@ -36,8 +37,7 @@
 
 use crate::codec::{self, Reader, Writer};
 use crate::error::StoreError;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
+use crate::framed::{self, LogFile};
 use std::path::Path;
 use yv_records::{Record, Source};
 
@@ -57,9 +57,6 @@ pub enum WalEntry {
     Source(Source),
 }
 
-/// Byte length of the file header (magic + version).
-const HEADER_LEN: u64 = 12;
-
 /// Result of scanning one WAL file: the complete frames (with their
 /// global sequence numbers, in file order), the byte length of the valid
 /// prefix, and the bytes of a torn (incomplete) final frame after it.
@@ -74,45 +71,31 @@ pub struct WalScan {
 /// Append handle over a WAL file.
 #[derive(Debug)]
 pub struct Wal {
-    file: File,
-    /// On-disk byte length (header plus complete frames), tracked so
-    /// `STATS` and the metrics scrape report WAL growth without a
-    /// filesystem round trip.
-    bytes: u64,
+    log: LogFile,
 }
 
 impl Wal {
     /// Create a fresh (empty) log, truncating any existing file.
     pub fn create(path: &Path) -> Result<Wal, StoreError> {
-        let mut file =
-            OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
-        file.write_all(&MAGIC)?;
-        file.write_all(&VERSION.to_le_bytes())?;
-        file.sync_all()?;
-        Ok(Wal { file, bytes: HEADER_LEN })
+        Ok(Wal { log: LogFile::create(path, MAGIC, VERSION)? })
     }
 
     /// Open an existing log for appending, truncated to `valid_len` —
     /// the [`WalScan::valid_len`] its scan found — and positioned there,
     /// so a torn tail from a crash is dropped and overwritten.
     pub fn open(path: &Path, valid_len: usize) -> Result<Wal, StoreError> {
-        let mut file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len as u64)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(Wal { file, bytes: valid_len as u64 })
+        Ok(Wal { log: LogFile::open(path, valid_len)? })
     }
 
     /// Current on-disk byte length: header plus every complete frame.
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.log.bytes()
     }
 
     /// Append a record frame stamped with its global arrival sequence.
     pub fn append_record(&mut self, seq: u64, record: &Record) -> Result<(), StoreError> {
-        let mut w = Writer::new();
-        codec::write_record(&mut w, record)?;
-        self.append_frame(TAG_RECORD, seq, &w.into_bytes(), true)
+        self.append(TAG_RECORD, seq, |w| codec::write_record(w, record), true)
     }
 
     /// Append a record frame without forcing it to disk — group-commit
@@ -123,52 +106,31 @@ impl Wal {
         seq: u64,
         record: &Record,
     ) -> Result<(), StoreError> {
-        let mut w = Writer::new();
-        codec::write_record(&mut w, record)?;
-        self.append_frame(TAG_RECORD, seq, &w.into_bytes(), false)
+        self.append(TAG_RECORD, seq, |w| codec::write_record(w, record), false)
     }
 
     /// Append a source frame stamped with its global arrival sequence.
     pub fn append_source(&mut self, seq: u64, source: &Source) -> Result<(), StoreError> {
-        let mut w = Writer::new();
-        codec::write_source(&mut w, source)?;
-        self.append_frame(TAG_SOURCE, seq, &w.into_bytes(), true)
+        self.append(TAG_SOURCE, seq, |w| codec::write_source(w, source), true)
     }
 
     /// Force every appended frame to disk. One call per batch is the
     /// whole point of group commit: a 256-record `BATCH_ADD` pays one
     /// `sync_data` where per-record appends would pay 256.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.file.sync_data()?;
-        Ok(())
+        self.log.sync()
     }
 
-    fn append_frame(
+    fn append(
         &mut self,
         tag: u8,
         seq: u64,
-        payload: &[u8],
+        write: impl FnOnce(&mut Writer) -> Result<(), StoreError>,
         sync: bool,
     ) -> Result<(), StoreError> {
-        let len = u32::try_from(payload.len()).map_err(|_| StoreError::LimitExceeded {
-            what: "WAL frame payload",
-            len: payload.len(),
-        })?;
-        let mut frame = Vec::with_capacity(payload.len() + 21);
-        frame.push(tag);
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(payload);
-        // The checksum covers the tag, the sequence number and the
-        // payload, so a bitflip in any of them is caught.
-        let checksum = codec::fnv1a64_parts(&[&[tag], &seq.to_le_bytes(), payload]);
-        frame.extend_from_slice(&checksum.to_le_bytes());
-        self.file.write_all(&frame)?;
-        if sync {
-            self.file.sync_data()?;
-        }
-        self.bytes += frame.len() as u64;
-        Ok(())
+        let mut w = Writer::new();
+        write(&mut w)?;
+        self.log.append(&framed::encode(tag, &seq.to_le_bytes(), &w.into_bytes())?, sync)
     }
 }
 
@@ -181,80 +143,23 @@ pub fn replay(path: &Path) -> Result<Vec<(u64, WalEntry)>, StoreError> {
 
 /// Scan a WAL file: entries, valid prefix length, torn-tail flag.
 pub fn scan_file(path: &Path) -> Result<WalScan, StoreError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    scan(&bytes)
+    scan(&std::fs::read(path)?)
 }
 
 /// Parse the log bytes. Any input yields a scan or a typed error, never a
 /// panic.
 pub fn scan(bytes: &[u8]) -> Result<WalScan, StoreError> {
-    if bytes.len() < 12 {
-        return Err(StoreError::BadMagic);
-    }
-    if bytes[..8] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = le_u32(&bytes[8..12], "format version")?;
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version, supported: VERSION });
-    }
-    let mut entries = Vec::new();
-    let mut pos = 12;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.is_empty() {
-            break;
-        }
-        // Frame header: tag + seq + length. Shorter than that = torn tail.
-        if rest.len() < 13 {
-            break;
-        }
-        let tag = rest[0];
-        let seq = le_u64(&rest[1..9], "frame seq")?;
-        let len = le_u32(&rest[9..13], "frame length")? as usize;
-        let Some(frame_rest) = rest.get(13..13 + len + 8) else {
-            break; // torn tail: payload or checksum incomplete
-        };
-        let payload = &frame_rest[..len];
-        let expected = le_u64(&frame_rest[len..], "frame checksum")?;
-        let actual = codec::fnv1a64_parts(&[&[tag], &seq.to_le_bytes(), payload]);
-        if expected != actual {
-            return Err(StoreError::ChecksumMismatch { expected, actual });
-        }
+    let (entries, valid_len) = framed::scan(bytes, MAGIC, VERSION, |tag, seq, payload| {
         let mut r = Reader::new(payload);
         let entry = match tag {
             TAG_RECORD => WalEntry::Record(Box::new(codec::read_record(&mut r)?)),
             TAG_SOURCE => WalEntry::Source(codec::read_source(&mut r)?),
             t => return Err(StoreError::Corrupt(format!("unknown WAL entry tag {t}"))),
         };
-        if r.remaining() != 0 {
-            return Err(StoreError::Corrupt(format!(
-                "{} trailing bytes in WAL frame",
-                r.remaining()
-            )));
-        }
-        entries.push((seq, entry));
-        pos += 13 + len + 8;
-    }
-    Ok(WalScan { entries, valid_len: pos, torn_bytes: bytes.len() - pos })
-}
-
-/// Little-endian u32 from an exactly-sized slice; callers bound-check for
-/// torn-tail handling first, so a short slice here is corruption.
-fn le_u32(bytes: &[u8], what: &str) -> Result<u32, StoreError> {
-    bytes
-        .try_into()
-        .map(u32::from_le_bytes)
-        .map_err(|_| StoreError::Corrupt(format!("truncated {what}")))
-}
-
-/// Little-endian u64, same contract as [`le_u32`].
-fn le_u64(bytes: &[u8], what: &str) -> Result<u64, StoreError> {
-    bytes
-        .try_into()
-        .map(u64::from_le_bytes)
-        .map_err(|_| StoreError::Corrupt(format!("truncated {what}")))
+        r.finish("WAL frame")?;
+        Ok((u64::from_le_bytes(seq), entry))
+    })?;
+    Ok(WalScan { entries, valid_len, torn_bytes: bytes.len() - valid_len })
 }
 
 #[cfg(test)]
@@ -397,14 +302,7 @@ mod tests {
 
         // A complete frame with an unknown tag is typed corruption.
         let mut payload_frame = good[..12].to_vec();
-        let tag = 9u8;
-        let payload = b"junk";
-        payload_frame.push(tag);
-        payload_frame.extend_from_slice(&0u64.to_le_bytes());
-        payload_frame.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
-        payload_frame.extend_from_slice(payload);
-        let checksum = codec::fnv1a64_parts(&[&[tag], &0u64.to_le_bytes(), payload]);
-        payload_frame.extend_from_slice(&checksum.to_le_bytes());
+        payload_frame.extend(framed::encode(9, &0u64.to_le_bytes(), b"junk").unwrap());
         std::fs::write(&path, &payload_frame).unwrap();
         assert!(matches!(replay(&path), Err(StoreError::Corrupt(_))));
 

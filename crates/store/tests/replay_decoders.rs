@@ -1,14 +1,16 @@
-//! Whatever bytes sit in a store directory, the three decoders `open`
-//! runs — `wal::scan` and the snapshot base and segment decoders — return
-//! a value or a typed [`StoreError`]; they never panic.
+//! Whatever bytes sit in a store directory, the four replay decoders —
+//! `wal::scan` and the snapshot base and segment decoders, which `open`
+//! runs, and `telemetry::replay`, which `yv serve --telemetry-dir` runs —
+//! return a value or a typed [`StoreError`]; they never panic.
 //!
 //! Three kinds of input: arbitrary bytes (raw, and behind a valid header
 //! with a valid checksum, so the payload decoders see them), every
 //! truncation of a valid file, and every single-bit flip of one. Files
 //! whose payload a checksum covers end differently: a cut or flipped
-//! snapshot is always an error, while a cut WAL is its complete frames
-//! (a torn tail) and a flipped one is an error or, when the flip lands in
-//! a length field, a clean stop before the frame it damaged.
+//! snapshot is always an error, while a cut log (WAL or telemetry
+//! segment) is its complete frames (a torn tail) and a flipped one is an
+//! error or, when the flip lands in a length field, a clean stop before
+//! the frame it damaged.
 
 // Test-only binary: helper fns outside #[test] may unwrap freely (the
 // workspace unwrap_used deny targets library code).
@@ -24,8 +26,11 @@ use yv_records::{
     Dataset, DateParts, Gender, GeoPoint, Place, PlaceType, Record, RecordBuilder, RecordId,
     Source, SourceId,
 };
-use yv_store::codec::{fnv1a64, fnv1a64_parts};
+use yv_obs::{ClosedBucket, Histogram, Tier};
+use yv_store::codec::fnv1a64;
+use yv_store::framed;
 use yv_store::snapshot::{self, base_from_bytes, segment_from_bytes};
+use yv_store::telemetry::{self, TelemetryLog};
 use yv_store::wal::{self, scan, Wal};
 use yv_store::StoreError;
 
@@ -89,14 +94,33 @@ fn framed_snapshot(magic: [u8; 8], payload: &[u8]) -> Vec<u8> {
 
 /// `payload` as one WAL frame with a valid checksum, behind a valid header.
 fn framed_wal(tag: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut bytes = wal::MAGIC.to_vec();
-    bytes.extend_from_slice(&wal::VERSION.to_le_bytes());
-    bytes.push(tag);
-    bytes.extend_from_slice(&seq.to_le_bytes());
-    bytes.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
-    bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&fnv1a64_parts(&[&[tag], &seq.to_le_bytes(), payload]).to_le_bytes());
-    bytes
+    let frame = framed::encode(tag, &seq.to_le_bytes(), payload).unwrap();
+    [&framed::header(wal::MAGIC, wal::VERSION)[..], &frame].concat()
+}
+
+fn bucket(epoch: u64, micros: &[u64]) -> ClosedBucket {
+    let h = Histogram::new();
+    for &us in micros {
+        h.record_ns(us * 1_000);
+    }
+    ClosedBucket { tier: Tier::Seconds, epoch, delta: h.snapshot() }
+}
+
+/// A valid telemetry segment of two buckets, and what replaying it yields.
+fn valid_telemetry() -> (Vec<u8>, Vec<(String, ClosedBucket)>) {
+    let dir = ScratchDir::new("decoders-telemetry");
+    let mut log = TelemetryLog::open(&dir, telemetry::DEFAULT_CAP_BYTES).unwrap();
+    log.append("query", &bucket(3, &[10, 20, 4_000])).unwrap();
+    log.append("resolve", &bucket(4, &[7])).unwrap();
+    drop(log);
+    (std::fs::read(dir.join(telemetry::SEGMENT)).unwrap(), telemetry::replay(&dir).unwrap())
+}
+
+/// `telemetry::replay` over a directory whose active segment is `bytes`.
+fn replay_telemetry(bytes: &[u8]) -> Result<Vec<(String, ClosedBucket)>, StoreError> {
+    let dir = ScratchDir::new("decoders-telemetry-replay");
+    std::fs::write(dir.join(telemetry::SEGMENT), bytes).unwrap();
+    telemetry::replay(&dir)
 }
 
 /// Every decoder over `bytes`; each returns, whatever it returns.
@@ -124,6 +148,19 @@ proptest! {
         let _ = scan(&framed_wal(tag, seq, &raw));
         let _ = base_from_bytes(&framed_snapshot(snapshot::MAGIC, &raw));
         let _ = segment_from_bytes(&framed_snapshot(snapshot::SEGMENT_MAGIC, &raw));
+    }
+
+    #[test]
+    fn arbitrary_bytes_replay_as_telemetry_or_fail_typed(
+        raw in proptest::collection::vec(0u8..=255, 0..300),
+        tag in 0u8..3,
+    ) {
+        let header = framed::header(telemetry::MAGIC, telemetry::VERSION);
+        let _ = replay_telemetry(&raw);
+        let _ = replay_telemetry(&[&header[..], &raw].concat());
+        // Behind a valid frame the bucket decoder itself sees the bytes.
+        let frame = framed::encode(tag, &[], &raw).unwrap();
+        let _ = replay_telemetry(&[&header[..], &frame].concat());
     }
 }
 
@@ -184,6 +221,41 @@ fn every_bit_flip_of_a_valid_file_is_caught_or_a_clean_stop() {
             let mut flipped = file.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             assert!(decode(&flipped).is_some(), "bit {bit} of a snapshot file went unnoticed");
+        }
+    }
+}
+
+#[test]
+fn every_truncation_of_a_telemetry_segment_is_a_prefix_or_a_header_error() {
+    let (segment, full) = valid_telemetry();
+    assert_eq!(full.len(), 2);
+    for cut in 0..=segment.len() {
+        match replay_telemetry(&segment[..cut]) {
+            Ok(prefix) => assert_eq!(prefix, full[..prefix.len()], "cut {cut}"),
+            Err(e) => assert!(cut < framed::HEADER_LEN, "cut {cut} past the header: {e}"),
+        }
+    }
+}
+
+#[test]
+fn every_bit_flip_of_a_telemetry_segment_is_caught_or_a_clean_stop() {
+    let (segment, full) = valid_telemetry();
+    for bit in 0..segment.len() * 8 {
+        let mut flipped = segment.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        match replay_telemetry(&flipped) {
+            // Only a length field can turn a frame into a torn tail.
+            Ok(stopped) => {
+                assert!(stopped.len() < full.len(), "bit {bit} went unnoticed");
+                assert_eq!(stopped, full[..stopped.len()], "bit {bit}");
+            }
+            Err(
+                StoreError::BadMagic
+                | StoreError::UnsupportedVersion { .. }
+                | StoreError::ChecksumMismatch { .. }
+                | StoreError::Corrupt(_),
+            ) => {}
+            Err(e) => panic!("bit {bit}: unexpected error {e}"),
         }
     }
 }

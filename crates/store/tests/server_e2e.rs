@@ -601,7 +601,6 @@ fn trace_of_a_slow_resolve_serves_the_span_tree_and_top_deterministically() {
                 // request tail-samples, no timing games.
                 .slow_us(0)
                 .slow_log(Box::new(std::io::sink()))
-                .trace_seed(0xfeed_beef)
                 .clock(clock)
                 .serve(listener)
                 .unwrap()
