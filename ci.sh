@@ -436,9 +436,10 @@ fill_text="$(cargo run -q --release -p yv-cli --bin yv -- \
     load --addr "$shard_addr" --adds 0)"
 # A crash, not a shutdown: the restart must replay every WAL frame the
 # STATS above counted, and find no torn tail (replay report, DESIGN.md §9).
-# An independent reader of the WAL format (DESIGN.md §9 "Byte layer")
-# then parses the four shard WALs by hand: every checksum holds, and the
-# seqs across the files are exactly 0..n-1 with n the frames replayed.
+# An independent reader of the store formats (DESIGN.md §9 "Byte layer")
+# then parses snapshot.yvs and the four shard WALs by hand: every
+# checksum holds, and the seqs across the WALs are exactly
+# folded_seq..folded_seq+n-1 with n the frames replayed.
 kill -9 "$shard_pid"
 wait "$shard_pid" 2> /dev/null || true
 serve_on_shard_dir "$shard_log_crash"
@@ -480,6 +481,16 @@ def fnv1a64(data):
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
 
+# magic "YVSTORE\0", u32 version 3, u64 len, payload, fnv1a64(payload),
+# where payload = u64 folded_seq || state_bytes.
+snap = open(os.path.join(sys.argv[3], "snapshot.yvs"), "rb").read()
+assert snap[:12] == b"YVSTORE\0" + struct.pack("<I", 3), "snapshot.yvs: bad header"
+(snap_len,) = struct.unpack_from("<Q", snap, 12)
+assert len(snap) == 20 + snap_len + 8, f"snapshot.yvs: {len(snap)} bytes, header says {snap_len}"
+(checksum,) = struct.unpack_from("<Q", snap, 20 + snap_len)
+assert checksum == fnv1a64(snap[20:20 + snap_len]), "snapshot.yvs: checksum mismatch"
+(folded_seq,) = struct.unpack_from("<Q", snap, 20)
+
 # magic "YVWAL\0\0\0", u32 version 2, then frames of
 # tag u8 | seq u64 | len u32 | payload | fnv1a64(tag || seq || payload).
 paths = sorted(glob.glob(os.path.join(sys.argv[3], "wal.*.yvl")))
@@ -499,10 +510,12 @@ for path in paths:
         assert tag in (1, 2), f"{path}: unknown entry tag {tag}"
         seqs.append(seq)
         pos = end + 8
-assert sorted(seqs) == list(range(len(seqs))), "WAL seqs are not exactly 0..n-1"
+assert sorted(seqs) == list(range(folded_seq, folded_seq + len(seqs))), \
+    f"WAL seqs are not exactly {folded_seq}..{folded_seq}+n"
 assert len(seqs) == replayed, f"{len(seqs)} frames on disk; reopen replayed {replayed}"
-print(f"WAL reader smoke: {len(paths)} shard WALs parsed by hand, {len(seqs)} checksums hold,"
-      f" seqs exactly 0..{len(seqs) - 1}")
+print(f"store reader smoke: snapshot.yvs (v3, {snap_len}-byte payload, folded_seq {folded_seq})"
+      f" and {len(paths)} shard WALs parsed by hand, {len(seqs) + 1} checksums hold,"
+      f" WAL seqs exactly {folded_seq}..{folded_seq + len(seqs) - 1}")
 PYEOF
 crash="$(cargo run -q --release -p yv-cli --bin yv -- \
     load --addr "$shard_addr" --shutdown)"

@@ -68,7 +68,7 @@ OBSERVABILITY OPTIONS (block, resolve/pipeline):
     --trace-json PATH  write spans + counters as a Chrome-trace JSON file
 
 SERVING OPTIONS:
-    --dir PATH          store directory (snapshot segments + per-shard WALs)
+    --dir PATH          store directory (snapshot + per-shard WALs)
     --shards N          shard count when bootstrapping a new store (default 1;
                         fixed at creation, existing stores keep theirs)
     --addr A:P          listen address (default 127.0.0.1:7878)

@@ -142,7 +142,7 @@ pub struct CandidateName<'a> {
 ///
 /// Rebuilt deterministically from the store's records on `create`,
 /// `open` (snapshot load + WAL replay) and every `add`, so it needs no
-/// on-disk format of its own — the record segments and WALs already
+/// on-disk format of its own — the snapshot and WALs already
 /// carry everything.
 #[derive(Debug, Clone, Default)]
 pub struct FuzzyIndex {

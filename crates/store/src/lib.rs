@@ -7,10 +7,10 @@
 //! durable across restarts, queryable concurrently, and open to the
 //! Pages of Testimony that still arrive.
 //!
-//! The store's files are **sharded by name-hash**: records route to one
+//! The store's WALs are **sharded by name-hash**: records route to one
 //! of N shards by `fnv1a64(lowercase(last name)) % N` (see [`shard`]),
-//! each shard owning its own WAL file and snapshot segment behind its
-//! own lock, so writers on distinct shards overlap their fsyncs. What is
+//! each shard owning its own WAL file behind its own lock, so writers on
+//! distinct shards overlap their fsyncs. What is
 //! served from memory — the match graph and one name table —
 //! sits behind one lock that reads share and never hold across I/O (see
 //! [`store`]). The pieces:
@@ -22,10 +22,11 @@
 //!   primitives inside it;
 //! - [`shard`] — the routing function and the store manifest recording
 //!   the shard count (fixed at [`Store::create`]);
-//! - [`snapshot`] — versioned, checksummed files: one base snapshot
-//!   (sources, matches, trained ADT model, pipeline configuration) plus
-//!   one record segment per shard (hand-rolled binary, same philosophy
-//!   as `yv_adt::persist`);
+//! - [`snapshot`] — one versioned, checksummed file (`snapshot.yvs`,
+//!   written by one atomic rename) holding `state_bytes` — sources,
+//!   matches, trained ADT model, pipeline configuration and every record
+//!   — behind the arrival seq it folds up to (hand-rolled binary, same
+//!   philosophy as `yv_adt::persist`);
 //! - [`wal`] — per-shard write-ahead logs of incremental arrivals, each
 //!   frame carrying its global arrival sequence number so restart can
 //!   merge the shard logs back into one deterministic order;
@@ -114,7 +115,7 @@ pub use server::{
 pub use telemetry::{TelemetryLog, DEFAULT_CAP_BYTES as DEFAULT_TELEMETRY_CAP_BYTES};
 pub use shard::{shard_of_name, shard_of_record, Manifest, ShardStats, MANIFEST_FILE, ROUTING_RULE};
 pub use store::{
-    segment_file_name, wal_file_name, OpenReport, ResolveOptions, ResolveOutcome, Store,
+    wal_file_name, OpenReport, ResolveOptions, ResolveOutcome, Store,
     StoreStats, DEFAULT_RESOLVE_K, SNAPSHOT_FILE,
 };
 pub use yv_fuzzy::{RankedEntity, ScoreBlend};

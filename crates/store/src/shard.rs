@@ -1,15 +1,17 @@
 //! Name-hash sharding: routing, the store manifest, and per-shard stats.
 //!
-//! What shards partition is the store's *files*: each shard owns one WAL
-//! and one snapshot segment, so writer threads whose records route to
-//! distinct shards append and fsync in parallel. Nothing in memory is
+//! What shards partition is the store's *WALs*: each shard owns one WAL
+//! and the lock around it, and nothing else, so writer threads whose
+//! records route to distinct shards append and fsync in parallel. The
+//! snapshot is one file for the whole store, and a shard's `records`
+//! count is derived by routing at `create` / `open`. Nothing in memory is
 //! partitioned — the name table and the match graph are one each (see
 //! [`crate::store`]), because no lookup carries the routing key. The
 //! routing function is part of the on-disk format: a record
 //! lands in shard `fnv1a64(lowercase(last_names[0])) % shards` (the empty
 //! string when it has no last name), and the shard count is fixed at
 //! `create` time in the manifest. Changing either silently scatters
-//! existing records across the wrong WALs and segments, which is why the
+//! logged arrivals across the wrong WALs, which is why the
 //! manifest records the routing rule verbatim and `open` refuses anything
 //! it does not recognise.
 
@@ -26,8 +28,8 @@ pub const MANIFEST_FILE: &str = "manifest.yvm";
 /// is rejected instead of mis-routed.
 pub const ROUTING_RULE: &str = "fnv1a64(lowercase(last_names[0]))%shards";
 
-/// Hard ceiling on the shard count: each shard costs a WAL file handle
-/// and a snapshot segment, and `BATCH_ADD` / `SNAPSHOT` lock all of them.
+/// Hard ceiling on the shard count: each shard costs a WAL file handle,
+/// and `BATCH_ADD` / `SNAPSHOT` lock all of them.
 pub const MAX_SHARDS: usize = 1024;
 
 /// The shard owning a last name: FNV-1a 64 of the lowercased name modulo

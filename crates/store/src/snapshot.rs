@@ -1,80 +1,83 @@
-//! Versioned on-disk snapshot of the full serving state, split for the
-//! sharded store: one *base* file holding everything shard-independent
-//! (sources, ranked matches, trained ADT model, pipeline configuration,
-//! and the record count), plus one *segment* file per shard holding that
-//! shard's records with their global record ids.
+//! Versioned on-disk snapshot of the full serving state: one file,
+//! `snapshot.yvs`, written by one atomic rename.
 //!
-//! Both files open with the [`crate::framed`] file header; what follows it
+//! The file opens with the [`crate::framed`] file header; what follows it
 //! is one length-prefixed, checksummed payload (not a log of frames).
-//!
-//! Base file (`snapshot.yvs`) layout, all integers little-endian:
+//! Layout, all integers little-endian:
 //!
 //! ```text
 //! 8 bytes   magic  "YVSTORE\0"
-//! u32       format version (currently 2)
+//! u32       format version (currently 3)
 //! u64       payload length in bytes
-//! payload   sources, record count, ranked matches, ADT model text,
-//!           pipeline + incremental configuration
+//! payload   u64 folded_seq ‖ state_bytes(resolver)
 //! u64       FNV-1a 64 checksum of the payload
 //! ```
 //!
-//! Segment file (`snapshot.<shard>.yvs`) layout:
-//!
-//! ```text
-//! 8 bytes   magic  "YVSTSEG\0"
-//! u32       format version (currently 2)
-//! u64       payload length in bytes
-//! payload   u32 shard index, u32 entry count, then per entry:
-//!           u32 record id + codec-encoded record
-//! u64       FNV-1a 64 checksum of the payload
-//! ```
+//! [`state_bytes`] is sources, record count, ranked matches, ADT model
+//! text, pipeline + incremental configuration, then every record behind
+//! its u32 record id, ids 0..n in order — so the file on disk and the
+//! canonical identity encoding are one encoder, and [`from_bytes`] is
+//! their one decoder. `folded_seq` is the first arrival sequence number
+//! the snapshot does *not* hold: `open` skips WAL frames below it (a crash
+//! between `SNAPSHOT`'s rename and its WAL truncation leaves them behind)
+//! and replays the rest.
 //!
 //! The encoding is deterministic (floats as IEEE bits, insertion-ordered
-//! collections), so re-snapshotting a loaded store reproduces every file
+//! collections), so re-snapshotting a loaded store reproduces the file
 //! byte for byte — and [`state_bytes`] exposes the same determinism as a
-//! single canonical byte string covering the *whole* store state, which
-//! is how the shard-identity tests compare an N-shard store against a
-//! 1-shard control without caring how the records were partitioned.
+//! single canonical byte string, which is how the shard-identity tests
+//! compare an N-shard store against a 1-shard control.
 
 #![deny(clippy::cast_possible_truncation)]
 
 use crate::codec::{self, Reader, Writer};
 use crate::error::StoreError;
 use crate::framed;
+use std::fs::File;
+use std::io::Write as _;
 use std::path::Path;
 use yv_blocking::{MfiBlocksConfig, ScoreFunction};
 use yv_core::{IncrementalConfig, IncrementalResolver, Pipeline, PipelineConfig, RankedMatch};
-use yv_records::{Record, RecordId, Source};
+use yv_records::{Dataset, RecordId};
 
-/// File magic: identifies a yv-store base snapshot.
+/// File magic: identifies a yv-store snapshot.
 pub const MAGIC: [u8; 8] = *b"YVSTORE\0";
-/// File magic: identifies a per-shard snapshot segment.
-pub const SEGMENT_MAGIC: [u8; 8] = *b"YVSTSEG\0";
-/// The snapshot format version this build reads and writes. Version 1
-/// was a single monolithic file with the records inline.
-pub const VERSION: u32 = 2;
+/// The snapshot format version this build reads and writes. Earlier
+/// versions — 2 is a base file plus per-shard segment files — are
+/// refused, not migrated.
+pub const VERSION: u32 = 3;
 
-/// The shard-independent half of a snapshot, as read back from the base
-/// file. Records live in the per-shard segments; `n_records` is recorded
-/// here so reassembly can verify the segments cover the dataset exactly.
+/// A decoded snapshot: the resolver it holds and the first arrival
+/// sequence number not folded into it.
 #[derive(Debug)]
-pub struct BaseSnapshot {
-    pub sources: Vec<Source>,
-    pub n_records: usize,
-    pub matches: Vec<RankedMatch>,
-    pub pipeline: Pipeline,
-    pub config: PipelineConfig,
-    pub inc: IncrementalConfig,
+pub struct Snapshot {
+    pub folded_seq: u64,
+    pub resolver: IncrementalResolver,
 }
 
-/// Serialize the shard-independent state to base-file bytes.
-pub fn base_to_bytes(resolver: &IncrementalResolver) -> Result<Vec<u8>, StoreError> {
+/// Serialize the resolver, folded up to (not including) arrival
+/// `folded_seq`, to snapshot-file bytes.
+pub fn to_bytes(resolver: &IncrementalResolver, folded_seq: u64) -> Result<Vec<u8>, StoreError> {
     let mut p = Writer::new();
-    write_base_payload(&mut p, resolver)?;
-    Ok(frame(MAGIC, &p.into_bytes()))
+    p.u64(folded_seq);
+    write_state(&mut p, resolver)?;
+    let payload = p.into_bytes();
+    let header = framed::header(MAGIC, VERSION);
+    let len = (payload.len() as u64).to_le_bytes();
+    Ok([&header[..], &len, &payload, &codec::fnv1a64(&payload).to_le_bytes()].concat())
 }
 
-fn write_base_payload(p: &mut Writer, resolver: &IncrementalResolver) -> Result<(), StoreError> {
+/// One canonical byte string covering the resolver's *entire* state:
+/// two stores hold identical logical state exactly when their
+/// `state_bytes` agree — regardless of how many shards each logged its
+/// arrivals to. The snapshot payload is this behind `folded_seq`.
+pub fn state_bytes(resolver: &IncrementalResolver) -> Result<Vec<u8>, StoreError> {
+    let mut p = Writer::new();
+    write_state(&mut p, resolver)?;
+    Ok(p.into_bytes())
+}
+
+fn write_state(p: &mut Writer, resolver: &IncrementalResolver) -> Result<(), StoreError> {
     let ds = resolver.dataset();
     let sources = ds.sources();
     p.len(sources.len(), "source count")?;
@@ -94,38 +97,19 @@ fn write_base_payload(p: &mut Writer, resolver: &IncrementalResolver) -> Result<
     let inc = resolver.inc_config();
     p.u64(inc.min_shared_items as u64);
     p.f64(inc.common_fraction);
+    for rid in ds.record_ids() {
+        p.u32(rid.0);
+        codec::write_record(p, ds.record(rid))?;
+    }
     Ok(())
 }
 
-/// Serialize one shard's records (with their global record ids) to
-/// segment-file bytes. Entries must already be in ascending-rid order —
-/// that is the order the store iterates them in, and keeping the file in
-/// that order makes re-snapshotting byte-stable.
-pub fn segment_to_bytes(
-    shard: usize,
-    entries: &[(RecordId, &Record)],
-) -> Result<Vec<u8>, StoreError> {
-    let mut p = Writer::new();
-    p.len(shard, "shard index")?;
-    p.len(entries.len(), "segment entry count")?;
-    for (rid, record) in entries {
-        p.u32(rid.0);
-        codec::write_record(&mut p, record)?;
-    }
-    Ok(frame(SEGMENT_MAGIC, &p.into_bytes()))
-}
-
-/// Wrap a payload in the header/length/checksum frame shared by the base
-/// and segment formats.
-fn frame(magic: [u8; 8], payload: &[u8]) -> Vec<u8> {
-    let header = framed::header(magic, VERSION);
-    let len = (payload.len() as u64).to_le_bytes();
-    [&header[..], &len, payload, &codec::fnv1a64(payload).to_le_bytes()].concat()
-}
-
-/// Unwrap the header/length/checksum frame, returning the payload.
-fn unframe(bytes: &[u8], magic: [u8; 8]) -> Result<&[u8], StoreError> {
-    let mut r = Reader::new(framed::check_header(bytes, magic, VERSION)?);
+/// Deserialize snapshot-file bytes. Rejects bad magic, unsupported
+/// versions, checksum mismatches, matches referencing records beyond the
+/// declared count, record ids out of order and records of unknown
+/// sources, all with typed errors.
+pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
+    let mut r = Reader::new(framed::check_header(bytes, MAGIC, VERSION)?);
     let payload_len = usize::try_from(r.u64("payload length")?)
         .map_err(|_| StoreError::Corrupt("declared payload length overflows usize".to_owned()))?;
     let payload = r.take(payload_len, "payload")?;
@@ -135,28 +119,21 @@ fn unframe(bytes: &[u8], magic: [u8; 8]) -> Result<&[u8], StoreError> {
         return Err(StoreError::ChecksumMismatch { expected, actual });
     }
     r.finish("snapshot checksum")?;
-    Ok(payload)
-}
 
-/// Deserialize base-file bytes. Rejects bad magic, unsupported versions,
-/// checksum mismatches and matches referencing records beyond the
-/// declared count, all with typed errors.
-pub fn base_from_bytes(bytes: &[u8]) -> Result<BaseSnapshot, StoreError> {
-    let payload = unframe(bytes, MAGIC)?;
     let mut p = Reader::new(payload);
-    let n_sources = p.u32("source count")?;
-    let mut sources = Vec::with_capacity((n_sources as usize).min(p.remaining()));
-    for _ in 0..n_sources {
-        sources.push(codec::read_source(&mut p)?);
+    let folded_seq = p.u64("folded seq")?;
+    let mut ds = Dataset::new();
+    for _ in 0..p.u32("source count")? {
+        ds.add_source(codec::read_source(&mut p)?);
     }
-    let n_records = p.u32("record count")? as usize;
+    let n_records = p.u32("record count")?;
     let n_matches = p.u32("match count")?;
     let mut matches = Vec::with_capacity((n_matches as usize).min(p.remaining()));
     for _ in 0..n_matches {
         let a = RecordId(p.u32("match a")?);
         let b = RecordId(p.u32("match b")?);
         let score = p.f64("match score")?;
-        if a.index() >= n_records || b.index() >= n_records {
+        if a.0 >= n_records || b.0 >= n_records {
             return Err(StoreError::Corrupt(format!(
                 "match ({}, {}) references records beyond the dataset",
                 a.0, b.0
@@ -171,51 +148,26 @@ pub fn base_from_bytes(bytes: &[u8]) -> Result<BaseSnapshot, StoreError> {
             .map_err(|_| StoreError::Corrupt("min_shared_items overflows usize".into()))?,
         common_fraction: p.f64("common fraction")?,
     };
-    p.finish("base snapshot")?;
-    Ok(BaseSnapshot {
-        sources,
-        n_records,
-        matches,
-        pipeline: Pipeline::with_model(model),
-        config,
-        inc,
-    })
-}
-
-/// Deserialize segment-file bytes into the shard index it claims and its
-/// `(rid, record)` entries, in file order.
-pub fn segment_from_bytes(
-    bytes: &[u8],
-) -> Result<(usize, Vec<(RecordId, Record)>), StoreError> {
-    let payload = unframe(bytes, SEGMENT_MAGIC)?;
-    let mut p = Reader::new(payload);
-    let shard = p.u32("shard index")? as usize;
-    let count = p.u32("segment entry count")?;
-    let mut entries = Vec::with_capacity((count as usize).min(p.remaining()));
-    for _ in 0..count {
-        let rid = RecordId(p.u32("record id")?);
+    for expected in 0..n_records {
+        let rid = p.u32("record id")?;
+        if rid != expected {
+            return Err(StoreError::Corrupt(format!(
+                "snapshot record id {rid} out of order; expected {expected}"
+            )));
+        }
         let record = codec::read_record(&mut p)?;
-        entries.push((rid, record));
+        if record.source.index() >= ds.sources().len() {
+            return Err(StoreError::Corrupt(format!(
+                "record {} references unknown source {}",
+                record.book_id, record.source.0
+            )));
+        }
+        ds.add_record(record);
     }
-    p.finish("snapshot segment")?;
-    Ok((shard, entries))
-}
-
-/// One canonical byte string covering the resolver's *entire* state:
-/// the base payload plus every record in ascending-rid order. Two stores
-/// hold identical logical state exactly when their `state_bytes` agree —
-/// regardless of how many shards each scattered its records across. This
-/// is the comparison the shard-identity property test and the ci smoke
-/// test are built on.
-pub fn state_bytes(resolver: &IncrementalResolver) -> Result<Vec<u8>, StoreError> {
-    let mut p = Writer::new();
-    write_base_payload(&mut p, resolver)?;
-    let ds = resolver.dataset();
-    for rid in ds.record_ids() {
-        p.u32(rid.0);
-        codec::write_record(&mut p, ds.record(rid))?;
-    }
-    Ok(p.into_bytes())
+    p.finish("snapshot")?;
+    let resolver =
+        IncrementalResolver::from_parts(ds, Pipeline::with_model(model), config, inc, matches);
+    Ok(Snapshot { folded_seq, resolver })
 }
 
 fn write_pipeline_config(w: &mut Writer, c: &PipelineConfig) {
@@ -233,8 +185,8 @@ fn write_pipeline_config(w: &mut Writer, c: &PipelineConfig) {
     }
     w.opt(b.prune_frequent, Writer::f64);
     w.opt(b.prune_common, Writer::f64);
-    // Format v2 carries a block-scoring thread count here; the knob is
-    // gone (every store wrote 1), the slot stays so the bytes do not move.
+    // A retired block-scoring thread count: the knob is gone (every
+    // store wrote 1), the slot stays so `state_bytes` does not move.
     w.u64(1);
     w.u8(u8::from(c.same_src_discard));
     w.u8(u8::from(c.classify));
@@ -278,25 +230,24 @@ fn read_pipeline_config(r: &mut Reader<'_>) -> Result<PipelineConfig, StoreError
     })
 }
 
-/// Write bytes atomically: to a sibling temp file, then rename over the
-/// target, so a crash mid-write never leaves a torn file behind.
+/// Write bytes atomically and durably: to a sibling temp file, synced,
+/// then renamed over the target, then the directory synced — so a crash
+/// leaves the old file or the new one, never a torn one, and once this
+/// returns the new one survives a power loss.
 pub fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
     std::fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()?;
     Ok(())
 }
 
-/// Load and parse a base snapshot file.
-pub fn read_base_file(path: &Path) -> Result<BaseSnapshot, StoreError> {
-    let bytes = std::fs::read(path)?;
-    base_from_bytes(&bytes)
-}
-
-/// Load and parse a segment file.
-pub fn read_segment_file(path: &Path) -> Result<(usize, Vec<(RecordId, Record)>), StoreError> {
-    let bytes = std::fs::read(path)?;
-    segment_from_bytes(&bytes)
+/// Load and decode a snapshot file.
+pub fn read_file(path: &Path) -> Result<Snapshot, StoreError> {
+    from_bytes(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -306,10 +257,10 @@ mod tests {
     #[test]
     fn a_declared_length_near_usize_max_is_corrupt_not_an_overflow() {
         for len in [u64::MAX, u64::MAX - 7] {
-            let mut bytes = framed::header(SEGMENT_MAGIC, VERSION).to_vec();
+            let mut bytes = framed::header(MAGIC, VERSION).to_vec();
             bytes.extend_from_slice(&len.to_le_bytes());
             bytes.extend_from_slice(&[0; 16]);
-            assert!(matches!(segment_from_bytes(&bytes), Err(StoreError::Corrupt(_))), "{len}");
+            assert!(matches!(from_bytes(&bytes), Err(StoreError::Corrupt(_))), "{len}");
         }
     }
 
@@ -317,7 +268,7 @@ mod tests {
     fn a_file_shorter_than_its_header_is_bad_magic() {
         let header = framed::header(MAGIC, VERSION);
         for cut in 0..header.len() {
-            assert!(matches!(base_from_bytes(&header[..cut]), Err(StoreError::BadMagic)), "{cut}");
+            assert!(matches!(from_bytes(&header[..cut]), Err(StoreError::BadMagic)), "{cut}");
         }
     }
 }

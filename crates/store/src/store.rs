@@ -4,10 +4,10 @@
 //! and name-hash sharding so concurrent writers on distinct shards never
 //! contend on the durability path.
 //!
-//! Sharding: the store's *files* are partitioned into N shards fixed at
+//! Sharding: the store's WALs are partitioned into N shards fixed at
 //! `create` time (see [`crate::shard::Manifest`]). Each shard owns its
-//! WAL file and snapshot segment behind a per-shard lock. A record
-//! belongs to the shard of its first last name
+//! WAL file behind a per-shard lock, and nothing else. A record belongs
+//! to the shard of its first last name
 //! ([`crate::shard::shard_of_record`]); sources — global, shard-less
 //! state — are logged to shard 0 by convention. Memory is not
 //! partitioned: the resolver and the one name table sit behind one lock
@@ -15,60 +15,54 @@
 //! routing key. Reads take that lock, shared, and never a shard's, so
 //! they wait on nobody's fsync. Lock order: shards (ascending) → state.
 //!
-//! Durability protocol: `create` writes a full snapshot (base + one
-//! segment per shard) and empty WALs. Every arrival takes a global
-//! arrival sequence number *under its shard's write lock*, is appended
-//! (and fsynced) to that shard's WAL — fsyncs on distinct shards run in
-//! parallel — and is then applied to the shared resolver strictly in
-//! sequence order (a condvar sequencer hands applies out in ticket
-//! order). `open` reads the shard segments and scans the shard WALs in
-//! parallel, then replays the frames merged by sequence number (arrival
-//! order), and refuses to open if the merge has a hole
-//! ([`StoreError::ShardWalGap`]): record ids are assigned in apply
-//! order, so replaying past a hole would renumber every later record. A
-//! torn tail on the globally *last* arrival is the ordinary
-//! crash-mid-append case and recovers cleanly; the truncation reuses the
-//! length the scan found, so each WAL is read and decoded once.
-//! [`Store::open_report`] says what the replay did. `snapshot` quiesces
-//! all shards, folds the WALs into fresh snapshot files and truncates
-//! them.
+//! Durability protocol: `create` writes one snapshot file and empty WALs.
+//! Every arrival takes a global arrival sequence number *under its
+//! shard's write lock*, is appended (and fsynced) to that shard's WAL —
+//! fsyncs on distinct shards run in parallel — and is then applied to the
+//! shared resolver strictly in sequence order (a condvar sequencer hands
+//! applies out in ticket order). Sequence numbers never rewind. `open`
+//! loads the snapshot, scans the shard WALs, skips the frames below the
+//! snapshot's `folded_seq` (already folded into it) and replays the rest
+//! merged by sequence number (arrival order), refusing to open if the
+//! merge is not gapless from `folded_seq` ([`StoreError::ShardWalGap`]):
+//! record ids are assigned in apply order, so replaying past a hole would
+//! renumber every later record. A torn tail on the globally *last*
+//! arrival is the ordinary crash-mid-append case and recovers cleanly;
+//! the truncation reuses the length the scan found, so each WAL is read
+//! and decoded once. [`Store::open_report`] says what the replay did.
+//! `snapshot` quiesces all shards, writes a fresh snapshot whose durable
+//! rename is the commit point, and only then truncates the WALs — a crash
+//! anywhere in between reopens to the acknowledged state.
 //!
 //! Applies run in slices: up to [`APPLY_SLICE`] consecutive arrivals go
 //! through [`IncrementalResolver::insert_batch`] under one hold of the
 //! state write lock — a `BATCH_ADD`'s shard group after its fsync, and a
 //! replay's run of record frames between source frames. Inside a slice
 //! the candidate pairs are scored on every core (`Pipeline::score_pairs`),
-//! the store's one use of threads after `open`'s shard loads. A read
-//! therefore waits on at most one slice, whatever size of batch a client
-//! sends.
+//! the store's one use of threads. A read therefore waits on at most one
+//! slice, whatever size of batch a client sends.
 
 use crate::error::StoreError;
 use crate::index::QueryIndex;
 use crate::shard::{self, Manifest, ShardStats};
 use crate::snapshot;
 use crate::sync::{Mutex, RwLock};
-use crate::wal::{Wal, WalEntry, WalScan};
+use crate::wal::{Wal, WalEntry};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, PoisonError};
 use yv_core::{IncrementalResolver, PersonQuery, QueryHit, RankedMatch, Resolution};
 use yv_fuzzy::{rank_entities, RankedEntity, ScoreBlend, DEFAULT_QGRAM_BOUND};
 use yv_obs::{Clock, Counter, MonotonicClock, TraceCtx};
-use yv_records::{Dataset, Record, RecordId, Source, SourceId};
+use yv_records::{Dataset, Record, Source, SourceId};
 
-/// Base snapshot file name inside a store directory.
+/// Snapshot file name inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.yvs";
 
 /// Per-shard WAL file name inside a store directory.
 #[must_use]
 pub fn wal_file_name(shard: usize) -> String {
     format!("wal.{shard}.yvl")
-}
-
-/// Per-shard snapshot segment file name inside a store directory.
-#[must_use]
-pub fn segment_file_name(shard: usize) -> String {
-    format!("snapshot.{shard}.yvs")
 }
 
 /// Point-in-time counters for `STATS`: store-wide totals plus one
@@ -190,12 +184,10 @@ impl Sequencer {
         self.cv.notify_all();
     }
 
-    /// Rewind after a snapshot truncated the WALs. Only sound while every
-    /// shard is quiesced (no ticket in flight).
-    fn reset(&self, to: u64) {
-        let mut turn = self.turn.lock();
-        self.next.store(to, Ordering::SeqCst);
-        *turn = to;
+    /// The next ticket to hand out: while every shard is quiesced, the
+    /// first arrival not yet applied.
+    fn next(&self) -> u64 {
+        self.next.load(Ordering::SeqCst)
     }
 }
 
@@ -205,7 +197,7 @@ struct ShardState {
     wal: Wal,
     /// Arrivals logged to this shard since the last snapshot.
     wal_entries: usize,
-    /// Records routed to this shard (segment + WAL).
+    /// Records routed to this shard, snapshot and WAL alike.
     records: usize,
 }
 
@@ -277,71 +269,18 @@ pub struct Store {
     open_report: OpenReport,
 }
 
-/// Partition a dataset's records by shard, ascending rid within each.
-fn partition(ds: &Dataset, n_shards: usize) -> Vec<Vec<(RecordId, &Record)>> {
-    let mut parts: Vec<Vec<(RecordId, &Record)>> = vec![Vec::new(); n_shards];
-    for rid in ds.record_ids() {
-        let record = ds.record(rid);
-        parts[shard::shard_of_record(record, n_shards)].push((rid, record));
+/// Records per shard, counted by routing every record of `ds`.
+fn records_per_shard(ds: &Dataset, n_shards: usize) -> Vec<usize> {
+    let mut counts = vec![0; n_shards];
+    for record in ds.records() {
+        counts[shard::shard_of_record(record, n_shards)] += 1;
     }
-    parts
-}
-
-/// Write the full snapshot file set: per-shard segments first, base
-/// last, each atomically. The base file doubles as the commit marker —
-/// `open` validates segment coverage against its record count, so a
-/// crash mid-way leaves a detectably inconsistent (not silently wrong)
-/// directory.
-fn write_snapshot_files(
-    dir: &Path,
-    resolver: &IncrementalResolver,
-    n_shards: usize,
-) -> Result<(), StoreError> {
-    for (s, entries) in partition(resolver.dataset(), n_shards).iter().enumerate() {
-        let bytes = snapshot::segment_to_bytes(s, entries)?;
-        snapshot::write_atomically(&dir.join(segment_file_name(s)), &bytes)?;
-    }
-    let base = snapshot::base_to_bytes(resolver)?;
-    snapshot::write_atomically(&dir.join(SNAPSHOT_FILE), &base)?;
-    Ok(())
-}
-
-/// What one shard contributes to `open`, loaded in parallel.
-struct ShardLoad {
-    records: Vec<(RecordId, Record)>,
-    scan: WalScan,
-}
-
-/// Load one shard's segment and WAL (the parallel part of `open`).
-fn load_shard(dir: &Path, s: usize) -> Result<ShardLoad, StoreError> {
-    let (claimed, records) = snapshot::read_segment_file(&dir.join(segment_file_name(s)))?;
-    if claimed != s {
-        return Err(StoreError::Corrupt(format!(
-            "segment file {} claims shard {claimed}",
-            segment_file_name(s)
-        )));
-    }
-    if let Some(pair) = records.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
-        return Err(StoreError::Corrupt(format!(
-            "shard {s} segment records out of order at rid {}",
-            pair[1].0 .0
-        )));
-    }
-    let wal_path = dir.join(wal_file_name(s));
-    if !wal_path.exists() {
-        return Err(StoreError::Corrupt(format!(
-            "shard {s} WAL ({}) is missing",
-            wal_file_name(s)
-        )));
-    }
-    let scan = crate::wal::scan_file(&wal_path)?;
-    Ok(ShardLoad { records, scan })
+    counts
 }
 
 impl Store {
     /// Initialize a store directory from a bootstrapped resolver: writes
-    /// the manifest, the initial snapshot (base + `shards` segments) and
-    /// one empty WAL per shard.
+    /// one empty WAL per shard, the initial snapshot and the manifest.
     pub fn create(
         dir: &Path,
         resolver: IncrementalResolver,
@@ -349,17 +288,16 @@ impl Store {
     ) -> Result<Store, StoreError> {
         let manifest = Manifest::new(shards)?;
         std::fs::create_dir_all(dir)?;
-        write_snapshot_files(dir, &resolver, shards)?;
-        manifest.write(dir)?;
         let mut shard_states = Vec::with_capacity(shards);
-        for (s, entries) in partition(resolver.dataset(), shards).iter().enumerate() {
+        for (s, records) in records_per_shard(resolver.dataset(), shards).into_iter().enumerate() {
             let wal = Wal::create(&dir.join(wal_file_name(s)))?;
-            shard_states.push(RwLock::new(ShardState {
-                wal,
-                wal_entries: 0,
-                records: entries.len(),
-            }));
+            shard_states.push(RwLock::new(ShardState { wal, wal_entries: 0, records }));
         }
+        // WALs first: the directory sync after each rename below makes
+        // their entries durable too.
+        let bytes = snapshot::to_bytes(&resolver, 0)?;
+        snapshot::write_atomically(&dir.join(SNAPSHOT_FILE), &bytes)?;
+        manifest.write(dir)?;
         Ok(Store {
             state: RwLock::new(State::build(resolver)),
             shards: shard_states,
@@ -371,103 +309,49 @@ impl Store {
         })
     }
 
-    /// Open an existing store directory: load the manifest and base
-    /// snapshot, load every shard's segment and WAL in parallel, merge
-    /// the WAL frames back into global arrival order, replay them, and
+    /// Open an existing store directory: load the manifest and the
+    /// snapshot, scan every shard's WAL, merge the frames the snapshot
+    /// does not hold back into global arrival order, replay them, and
     /// position the WALs for further appends.
     pub fn open(dir: &Path) -> Result<Store, StoreError> {
         let snap_path = dir.join(SNAPSHOT_FILE);
         if !snap_path.exists() {
             return Err(StoreError::MissingSnapshot(dir.to_path_buf()));
         }
-        let manifest = Manifest::read(dir)?;
-        let n_shards = manifest.shards;
-        let base = snapshot::read_base_file(&snap_path)?;
-
-        // Parallel phase: segment read + WAL scan per shard.
-        let mut loads: Vec<Option<Result<ShardLoad, StoreError>>> =
-            (0..n_shards).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (s, slot) in loads.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    *slot = Some(load_shard(dir, s));
-                });
-            }
-        });
-        // Surface errors in shard order, so a multi-shard failure reports
-        // deterministically.
-        let mut shard_loads = Vec::with_capacity(n_shards);
-        for (s, slot) in loads.into_iter().enumerate() {
-            match slot {
-                Some(Ok(load)) => shard_loads.push(load),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(StoreError::Corrupt(format!("shard {s} loader panicked")))
-                }
-            }
-        }
-
-        // Reassemble the dataset: segments must cover 0..n_records
-        // exactly, each record in the shard its name routes to.
-        let mut slots: Vec<Option<Record>> = (0..base.n_records).map(|_| None).collect();
-        let mut records_per_shard: Vec<usize> =
-            shard_loads.iter().map(|l| l.records.len()).collect();
-        for (s, load) in shard_loads.iter_mut().enumerate() {
-            for (rid, record) in load.records.drain(..) {
-                if shard::shard_of_record(&record, n_shards) != s {
-                    return Err(StoreError::Corrupt(format!(
-                        "record {} (rid {}) found in shard {s} segment but routes elsewhere",
-                        record.book_id, rid.0
-                    )));
-                }
-                let slot = slots.get_mut(rid.index()).ok_or_else(|| {
-                    StoreError::Corrupt(format!(
-                        "segment record id {} beyond declared count {}",
-                        rid.0, base.n_records
-                    ))
-                })?;
-                if slot.replace(record).is_some() {
-                    return Err(StoreError::Corrupt(format!(
-                        "record id {} appears in more than one segment",
-                        rid.0
-                    )));
-                }
-            }
-        }
-        let mut ds = Dataset::new();
-        for source in base.sources {
-            ds.add_source(source);
-        }
-        let n_sources = ds.sources().len();
-        for (i, slot) in slots.into_iter().enumerate() {
-            let record = slot.ok_or_else(|| {
-                StoreError::Corrupt(format!("no segment carries record id {i}"))
-            })?;
-            if record.source.index() >= n_sources {
+        let n_shards = Manifest::read(dir)?.shards;
+        let snapshot::Snapshot { folded_seq, resolver } = snapshot::read_file(&snap_path)?;
+        let mut state = State::build(resolver);
+        let mut scans = Vec::with_capacity(n_shards);
+        for s in 0..n_shards {
+            let path = dir.join(wal_file_name(s));
+            if !path.exists() {
                 return Err(StoreError::Corrupt(format!(
-                    "record {} references unknown source {}",
-                    record.book_id, record.source.0
+                    "shard {s} WAL ({}) is missing",
+                    wal_file_name(s)
                 )));
             }
-            ds.add_record(record);
+            scans.push(crate::wal::scan_file(&path)?);
         }
-        let resolver =
-            IncrementalResolver::from_parts(ds, base.pipeline, base.config, base.inc, base.matches);
-        let mut state = State::build(resolver);
+        // A WAL whose frames all sit below `folded_seq` (seqs increase
+        // within a WAL, so its last frame decides) outlived a crash
+        // between `snapshot`'s rename and its truncation.
+        let folded: Vec<bool> = scans
+            .iter()
+            .map(|scan| scan.entries.last().is_some_and(|(seq, _)| *seq < folded_seq))
+            .collect();
 
         let clock = MonotonicClock::new();
         let replay_started = clock.now_nanos();
-        // Merge the shard WALs back into global arrival order and demand
-        // the sequence is gapless from 0 — see [`StoreError::ShardWalGap`].
+        // Merge the frames the snapshot does not hold back into global
+        // arrival order and demand the sequence is gapless from
+        // `folded_seq` — see [`StoreError::ShardWalGap`].
         let mut merged: Vec<(u64, usize, WalEntry)> = Vec::new();
-        for (s, load) in shard_loads.iter_mut().enumerate() {
-            for (seq, entry) in load.scan.entries.drain(..) {
-                merged.push((seq, s, entry));
-            }
+        for (s, scan) in scans.iter_mut().enumerate() {
+            let fresh = scan.entries.drain(..).filter(|(seq, _)| *seq >= folded_seq);
+            merged.extend(fresh.map(|(seq, entry)| (seq, s, entry)));
         }
         merged.sort_by_key(|(seq, _, _)| *seq);
-        for (expected, (seq, _, _)) in merged.iter().enumerate() {
-            let expected = expected as u64;
+        for (expected, (seq, _, _)) in (folded_seq..).zip(&merged) {
             match seq.cmp(&expected) {
                 std::cmp::Ordering::Equal => {}
                 std::cmp::Ordering::Less => {
@@ -479,7 +363,7 @@ impl Store {
                     // A hole. Blame the shard that demonstrably lost its
                     // tail; without one, the loss is unattributable.
                     let torn =
-                        shard_loads.iter().position(|l| l.scan.torn_bytes > 0).ok_or_else(|| {
+                        scans.iter().position(|scan| scan.torn_bytes > 0).ok_or_else(|| {
                             StoreError::Corrupt(format!(
                                 "WAL merge is missing arrival seq {expected} and no shard \
                                  has a torn tail"
@@ -524,7 +408,6 @@ impl Store {
                             record.book_id, record.source.0
                         )));
                     }
-                    records_per_shard[s] += 1;
                     slice.push(*record);
                     if slice.len() == APPLY_SLICE {
                         state.apply_batch(std::mem::take(&mut slice));
@@ -535,25 +418,30 @@ impl Store {
         state.apply_batch(slice);
         let open_report = OpenReport {
             frames: wal_entries_total,
-            torn_bytes: shard_loads.iter().map(|l| l.scan.torn_bytes as u64).sum(),
+            torn_bytes: scans.iter().map(|scan| scan.torn_bytes as u64).sum(),
             replay_ns: clock.now_nanos().saturating_sub(replay_started),
         };
 
+        let records = records_per_shard(state.resolver.dataset(), n_shards);
         let mut shard_states = Vec::with_capacity(n_shards);
-        for (s, load) in shard_loads.iter().enumerate() {
-            // Truncating to the scan's valid prefix drops any torn tail,
-            // so the next append lands after the last complete frame.
-            let wal = Wal::open(&dir.join(wal_file_name(s)), load.scan.valid_len)?;
+        for (s, (scan, records)) in scans.iter().zip(records).enumerate() {
+            let path = dir.join(wal_file_name(s));
+            // A folded WAL is truncated to its header, finishing the
+            // interrupted snapshot; any other to the scan's valid prefix,
+            // which drops a torn tail, so the next append lands after the
+            // last complete frame.
+            let wal =
+                if folded[s] { Wal::create(&path)? } else { Wal::open(&path, scan.valid_len)? };
             shard_states.push(RwLock::new(ShardState {
                 wal,
                 wal_entries: wal_entries_per_shard[s],
-                records: records_per_shard[s],
+                records,
             }));
         }
         Ok(Store {
             state: RwLock::new(state),
             shards: shard_states,
-            seq: Sequencer::new(wal_entries_total),
+            seq: Sequencer::new(folded_seq + wal_entries_total),
             dir: dir.to_path_buf(),
             fuzzy_examined: Counter::new(),
             fuzzy_pruned: Counter::new(),
@@ -884,27 +772,24 @@ impl Store {
         ResolveOutcome { hits, examined, pruned }
     }
 
-    /// Fold the WALs into a fresh snapshot file set and truncate them.
+    /// Fold the WALs into a fresh snapshot file and truncate them.
     ///
     /// Quiesce protocol: take every shard's write lock in ascending
     /// order (writers hold their shard lock from ticket to apply, so
-    /// once all locks are held no arrival is in flight anywhere), write
-    /// segments + base, truncate each WAL, rewind the sequencer. The state
-    /// lock is only shared here: reads are answered throughout, arrivals wait.
+    /// once all locks are held no arrival is in flight anywhere), encode
+    /// the state under a shared state lock — reads are answered
+    /// throughout, arrivals wait — and write it atomically. The durable
+    /// rename is the commit point: only then is each WAL truncated, and
+    /// `folded_seq` (the next ticket) lets `open` skip the frames a crash
+    /// before or during the truncation leaves behind.
     pub fn snapshot(&self) -> Result<(), StoreError> {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        {
-            let state = self.state.read();
-            // The quiesce protocol writes the segment files while every
-            // shard (and, shared, the state) is pinned — this hold is the
-            // point.
-            write_snapshot_files(&self.dir, &state.resolver, guards.len())?;
-        }
+        let bytes = snapshot::to_bytes(&self.state.read().resolver, self.seq.next())?;
+        snapshot::write_atomically(&self.dir.join(SNAPSHOT_FILE), &bytes)?;
         for (s, guard) in guards.iter_mut().enumerate() {
             guard.wal = Wal::create(&self.dir.join(wal_file_name(s)))?;
             guard.wal_entries = 0;
         }
-        self.seq.reset(0);
         Ok(())
     }
 

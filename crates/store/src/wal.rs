@@ -8,9 +8,11 @@
 //! Since the store is sharded, arrivals scatter across N WAL files
 //! (`wal.<shard>.yvl`), so each frame carries the arrival's *global
 //! sequence number*: the position the arrival held in the store-wide
-//! apply order. Replaying a sharded store merges every shard's frames
-//! back into that order by sorting on `seq` — and because record ids are
-//! assigned in apply order, the merge must be gapless (see
+//! apply order; seqs never rewind, not even at `SNAPSHOT`. Replaying a
+//! sharded store skips the frames below the snapshot's `folded_seq`,
+//! merges every shard's other frames back into that order by sorting on
+//! `seq` — and because record ids are assigned in apply order, the merge
+//! must be gapless from `folded_seq` (see
 //! [`crate::StoreError::ShardWalGap`]).
 //!
 //! Layout: the [`crate::framed`] file header and frames, with the

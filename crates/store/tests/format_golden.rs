@@ -31,7 +31,7 @@ use yv_records::{
 use yv_similarity::ExpertWeights;
 use yv_store::codec::fnv1a64;
 use yv_store::{
-    segment_file_name, wal_file_name, BatchStatus, RequestFrame, ResponseFrame, Store,
+    wal_file_name, BatchStatus, RequestFrame, ResponseFrame, Store,
     TelemetryLog, Wal, MANIFEST_FILE, SNAPSHOT_FILE,
 };
 
@@ -61,8 +61,8 @@ fn full_record(book: u64) -> Record {
 }
 
 /// Eight base records over two sources, two pinned matches, a weighted
-/// score function and one pruning knob unset: every field of the base and
-/// segment payloads carries something.
+/// score function and one pruning knob unset: every field of the snapshot
+/// payload carries something.
 fn resolver() -> IncrementalResolver {
     let mut ds = Dataset::new();
     ds.add_source(Source::list(SourceId(0), "deportation list 1943"));
@@ -93,10 +93,7 @@ fn digest_file(out: &mut Vec<(String, u64)>, label: &str, path: &Path) {
 
 fn store_files(out: &mut Vec<(String, u64)>, stage: &str, dir: &Path) {
     let mut names = vec![MANIFEST_FILE.to_owned(), SNAPSHOT_FILE.to_owned()];
-    for s in 0..2 {
-        names.push(segment_file_name(s));
-        names.push(wal_file_name(s));
-    }
+    names.extend((0..2).map(wal_file_name));
     for name in names {
         digest_file(out, &format!("{stage}/{name}"), &dir.join(name));
     }
@@ -154,25 +151,19 @@ fn store_directory_files_are_byte_identical() {
         &actual,
         &[
             ("create/manifest.yvm", 0x9cb0f48c5155d070),
-            ("create/snapshot.yvs", 0xe58bc2b5cb2706c9),
-            ("create/snapshot.0.yvs", 0x8d0df1c6b1ea4ee5),
+            ("create/snapshot.yvs", 0x6a3b07936c922ef4),
             ("create/wal.0.yvl", 0xe9dc3b54347e5868),
-            ("create/snapshot.1.yvs", 0x21eed2d635ca8920),
             ("create/wal.1.yvl", 0xe9dc3b54347e5868),
             ("arrivals/manifest.yvm", 0x9cb0f48c5155d070),
-            ("arrivals/snapshot.yvs", 0xe58bc2b5cb2706c9),
-            ("arrivals/snapshot.0.yvs", 0x8d0df1c6b1ea4ee5),
+            ("arrivals/snapshot.yvs", 0x6a3b07936c922ef4),
             ("arrivals/wal.0.yvl", 0x46cad4a4b0e99dba),
-            ("arrivals/snapshot.1.yvs", 0x21eed2d635ca8920),
             ("arrivals/wal.1.yvl", 0x9810ef8864914c31),
             ("reopen/state_bytes", 0x59ac53e7dd25a323),
             ("reopen/wal.0.yvl", 0x57f53b9bc93ee850),
             ("reopen/wal.1.yvl", 0x99207e811b9761d9),
             ("snapshot/manifest.yvm", 0x9cb0f48c5155d070),
-            ("snapshot/snapshot.yvs", 0x90a3549db66d9b97),
-            ("snapshot/snapshot.0.yvs", 0xd10793ffcfb26ead),
+            ("snapshot/snapshot.yvs", 0xf112b328c1dbc1c4),
             ("snapshot/wal.0.yvl", 0xe9dc3b54347e5868),
-            ("snapshot/snapshot.1.yvs", 0x22f75d35b5250ab9),
             ("snapshot/wal.1.yvl", 0xe9dc3b54347e5868),
         ],
     );

@@ -1,7 +1,7 @@
-//! Whatever bytes sit in a store directory, the four replay decoders —
-//! `wal::scan` and the snapshot base and segment decoders, which `open`
-//! runs, and `telemetry::replay`, which `yv serve --telemetry-dir` runs —
-//! return a value or a typed [`StoreError`]; they never panic.
+//! Whatever bytes sit in a store directory, the three replay decoders —
+//! `wal::scan` and the snapshot decoder, which `open` runs, and
+//! `telemetry::replay`, which `yv serve --telemetry-dir` runs — return a
+//! value or a typed [`StoreError`]; they never panic.
 //!
 //! Three kinds of input: arbitrary bytes (raw, and behind a valid header
 //! with a valid checksum, so the payload decoders see them), every
@@ -23,13 +23,13 @@ use proptest::prelude::*;
 use yv_adt::AdTree;
 use yv_core::{IncrementalConfig, IncrementalResolver, Pipeline, PipelineConfig};
 use yv_records::{
-    Dataset, DateParts, Gender, GeoPoint, Place, PlaceType, Record, RecordBuilder, RecordId,
-    Source, SourceId,
+    Dataset, DateParts, Gender, GeoPoint, Place, PlaceType, Record, RecordBuilder, Source,
+    SourceId,
 };
 use yv_obs::{ClosedBucket, Histogram, Tier};
-use yv_store::codec::fnv1a64;
 use yv_store::framed;
-use yv_store::snapshot::{self, base_from_bytes, segment_from_bytes};
+use yv_store::codec::{self, Writer};
+use yv_store::snapshot::{self, from_bytes};
 use yv_store::telemetry::{self, TelemetryLog};
 use yv_store::wal::{self, scan, Wal};
 use yv_store::StoreError;
@@ -62,33 +62,34 @@ fn valid_wal() -> Vec<u8> {
     std::fs::read(&path).unwrap()
 }
 
-/// A valid base snapshot and a valid segment holding its records.
-fn valid_snapshot() -> (Vec<u8>, Vec<u8>) {
+/// The resolver behind [`valid_snapshot`].
+fn snapshot_resolver() -> IncrementalResolver {
     let mut ds = Dataset::new();
     ds.add_source(Source::list(SourceId(0), "list"));
     ds.add_source(Source::testimony(SourceId(0), "Massimo", "Foa", "Cuorgne"));
     for record in records() {
         ds.add_record(record);
     }
-    let resolver = IncrementalResolver::bootstrap(
+    IncrementalResolver::bootstrap(
         ds,
         Pipeline::with_model(AdTree::prior(0.5)),
         PipelineConfig::default(),
         IncrementalConfig::default(),
-    );
-    let ds = resolver.dataset();
-    let entries: Vec<(RecordId, &Record)> = ds.record_ids().map(|r| (r, ds.record(r))).collect();
-    (snapshot::base_to_bytes(&resolver).unwrap(), snapshot::segment_to_bytes(0, &entries).unwrap())
+    )
 }
 
-/// `payload` framed as a snapshot file of `magic`: right version, right
+/// A valid snapshot file holding two records.
+fn valid_snapshot() -> Vec<u8> {
+    snapshot::to_bytes(&snapshot_resolver(), 3).unwrap()
+}
+
+/// `payload` framed as a snapshot file: right magic, right version, right
 /// length, right checksum.
-fn framed_snapshot(magic: [u8; 8], payload: &[u8]) -> Vec<u8> {
-    let mut bytes = magic.to_vec();
-    bytes.extend_from_slice(&snapshot::VERSION.to_le_bytes());
+fn framed_snapshot(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = framed::header(snapshot::MAGIC, snapshot::VERSION).to_vec();
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    bytes.extend_from_slice(&codec::fnv1a64(payload).to_le_bytes());
     bytes
 }
 
@@ -124,8 +125,8 @@ fn replay_telemetry(bytes: &[u8]) -> Result<Vec<(String, ClosedBucket)>, StoreEr
 }
 
 /// Every decoder over `bytes`; each returns, whatever it returns.
-fn decode_all(bytes: &[u8]) -> [bool; 3] {
-    [scan(bytes).is_ok(), base_from_bytes(bytes).is_ok(), segment_from_bytes(bytes).is_ok()]
+fn decode_all(bytes: &[u8]) -> [bool; 2] {
+    [scan(bytes).is_ok(), from_bytes(bytes).is_ok()]
 }
 
 proptest! {
@@ -138,16 +139,12 @@ proptest! {
         seq in 0u64..4,
     ) {
         decode_all(&raw);
-        let (base, segment) = valid_snapshot();
-        let header = |file: &[u8]| file[..12].to_vec();
-        decode_all(&[header(&base), raw.clone()].concat());
-        decode_all(&[header(&segment), raw.clone()].concat());
-        decode_all(&[wal::MAGIC.as_slice(), &wal::VERSION.to_le_bytes(), &raw].concat());
+        decode_all(&[&framed::header(snapshot::MAGIC, snapshot::VERSION)[..], &raw].concat());
+        decode_all(&[&framed::header(wal::MAGIC, wal::VERSION)[..], &raw].concat());
         // Behind a valid frame the payload decoders themselves see the
         // bytes: record and source codecs, the model text, the config.
         let _ = scan(&framed_wal(tag, seq, &raw));
-        let _ = base_from_bytes(&framed_snapshot(snapshot::MAGIC, &raw));
-        let _ = segment_from_bytes(&framed_snapshot(snapshot::SEGMENT_MAGIC, &raw));
+        let _ = from_bytes(&framed_snapshot(&raw));
     }
 
     #[test]
@@ -179,14 +176,10 @@ fn every_truncation_of_a_valid_file_is_a_prefix_or_an_error() {
             Err(e) => assert!(cut < 12, "cut {cut} past the header: {e}"),
         }
     }
-    let (base, segment) = valid_snapshot();
-    base_from_bytes(&base).unwrap();
-    segment_from_bytes(&segment).unwrap();
-    for file in [&base, &segment] {
-        for cut in 0..file.len() {
-            assert!(base_from_bytes(&file[..cut]).is_err(), "cut {cut}");
-            assert!(segment_from_bytes(&file[..cut]).is_err(), "cut {cut}");
-        }
+    let file = valid_snapshot();
+    from_bytes(&file).unwrap();
+    for cut in 0..file.len() {
+        assert!(from_bytes(&file[..cut]).is_err(), "cut {cut}");
     }
 }
 
@@ -212,16 +205,37 @@ fn every_bit_flip_of_a_valid_file_is_caught_or_a_clean_stop() {
             Err(e) => panic!("bit {bit}: unexpected error {e}"),
         }
     }
-    let (base, segment) = valid_snapshot();
-    for (file, decode) in [
-        (&base, (|b: &[u8]| base_from_bytes(b).err()) as fn(&[u8]) -> Option<StoreError>),
-        (&segment, |b: &[u8]| segment_from_bytes(b).err()),
-    ] {
-        for bit in 0..file.len() * 8 {
-            let mut flipped = file.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            assert!(decode(&flipped).is_some(), "bit {bit} of a snapshot file went unnoticed");
-        }
+    let file = valid_snapshot();
+    for bit in 0..file.len() * 8 {
+        let mut flipped = file.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        assert!(from_bytes(&flipped).is_err(), "bit {bit} of the snapshot file went unnoticed");
+    }
+}
+
+/// A payload that checksums fine but lists its records out of id order
+/// is refused: the decoder requires record ids 0..n in order.
+#[test]
+fn a_forged_snapshot_with_out_of_order_record_ids_is_corrupt() {
+    let resolver = snapshot_resolver();
+    let state = snapshot::state_bytes(&resolver).unwrap();
+    // `state_bytes` ends with `u32 id ‖ record` per record; swap the two.
+    let encode = |rid: u32, record: &Record| {
+        let mut w = Writer::new();
+        w.u32(rid);
+        codec::write_record(&mut w, record).unwrap();
+        w.into_bytes()
+    };
+    let ds = resolver.dataset();
+    let [first, second] = [0, 1].map(|i| encode(i, &ds.records()[i as usize]));
+    let head = &state[..state.len() - first.len() - second.len()];
+    assert_eq!([head, &first, &second].concat(), state);
+    let swapped = [head, &encode(1, &ds.records()[1]), &encode(0, &ds.records()[0])].concat();
+    let mut payload = 3u64.to_le_bytes().to_vec();
+    payload.extend_from_slice(&swapped);
+    match from_bytes(&framed_snapshot(&payload)) {
+        Err(StoreError::Corrupt(what)) => assert!(what.contains("out of order"), "{what}"),
+        other => panic!("expected Corrupt, got {other:?}"),
     }
 }
 

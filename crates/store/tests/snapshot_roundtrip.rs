@@ -1,6 +1,6 @@
 //! Snapshot format guarantees: lossless round-trips, byte-identical
-//! re-snapshots (base file and every per-shard segment), and typed
-//! rejection of damaged or incompatible files.
+//! re-snapshots of the one snapshot file, and typed rejection of damaged
+//! or incompatible files.
 
 // Test-only binary: helper fns outside #[test] may unwrap freely (the
 // workspace unwrap_used deny targets library code).
@@ -12,7 +12,7 @@ use common::ScratchDir;
 use proptest::prelude::*;
 use yv_core::{IncrementalConfig, IncrementalResolver, Pipeline, PipelineConfig};
 use yv_datagen::{tag_pairs, GenConfig};
-use yv_store::{segment_file_name, snapshot, Store, StoreError, SNAPSHOT_FILE};
+use yv_store::{snapshot, Store, StoreError, SNAPSHOT_FILE};
 
 /// A small trained resolver over a synthetic dataset.
 fn resolver(n_records: usize, seed: u64) -> IncrementalResolver {
@@ -26,14 +26,6 @@ fn resolver(n_records: usize, seed: u64) -> IncrementalResolver {
     IncrementalResolver::bootstrap(gen.dataset, pipeline, config, IncrementalConfig::default())
 }
 
-/// Read the base file plus every shard segment.
-fn snapshot_files(dir: &std::path::Path, shards: usize) -> Vec<Vec<u8>> {
-    let mut files = vec![std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap()];
-    for s in 0..shards {
-        files.push(std::fs::read(dir.join(segment_file_name(s))).unwrap());
-    }
-    files
-}
 
 #[test]
 fn save_load_save_is_byte_identical() {
@@ -41,15 +33,15 @@ fn save_load_save_is_byte_identical() {
     let original = resolver(300, 11);
     let expected_state = snapshot::state_bytes(&original).unwrap();
     let store = Store::create(&dir, original, 3).unwrap();
-    let first = snapshot_files(&dir, 3);
+    let first = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
     drop(store);
 
-    // Reload from disk and snapshot again: every file must be
-    // byte-identical (sources, matches, model, config, and each shard's
-    // records in ascending-rid order).
+    // Reload from disk and snapshot again: the file must be
+    // byte-identical (folded seq, sources, matches, model, config, and
+    // every record in ascending-rid order).
     let reloaded = Store::open(&dir).unwrap();
     reloaded.snapshot().unwrap();
-    let second = snapshot_files(&dir, 3);
+    let second = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
     assert_eq!(first, second, "save(load(save(x))) must equal save(x)");
 
     // The reloaded store serves identical logical state.
@@ -74,28 +66,27 @@ fn reloaded_store_keeps_resolving_incrementally() {
 }
 
 #[test]
-fn segment_bytes_round_trip() {
+fn snapshot_bytes_round_trip() {
     let r = resolver(80, 7);
-    let ds = r.dataset();
-    let entries: Vec<_> = ds.record_ids().map(|rid| (rid, ds.record(rid))).collect();
-    let bytes = snapshot::segment_to_bytes(5, &entries).unwrap();
-    let (shard, decoded) = snapshot::segment_from_bytes(&bytes).unwrap();
-    assert_eq!(shard, 5, "the segment remembers which shard it belongs to");
-    assert_eq!(decoded.len(), entries.len());
-    for ((rid, record), (drid, drecord)) in entries.iter().zip(&decoded) {
-        assert_eq!(rid, drid);
-        assert_eq!(*record, drecord);
-    }
+    let bytes = snapshot::to_bytes(&r, 41).unwrap();
+    let decoded = snapshot::from_bytes(&bytes).unwrap();
+    assert_eq!(decoded.folded_seq, 41, "the snapshot remembers the arrivals it folded");
+    assert_eq!(decoded.resolver.dataset().records(), r.dataset().records());
+    assert_eq!(
+        snapshot::state_bytes(&decoded.resolver).unwrap(),
+        snapshot::state_bytes(&r).unwrap()
+    );
+    assert_eq!(snapshot::to_bytes(&decoded.resolver, 41).unwrap(), bytes);
 }
 
 #[test]
 fn corrupt_checksum_is_a_typed_error() {
-    let bytes = snapshot::base_to_bytes(&resolver(120, 5)).unwrap();
+    let bytes = snapshot::to_bytes(&resolver(120, 5), 0).unwrap();
     // Flip one payload byte (after the 20-byte header).
     let mut damaged = bytes.clone();
     damaged[60] ^= 0x01;
     assert!(matches!(
-        snapshot::base_from_bytes(&damaged),
+        snapshot::from_bytes(&damaged),
         Err(StoreError::ChecksumMismatch { .. })
     ));
     // Flip a trailer byte instead.
@@ -103,34 +94,31 @@ fn corrupt_checksum_is_a_typed_error() {
     let last = damaged.len() - 1;
     damaged[last] ^= 0xff;
     assert!(matches!(
-        snapshot::base_from_bytes(&damaged),
+        snapshot::from_bytes(&damaged),
         Err(StoreError::ChecksumMismatch { .. })
     ));
 }
 
 #[test]
 fn wrong_version_and_magic_are_typed_errors() {
-    let bytes = snapshot::base_to_bytes(&resolver(120, 5)).unwrap();
+    let bytes = snapshot::to_bytes(&resolver(120, 5), 0).unwrap();
     let mut wrong_version = bytes.clone();
     wrong_version[8..12].copy_from_slice(&999u32.to_le_bytes());
     assert!(matches!(
-        snapshot::base_from_bytes(&wrong_version),
+        snapshot::from_bytes(&wrong_version),
         Err(StoreError::UnsupportedVersion { found: 999, .. })
     ));
     let mut wrong_magic = bytes.clone();
     wrong_magic[0] = b'X';
-    assert!(matches!(snapshot::base_from_bytes(&wrong_magic), Err(StoreError::BadMagic)));
-    // A segment is not a base file and vice versa: the magics differ on
-    // purpose, so misfiled bytes surface as BadMagic, not garbage parses.
-    assert!(matches!(snapshot::segment_from_bytes(&bytes), Err(StoreError::BadMagic)));
+    assert!(matches!(snapshot::from_bytes(&wrong_magic), Err(StoreError::BadMagic)));
 }
 
 #[test]
 fn truncations_never_panic() {
-    let bytes = snapshot::base_to_bytes(&resolver(120, 5)).unwrap();
+    let bytes = snapshot::to_bytes(&resolver(120, 5), 0).unwrap();
     for cut in [0, 7, 8, 12, 19, 20, 21, bytes.len() / 2, bytes.len() - 1] {
         assert!(
-            snapshot::base_from_bytes(&bytes[..cut]).is_err(),
+            snapshot::from_bytes(&bytes[..cut]).is_err(),
             "truncation at {cut} must be an error"
         );
     }
@@ -144,13 +132,13 @@ proptest! {
     /// input panics.
     #[test]
     fn single_byte_corruption_is_always_rejected(seed in 0u64..1000, pos_frac in 0.0f64..1.0) {
-        let bytes = snapshot::base_to_bytes(&resolver(60, seed)).unwrap();
+        let bytes = snapshot::to_bytes(&resolver(60, seed), 0).unwrap();
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         let mut damaged = bytes.clone();
         damaged[pos] ^= 0x5a;
         // Skip positions where the flip lands in the (unchecksummed)
         // declared-length field yet still parses — it cannot: length
         // changes either truncate (error) or leave trailing bytes (error).
-        prop_assert!(snapshot::base_from_bytes(&damaged).is_err());
+        prop_assert!(snapshot::from_bytes(&damaged).is_err());
     }
 }
