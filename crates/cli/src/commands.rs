@@ -327,14 +327,11 @@ pub fn serve(args: &Args) -> CliResult {
         .slo(slo_rules);
     if let Some(us) = slow_us {
         options = options.slow_us(us);
-    }
-    if let Some(telemetry_dir) = telemetry_dir {
-        // The slow-request log moves next to the telemetry segments (size-
+        // The slow-request log moves into the telemetry directory (size-
         // capped JSONL, one rotated generation) instead of spamming stderr.
-        if slow_us.is_some() {
+        if let Some(telemetry_dir) = telemetry_dir {
             options = options.slow_log_file(telemetry_dir.join("slow.jsonl"));
         }
-        options = options.telemetry_dir(telemetry_dir);
     }
     if let Some(l) = metrics_listener {
         options = options.metrics_listener(l);
@@ -503,7 +500,7 @@ pub fn top(args: &Args) -> CliResult {
         // renderer drops idle ones, so a quiet server adds no lines.
         let mut histories = Vec::new();
         for c in report.commands.iter().filter(|c| c.count > 0) {
-            histories.push(client.history(&c.name.to_lowercase(), None, None).map_err(err)?);
+            histories.push(client.history(&c.name.to_lowercase(), None).map_err(err)?);
         }
         print!("{}", render_top_history(&histories));
         if !args.flag("watch") {
@@ -776,7 +773,6 @@ mod tests {
         assert_eq!(sparkline(&[1, 1]), "██");
         let report = yv_store::HistoryReport {
             metric: "query".to_owned(),
-            tier: "s".to_owned(),
             window: 8,
             now_epoch: 9,
             summary: yv_store::HistorySummaryRow {

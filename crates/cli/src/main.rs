@@ -81,12 +81,13 @@ SERVING OPTIONS:
                         (default 512; ~3.4 KiB each, allocated as they
                         arrive; introspectable via TOP / TRACE <id> / yv top)
     --no-trace          disable request-trace capture entirely
-    --telemetry-dir DIR persist closed telemetry buckets to DIR/telemetry.yvt
-                        (size-capped, one old generation kept) and replay
-                        them on restart, so HISTORY survives restarts
+    --telemetry-dir DIR with --slow-us, write the slow-request log to
+                        DIR/slow.jsonl instead of stderr (size-capped, one
+                        old generation kept)
     --slo RULES         comma-separated burn-rate rules, each
-                        [metric:]pQQ<MICROS/WINDOW (e.g. query:p99<50000/60);
-                        evaluated live as yv_slo_* gauges and HISTORY rows
+                        [metric:]pQQ<MICROS/WINDOW (e.g. query:p99<50000/60),
+                        at most one per command kind; evaluated live as
+                        yv_slo_* gauges and HISTORY rows
 
 TOP OPTIONS (yv top):
     --addr A:P          server address (default 127.0.0.1:7878)

@@ -25,12 +25,11 @@
 //!   ([`RequestTrace`] is `Copy` and heap-free), and one mutexed capture
 //!   store of two bounded windows (recent, and slow-or-ERR), surfaced by
 //!   `yv serve` as `TOP`/`TRACE` protocol commands.
-//! - [`WindowedHistogram`] / [`WindowedCounter`] / [`SloRule`] — windowed
-//!   telemetry: rings of per-bucket snapshot deltas (60 × 1s and 60 × 1m
-//!   tiers) rotated lazily from the injected clock, plus multi-window SLO
-//!   burn-rate evaluation (`ok`/`warning`/`firing`), surfaced by
-//!   `yv serve` as the `HISTORY` command, `yv_slo_*` gauges and the
-//!   `telemetry.yvt` on-disk history.
+//! - [`WindowedHistogram`] / [`SloRule`] — windowed telemetry: a ring of
+//!   per-second snapshot deltas (60 × 1 s) rotated lazily from the
+//!   injected clock, plus multi-window SLO burn-rate evaluation
+//!   (`ok`/`warning`/`firing`), surfaced by `yv serve` as the `HISTORY`
+//!   command and `yv_slo_*` gauges.
 //! - [`MetricsRegistry`] — a pull-based registry of named counters,
 //!   [`Gauge`]s and histograms with a Prometheus text-format (0.0.4)
 //!   renderer, scraped by `yv serve`'s `METRICS` command and
@@ -93,7 +92,4 @@ pub use recorder::{Recorder, Span, SpanRecord};
 pub use registry::{Gauge, MetricsRegistry};
 pub use ring::{RingStats, TraceSink};
 pub use trace::{chrome_trace, timings_table};
-pub use window::{
-    ClosedBucket, SloRule, SloState, SloStatus, Tier, WindowView, WindowedCounter,
-    WindowedHistogram, WINDOW_BUCKETS,
-};
+pub use window::{SloRule, SloState, SloStatus, WindowView, WindowedHistogram, WINDOW_BUCKETS};

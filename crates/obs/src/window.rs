@@ -3,16 +3,16 @@
 //! Every metric the registry exposes is cumulative since process start —
 //! useless for "p99 over the last minute". This module derives *recent*
 //! views without touching the recording hot path: a [`WindowedHistogram`]
-//! owns a fixed ring of closed per-bucket [`HistogramSnapshot`] deltas per
-//! tier (60 × 1s and 60 × 1m), rotated lazily from the injected [`Clock`].
-//! Rotation takes one snapshot of the source histogram and subtracts the
-//! previous boundary snapshot ([`HistogramSnapshot::sub`]), so recording
-//! stays a handful of relaxed atomic ops and all windowing cost is paid
-//! by the reader/ticker.
+//! owns a fixed ring of closed per-second [`HistogramSnapshot`] deltas
+//! (60 × 1 s), rotated lazily from the injected [`Clock`]. Rotation takes
+//! one snapshot of the source histogram and subtracts the previous
+//! boundary snapshot ([`HistogramSnapshot::sub`]), so recording stays a
+//! handful of relaxed atomic ops and all windowing cost is paid by the
+//! reader/ticker.
 //!
 //! Rotation is **lazy and idempotent**: any reader (the server tick, a
-//! `HISTORY` request, an SLO evaluation) calls `rotate()` first, and under
-//! a [`ManualClock`] two servers fed the same requests and clock advances
+//! `HISTORY` request, an SLO evaluation) rotates first, and under a
+//! [`ManualClock`] two servers fed the same requests and clock advances
 //! produce byte-identical windows — no background thread required for
 //! correctness. Samples observed since the previous rotation are
 //! attributed to the most recently closed bucket; with the server ticking
@@ -32,139 +32,21 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use crate::clock::Clock;
-use crate::histogram::{Counter, Histogram, HistogramSnapshot};
+use crate::histogram::{Histogram, HistogramSnapshot};
 
-/// Buckets per tier ring: 60 seconds of 1s buckets, 60 minutes of 1m.
+/// Buckets in the ring: 60 seconds of 1 s buckets.
 pub const WINDOW_BUCKETS: usize = 60;
 
-/// Rollup granularities. `Seconds` answers "the last minute at 1s
-/// resolution", `Minutes` answers "the last hour at 1m resolution".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    Seconds,
-    Minutes,
-}
+/// Width of one bucket in nanoseconds.
+const BUCKET_NS: u64 = 1_000_000_000;
 
-impl Tier {
-    /// Bucket width in nanoseconds.
-    #[must_use]
-    pub fn width_ns(self) -> u64 {
-        match self {
-            Tier::Seconds => 1_000_000_000,
-            Tier::Minutes => 60_000_000_000,
-        }
-    }
-
-    /// The wire label (`s` / `m`) used by `HISTORY tier=`.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Tier::Seconds => "s",
-            Tier::Minutes => "m",
-        }
-    }
-
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Tier> {
-        match s {
-            "s" => Some(Tier::Seconds),
-            "m" => Some(Tier::Minutes),
-            _ => None,
-        }
-    }
-
-    /// Stable on-disk tag for telemetry frames.
-    #[must_use]
-    pub fn code(self) -> u8 {
-        match self {
-            Tier::Seconds => 0,
-            Tier::Minutes => 1,
-        }
-    }
-
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<Tier> {
-        match code {
-            0 => Some(Tier::Seconds),
-            1 => Some(Tier::Minutes),
-            _ => None,
-        }
-    }
-}
-
-/// A bucket that just closed during rotation — what the server persists
-/// to `telemetry.yvt`. `epoch` is the bucket's index since clock origin
-/// (`bucket start = epoch * tier.width_ns()`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClosedBucket {
-    pub tier: Tier,
-    pub epoch: u64,
-    pub delta: HistogramSnapshot,
-}
-
-/// One tier's ring: the last [`WINDOW_BUCKETS`] closed deltas, keyed by
-/// epoch so wrapped slots are self-invalidating (a slot whose stored
-/// epoch is outside the queried window is simply skipped — rotation never
-/// zeroes stale slots, staying O(1) even across long idle gaps).
-#[derive(Debug)]
-struct Ring<T: Copy> {
-    width_ns: u64,
-    slots: Vec<Option<(u64, T)>>,
-    /// Epoch of the currently *open* bucket; everything below is closed.
-    open_epoch: u64,
-}
-
-impl<T: Copy> Ring<T> {
-    fn new(width_ns: u64) -> Self {
-        Ring { width_ns, slots: vec![None; WINDOW_BUCKETS], open_epoch: 0 }
-    }
-
-    fn current_epoch(&self, now_ns: u64) -> u64 {
-        now_ns / self.width_ns
-    }
-
-    fn get(&self, epoch: u64) -> Option<T> {
-        match self.slots[(epoch % WINDOW_BUCKETS as u64) as usize] {
-            Some((e, value)) if e == epoch => Some(value),
-            _ => None,
-        }
-    }
-
-    fn put(&mut self, epoch: u64, value: T) {
-        let i = (epoch % WINDOW_BUCKETS as u64) as usize;
-        self.slots[i] = Some((epoch, value));
-    }
-
-    /// The epoch views anchor at: the clock's epoch, or the open epoch
-    /// when a replayed (restored) bucket has pushed it ahead of a
-    /// freshly restarted clock.
-    fn anchor_epoch(&self, now_ns: u64) -> u64 {
-        self.current_epoch(now_ns).max(self.open_epoch)
-    }
-
-    /// Closed buckets with `epoch ∈ [cur - window, cur)`, ascending.
-    fn collect(&self, cur: u64, window: usize) -> Vec<(u64, T)> {
-        let lo = cur.saturating_sub(window.min(WINDOW_BUCKETS) as u64);
-        let mut out: Vec<(u64, T)> = self
-            .slots
-            .iter()
-            .filter_map(|slot| *slot)
-            .filter(|&(e, _)| e >= lo && e < cur)
-            .collect();
-        out.sort_unstable_by_key(|&(e, _)| e);
-        out
-    }
-}
-
-/// A recent-window view over one tier, as returned by
-/// [`WindowedHistogram::window`].
+/// A recent-window view, as returned by [`WindowedHistogram::window`].
 #[derive(Debug, Clone)]
 pub struct WindowView {
-    pub tier: Tier,
     /// Buckets requested (clamped to [`WINDOW_BUCKETS`]).
     pub window: usize,
-    /// The currently open epoch; the view covers `[now_epoch - window,
-    /// now_epoch)`.
+    /// The currently open epoch (seconds since clock origin); the view
+    /// covers `[now_epoch - window, now_epoch)`.
     pub now_epoch: u64,
     /// All in-window samples merged into one snapshot.
     pub merged: HistogramSnapshot,
@@ -172,45 +54,19 @@ pub struct WindowView {
     pub buckets: Vec<(u64, HistogramSnapshot)>,
 }
 
-/// One tier's ring plus the not-yet-closed samples accumulating toward
-/// its open bucket.
+/// The last [`WINDOW_BUCKETS`] closed deltas, keyed by epoch so wrapped
+/// slots are self-invalidating (a slot whose stored epoch is outside the
+/// queried window is simply skipped — rotation never zeroes stale slots,
+/// staying O(1) even across long idle gaps), plus the not-yet-closed
+/// samples accumulating toward the open bucket.
 #[derive(Debug)]
-struct HistTier {
-    tier: Tier,
-    ring: Ring<HistogramSnapshot>,
+struct Ring {
+    slots: Vec<Option<(u64, HistogramSnapshot)>>,
+    /// Epoch of the currently *open* bucket; everything below is closed.
+    open_epoch: u64,
     pending: HistogramSnapshot,
-}
-
-impl HistTier {
-    fn new(tier: Tier, now_ns: u64) -> Self {
-        let mut ring = Ring::new(tier.width_ns());
-        ring.open_epoch = ring.current_epoch(now_ns);
-        HistTier { tier, ring, pending: HistogramSnapshot::default() }
-    }
-
-    fn rotate(&mut self, delta: &HistogramSnapshot, now_ns: u64, closed: &mut Vec<ClosedBucket>) {
-        if delta.count() > 0 {
-            self.pending = self.pending.merge(delta);
-        }
-        let cur = self.ring.current_epoch(now_ns);
-        if cur <= self.ring.open_epoch {
-            return;
-        }
-        if self.pending.count() > 0 {
-            // Close into the most recently passed bucket, merging with
-            // anything already there (a replayed bucket, or an earlier
-            // close into the same epoch).
-            let epoch = cur - 1;
-            let merged = match self.ring.get(epoch) {
-                Some(prior) => prior.merge(&self.pending),
-                None => self.pending,
-            };
-            self.ring.put(epoch, merged);
-            closed.push(ClosedBucket { tier: self.tier, epoch, delta: merged });
-            self.pending = HistogramSnapshot::default();
-        }
-        self.ring.open_epoch = cur;
-    }
+    /// Cumulative source snapshot at the last rotation.
+    last: HistogramSnapshot,
 }
 
 /// Ring-of-snapshots rollup over a cumulative [`Histogram`].
@@ -221,28 +77,19 @@ impl HistTier {
 pub struct WindowedHistogram {
     source: Arc<Histogram>,
     clock: Arc<dyn Clock>,
-    inner: Mutex<Tiers>,
-}
-
-#[derive(Debug)]
-struct Tiers {
-    seconds: HistTier,
-    minutes: HistTier,
-    /// Cumulative source snapshot at the last rotation.
-    last: HistogramSnapshot,
+    ring: Mutex<Ring>,
 }
 
 impl WindowedHistogram {
     #[must_use]
     pub fn new(source: Arc<Histogram>, clock: Arc<dyn Clock>) -> Self {
-        let now = clock.now_nanos();
-        let last = source.snapshot();
-        let tiers = Tiers {
-            seconds: HistTier::new(Tier::Seconds, now),
-            minutes: HistTier::new(Tier::Minutes, now),
-            last,
+        let ring = Ring {
+            slots: vec![None; WINDOW_BUCKETS],
+            open_epoch: clock.now_nanos() / BUCKET_NS,
+            pending: HistogramSnapshot::default(),
+            last: source.snapshot(),
         };
-        WindowedHistogram { source, clock, inner: Mutex::new(tiers) }
+        WindowedHistogram { source, clock, ring: Mutex::new(ring) }
     }
 
     /// The histogram this rollup windows over.
@@ -251,128 +98,61 @@ impl WindowedHistogram {
         &self.source
     }
 
-    /// Fold newly recorded samples into the open buckets, close every
-    /// bucket boundary the clock has passed, and return the newly closed
-    /// non-empty buckets (for persistence). Idempotent: a second call at
-    /// the same instant returns nothing.
-    pub fn rotate(&self) -> Vec<ClosedBucket> {
-        let now = self.clock.now_nanos();
-        let snap = self.source.snapshot();
-        let mut closed = Vec::new();
-        let mut inner = match self.inner.lock() {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Ring> {
+        match self.ring.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
-        };
-        let delta = snap.sub(&inner.last).unwrap_or_default();
-        inner.seconds.rotate(&delta, now, &mut closed);
-        inner.minutes.rotate(&delta, now, &mut closed);
-        inner.last = snap;
-        closed
+        }
     }
 
-    /// Rotate, then merge the last `window` closed buckets of `tier`.
-    #[must_use]
-    pub fn window(&self, tier: Tier, window: usize) -> WindowView {
-        let _ = self.rotate();
+    /// Fold newly recorded samples into the open bucket and close every
+    /// bucket boundary the clock has passed. Idempotent: a second call at
+    /// the same instant changes nothing.
+    pub fn rotate(&self) {
+        let mut ring = self.lock();
+        self.rotate_locked(&mut ring);
+    }
+
+    fn rotate_locked(&self, ring: &mut Ring) {
         let now = self.clock.now_nanos();
+        let snap = self.source.snapshot();
+        if let Some(delta) = snap.sub(&ring.last).filter(|d| d.count() > 0) {
+            ring.pending = ring.pending.merge(&delta);
+        }
+        ring.last = snap;
+        let cur = now / BUCKET_NS;
+        if cur <= ring.open_epoch {
+            return;
+        }
+        if ring.pending.count() > 0 {
+            // Close into the most recently passed bucket. Epochs only
+            // grow, so the slot never holds this epoch already.
+            let epoch = cur - 1;
+            ring.slots[(epoch % WINDOW_BUCKETS as u64) as usize] = Some((epoch, ring.pending));
+            ring.pending = HistogramSnapshot::default();
+        }
+        ring.open_epoch = cur;
+    }
+
+    /// Rotate, then merge the last `window` closed buckets.
+    #[must_use]
+    pub fn window(&self, window: usize) -> WindowView {
         let window = window.clamp(1, WINDOW_BUCKETS);
-        let inner = match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let ring = match tier {
-            Tier::Seconds => &inner.seconds.ring,
-            Tier::Minutes => &inner.minutes.ring,
-        };
-        let cur = ring.anchor_epoch(now);
-        let buckets = ring.collect(cur, window);
+        let mut ring = self.lock();
+        self.rotate_locked(&mut ring);
+        let cur = ring.open_epoch;
+        let lo = cur.saturating_sub(window as u64);
+        let mut buckets: Vec<(u64, HistogramSnapshot)> = ring
+            .slots
+            .iter()
+            .filter_map(|slot| *slot)
+            .filter(|&(e, _)| e >= lo && e < cur)
+            .collect();
+        buckets.sort_unstable_by_key(|&(e, _)| e);
         let merged = buckets
             .iter()
             .fold(HistogramSnapshot::default(), |acc, (_, delta)| acc.merge(delta));
-        WindowView { tier, window, now_epoch: cur, merged, buckets }
-    }
-
-    /// Re-install a bucket persisted before a restart (telemetry.yvt
-    /// replay). The open epoch advances past the replayed bucket so a
-    /// later rotation cannot close an older epoch over it.
-    pub fn restore(&self, bucket: ClosedBucket) {
-        let mut inner = match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let tier = match bucket.tier {
-            Tier::Seconds => &mut inner.seconds,
-            Tier::Minutes => &mut inner.minutes,
-        };
-        tier.ring.put(bucket.epoch, bucket.delta);
-        tier.ring.open_epoch = tier.ring.open_epoch.max(bucket.epoch + 1);
-    }
-}
-
-/// Ring-of-deltas rollup over a cumulative [`Counter`] (seconds tier
-/// only — counters answer "how many in the last N seconds").
-#[derive(Debug)]
-pub struct WindowedCounter {
-    source: Arc<Counter>,
-    clock: Arc<dyn Clock>,
-    inner: Mutex<CounterRing>,
-}
-
-#[derive(Debug)]
-struct CounterRing {
-    ring: Ring<u64>,
-    pending: u64,
-    last: u64,
-}
-
-impl WindowedCounter {
-    #[must_use]
-    pub fn new(source: Arc<Counter>, clock: Arc<dyn Clock>) -> Self {
-        let mut ring = Ring::new(Tier::Seconds.width_ns());
-        ring.open_epoch = ring.current_epoch(clock.now_nanos());
-        let last = source.get();
-        WindowedCounter { source, clock, inner: Mutex::new(CounterRing { ring, pending: 0, last }) }
-    }
-
-    /// Close passed bucket boundaries (idempotent, lazy — see
-    /// [`WindowedHistogram::rotate`]).
-    pub fn rotate(&self) {
-        let now = self.clock.now_nanos();
-        let value = self.source.get();
-        let mut inner = match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        inner.pending += value.saturating_sub(inner.last);
-        inner.last = value;
-        let cur = inner.ring.current_epoch(now);
-        if cur <= inner.ring.open_epoch {
-            return;
-        }
-        if inner.pending > 0 {
-            let epoch = cur - 1;
-            let merged = inner.ring.get(epoch).unwrap_or(0) + inner.pending;
-            inner.ring.put(epoch, merged);
-            inner.pending = 0;
-        }
-        inner.ring.open_epoch = cur;
-    }
-
-    /// Rotate, then sum the increments of the last `window` seconds.
-    #[must_use]
-    pub fn sum(&self, window: usize) -> u64 {
-        self.rotate();
-        let now = self.clock.now_nanos();
-        let inner = match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        inner
-            .ring
-            .collect(inner.ring.anchor_epoch(now), window.clamp(1, WINDOW_BUCKETS))
-            .iter()
-            .map(|&(_, n)| n)
-            .sum()
+        WindowView { window, now_epoch: cur, merged, buckets }
     }
 }
 
@@ -534,17 +314,15 @@ mod tests {
         h.record_ns(10 * US);
         h.record_ns(20 * US);
         clock.advance(SEC); // close bucket 0
-        let closed = w.rotate();
-        assert_eq!(closed.len(), 1);
-        assert_eq!(closed[0].tier, Tier::Seconds);
-        assert_eq!(closed[0].epoch, 0);
-        assert_eq!(closed[0].delta.count(), 2);
+        w.rotate();
         // Idempotent at the same instant.
-        assert!(w.rotate().is_empty());
-        let view = w.window(Tier::Seconds, 60);
+        w.rotate();
+        let view = w.window(60);
         assert_eq!(view.merged.count(), 2);
         assert_eq!(view.now_epoch, 1);
-        assert_eq!(view.buckets, vec![(0, closed[0].delta)]);
+        assert_eq!(view.buckets.len(), 1);
+        assert_eq!(view.buckets[0].0, 0);
+        assert_eq!(view.buckets[0].1, view.merged);
     }
 
     #[test]
@@ -556,8 +334,8 @@ mod tests {
         // 2 idle seconds later the sample is outside a 2-bucket window
         // but still inside a 60-bucket one.
         clock.advance(2 * SEC);
-        assert_eq!(w.window(Tier::Seconds, 2).merged.count(), 0);
-        assert_eq!(w.window(Tier::Seconds, 60).merged.count(), 1);
+        assert_eq!(w.window(2).merged.count(), 0);
+        assert_eq!(w.window(60).merged.count(), 1);
     }
 
     #[test]
@@ -570,112 +348,28 @@ mod tests {
         clock.set(61 * SEC);
         h.record_ns(2 * US);
         clock.advance(SEC);
-        let closed = w.rotate();
-        // The second sample closes into seconds epoch 61 (the bucket that
-        // just passed); the first is long out of the seconds window.
-        let seconds: Vec<_> = closed.iter().filter(|c| c.tier == Tier::Seconds).collect();
-        assert_eq!(seconds.len(), 1);
-        assert_eq!(seconds[0].epoch, 61);
-        let view = w.window(Tier::Seconds, 60);
+        // The second sample closes into epoch 61 (the bucket that just
+        // passed); the first is long out of the window.
+        let view = w.window(60);
         assert_eq!(view.merged.count(), 1);
         assert_eq!(view.buckets.len(), 1);
         assert_eq!(view.buckets[0].0, 61);
     }
 
     #[test]
-    fn minute_tier_promotes_seconds() {
-        let (h, clock, w) = setup();
-        // One sample per second for 60 seconds.
-        for _ in 0..60 {
-            h.record_ns(100 * US);
-            clock.advance(SEC);
-            w.rotate();
-        }
-        // All 60 fall inside minute bucket 0, which closed at t=60s.
-        let minutes = w.window(Tier::Minutes, 60);
-        assert_eq!(minutes.merged.count(), 60);
-        assert_eq!(minutes.buckets.len(), 1);
-        assert_eq!(minutes.buckets[0].0, 0);
-        // The seconds view still resolves them per-bucket.
-        let seconds = w.window(Tier::Seconds, 60);
-        assert_eq!(seconds.merged.count(), 60);
-        assert_eq!(seconds.buckets.len(), 60);
-        assert_eq!(seconds.merged, minutes.merged);
-    }
-
-    #[test]
     fn rotation_is_o1_across_long_idle_gaps() {
         let (h, clock, w) = setup();
         h.record_ns(US);
-        // An hour of idle must not require an hour of bucket closes.
+        // An hour of idle must not require an hour of bucket closes: the
+        // sample closes into epoch 3599, the most recently passed bucket
+        // at rotation time.
         clock.set(3_600 * SEC);
-        let closed = w.rotate();
-        // The sample closes into seconds epoch 3599 and minute epoch 59 —
-        // the most recently passed buckets at rotation time.
-        assert_eq!(closed.len(), 2);
-        assert_eq!(w.window(Tier::Seconds, 60).merged.count(), 1);
-        assert_eq!(w.window(Tier::Minutes, 60).merged.count(), 1);
-        // One more idle hour ages both out.
+        let view = w.window(60);
+        assert_eq!(view.merged.count(), 1);
+        assert_eq!(view.buckets[0].0, 3_599);
+        // One more idle hour ages it out.
         clock.set(7_200 * SEC);
-        assert_eq!(w.window(Tier::Seconds, 60).merged.count(), 0);
-        assert_eq!(w.window(Tier::Minutes, 60).merged.count(), 0);
-    }
-
-    #[test]
-    fn restore_replays_persisted_buckets() {
-        let (h, clock, w) = setup();
-        h.record_ns(40 * US);
-        clock.advance(SEC);
-        let closed = w.rotate();
-        // "Restart": fresh histogram + windows on a clock at the same time.
-        let h2 = Arc::new(Histogram::new());
-        let clock2 = Arc::new(ManualClock::at(clock.now_nanos()));
-        let w2 = WindowedHistogram::new(Arc::clone(&h2), clock2.clone() as Arc<dyn Clock>);
-        for bucket in closed {
-            w2.restore(bucket);
-        }
-        let (a, b) = (w.window(Tier::Seconds, 60), w2.window(Tier::Seconds, 60));
-        assert_eq!(a.merged, b.merged);
-        assert_eq!(a.buckets, b.buckets);
-        // New traffic after the restore keeps accumulating.
-        h2.record_ns(10 * US);
-        clock2.advance(SEC);
-        w2.rotate();
-        assert_eq!(w2.window(Tier::Seconds, 60).merged.count(), 2);
-
-        // A restart whose clock re-starts at the origin still serves the
-        // replayed history: views anchor at the restored open epoch, not
-        // the (earlier) clock epoch, so the rendering is byte-identical
-        // to the pre-restart one.
-        let h3 = Arc::new(Histogram::new());
-        let clock3 = Arc::new(ManualClock::at(0));
-        let w3 = WindowedHistogram::new(Arc::clone(&h3), clock3 as Arc<dyn Clock>);
-        w3.restore(ClosedBucket {
-            tier: Tier::Seconds,
-            epoch: 0,
-            delta: a.buckets[0].1,
-        });
-        let c = w3.window(Tier::Seconds, 60);
-        assert_eq!(c.now_epoch, a.now_epoch);
-        assert_eq!(c.merged, a.merged);
-        assert_eq!(c.buckets, a.buckets);
-    }
-
-    #[test]
-    fn windowed_counter_sums_recent_increments() {
-        let c = Arc::new(Counter::new());
-        let clock = Arc::new(ManualClock::new());
-        let w = WindowedCounter::new(Arc::clone(&c), clock.clone() as Arc<dyn Clock>);
-        c.add(3);
-        clock.advance(SEC);
-        w.rotate();
-        c.add(4);
-        clock.advance(SEC);
-        assert_eq!(w.sum(60), 7);
-        assert_eq!(w.sum(1), 4);
-        clock.advance(5 * SEC);
-        assert_eq!(w.sum(2), 0);
-        assert_eq!(w.sum(60), 7);
+        assert_eq!(w.window(60).merged.count(), 0);
     }
 
     #[test]

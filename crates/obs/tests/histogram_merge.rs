@@ -67,7 +67,7 @@ proptest! {
     /// split of one growing histogram, `later.sub(&earlier)` recovers the
     /// window and merging it back onto `earlier` reproduces `later`
     /// field-for-field (counts, sum, max, and the min bound) — the
-    /// invariant windowed rollups and telemetry.yvt replay rely on.
+    /// invariant the windowed rollups rely on.
     fn sub_then_merge_round_trips(
         prefix in vec(0u64..5_000_000_000, 0..100),
         window in vec(0u64..5_000_000_000, 0..100),

@@ -290,14 +290,12 @@ pub struct HistoryBucketRow {
     pub max_us: u64,
 }
 
-/// A parsed `HISTORY` response: the resolved metric/tier/window from the
+/// A parsed `HISTORY` response: the resolved metric/window from the
 /// status line, the whole-window summary, the SLO rows watching the
 /// metric, and the non-empty closed buckets (ascending epoch).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistoryReport {
     pub metric: String,
-    /// The tier label the server resolved (`s` or `m`).
-    pub tier: String,
     pub window: usize,
     /// The currently open epoch; buckets cover `[now_epoch - window,
     /// now_epoch)`.
@@ -658,24 +656,21 @@ impl Client {
     /// Run `TRACE <id>` and parse the span tree for one captured request.
     /// Ids come from the `trace=` token on OK status lines (or `TOP`).
     pub fn trace_get(&mut self, id: u64) -> Result<TraceReport, ClientError> {
-        let (status, data) = self.request(&RequestFrame::Trace { id, json: false })?;
+        let (status, data) = self.request(&RequestFrame::Trace { id })?;
         parse_trace(&status, &data)
     }
 
     /// Run `HISTORY <metric>` and parse the windowed-rollup report.
-    /// `window` (buckets) and `tier` fall back to the server defaults
-    /// (60 and seconds) when absent.
+    /// `window` (one-second buckets) falls back to the server default
+    /// (60) when absent.
     pub fn history(
         &mut self,
         metric: &str,
         window: Option<usize>,
-        tier: Option<yv_obs::Tier>,
     ) -> Result<HistoryReport, ClientError> {
         let frame = RequestFrame::History {
             metric: metric.to_owned(),
             window: window.map(wire_u32("window")).transpose()?,
-            tier,
-            json: false,
         };
         let (status, data) = self.request(&frame)?;
         parse_history(&status, &data)
@@ -814,25 +809,13 @@ fn render_request(request: &RequestFrame) -> Result<String, ClientError> {
             }
             line
         }
-        RequestFrame::Trace { id, json } => {
-            let mut line = format!("TRACE {id:016x}");
-            if *json {
-                push_kv(&mut line, "format", "json")?;
-            }
-            line
-        }
-        RequestFrame::History { metric, window, tier, json } => {
+        RequestFrame::Trace { id } => format!("TRACE {id:016x}"),
+        RequestFrame::History { metric, window } => {
             let mut line = String::from("HISTORY");
             line.push(' ');
             line.push_str(wire_value("metric", metric)?);
             if let Some(window) = window {
                 push_kv(&mut line, "window", &window.to_string())?;
-            }
-            if let Some(tier) = tier {
-                push_kv(&mut line, "tier", tier.label())?;
-            }
-            if *json {
-                push_kv(&mut line, "format", "json")?;
             }
             line
         }
@@ -1146,7 +1129,6 @@ fn parse_history(status: &str, data: &[String]) -> Result<HistoryReport, ClientE
         .ok_or_else(|| ClientError::Protocol("HISTORY response has no WINDOW line".to_owned()))?;
     Ok(HistoryReport {
         metric: field(status, "metric")?,
-        tier: field(status, "tier")?,
         window: field(status, "window")?,
         now_epoch: field(status, "now_epoch")?,
         summary,
@@ -1369,16 +1351,8 @@ mod tests {
             (RequestFrame::Metrics, ()),
             (RequestFrame::Top { k: Some(7) }, ()),
             (RequestFrame::Top { k: None }, ()),
-            (RequestFrame::Trace { id: 0x00ab_00cd_00ef_0011, json: true }, ()),
-            (
-                RequestFrame::History {
-                    metric: "query".into(),
-                    window: Some(5),
-                    tier: Some(yv_obs::Tier::Minutes),
-                    json: false,
-                },
-                (),
-            ),
+            (RequestFrame::Trace { id: 0x00ab_00cd_00ef_0011 }, ()),
+            (RequestFrame::History { metric: "query".into(), window: Some(5) }, ()),
             (RequestFrame::Snapshot, ()),
             (RequestFrame::Shutdown, ()),
         ];
@@ -1532,7 +1506,7 @@ mod tests {
 
     #[test]
     fn history_response_parses_summary_slo_and_bucket_rows() {
-        let status = "OK history metric=query tier=s window=5 now_epoch=9 buckets=2";
+        let status = "OK history metric=query window=5 now_epoch=9 buckets=2";
         let data = vec![
             "WINDOW count=4 mean_us=40 p50_us=24 p95_us=100 p99_us=100 min_us=10 max_us=100"
                 .to_owned(),
@@ -1544,7 +1518,6 @@ mod tests {
         ];
         let report = parse_history(status, &data).expect("well-formed");
         assert_eq!(report.metric, "query");
-        assert_eq!(report.tier, "s");
         assert_eq!(report.window, 5);
         assert_eq!(report.now_epoch, 9);
         assert_eq!(report.summary.count, 4);

@@ -34,6 +34,12 @@ pub enum StoreError {
     /// record; the store refuses to open instead, naming the shard whose
     /// log needs attention.
     ShardWalGap { shard: usize, missing_seq: u64 },
+    /// An `--slo` rule watches a metric that is not a command kind, so
+    /// it could never be evaluated.
+    UnknownSloMetric { metric: String },
+    /// Two `--slo` rules watch one metric; they would overwrite each
+    /// other's `yv_slo_<metric>_*` gauges.
+    DuplicateSloMetric { metric: String },
 }
 
 impl fmt::Display for StoreError {
@@ -63,6 +69,17 @@ impl fmt::Display for StoreError {
                      replay past the hole"
                 )
             }
+            StoreError::UnknownSloMetric { metric } => write!(
+                f,
+                "--slo rule watches unknown metric {metric:?} (expected a command kind: {})",
+                crate::protocol::command_kinds()
+            ),
+            StoreError::DuplicateSloMetric { metric } => write!(
+                f,
+                "two --slo rules watch metric {metric:?}; give each command kind at most one \
+                 rule (expected a command kind: {})",
+                crate::protocol::command_kinds()
+            ),
         }
     }
 }

@@ -40,7 +40,7 @@ use crate::framed;
 use crate::protocol::{Request, DEFAULT_TOP_SLOW};
 use crate::store::DEFAULT_RESOLVE_K;
 use yv_core::PersonQuery;
-use yv_obs::{Tier, WINDOW_BUCKETS};
+use yv_obs::WINDOW_BUCKETS;
 use yv_records::Record;
 
 /// The negotiation line a client sends as its first request to upgrade
@@ -98,8 +98,8 @@ pub enum RequestFrame {
     Stats,
     Metrics,
     Top { k: Option<u32> },
-    Trace { id: u64, json: bool },
-    History { metric: String, window: Option<u32>, tier: Option<Tier>, json: bool },
+    Trace { id: u64 },
+    History { metric: String, window: Option<u32> },
     Snapshot,
     Shutdown,
 }
@@ -170,15 +170,10 @@ impl RequestFrame {
             | RequestFrame::Snapshot
             | RequestFrame::Shutdown => {}
             RequestFrame::Top { k } => w.opt(*k, Writer::u32),
-            RequestFrame::Trace { id, json } => {
-                w.u64(*id);
-                w.u8(u8::from(*json));
-            }
-            RequestFrame::History { metric, window, tier, json } => {
+            RequestFrame::Trace { id } => w.u64(*id),
+            RequestFrame::History { metric, window } => {
                 w.str(metric)?;
                 w.opt(*window, Writer::u32);
-                w.opt(tier.map(Tier::code), Writer::u8);
-                w.u8(u8::from(*json));
             }
         }
         Ok(w.into_bytes())
@@ -224,22 +219,10 @@ impl RequestFrame {
             TAG_STATS => RequestFrame::Stats,
             TAG_METRICS => RequestFrame::Metrics,
             TAG_TOP => RequestFrame::Top { k: r.opt("TOP k", Reader::u32)? },
-            TAG_TRACE => RequestFrame::Trace {
-                id: r.u64("TRACE id")?,
-                json: r.bool("TRACE format")?,
-            },
+            TAG_TRACE => RequestFrame::Trace { id: r.u64("TRACE id")? },
             TAG_HISTORY => RequestFrame::History {
                 metric: r.str("HISTORY metric")?,
                 window: r.opt("HISTORY window", Reader::u32)?,
-                tier: match r.opt("HISTORY tier", Reader::u8)? {
-                    None => None,
-                    Some(0) => Some(Tier::Seconds),
-                    Some(1) => Some(Tier::Minutes),
-                    Some(t) => {
-                        return Err(StoreError::Corrupt(format!("bad HISTORY tier code {t}")))
-                    }
-                },
-                json: r.bool("HISTORY format")?,
             },
             TAG_SNAPSHOT => RequestFrame::Snapshot,
             TAG_SHUTDOWN => RequestFrame::Shutdown,
@@ -290,13 +273,13 @@ impl RequestFrame {
             RequestFrame::Top { k } => {
                 Ok(Request::Top { k: k.map_or(DEFAULT_TOP_SLOW, |k| k as usize) })
             }
-            RequestFrame::Trace { id, json } => {
+            RequestFrame::Trace { id } => {
                 if id == 0 {
                     return Err("TRACE: trace id 0 means untraced".to_owned());
                 }
-                Ok(Request::Trace { id, json })
+                Ok(Request::Trace { id })
             }
-            RequestFrame::History { mut metric, window, tier, json } => {
+            RequestFrame::History { mut metric, window } => {
                 if metric.is_empty() {
                     return Err(
                         "HISTORY: a metric argument is required (a command kind, e.g. query)"
@@ -316,7 +299,7 @@ impl RequestFrame {
                     }
                 };
                 metric.make_ascii_lowercase();
-                Ok(Request::History { metric, window, tier: tier.unwrap_or(Tier::Seconds), json })
+                Ok(Request::History { metric, window })
             }
             RequestFrame::Snapshot => Ok(Request::Snapshot),
             RequestFrame::Shutdown => Ok(Request::Shutdown),
@@ -520,14 +503,9 @@ mod tests {
             RequestFrame::Metrics,
             RequestFrame::Top { k: Some(0) },
             RequestFrame::Top { k: None },
-            RequestFrame::Trace { id: 0xb10e_24d1, json: true },
-            RequestFrame::History {
-                metric: "query".to_owned(),
-                window: Some(5),
-                tier: Some(Tier::Minutes),
-                json: false,
-            },
-            RequestFrame::History { metric: "add".to_owned(), window: None, tier: None, json: true },
+            RequestFrame::Trace { id: 0xb10e_24d1 },
+            RequestFrame::History { metric: "query".to_owned(), window: Some(5) },
+            RequestFrame::History { metric: "add".to_owned(), window: None },
             RequestFrame::Snapshot,
             RequestFrame::Shutdown,
         ]
@@ -637,14 +615,8 @@ mod tests {
         assert_eq!(binary, parse_request("RESOLVE Lewi").unwrap());
         let binary = RequestFrame::Top { k: None }.into_request().unwrap();
         assert_eq!(binary, parse_request("TOP").unwrap());
-        let binary = RequestFrame::History {
-            metric: "QUERY".to_owned(),
-            window: None,
-            tier: None,
-            json: false,
-        }
-        .into_request()
-        .unwrap();
+        let binary =
+            RequestFrame::History { metric: "QUERY".to_owned(), window: None }.into_request().unwrap();
         assert_eq!(binary, parse_request("HISTORY query").unwrap());
         // Refusals carry the same ERR messages.
         assert_eq!(
@@ -654,7 +626,7 @@ mod tests {
             parse_request("RESOLVE x k=0").unwrap_err()
         );
         assert_eq!(
-            RequestFrame::Trace { id: 0, json: false }.into_request().unwrap_err(),
+            RequestFrame::Trace { id: 0 }.into_request().unwrap_err(),
             parse_request("TRACE 0").unwrap_err()
         );
         for (similarity, certainty, line, message) in [
@@ -672,14 +644,9 @@ mod tests {
         }
         let over = u32::try_from(WINDOW_BUCKETS + 1).unwrap();
         assert_eq!(
-            RequestFrame::History {
-                metric: "query".to_owned(),
-                window: Some(over),
-                tier: None,
-                json: false
-            }
-            .into_request()
-            .unwrap_err(),
+            RequestFrame::History { metric: "query".to_owned(), window: Some(over) }
+                .into_request()
+                .unwrap_err(),
             parse_request(&format!("HISTORY query window={}", WINDOW_BUCKETS + 1)).unwrap_err()
         );
     }

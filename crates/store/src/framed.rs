@@ -1,6 +1,6 @@
 //! The one byte layer under every yv-store file and frame.
 //!
-//! Every file opens with one header, and the two logs and the wire carry
+//! Every file opens with one header, and the WAL and the wire carry
 //! one frame:
 //!
 //! ```text
@@ -8,8 +8,8 @@
 //! frame         tag u8 ‖ extra ‖ u32 len ‖ payload ‖ fnv1a64(tag ‖ extra ‖ payload)
 //! ```
 //!
-//! `extra` is the WAL's u64 arrival sequence number; telemetry and the
-//! wire pass none. Integers are little-endian. [`encode`] is the only
+//! `extra` is the WAL's u64 arrival sequence number; the wire passes
+//! none. Integers are little-endian. [`encode`] is the only
 //! function that writes a frame, `check_header` the only one that reads
 //! a header, `scan` the only one that reads a log (the wire's strict
 //! streaming reader is [`crate::frame::read_raw_frame`]), and `LogFile`
@@ -73,23 +73,24 @@ pub fn encode(tag: u8, extra: &[u8], payload: &[u8]) -> Result<Vec<u8>, StoreErr
     Ok(frame)
 }
 
-/// Scan a log file: check its header, then hand every complete frame,
-/// checksum verified, to `decode` as `(tag, extra, payload)`. Returns the
-/// decoded frames in file order and the byte length of the valid prefix.
+/// Scan a log file whose frames carry a u64 seq as their `extra`: check
+/// its header, then hand every complete frame, checksum verified, to
+/// `decode` as `(tag, seq, payload)`. Returns the decoded frames in file
+/// order and the byte length of the valid prefix.
 ///
 /// A frame cut short (a crash mid-append) ends the scan cleanly; a
 /// complete frame failing its checksum is [`StoreError::ChecksumMismatch`].
 /// Any input yields a scan or a typed error, never a panic.
-pub(crate) fn scan<const EXTRA: usize, T>(
+pub(crate) fn scan<T>(
     bytes: &[u8],
     magic: [u8; 8],
     version: u32,
-    mut decode: impl FnMut(u8, [u8; EXTRA], &[u8]) -> Result<T, StoreError>,
+    mut decode: impl FnMut(u8, u64, &[u8]) -> Result<T, StoreError>,
 ) -> Result<(Vec<T>, usize), StoreError> {
     let mut rest = check_header(bytes, magic, version)?;
     let mut out = Vec::new();
     while let Some((&tag, tail)) = rest.split_first() {
-        let Some((extra, tail)) = tail.split_first_chunk::<EXTRA>() else { break };
+        let Some((extra, tail)) = tail.split_first_chunk::<8>() else { break };
         let Some((len, tail)) = tail.split_first_chunk::<4>() else { break };
         let Some((payload, tail)) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)
         else {
@@ -100,15 +101,15 @@ pub(crate) fn scan<const EXTRA: usize, T>(
         if expected != actual {
             return Err(StoreError::ChecksumMismatch { expected, actual });
         }
-        out.push(decode(tag, *extra, payload)?);
+        out.push(decode(tag, u64::from_le_bytes(*extra), payload)?);
         rest = tail;
     }
     Ok((out, bytes.len() - rest.len()))
 }
 
-/// An append-only log file: header, then frames. It tracks its own byte
-/// length, so `STATS` and the metrics scrape read it without a
-/// filesystem round trip.
+/// An append-only log file: header, then frames — the handle under each
+/// shard's [`crate::wal::Wal`]. It tracks its own byte length, so `STATS`
+/// and the metrics scrape read it without a filesystem round trip.
 #[derive(Debug)]
 pub(crate) struct LogFile {
     file: File,

@@ -38,9 +38,9 @@
 //!   id accept-to-reply, completed traces land in a bounded capture
 //!   window with a second one for slow-or-ERR requests, and the `TOP` /
 //!   `TRACE <id>` commands expose them live — see [`ServeOptions`]. Per-command
-//!   latencies additionally roll into windowed telemetry (60 × 1s and
-//!   60 × 1m rings) served by `HISTORY`, evaluated against `--slo`
-//!   burn-rate rules, and persisted via [`telemetry`]. A first-request
+//!   latencies additionally roll into an in-memory 60 × 1 s window
+//!   served by `HISTORY` and evaluated against `--slo` burn-rate rules.
+//!   A first-request
 //!   `HELLO proto=binary` line upgrades a connection to the
 //!   length-prefixed, checksummed binary framing in [`frame`] (the
 //!   [`framed`] frame, read by a strict streaming reader; text
@@ -93,7 +93,6 @@ pub mod shard;
 pub mod snapshot;
 pub mod store;
 mod sync;
-pub mod telemetry;
 pub mod wal;
 
 pub use client::{
@@ -112,7 +111,6 @@ pub use server::{
     CommandMetrics, ServeOptions, ServerMetrics, DEFAULT_SLOW_LOG_CAP_BYTES,
     DEFAULT_TRACE_CAPACITY, DEFAULT_TRACE_SEED,
 };
-pub use telemetry::{TelemetryLog, DEFAULT_CAP_BYTES as DEFAULT_TELEMETRY_CAP_BYTES};
 pub use shard::{shard_of_name, shard_of_record, Manifest, ShardStats, MANIFEST_FILE, ROUTING_RULE};
 pub use store::{
     wal_file_name, OpenReport, ResolveOptions, ResolveOutcome, Store,

@@ -44,8 +44,8 @@
 //! < SPAN name=rank depth=0 start_ns=1212300 dur_ns=880000
 //! < SPAN name=reply depth=0 start_ns=2093000 dur_ns=9000
 //! < .
-//! > HISTORY query window=5 tier=s
-//! < OK history metric=query tier=s window=5 now_epoch=93 buckets=2
+//! > HISTORY query window=5
+//! < OK history metric=query window=5 now_epoch=93 buckets=2
 //! < WINDOW count=240 mean_us=412 p50_us=256 p95_us=1024 p99_us=2048 min_us=38 max_us=1940
 //! < SLO metric=query p=0.99 threshold_us=5000 window=60 short_window=10 state=ok burn_long_pct=0 burn_short_pct=0
 //! < BUCKET epoch=91 count=120 mean_us=400 p50_us=250 max_us=1800
@@ -71,7 +71,7 @@
 use crate::frame::RequestFrame;
 use yv_core::{PersonQuery, QueryHit};
 use yv_fuzzy::RankedEntity;
-use yv_obs::{RequestTrace, RingStats, SloRule, SloStatus, Tier, WindowView, WINDOW_BUCKETS};
+use yv_obs::{RequestTrace, RingStats, SloRule, SloStatus, WindowView, WINDOW_BUCKETS};
 use yv_records::{DateParts, Gender, Record, RecordBuilder, SourceId};
 
 /// Slow-trace summary rows a bare `TOP` returns.
@@ -101,21 +101,13 @@ pub enum Request {
     Trace {
         /// The trace id to look up (as issued in a `trace=` token).
         id: u64,
-        /// Render the span tree as one JSON data line instead of
-        /// `SPAN` lines.
-        json: bool,
     },
     History {
         /// The windowed metric: a lowercase command kind (e.g. `query`).
         metric: String,
-        /// Closed buckets to cover, ending at the open one
+        /// Closed one-second buckets to cover, ending at the open one
         /// (1..=[`WINDOW_BUCKETS`]).
         window: usize,
-        /// Rollup granularity: seconds or minutes.
-        tier: Tier,
-        /// Render the history as one JSON data line instead of
-        /// `WINDOW`/`SLO`/`BUCKET` rows.
-        json: bool,
     },
     Snapshot,
     Shutdown,
@@ -152,6 +144,13 @@ pub const COMMANDS: [(&str, &str); 10] = [
     ("snapshot", "SNAPSHOT"),
     ("shutdown", "SHUTDOWN"),
 ];
+
+/// The command kinds, as an error lists them: `query, resolve, … or
+/// shutdown`.
+pub(crate) fn command_kinds() -> String {
+    let [kinds @ .., (last, _)] = COMMANDS;
+    format!("{} or {last}", kinds.map(|(kind, _)| kind).join(", "))
+}
 
 impl Request {
     /// Which of the ten commands this request is.
@@ -230,18 +229,9 @@ fn parse_top(args: &[&str]) -> Result<Request, String> {
     RequestFrame::Top { k }.into_request()
 }
 
-/// Parse a `format=human|json` value for `command`.
-fn parse_format(command: &str, value: &str) -> Result<bool, String> {
-    match value {
-        "json" => Ok(true),
-        "human" => Ok(false),
-        other => Err(format!("{command}: bad format {other:?} (expected human or json)")),
-    }
-}
-
-/// Parse `TRACE <id> [format=human|json]`. The id is the hex token the
-/// server returned (`trace=` prefix tolerated, so the wire token can be
-/// pasted back verbatim).
+/// Parse `TRACE <id>`. The id is the hex token the server returned
+/// (`trace=` prefix tolerated, so the wire token can be pasted back
+/// verbatim); it takes no options.
 fn parse_trace(args: &[&str]) -> Result<Request, String> {
     let Some((&raw, options)) = args.split_first() else {
         return Err("TRACE: a trace id argument is required".to_owned());
@@ -249,19 +239,14 @@ fn parse_trace(args: &[&str]) -> Result<Request, String> {
     let hex = raw.strip_prefix("trace=").unwrap_or(raw);
     let id = u64::from_str_radix(hex, 16)
         .map_err(|_| format!("TRACE: bad trace id {raw:?} (expected hex)"))?;
-    let mut json = None;
-    for token in options {
-        let (key, value) = split_kv(token, "TRACE")?;
-        match key {
-            "format" if json.is_some() => return Err("TRACE: duplicate key format".to_owned()),
-            "format" => json = Some(parse_format("TRACE", value)?),
-            other => return Err(format!("TRACE: unknown key {other}")),
-        }
+    if let Some(token) = options.first() {
+        let (key, _) = split_kv(token, "TRACE")?;
+        return Err(format!("TRACE: unknown key {key}"));
     }
-    RequestFrame::Trace { id, json: json.unwrap_or(false) }.into_request()
+    RequestFrame::Trace { id }.into_request()
 }
 
-/// Parse `HISTORY <metric> [window=N] [tier=s|m] [format=human|json]`.
+/// Parse `HISTORY <metric> [window=N]`.
 /// The metric comes first as a bare token (a command kind, matched
 /// case-insensitively so `HISTORY QUERY` and `HISTORY query` agree);
 /// the server rejects kinds it does not track.
@@ -270,7 +255,7 @@ fn parse_history(args: &[&str]) -> Result<Request, String> {
     if metric.contains('=') {
         return Err(format!("HISTORY: first argument must be a bare metric name, got {metric:?}"));
     }
-    let (mut window, mut tier, mut json) = (None, None, None);
+    let mut window = None;
     for token in options {
         let (key, value) = split_kv(token, "HISTORY")?;
         match key {
@@ -280,19 +265,10 @@ fn parse_history(args: &[&str]) -> Result<Request, String> {
                     format!("HISTORY: bad window value {value:?} (expected 1..={WINDOW_BUCKETS})")
                 })?);
             }
-            "tier" if tier.is_some() => return Err("HISTORY: duplicate key tier".to_owned()),
-            "tier" => {
-                tier = Some(Tier::parse(value).ok_or_else(|| {
-                    format!("HISTORY: bad tier {value:?} (expected s or m)")
-                })?);
-            }
-            "format" if json.is_some() => return Err("HISTORY: duplicate key format".to_owned()),
-            "format" => json = Some(parse_format("HISTORY", value)?),
             other => return Err(format!("HISTORY: unknown key {other}")),
         }
     }
-    RequestFrame::History { metric: metric.to_owned(), window, tier, json: json.unwrap_or(false) }
-        .into_request()
+    RequestFrame::History { metric: metric.to_owned(), window }.into_request()
 }
 
 /// Parse `RESOLVE <name> [k=N] [min=SCORE]`. The name comes first as a
@@ -613,51 +589,6 @@ pub fn format_trace(trace: &RequestTrace) -> String {
     out
 }
 
-fn json_args(args: &[(&'static str, u64)]) -> String {
-    let pairs: Vec<String> =
-        args.iter().map(|(key, value)| format!("\"{key}\":{value}")).collect();
-    format!("{{{}}}", pairs.join(","))
-}
-
-/// Render a `TRACE ... format=json` response: status line, one JSON
-/// object data line, terminator. Names and arg keys are static protocol
-/// identifiers (no quotes or backslashes), so no escaping is needed.
-#[must_use]
-pub fn format_trace_json(trace: &RequestTrace) -> String {
-    let spans: Vec<String> = trace
-        .spans()
-        .iter()
-        .map(|span| {
-            let shard = span
-                .shard()
-                .map_or_else(|| "null".to_owned(), |shard| shard.to_string());
-            format!(
-                "{{\"name\":\"{}\",\"depth\":{},\"shard\":{},\"start_ns\":{},\
-                 \"dur_ns\":{},\"args\":{}}}",
-                span.name,
-                span.depth,
-                shard,
-                span.start_ns.saturating_sub(trace.start_ns),
-                span.dur_ns,
-                json_args(span.args())
-            )
-        })
-        .collect();
-    let body = format!(
-        "{{\"trace\":\"{:016x}\",\"command\":\"{}\",\"ok\":{},\"conn\":{},\
-         \"total_ns\":{},\"dropped_spans\":{},\"args\":{},\"spans\":[{}]}}",
-        trace.id,
-        trace.command,
-        trace.ok,
-        trace.conn,
-        trace.total_ns,
-        trace.dropped_spans,
-        json_args(trace.args()),
-        spans.join(",")
-    );
-    format!("OK trace={:016x} format=json\n{body}\n{TERMINATOR}\n", trace.id)
-}
-
 /// Render the `TOP` response: status line, a `RING` data line with the
 /// capture-ring counters, one `CMD` row per command kind (same shape as
 /// `STATS`), and one `SLOW` summary line per recent tail-sampled trace,
@@ -706,7 +637,7 @@ fn format_slo_row(rule: &SloRule, status: &SloStatus) -> String {
 }
 
 /// Render the `HISTORY` response: a status line carrying the resolved
-/// metric/tier/window, one `WINDOW` roll-up row over every in-window
+/// metric/window, one `WINDOW` roll-up row over every in-window
 /// sample, one `SLO` row per rule watching this metric, and one `BUCKET`
 /// row per non-empty closed bucket (ascending epoch). Percentiles are
 /// interpolated and clamped to the window's observed min/max
@@ -715,9 +646,8 @@ fn format_slo_row(rule: &SloRule, status: &SloStatus) -> String {
 #[must_use]
 pub fn format_history(metric: &str, view: &WindowView, slo: &[(SloRule, SloStatus)]) -> String {
     let mut out = format!(
-        "OK history metric={} tier={} window={} now_epoch={} buckets={}\n",
+        "OK history metric={} window={} now_epoch={} buckets={}\n",
         metric,
-        view.tier.label(),
         view.window,
         view.now_epoch,
         view.buckets.len()
@@ -740,65 +670,6 @@ pub fn format_history(metric: &str, view: &WindowView, slo: &[(SloRule, SloStatu
     out.push_str(TERMINATOR);
     out.push('\n');
     out
-}
-
-/// Render `HISTORY ... format=json`: the same data as [`format_history`]
-/// as one JSON object on a single data line.
-#[must_use]
-pub fn format_history_json(
-    metric: &str,
-    view: &WindowView,
-    slo: &[(SloRule, SloStatus)],
-) -> String {
-    let s = view.merged.summary_interp();
-    let slo_json: Vec<String> = slo
-        .iter()
-        .map(|(rule, status)| {
-            format!(
-                "{{\"metric\":\"{}\",\"p\":{},\"threshold_us\":{},\"window\":{},\
-                 \"short_window\":{},\"state\":\"{}\",\"burn_long_pct\":{},\
-                 \"burn_short_pct\":{}}}",
-                rule.metric,
-                rule.p,
-                rule.threshold_us,
-                rule.window,
-                rule.short_window(),
-                status.state.label(),
-                status.burn_long_pct,
-                status.burn_short_pct
-            )
-        })
-        .collect();
-    let buckets_json: Vec<String> = view
-        .buckets
-        .iter()
-        .map(|&(epoch, ref snap)| {
-            let b = snap.summary_interp();
-            format!(
-                "{{\"epoch\":{},\"count\":{},\"mean_us\":{},\"p50_us\":{},\"max_us\":{}}}",
-                epoch, b.count, b.mean_us, b.p50_us, b.max_us
-            )
-        })
-        .collect();
-    let body = format!(
-        "{{\"metric\":\"{}\",\"tier\":\"{}\",\"window\":{},\"now_epoch\":{},\
-         \"summary\":{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p95_us\":{},\
-         \"p99_us\":{},\"min_us\":{},\"max_us\":{}}},\"slo\":[{}],\"buckets\":[{}]}}",
-        metric,
-        view.tier.label(),
-        view.window,
-        view.now_epoch,
-        s.count,
-        s.mean_us,
-        s.p50_us,
-        s.p95_us,
-        s.p99_us,
-        s.min_us,
-        s.max_us,
-        slo_json.join(","),
-        buckets_json.join(",")
-    );
-    format!("OK history format=json\n{body}\n{TERMINATOR}\n")
 }
 
 #[cfg(test)]
@@ -1062,27 +933,25 @@ mod tests {
     fn trace_parses_hex_ids_with_or_without_wire_prefix() {
         assert_eq!(
             parse_request("TRACE 00ab00cd00ef0011"),
-            Ok(Request::Trace { id: 0x00ab_00cd_00ef_0011, json: false })
+            Ok(Request::Trace { id: 0x00ab_00cd_00ef_0011 })
         );
         // The exact token the server printed can be pasted back.
         assert_eq!(
-            parse_request("trace trace=ff00000000000001 format=json"),
-            Ok(Request::Trace { id: 0xff00_0000_0000_0001, json: true })
+            parse_request("trace trace=ff00000000000001"),
+            Ok(Request::Trace { id: 0xff00_0000_0000_0001 })
         );
-        assert_eq!(
-            parse_request("TRACE 1f format=human"),
-            Ok(Request::Trace { id: 0x1f, json: false })
-        );
+        assert_eq!(parse_request("TRACE 1f"), Ok(Request::Trace { id: 0x1f }));
         let err = parse_request("TRACE").expect_err("id required");
         assert!(err.contains("trace id argument is required"), "{err}");
         let err = parse_request("TRACE zebra").expect_err("bad hex");
         assert!(err.contains("bad trace id"), "{err}");
         let err = parse_request("TRACE 0").expect_err("zero id");
         assert!(err.contains("untraced"), "{err}");
-        let err = parse_request("TRACE 1f format=xml").expect_err("bad format");
-        assert!(err.contains("bad format"), "{err}");
-        let err = parse_request("TRACE 1f color=blue").expect_err("unknown key");
-        assert!(err.contains("unknown key color"), "{err}");
+        // TRACE has one rendering and takes no options.
+        for (line, key) in [("TRACE 1f format=json", "format"), ("TRACE 1f color=blue", "color")] {
+            let err = parse_request(line).expect_err("unknown key");
+            assert!(err.contains(&format!("unknown key {key}")), "{err}");
+        }
     }
 
     #[test]
@@ -1097,22 +966,12 @@ mod tests {
     fn history_parses_metric_window_tier_and_format() {
         assert_eq!(
             parse_request("HISTORY query"),
-            Ok(Request::History {
-                metric: "query".to_owned(),
-                window: WINDOW_BUCKETS,
-                tier: Tier::Seconds,
-                json: false
-            })
+            Ok(Request::History { metric: "query".to_owned(), window: WINDOW_BUCKETS })
         );
-        // The metric is case-insensitive; every option is explicit here.
+        // The metric is case-insensitive.
         assert_eq!(
-            parse_request("history QUERY window=5 tier=m format=json"),
-            Ok(Request::History {
-                metric: "query".to_owned(),
-                window: 5,
-                tier: Tier::Minutes,
-                json: true
-            })
+            parse_request("history QUERY window=5"),
+            Ok(Request::History { metric: "query".to_owned(), window: 5 })
         );
         let err = parse_request("HISTORY").expect_err("metric required");
         assert!(err.contains("metric argument is required"), "{err}");
@@ -1124,14 +983,13 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
         let err = parse_request("HISTORY query window=soon").expect_err("bad window");
         assert!(err.contains("bad window value"), "{err}");
-        let err = parse_request("HISTORY query tier=h").expect_err("bad tier");
-        assert!(err.contains("bad tier"), "{err}");
-        let err = parse_request("HISTORY query tier=s tier=m").expect_err("dup tier");
-        assert!(err.contains("duplicate key tier"), "{err}");
-        let err = parse_request("HISTORY query format=xml").expect_err("bad format");
-        assert!(err.contains("bad format"), "{err}");
-        let err = parse_request("HISTORY query depth=3").expect_err("unknown key");
-        assert!(err.contains("unknown key depth"), "{err}");
+        // One tier and one rendering: `tier=` and `format=` are unknown
+        // keys like any other.
+        for key in ["tier=s", "format=json", "depth=3"] {
+            let err = parse_request(&format!("HISTORY query {key}")).expect_err("unknown key");
+            let name = key.split('=').next().unwrap();
+            assert!(err.contains(&format!("unknown key {name}")), "{err}");
+        }
     }
 
     fn sample_view() -> (WindowView, SloRule, SloStatus) {
@@ -1145,7 +1003,6 @@ mod tests {
         let b2 = h2.snapshot();
         let merged = b1.merge(&b2);
         let view = WindowView {
-            tier: Tier::Seconds,
             window: 5,
             now_epoch: 9,
             merged,
@@ -1162,29 +1019,12 @@ mod tests {
         let (view, rule, status) = sample_view();
         assert_eq!(
             format_history("query", &view, &[(rule, status)]),
-            "OK history metric=query tier=s window=5 now_epoch=9 buckets=2\n\
+            "OK history metric=query window=5 now_epoch=9 buckets=2\n\
              WINDOW count=4 mean_us=40 p50_us=24 p95_us=100 p99_us=100 min_us=10 max_us=100\n\
              SLO metric=query p=0.99 threshold_us=1000 window=60 short_window=10 state=ok \
              burn_long_pct=0 burn_short_pct=0\n\
              BUCKET epoch=7 count=3 mean_us=20 p50_us=24 max_us=30\n\
              BUCKET epoch=8 count=1 mean_us=100 p50_us=100 max_us=100\n\
-             .\n"
-        );
-    }
-
-    #[test]
-    fn history_formats_exact_json() {
-        let (view, rule, status) = sample_view();
-        assert_eq!(
-            format_history_json("query", &view, &[(rule, status)]),
-            "OK history format=json\n\
-             {\"metric\":\"query\",\"tier\":\"s\",\"window\":5,\"now_epoch\":9,\
-             \"summary\":{\"count\":4,\"mean_us\":40,\"p50_us\":24,\"p95_us\":100,\
-             \"p99_us\":100,\"min_us\":10,\"max_us\":100},\
-             \"slo\":[{\"metric\":\"query\",\"p\":0.99,\"threshold_us\":1000,\"window\":60,\
-             \"short_window\":10,\"state\":\"ok\",\"burn_long_pct\":0,\"burn_short_pct\":0}],\
-             \"buckets\":[{\"epoch\":7,\"count\":3,\"mean_us\":20,\"p50_us\":24,\"max_us\":30},\
-             {\"epoch\":8,\"count\":1,\"mean_us\":100,\"p50_us\":100,\"max_us\":100}]}\n\
              .\n"
         );
     }
@@ -1245,30 +1085,6 @@ mod tests {
         // Byte-identical across runs: the same ManualClock schedule
         // renders the same bytes, whatever the clock origin was.
         assert_eq!(rendered, format_trace(&sample_trace()));
-    }
-
-    #[test]
-    fn trace_json_renders_one_data_line() {
-        let rendered = format_trace_json(&sample_trace());
-        let mut lines = rendered.lines();
-        assert_eq!(
-            lines.next(),
-            Some("OK trace=00ab00cd00ef0011 format=json")
-        );
-        let body = lines.next().expect("json body");
-        assert!(body.starts_with('{') && body.ends_with('}'), "{body}");
-        assert!(body.contains("\"command\":\"RESOLVE\""), "{body}");
-        assert!(body.contains("\"args\":{\"name_digest\":3735928559}"), "{body}");
-        assert!(
-            body.contains(
-                "{\"name\":\"shard\",\"depth\":1,\"shard\":1,\"start_ns\":11500,\
-                 \"dur_ns\":10000,\"args\":{\"cands\":3}}"
-            ),
-            "{body}"
-        );
-        assert_eq!(lines.next(), Some(TERMINATOR));
-        assert_eq!(lines.next(), None);
-        assert_eq!(rendered, format_trace_json(&sample_trace()));
     }
 
     #[test]

@@ -36,22 +36,21 @@
 //! rotating file when [`ServeOptions::slow_log_file`] is set.
 //!
 //! Windowed telemetry: every command's latency histogram additionally
-//! feeds a [`WindowedHistogram`] (60 × 1s and 60 × 1m rings of snapshot
-//! deltas). A tick thread rotates the windows from the injected clock,
-//! persists each closed bucket to `telemetry.yvt` (see
-//! [`crate::telemetry`]) when [`ServeOptions::telemetry_dir`] is set, and
-//! re-evaluates the [`SloRule`]s from [`ServeOptions::slo`], publishing
-//! their burn-rate state as `yv_slo_*` gauges. The `HISTORY` command
-//! serves the recent-window rollups; rotation is *lazy and idempotent*,
-//! so `HISTORY`/`METRICS` stay correct under a [`yv_obs::ManualClock`]
-//! where the ticker never observes time moving.
+//! feeds a [`WindowedHistogram`] (an in-memory ring of 60 one-second
+//! snapshot deltas). A tick thread rotates the windows from the injected
+//! clock and re-evaluates the [`SloRule`]s from [`ServeOptions::slo`],
+//! publishing their burn-rate state as `yv_slo_*` gauges. The `HISTORY`
+//! command serves the recent-window rollups; rotation is *lazy and
+//! idempotent*, so `HISTORY`/`METRICS` stay correct under a
+//! [`yv_obs::ManualClock`] where the ticker never observes time moving.
+//! Nothing of the windows is persisted: a restarted server starts with
+//! an empty history.
 
 use crate::error::StoreError;
 use crate::frame;
 use crate::protocol::{self, Command, CommandStats, Request, COMMANDS};
 use crate::store::Store;
 use crate::sync::Mutex;
-use crate::telemetry::{self, TelemetryLog};
 use yv_records::Record;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -59,8 +58,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use yv_obs::{
-    Clock, Counter, Histogram, MetricsRegistry, MonotonicClock, SloRule, SloStatus, Tier,
-    TraceCtx, TraceSink, WindowView, WindowedCounter, WindowedHistogram,
+    Clock, Counter, Histogram, MetricsRegistry, MonotonicClock, SloRule, SloStatus, TraceCtx,
+    TraceSink, WindowView, WindowedHistogram,
 };
 
 /// Default trace-capture capacity (~3.4 KiB per retained trace).
@@ -335,7 +334,6 @@ pub struct ServeOptions {
     trace_capacity: usize,
     trace_capture: bool,
     clock: Option<Arc<dyn Clock>>,
-    telemetry_dir: Option<PathBuf>,
     slo: Vec<SloRule>,
 }
 
@@ -355,7 +353,6 @@ impl ServeOptions {
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             trace_capture: true,
             clock: None,
-            telemetry_dir: None,
             slo: Vec::new(),
         }
     }
@@ -402,20 +399,13 @@ impl ServeOptions {
         self
     }
 
-    /// Persist closed telemetry buckets to `dir/telemetry.yvt` and
-    /// replay any existing history there on startup, so `HISTORY`
-    /// windows survive a restart. A segment rotates to
-    /// `telemetry.old.yvt` at [`crate::telemetry::DEFAULT_CAP_BYTES`].
-    #[must_use]
-    pub fn telemetry_dir(mut self, dir: PathBuf) -> ServeOptions {
-        self.telemetry_dir = Some(dir);
-        self
-    }
-
     /// Watch latency SLOs: each rule's multi-window burn rate is
     /// re-evaluated on the server tick (and on every `METRICS` scrape
     /// and `HISTORY` request) and published as `yv_slo_<metric>_state`
-    /// / `_burn_long_pct` / `_burn_short_pct` gauges.
+    /// / `_burn_long_pct` / `_burn_short_pct` gauges. [`Self::serve`]
+    /// refuses a rule whose metric is not a command kind
+    /// ([`StoreError::UnknownSloMetric`]) and a second rule on one metric
+    /// ([`StoreError::DuplicateSloMetric`]).
     #[must_use]
     pub fn slo(mut self, rules: Vec<SloRule>) -> ServeOptions {
         self.slo = rules;
@@ -466,12 +456,12 @@ impl ServeOptions {
             trace_capacity,
             trace_capture,
             clock,
-            telemetry_dir,
             slo,
         } = self;
         let Some(store) = store else {
             return Err(StoreError::Corrupt("ServeOptions has no store".into()));
         };
+        check_slo(&slo)?;
         // The tail sampler reuses the slow-log threshold; without one,
         // only ERR-status traces are tail-retained.
         let sampler_slow_ns = slow_us.map_or(u64::MAX, |us| us.saturating_mul(1_000));
@@ -489,8 +479,7 @@ impl ServeOptions {
             )),
             (None, _) => None,
         };
-        let telemetry_cfg = TelemetryConfig { dir: telemetry_dir, slo };
-        serve_inner(store, listener, workers, slow, metrics_listener, sink, clock, telemetry_cfg)
+        serve_inner(store, listener, workers, slow, metrics_listener, sink, clock, slo)
     }
 }
 
@@ -505,99 +494,69 @@ impl std::fmt::Debug for ServeOptions {
             .field("trace_capacity", &self.trace_capacity)
             .field("trace_capture", &self.trace_capture)
             .field("clock", &self.clock.as_ref().map(|_| "<injected>"))
-            .field("telemetry_dir", &self.telemetry_dir)
             .field("slo", &self.slo)
             .finish_non_exhaustive()
     }
 }
 
-/// Windowed-telemetry configuration carried from [`ServeOptions::serve`]
-/// into the serving loop.
-struct TelemetryConfig {
-    dir: Option<PathBuf>,
-    slo: Vec<SloRule>,
+/// Refuse SLO rules the server could never serve: a metric that is not a
+/// command kind has no window to evaluate, and two rules on one metric
+/// would share one set of `yv_slo_<metric>_*` gauges.
+fn check_slo(rules: &[SloRule]) -> Result<(), StoreError> {
+    for (i, rule) in rules.iter().enumerate() {
+        let metric = &rule.metric;
+        if !COMMANDS.iter().any(|(kind, _)| kind == metric) {
+            return Err(StoreError::UnknownSloMetric { metric: metric.clone() });
+        }
+        if rules[..i].iter().any(|earlier| &earlier.metric == metric) {
+            return Err(StoreError::DuplicateSloMetric { metric: metric.clone() });
+        }
+    }
+    Ok(())
 }
 
 /// The server's windowed-telemetry runtime: one [`WindowedHistogram`]
 /// per command kind (reading the same latency histograms `STATS`
-/// reports), a windowed parse-error counter, the configured SLO rules,
-/// and the optional on-disk history log.
+/// reports) and the configured SLO rules, at most one per kind.
 ///
-/// Rotation is centralized here so every closed bucket is persisted
-/// exactly once: all read paths (`HISTORY`, `METRICS`, the SLO
-/// evaluator, the tick thread) funnel through
-/// [`Telemetry::rotate_and_persist`] before touching a window.
+/// Every read path (`HISTORY`, `METRICS`, the SLO evaluator, the tick
+/// thread) rotates all windows through [`Telemetry::rotate`] before
+/// touching one, so a bucket boundary closes at the same point for every
+/// kind.
 struct Telemetry {
     windows: Vec<(&'static str, WindowedHistogram)>,
-    parse_errors_window: WindowedCounter,
     slo: Vec<SloRule>,
-    log: Option<Mutex<TelemetryLog>>,
 }
 
 impl Telemetry {
-    /// Build the per-command windows, open the history log (when a dir
-    /// is configured) and replay any persisted buckets into the rings.
-    fn new(
-        metrics: &ServerMetrics,
-        clock: &Arc<dyn Clock>,
-        cfg: TelemetryConfig,
-    ) -> Result<Telemetry, StoreError> {
-        let windows: Vec<(&'static str, WindowedHistogram)> = COMMANDS
+    fn new(metrics: &ServerMetrics, clock: &Arc<dyn Clock>, slo: Vec<SloRule>) -> Telemetry {
+        let windows = COMMANDS
             .iter()
             .zip(&metrics.commands)
             .map(|((kind, _), m)| {
                 (*kind, WindowedHistogram::new(Arc::clone(&m.latency), Arc::clone(clock)))
             })
             .collect();
-        let parse_errors_window =
-            WindowedCounter::new(Arc::clone(&metrics.parse_errors), Arc::clone(clock));
-        let log = match cfg.dir {
-            Some(dir) => {
-                for (metric, bucket) in telemetry::replay(&dir)? {
-                    if let Some((_, w)) = windows.iter().find(|(kind, _)| *kind == metric) {
-                        w.restore(bucket);
-                    }
-                }
-                Some(Mutex::new(TelemetryLog::open(&dir, telemetry::DEFAULT_CAP_BYTES)?))
-            }
-            None => None,
-        };
-        Ok(Telemetry { windows, parse_errors_window, slo: cfg.slo, log })
+        Telemetry { windows, slo }
     }
 
     fn window_for(&self, metric: &str) -> Option<&WindowedHistogram> {
         self.windows.iter().find(|(kind, _)| *kind == metric).map(|(_, w)| w)
     }
 
-    /// Rotate every window, appending each newly closed non-empty bucket
-    /// to the history log. Idempotent: a bucket closes (and is persisted)
-    /// exactly once no matter how many paths call this concurrently.
-    fn rotate_and_persist(&self) {
-        for (kind, w) in &self.windows {
-            let closed = w.rotate();
-            if closed.is_empty() {
-                continue;
-            }
-            if let Some(log) = &self.log {
-                let mut log = log.lock();
-                for bucket in &closed {
-                    // Telemetry is best-effort history: an IO error here
-                    // must not take down request serving. Appended under
-                    // the log lock on purpose: frames are pre-encoded
-                    // scalars, and the lock is what orders them in the
-                    // segment.
-                    let _ = log.append(kind, bucket);
-                }
-            }
+    /// Rotate every window. Idempotent: a second call at the same
+    /// instant changes nothing.
+    fn rotate(&self) {
+        for (_, w) in &self.windows {
+            w.rotate();
         }
-        self.parse_errors_window.rotate();
     }
 
     /// The windowed view `HISTORY` serves, or `None` for a metric the
     /// server does not track.
-    fn view(&self, metric: &str, tier: Tier, window: usize) -> Option<WindowView> {
-        self.rotate_and_persist();
-        self.window_for(metric).map(|w| w.window(tier, window))
+    fn view(&self, metric: &str, window: usize) -> Option<WindowView> {
+        self.rotate();
+        self.window_for(metric).map(|w| w.window(window))
     }
 
     /// Evaluate every SLO rule watching `metric` (for `HISTORY` rows).
@@ -611,15 +570,15 @@ impl Telemetry {
 
     fn evaluate(&self, rule: &SloRule) -> Option<SloStatus> {
         let w = self.window_for(&rule.metric)?;
-        let long = w.window(Tier::Seconds, rule.window).merged;
-        let short = w.window(Tier::Seconds, rule.short_window()).merged;
+        let long = w.window(rule.window).merged;
+        let short = w.window(rule.short_window()).merged;
         Some(rule.evaluate(&long, &short))
     }
 
-    /// Re-evaluate every rule and publish the `yv_slo_*` gauges. With
-    /// several rules on one metric the last rule wins the gauge names.
+    /// Re-evaluate every rule and publish its `yv_slo_<metric>_*` gauges
+    /// ([`check_slo`] leaves one rule per metric).
     fn publish_slo(&self, reg: &MetricsRegistry) {
-        self.rotate_and_persist();
+        self.rotate();
         for rule in &self.slo {
             let Some(status) = self.evaluate(rule) else { continue };
             let m = &rule.metric;
@@ -661,7 +620,7 @@ struct ServerCtx<'a> {
     slow: Option<&'a SlowLog>,
     /// The trace id generator and capture store.
     sink: &'a TraceSink,
-    /// Windowed rollups, SLO rules and the telemetry history log.
+    /// Windowed rollups and SLO rules.
     telemetry: &'a Telemetry,
 }
 
@@ -685,7 +644,7 @@ fn serve_inner(
     metrics_listener: Option<TcpListener>,
     sink: TraceSink,
     clock: Arc<dyn Clock>,
-    telemetry_cfg: TelemetryConfig,
+    slo: Vec<SloRule>,
 ) -> Result<Store, StoreError> {
     let addr = listener.local_addr()?;
     let metrics_addr = match &metrics_listener {
@@ -693,7 +652,7 @@ fn serve_inner(
         None => None,
     };
     let metrics = ServerMetrics::default();
-    let telemetry = Telemetry::new(&metrics, &clock, telemetry_cfg)?;
+    let telemetry = Telemetry::new(&metrics, &clock, slo);
     let shutdown = AtomicBool::new(false);
     let conn_ids = AtomicU64::new(0);
     // One queue, many workers: `mpsc` has a single receiver, so the pool
@@ -725,16 +684,14 @@ fn serve_inner(
         // Only the workers keep the receiver alive, so `send` below fails
         // once every one of them is gone.
         drop(rx);
-        // The telemetry tick: rotate windows, persist closed buckets and
-        // refresh the SLO gauges every TICK_MILLIS of *real* time. Under
-        // a ManualClock no epoch ever passes, so the tick is a no-op and
-        // rotation happens lazily on the HISTORY/METRICS read paths —
-        // which keeps deterministic tests byte-identical regardless of
-        // ticker scheduling.
+        // The telemetry tick: rotate windows and refresh the SLO gauges
+        // every TICK_MILLIS of *real* time. Under a ManualClock no epoch
+        // ever passes, so the tick is a no-op and rotation happens lazily
+        // on the HISTORY/METRICS read paths — which keeps deterministic
+        // tests byte-identical regardless of ticker scheduling.
         s.spawn(move || {
             while !ctx.shutdown.load(Ordering::SeqCst) {
                 std::thread::sleep(std::time::Duration::from_millis(TICK_MILLIS));
-                ctx.telemetry.rotate_and_persist();
                 ctx.telemetry.publish_slo(&ctx.metrics.registry);
             }
         });
@@ -895,34 +852,9 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
         t.last_slow,
     );
 
-    // Windowed telemetry: refresh the SLO gauges (rotating and
-    // persisting any buckets that closed since the last tick on the
-    // way), then the rollup/log health gauges.
+    // Windowed telemetry: refresh the SLO gauges (rotating any buckets
+    // that closed since the last tick on the way).
     ctx.telemetry.publish_slo(reg);
-    reg.set_gauge(
-        "yv_window_parse_errors_60s",
-        "Parse errors in the last 60 seconds-tier buckets",
-        ctx.telemetry.parse_errors_window.sum(60),
-    );
-    if let Some(log) = &ctx.telemetry.log {
-        let log = log.lock();
-        // Three counter reads under the log lock; no IO.
-        reg.set_gauge(
-            "yv_telemetry_log_bytes",
-            "Bytes in the active telemetry.yvt segment",
-            log.bytes(),
-        );
-        reg.counter_value(
-            "yv_telemetry_frames_total",
-            "Closed window buckets appended to telemetry.yvt by this process",
-        )
-        .set(log.frames());
-        reg.counter_value(
-            "yv_telemetry_log_rotations_total",
-            "Telemetry segment rotations performed by this process",
-        )
-        .set(log.rotations());
-    }
     if let Some(slow) = ctx.slow {
         reg.set_gauge(
             "yv_slow_log_rotations",
@@ -1354,14 +1286,10 @@ fn dispatch(
             cmd.record(true, elapsed());
             protocol::format_top(&ring, &ctx.metrics.command_stats(), &slow_traces)
         }
-        Request::Trace { id, json } => match ctx.sink.find(id) {
+        Request::Trace { id } => match ctx.sink.find(id) {
             Some(found) => {
                 cmd.record(true, elapsed());
-                if json {
-                    protocol::format_trace_json(&found)
-                } else {
-                    protocol::format_trace(&found)
-                }
+                protocol::format_trace(&found)
             }
             None => {
                 cmd.record(false, elapsed());
@@ -1370,28 +1298,20 @@ fn dispatch(
                 ))
             }
         },
-        Request::History { metric, window, tier, json } => {
-            match ctx.telemetry.view(&metric, tier, window) {
-                Some(view) => {
-                    let slo = ctx.telemetry.slo_for(&metric);
-                    cmd.record(true, elapsed());
-                    if json {
-                        protocol::format_history_json(&metric, &view, &slo)
-                    } else {
-                        protocol::format_history(&metric, &view, &slo)
-                    }
-                }
-                None => {
-                    cmd.record(false, elapsed());
-                    let [kinds @ .., (last, _)] = COMMANDS;
-                    protocol::format_status(&format!(
-                        "ERR HISTORY: unknown metric {metric:?} (expected a command kind: \
-                         {} or {last})",
-                        kinds.map(|(kind, _)| kind).join(", ")
-                    ))
-                }
+        Request::History { metric, window } => match ctx.telemetry.view(&metric, window) {
+            Some(view) => {
+                let slo = ctx.telemetry.slo_for(&metric);
+                cmd.record(true, elapsed());
+                protocol::format_history(&metric, &view, &slo)
             }
-        }
+            None => {
+                cmd.record(false, elapsed());
+                protocol::format_status(&format!(
+                    "ERR HISTORY: unknown metric {metric:?} (expected a command kind: {})",
+                    protocol::command_kinds()
+                ))
+            }
+        },
         Request::Snapshot => {
             trace.enter("snapshot");
             let outcome = ctx.store.snapshot();

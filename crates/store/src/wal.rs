@@ -159,7 +159,7 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, StoreError> {
             t => return Err(StoreError::Corrupt(format!("unknown WAL entry tag {t}"))),
         };
         r.finish("WAL frame")?;
-        Ok((u64::from_le_bytes(seq), entry))
+        Ok((seq, entry))
     })?;
     Ok(WalScan { entries, valid_len, torn_bytes: bytes.len() - valid_len })
 }

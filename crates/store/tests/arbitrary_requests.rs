@@ -79,13 +79,8 @@ fn valid_payloads() -> Vec<(u8, Vec<u8>)> {
         RequestFrame::Add(Box::new(record.clone())),
         RequestFrame::BatchAdd(vec![record.clone(), record]),
         RequestFrame::Top { k: Some(4) },
-        RequestFrame::Trace { id: 0xb10e, json: true },
-        RequestFrame::History {
-            metric: "query".to_owned(),
-            window: Some(5),
-            tier: None,
-            json: false,
-        },
+        RequestFrame::Trace { id: 0xb10e },
+        RequestFrame::History { metric: "query".to_owned(), window: Some(5) },
         RequestFrame::Stats,
     ];
     frames

@@ -2,9 +2,9 @@
 //!
 //! FNV-1a 64 of each file a 2-shard store writes — at `create`, after a
 //! source, a single record and a batch have arrived, and after `SNAPSHOT`
-//! — of a standalone WAL (synced and unsynced appends), of the telemetry
-//! segments with and without a rotation, of one encoded frame per request
-//! and response kind, and of `state_bytes` after a reopen. The fixture is
+//! — of a standalone WAL (synced and unsynced appends), of one encoded
+//! frame per request and response kind, and of `state_bytes` after a
+//! reopen. The fixture is
 //! hand-built (no datagen, no training), so only a change to a format can
 //! move a digest. A change meant to keep every byte must leave the tables
 //! alone; one that changes a format on purpose re-pins them from the table
@@ -23,7 +23,6 @@ use yv_blocking::ScoreFunction;
 use yv_core::{
     IncrementalConfig, IncrementalResolver, PersonQuery, Pipeline, PipelineConfig, RankedMatch,
 };
-use yv_obs::{ClosedBucket, Histogram, Tier};
 use yv_records::{
     Dataset, DateParts, Gender, GeoPoint, Place, PlaceType, Record, RecordBuilder, RecordId,
     Source, SourceId,
@@ -31,8 +30,8 @@ use yv_records::{
 use yv_similarity::ExpertWeights;
 use yv_store::codec::fnv1a64;
 use yv_store::{
-    wal_file_name, BatchStatus, RequestFrame, ResponseFrame, Store,
-    TelemetryLog, Wal, MANIFEST_FILE, SNAPSHOT_FILE,
+    wal_file_name, BatchStatus, RequestFrame, ResponseFrame, Store, Wal, MANIFEST_FILE,
+    SNAPSHOT_FILE,
 };
 
 fn record(book: u64, source: u32, first: &str, last: &str) -> Record {
@@ -169,15 +168,6 @@ fn store_directory_files_are_byte_identical() {
     );
 }
 
-fn bucket(epoch: u64, micros: &[u64]) -> ClosedBucket {
-    let h = Histogram::new();
-    for &us in micros {
-        h.record_ns(us * 1_000);
-    }
-    let tier = if epoch.is_multiple_of(2) { Tier::Seconds } else { Tier::Minutes };
-    ClosedBucket { tier, epoch, delta: h.snapshot() }
-}
-
 #[test]
 fn log_files_are_byte_identical() {
     let dir = ScratchDir::new("golden-logs");
@@ -193,33 +183,7 @@ fn log_files_are_byte_identical() {
     assert_eq!(wal.bytes(), std::fs::metadata(&path).unwrap().len());
     digest_file(&mut actual, "wal", &path);
 
-    let steady = dir.join("steady");
-    let mut log = TelemetryLog::open(&steady, yv_store::DEFAULT_TELEMETRY_CAP_BYTES).unwrap();
-    log.append("query", &bucket(1, &[10, 20, 4_000])).unwrap();
-    log.append("resolve", &bucket(2, &[7])).unwrap();
-    drop(log);
-    digest_file(&mut actual, "telemetry", &steady.join("telemetry.yvt"));
-
-    let rotating = dir.join("rotating");
-    let mut log = TelemetryLog::open(&rotating, 1).unwrap();
-    for epoch in 0..5 {
-        log.append("add", &bucket(epoch, &[5, 50, 500 + epoch])).unwrap();
-    }
-    assert!(log.rotations() > 0, "cap = 1 rotates");
-    drop(log);
-    digest_file(&mut actual, "telemetry rotated/old", &rotating.join("telemetry.old.yvt"));
-    digest_file(&mut actual, "telemetry rotated/active", &rotating.join("telemetry.yvt"));
-
-    check(
-        "log file",
-        &actual,
-        &[
-            ("wal", 0xeb5ea301b9b6eeca),
-            ("telemetry", 0x54027e4f2ed17b28),
-            ("telemetry rotated/old", 0xcaf69d97c2805f2c),
-            ("telemetry rotated/active", 0xcb5f0bde013cc9c9),
-        ],
-    );
+    check("log file", &actual, &[("wal", 0xeb5ea301b9b6eeca)]);
 }
 
 #[test]
@@ -237,13 +201,8 @@ fn wire_frames_are_byte_identical() {
         RequestFrame::Stats,
         RequestFrame::Metrics,
         RequestFrame::Top { k: Some(3) },
-        RequestFrame::Trace { id: 0xb10e_24d1, json: true },
-        RequestFrame::History {
-            metric: "query".to_owned(),
-            window: Some(5),
-            tier: Some(Tier::Minutes),
-            json: false,
-        },
+        RequestFrame::Trace { id: 0xb10e_24d1 },
+        RequestFrame::History { metric: "query".to_owned(), window: Some(5) },
         RequestFrame::Snapshot,
         RequestFrame::Shutdown,
     ];
@@ -272,8 +231,8 @@ fn wire_frames_are_byte_identical() {
             ("request 0x04", 0x19803878f4347cc9),
             ("request 0x05", 0xaf08f7255a8cb494),
             ("request 0x06", 0x8528d53ce393c29e),
-            ("request 0x07", 0xbf7e710cfb78778f),
-            ("request 0x08", 0x1f3001ce187f8a7e),
+            ("request 0x07", 0x39a8aa4ce467fe71),
+            ("request 0x08", 0x2e644b2df39c95e1),
             ("request 0x09", 0xb9be15ca2f6713f4),
             ("request 0x0a", 0xff59e25de853c804),
             ("response 0x20", 0xe9cffbd49fb30b40),

@@ -16,7 +16,6 @@
 use proptest::prelude::*;
 use std::io::Cursor;
 use yv_core::PersonQuery;
-use yv_obs::Tier;
 use yv_records::{DateParts, Gender, Record, RecordBuilder, SourceId};
 use yv_store::{
     frame_checksum, BatchStatus, RequestFrame, ResponseFrame, StoreError, HEADER_LEN,
@@ -81,17 +80,8 @@ fn all_request_frames(draw: &Draw) -> Vec<RequestFrame> {
         RequestFrame::Stats,
         RequestFrame::Metrics,
         RequestFrame::Top { k: opt_u32(draw, 128) },
-        RequestFrame::Trace { id: draw.book, json: draw.flags & 256 != 0 },
-        RequestFrame::History {
-            metric: draw.last.clone(),
-            window: opt_u32(draw, 512),
-            tier: match draw.flags & 3072 {
-                0 => None,
-                1024 => Some(Tier::Seconds),
-                _ => Some(Tier::Minutes),
-            },
-            json: draw.flags & 4096 != 0,
-        },
+        RequestFrame::Trace { id: draw.book },
+        RequestFrame::History { metric: draw.last.clone(), window: opt_u32(draw, 512) },
         RequestFrame::Snapshot,
         RequestFrame::Shutdown,
     ]

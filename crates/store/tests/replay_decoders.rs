@@ -1,16 +1,14 @@
-//! Whatever bytes sit in a store directory, the three replay decoders —
-//! `wal::scan` and the snapshot decoder, which `open` runs, and
-//! `telemetry::replay`, which `yv serve --telemetry-dir` runs — return a
-//! value or a typed [`StoreError`]; they never panic.
+//! Whatever bytes sit in a store directory, the two replay decoders
+//! `open` runs — `wal::scan` and the snapshot decoder — return a value or
+//! a typed [`StoreError`]; they never panic.
 //!
 //! Three kinds of input: arbitrary bytes (raw, and behind a valid header
 //! with a valid checksum, so the payload decoders see them), every
 //! truncation of a valid file, and every single-bit flip of one. Files
 //! whose payload a checksum covers end differently: a cut or flipped
-//! snapshot is always an error, while a cut log (WAL or telemetry
-//! segment) is its complete frames (a torn tail) and a flipped one is an
-//! error or, when the flip lands in a length field, a clean stop before
-//! the frame it damaged.
+//! snapshot is always an error, while a cut WAL is its complete frames
+//! (a torn tail) and a flipped one is an error or, when the flip lands in
+//! a length field, a clean stop before the frame it damaged.
 
 // Test-only binary: helper fns outside #[test] may unwrap freely (the
 // workspace unwrap_used deny targets library code).
@@ -26,11 +24,9 @@ use yv_records::{
     Dataset, DateParts, Gender, GeoPoint, Place, PlaceType, Record, RecordBuilder, Source,
     SourceId,
 };
-use yv_obs::{ClosedBucket, Histogram, Tier};
 use yv_store::framed;
 use yv_store::codec::{self, Writer};
 use yv_store::snapshot::{self, from_bytes};
-use yv_store::telemetry::{self, TelemetryLog};
 use yv_store::wal::{self, scan, Wal};
 use yv_store::StoreError;
 
@@ -99,31 +95,6 @@ fn framed_wal(tag: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
     [&framed::header(wal::MAGIC, wal::VERSION)[..], &frame].concat()
 }
 
-fn bucket(epoch: u64, micros: &[u64]) -> ClosedBucket {
-    let h = Histogram::new();
-    for &us in micros {
-        h.record_ns(us * 1_000);
-    }
-    ClosedBucket { tier: Tier::Seconds, epoch, delta: h.snapshot() }
-}
-
-/// A valid telemetry segment of two buckets, and what replaying it yields.
-fn valid_telemetry() -> (Vec<u8>, Vec<(String, ClosedBucket)>) {
-    let dir = ScratchDir::new("decoders-telemetry");
-    let mut log = TelemetryLog::open(&dir, telemetry::DEFAULT_CAP_BYTES).unwrap();
-    log.append("query", &bucket(3, &[10, 20, 4_000])).unwrap();
-    log.append("resolve", &bucket(4, &[7])).unwrap();
-    drop(log);
-    (std::fs::read(dir.join(telemetry::SEGMENT)).unwrap(), telemetry::replay(&dir).unwrap())
-}
-
-/// `telemetry::replay` over a directory whose active segment is `bytes`.
-fn replay_telemetry(bytes: &[u8]) -> Result<Vec<(String, ClosedBucket)>, StoreError> {
-    let dir = ScratchDir::new("decoders-telemetry-replay");
-    std::fs::write(dir.join(telemetry::SEGMENT), bytes).unwrap();
-    telemetry::replay(&dir)
-}
-
 /// Every decoder over `bytes`; each returns, whatever it returns.
 fn decode_all(bytes: &[u8]) -> [bool; 2] {
     [scan(bytes).is_ok(), from_bytes(bytes).is_ok()]
@@ -145,19 +116,6 @@ proptest! {
         // bytes: record and source codecs, the model text, the config.
         let _ = scan(&framed_wal(tag, seq, &raw));
         let _ = from_bytes(&framed_snapshot(&raw));
-    }
-
-    #[test]
-    fn arbitrary_bytes_replay_as_telemetry_or_fail_typed(
-        raw in proptest::collection::vec(0u8..=255, 0..300),
-        tag in 0u8..3,
-    ) {
-        let header = framed::header(telemetry::MAGIC, telemetry::VERSION);
-        let _ = replay_telemetry(&raw);
-        let _ = replay_telemetry(&[&header[..], &raw].concat());
-        // Behind a valid frame the bucket decoder itself sees the bytes.
-        let frame = framed::encode(tag, &[], &raw).unwrap();
-        let _ = replay_telemetry(&[&header[..], &frame].concat());
     }
 }
 
@@ -236,40 +194,5 @@ fn a_forged_snapshot_with_out_of_order_record_ids_is_corrupt() {
     match from_bytes(&framed_snapshot(&payload)) {
         Err(StoreError::Corrupt(what)) => assert!(what.contains("out of order"), "{what}"),
         other => panic!("expected Corrupt, got {other:?}"),
-    }
-}
-
-#[test]
-fn every_truncation_of_a_telemetry_segment_is_a_prefix_or_a_header_error() {
-    let (segment, full) = valid_telemetry();
-    assert_eq!(full.len(), 2);
-    for cut in 0..=segment.len() {
-        match replay_telemetry(&segment[..cut]) {
-            Ok(prefix) => assert_eq!(prefix, full[..prefix.len()], "cut {cut}"),
-            Err(e) => assert!(cut < framed::HEADER_LEN, "cut {cut} past the header: {e}"),
-        }
-    }
-}
-
-#[test]
-fn every_bit_flip_of_a_telemetry_segment_is_caught_or_a_clean_stop() {
-    let (segment, full) = valid_telemetry();
-    for bit in 0..segment.len() * 8 {
-        let mut flipped = segment.clone();
-        flipped[bit / 8] ^= 1 << (bit % 8);
-        match replay_telemetry(&flipped) {
-            // Only a length field can turn a frame into a torn tail.
-            Ok(stopped) => {
-                assert!(stopped.len() < full.len(), "bit {bit} went unnoticed");
-                assert_eq!(stopped, full[..stopped.len()], "bit {bit}");
-            }
-            Err(
-                StoreError::BadMagic
-                | StoreError::UnsupportedVersion { .. }
-                | StoreError::ChecksumMismatch { .. }
-                | StoreError::Corrupt(_),
-            ) => {}
-            Err(e) => panic!("bit {bit}: unexpected error {e}"),
-        }
     }
 }

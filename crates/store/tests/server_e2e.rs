@@ -265,7 +265,9 @@ impl Write for SharedSink {
 fn metrics_command_and_sidecar_scrape_expose_prometheus_text() {
     let dir = ScratchDir::new("metrics-scrape");
     let store = Store::create(&dir, trained_resolver(150, 55), 2).unwrap();
-    let records = store.stats().records;
+    // QUERY changes no store count, so these are what STATS and every
+    // store gauge must read below.
+    let expected = store.stats();
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -299,35 +301,54 @@ fn metrics_command_and_sidecar_scrape_expose_prometheus_text() {
         assert!(body.contains(&format!("yv_cmd_{kind}_latency_us_bucket{{le=\"+Inf\"}}")));
     }
     assert!(body.contains("yv_cmd_query_latency_us_count 2"), "{body}");
-    // Store gauges reflect the live store; per-shard gauges cover every
-    // shard; allocator gauges are present (zero unless the counting
-    // allocator is installed).
-    assert!(body.contains(&format!("yv_store_records {records}")), "{body}");
-    assert!(body.contains("yv_store_shards 2"), "{body}");
-    for gauge in [
-        "yv_store_wal_bytes",
-        "yv_store_postings",
-        "yv_store_vocabulary",
-        "yv_store_fuzzy_names",
-        "yv_store_fuzzy_grams",
-        "yv_store_fuzzy_postings",
-        "yv_store_fuzzy_examined_total",
-        "yv_store_fuzzy_pruned_total",
-        "yv_shard_0_records",
-        "yv_shard_0_wal_bytes",
-        "yv_shard_1_records",
-        "yv_shard_1_wal_bytes",
-        "yv_alloc_bytes_total",
-        "yv_alloc_live_bytes",
-        "yv_alloc_peak_bytes",
-        "yv_trace_ring_capacity",
-        "yv_trace_ring_occupancy",
-        "yv_trace_ring_captured_total",
-        "yv_trace_ring_evicted_total",
-        "yv_trace_ring_sampled_total",
-        "yv_trace_last_slow_id",
-    ] {
-        assert!(body.contains(&format!("\n{gauge} ")), "missing {gauge} in:\n{body}");
+    let value = |name: &str| -> u64 {
+        let prefix = format!("\n{name} ");
+        let at = body.find(&prefix).unwrap_or_else(|| panic!("missing {name} in:\n{body}"));
+        body[at + prefix.len()..].lines().next().unwrap().parse().unwrap()
+    };
+    // Every store and shard gauge reads what `STATS` says and what the
+    // store held when it was handed to the server.
+    let stats = client.stats().unwrap();
+    let counts = [
+        ("yv_store_records", expected.records as u64, stats.records as u64),
+        ("yv_store_sources", expected.sources as u64, stats.sources as u64),
+        ("yv_store_matches", expected.matches as u64, stats.matches as u64),
+        ("yv_store_shards", 2, stats.shards as u64),
+        ("yv_store_wal_entries", expected.wal_entries as u64, stats.wal_entries as u64),
+        ("yv_store_wal_bytes", expected.wal_bytes, stats.wal_bytes),
+        ("yv_store_vocabulary", expected.vocabulary as u64, stats.vocabulary as u64),
+        ("yv_store_fuzzy_names", expected.fuzzy_names as u64, stats.fuzzy_names as u64),
+        ("yv_store_fuzzy_grams", expected.fuzzy_grams as u64, stats.fuzzy_grams as u64),
+        ("yv_store_fuzzy_postings", expected.fuzzy_postings as u64, stats.fuzzy_postings as u64),
+        ("yv_store_fuzzy_examined_total", expected.fuzzy_examined, stats.fuzzy_examined),
+        ("yv_store_fuzzy_pruned_total", expected.fuzzy_pruned, stats.fuzzy_pruned),
+    ];
+    for (name, want, over_wire) in counts {
+        assert_eq!(over_wire, want, "STATS disagrees with the store on {name}");
+        assert_eq!(value(name), want, "{name}");
+    }
+    assert_eq!(value("yv_store_postings"), expected.postings as u64);
+    for (i, shard) in expected.shards.iter().enumerate() {
+        assert_eq!(value(&format!("yv_shard_{i}_records")), shard.records as u64);
+        assert_eq!(value(&format!("yv_shard_{i}_wal_bytes")), shard.wal_bytes);
+        assert_eq!(stats.shard_rows[i].records, shard.records);
+    }
+    // Both queries succeeded and were captured: no slow threshold, no
+    // ERR, so nothing was tail-sampled and nothing evicted.
+    assert_eq!(value("yv_cmd_query_ok_total"), 2);
+    assert_eq!(value("yv_cmd_query_errors_total"), 0);
+    assert_eq!(value("yv_trace_ring_capacity"), yv_store::DEFAULT_TRACE_CAPACITY as u64);
+    assert_eq!(value("yv_trace_ring_occupancy"), 2);
+    assert_eq!(value("yv_trace_ring_captured_total"), 2);
+    assert_eq!(value("yv_trace_ring_evicted_total"), 0);
+    assert_eq!(value("yv_trace_ring_sampled_total"), 0);
+    assert_eq!(value("yv_trace_last_slow_id"), 0);
+    // Allocator gauges are present (zero unless the counting allocator
+    // is installed; `ci.sh` checks their values in the `yv` binary).
+    for gauge in
+        ["yv_alloc_bytes_total", "yv_dealloc_bytes_total", "yv_alloc_live_bytes", "yv_alloc_peak_bytes"]
+    {
+        value(gauge);
     }
 
     // Scrape the sidecar like Prometheus would: plain HTTP/1.1.
@@ -455,9 +476,10 @@ fn trace_id(status: &str) -> u64 {
 /// No operator-visible sink carries a raw name. A record whose first,
 /// last, father's and place names occur nowhere else is filed, queried
 /// and resolved (once misspelled, once malformed so the `ERR` path runs)
-/// with every sink on: the slow log at threshold zero, persisted
-/// telemetry, trace capture and the scrape sidecar. The answers carry the
-/// name — that is what they are for — and nothing an operator reads does.
+/// with every sink on: the slow log at threshold zero, trace capture and
+/// the scrape sidecar. The answers carry the name — that is what they are
+/// for — and nothing an operator reads does: not the slow log, `METRICS`,
+/// the scrape, `STATS`, `TOP`, `TRACE` or `HISTORY`.
 #[test]
 fn no_operator_sink_carries_a_raw_name() {
     fn leaks(bytes: &[u8]) -> bool {
@@ -475,8 +497,6 @@ fn no_operator_sink_carries_a_raw_name() {
     let log = sink.clone();
     let clock = std::sync::Arc::new(yv_obs::ManualClock::at(0));
     let driver_clock = clock.clone();
-    let telemetry_dir = dir.join("telemetry");
-    let telemetry_file = telemetry_dir.join("telemetry.yvt");
     let server = std::thread::spawn(move || {
         ServeOptions::new(store)
             .workers(2)
@@ -484,7 +504,6 @@ fn no_operator_sink_carries_a_raw_name() {
             // logged and tail-sampled, no timing games.
             .slow_us(0)
             .slow_log(Box::new(log))
-            .telemetry_dir(telemetry_dir)
             .metrics_listener(metrics_listener)
             .clock(clock)
             .serve(listener)
@@ -525,15 +544,13 @@ fn no_operator_sink_carries_a_raw_name() {
     let refused = ask("RESOLVE Zzyzxqlast k=many");
     assert!(refused.starts_with("ERR "), "{refused}");
 
-    // Close the second so the rollups reach HISTORY and telemetry.yvt.
+    // Close the second so the rollups reach HISTORY.
     driver_clock.advance(1_000_000_000);
     let mut seen = Vec::new();
     for kind in ["add", "query", "resolve"] {
-        for format in ["human", "json"] {
-            let history = ask(&format!("HISTORY {kind} window=5 format={format}"));
-            assert!(history.starts_with("OK history "), "{history}");
-            seen.push(history);
-        }
+        let history = ask(&format!("HISTORY {kind} window=5"));
+        assert!(history.starts_with("OK history "), "{history}");
+        seen.push(history);
     }
     seen.push(ask("METRICS"));
     let mut scrape = TcpStream::connect(metrics_addr).unwrap();
@@ -551,11 +568,9 @@ fn no_operator_sink_carries_a_raw_name() {
         assert!(slow.iter().any(|row| row.contains(&format!(" command={command} "))), "{top}");
     }
     for id in slow.into_iter().map(trace_id) {
-        for format in ["human", "json"] {
-            let trace = ask(&format!("TRACE {id:016x} format={format}"));
-            assert!(trace.starts_with("OK trace="), "{trace}");
-            seen.push(trace);
-        }
+        let trace = ask(&format!("TRACE {id:016x}"));
+        assert!(trace.starts_with("OK trace="), "{trace}");
+        seen.push(trace);
     }
     seen.push(top);
     for text in &seen {
@@ -573,9 +588,6 @@ fn no_operator_sink_carries_a_raw_name() {
         assert!(lines.contains(&format!("\"command\":\"{command}\"")), "{lines}");
     }
     assert!(!leaks(&logged), "{lines}");
-    let persisted = std::fs::read(telemetry_file).unwrap();
-    assert!(persisted.len() > 12, "telemetry.yvt holds no bucket");
-    assert!(!leaks(&persisted));
 }
 
 /// The tracing acceptance path: a slow RESOLVE against a 4-shard store
@@ -680,22 +692,25 @@ fn trace_of_a_slow_resolve_serves_the_span_tree_and_top_deterministically() {
 
 /// Windowed-telemetry acceptance: under an injected [`ManualClock`] a
 /// 4-shard server answers `HISTORY resolve` byte-identically across two
-/// independently seeded instances, and — because every closed bucket is
-/// persisted to `telemetry.yvt` — byte-identically again after a restart
-/// with NO new traffic and a clock back at the origin (pure replay).
+/// independently seeded instances. The window lives in memory only: a
+/// restart whose telemetry directory holds a valid `telemetry.yvt` (the
+/// history file earlier builds wrote and replayed) reopens with an empty
+/// `HISTORY` and leaves that file byte-unchanged.
 #[test]
-fn history_is_byte_identical_across_seeds_and_replays_across_restart() {
-    fn drive(store: Store, dir: &std::path::Path, traffic: bool) -> String {
+fn history_is_byte_identical_across_seeds_and_starts_empty_after_restart() {
+    fn drive(store: Store, telemetry_dir: &std::path::Path, traffic: bool) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let clock = std::sync::Arc::new(yv_obs::ManualClock::at(0));
         let driver_clock = clock.clone();
-        let telemetry_dir = dir.join("telemetry");
+        // What `yv serve --telemetry-dir DIR --slow-us N` configures.
+        let slow_log = telemetry_dir.join("slow.jsonl");
         let server = std::thread::spawn(move || {
             ServeOptions::new(store)
                 .workers(2)
                 .clock(clock)
-                .telemetry_dir(telemetry_dir)
+                .slow_us(1_000_000)
+                .slow_log_file(slow_log)
                 .slo(vec![yv_obs::SloRule::parse("resolve:p99<1000000/60").unwrap()])
                 .serve(listener)
                 .unwrap()
@@ -720,24 +735,22 @@ fn history_is_byte_identical_across_seeds_and_replays_across_restart() {
                 assert!(status.starts_with("OK "), "{status}");
             }
         }
-        // In the replay leg the clock stays at the origin: views anchor at
-        // the restored open epoch, so history is visible immediately.
         let (status, data) = raw_exchange(&mut raw, &mut reader, "HISTORY resolve window=5");
         assert!(status.starts_with("OK "), "{status}");
         let rendered = format!("{status}{}", data.concat());
 
         // The typed client agrees with the raw bytes.
         let mut client = Client::connect(addr).unwrap();
-        let report = client.history("resolve", Some(5), None).unwrap();
+        let report = client.history("resolve", Some(5)).unwrap();
         assert_eq!(report.metric, "resolve");
-        assert_eq!(report.tier, "s");
-        assert_eq!(report.now_epoch, 3, "{report:?}");
+        let expected = if traffic { vec![(0, 1), (1, 2), (2, 3)] } else { Vec::new() };
+        assert_eq!(report.now_epoch, if traffic { 3 } else { 0 }, "{report:?}");
         assert_eq!(
             report.buckets.iter().map(|b| (b.epoch, b.count)).collect::<Vec<_>>(),
-            vec![(0, 1), (1, 2), (2, 3)],
+            expected,
             "{report:?}"
         );
-        assert_eq!(report.summary.count, 6);
+        assert_eq!(report.summary.count, expected.iter().map(|&(_, n)| n).sum::<u64>());
         assert_eq!(report.slo.len(), 1);
         assert_eq!(report.slo[0].state, "ok", "zero-latency resolves never burn budget");
 
@@ -750,11 +763,88 @@ fn history_is_byte_identical_across_seeds_and_replays_across_restart() {
 
     let dir_a = ScratchDir::new("history-e2e-a");
     let dir_b = ScratchDir::new("history-e2e-b");
-    let first = drive(Store::create(&dir_a, trained_resolver(200, 88), 4).unwrap(), &dir_a, true);
-    let second = drive(Store::create(&dir_b, trained_resolver(200, 88), 4).unwrap(), &dir_b, true);
+    let telemetry_a = dir_a.join("telemetry");
+    let telemetry_b = dir_b.join("telemetry");
+    std::fs::create_dir_all(&telemetry_a).unwrap();
+    std::fs::create_dir_all(&telemetry_b).unwrap();
+    let store_a = Store::create(&dir_a, trained_resolver(200, 88), 4).unwrap();
+    let first = drive(store_a, &telemetry_a, true);
+    let second = drive(Store::create(&dir_b, trained_resolver(200, 88), 4).unwrap(), &telemetry_b, true);
     assert_eq!(first, second, "same seed + manual clock must render byte-identical HISTORY");
-    let replayed = drive(Store::open(&dir_a).unwrap(), &dir_a, false);
-    assert_eq!(first, replayed, "restart must replay telemetry.yvt byte-identically");
+    assert!(
+        first.starts_with("OK history metric=resolve window=5 now_epoch=3 buckets=3\n"),
+        "{first}"
+    );
+    assert!(!telemetry_a.join("telemetry.yvt").exists(), "nothing persists the windows");
+
+    // Plant the history a persisting build would have left: one valid v1
+    // `telemetry.yvt` frame per closed bucket above (metric, tier code 0 =
+    // seconds, epoch, sparse bucket counts, sum/max/min ns).
+    let mut history = yv_store::framed::header(*b"YVTELEM1", 1).to_vec();
+    for (epoch, count) in [(0u64, 1u64), (1, 2), (2, 3)] {
+        let mut w = yv_store::codec::Writer::new();
+        w.str("resolve").unwrap();
+        w.u8(0);
+        w.u64(epoch);
+        w.u8(1);
+        w.u8(0);
+        w.u64(count);
+        for ns in [0, 0, 0] {
+            w.u64(ns);
+        }
+        history.extend(yv_store::framed::encode(1, &[], &w.into_bytes()).unwrap());
+    }
+    let planted = telemetry_a.join("telemetry.yvt");
+    std::fs::write(&planted, &history).unwrap();
+    let restarted = drive(Store::open(&dir_a).unwrap(), &telemetry_a, false);
+    assert!(
+        restarted.starts_with("OK history metric=resolve window=5 now_epoch=0 buckets=0\n"),
+        "{restarted}"
+    );
+    assert_eq!(std::fs::read(&planted).unwrap(), history, "telemetry.yvt must be left as it was");
+}
+
+/// Serve a fresh store with `rules` as its `--slo` set. Returns the error
+/// `serve` refused with, or `None` if it started serving (it is then shut
+/// down).
+fn serve_with_slo(tag: &str, rules: &[&str]) -> Option<yv_store::StoreError> {
+    let dir = ScratchDir::new(tag);
+    let store = Store::create(&dir, trained_resolver(150, 55), 1).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let rules = rules.iter().map(|spec| yv_obs::SloRule::parse(spec).unwrap()).collect();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let _ = tx.send(ServeOptions::new(store).slo(rules).serve(listener).err());
+    });
+    let refused = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap_or_else(|_| {
+        Client::connect(addr).unwrap().shutdown().unwrap();
+        None
+    });
+    server.join().unwrap();
+    refused
+}
+
+/// An SLO rule on a metric the server does not window could never be
+/// evaluated and would publish no gauge: `serve` refuses it, naming the
+/// command kinds.
+#[test]
+fn an_slo_rule_on_an_unknown_metric_is_refused() {
+    let err = serve_with_slo("slo-unknown", &["querry:p99<5000/60"]).expect("refused");
+    assert!(matches!(&err, yv_store::StoreError::UnknownSloMetric { metric } if metric == "querry"));
+    let message = err.to_string();
+    assert!(message.contains("query, resolve, add"), "{message}");
+    assert!(message.ends_with("snapshot or shutdown)"), "{message}");
+}
+
+/// Two SLO rules on one metric would overwrite each other's
+/// `yv_slo_<metric>_*` gauges: `serve` refuses the pair.
+#[test]
+fn two_slo_rules_on_one_metric_are_refused() {
+    let err = serve_with_slo("slo-duplicate", &["query:p99<5000/60", "query:p50<500/30"])
+        .expect("refused");
+    assert!(matches!(&err, yv_store::StoreError::DuplicateSloMetric { metric } if metric == "query"));
+    assert!(err.to_string().contains("query, resolve, add"), "{err}");
 }
 
 #[test]
