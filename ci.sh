@@ -8,6 +8,12 @@ cargo build --release
 # member (`default-members` in Cargo.toml); --workspace adds the vendored
 # stubs' own tests, so one run gates both.
 cargo test --workspace -q
+# The allocation guards are the one test binary whose assertions read
+# process-wide state (the counting allocator), so a flake there would hide
+# in a single run: run it ten times and stop at the first failure.
+for _ in $(seq 1 10); do
+    cargo test -q -p yv-cli --test alloc_guards > /dev/null
+done
 # yv-benchmark is a package of its own, outside the workspace, driving the
 # product crates' public APIs (`extract`, `AdTree::score`,
 # `Pipeline::score_pair`/`resolve_recorded`, the string kernels, the store,

@@ -290,6 +290,11 @@ pub fn serve(args: &Args) -> CliResult {
         })?),
         None => None,
     };
+    let telemetry_dir = args.get("telemetry-dir").map(std::path::PathBuf::from);
+    if telemetry_dir.is_some() && slow_us.is_none() {
+        let refusal = "option --telemetry-dir: needs --slow-us (it only holds that log)";
+        return Err(refusal.to_owned());
+    }
     let trace_ring: usize = args
         .parse_or("trace-ring", yv_store::DEFAULT_TRACE_CAPACITY, "integer")
         .map_err(err)?;
@@ -304,7 +309,6 @@ pub fn serve(args: &Args) -> CliResult {
             .collect::<Result<Vec<_>, String>>()?,
         None => Vec::new(),
     };
-    let telemetry_dir = args.get("telemetry-dir").map(std::path::PathBuf::from);
     let store = open_or_bootstrap(args, std::path::Path::new(dir))?;
     let stats = store.stats();
     let listener = std::net::TcpListener::bind(addr).map_err(err)?;
@@ -820,6 +824,19 @@ mod tests {
         assert!(!rendered.contains("windows ("), "{rendered}");
         assert!(rendered.contains("slo query"), "{rendered}");
         assert_eq!(render_top_history(&[]), "");
+    }
+
+    #[test]
+    fn telemetry_dir_without_slow_us_is_refused_before_the_store_opens() {
+        let dir = std::env::temp_dir().join(format!("yv_cli_serve_test_{}", std::process::id()));
+        let dir_str = dir.to_string_lossy().into_owned();
+        let args = args_for(&[
+            "serve", "--dir", &dir_str, "--records", "200", "--addr", "256.0.0.1:0",
+            "--telemetry-dir", &dir_str,
+        ]);
+        let refusal = serve(&args).unwrap_err();
+        assert!(refusal.contains("--telemetry-dir"), "{refusal}");
+        assert!(!dir.exists(), "{} was created before the refusal", dir.display());
     }
 
     #[test]

@@ -83,7 +83,7 @@ SERVING OPTIONS:
     --no-trace          disable request-trace capture entirely
     --telemetry-dir DIR with --slow-us, write the slow-request log to
                         DIR/slow.jsonl instead of stderr (size-capped, one
-                        old generation kept)
+                        old generation kept); refused without --slow-us
     --slo RULES         comma-separated burn-rate rules, each
                         [metric:]pQQ<MICROS/WINDOW (e.g. query:p99<50000/60),
                         at most one per command kind; evaluated live as

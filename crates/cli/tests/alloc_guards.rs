@@ -1,29 +1,82 @@
-//! Allocation guards for the per-name hot loops: pair scoring must not
-//! touch the heap (the generator's names are ASCII plus the odd Latin
-//! diacritic; only a capital sigma or a name past 64 characters would),
-//! the query index's vocabulary scan allocates for the names it matches,
-//! not for the names it scans, `RESOLVE`'s q-gram candidate scan
-//! allocates the same however many names it examines, and filing a record
-//! whose items are all known allocates its bag, not a string per item.
+//! Allocation guards, each holding a hot path to an allocator-call or
+//! heap-growth bound under the counting allocator (the default
+//! `alloc-metrics` feature, as in the shipped `yv`):
 //!
-//! One test binary of their own: the counting allocator (the default
-//! `alloc-metrics` feature, as in the shipped `yv`) is process-wide, so
-//! the tests take turns and nothing else runs beside a measured section.
+//! - pair scoring must not touch the heap (the generator's names are ASCII
+//!   plus the odd Latin diacritic; only a capital sigma or a name past 64
+//!   characters would);
+//! - the query index's vocabulary scan allocates for the names it matches,
+//!   not for the names it scans;
+//! - `RESOLVE`'s q-gram candidate scan allocates the same however many
+//!   names it examines;
+//! - filing a record whose items are all known allocates its bag, not a
+//!   string per item;
+//! - blocking (mining, support, scoring and the NG filter) allocates per
+//!   result — one itemset per MFI, two vectors per kept block, plus buffer
+//!   growth — not per block considered or record pair scored;
+//! - the frame reader buffers the bytes that arrived, not the length the
+//!   header claimed, so a peer that sends a header and goes quiet cannot
+//!   pin `MAX_PAYLOAD` per worker.
+//!
+//! The counter is process-wide, so this binary has no test harness: `main`
+//! runs the guards one after another on its own thread, and no other
+//! thread runs (or prints a result) beside a measured section. It prints
+//! libtest's `test <name> ... ok` lines, takes name filters as arguments
+//! and lists its guards with `--list`.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use yv_blocking::mfi_blocks;
+use yv_blocking::score::block_score;
+use yv_blocking::{mfi_blocks, MfiBlocksConfig, ScoreFunction};
 use yv_core::{PersonQuery, Pipeline, PipelineConfig};
 use yv_datagen::{tag_pairs, GenConfig};
 use yv_records::{
     Dataset, DateParts, Gender, GeoPoint, Place, PlaceType, RecordBuilder, RecordId, Source,
     SourceId,
 };
-use yv_store::{QueryIndex, ResolveOptions};
+use yv_store::frame::read_raw_frame;
+use yv_store::{QueryIndex, ResolveOptions, StoreError, MAX_PAYLOAD};
 
-/// Held by each test for its whole run.
-fn measuring_alone() -> MutexGuard<'static, ()> {
-    static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+/// `(name, guard)` pairs, in the order `main` runs them.
+macro_rules! named {
+    ($($guard:ident),* $(,)?) => { [$((stringify!($guard), $guard as fn())),*] };
+}
+
+const GUARDS: [(&str, fn()); 6] = named![
+    score_pair_does_not_allocate,
+    query_seeds_allocate_per_match_not_per_name,
+    candidate_scans_allocate_the_same_whatever_they_examine,
+    filing_a_record_of_known_items_allocates_its_bag,
+    blocking_allocates_per_result_not_per_candidate,
+    a_claimed_length_is_not_allocated_before_its_bytes_arrive,
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let filters: Vec<&str> =
+        args.iter().map(String::as_str).filter(|arg| !arg.starts_with('-')).collect();
+    let selected: Vec<_> = GUARDS
+        .iter()
+        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| name.contains(f)))
+        .collect();
+    if args.iter().any(|arg| arg == "--list") {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        return;
+    }
+    if !yv_obs::alloc_stats().enabled {
+        println!("built with --no-default-features: nothing counts allocations, no guard ran");
+        return;
+    }
+    println!("\nrunning {} tests", selected.len());
+    for (name, guard) in &selected {
+        guard();
+        println!("test {name} ... ok");
+    }
+    println!(
+        "\ntest result: ok. {} passed; 0 failed; 0 ignored; 0 measured; {} filtered out\n",
+        selected.len(),
+        GUARDS.len() - selected.len()
+    );
 }
 
 /// Allocation calls made by `f`.
@@ -33,13 +86,7 @@ fn alloc_calls(f: impl FnOnce()) -> u64 {
     yv_obs::alloc_stats().alloc_calls - before
 }
 
-#[test]
 fn score_pair_does_not_allocate() {
-    let _turn = measuring_alone();
-    if !yv_obs::alloc_stats().enabled {
-        // Built with --no-default-features: nothing counts allocations.
-        return;
-    }
     let gen = GenConfig::random(700, 41).generate();
     let ds = &gen.dataset;
     let config = PipelineConfig::default();
@@ -68,12 +115,7 @@ fn score_pair_does_not_allocate() {
     );
 }
 
-#[test]
 fn query_seeds_allocate_per_match_not_per_name() {
-    let _turn = measuring_alone();
-    if !yv_obs::alloc_stats().enabled {
-        return;
-    }
     // One query — the first generated person's names — against a small
     // and a ten-times larger vocabulary.
     let small = GenConfig::random(200, 41).generate().dataset;
@@ -105,12 +147,7 @@ fn query_seeds_allocate_per_match_not_per_name() {
     assert!(vocabularies.iter().all(|&(_, matched)| matched > 0), "{vocabularies:?}");
 }
 
-#[test]
 fn candidate_scans_allocate_the_same_whatever_they_examine() {
-    let _turn = measuring_alone();
-    if !yv_obs::alloc_stats().enabled {
-        return;
-    }
     let bound = ResolveOptions::default().bound;
     let mut readings = Vec::new();
     for fillers in [10, 1_000] {
@@ -124,18 +161,10 @@ fn candidate_scans_allocate_the_same_whatever_they_examine() {
         }
         let index = QueryIndex::build(&ds);
         let mut found = (0, 0);
-        // The test harness's own thread may allocate inside one window
-        // (reporting the previous test); that only adds, so the least of
-        // three readings is the scan's.
-        let calls = (0..3)
-            .map(|_| {
-                alloc_calls(|| {
-                    let (names, stats) = index.fuzzy().candidates("levi", bound);
-                    found = (names.len(), stats.examined);
-                })
-            })
-            .min()
-            .unwrap_or(u64::MAX);
+        let calls = alloc_calls(|| {
+            let (names, stats) = index.fuzzy().candidates("levi", bound);
+            found = (names.len(), stats.examined);
+        });
         readings.push((calls, found));
     }
     assert_eq!(readings[0].1, (1, 11), "{readings:?}");
@@ -143,12 +172,7 @@ fn candidate_scans_allocate_the_same_whatever_they_examine() {
     assert_eq!(readings[0].0, readings[1].0, "allocator calls differ: {readings:?}");
 }
 
-#[test]
 fn filing_a_record_of_known_items_allocates_its_bag() {
-    let _turn = measuring_alone();
-    if !yv_obs::alloc_stats().enabled {
-        return;
-    }
     let mut ds = Dataset::new();
     let source = ds.add_source(Source::list(SourceId(0), "list"));
     // Every kind of item itemize interns: names, codes, the three date
@@ -182,4 +206,46 @@ fn filing_a_record_of_known_items_allocates_its_bag() {
         assert!(calls <= 3, "add_record of known items made {calls} allocator calls");
     }
     assert_eq!(ds.interner().len(), items);
+}
+
+fn blocking_allocates_per_result_not_per_candidate() {
+    let gen = GenConfig::random(2_000, 10).generate();
+    let ds = &gen.dataset;
+
+    let mut result = None;
+    let blocking = alloc_calls(|| result = Some(mfi_blocks(ds, &MfiBlocksConfig::default())));
+    let result = result.expect("the closure ran");
+    // The pointer-based miner and per-block vectors made 207 711 calls
+    // here (2 251 MFIs, 785 kept blocks, 4 709 pairs).
+    assert!(blocking <= 40_000, "mfi_blocks made {blocking} allocator calls");
+
+    let blocks: Vec<_> = result.blocks.iter().cycle().take(1_000).collect();
+    let mut total = 0.0;
+    let scoring = alloc_calls(|| {
+        for block in &blocks {
+            total += block_score(ds, &block.records, &ScoreFunction::Jaccard);
+        }
+    });
+    assert!(total.is_finite());
+    assert_eq!(scoring, 0, "block_score allocated {scoring} times over {} blocks", blocks.len());
+}
+
+fn a_claimed_length_is_not_allocated_before_its_bytes_arrive() {
+    let mut bytes = vec![1u8];
+    bytes.extend_from_slice(&MAX_PAYLOAD.to_le_bytes());
+    bytes.extend_from_slice(&[0xab; 16]);
+    let mut stream = std::io::Cursor::new(bytes);
+
+    let live = yv_obs::alloc_stats().live_bytes;
+    yv_obs::reset_peak();
+    let outcome = read_raw_frame(&mut stream);
+    let grown = yv_obs::alloc_stats().peak_bytes.saturating_sub(live);
+
+    match outcome {
+        Err(StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("torn frame") && msg.contains("mid-payload"), "{msg}");
+        }
+        other => panic!("expected a torn-frame error, got {other:?}"),
+    }
+    assert!(grown < 1024 * 1024, "a 16-byte body grew the heap by {grown} bytes");
 }

@@ -51,16 +51,14 @@ pub mod narrative;
 pub mod pipeline;
 pub mod probabilistic;
 pub mod query;
-pub mod submitters;
 pub mod resolution;
 
 pub use conditions::Condition;
 pub use granularity::Granularity;
 pub use incremental::{IncrementalConfig, IncrementalResolver};
 pub use model::{RankedMatch, SoftCluster};
-pub use narrative::{KnowledgeGraph, PersonProfile};
+pub use narrative::PersonProfile;
 pub use pipeline::{build_train_set, Pipeline, PipelineConfig};
-pub use probabilistic::{PlattCalibration, SameAsStore};
+pub use probabilistic::PlattCalibration;
 pub use query::{PersonQuery, QueryHit};
-pub use submitters::{resolve_submitters, SubmitterCluster, SubmitterResolutionConfig};
 pub use resolution::{EntityMap, Resolution};

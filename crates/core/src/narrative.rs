@@ -1,11 +1,10 @@
 //! Narrative construction — the project's end goal (Section 1: "a
 //! stepping stone towards automatically creating narratives for each
-//! entity in the database", and Figure 2's knowledge graph of Guido Foa).
+//! entity in the database").
 //!
 //! Given a resolved entity (a set of records believed to describe one
 //! person), this module merges the records into a consolidated
-//! [`PersonProfile`], builds the Figure 2-style [`KnowledgeGraph`] of
-//! typed nodes and edges, and renders a short textual narrative. Conflicts
+//! [`PersonProfile`] and renders a short textual narrative. Conflicts
 //! between sources are not hidden: every merged attribute keeps the count
 //! of supporting records, and disagreeing values are listed side by side —
 //! the uncertain-ER philosophy carried into the narrative layer.
@@ -175,77 +174,6 @@ impl PersonProfile {
     }
 }
 
-/// Node kinds of the Figure 2-style knowledge graph.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Node {
-    Person(String),
-    Place(String),
-    Year(i32),
-}
-
-/// Typed, directed edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Relation {
-    FatherOf,
-    MotherOf,
-    SpouseOf,
-    BornIn,
-    BornOn,
-    LivedIn,
-    DiedIn,
-}
-
-/// A small typed knowledge graph for one entity.
-#[derive(Debug, Clone, Default)]
-pub struct KnowledgeGraph {
-    pub edges: Vec<(Node, Relation, Node)>,
-}
-
-impl KnowledgeGraph {
-    /// Build the graph from a profile: one central person node plus
-    /// best-attested relatives, places and dates.
-    #[must_use]
-    pub fn from_profile(profile: &PersonProfile) -> KnowledgeGraph {
-        let mut edges = Vec::new();
-        let Some(center_name) = profile.display_name() else {
-            return KnowledgeGraph { edges };
-        };
-        let center = Node::Person(center_name);
-        if let Some(f) = profile.father_names.first() {
-            edges.push((Node::Person(f.value.clone()), Relation::FatherOf, center.clone()));
-        }
-        if let Some(m) = profile.mother_names.first() {
-            edges.push((Node::Person(m.value.clone()), Relation::MotherOf, center.clone()));
-        }
-        if let Some(s) = profile.spouse_names.first() {
-            edges.push((center.clone(), Relation::SpouseOf, Node::Person(s.value.clone())));
-        }
-        if let Some(y) = profile.birth_years.first() {
-            edges.push((center.clone(), Relation::BornOn, Node::Year(y.value)));
-        }
-        if let Some(p) = profile.birth_places.first() {
-            edges.push((center.clone(), Relation::BornIn, Node::Place(p.value.clone())));
-        }
-        if let Some(p) = profile.permanent_places.first() {
-            edges.push((center.clone(), Relation::LivedIn, Node::Place(p.value.clone())));
-        }
-        if let Some(p) = profile.death_places.first() {
-            edges.push((center, Relation::DiedIn, Node::Place(p.value.clone())));
-        }
-        KnowledgeGraph { edges }
-    }
-
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-}
-
 fn capitalize(s: &str) -> String {
     s.split_whitespace()
         .map(|w| {
@@ -330,31 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn knowledge_graph_mirrors_figure2() {
-        let (ds, entity) = guido_entity();
-        let profile = PersonProfile::build(&ds, &entity);
-        let graph = KnowledgeGraph::from_profile(&profile);
-        assert!(graph.len() >= 6);
-        assert!(graph
-            .edges
-            .iter()
-            .any(|(s, r, _)| *r == Relation::FatherOf && *s == Node::Person("donato".into())));
-        assert!(graph
-            .edges
-            .iter()
-            .any(|(_, r, o)| *r == Relation::DiedIn && *o == Node::Place("auschwitz".into())));
-        assert!(graph
-            .edges
-            .iter()
-            .any(|(_, r, o)| *r == Relation::BornOn && *o == Node::Year(1920)));
-    }
-
-    #[test]
     fn empty_entity_yields_empty_artifacts() {
         let ds = Dataset::new();
         let profile = PersonProfile::build(&ds, &[]);
         assert_eq!(profile.display_name(), None);
-        assert!(KnowledgeGraph::from_profile(&profile).is_empty());
         assert!(profile.narrative().to_lowercase().contains("unnamed victim"));
     }
 

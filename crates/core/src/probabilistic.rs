@@ -1,26 +1,15 @@
-//! The probabilistic-database view of uncertain ER (Section 3.2).
+//! Match probabilities for ranked matches (Section 3.2).
 //!
 //! "Several recent works have advocated for the use of probabilistic
 //! databases to represent the multiple views of the outcome of entity
 //! resolution … pairwise comparisons can be reasoned about and stored in a
 //! probabilistic database, thus effectively retaining all matching
 //! information, and adding a *same-as* uncertain semantic relation between
-//! entities. With such models, entities can be resolved at query time or
-//! alternative solutions can be presented, ranked according to some
-//! measure of likelihood."
+//! entities."
 //!
-//! This module implements that representation on top of the ranked
-//! resolution: ADT confidence scores are calibrated into match
-//! probabilities with a Platt-style logistic fit, stored as uncertain
-//! *same-as* edges, and queried under possible-worlds semantics (each edge
-//! an independent Bernoulli; co-reference of two records = connectivity in
-//! the sampled world, estimated by seeded Monte Carlo).
-
-use crate::model::RankedMatch;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use yv_records::RecordId;
+//! This module holds the first step of that representation: ADT confidence
+//! scores are calibrated into match probabilities with a Platt-style
+//! logistic fit.
 
 /// A Platt-style calibration `P(match | score) = σ(a·score + b)`, fitted
 /// by Newton-Raphson on labelled scores.
@@ -92,129 +81,9 @@ impl PlattCalibration {
     }
 }
 
-/// The uncertain *same-as* relation: pairwise match probabilities queried
-/// under possible-worlds semantics.
-#[derive(Debug, Clone, Default)]
-pub struct SameAsStore {
-    edges: HashMap<(RecordId, RecordId), f64>,
-    /// Adjacency for world sampling.
-    neighbors: HashMap<RecordId, Vec<(RecordId, f64)>>,
-}
-
-impl SameAsStore {
-    /// Build from ranked matches and a calibration.
-    #[must_use]
-    pub fn from_matches(matches: &[RankedMatch], calibration: &PlattCalibration) -> SameAsStore {
-        let mut store = SameAsStore::default();
-        for m in matches {
-            store.insert(m.a, m.b, calibration.probability(m.score));
-        }
-        store
-    }
-
-    /// Insert or update an uncertain same-as edge.
-    pub fn insert(&mut self, a: RecordId, b: RecordId, probability: f64) {
-        let p = probability.clamp(0.0, 1.0);
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        self.edges.insert((a, b), p);
-        self.neighbors.entry(a).or_default().push((b, p));
-        self.neighbors.entry(b).or_default().push((a, p));
-    }
-
-    /// Number of uncertain edges.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Direct edge probability, if the pair was ever compared.
-    #[must_use]
-    pub fn direct(&self, a: RecordId, b: RecordId) -> Option<f64> {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.edges.get(&key).copied()
-    }
-
-    /// Possible-worlds co-reference probability: the probability that `a`
-    /// and `b` are connected when every edge materializes independently
-    /// with its stored probability. Estimated by `samples` seeded Monte
-    /// Carlo world draws (exact inference is #P-hard).
-    #[must_use]
-    pub fn same_entity_probability(
-        &self,
-        a: RecordId,
-        b: RecordId,
-        samples: u32,
-        seed: u64,
-    ) -> f64 {
-        if a == b {
-            return 1.0;
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut connected = 0u32;
-        let mut stack = Vec::new();
-        let mut visited: HashMap<RecordId, bool> = HashMap::new();
-        for _ in 0..samples {
-            // Sample lazily: walk from `a`, flipping each incident edge
-            // once per world.
-            let mut edge_state: HashMap<(RecordId, RecordId), bool> = HashMap::new();
-            visited.clear();
-            stack.clear();
-            stack.push(a);
-            visited.insert(a, true);
-            let mut reached = false;
-            while let Some(cur) = stack.pop() {
-                if cur == b {
-                    reached = true;
-                    break;
-                }
-                if let Some(ns) = self.neighbors.get(&cur) {
-                    for &(next, p) in ns {
-                        if visited.contains_key(&next) {
-                            continue;
-                        }
-                        let key = if cur <= next { (cur, next) } else { (next, cur) };
-                        let up = *edge_state.entry(key).or_insert_with(|| rng.gen_bool(p));
-                        if up {
-                            visited.insert(next, true);
-                            stack.push(next);
-                        }
-                    }
-                }
-            }
-            if reached {
-                connected += 1;
-            }
-        }
-        f64::from(connected) / f64::from(samples.max(1))
-    }
-
-    /// The most likely resolution: entities formed by edges with
-    /// probability ≥ 0.5 (the maximum-probability world under independent
-    /// edges, restricted to connectivity).
-    #[must_use]
-    pub fn most_likely_entities(&self) -> Vec<Vec<RecordId>> {
-        let matches: Vec<RankedMatch> = self
-            .edges
-            .iter()
-            .filter(|&(_, &p)| p >= 0.5)
-            .map(|(&(a, b), &p)| RankedMatch::new(a, b, p))
-            .collect();
-        crate::resolution::Resolution::new(matches, vec![]).entities(0.5)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rid(i: u32) -> RecordId {
-        RecordId(i)
-    }
 
     #[test]
     fn calibration_is_monotone_and_bounded() {
@@ -242,74 +111,5 @@ mod tests {
         assert_eq!(PlattCalibration::fit(&[]), PlattCalibration::default());
         let all_pos: Vec<(f64, bool)> = (0..10).map(|i| (f64::from(i), true)).collect();
         assert_eq!(PlattCalibration::fit(&all_pos), PlattCalibration::default());
-    }
-
-    #[test]
-    fn direct_edges_round_trip() {
-        let mut store = SameAsStore::default();
-        store.insert(rid(2), rid(1), 0.8);
-        assert_eq!(store.direct(rid(1), rid(2)), Some(0.8));
-        assert_eq!(store.direct(rid(2), rid(1)), Some(0.8));
-        assert_eq!(store.direct(rid(1), rid(3)), None);
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn certain_chain_connects_with_probability_one() {
-        let mut store = SameAsStore::default();
-        store.insert(rid(0), rid(1), 1.0);
-        store.insert(rid(1), rid(2), 1.0);
-        let p = store.same_entity_probability(rid(0), rid(2), 200, 7);
-        assert!((p - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn impossible_pairs_have_probability_zero() {
-        let mut store = SameAsStore::default();
-        store.insert(rid(0), rid(1), 1.0);
-        let p = store.same_entity_probability(rid(0), rid(9), 100, 7);
-        assert_eq!(p, 0.0);
-    }
-
-    #[test]
-    fn transitive_paths_add_probability() {
-        // a-b direct at 0.5; plus a-c-b path at 0.9*0.9: the union beats
-        // the direct edge alone.
-        let mut direct_only = SameAsStore::default();
-        direct_only.insert(rid(0), rid(1), 0.5);
-        let p_direct = direct_only.same_entity_probability(rid(0), rid(1), 4000, 11);
-
-        let mut with_path = SameAsStore::default();
-        with_path.insert(rid(0), rid(1), 0.5);
-        with_path.insert(rid(0), rid(2), 0.9);
-        with_path.insert(rid(2), rid(1), 0.9);
-        let p_both = with_path.same_entity_probability(rid(0), rid(1), 4000, 11);
-        assert!(
-            p_both > p_direct + 0.1,
-            "transitive evidence must raise the probability: {p_direct} -> {p_both}"
-        );
-        // Theoretical value: 1 - (1-0.5)(1-0.81) = 0.905.
-        assert!((p_both - 0.905).abs() < 0.05, "got {p_both}");
-    }
-
-    #[test]
-    fn sampling_is_deterministic_per_seed() {
-        let mut store = SameAsStore::default();
-        store.insert(rid(0), rid(1), 0.37);
-        let p1 = store.same_entity_probability(rid(0), rid(1), 500, 3);
-        let p2 = store.same_entity_probability(rid(0), rid(1), 500, 3);
-        assert_eq!(p1, p2);
-    }
-
-    #[test]
-    fn most_likely_entities_use_majority_edges() {
-        let mut store = SameAsStore::default();
-        store.insert(rid(0), rid(1), 0.9);
-        store.insert(rid(1), rid(2), 0.2);
-        store.insert(rid(3), rid(4), 0.6);
-        let entities = store.most_likely_entities();
-        assert!(entities.contains(&vec![rid(0), rid(1)]));
-        assert!(entities.contains(&vec![rid(3), rid(4)]));
-        assert!(!entities.iter().any(|e| e.contains(&rid(2))));
     }
 }

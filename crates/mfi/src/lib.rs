@@ -1,9 +1,10 @@
 //! # yv-mfi
 //!
-//! Frequent-itemset mining for MFIBlocks: an FP-tree / FP-Growth
-//! implementation with direct **maximal** frequent itemset extraction
-//! (FPMax-style pruning), plus the frequent-item pruning used by the
-//! performance study of Section 6.3.
+//! Maximal frequent-itemset mining for MFIBlocks: an FP-tree with direct
+//! **maximal** frequent itemset extraction (FPMax-style pruning), plus the
+//! frequent-item pruning used by the performance study of Section 6.3.
+//! The crate mines maximal sets only; enumerating every frequent itemset is
+//! left to the test oracle.
 //!
 //! The paper uses Borgelt's FP-Growth [6] to mine MFIs (maximal frequent
 //! itemsets, Section 4.1.1): an itemset `I` is *frequent* when at least
@@ -37,13 +38,11 @@
     clippy::unimplemented
 )]
 
-pub mod fpgrowth;
 pub mod fptree;
 pub mod maximal;
 pub mod prune;
 #[cfg(test)]
 mod reference;
 
-pub use fpgrowth::mine_frequent;
 pub use maximal::{mine_maximal, signature, Itemset};
 pub use prune::{common_items, item_frequencies, prune_common_items, top_frequent};

@@ -194,7 +194,7 @@ fn fpmax(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fpgrowth::mine_frequent;
+    use crate::reference::mine_frequent;
     use std::collections::BTreeSet;
 
     /// Reference maximality filter over the complete FI list.
@@ -388,7 +388,7 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(2000))]
-            /// The array-based miners against the pointer-based ones they
+            /// The array-based miner against the pointer-based one it
             /// replaced.
             #[test]
             fn agrees_with_the_pointer_miner(bags in bags(), minsup in 1u64..5) {
@@ -396,14 +396,6 @@ mod tests {
                     mine_maximal(&bags, minsup),
                     crate::reference::mine_maximal(&bags, minsup)
                 );
-                // All-FI enumeration is exponential in the bag width: keep
-                // it to the levels where most sets are already infrequent.
-                if minsup >= 3 {
-                    prop_assert_eq!(
-                        mine_frequent(&bags, minsup),
-                        crate::reference::mine_frequent(&bags, minsup)
-                    );
-                }
             }
         }
     }

@@ -58,10 +58,9 @@ pub struct LatencySummary {
 }
 
 /// An immutable copy of a [`Histogram`]'s bucket counts and sum, taken in
-/// one pass. All derived statistics (count, mean, percentiles) computed
-/// from the same snapshot describe the same instant — unlike calling
-/// [`Histogram::count`] and [`Histogram::percentile_us`] back to back,
-/// which can interleave with concurrent `record_ns` calls.
+/// one pass. Every statistic of a histogram (count, mean, percentiles) is
+/// read from a snapshot, so statistics computed from the same snapshot
+/// describe the same instant even while other threads keep recording.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub counts: [u64; BUCKET_COUNT],
@@ -323,58 +322,6 @@ impl Histogram {
             min_ns: if raw_min == u64::MAX { 0 } else { raw_min },
         }
     }
-
-    /// Fold another histogram's samples into this one, bucket by bucket.
-    ///
-    /// Because both histograms share the same fixed bucket boundaries,
-    /// merging is exact: the merged quantiles equal the quantiles of the
-    /// concatenated sample stream (pinned by a property test). This lets
-    /// per-connection histograms be aggregated into a registry-owned one
-    /// without any locking on the recording hot path.
-    pub fn merge(&self, other: &Histogram) {
-        let snap = other.snapshot();
-        for (i, &n) in snap.counts.iter().enumerate() {
-            if n > 0 {
-                self.counts[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        if snap.sum_ns > 0 {
-            self.sum_ns.fetch_add(snap.sum_ns, Ordering::Relaxed);
-        }
-        // max of maxes == max of the concatenated stream, so the merge
-        // property below holds for max_us too; same for min of mins
-        // (empty histograms are neutral: their normalized 0 min must not
-        // poison the merged minimum).
-        self.max_ns.fetch_max(snap.max_ns, Ordering::Relaxed);
-        if snap.count() > 0 {
-            self.min_ns.fetch_min(snap.min_ns, Ordering::Relaxed);
-        }
-    }
-
-    /// Total samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.snapshot().count()
-    }
-
-    /// Mean latency in microseconds (0 before the first sample).
-    #[must_use]
-    pub fn mean_us(&self) -> u64 {
-        self.snapshot().mean_us()
-    }
-
-    /// The `q`-quantile (`0.0 < q <= 1.0`) as the upper bound of the
-    /// bucket holding that rank, in microseconds. 0 when empty.
-    #[must_use]
-    pub fn percentile_us(&self, q: f64) -> u64 {
-        self.snapshot().percentile_us(q)
-    }
-
-    /// Count / mean / p50 / p95 / p99 in one snapshot.
-    #[must_use]
-    pub fn summary(&self) -> LatencySummary {
-        self.snapshot().summary()
-    }
 }
 
 #[cfg(test)]
@@ -406,20 +353,20 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zeros() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean_us(), 0);
-        assert_eq!(h.percentile_us(0.5), 0);
-        assert_eq!(h.percentile_us(0.99), 0);
-        assert_eq!(h.summary(), LatencySummary::default());
-        assert_eq!(h.snapshot().min_ns, 0);
+        let snap = Histogram::new().snapshot();
+        assert_eq!(snap, HistogramSnapshot::default());
+        assert_eq!(snap.count(), 0);
+        assert_eq!(snap.mean_us(), 0);
+        assert_eq!(snap.percentile_us(0.5), 0);
+        assert_eq!(snap.percentile_us(0.99), 0);
+        assert_eq!(snap.summary(), LatencySummary::default());
     }
 
     #[test]
     fn single_sample_sets_every_percentile() {
         let h = Histogram::new();
         h.record_ns(3 * US); // bucket 2, bound 4µs
-        let s = h.summary();
+        let s = h.snapshot().summary();
         assert_eq!(s.count, 1);
         assert_eq!(s.p50_us, 4);
         assert_eq!(s.p95_us, 4);
@@ -433,20 +380,19 @@ mod tests {
     #[test]
     fn max_tracks_the_exact_worst_sample() {
         let h = Histogram::new();
-        assert_eq!(h.summary().max_us, 0);
+        assert_eq!(h.snapshot().summary().max_us, 0);
         for &ns in &[100 * US, 800 * US, 200 * US, 400 * US] {
             h.record_ns(ns);
         }
-        assert_eq!(h.summary().max_us, 800);
-        assert_eq!(h.snapshot().max_ns, 800 * US);
+        let snap = h.snapshot();
+        assert_eq!(snap.summary().max_us, 800);
+        assert_eq!(snap.max_ns, 800 * US);
         // Merging takes the max of maxes.
         let other = Histogram::new();
         other.record_ns(50 * US);
-        h.merge(&other);
-        assert_eq!(h.summary().max_us, 800);
+        assert_eq!(snap.merge(&other.snapshot()).summary().max_us, 800);
         other.record_ns(9_000 * US);
-        h.merge(&other);
-        assert_eq!(h.summary().max_us, 9_000);
+        assert_eq!(snap.merge(&other.snapshot()).summary().max_us, 9_000);
     }
 
     #[test]
@@ -455,14 +401,13 @@ mod tests {
         for &ns in &[100 * US, 30 * US, 400 * US] {
             h.record_ns(ns);
         }
-        assert_eq!(h.summary().min_us, 30);
-        // Merging an empty histogram must not reset the minimum.
-        h.merge(&Histogram::new());
-        assert_eq!(h.summary().min_us, 30);
+        let snap = h.snapshot();
+        assert_eq!(snap.summary().min_us, 30);
+        // Merging an empty snapshot must not reset the minimum.
+        assert_eq!(snap.merge(&HistogramSnapshot::default()).summary().min_us, 30);
         let faster = Histogram::new();
         faster.record_ns(7 * US);
-        h.merge(&faster);
-        assert_eq!(h.summary().min_us, 7);
+        assert_eq!(snap.merge(&faster.snapshot()).summary().min_us, 7);
     }
 
     #[test]
@@ -475,13 +420,14 @@ mod tests {
         for _ in 0..10 {
             h.record_ns(1_000_000_000);
         }
-        assert_eq!(h.count(), 100);
+        let snap = h.snapshot();
+        assert_eq!(snap.count(), 100);
         // p50 rank 50 -> fast bucket [8,16)µs, bound 16µs.
-        assert_eq!(h.percentile_us(0.50), 16);
+        assert_eq!(snap.percentile_us(0.50), 16);
         // p99 rank 99 -> slow bucket; 1s = 976_562µs in [2^19, 2^20)µs.
-        assert_eq!(h.percentile_us(0.99), 1 << 20);
+        assert_eq!(snap.percentile_us(0.99), 1 << 20);
         // p90 rank 90 still lands in the fast bucket.
-        assert_eq!(h.percentile_us(0.90), 16);
+        assert_eq!(snap.percentile_us(0.90), 16);
     }
 
     #[test]
@@ -490,8 +436,9 @@ mod tests {
         h.record_ns(US);
         h.record_ns(100 * US);
         // q=0 clamps to the first sample's bucket, q=1 to the last.
-        assert_eq!(h.percentile_us(0.0), 2);
-        assert_eq!(h.percentile_us(1.0), 128);
+        let snap = h.snapshot();
+        assert_eq!(snap.percentile_us(0.0), 2);
+        assert_eq!(snap.percentile_us(1.0), 128);
     }
 
     #[test]
@@ -507,37 +454,17 @@ mod tests {
             b.record_ns(ns);
             all.record_ns(ns);
         }
-        a.merge(&b);
-        assert_eq!(a.snapshot(), all.snapshot());
-        assert_eq!(a.summary(), all.summary());
+        assert_eq!(a.snapshot().merge(&b.snapshot()), all.snapshot());
     }
 
     #[test]
     fn merge_into_empty_copies_everything() {
         let src = Histogram::new();
         src.record_ns(10 * US);
-        let dst = Histogram::new();
-        dst.merge(&src);
-        assert_eq!(dst.snapshot(), src.snapshot());
-        // Merging an empty histogram changes nothing.
-        dst.merge(&Histogram::new());
-        assert_eq!(dst.snapshot(), src.snapshot());
-    }
-
-    #[test]
-    fn snapshot_statistics_match_live_statistics() {
-        let h = Histogram::new();
-        for i in 0..100u64 {
-            h.record_ns(i * US);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), h.count());
-        assert_eq!(snap.mean_us(), h.mean_us());
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(snap.percentile_us(q), h.percentile_us(q));
-        }
-        assert_eq!(snap.summary(), h.summary());
-        assert_eq!(HistogramSnapshot::default().summary(), LatencySummary::default());
+        let dst = HistogramSnapshot::default().merge(&src.snapshot());
+        assert_eq!(dst, src.snapshot());
+        // Merging an empty snapshot changes nothing.
+        assert_eq!(dst.merge(&HistogramSnapshot::default()), dst);
     }
 
     #[test]

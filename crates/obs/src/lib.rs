@@ -17,9 +17,10 @@
 //!   `ng_filter`), the pipeline records stage spans (`blocking`,
 //!   `extract`, `score`, `resolve`).
 //! - [`Histogram`] / [`Counter`] — lock-free fixed-bucket latency
-//!   histograms with p50/p95/p99 summaries, shared across `yv serve`
-//!   workers and reported per command kind in `STATS`. Histograms take
-//!   consistent [`HistogramSnapshot`]s and [`Histogram::merge`] exactly.
+//!   histograms, shared across `yv serve` workers and reported per command
+//!   kind in `STATS`. Every read goes through a consistent
+//!   [`HistogramSnapshot`], which carries the p50/p95/p99 summary and
+//!   merges exactly.
 //! - [`TraceCtx`] / [`TraceSink`] — request-scoped tracing: seeded
 //!   deterministic trace ids, single-owner per-request span capture
 //!   ([`RequestTrace`] is `Copy` and heap-free), and one mutexed capture

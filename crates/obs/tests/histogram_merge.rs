@@ -1,9 +1,9 @@
-//! Property: merging histograms is exact. Because every [`Histogram`]
-//! shares the same fixed power-of-two bucket boundaries, folding one
-//! histogram into another produces bucket counts identical to a histogram
-//! fed the concatenated sample stream — so merged quantiles equal the
-//! quantiles of the concatenation (well within the issue's one-bucket
-//! tolerance: the property holds exactly).
+//! Property: merging histogram snapshots is exact. Because every
+//! [`Histogram`] shares the same fixed power-of-two bucket boundaries,
+//! `HistogramSnapshot::merge` (the merge the windowed rollups run)
+//! produces bucket counts identical to a histogram fed the concatenated
+//! sample stream — so merged quantiles equal the quantiles of the
+//! concatenation exactly.
 
 #![allow(clippy::unwrap_used)]
 
@@ -29,26 +29,22 @@ proptest! {
         a in vec(0u64..5_000_000_000, 0..120),
         b in vec(0u64..5_000_000_000, 0..120),
     ) {
-        let left = fill(&a);
-        let right = fill(&b);
-        left.merge(&right);
+        let merged = fill(&a).snapshot().merge(&fill(&b).snapshot());
 
         let concatenated: Vec<u64> = a.iter().chain(b.iter()).copied().collect();
-        let reference = fill(&concatenated);
+        let reference = fill(&concatenated).snapshot();
 
         // Bucket-exact merge: identical snapshots...
-        prop_assert_eq!(left.snapshot(), reference.snapshot());
+        prop_assert_eq!(merged, reference);
         // ...hence identical quantiles at every rank.
         for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
             prop_assert_eq!(
-                left.percentile_us(q),
+                merged.percentile_us(q),
                 reference.percentile_us(q),
                 "q={}", q
             );
         }
-        prop_assert_eq!(left.summary(), reference.summary());
-        // The merge source is untouched.
-        prop_assert_eq!(right.snapshot(), fill(&b).snapshot());
+        prop_assert_eq!(merged.summary(), reference.summary());
     }
 
     /// Merge is commutative on the bucket level: a∪b == b∪a.
@@ -56,11 +52,8 @@ proptest! {
         a in vec(0u64..5_000_000_000, 0..80),
         b in vec(0u64..5_000_000_000, 0..80),
     ) {
-        let ab = fill(&a);
-        ab.merge(&fill(&b));
-        let ba = fill(&b);
-        ba.merge(&fill(&a));
-        prop_assert_eq!(ab.snapshot(), ba.snapshot());
+        let (a, b) = (fill(&a).snapshot(), fill(&b).snapshot());
+        prop_assert_eq!(a.merge(&b), b.merge(&a));
     }
 
     /// `sub` then `merge` round-trips a snapshot: for any prefix/window

@@ -1,6 +1,6 @@
 //! A live archive: bootstrap the resolver on the existing collection,
 //! then stream newly arriving Pages of Testimony through the incremental
-//! resolver and answer probabilistic same-as queries — the deployment
+//! resolver, printing each new match's calibrated probability — the deployment
 //! scenario of Section 7 ("Yad Vashem is actively engaged in integrating
 //! the results of the project into its databases").
 //!
@@ -8,7 +8,7 @@
 //! cargo run --example live_archive --release
 //! ```
 
-use yad_vashem_er::core::{IncrementalConfig, IncrementalResolver, PlattCalibration, SameAsStore};
+use yad_vashem_er::core::{IncrementalConfig, IncrementalResolver, PlattCalibration};
 use yad_vashem_er::prelude::*;
 
 fn main() {
@@ -56,41 +56,27 @@ fn main() {
         IncrementalConfig::default(),
     );
 
-    // Stream the remaining reports.
+    // Stream the remaining reports: every match a new report makes is
+    // printed with its calibrated probability next to the ground truth.
     let mut arrivals = 0;
     let mut matched_arrivals = 0;
-    let mut store = SameAsStore::from_matches(&resolver.resolution().matches, &calibration);
     for i in n_bootstrap..n_total {
         let record = generated.dataset.record(RecordId(i as u32)).clone();
         let new_matches = resolver.insert(record);
         arrivals += 1;
         if !new_matches.is_empty() {
             matched_arrivals += 1;
-            for m in &new_matches {
-                store.insert(m.a, m.b, calibration.probability(m.score));
-            }
         }
-    }
-    println!(
-        "Streamed {arrivals} arriving reports; {matched_arrivals} matched existing records \
-         ({} uncertain same-as edges stored)",
-        store.len()
-    );
-
-    // Probabilistic same-as queries over the store.
-    let entities = store.most_likely_entities();
-    println!("Most-likely world: {} multi-report entities", entities.len());
-    if let Some(entity) = entities.iter().find(|e| e.len() >= 3) {
-        println!("\nA {}-report entity under possible-worlds semantics:", entity.len());
-        for window in entity.windows(2) {
-            let p = store.same_entity_probability(window[0], window[1], 2_000, 99);
-            let truth = generated.is_match(window[0], window[1]);
+        for m in &new_matches {
+            let truth = generated.is_match(m.a, m.b);
             println!(
-                "  P(same person | all evidence)({:?}, {:?}) ≈ {p:.3}   [ground truth: {}]",
-                window[0],
-                window[1],
+                "  P(match)({:?}, {:?}) = {:.3}   [ground truth: {}]",
+                m.a,
+                m.b,
+                calibration.probability(m.score),
                 if truth { "same" } else { "different" }
             );
         }
     }
+    println!("Streamed {arrivals} arriving reports; {matched_arrivals} matched existing records");
 }
