@@ -447,21 +447,42 @@ grep -q "via binary BATCH_ADD x8" <<< "$fill_bin" || {
 }
 fill_text="$(cargo run -q --release -p yv-cli --bin yv -- \
     load --addr "$shard_addr" --adds 0)"
-# A crash, not a shutdown: the restart must replay every WAL frame the
-# STATS above counted, and find no torn tail (replay report, DESIGN.md §9).
-# An independent reader of the store formats (DESIGN.md §9 "Byte layer")
-# then parses snapshot.yvs and the four shard WALs by hand: every
-# checksum holds, and the seqs across the WALs are exactly
-# folded_seq..folded_seq+n-1 with n the frames replayed.
+# A crash, not a shutdown: the restart must replay every arrival the
+# STATS above counted, find no torn tail and score none of them again —
+# the page cache keeps the unsynced matches frames through a kill -9
+# (replay report, DESIGN.md §9). An independent reader of the store
+# formats (DESIGN.md §9 "Byte layer") then parses snapshot.yvs and the
+# four shard WALs by hand: every checksum holds, every matches payload
+# is in ranked order and follows its record frame, one per record frame,
+# and the seqs of the record and source frames across the WALs are
+# exactly folded_seq..folded_seq+n-1 with n the arrivals replayed.
+# The WAL sync count the server about to be killed exposes.
+syncs_before="$(python3 - "$shard_addr" <<'PYEOF'
+import socket, sys
+host, port = sys.argv[1].rsplit(":", 1)
+f = socket.create_connection((host, int(port)), timeout=10).makefile("rw", newline="\n")
+f.write("METRICS\n")
+f.flush()
+for line in iter(f.readline, ""):
+    if line.startswith("yv_store_wal_syncs_total "):
+        print(line.split()[-1])
+    if line.rstrip("\n") == ".":
+        break
+PYEOF
+)"
 kill -9 "$shard_pid"
 wait "$shard_pid" 2> /dev/null || true
 serve_on_shard_dir "$shard_log_crash"
 python3 - "$shard_addr" "$(grep -o ' wal=[0-9]*' <<< "$fill_text" | head -1)" \
-    "$store_dir/shards" <<'PYEOF'
+    "$store_dir/shards" "$syncs_before" <<'PYEOF'
 import glob, os, socket, struct, sys
 
 host, port = sys.argv[1].rsplit(":", 1)
 wal_before = int(sys.argv[2].split("=")[1])
+# yv_store_wal_syncs_total of the killed server: its ADDs and BATCH_ADDs
+# synced the WALs.
+syncs_before = int(sys.argv[4] or 0)
+assert syncs_before > 0, "the killed server's yv_store_wal_syncs_total is not > 0"
 sock = socket.create_connection((host, int(port)), timeout=10)
 f = sock.makefile("rw", newline="\n")
 f.write("METRICS\n")
@@ -485,7 +506,12 @@ assert wal_before > 0, "the fill left nothing in the WALs to replay"
 assert replayed == wal_before, f"reopen replayed {replayed} frames; STATS counted wal={wal_before}"
 assert gauge("yv_store_open_torn_bytes") == 0, "a killed idle server left a torn WAL tail"
 assert gauge("yv_store_open_replay_us") > 0, "a reopen that replayed frames took no time"
-print(f"replay report smoke: reopen after kill -9 replayed all {replayed} WAL frames, 0 torn bytes")
+rescored = gauge("yv_store_open_rescored")
+assert rescored == 0, f"a kill -9 lost {rescored} matches frames the page cache held"
+# Nothing has been appended since the reopen: the count starts at open.
+assert gauge("yv_store_wal_syncs_total") == 0, "a reopen that appended nothing synced a WAL"
+print(f"replay report smoke: reopen after kill -9 replayed all {replayed} WAL arrivals from"
+      f" their logged matches, 0 rescored, 0 torn bytes ({syncs_before} WAL syncs before the kill)")
 
 def fnv1a64(data):
     h = 0xCBF29CE484222325
@@ -504,15 +530,50 @@ assert len(snap) == 20 + snap_len + 8, f"snapshot.yvs: {len(snap)} bytes, header
 assert checksum == fnv1a64(snap[20:20 + snap_len]), "snapshot.yvs: checksum mismatch"
 (folded_seq,) = struct.unpack_from("<Q", snap, 20)
 
-# magic "YVWAL\0\0\0", u32 version 2, then frames of
-# tag u8 | seq u64 | len u32 | payload | fnv1a64(tag || seq || payload).
+def varint(data, pos):
+    """Unsigned LEB128, shortest form, at most 5 bytes for a u32."""
+    value = 0
+    for i in range(5):
+        byte = data[pos + i]
+        assert not (i == 4 and byte > 0x0F) and not (i > 0 and byte == 0), "malformed varint"
+        value |= (byte & 0x7F) << (7 * i)
+        if byte & 0x80 == 0:
+            return value, pos + i + 1
+    raise AssertionError("malformed varint")
+
+def check_matches(path, payload):
+    """u32 groups || (f64 score || varint n || n x varint gap)*: scores
+    strictly descending; a group's first gap is its first partner, each
+    later one the (positive) step to the next partner."""
+    (groups,) = struct.unpack_from("<I", payload, 0)
+    pos, last_score, partners = 4, None, []
+    for _ in range(groups):
+        (score,) = struct.unpack_from("<d", payload, pos)
+        assert last_score is None or score < last_score, f"{path}: scores not descending"
+        n, pos = varint(payload, pos + 8)
+        assert n > 0, f"{path}: empty match group"
+        partner = None
+        for _ in range(n):
+            gap, pos = varint(payload, pos)
+            assert partner is None or gap > 0, f"{path}: partners not ascending"
+            partner = gap if partner is None else partner + gap
+            partners.append(partner)
+        last_score = score
+    assert pos == len(payload), f"{path}: trailing bytes in a matches payload"
+    assert len(set(partners)) == len(partners), f"{path}: a partner listed twice"
+    return len(partners)
+
+# magic "YVWAL\0\0\0", u32 version 3, then frames of
+# tag u8 | seq u64 | len u32 | payload | fnv1a64(tag || seq || payload);
+# tag 1 = record, 2 = source, 3 = the matches of the record frame with
+# the same seq, earlier in the same file (DESIGN.md §9 "WAL format").
 paths = sorted(glob.glob(os.path.join(sys.argv[3], "wal.*.yvl")))
 assert len(paths) == 4, paths
-seqs = []
+seqs, records, matches_frames, partners = [], 0, 0, 0
 for path in paths:
     data = open(path, "rb").read()
-    assert data[:12] == b"YVWAL\0\0\0" + struct.pack("<I", 2), f"{path}: bad header"
-    pos = 12
+    assert data[:12] == b"YVWAL\0\0\0" + struct.pack("<I", 3), f"{path}: bad header"
+    pos, unmatched = 12, set()
     while pos < len(data):
         tag, seq, length = struct.unpack_from("<BQI", data, pos)
         end = pos + 13 + length
@@ -520,15 +581,27 @@ for path in paths:
         (checksum,) = struct.unpack_from("<Q", data, end)
         assert checksum == fnv1a64(data[pos:pos + 9] + data[pos + 13:end]), \
             f"{path}: checksum mismatch at byte {pos}"
-        assert tag in (1, 2), f"{path}: unknown entry tag {tag}"
-        seqs.append(seq)
+        assert tag in (1, 2, 3), f"{path}: unknown entry tag {tag}"
+        if tag == 3:
+            assert seq in unmatched, f"{path}: matches frame {seq} without its record frame"
+            unmatched.remove(seq)
+            matches_frames += 1
+            partners += check_matches(path, data[pos + 13:end])
+        else:
+            if tag == 1:
+                unmatched.add(seq)
+                records += 1
+            seqs.append(seq)
         pos = end + 8
+    assert not unmatched, f"{path}: record frames {sorted(unmatched)} have no matches frame"
 assert sorted(seqs) == list(range(folded_seq, folded_seq + len(seqs))), \
     f"WAL seqs are not exactly {folded_seq}..{folded_seq}+n"
-assert len(seqs) == replayed, f"{len(seqs)} frames on disk; reopen replayed {replayed}"
+assert len(seqs) == replayed, f"{len(seqs)} arrivals on disk; reopen replayed {replayed}"
+assert matches_frames == records > 0, f"{matches_frames} matches frames for {records} records"
 print(f"store reader smoke: snapshot.yvs (v3, {snap_len}-byte payload, folded_seq {folded_seq})"
-      f" and {len(paths)} shard WALs parsed by hand, {len(seqs) + 1} checksums hold,"
-      f" WAL seqs exactly {folded_seq}..{folded_seq + len(seqs) - 1}")
+      f" and {len(paths)} shard WALs (v3) parsed by hand,"
+      f" {len(seqs) + matches_frames + 1} checksums hold, one matches frame per record frame"
+      f" ({partners} partners), WAL seqs exactly {folded_seq}..{folded_seq + len(seqs) - 1}")
 PYEOF
 crash="$(cargo run -q --release -p yv-cli --bin yv -- \
     load --addr "$shard_addr" --shutdown)"

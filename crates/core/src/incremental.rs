@@ -199,9 +199,7 @@ impl IncrementalResolver {
         let mut pairs: Vec<(RecordId, RecordId)> = Vec::new();
         let mut ends = Vec::with_capacity(records.len());
         for record in records {
-            let rid = self.dataset.add_record(record);
-            // Extend postings for any newly interned items.
-            self.postings.resize(self.dataset.interner().len(), Vec::new());
+            let rid = self.file(record);
             let bag = self.dataset.bag(rid);
             let n = self.dataset.len();
             let cap = ((n as f64) * self.inc.common_fraction).ceil() as usize;
@@ -231,9 +229,7 @@ impl IncrementalResolver {
                 pairs.push((rid, other));
             }
             // Index the new record *after* candidate search (no self-pairs).
-            for &item in bag {
-                self.postings[item.index()].push(rid);
-            }
+            self.post(rid);
             ends.push(pairs.len());
         }
 
@@ -254,22 +250,56 @@ impl IncrementalResolver {
             new_matches.sort_by(|a, b| {
                 b.score.total_cmp(&a.score).then_with(|| (a.a, a.b).cmp(&(b.a, b.b)))
             });
-            // Grow the match list by an eighth when full, not by doubling:
-            // an arrival that shares evidence with many records adds
-            // hundreds of matches, this list is the resolver's largest once
-            // arrivals accumulate, and doubling it leaves up to half of it
-            // unused — room the incidence lists now need.
-            let spare = self.matches.capacity() - self.matches.len();
-            if spare < new_matches.len() {
-                self.matches.reserve_exact(new_matches.len().max(self.matches.len() / 8));
-            }
-            for &m in &new_matches {
-                self.matches.push(m);
-                self.index_match(self.matches.len() - 1);
-            }
+            self.append_matches(&new_matches);
             produced.push(new_matches);
         }
         produced
+    }
+
+    /// File one arriving record with matches it was already given — what
+    /// [`IncrementalResolver::insert_batch`] returned for it when it first
+    /// arrived, read back from a log — instead of scoring it: no candidate
+    /// walk, no scoring, no sort. Leaves the same state `insert_batch`
+    /// left. Every match must pair the arriving record, which gets the
+    /// next id, with a record already filed, in ranked order; the caller
+    /// checks that. Returns the record's id.
+    pub fn insert_logged(&mut self, record: Record, matches: &[RankedMatch]) -> RecordId {
+        let rid = self.file(record);
+        self.post(rid);
+        self.append_matches(matches);
+        rid
+    }
+
+    /// Add a record to the dataset and grow the postings for any items it
+    /// interned; returns its id.
+    fn file(&mut self, record: Record) -> RecordId {
+        let rid = self.dataset.add_record(record);
+        self.postings.resize(self.dataset.interner().len(), Vec::new());
+        rid
+    }
+
+    /// Post a filed record under each of its items.
+    fn post(&mut self, rid: RecordId) {
+        for &item in self.dataset.bag(rid) {
+            self.postings[item.index()].push(rid);
+        }
+    }
+
+    /// Append an arrival's ranked matches to the match list and index them.
+    fn append_matches(&mut self, new_matches: &[RankedMatch]) {
+        // Grow the match list by an eighth when full, not by doubling: an
+        // arrival that shares evidence with many records adds hundreds of
+        // matches, this list is the resolver's largest once arrivals
+        // accumulate, and doubling it leaves up to half of it unused —
+        // room the incidence lists now need.
+        let spare = self.matches.capacity() - self.matches.len();
+        if spare < new_matches.len() {
+            self.matches.reserve_exact(new_matches.len().max(self.matches.len() / 8));
+        }
+        for &m in new_matches {
+            self.matches.push(m);
+            self.index_match(self.matches.len() - 1);
+        }
     }
 
     /// Register a new source (a new victim list or submitter) so arriving

@@ -165,4 +165,63 @@ proptest! {
             }
         }
     }
+
+    /// Filing an arrival with the matches it was once given leaves what
+    /// scoring it left: the suffix filed through `insert_batch` at random
+    /// slice cuts, then the same records filed through `insert_logged`
+    /// with the matches `insert_batch` returned, give bit-identical
+    /// matches in the same order, and the same entities and best scores.
+    #[test]
+    fn logged_matches_replay_what_scoring_produced(
+        seed in 0u64..40,
+        holdout in 3usize..40,
+        cuts in proptest::collection::vec(0usize..40, 0..6),
+    ) {
+        let gen = GenConfig::random(150, seed).generate();
+        let config = PipelineConfig::default();
+        let pipeline = trained(&gen, &config);
+        let n = gen.dataset.len();
+        let holdout = holdout.min(n - 1);
+        let bootstrap = || {
+            IncrementalResolver::bootstrap(
+                clone_prefix(&gen.dataset, n - holdout),
+                pipeline.clone(),
+                config.clone(),
+                IncrementalConfig::default(),
+            )
+        };
+        let suffix: Vec<_> = gen.dataset.records()[n - holdout..].to_vec();
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (holdout + 1)).collect();
+        bounds.extend([0, holdout]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut scored = bootstrap();
+        let mut produced = Vec::new();
+        for run in bounds.windows(2) {
+            produced.extend(scored.insert_batch(suffix[run[0]..run[1]].to_vec()));
+        }
+        prop_assert!(produced.iter().any(|m| !m.is_empty()), "the arrivals must match something");
+
+        let mut logged = bootstrap();
+        for (record, matches) in suffix.iter().zip(&produced) {
+            logged.insert_logged(record.clone(), matches);
+        }
+
+        let bits = |r: &IncrementalResolver| -> Vec<(RecordId, RecordId, u64)> {
+            r.matches().iter().map(|m| (m.a, m.b, m.score.to_bits())).collect()
+        };
+        prop_assert_eq!(bits(&logged), bits(&scored), "slices {:?}", bounds);
+        prop_assert_eq!(logged.len(), scored.len());
+        for rid in scored.dataset().record_ids() {
+            prop_assert_eq!(logged.dataset().record(rid), scored.dataset().record(rid));
+            prop_assert_eq!(logged.best_score(rid).to_bits(), scored.best_score(rid).to_bits());
+            for at in [f64::NEG_INFINITY, 0.0, 0.8] {
+                prop_assert_eq!(logged.entity_of(rid, at), scored.entity_of(rid, at));
+            }
+        }
+        // Later arrivals see the logged ones as candidates exactly as they
+        // see the scored ones: the postings are the same.
+        let probe = gen.dataset.records()[n - holdout].clone();
+        prop_assert_eq!(logged.insert(probe.clone()), scored.insert(probe));
+    }
 }

@@ -315,6 +315,8 @@ pub struct StatsReport {
     pub shards: usize,
     pub wal_entries: usize,
     pub wal_bytes: u64,
+    /// WAL `sync_data` calls since the server's store was opened.
+    pub wal_syncs: u64,
     pub vocabulary: usize,
     pub fuzzy_names: usize,
     pub fuzzy_grams: usize,
@@ -1146,6 +1148,7 @@ fn parse_stats(status: &str, data: &[String]) -> Result<StatsReport, ClientError
         shards: field(status, "shards")?,
         wal_entries: field(status, "wal")?,
         wal_bytes: field(status, "wal_bytes")?,
+        wal_syncs: field(status, "wal_syncs")?,
         vocabulary: field(status, "vocabulary")?,
         fuzzy_names: field(status, "fuzzy_names")?,
         fuzzy_grams: field(status, "fuzzy_grams")?,
@@ -1414,7 +1417,7 @@ mod tests {
 
     #[test]
     fn stats_response_parses_shard_and_cmd_rows() {
-        let status = "OK records=7 sources=2 matches=9 shards=2 wal=1 wal_bytes=104 \
+        let status = "OK records=7 sources=2 matches=9 shards=2 wal=1 wal_bytes=104 wal_syncs=3 \
                       vocabulary=13 fuzzy_names=13 fuzzy_grams=48 fuzzy_postings=58 \
                       fuzzy_examined=21 fuzzy_pruned=6 errors=3";
         let data = vec![
@@ -1426,7 +1429,7 @@ mod tests {
         let report = parse_stats(status, &data).expect("well-formed");
         assert_eq!(report.records, 7);
         assert_eq!(report.shards, 2);
-        assert_eq!(report.wal_bytes, 104);
+        assert_eq!((report.wal_bytes, report.wal_syncs), (104, 3));
         assert_eq!(report.errors, 3);
         assert_eq!(report.shard_rows.len(), 2);
         assert_eq!(report.shard_rows[1].shard, 1);

@@ -81,6 +81,16 @@ impl Writer {
         self.u64(v.to_bits());
     }
 
+    /// Unsigned LEB128: seven bits a byte, low bits first, the high bit
+    /// set on every byte but the last — one byte below 128, at most five.
+    pub fn varint(&mut self, mut v: u32) {
+        while v >= 0x80 {
+            self.buf.push(v.to_le_bytes()[0] | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v.to_le_bytes()[0]);
+    }
+
     /// A u32 length or count prefix; one that does not fit is a typed
     /// error naming `what`, not a panic.
     pub fn len(&mut self, len: usize, what: &'static str) -> Result<(), StoreError> {
@@ -180,6 +190,24 @@ impl<'a> Reader<'a> {
 
     pub fn f64(&mut self, what: &str) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.u64(what)?))
+    }
+
+    /// A [`Writer::varint`]. Only the shortest encoding of a u32 is read:
+    /// a value past `u32::MAX`, a sixth byte or a redundant zero final
+    /// byte is corruption.
+    pub fn varint(&mut self, what: &str) -> Result<u32, StoreError> {
+        let mut v = 0u32;
+        for shift in [0, 7, 14, 21, 28] {
+            let byte = self.u8(what)?;
+            if (shift == 28 && byte > 0x0f) || (shift > 0 && byte == 0) {
+                return Err(StoreError::Corrupt(format!("malformed varint in {what}")));
+            }
+            v |= u32::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(StoreError::Corrupt(format!("malformed varint in {what}")))
     }
 
     pub fn str(&mut self, what: &str) -> Result<String, StoreError> {
@@ -399,6 +427,24 @@ mod tests {
     use super::*;
     use yv_records::field::PlaceType;
     use yv_records::RecordBuilder;
+
+    #[test]
+    fn varints_round_trip_in_their_shortest_form_only() {
+        let cases = [(0, 1), (1, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3), (u32::MAX, 5)];
+        for (v, len) in cases {
+            let mut w = Writer::new();
+            w.varint(v);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), len, "{v}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.varint("v").unwrap(), v);
+            r.finish("v").unwrap();
+        }
+        for bad in [&[0x80][..], &[0x80, 0x00], &[0xff, 0xff, 0xff, 0xff, 0x10], &[0xff; 6]] {
+            let read = Reader::new(bad).varint("v");
+            assert!(matches!(read, Err(StoreError::Corrupt(_))), "{bad:?}");
+        }
+    }
 
     fn full_record() -> Record {
         RecordBuilder::new(1_016_196, SourceId(3))

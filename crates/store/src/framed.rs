@@ -108,12 +108,17 @@ pub(crate) fn scan<T>(
 }
 
 /// An append-only log file: header, then frames — the handle under each
-/// shard's [`crate::wal::Wal`]. It tracks its own byte length, so `STATS`
-/// and the metrics scrape read it without a filesystem round trip.
+/// shard's [`crate::wal::Wal`]. It tracks its own byte length and its
+/// `sync_data` calls, so `STATS` and the metrics scrape read them without
+/// a filesystem round trip.
 #[derive(Debug)]
 pub(crate) struct LogFile {
     file: File,
     bytes: u64,
+    syncs: u64,
+    /// A failed append could not be cut back off: the file may end in a
+    /// partial frame, so no later frame may land behind it.
+    broken: bool,
 }
 
 impl LogFile {
@@ -122,7 +127,7 @@ impl LogFile {
         let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
         file.write_all(&header(magic, version))?;
         file.sync_all()?;
-        Ok(LogFile { file, bytes: HEADER_LEN as u64 })
+        Ok(LogFile { file, bytes: HEADER_LEN as u64, syncs: 0, broken: false })
     }
 
     /// Open an existing log for appending, truncated to `valid_len` (what
@@ -131,14 +136,28 @@ impl LogFile {
         let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len as u64)?;
         file.seek(SeekFrom::End(0))?;
-        Ok(LogFile { file, bytes: valid_len as u64 })
+        Ok(LogFile { file, bytes: valid_len as u64, syncs: 0, broken: false })
     }
 
-    /// Append one encoded frame, forcing it to disk when `sync` is set.
+    /// Append one encoded frame, forcing it to disk when `sync` is set. A
+    /// frame that fails to write or sync is cut back off, so no later
+    /// frame lands behind a partial one; should the cut fail too, the log
+    /// refuses every later frame.
     pub(crate) fn append(&mut self, frame: &[u8], sync: bool) -> Result<(), StoreError> {
-        self.file.write_all(frame)?;
-        if sync {
-            self.file.sync_data()?;
+        if self.broken {
+            return Err(StoreError::Io(std::io::Error::other(
+                "a failed WAL append could not be cut back; reopen the store",
+            )));
+        }
+        let mut written = self.file.write_all(frame);
+        if written.is_ok() && sync {
+            written = self.sync_data();
+        }
+        if let Err(e) = written {
+            self.broken = true;
+            self.truncate(self.bytes)?;
+            self.broken = false;
+            return Err(e.into());
         }
         self.bytes += frame.len() as u64;
         Ok(())
@@ -146,7 +165,32 @@ impl LogFile {
 
     /// Force every appended frame to disk.
     pub(crate) fn sync(&mut self) -> Result<(), StoreError> {
-        self.file.sync_data()?;
+        Ok(self.sync_data()?)
+    }
+
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        self.syncs += 1;
+        self.file.sync_data()
+    }
+
+    /// `sync_data` calls since the handle was created or opened.
+    pub(crate) fn syncs(&self) -> u64 {
+        self.syncs
+    }
+
+    /// Truncate the log back to its header and force that to disk.
+    pub(crate) fn clear(&mut self) -> Result<(), StoreError> {
+        self.truncate(HEADER_LEN as u64)?;
+        self.file.sync_all()?;
+        self.broken = false;
+        Ok(())
+    }
+
+    /// Cut the file to `len` bytes and append from there.
+    fn truncate(&mut self, len: u64) -> Result<(), StoreError> {
+        self.file.set_len(len)?;
+        self.file.seek(SeekFrom::Start(len))?;
+        self.bytes = len;
         Ok(())
     }
 

@@ -20,7 +20,7 @@
 //! < CAND entity=88 score=0.71842 name=lewin members=88
 //! < .
 //! > STATS
-//! < OK records=5000 sources=12 matches=10817 shards=4 wal=1 wal_bytes=104 vocabulary=1943 ...
+//! < OK records=5000 sources=12 matches=10817 shards=4 wal=1 wal_bytes=104 wal_syncs=1 ...
 //! < SHARD 0 records=1290 wal=1 wal_bytes=104
 //! < SHARD 1 records=1244 wal=0 wal_bytes=0
 //! < SHARD 2 records=1267 wal=0 wal_bytes=0

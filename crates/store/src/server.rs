@@ -756,6 +756,11 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
         stats.wal_bytes,
     );
     reg.set_gauge(
+        "yv_store_wal_syncs_total",
+        "WAL sync_data calls since open, all shards",
+        stats.wal_syncs,
+    );
+    reg.set_gauge(
         "yv_store_vocabulary",
         "Distinct lowercased first names plus distinct lowercased last names in the query index",
         stats.vocabulary as u64,
@@ -769,8 +774,13 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
     let opened = ctx.store.open_report();
     reg.set_gauge(
         "yv_store_open_frames_replayed",
-        "WAL frames the last open replayed, all shards",
+        "Arrivals (record and source frames) the last open replayed, all shards",
         opened.frames,
+    );
+    reg.set_gauge(
+        "yv_store_open_rescored",
+        "Record frames the last open replayed without a matches frame, hence scored again",
+        opened.rescored,
     );
     reg.set_gauge(
         "yv_store_open_torn_bytes",
@@ -1253,7 +1263,7 @@ fn dispatch(
             protocol::format_stats(
                 &format!(
                     "OK records={} sources={} matches={} shards={} wal={} wal_bytes={} \
-                     vocabulary={} \
+                     wal_syncs={} vocabulary={} \
                      fuzzy_names={} fuzzy_grams={} fuzzy_postings={} \
                      fuzzy_examined={} fuzzy_pruned={} errors={}",
                     stats.records,
@@ -1262,6 +1272,7 @@ fn dispatch(
                     stats.shards.len(),
                     stats.wal_entries,
                     stats.wal_bytes,
+                    stats.wal_syncs,
                     stats.vocabulary,
                     stats.fuzzy_names,
                     stats.fuzzy_grams,

@@ -20,16 +20,23 @@
 //! shard's write lock*, is appended (and fsynced) to that shard's WAL —
 //! fsyncs on distinct shards run in parallel — and is then applied to the
 //! shared resolver strictly in sequence order (a condvar sequencer hands
-//! applies out in ticket order). Sequence numbers never rewind. `open`
-//! loads the snapshot, scans the shard WALs, skips the frames below the
-//! snapshot's `folded_seq` (already folded into it) and replays the rest
-//! merged by sequence number (arrival order), refusing to open if the
-//! merge is not gapless from `folded_seq` ([`StoreError::ShardWalGap`]):
-//! record ids are assigned in apply order, so replaying past a hole would
-//! renumber every later record. A torn tail on the globally *last*
-//! arrival is the ordinary crash-mid-append case and recovers cleanly;
-//! the truncation reuses the length the scan found, so each WAL is read
-//! and decoded once. [`Store::open_report`] says what the replay did.
+//! applies out in ticket order). Still under its shard lock, the arrival's
+//! ranked matches then follow into the same WAL as an unsynced matches
+//! frame: the record frame's fsync stays the one commit point, and the
+//! matches frame rides along with the next one. Sequence numbers never
+//! rewind. `open` loads the snapshot, scans the shard WALs, skips the
+//! frames below the snapshot's `folded_seq` (already folded into it) and
+//! replays the rest merged by sequence number (arrival order), refusing
+//! to open if the merge is not gapless from `folded_seq`
+//! ([`StoreError::ShardWalGap`]): record ids are assigned in apply order,
+//! so replaying past a hole would renumber every later record. An arrival
+//! with a matches frame is filed with the matches it was acknowledged
+//! with ([`IncrementalResolver::insert_logged`]); only one without (a torn
+//! tail, a failed append) is scored again. A torn tail on the globally
+//! *last* arrival is the ordinary crash-mid-append case and recovers
+//! cleanly; the truncation reuses the length the scan found, so each WAL
+//! is read and decoded once. [`Store::open_report`] says what the replay
+//! did.
 //! `snapshot` quiesces all shards, writes a fresh snapshot whose durable
 //! rename is the commit point, and only then truncates the WALs — a crash
 //! anywhere in between reopens to the acknowledged state.
@@ -37,7 +44,7 @@
 //! Applies run in slices: up to [`APPLY_SLICE`] consecutive arrivals go
 //! through [`IncrementalResolver::insert_batch`] under one hold of the
 //! state write lock — a `BATCH_ADD`'s shard group after its fsync, and a
-//! replay's run of record frames between source frames. Inside a slice
+//! replay's run of re-scored record frames. Inside a slice
 //! the candidate pairs are scored on every core (`Pipeline::score_pairs`),
 //! the store's one use of threads. A read therefore waits on at most one
 //! slice, whatever size of batch a client sends.
@@ -47,14 +54,14 @@ use crate::index::QueryIndex;
 use crate::shard::{self, Manifest, ShardStats};
 use crate::snapshot;
 use crate::sync::{Mutex, RwLock};
-use crate::wal::{Wal, WalEntry};
+use crate::wal::{Wal, WalEntry, WalScan};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, PoisonError};
 use yv_core::{IncrementalResolver, PersonQuery, QueryHit, RankedMatch, Resolution};
 use yv_fuzzy::{rank_entities, RankedEntity, ScoreBlend, DEFAULT_QGRAM_BOUND};
 use yv_obs::{Clock, Counter, MonotonicClock, TraceCtx};
-use yv_records::{Dataset, Record, Source, SourceId};
+use yv_records::{Dataset, Record, RecordId, Source, SourceId};
 
 /// Snapshot file name inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.yvs";
@@ -77,6 +84,8 @@ pub struct StoreStats {
     pub wal_entries: usize,
     /// On-disk WAL size in bytes, summed over shards.
     pub wal_bytes: u64,
+    /// WAL `sync_data` calls since open, summed over shards.
+    pub wal_syncs: u64,
     /// Distinct lowercased first names + distinct last names indexed.
     pub vocabulary: usize,
     /// Record postings by role (first, last) in the name table.
@@ -227,6 +236,12 @@ impl State {
         }
         matches
     }
+
+    /// File one arrival with the matches its matches frame logged.
+    fn apply_logged(&mut self, record: Record, matches: &[RankedMatch]) {
+        let rid = self.resolver.insert_logged(record, matches);
+        self.index.add_record(rid, self.resolver.dataset().record(rid));
+    }
 }
 
 /// Most arrivals applied under one hold of the state write lock. Scoring a
@@ -241,8 +256,10 @@ const APPLY_SLICE: usize = 32;
 /// took. All zero for a store that was created, not opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpenReport {
-    /// WAL frames replayed, records and sources, summed over shards.
+    /// Arrivals replayed — record and source frames — summed over shards.
     pub frames: u64,
+    /// Record frames replayed without a matches frame, hence scored again.
+    pub rescored: u64,
     /// Torn-tail bytes dropped: file length minus the valid prefix,
     /// summed over shards.
     pub torn_bytes: u64,
@@ -322,6 +339,8 @@ impl Store {
         let snapshot::Snapshot { folded_seq, resolver } = snapshot::read_file(&snap_path)?;
         let mut state = State::build(resolver);
         let mut scans = Vec::with_capacity(n_shards);
+        // WALs to rewrite empty instead of appending to.
+        let mut rewrite = Vec::with_capacity(n_shards);
         for s in 0..n_shards {
             let path = dir.join(wal_file_name(s));
             if !path.exists() {
@@ -330,15 +349,22 @@ impl Store {
                     wal_file_name(s)
                 )));
             }
-            scans.push(crate::wal::scan_file(&path)?);
+            let bytes = std::fs::read(&path)?;
+            // A version-2 log holding only its header — what `SNAPSHOT`
+            // left with the previous build — has nothing to replay.
+            let emptied_v2 = bytes == crate::framed::header(crate::wal::MAGIC, 2);
+            let scan = if emptied_v2 {
+                WalScan { entries: Vec::new(), valid_len: bytes.len(), torn_bytes: 0 }
+            } else {
+                crate::wal::scan(&bytes)?
+            };
+            // A WAL whose frames all sit below `folded_seq` (seqs increase
+            // within a WAL, so its last frame decides) outlived a crash
+            // between `snapshot`'s rename and its truncation.
+            let folded = scan.entries.last().is_some_and(|(seq, _)| *seq < folded_seq);
+            rewrite.push(emptied_v2 || folded);
+            scans.push(scan);
         }
-        // A WAL whose frames all sit below `folded_seq` (seqs increase
-        // within a WAL, so its last frame decides) outlived a crash
-        // between `snapshot`'s rename and its truncation.
-        let folded: Vec<bool> = scans
-            .iter()
-            .map(|scan| scan.entries.last().is_some_and(|(seq, _)| *seq < folded_seq))
-            .collect();
 
         let clock = MonotonicClock::new();
         let replay_started = clock.now_nanos();
@@ -378,12 +404,15 @@ impl Store {
         }
 
         // Replay in arrival order, re-deriving each record's id exactly
-        // as the original apply did: record frames collect into slices,
-        // and a source frame or a full slice applies what has collected.
+        // as the original apply did. An arrival with logged matches is
+        // filed with them; record frames without collect into slices to
+        // be scored, and any other frame or a full slice applies what has
+        // collected.
         let wal_entries_total = merged.len() as u64;
         let mut wal_entries_per_shard = vec![0usize; n_shards];
+        let mut rescored = 0;
         let mut slice = Vec::with_capacity(APPLY_SLICE);
-        for (_, s, entry) in merged {
+        for (seq, s, entry) in merged {
             wal_entries_per_shard[s] += 1;
             match entry {
                 WalEntry::Source(source) => {
@@ -395,7 +424,7 @@ impl Store {
                     state.apply_batch(std::mem::take(&mut slice));
                     state.resolver.add_source(source);
                 }
-                WalEntry::Record(record) => {
+                WalEntry::Record(record, logged) => {
                     if shard::shard_of_record(&record, n_shards) != s {
                         return Err(StoreError::Corrupt(format!(
                             "WAL record {} found in shard {s} but routes elsewhere",
@@ -408,16 +437,37 @@ impl Store {
                             record.book_id, record.source.0
                         )));
                     }
-                    slice.push(*record);
-                    if slice.len() == APPLY_SLICE {
-                        state.apply_batch(std::mem::take(&mut slice));
+                    let Some(logged) = logged else {
+                        rescored += 1;
+                        slice.push(*record);
+                        if slice.len() == APPLY_SLICE {
+                            state.apply_batch(std::mem::take(&mut slice));
+                        }
+                        continue;
+                    };
+                    state.apply_batch(std::mem::take(&mut slice));
+                    let arrival = RecordId(u32::try_from(state.resolver.len()).map_err(|_| {
+                        StoreError::LimitExceeded { what: "record ids", len: state.resolver.len() }
+                    })?);
+                    if let Some(&(partner, _)) = logged.iter().find(|(p, _)| *p >= arrival) {
+                        return Err(StoreError::Corrupt(format!(
+                            "matches frame for seq {seq} names partner {} at or above its \
+                             arrival's id {}",
+                            partner.0, arrival.0
+                        )));
                     }
+                    let matches: Vec<RankedMatch> = logged
+                        .into_iter()
+                        .map(|(partner, score)| RankedMatch::new(partner, arrival, score))
+                        .collect();
+                    state.apply_logged(*record, &matches);
                 }
             }
         }
         state.apply_batch(slice);
         let open_report = OpenReport {
             frames: wal_entries_total,
+            rescored,
             torn_bytes: scans.iter().map(|scan| scan.torn_bytes as u64).sum(),
             replay_ns: clock.now_nanos().saturating_sub(replay_started),
         };
@@ -427,11 +477,12 @@ impl Store {
         for (s, (scan, records)) in scans.iter().zip(records).enumerate() {
             let path = dir.join(wal_file_name(s));
             // A folded WAL is truncated to its header, finishing the
-            // interrupted snapshot; any other to the scan's valid prefix,
-            // which drops a torn tail, so the next append lands after the
-            // last complete frame.
+            // interrupted snapshot, and an emptied version-2 one gets this
+            // version's header; any other is truncated to the scan's valid
+            // prefix, which drops a torn tail, so the next append lands
+            // after the last complete frame.
             let wal =
-                if folded[s] { Wal::create(&path)? } else { Wal::open(&path, scan.valid_len)? };
+                if rewrite[s] { Wal::create(&path)? } else { Wal::open(&path, scan.valid_len)? };
             shard_states.push(RwLock::new(ShardState {
                 wal,
                 wal_entries: wal_entries_per_shard[s],
@@ -477,8 +528,10 @@ impl Store {
         // Shards first, one guard at a time and none kept: the state
         // lock is never held while waiting for a shard's.
         let mut shards = Vec::with_capacity(self.shards.len());
+        let mut wal_syncs = 0;
         for (shard, s) in self.shards.iter().enumerate() {
             let s = s.read();
+            wal_syncs += s.wal.syncs();
             shards.push(ShardStats {
                 shard,
                 records: s.records,
@@ -493,6 +546,7 @@ impl Store {
             matches: state.resolver.matches().len(),
             wal_entries: shards.iter().map(|s| s.wal_entries).sum(),
             wal_bytes: shards.iter().map(|s| s.wal_bytes).sum(),
+            wal_syncs,
             vocabulary: state.index.vocabulary_size(),
             postings: state.index.postings(),
             fuzzy_names: state.index.fuzzy().names(),
@@ -525,8 +579,9 @@ impl Store {
     }
 
     /// Apply one arriving record, durably (WAL first); returns the new
-    /// ranked matches it produced. Unknown sources are a typed error, not
-    /// a panic, because arrivals come over the wire.
+    /// ranked matches it produced, which then follow the record into the
+    /// WAL as its unsynced matches frame. Unknown sources are a typed
+    /// error, not a panic, because arrivals come over the wire.
     ///
     /// Concurrency: only the owning shard's write lock is held across
     /// the WAL fsync, so arrivals routed to distinct shards overlap
@@ -558,6 +613,11 @@ impl Store {
             }
         };
         self.seq.finish(1);
+        if let Ok(matches) = &outcome {
+            // Unsynced, and allowed to fail: without it a reopen scores
+            // the arrival again.
+            let _ = shard.wal.append_matches(ticket, matches);
+        }
         outcome
     }
 
@@ -586,7 +646,8 @@ impl Store {
     ///
     /// Each shard group is applied after its fsync in slices of at most
     /// [`APPLY_SLICE`] arrivals, one state write-lock hold each, so reads
-    /// interleave with a batch of any size.
+    /// interleave with a batch of any size; each slice's matches frames
+    /// follow, unsynced, once its state lock is released.
     pub fn add_records(
         &self,
         records: Vec<Record>,
@@ -643,7 +704,7 @@ impl Store {
                 let mut filed = Vec::with_capacity(APPLY_SLICE);
                 let mut applied = Vec::with_capacity(APPLY_SLICE);
                 let mut tickets = 0;
-                for (i, record, _, logged) in pending.by_ref().take(APPLY_SLICE) {
+                for (i, record, ticket, logged) in pending.by_ref().take(APPLY_SLICE) {
                     tickets += 1;
                     statuses[i] = match (&sync_err, logged) {
                         (Some(e), _) => {
@@ -651,7 +712,7 @@ impl Store {
                         }
                         (None, Err(e)) => Some(Err(e)),
                         (None, Ok(())) => {
-                            filed.push(i);
+                            filed.push((i, ticket));
                             applied.push(record);
                             None
                         }
@@ -660,15 +721,19 @@ impl Store {
                 self.seq.wait_turn(first_ticket);
                 shard.wal_entries += applied.len();
                 shard.records += applied.len();
-                if !applied.is_empty() {
-                    let outcomes = self.state.write().apply_batch(applied);
-                    for (i, matches) in filed.into_iter().zip(outcomes) {
-                        statuses[i] = Some(Ok(matches));
-                    }
-                }
+                let outcomes = if applied.is_empty() {
+                    Vec::new()
+                } else {
+                    self.state.write().apply_batch(applied)
+                };
                 // Even a failed append must consume its ticket, or every
                 // later arrival waits forever.
                 self.seq.finish(tickets);
+                for ((i, ticket), matches) in filed.into_iter().zip(outcomes) {
+                    // As in `add_record`: unsynced, allowed to fail.
+                    let _ = shard.wal.append_matches(ticket, &matches);
+                    statuses[i] = Some(Ok(matches));
+                }
                 between_slices();
             }
         }
@@ -786,8 +851,8 @@ impl Store {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
         let bytes = snapshot::to_bytes(&self.state.read().resolver, self.seq.next())?;
         snapshot::write_atomically(&self.dir.join(SNAPSHOT_FILE), &bytes)?;
-        for (s, guard) in guards.iter_mut().enumerate() {
-            guard.wal = Wal::create(&self.dir.join(wal_file_name(s)))?;
+        for guard in &mut guards {
+            guard.wal.clear()?;
             guard.wal_entries = 0;
         }
         Ok(())
@@ -924,6 +989,7 @@ mod tests {
                 let reopened = Store::open(dir).expect("reopen");
                 assert_eq!(reopened.state_bytes().expect("state bytes"), state);
                 assert_eq!(reopened.open_report().frames, arrivals.len() as u64);
+                assert_eq!(reopened.open_report().rescored, 0, "replayed from logged matches");
             }
         }
     }
@@ -978,17 +1044,57 @@ mod tests {
         let wal = dir.join(wal_file_name(0));
         let full = std::fs::read(&wal).expect("read WAL");
         let clean = Store::open(&dir).expect("reopen").open_report();
-        assert_eq!((clean.frames, clean.torn_bytes), (n, 0));
+        assert_eq!((clean.frames, clean.rescored, clean.torn_bytes), (n, 0, 0));
+        // Torn inside the last matches frame: every arrival replays, the
+        // last one scored again.
+        let last_record_end = (0..full.len())
+            .rev()
+            .find(|&len| crate::wal::scan(&full[..len]).expect("scan").torn_bytes == 0)
+            .expect("a frame boundary");
+        std::fs::write(&wal, &full[..last_record_end + 7]).expect("cut WAL");
+        let report = Store::open(&dir).expect("reopen a torn WAL").open_report();
+        assert_eq!((report.frames, report.rescored, report.torn_bytes), (n, 1, 7));
         for k in [1, 9, 20] {
             let cut = usize::try_from(last_frame_at).expect("WAL length") + k;
             assert!(cut < full.len());
             std::fs::write(&wal, &full[..cut]).expect("cut WAL");
             let reopened = Store::open(&dir).expect("reopen a torn WAL");
             let report = reopened.open_report();
-            assert_eq!((report.frames, report.torn_bytes), (n - 1, k as u64), "kept {k}");
+            let counts = (report.frames, report.rescored, report.torn_bytes);
+            assert_eq!(counts, (n - 1, 0, k as u64), "kept {k}");
             assert_eq!(reopened.stats().records, n as usize);
             assert_eq!(reopened.stats().wal_bytes, last_frame_at, "the torn tail is dropped");
             assert_eq!(std::fs::metadata(&wal).expect("WAL").len(), last_frame_at);
         }
+    }
+
+    /// `wal_syncs` counts one `sync_data` per `ADD` and one per dirty
+    /// shard per `BATCH_ADD`; the matches frames every arrival adds cost
+    /// none, and `SNAPSHOT` does not reset the count.
+    #[test]
+    fn wal_syncs_count_one_per_add_and_one_per_dirty_shard_per_batch() {
+        let (resolver, arrivals) = trained_split(160);
+        let dir = crate::scratch::ScratchDir::new("wal-syncs");
+        let store = Store::create(&dir, resolver, 4).expect("create");
+        assert_eq!(store.stats().wal_syncs, 0);
+        for record in &arrivals[..5] {
+            store.add_record(record.clone()).expect("add_record");
+        }
+        assert_eq!(store.stats().wal_syncs, 5);
+        let batch = arrivals[5..].to_vec();
+        let dirty: std::collections::BTreeSet<usize> =
+            batch.iter().map(|r| shard::shard_of_record(r, 4)).collect();
+        assert!(store.add_records(batch).iter().all(Result::is_ok));
+        assert_eq!(store.stats().wal_syncs, 5 + dirty.len() as u64);
+        // Every arrival logged a record frame and a matches frame.
+        let frames: usize = (0..4)
+            .map(|s| {
+                let bytes = std::fs::read(dir.join(wal_file_name(s))).expect("WAL");
+                crate::wal::scan(&bytes).expect("scan").entries.len()
+            })
+            .sum();
+        assert_eq!(frames, arrivals.len());
+        store.snapshot().expect("snapshot");
+        assert_eq!(store.stats().wal_syncs, 5 + dirty.len() as u64);
     }
 }

@@ -2,8 +2,11 @@
 //!
 //! Every `ADD` is appended (and flushed) here *before* it is applied to
 //! the in-memory resolver, so a crash between append and apply replays
-//! the arrival on restart instead of losing it. `SNAPSHOT` folds the logs
-//! into a fresh snapshot and truncates them.
+//! the arrival on restart instead of losing it. After the apply, the
+//! arrival's ranked matches follow in an unsynced *matches frame*, so a
+//! reopen files the arrival with the matches it was acknowledged with
+//! instead of scoring it again. `SNAPSHOT` folds the logs into a fresh
+//! snapshot and truncates them.
 //!
 //! Since the store is sharded, arrivals scatter across N WAL files
 //! (`wal.<shard>.yvl`), so each frame carries the arrival's *global
@@ -13,21 +16,35 @@
 //! merges every shard's other frames back into that order by sorting on
 //! `seq` — and because record ids are assigned in apply order, the merge
 //! must be gapless from `folded_seq` (see
-//! [`crate::StoreError::ShardWalGap`]).
+//! [`crate::StoreError::ShardWalGap`]). Only record and source frames
+//! take part in the merge; a matches frame rides on its record frame.
 //!
 //! Layout: the [`crate::framed`] file header and frames, with the
 //! arrival's seq as the frame's `extra`:
 //!
 //! ```text
 //! 8 bytes   magic  "YVWAL\0\0\0"
-//! u32       format version (currently 2)
+//! u32       format version (currently 3)
 //! frames:
-//!   u8      entry tag (1 = record, 2 = source)
+//!   u8      entry tag (1 = record, 2 = source, 3 = matches)
 //!   u64     global arrival sequence number
 //!   u32     payload length
-//!   bytes   payload (codec-encoded record / source)
+//!   bytes   payload (codec-encoded record / source, or matches)
 //!   u64     FNV-1a 64 checksum of tag + seq + payload
+//! matches payload:
+//!   u32 groups ‖ (f64 score ‖ varint n ‖ n × varint gap)*
 //! ```
+//!
+//! A matches frame holds its arrival's ranked matches grouped by score:
+//! scores strictly descending (`f64::total_cmp`), each group's partner
+//! ids strictly ascending — the ranked order `insert_batch` produced. A
+//! group's first gap is its first partner id, each later one the
+//! difference to the partner before (≥ 1); varints are LEB128
+//! ([`crate::codec::Writer::varint`]), so a gap below 128 takes a byte. It
+//! must come after the record frame with the same seq, in the same file,
+//! and at most once; anything else is [`StoreError::Corrupt`]. Whether
+//! each partner sits below the arrival's own id only the replay can tell,
+//! and does.
 //!
 //! A *truncated* final frame is how a crash mid-append looks; replay
 //! treats it as a clean stop (surfaced via [`WalScan::torn_bytes`] so the store
@@ -40,28 +57,39 @@
 use crate::codec::{self, Reader, Writer};
 use crate::error::StoreError;
 use crate::framed::{self, LogFile};
+use std::collections::HashMap;
 use std::path::Path;
-use yv_records::{Record, Source};
+use yv_core::RankedMatch;
+use yv_records::{Record, RecordId, Source};
 
 /// File magic: identifies a yv-store write-ahead log.
 pub const MAGIC: [u8; 8] = *b"YVWAL\0\0\0";
 /// The WAL format version this build reads and writes. Version 1 frames
-/// carried no sequence number and cannot be merged across shards.
-pub const VERSION: u32 = 2;
+/// carried no sequence number and cannot be merged across shards;
+/// version 2 logs had no matches frames.
+pub const VERSION: u32 = 3;
 
 const TAG_RECORD: u8 = 1;
 const TAG_SOURCE: u8 = 2;
+const TAG_MATCHES: u8 = 3;
 
-/// One replayed WAL entry.
+/// An arrival's logged matches: `(partner, score)` in ranked order —
+/// score descending, then partner ascending.
+pub type LoggedMatches = Vec<(RecordId, f64)>;
+
+/// One replayed WAL entry: an arrival. A record carries the matches its
+/// matches frame logged, or `None` when the frame is missing (a torn
+/// tail, a failed append) and the replay has to score the record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEntry {
-    Record(Box<Record>),
+    Record(Box<Record>, Option<LoggedMatches>),
     Source(Source),
 }
 
-/// Result of scanning one WAL file: the complete frames (with their
-/// global sequence numbers, in file order), the byte length of the valid
-/// prefix, and the bytes of a torn (incomplete) final frame after it.
+/// Result of scanning one WAL file: the arrivals its complete frames hold
+/// (with their global sequence numbers, in file order), the byte length
+/// of the valid prefix, and the bytes of a torn (incomplete) final frame
+/// after it.
 #[derive(Debug)]
 pub struct WalScan {
     pub entries: Vec<(u64, WalEntry)>,
@@ -111,6 +139,16 @@ impl Wal {
         self.append(TAG_RECORD, seq, |w| codec::write_record(w, record), false)
     }
 
+    /// Append the matches frame of the arrival logged at `seq`, without
+    /// forcing it to disk: its ranked matches, each pairing an earlier
+    /// record (`a`) with the arrival (`b`), in the order `insert_batch`
+    /// returned them. The record frame's fsync is the commit point; this
+    /// frame only spares a reopen the scoring, so losing it to a crash
+    /// costs time, not data. A failed append is cut back off the log.
+    pub fn append_matches(&mut self, seq: u64, matches: &[RankedMatch]) -> Result<(), StoreError> {
+        self.append(TAG_MATCHES, seq, |w| write_matches(w, matches), false)
+    }
+
     /// Append a source frame stamped with its global arrival sequence.
     pub fn append_source(&mut self, seq: u64, source: &Source) -> Result<(), StoreError> {
         self.append(TAG_SOURCE, seq, |w| codec::write_source(w, source), true)
@@ -121,6 +159,19 @@ impl Wal {
     /// `sync_data` where per-record appends would pay 256.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.log.sync()
+    }
+
+    /// `sync_data` calls since this handle was opened or created;
+    /// [`Wal::clear`] neither adds to nor resets the count.
+    #[must_use]
+    pub fn syncs(&self) -> u64 {
+        self.log.syncs()
+    }
+
+    /// Truncate the log back to its header, durably — `SNAPSHOT`'s
+    /// truncation.
+    pub fn clear(&mut self) -> Result<(), StoreError> {
+        self.log.clear()
     }
 
     fn append(
@@ -151,17 +202,123 @@ pub fn scan_file(path: &Path) -> Result<WalScan, StoreError> {
 /// Parse the log bytes. Any input yields a scan or a typed error, never a
 /// panic.
 pub fn scan(bytes: &[u8]) -> Result<WalScan, StoreError> {
-    let (entries, valid_len) = framed::scan(bytes, MAGIC, VERSION, |tag, seq, payload| {
+    enum Frame {
+        Arrival(WalEntry),
+        Matches(LoggedMatches),
+    }
+    let (frames, valid_len) = framed::scan(bytes, MAGIC, VERSION, |tag, seq, payload| {
         let mut r = Reader::new(payload);
-        let entry = match tag {
-            TAG_RECORD => WalEntry::Record(Box::new(codec::read_record(&mut r)?)),
-            TAG_SOURCE => WalEntry::Source(codec::read_source(&mut r)?),
+        let frame = match tag {
+            TAG_RECORD => {
+                Frame::Arrival(WalEntry::Record(Box::new(codec::read_record(&mut r)?), None))
+            }
+            TAG_SOURCE => Frame::Arrival(WalEntry::Source(codec::read_source(&mut r)?)),
+            TAG_MATCHES => Frame::Matches(read_matches(&mut r)?),
             t => return Err(StoreError::Corrupt(format!("unknown WAL entry tag {t}"))),
         };
         r.finish("WAL frame")?;
-        Ok((seq, entry))
+        Ok((seq, frame))
     })?;
+    let mut entries = Vec::with_capacity(frames.len());
+    // Where each record frame's entry sits, by seq.
+    let mut records: HashMap<u64, usize> = HashMap::new();
+    for (seq, frame) in frames {
+        match frame {
+            Frame::Arrival(entry) => {
+                if matches!(entry, WalEntry::Record(..)) {
+                    records.insert(seq, entries.len());
+                }
+                entries.push((seq, entry));
+            }
+            Frame::Matches(logged) => {
+                let Some(&at) = records.get(&seq) else {
+                    return Err(StoreError::Corrupt(format!(
+                        "matches frame for seq {seq} without its record frame"
+                    )));
+                };
+                if let (_, WalEntry::Record(_, slot @ None)) = &mut entries[at] {
+                    *slot = Some(logged);
+                } else {
+                    return Err(StoreError::Corrupt(format!(
+                        "a second matches frame for seq {seq}"
+                    )));
+                }
+            }
+        }
+    }
     Ok(WalScan { entries, valid_len, torn_bytes: bytes.len() - valid_len })
+}
+
+/// Encode ranked matches as the matches payload: runs of equal score
+/// become one group, whose ascending partners are written as gaps. Matches
+/// out of ranked order are refused.
+fn write_matches(w: &mut Writer, matches: &[RankedMatch]) -> Result<(), StoreError> {
+    let groups: Vec<&[RankedMatch]> =
+        matches.chunk_by(|x, y| x.score.to_bits() == y.score.to_bits()).collect();
+    w.len(groups.len(), "match groups")?;
+    for group in groups {
+        w.f64(group[0].score);
+        w.varint(u32::try_from(group.len()).map_err(|_| StoreError::LimitExceeded {
+            what: "match group",
+            len: group.len(),
+        })?);
+        let mut last = None;
+        for m in group {
+            let partner = m.a.0;
+            let gap = match last {
+                None => Some(partner),
+                Some(last) => partner.checked_sub(last).filter(|&gap| gap > 0),
+            };
+            let gap = gap.ok_or_else(|| {
+                StoreError::Corrupt(format!("match partner {partner} out of ranked order"))
+            })?;
+            w.varint(gap);
+            last = Some(partner);
+        }
+    }
+    Ok(())
+}
+
+/// Decode a matches payload, refusing any that `write_matches` would not
+/// have written: an empty group, scores not strictly descending, partners
+/// not strictly ascending within a group (a zero gap), a partner in two
+/// groups.
+fn read_matches(r: &mut Reader<'_>) -> Result<LoggedMatches, StoreError> {
+    let groups = r.u32("match groups")?;
+    let mut out = Vec::new();
+    let mut last_score: Option<f64> = None;
+    for _ in 0..groups {
+        let score = r.f64("match score")?;
+        if last_score.is_some_and(|last| last.total_cmp(&score).is_le()) {
+            return Err(StoreError::Corrupt(format!(
+                "match scores not strictly descending at {score}"
+            )));
+        }
+        last_score = Some(score);
+        let n = r.varint("match group")?;
+        if n == 0 {
+            return Err(StoreError::Corrupt("empty match group".into()));
+        }
+        let mut partner: Option<u32> = None;
+        for _ in 0..n {
+            let gap = r.varint("match partner")?;
+            let next = match partner {
+                None => Some(gap),
+                Some(last) => last.checked_add(gap).filter(|_| gap > 0),
+            };
+            let next = next.ok_or_else(|| {
+                StoreError::Corrupt(format!("match partner gap {gap} after {partner:?}"))
+            })?;
+            partner = Some(next);
+            out.push((RecordId(next), score));
+        }
+    }
+    let mut partners: Vec<RecordId> = out.iter().map(|&(partner, _)| partner).collect();
+    partners.sort_unstable();
+    if let Some(twice) = partners.windows(2).find(|w| w[0] == w[1]) {
+        return Err(StoreError::Corrupt(format!("match partner {} listed twice", twice[0].0)));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -189,15 +346,46 @@ mod tests {
         // Shard WALs hold a sparse subset of the global sequence: gaps
         // within one file are normal (the missing seqs live elsewhere).
         wal.append_record(7, &r2).unwrap();
+        // A matches frame rides on its record frame, wherever it follows.
+        let ranked = [
+            RankedMatch::new(RecordId(4), RecordId(9), 2.5),
+            RankedMatch::new(RecordId(1), RecordId(9), 0.5),
+            RankedMatch::new(RecordId(3), RecordId(9), 0.5),
+            RankedMatch::new(RecordId(2), RecordId(9), -1.0),
+        ];
+        wal.append_matches(1, &ranked).unwrap();
+        wal.append_matches(7, &[]).unwrap();
         let entries = replay(&path).unwrap();
+        let logged = ranked.iter().map(|m| (m.a, m.score)).collect();
         assert_eq!(
             entries,
             vec![
                 (0, WalEntry::Source(src)),
-                (1, WalEntry::Record(Box::new(r1))),
-                (7, WalEntry::Record(Box::new(r2)))
+                (1, WalEntry::Record(Box::new(r1), Some(logged))),
+                (7, WalEntry::Record(Box::new(r2), Some(vec![])))
             ]
         );
+    }
+
+    /// Equal scores share one group, and partners are gaps: 4 matches at
+    /// 3 scores are `u32 3 ‖ 3 × (f64 ‖ varint n) ‖ 4 × varint`, one byte
+    /// each here.
+    #[test]
+    fn matches_are_grouped_by_score() {
+        let ranked = [
+            RankedMatch::new(RecordId(4), RecordId(9), 2.5),
+            RankedMatch::new(RecordId(1), RecordId(9), 0.5),
+            RankedMatch::new(RecordId(3), RecordId(9), 0.5),
+            RankedMatch::new(RecordId(2), RecordId(9), -1.0),
+        ];
+        let mut w = Writer::new();
+        write_matches(&mut w, &ranked).unwrap();
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 4 + 3 * 9 + 4);
+        let mut r = Reader::new(&bytes);
+        let decoded = read_matches(&mut r).unwrap();
+        r.finish("matches").unwrap();
+        assert_eq!(decoded, ranked.iter().map(|m| (m.a, m.score)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -337,13 +525,14 @@ mod tests {
             replay(&path),
             Err(StoreError::UnsupportedVersion { found: 99, .. })
         ));
-        // Version 1 logs (no seq field) are explicitly unsupported.
-        let mut v1 = MAGIC.to_vec();
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &v1).unwrap();
-        assert!(matches!(
-            replay(&path),
-            Err(StoreError::UnsupportedVersion { found: 1, supported: 2 })
-        ));
+        // Version 1 logs (no seq field) and version 2 logs (no matches
+        // frames) are explicitly unsupported.
+        for old in [1, 2] {
+            std::fs::write(&path, framed::header(MAGIC, old)).unwrap();
+            assert!(matches!(
+                replay(&path),
+                Err(StoreError::UnsupportedVersion { found, supported: 3 }) if found == old
+            ));
+        }
     }
 }

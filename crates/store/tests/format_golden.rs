@@ -151,19 +151,19 @@ fn store_directory_files_are_byte_identical() {
         &[
             ("create/manifest.yvm", 0x9cb0f48c5155d070),
             ("create/snapshot.yvs", 0x6a3b07936c922ef4),
-            ("create/wal.0.yvl", 0xe9dc3b54347e5868),
-            ("create/wal.1.yvl", 0xe9dc3b54347e5868),
+            ("create/wal.0.yvl", 0x89d6e75c8ab414f9),
+            ("create/wal.1.yvl", 0x89d6e75c8ab414f9),
             ("arrivals/manifest.yvm", 0x9cb0f48c5155d070),
             ("arrivals/snapshot.yvs", 0x6a3b07936c922ef4),
-            ("arrivals/wal.0.yvl", 0x46cad4a4b0e99dba),
-            ("arrivals/wal.1.yvl", 0x9810ef8864914c31),
+            ("arrivals/wal.0.yvl", 0x47dd3e6d8ebccceb),
+            ("arrivals/wal.1.yvl", 0xd92dfc5387b0acdb),
             ("reopen/state_bytes", 0x59ac53e7dd25a323),
-            ("reopen/wal.0.yvl", 0x57f53b9bc93ee850),
-            ("reopen/wal.1.yvl", 0x99207e811b9761d9),
+            ("reopen/wal.0.yvl", 0xaaaca24e5d51d3e9),
+            ("reopen/wal.1.yvl", 0x291890295305466b),
             ("snapshot/manifest.yvm", 0x9cb0f48c5155d070),
             ("snapshot/snapshot.yvs", 0xf112b328c1dbc1c4),
-            ("snapshot/wal.0.yvl", 0xe9dc3b54347e5868),
-            ("snapshot/wal.1.yvl", 0xe9dc3b54347e5868),
+            ("snapshot/wal.0.yvl", 0x89d6e75c8ab414f9),
+            ("snapshot/wal.1.yvl", 0x89d6e75c8ab414f9),
         ],
     );
 }
@@ -177,13 +177,16 @@ fn log_files_are_byte_identical() {
     let mut wal = Wal::create(&path).unwrap();
     wal.append_source(0, &Source::testimony(SourceId(2), "Rivka", "Katz", "Lodz")).unwrap();
     wal.append_record(1, &full_record(7)).unwrap();
+    let ranked = [(5, 1.25), (2, 0.5), (3, 0.5), (0, -0.75)]
+        .map(|(partner, score)| RankedMatch::new(RecordId(partner), RecordId(6), score));
+    wal.append_matches(1, &ranked).unwrap();
     wal.append_record_nosync(4, &record(8, 0, "David", "Adler")).unwrap();
     wal.append_record_nosync(9, &record(9, 2, "Chana", "")).unwrap();
     wal.sync().unwrap();
     assert_eq!(wal.bytes(), std::fs::metadata(&path).unwrap().len());
     digest_file(&mut actual, "wal", &path);
 
-    check("log file", &actual, &[("wal", 0xeb5ea301b9b6eeca)]);
+    check("log file", &actual, &[("wal", 0xb6ba28650208cc23)]);
 }
 
 #[test]

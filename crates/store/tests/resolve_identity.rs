@@ -108,7 +108,7 @@ fn resolve_rankings_survive_restart_and_ignore_shard_count() {
         }
         merged.sort_by_key(|(seq, _)| *seq);
         merged.into_iter().map(|(_, entry)| match entry {
-            WalEntry::Record(record) => *record,
+            WalEntry::Record(record, _) => *record,
             WalEntry::Source(_) => panic!("no sources were added"),
         })
     };

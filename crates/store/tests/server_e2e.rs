@@ -316,6 +316,7 @@ fn metrics_command_and_sidecar_scrape_expose_prometheus_text() {
         ("yv_store_shards", 2, stats.shards as u64),
         ("yv_store_wal_entries", expected.wal_entries as u64, stats.wal_entries as u64),
         ("yv_store_wal_bytes", expected.wal_bytes, stats.wal_bytes),
+        ("yv_store_wal_syncs_total", expected.wal_syncs, stats.wal_syncs),
         ("yv_store_vocabulary", expected.vocabulary as u64, stats.vocabulary as u64),
         ("yv_store_fuzzy_names", expected.fuzzy_names as u64, stats.fuzzy_names as u64),
         ("yv_store_fuzzy_grams", expected.fuzzy_grams as u64, stats.fuzzy_grams as u64),

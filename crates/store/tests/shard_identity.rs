@@ -117,7 +117,7 @@ fn multi_shard_concurrent_fill_is_byte_identical_to_single_shard() {
         for (i, (seq, entry)) in order.into_iter().enumerate() {
             assert_eq!(seq, i as u64, "seqs are contiguous from 0");
             match entry {
-                WalEntry::Record(record) => {
+                WalEntry::Record(record, _) => {
                     single.add_record(*record).unwrap();
                 }
                 WalEntry::Source(_) => panic!("no sources were added"),
@@ -137,6 +137,7 @@ fn multi_shard_concurrent_fill_is_byte_identical_to_single_shard() {
         // Restart identity: replaying the 4 WALs reproduces the state...
         let reopened = Store::open(&multi_dir).unwrap();
         assert_eq!(reopened.state_bytes().unwrap(), multi_state, "round {round}: replay");
+        assert_eq!(reopened.open_report().rescored, 0, "round {round}: from logged matches");
         // ...and so does folding them into a snapshot and reopening.
         reopened.snapshot().unwrap();
         drop(reopened);
@@ -173,12 +174,14 @@ fn two_cross_shard_records() -> (Record, Record, usize, usize) {
     (a, b, shard_a, shard_b)
 }
 
-/// Chop bytes off the end of one shard's WAL, landing mid-frame.
+/// Chop one shard's WAL `cut` bytes short of its last record frame's
+/// end, landing mid-record: the matches frame after it goes too.
 fn tear_wal_tail(dir: &Path, shard: usize, cut: u64) {
     let path = dir.join(wal_file_name(shard));
-    let len = std::fs::metadata(&path).unwrap().len();
+    let frames = common::raw_frames(&std::fs::read(&path).unwrap());
+    let last_record = frames.iter().rev().find(|f| f.tag == 1).unwrap();
     let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-    file.set_len(len - cut).unwrap();
+    file.set_len(last_record.span.end as u64 - cut).unwrap();
 }
 
 #[test]
