@@ -30,6 +30,9 @@ cargo test --offline -q --manifest-path yv-benchmark/Cargo.toml
 # `#![deny(clippy::expect_used, clippy::panic, …)]` of the seven serving
 # crates) and wall-clock reads (`disallowed-methods` in clippy.toml).
 cargo clippy --workspace --all-targets -- -D warnings -A clippy::cast_possible_truncation
+# The docs build clean: a doc link to a deleted or private item, or a paper
+# citation like `[18]` left unescaped, is a rustdoc warning and fails here.
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
 
 # Every key under [workspace.dependencies] must be inherited by at least
 # one manifest (`<key>.workspace = true`), so an orphaned stub or crate

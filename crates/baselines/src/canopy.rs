@@ -1,4 +1,4 @@
-//! Canopy Clustering [21] and its extended variant [9].
+//! Canopy Clustering \[21\] and its extended variant \[9\].
 //!
 //! CaCl iteratively removes a random seed record from the candidate pool
 //! and forms a canopy from all pool records whose cheap similarity to the

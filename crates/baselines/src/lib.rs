@@ -2,7 +2,7 @@
 //!
 //! The ten baseline blocking techniques of the comparative study
 //! (Section 6.6, Table 10), reimplemented with the default configurations
-//! described by Papadakis et al. [24]:
+//! described by Papadakis et al. \[24\]:
 //!
 //! | Technique | Idea |
 //! |---|---|

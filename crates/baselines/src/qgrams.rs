@@ -1,4 +1,4 @@
-//! Q-Grams blocking [15] and Extended Q-Grams blocking [9].
+//! Q-Grams blocking \[15\] and Extended Q-Grams blocking \[9\].
 
 use crate::common::{keymap_to_blocks, record_tokens, Blocker};
 use std::collections::HashMap;

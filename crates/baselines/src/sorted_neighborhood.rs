@@ -1,4 +1,4 @@
-//! Extended Sorted Neighborhood [9]: sort the distinct blocking keys
+//! Extended Sorted Neighborhood \[9\]: sort the distinct blocking keys
 //! alphabetically and slide a fixed window over the *key list*; all records
 //! whose keys fall inside one window position form a block.
 

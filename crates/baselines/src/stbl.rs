@@ -1,4 +1,4 @@
-//! Standard (token) blocking [9, 23] and Attribute Clustering [23].
+//! Standard (token) blocking [9, 23] and Attribute Clustering \[23\].
 
 use crate::common::{keymap_to_blocks, record_tokens, Blocker};
 use std::collections::{HashMap, HashSet};

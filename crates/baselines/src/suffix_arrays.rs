@@ -1,4 +1,4 @@
-//! Suffix Arrays blocking [1] and the extended all-substrings variant [9].
+//! Suffix Arrays blocking \[1\] and the extended all-substrings variant \[9\].
 
 use crate::common::{keymap_to_blocks, record_tokens, Blocker};
 use std::collections::HashMap;

@@ -1,4 +1,4 @@
-//! TYPiMatch [20]: type-specific unsupervised key learning.
+//! TYPiMatch \[20\]: type-specific unsupervised key learning.
 //!
 //! The original algorithm builds a token co-occurrence graph, extracts
 //! maximal cliques as latent *types*, assigns records to types and then

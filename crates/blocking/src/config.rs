@@ -7,7 +7,7 @@ use yv_similarity::ExpertWeights;
 #[allow(clippy::large_enum_variant)] // the weight table is 28 f64s; configs are not hot
 pub enum ScoreFunction {
     /// Minimum pairwise Jaccard of record item bags within the block —
-    /// set-monotonic, the property MFIBlocks relies on ([18]). Uniform item
+    /// set-monotonic, the property MFIBlocks relies on (\[18\]). Uniform item
     /// weights: the `Base` condition.
     #[default]
     Jaccard,

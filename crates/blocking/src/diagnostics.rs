@@ -1,7 +1,7 @@
 //! Compact-set / sparse-neighborhood diagnostics.
 //!
 //! MFIBlocks enforces the two cluster-quality properties of Chaudhuri et
-//! al. [7] *constructively* (the size cap approximates compact sets, the
+//! al. \[7\] *constructively* (the size cap approximates compact sets, the
 //! NG threshold enforces sparse neighborhoods). This module measures how
 //! well a finished blocking actually satisfies them, so parameter choices
 //! can be audited instead of trusted:

@@ -1,6 +1,6 @@
 //! # yv-blocking
 //!
-//! The MFIBlocks soft-clustering blocking algorithm (Kenig & Gal [18],
+//! The MFIBlocks soft-clustering blocking algorithm (Kenig & Gal \[18\],
 //! Algorithm 1 of the paper).
 //!
 //! MFIBlocks makes the blocking step double as the final clustering step of
@@ -8,7 +8,7 @@
 //! under different implicit keys), no blocking key is designed by hand
 //! ("let the data talk" — any itemset the data supports can act as a key),
 //! and block quality is enforced through the compact-set and
-//! sparse-neighborhood (NG) conditions of Chaudhuri et al. [7].
+//! sparse-neighborhood (NG) conditions of Chaudhuri et al. \[7\].
 //!
 //! The algorithm iterates `minsup` from `MaxMinSup` down to 2; at each
 //! level it mines maximal frequent itemsets from the still-uncovered

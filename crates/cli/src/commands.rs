@@ -295,9 +295,6 @@ pub fn serve(args: &Args) -> CliResult {
         let refusal = "option --telemetry-dir: needs --slow-us (it only holds that log)";
         return Err(refusal.to_owned());
     }
-    let trace_ring: usize = args
-        .parse_or("trace-ring", yv_store::DEFAULT_TRACE_CAPACITY, "integer")
-        .map_err(err)?;
     let metrics_listener = match args.get("metrics-addr") {
         Some(a) => Some(std::net::TcpListener::bind(a).map_err(err)?),
         None => None,
@@ -326,7 +323,6 @@ pub fn serve(args: &Args) -> CliResult {
     println!("commands: QUERY RESOLVE ADD STATS METRICS TOP TRACE HISTORY SNAPSHOT SHUTDOWN");
     let mut options = yv_store::ServeOptions::new(store)
         .workers(workers)
-        .trace_ring(trace_ring)
         .trace_capture(!args.flag("no-trace"))
         .slo(slo_rules);
     if let Some(us) = slow_us {
@@ -464,24 +460,19 @@ fn render_top_history(reports: &[yv_store::HistoryReport]) -> String {
             );
         }
     }
-    let mut seen = std::collections::HashSet::new();
-    for r in reports {
-        for s in &r.slo {
-            if !seen.insert((s.metric.clone(), s.threshold_us, s.window)) {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "  slo {:<8} p{} < {}us over {}s: {} (burn {}%/{}% long/short)",
-                s.metric,
-                (s.p * 100.0).round() as u64,
-                s.threshold_us,
-                s.window,
-                s.state,
-                s.burn_long_pct,
-                s.burn_short_pct
-            );
-        }
+    // `HISTORY` returns only its metric's rule, at most one per metric.
+    for (rule, status) in reports.iter().flat_map(|r| &r.slo) {
+        let _ = writeln!(
+            out,
+            "  slo {:<8} p{} < {}us over {}s: {} (burn {}%/{}% long/short)",
+            rule.metric,
+            (rule.p * 100.0).round() as u64,
+            rule.threshold_us,
+            rule.window,
+            status.state.label(),
+            status.burn_long_pct,
+            status.burn_short_pct
+        );
     }
     out
 }
@@ -641,7 +632,10 @@ pub fn load(args: &Args) -> CliResult {
     let stats = client.stats().map_err(err)?;
     println!(
         "records={} shards={} wal={} wal_bytes={}",
-        stats.records, stats.shards, stats.wal_entries, stats.wal_bytes
+        stats.records,
+        stats.shard_rows.len(),
+        stats.wal_entries,
+        stats.wal_bytes
     );
     let mut transcript = String::new();
     for query in load_battery() {
@@ -709,7 +703,7 @@ mod tests {
     #[test]
     fn top_dashboard_renders_byte_identically() {
         let report = yv_store::TopReport {
-            ring: yv_store::RingRow {
+            ring: yv_obs::RingStats {
                 capacity: 512,
                 occupancy: 3,
                 captured: 3,
@@ -718,8 +712,8 @@ mod tests {
                 last_slow: 0x00ab_00cd_00ef_0011,
             },
             commands: vec![
-                yv_store::client::CommandRow {
-                    name: "QUERY".to_owned(),
+                yv_store::CommandStats {
+                    name: "QUERY",
                     count: 25,
                     errors: 0,
                     mean_us: 91,
@@ -728,8 +722,8 @@ mod tests {
                     p99_us: 256,
                     max_us: 227,
                 },
-                yv_store::client::CommandRow {
-                    name: "RESOLVE".to_owned(),
+                yv_store::CommandStats {
+                    name: "RESOLVE",
                     count: 1,
                     errors: 1,
                     mean_us: 24,
@@ -760,7 +754,7 @@ mod tests {
         );
         // An idle ring (nothing sampled yet) omits the slow sections.
         let idle = yv_store::TopReport {
-            ring: yv_store::RingRow::default(),
+            ring: yv_obs::RingStats::default(),
             commands: Vec::new(),
             slow: Vec::new(),
         };
@@ -772,6 +766,8 @@ mod tests {
 
     #[test]
     fn top_history_sparklines_and_slo_lines_render_byte_identically() {
+        let rule = yv_obs::SloRule::parse("query:p99<50000/60").unwrap();
+        let idle = yv_obs::HistogramSnapshot::default();
         assert_eq!(sparkline(&[]), "");
         assert_eq!(sparkline(&[0, 0]), "▁▁");
         assert_eq!(sparkline(&[1, 1]), "██");
@@ -779,7 +775,7 @@ mod tests {
             metric: "query".to_owned(),
             window: 8,
             now_epoch: 9,
-            summary: yv_store::HistorySummaryRow {
+            summary: yv_obs::LatencySummary {
                 count: 13,
                 mean_us: 40,
                 p50_us: 24,
@@ -788,16 +784,7 @@ mod tests {
                 min_us: 10,
                 max_us: 100,
             },
-            slo: vec![yv_store::HistorySloRow {
-                metric: "query".to_owned(),
-                p: 0.99,
-                threshold_us: 50_000,
-                window: 60,
-                short_window: 10,
-                state: "ok".to_owned(),
-                burn_long_pct: 0,
-                burn_short_pct: 0,
-            }],
+            slo: vec![(rule.clone(), rule.evaluate(&idle, &idle))],
             buckets: vec![
                 yv_store::HistoryBucketRow {
                     epoch: 2, count: 1, mean_us: 10, p50_us: 10, max_us: 10,

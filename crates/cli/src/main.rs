@@ -47,7 +47,7 @@ COMMANDS:
     serve      persistent store + TCP query server (--dir required; bootstraps
                a store on first run, reopens snapshot + per-shard WALs afterwards)
     snapshot   fold a store's write-ahead logs into a fresh snapshot (--dir)
-    top        live introspection of a running server: trace-ring counters,
+    top        live introspection of a running server: trace capture counters,
                per-command latency rows, recent slow traces, per-command
                sparklines over the last 60 seconds and SLO status lines
                (--addr; --watch refreshes every 2 seconds)
@@ -77,10 +77,10 @@ SERVING OPTIONS:
     --slow-us N         log requests slower than N microseconds as JSON
                         lines on stderr (arguments appear only as a digest)
                         and tail-sample them into the slow-trace window
-    --trace-ring N      completed request traces kept, most recent N
-                        (default 512; ~3.4 KiB each, allocated as they
-                        arrive; introspectable via TOP / TRACE <id> / yv top)
-    --no-trace          disable request-trace capture entirely
+    --no-trace          disable request-trace capture entirely (otherwise
+                        the last 512 traces are kept, ~3.4 KiB each,
+                        allocated as they arrive; introspectable via TOP /
+                        TRACE <id> / yv top)
     --telemetry-dir DIR with --slow-us, write the slow-request log to
                         DIR/slow.jsonl instead of stderr (size-capped, one
                         old generation kept); refused without --slow-us
@@ -135,8 +135,7 @@ fn spec(command: &str) -> Option<(&'static [&'static str], &'static [&'static st
         "serve" => Some((
             &[
                 "records", "seed", "ng", "max-minsup", "dir", "shards", "addr",
-                "workers", "metrics-addr", "slow-us", "trace-ring", "telemetry-dir",
-                "slo",
+                "workers", "metrics-addr", "slow-us", "telemetry-dir", "slo",
             ],
             &["italy", "no-trace"],
         )),

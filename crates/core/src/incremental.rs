@@ -311,7 +311,7 @@ impl IncrementalResolver {
     /// The current resolution over everything seen so far.
     #[must_use]
     pub fn resolution(&self) -> Resolution {
-        Resolution::new(self.matches.clone(), vec![])
+        Resolution::new(self.matches.clone())
     }
 
     /// The entity of `rid` at a certainty threshold: its connected
@@ -326,7 +326,7 @@ impl IncrementalResolver {
     /// reached" is a scan of the entity so far and the walk allocates
     /// nothing but its answer. A permissive threshold can chain thousands
     /// of records through negative-score matches; past
-    /// [`LINEAR_SCAN_MAX`] records a hash set takes over, which keeps the
+    /// 64 records (`LINEAR_SCAN_MAX`) a hash set takes over, which keeps the
     /// walk linear in the matches it visits.
     #[must_use]
     pub fn entity_of(&self, rid: RecordId, threshold: f64) -> Vec<RecordId> {

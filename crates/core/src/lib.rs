@@ -8,7 +8,8 @@
 //! Uncertain ER differs from the classic pipeline in two ways:
 //!
 //! 1. **blocking doubles as clustering** -- the output is a set of possibly
-//!    overlapping clusters, each representing one *possible* entity; and
+//!    overlapping clusters, each representing one *possible* entity (the
+//!    blocks `yv_blocking::mfi_blocks` returns); and
 //! 2. **no crisp decision is taken** -- the outcome is a ranked list of
 //!    matches with confidence scores, and entities are disambiguated only
 //!    at query time by a caller-chosen certainty threshold.
@@ -56,7 +57,7 @@ pub mod resolution;
 pub use conditions::Condition;
 pub use granularity::Granularity;
 pub use incremental::{IncrementalConfig, IncrementalResolver};
-pub use model::{RankedMatch, SoftCluster};
+pub use model::RankedMatch;
 pub use narrative::PersonProfile;
 pub use pipeline::{build_train_set, Pipeline, PipelineConfig};
 pub use probabilistic::PlattCalibration;

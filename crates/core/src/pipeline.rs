@@ -1,7 +1,7 @@
 //! The end-to-end uncertain-ER pipeline (Figure 9): preprocessing →
 //! MFIBlocks → feature extraction → ADT scoring → ranked resolution.
 
-use crate::model::{RankedMatch, SoftCluster};
+use crate::model::RankedMatch;
 use crate::resolution::Resolution;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use yv_adt::{train, AdTree, TrainConfig, TrainSet};
@@ -98,10 +98,10 @@ impl Pipeline {
 
     /// Score many pairs: `out[i]` is `score_pair(ds, pairs[i].0,
     /// pairs[i].1)`, bit for bit. A score is a pure function of its two
-    /// records, so the pairs are cut into runs of [`SCORE_RUN`] that the
+    /// records, so the pairs are cut into runs of 256 (`SCORE_RUN`) that the
     /// calling thread and its workers take in turn, each writing its run's
     /// own slice of the output — unless there are fewer than
-    /// [`PARALLEL_MIN_PAIRS`], which are scored in place.
+    /// 2 048 (`PARALLEL_MIN_PAIRS`), which are scored in place.
     #[must_use]
     pub fn score_pairs(&self, ds: &Dataset, pairs: &[(RecordId, RecordId)]) -> Vec<f64> {
         let workers = if pairs.len() < PARALLEL_MIN_PAIRS { 1 } else { scoring_workers() };
@@ -196,16 +196,7 @@ impl Pipeline {
         rec.incr("matches_kept", matches.len() as u64);
 
         let resolve_span = rec.span("resolve");
-        let clusters: Vec<SoftCluster> = blocked
-            .blocks
-            .iter()
-            .map(|b| SoftCluster {
-                key: b.items.clone(),
-                records: b.records.clone(),
-                cohesion: b.score,
-            })
-            .collect();
-        let resolution = Resolution::new(matches, clusters);
+        let resolution = Resolution::new(matches);
         resolve_span.finish();
         resolution
     }
@@ -284,14 +275,6 @@ mod tests {
             let n = pipeline.resolve(&gen.dataset, &c).matches.len();
             assert!(n <= base);
         }
-    }
-
-    #[test]
-    fn soft_clusters_are_exposed() {
-        let (gen, pipeline, config) = fixture();
-        let resolution = pipeline.resolve(&gen.dataset, &config);
-        assert!(!resolution.clusters.is_empty());
-        assert!(resolution.clusters.iter().all(|c| c.len() >= 2));
     }
 
     #[test]

@@ -111,10 +111,7 @@ mod tests {
     }
 
     fn resolution() -> Resolution {
-        Resolution::new(
-            vec![RankedMatch::new(RecordId(0), RecordId(1), 1.5)],
-            vec![],
-        )
+        Resolution::new(vec![RankedMatch::new(RecordId(0), RecordId(1), 1.5)])
     }
 
     #[test]

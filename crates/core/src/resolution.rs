@@ -6,28 +6,25 @@
 //! certainty knob to see more candidates; an app counting victims needs a
 //! single deterministic answer and takes the default threshold.
 
-use crate::model::{RankedMatch, SoftCluster};
+use crate::model::RankedMatch;
 use std::collections::HashMap;
 use yv_records::RecordId;
 
-/// The result of resolving a dataset: scored matches (descending) plus the
-/// soft clusters blocking produced.
+/// The result of resolving a dataset: scored matches, descending.
 #[derive(Debug, Clone, Default)]
 pub struct Resolution {
     /// All scored candidate matches, sorted by score descending.
     pub matches: Vec<RankedMatch>,
-    /// The soft clusters (possible entities) from blocking.
-    pub clusters: Vec<SoftCluster>,
 }
 
 impl Resolution {
     /// Build from an unsorted match list.
     #[must_use]
-    pub fn new(mut matches: Vec<RankedMatch>, clusters: Vec<SoftCluster>) -> Self {
+    pub fn new(mut matches: Vec<RankedMatch>) -> Self {
         matches.sort_by(|a, b| {
             b.score.total_cmp(&a.score).then_with(|| (a.a, a.b).cmp(&(b.a, b.b)))
         });
-        Resolution { matches, clusters }
+        Resolution { matches }
     }
 
     /// Matches at or above a certainty threshold, best first.
@@ -139,10 +136,7 @@ mod tests {
     }
 
     fn resolution() -> Resolution {
-        Resolution::new(
-            vec![rm(0, 1, 2.0), rm(1, 2, 0.5), rm(3, 4, -1.0), rm(5, 6, 1.2)],
-            vec![],
-        )
+        Resolution::new(vec![rm(0, 1, 2.0), rm(1, 2, 0.5), rm(3, 4, -1.0), rm(5, 6, 1.2)])
     }
 
     #[test]

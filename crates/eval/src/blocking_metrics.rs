@@ -1,5 +1,5 @@
 //! The blocking-metric vocabulary of the comparative-survey literature
-//! ([24], Christen's survey [9]): reduction ratio, pairs completeness and
+//! (\[24\], Christen's survey \[9\]): reduction ratio, pairs completeness and
 //! pairs quality. Table 10 reports recall/precision (≡ PC/PQ); these
 //! helpers expose the standard names plus the reduction ratio the paper
 //! cites in Section 3.1 ("blocking techniques manage to reduce the number

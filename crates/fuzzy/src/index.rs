@@ -27,7 +27,7 @@
 //! Both cheap filters are applied with a small epsilon of slack so a
 //! candidate *exactly at* the bound is never lost to floating-point
 //! rounding; the exact Jaccard (the same `inter/union` expression as
-//! [`yv_similarity::jaccard_sets`]) is the final arbiter.
+//! [`yv_similarity::jaccard::jaccard_sets`]) is the final arbiter.
 
 use std::collections::HashMap;
 use yv_records::{Record, RecordId};

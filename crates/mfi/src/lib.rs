@@ -6,7 +6,7 @@
 //! The crate mines maximal sets only; enumerating every frequent itemset is
 //! left to the test oracle.
 //!
-//! The paper uses Borgelt's FP-Growth [6] to mine MFIs (maximal frequent
+//! The paper uses Borgelt's FP-Growth \[6\] to mine MFIs (maximal frequent
 //! itemsets, Section 4.1.1): an itemset `I` is *frequent* when at least
 //! `minsup` records contain it, and *maximal* when no frequent strict
 //! superset exists. MFIBlocks mines MFIs from the still-uncovered records at

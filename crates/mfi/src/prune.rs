@@ -1,7 +1,7 @@
 //! Frequent-item pruning (Section 6.3).
 //!
 //! The performance study prunes the 0.03% most frequent items before
-//! mining, following [18]: ultra-frequent items (country names, genders)
+//! mining, following \[18\]: ultra-frequent items (country names, genders)
 //! generate enormous conditional trees while contributing no discriminative
 //! power to blocks.
 

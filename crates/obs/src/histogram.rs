@@ -2,13 +2,12 @@
 //!
 //! The histogram uses power-of-two microsecond buckets: bucket 0 holds
 //! samples below 1µs and bucket `i` holds samples in `[2^(i-1), 2^i)` µs,
-//! with the last bucket absorbing everything slower. Percentiles are
-//! reported as the upper bound of the bucket the requested rank falls in
-//! — coarse (within 2×) but lock-free, constant-memory, and safe to share
-//! across server workers. Windowed rollups ([`crate::window`]) instead use
-//! [`HistogramSnapshot::percentile_interp_us`], which interpolates inside
-//! the rank bucket and clamps to the observed min/max so a window's p50
-//! can never fall below its smallest sample.
+//! with the last bucket absorbing everything slower. The buckets are the
+//! storage — lock-free, constant-memory, and safe to share across server
+//! workers. Percentiles are read one way only,
+//! [`HistogramSnapshot::percentile_interp_us`]: interpolated inside the
+//! rank bucket and clamped to the observed min/max, so no reported
+//! percentile falls below the smallest sample or above the largest.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -97,33 +96,6 @@ impl HistogramSnapshot {
         self.sum_ns / n / 1_000
     }
 
-    /// The rank (1-based) the `q`-quantile falls on, or `None` when empty.
-    fn rank(&self, q: f64) -> Option<(u64, u64)> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
-        Some((target, total))
-    }
-
-    /// The `q`-quantile as the upper bound of the bucket holding that
-    /// rank, in microseconds. 0 when empty.
-    #[must_use]
-    pub fn percentile_us(&self, q: f64) -> u64 {
-        let Some((target, _)) = self.rank(q) else {
-            return 0;
-        };
-        let mut cumulative = 0u64;
-        for (i, &n) in self.counts.iter().enumerate() {
-            cumulative += n;
-            if cumulative >= target {
-                return Histogram::bucket_bound_us(i);
-            }
-        }
-        Histogram::bucket_bound_us(BUCKET_COUNT - 1)
-    }
-
     /// The `q`-quantile interpolated linearly inside the rank bucket and
     /// clamped to the snapshot's observed `[min, max]`, in microseconds.
     ///
@@ -135,9 +107,12 @@ impl HistogramSnapshot {
     /// which is what makes windowed deltas trustworthy on dashboards.
     #[must_use]
     pub fn percentile_interp_us(&self, q: f64) -> u64 {
-        let Some((target, _)) = self.rank(q) else {
+        let total = self.count();
+        if total == 0 {
             return 0;
-        };
+        }
+        // The rank (1-based) the `q`-quantile falls on.
+        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
         let min_us = self.min_ns / 1_000;
         let max_us = self.max_ns / 1_000;
         let mut cumulative = 0u64;
@@ -213,24 +188,10 @@ impl HistogramSnapshot {
     }
 
     /// Count / mean / p50 / p95 / p99 / max / min, all from this one
-    /// snapshot, with bucket-upper-bound percentiles.
+    /// snapshot, with [`HistogramSnapshot::percentile_interp_us`]
+    /// percentiles: the one rule every latency row reports.
     #[must_use]
     pub fn summary(&self) -> LatencySummary {
-        LatencySummary {
-            count: self.count(),
-            mean_us: self.mean_us(),
-            p50_us: self.percentile_us(0.50),
-            p95_us: self.percentile_us(0.95),
-            p99_us: self.percentile_us(0.99),
-            max_us: self.max_ns / 1_000,
-            min_us: self.min_ns / 1_000,
-        }
-    }
-
-    /// Like [`HistogramSnapshot::summary`] but with interpolated, min/max
-    /// clamped percentiles — the flavor `HISTORY` windows report.
-    #[must_use]
-    pub fn summary_interp(&self) -> LatencySummary {
         LatencySummary {
             count: self.count(),
             mean_us: self.mean_us(),
@@ -282,8 +243,8 @@ impl Histogram {
         bits.min(BUCKET_COUNT - 1)
     }
 
-    /// Upper bound of bucket `i` in microseconds (the value percentiles
-    /// report). The overflow bucket reports its lower bound.
+    /// Upper bound of bucket `i` in microseconds (the Prometheus `le`
+    /// label). The overflow bucket reports its lower bound.
     #[must_use]
     pub fn bucket_bound_us(i: usize) -> u64 {
         1u64 << i.min(BUCKET_COUNT - 1)
@@ -357,8 +318,8 @@ mod tests {
         assert_eq!(snap, HistogramSnapshot::default());
         assert_eq!(snap.count(), 0);
         assert_eq!(snap.mean_us(), 0);
-        assert_eq!(snap.percentile_us(0.5), 0);
-        assert_eq!(snap.percentile_us(0.99), 0);
+        assert_eq!(snap.percentile_interp_us(0.5), 0);
+        assert_eq!(snap.percentile_interp_us(0.99), 0);
         assert_eq!(snap.summary(), LatencySummary::default());
     }
 
@@ -368,9 +329,11 @@ mod tests {
         h.record_ns(3 * US); // bucket 2, bound 4µs
         let s = h.snapshot().summary();
         assert_eq!(s.count, 1);
-        assert_eq!(s.p50_us, 4);
-        assert_eq!(s.p95_us, 4);
-        assert_eq!(s.p99_us, 4);
+        // The bucket bound (4µs) clamps to the one sample: a percentile
+        // never exceeds the exact max.
+        assert_eq!(s.p50_us, 3);
+        assert_eq!(s.p95_us, 3);
+        assert_eq!(s.p99_us, 3);
         assert_eq!(s.mean_us, 3);
         // Max and min are exact, not bucket-rounded.
         assert_eq!(s.max_us, 3);
@@ -422,12 +385,13 @@ mod tests {
         }
         let snap = h.snapshot();
         assert_eq!(snap.count(), 100);
-        // p50 rank 50 -> fast bucket [8,16)µs, bound 16µs.
-        assert_eq!(snap.percentile_us(0.50), 16);
-        // p99 rank 99 -> slow bucket; 1s = 976_562µs in [2^19, 2^20)µs.
-        assert_eq!(snap.percentile_us(0.99), 1 << 20);
-        // p90 rank 90 still lands in the fast bucket.
-        assert_eq!(snap.percentile_us(0.90), 16);
+        // p50 rank 50 of 90 in the fast bucket [8,16)µs: 8 + ceil(8·50/90).
+        assert_eq!(snap.percentile_interp_us(0.50), 13);
+        // p90 rank 90 is the fast bucket's last: its bound.
+        assert_eq!(snap.percentile_interp_us(0.90), 16);
+        // p99 rank 9 of 10 in the slow bucket [2^19, 2^20)µs, under the
+        // exact 1s max.
+        assert_eq!(snap.percentile_interp_us(0.99), (1 << 19) + ((1u64 << 19) * 9).div_ceil(10));
     }
 
     #[test]
@@ -435,10 +399,11 @@ mod tests {
         let h = Histogram::new();
         h.record_ns(US);
         h.record_ns(100 * US);
-        // q=0 clamps to the first sample's bucket, q=1 to the last.
+        // q=0 clamps to rank 1 (the first sample's bucket bound), q=1 to
+        // the last rank, whose bucket bound (128µs) clamps to the max.
         let snap = h.snapshot();
-        assert_eq!(snap.percentile_us(0.0), 2);
-        assert_eq!(snap.percentile_us(1.0), 128);
+        assert_eq!(snap.percentile_interp_us(0.0), 2);
+        assert_eq!(snap.percentile_interp_us(1.0), 100);
     }
 
     #[test]
@@ -513,7 +478,7 @@ mod tests {
         // p100 interpolates to the bucket bound (32) but clamps to the
         // exact max.
         assert_eq!(delta.percentile_interp_us(1.0), 31);
-        let s = delta.summary_interp();
+        let s = delta.summary();
         assert_eq!((s.p50_us, s.min_us, s.max_us), (30, 30, 31));
         // Unclamped ranks still interpolate inside the bucket: with four
         // samples spread across [16,32), rank 1 of 4 sits at 20µs...

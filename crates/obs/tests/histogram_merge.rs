@@ -36,14 +36,7 @@ proptest! {
 
         // Bucket-exact merge: identical snapshots...
         prop_assert_eq!(merged, reference);
-        // ...hence identical quantiles at every rank.
-        for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
-            prop_assert_eq!(
-                merged.percentile_us(q),
-                reference.percentile_us(q),
-                "q={}", q
-            );
-        }
+        // ...hence the identical summary, every percentile included.
         prop_assert_eq!(merged.summary(), reference.summary());
     }
 
@@ -75,12 +68,13 @@ proptest! {
         prop_assert_eq!(delta.count(), window.len() as u64);
         prop_assert_eq!(delta.merge(&earlier), later);
         prop_assert_eq!(earlier.merge(&delta), later);
-        // The delta's percentiles never undershoot its min bound.
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            if delta.count() > 0 {
-                prop_assert!(delta.percentile_interp_us(q) >= delta.min_ns / 1_000, "q={}", q);
-            }
-        }
+        // The delta's summary stays inside its [min, max] envelope.
+        let s = delta.summary();
+        prop_assert!(
+            s.min_us <= s.p50_us && s.p50_us <= s.p95_us && s.p95_us <= s.p99_us
+                && s.p99_us <= s.max_us,
+            "{:?}", s
+        );
         // Subtracting out of order is a typed refusal, not garbage.
         if delta.count() > 0 {
             prop_assert_eq!(earlier.sub(&later), None);

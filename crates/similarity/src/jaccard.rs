@@ -3,7 +3,7 @@
 //! The Jaccard coefficient is the paper's workhorse: the `XnameDist`
 //! features are q-gram Jaccard similarities between names (Section 5.1) and
 //! MFIBlocks' block score is a Jaccard-style commonality measure over record
-//! item bags (Section 4.1.2 / [18]).
+//! item bags (Section 4.1.2 / \[18\]).
 
 use crate::strings::tokens;
 use crate::symbols::{exact, with_scratch, Kernel, Symbol};

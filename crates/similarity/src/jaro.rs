@@ -147,7 +147,7 @@ pub fn letter_sketch(s: &str) -> u128 {
 /// sum over buckets of the smaller count, and Jaro-Winkler is at most
 /// `winkler_step((m/|name| + m/|query| + 1) / 3, min(4, |name|, |query|))`;
 /// the table holds, per length, the least count whose bound plus
-/// [`ROUNDING`] reaches `s`. DESIGN.md §9 "Query index" has the proof.
+/// `ROUNDING` (1e-9) reaches `s`. DESIGN.md §9 "Query index" has the proof.
 #[derive(Debug, Clone)]
 pub struct JaroWinklerFilter<'q> {
     query: &'q str,

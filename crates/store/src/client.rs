@@ -59,13 +59,18 @@
 
 use crate::error::StoreError;
 use crate::frame::{BatchStatus, RequestFrame, ResponseFrame, HELLO_LINE, HELLO_OK};
-use crate::protocol::TERMINATOR;
+use crate::protocol::{
+    CommandStats, HistoryBucketRow, HistoryReport, SlowRow, StatsReport, TopReport, COMMANDS,
+    TERMINATOR,
+};
 use crate::shard::ShardStats;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use yv_core::{PersonQuery, QueryHit};
+use yv_fuzzy::RankedEntity;
+use yv_obs::{LatencySummary, RingStats, SloRule, SloState, SloStatus};
 use yv_records::{Gender, Record, RecordId};
 
 /// Everything that can go wrong talking to a `yv serve` server.
@@ -165,67 +170,13 @@ impl From<StoreError> for ClientError {
     }
 }
 
-/// One `SHARD` row of a `STATS` response. Field-for-field the server's
-/// [`ShardStats`].
-pub type ShardRow = ShardStats;
+/// One `CAND` row of a `RESOLVE` response. The name remains because the
+/// benchmark names it; it is the server's [`RankedEntity`].
+pub type ResolveRow = RankedEntity;
 
-/// One `CAND` row of a `RESOLVE` response: a ranked entity candidate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResolveRow {
-    /// Entity representative (smallest member record id).
-    pub entity: RecordId,
-    /// Blended score in `[0, 1]`.
-    pub score: f64,
-    /// The indexed name that matched the query best.
-    pub name: String,
-    /// Entity members, ascending.
-    pub members: Vec<RecordId>,
-}
-
-/// One `CMD` row of a `STATS` or `TOP` response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommandRow {
-    pub name: String,
-    pub count: u64,
-    pub errors: u64,
-    pub mean_us: u64,
-    pub p50_us: u64,
-    pub p95_us: u64,
-    pub p99_us: u64,
-    pub max_us: u64,
-}
-
-/// The `RING` row of a `TOP` response: capture-ring counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RingRow {
-    pub capacity: usize,
-    pub occupancy: usize,
-    pub captured: u64,
-    pub evicted: u64,
-    pub sampled: u64,
-    /// Trace id of the most recent tail-sampled request (0 = none yet).
-    pub last_slow: u64,
-}
-
-/// One `SLOW` row of a `TOP` response: a tail-sampled request summary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlowRow {
-    pub trace: u64,
-    pub command: String,
-    pub ok: bool,
-    pub conn: u64,
-    pub total_ns: u64,
-    pub spans: usize,
-}
-
-/// A parsed `TOP` response: ring counters, per-command latency rows and
-/// the recent tail-sampled requests, newest first.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopReport {
-    pub ring: RingRow,
-    pub commands: Vec<CommandRow>,
-    pub slow: Vec<SlowRow>,
-}
+/// One `CMD` row of a `STATS` or `TOP` response. The name remains because
+/// the benchmark names it; it is the server's [`CommandStats`].
+pub type CommandRow = CommandStats;
 
 /// One `SPAN` row of a `TRACE` response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,81 +202,6 @@ pub struct TraceReport {
     pub dropped_spans: u16,
     pub args: Vec<(String, u64)>,
     pub spans: Vec<SpanRow>,
-}
-
-/// The `WINDOW` row of a `HISTORY` response: every in-window sample
-/// merged, with interpolated min/max-clamped percentiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HistorySummaryRow {
-    pub count: u64,
-    pub mean_us: u64,
-    pub p50_us: u64,
-    pub p95_us: u64,
-    pub p99_us: u64,
-    pub min_us: u64,
-    pub max_us: u64,
-}
-
-/// One `SLO` row of a `HISTORY` response: a burn-rate rule and its
-/// evaluated state (`ok` / `warning` / `firing`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistorySloRow {
-    pub metric: String,
-    pub p: f64,
-    pub threshold_us: u64,
-    pub window: usize,
-    pub short_window: usize,
-    pub state: String,
-    pub burn_long_pct: u64,
-    pub burn_short_pct: u64,
-}
-
-/// One `BUCKET` row of a `HISTORY` response: a closed window bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistoryBucketRow {
-    pub epoch: u64,
-    pub count: u64,
-    pub mean_us: u64,
-    pub p50_us: u64,
-    pub max_us: u64,
-}
-
-/// A parsed `HISTORY` response: the resolved metric/window from the
-/// status line, the whole-window summary, the SLO rows watching the
-/// metric, and the non-empty closed buckets (ascending epoch).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistoryReport {
-    pub metric: String,
-    pub window: usize,
-    /// The currently open epoch; buckets cover `[now_epoch - window,
-    /// now_epoch)`.
-    pub now_epoch: u64,
-    pub summary: HistorySummaryRow,
-    pub slo: Vec<HistorySloRow>,
-    pub buckets: Vec<HistoryBucketRow>,
-}
-
-/// A parsed `STATS` response: the store-wide aggregates from the status
-/// line plus the per-shard and per-command data rows.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsReport {
-    pub records: usize,
-    pub sources: usize,
-    pub matches: usize,
-    pub shards: usize,
-    pub wal_entries: usize,
-    pub wal_bytes: u64,
-    /// WAL `sync_data` calls since the server's store was opened.
-    pub wal_syncs: u64,
-    pub vocabulary: usize,
-    pub fuzzy_names: usize,
-    pub fuzzy_grams: usize,
-    pub fuzzy_postings: usize,
-    pub fuzzy_examined: u64,
-    pub fuzzy_pruned: u64,
-    pub errors: u64,
-    pub shard_rows: Vec<ShardRow>,
-    pub commands: Vec<CommandRow>,
 }
 
 /// Which transport a connection should speak.
@@ -623,7 +499,7 @@ impl Client {
         name: &str,
         k: Option<usize>,
         min: Option<f64>,
-    ) -> Result<Vec<ResolveRow>, ClientError> {
+    ) -> Result<Vec<RankedEntity>, ClientError> {
         let k = k.map(wire_u32("k")).transpose()?;
         let frame = RequestFrame::Resolve { name: name.to_owned(), k, min };
         let (_, data) = self.request(&frame)?;
@@ -930,7 +806,7 @@ fn parse_hit(line: &str) -> Result<QueryHit, ClientError> {
 }
 
 /// Parse one `CAND entity=N score=S name=X members=A,B,C` data line.
-fn parse_cand(line: &str) -> Result<ResolveRow, ClientError> {
+fn parse_cand(line: &str) -> Result<RankedEntity, ClientError> {
     let malformed = || ClientError::Protocol(format!("malformed CAND line {line:?}"));
     if !line.starts_with("CAND ") {
         return Err(malformed());
@@ -941,7 +817,7 @@ fn parse_cand(line: &str) -> Result<ResolveRow, ClientError> {
         .map(|r| r.parse().map(RecordId))
         .collect::<Result<Vec<_>, _>>()
         .map_err(|_| malformed())?;
-    Ok(ResolveRow {
+    Ok(RankedEntity {
         entity: RecordId(field(line, "entity")?),
         score: field(line, "score")?,
         name: field::<String>(line, "name")?,
@@ -978,17 +854,15 @@ fn extra_args(line: &str, known: &[&str]) -> Vec<(String, u64)> {
 }
 
 /// Parse one `CMD NAME count=... max_us=...` row (shared by `STATS` and
-/// `TOP`).
-fn parse_cmd_row(line: &str) -> Result<CommandRow, ClientError> {
-    let rest = line
-        .strip_prefix("CMD ")
+/// `TOP`); the name must be one of [`COMMANDS`].
+fn parse_cmd_row(line: &str) -> Result<CommandStats, ClientError> {
+    let token = line.strip_prefix("CMD ").and_then(|rest| rest.split_whitespace().next());
+    let name = COMMANDS
+        .iter()
+        .map(|&(_, name)| name)
+        .find(|name| Some(*name) == token)
         .ok_or_else(|| ClientError::Protocol(format!("malformed CMD line {line:?}")))?;
-    let name = rest
-        .split_whitespace()
-        .next()
-        .ok_or_else(|| ClientError::Protocol(format!("malformed CMD line {line:?}")))?
-        .to_owned();
-    Ok(CommandRow {
+    Ok(CommandStats {
         name,
         count: field(line, "count")?,
         errors: field(line, "errors")?,
@@ -1018,7 +892,7 @@ fn parse_top(data: &[String]) -> Result<TopReport, ClientError> {
     let mut slow = Vec::new();
     for line in data {
         if line.starts_with("RING ") {
-            ring = Some(RingRow {
+            ring = Some(RingStats {
                 capacity: field(line, "capacity")?,
                 occupancy: field(line, "occupancy")?,
                 captured: field(line, "captured")?,
@@ -1086,6 +960,28 @@ fn parse_trace(status: &str, data: &[String]) -> Result<TraceReport, ClientError
     Ok(report)
 }
 
+/// Parse one `SLO` row: the rule (its `short_window=` is derived from
+/// `window=`) and its evaluated state.
+fn parse_slo_row(line: &str) -> Result<(SloRule, SloStatus), ClientError> {
+    let rule = SloRule {
+        metric: field(line, "metric")?,
+        p: field(line, "p")?,
+        threshold_us: field(line, "threshold_us")?,
+        window: field(line, "window")?,
+    };
+    let label: String = field(line, "state")?;
+    let state = [SloState::Ok, SloState::Warning, SloState::Firing]
+        .into_iter()
+        .find(|state| state.label() == label)
+        .ok_or_else(|| ClientError::Protocol(format!("unexpected state={label:?} in {line:?}")))?;
+    let status = SloStatus {
+        state,
+        burn_long_pct: field(line, "burn_long_pct")?,
+        burn_short_pct: field(line, "burn_short_pct")?,
+    };
+    Ok((rule, status))
+}
+
 /// Parse the `HISTORY` status line plus `WINDOW` / `SLO` / `BUCKET` rows.
 fn parse_history(status: &str, data: &[String]) -> Result<HistoryReport, ClientError> {
     let mut summary = None;
@@ -1093,7 +989,7 @@ fn parse_history(status: &str, data: &[String]) -> Result<HistoryReport, ClientE
     let mut buckets = Vec::new();
     for line in data {
         if line.starts_with("WINDOW ") {
-            summary = Some(HistorySummaryRow {
+            summary = Some(LatencySummary {
                 count: field(line, "count")?,
                 mean_us: field(line, "mean_us")?,
                 p50_us: field(line, "p50_us")?,
@@ -1103,16 +999,7 @@ fn parse_history(status: &str, data: &[String]) -> Result<HistoryReport, ClientE
                 max_us: field(line, "max_us")?,
             });
         } else if line.starts_with("SLO ") {
-            slo.push(HistorySloRow {
-                metric: field(line, "metric")?,
-                p: field(line, "p")?,
-                threshold_us: field(line, "threshold_us")?,
-                window: field(line, "window")?,
-                short_window: field(line, "short_window")?,
-                state: field(line, "state")?,
-                burn_long_pct: field(line, "burn_long_pct")?,
-                burn_short_pct: field(line, "burn_short_pct")?,
-            });
+            slo.push(parse_slo_row(line)?);
         } else if line.starts_with("BUCKET ") {
             buckets.push(HistoryBucketRow {
                 epoch: field(line, "epoch")?,
@@ -1139,13 +1026,13 @@ fn parse_history(status: &str, data: &[String]) -> Result<HistoryReport, ClientE
     })
 }
 
-/// Parse the `STATS` status line plus `SHARD` / `CMD` data rows.
+/// Parse the `STATS` status line plus `SHARD` / `CMD` data rows; the
+/// status line's `shards=` must count the `SHARD` rows.
 fn parse_stats(status: &str, data: &[String]) -> Result<StatsReport, ClientError> {
     let mut report = StatsReport {
         records: field(status, "records")?,
         sources: field(status, "sources")?,
         matches: field(status, "matches")?,
-        shards: field(status, "shards")?,
         wal_entries: field(status, "wal")?,
         wal_bytes: field(status, "wal_bytes")?,
         wal_syncs: field(status, "wal_syncs")?,
@@ -1165,7 +1052,7 @@ fn parse_stats(status: &str, data: &[String]) -> Result<StatsReport, ClientError
                 .next()
                 .and_then(|s| s.parse().ok())
                 .ok_or_else(|| ClientError::Protocol(format!("malformed SHARD line {line:?}")))?;
-            report.shard_rows.push(ShardRow {
+            report.shard_rows.push(ShardStats {
                 shard,
                 records: field(line, "records")?,
                 wal_entries: field(line, "wal")?,
@@ -1179,12 +1066,19 @@ fn parse_stats(status: &str, data: &[String]) -> Result<StatsReport, ClientError
             )));
         }
     }
+    if field::<usize>(status, "shards")? != report.shard_rows.len() {
+        return Err(ClientError::Protocol(format!(
+            "shards= disagrees with the {} SHARD rows in {status:?}",
+            report.shard_rows.len()
+        )));
+    }
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::tests as fixtures;
     use crate::protocol::{parse_request, Request};
     use yv_records::{DateParts, RecordBuilder, SourceId};
 
@@ -1244,11 +1138,25 @@ mod tests {
         assert!(matches!(encode_query(&spaced_query), Err(ClientError::Unencodable(_))));
     }
 
+    /// A rendered response split into its status line and data lines,
+    /// as [`read_text_block`] reads it off a socket.
+    fn block(rendered: &str) -> (String, Vec<String>) {
+        read_text_block(&mut rendered.as_bytes()).expect("a whole response block")
+    }
+
+    fn ids(ids: &[u32]) -> Vec<RecordId> {
+        ids.iter().copied().map(RecordId).collect()
+    }
+
     #[test]
     fn hit_lines_parse() {
-        let hit = parse_hit("HIT seed=17 entity=17,203,5044").expect("well-formed");
-        assert_eq!(hit.seed, RecordId(17));
-        assert_eq!(hit.entity, vec![RecordId(17), RecordId(203), RecordId(5044)]);
+        let hits = vec![
+            QueryHit { seed: RecordId(17), entity: ids(&[17, 203, 5044]) },
+            QueryHit { seed: RecordId(9), entity: ids(&[9]) },
+        ];
+        let (_, data) = block(&crate::protocol::format_hits(&hits));
+        let parsed: Result<Vec<_>, _> = data.iter().map(|line| parse_hit(line)).collect();
+        assert_eq!(parsed.expect("rendered by the server"), hits);
         assert!(parse_hit("HIT seed=17").is_err());
         assert!(parse_hit("seed=17 entity=1").is_err());
         assert!(parse_hit("HIT seed=x entity=1").is_err());
@@ -1256,36 +1164,32 @@ mod tests {
 
     #[test]
     fn cand_lines_parse() {
-        let row = parse_cand("CAND entity=17 score=0.6125 name=levi members=17,203")
-            .expect("well-formed");
-        assert_eq!(row.entity, RecordId(17));
-        assert!((row.score - 0.6125).abs() < 1e-12);
-        assert_eq!(row.name, "levi");
-        assert_eq!(row.members, vec![RecordId(17), RecordId(203)]);
+        // Every score survives the text wire bit for bit: what the server
+        // renders parses back to the same f64, which no fixed precision
+        // gives for all of these (17 significant digits among them).
+        let scores =
+            [0.1 + 0.2, 1.0 / 3.0, 0.123_456_789_012_345_68, f64::MIN_POSITIVE, -0.0, 1e300];
+        let hits: Vec<RankedEntity> = scores
+            .iter()
+            .zip(17..)
+            .map(|(&score, id)| RankedEntity {
+                entity: RecordId(id),
+                score,
+                name: format!("levi{id}"),
+                members: ids(&[id, 203]),
+            })
+            .collect();
+        let (_, data) = block(&crate::protocol::format_candidates(&hits));
+        let parsed: Vec<RankedEntity> =
+            data.iter().map(|line| parse_cand(line).expect("rendered by the server")).collect();
+        assert_eq!(parsed, hits);
+        let bits = |rows: &[RankedEntity]| -> Vec<u64> {
+            rows.iter().map(|r| r.score.to_bits()).collect()
+        };
+        assert_eq!(bits(&parsed), bits(&hits));
         assert!(parse_cand("CAND entity=17 score=0.5 name=levi").is_err());
         assert!(parse_cand("HIT seed=17 entity=1").is_err());
         assert!(parse_cand("CAND entity=17 score=x name=levi members=17").is_err());
-
-        // A score survives the text wire bit for bit: what the server
-        // renders parses back to the same f64, which no fixed precision
-        // gives for all of these.
-        let scores = [0.1 + 0.2, 1.0 / 3.0, f64::MIN_POSITIVE, -0.0, 1e300];
-        let hits: Vec<yv_fuzzy::RankedEntity> = scores
-            .iter()
-            .map(|&score| yv_fuzzy::RankedEntity {
-                entity: RecordId(17),
-                score,
-                name: "levi".to_owned(),
-                members: vec![RecordId(17)],
-            })
-            .collect();
-        let rendered = crate::protocol::format_candidates(&hits);
-        let parsed: Vec<u64> = rendered
-            .lines()
-            .filter(|line| line.starts_with("CAND "))
-            .map(|line| parse_cand(line).expect("rendered by the server").score.to_bits())
-            .collect();
-        assert_eq!(parsed, scores.map(f64::to_bits));
     }
 
     /// A scripted [`Connection`] that records the high-water mark of
@@ -1417,89 +1321,50 @@ mod tests {
 
     #[test]
     fn stats_response_parses_shard_and_cmd_rows() {
-        let status = "OK records=7 sources=2 matches=9 shards=2 wal=1 wal_bytes=104 wal_syncs=3 \
-                      vocabulary=13 fuzzy_names=13 fuzzy_grams=48 fuzzy_postings=58 \
-                      fuzzy_examined=21 fuzzy_pruned=6 errors=3";
-        let data = vec![
-            "SHARD 0 records=5 wal=1 wal_bytes=104".to_owned(),
-            "SHARD 1 records=2 wal=0 wal_bytes=0".to_owned(),
-            "CMD QUERY count=3 errors=0 mean_us=40 p50_us=32 p95_us=64 p99_us=64 max_us=71"
-                .to_owned(),
-        ];
-        let report = parse_stats(status, &data).expect("well-formed");
-        assert_eq!(report.records, 7);
-        assert_eq!(report.shards, 2);
-        assert_eq!((report.wal_bytes, report.wal_syncs), (104, 3));
-        assert_eq!(report.errors, 3);
-        assert_eq!(report.shard_rows.len(), 2);
-        assert_eq!(report.shard_rows[1].shard, 1);
-        assert_eq!(report.shard_rows[0].records, 5);
-        assert_eq!(report.shard_rows[0].wal_bytes, 104);
-        assert_eq!(report.fuzzy_names, 13);
-        assert_eq!(report.fuzzy_pruned, 6);
-        assert_eq!(report.commands.len(), 1);
-        assert_eq!(report.commands[0].name, "QUERY");
-        assert_eq!(report.commands[0].p95_us, 64);
-        assert_eq!(report.commands[0].max_us, 71);
+        let report = fixtures::sample_stats();
+        let rendered = crate::protocol::format_stats(&report);
+        let (status, data) = block(&rendered);
+        assert_eq!(parse_stats(&status, &data).expect("rendered by the server"), report);
+        let (skewed, _) = block(&rendered.replace("shards=2", "shards=3"));
+        assert!(parse_stats(&skewed, &data).is_err(), "shards= must count the SHARD rows");
+        let unknown: Vec<String> = data.iter().map(|l| l.replace("CMD ADD", "CMD FROB")).collect();
+        assert!(parse_stats(&status, &unknown).is_err(), "CMD names come from COMMANDS");
         assert!(parse_stats("OK records=7", &[]).is_err(), "missing fields rejected");
     }
 
     #[test]
     fn top_response_parses_ring_cmd_and_slow_rows() {
-        let data = vec![
-            "RING capacity=512 occupancy=3 captured=3 evicted=0 sampled=1 \
-             last_slow_trace=00ab00cd00ef0011"
-                .to_owned(),
-            "CMD RESOLVE count=1 errors=0 mean_us=24 p50_us=24 p95_us=24 p99_us=24 max_us=24"
-                .to_owned(),
-            "SLOW trace=00ab00cd00ef0011 command=RESOLVE status=ok conn=3 total_ns=24500 spans=5"
-                .to_owned(),
-        ];
-        let report = parse_top(&data).expect("well-formed");
-        assert_eq!(report.ring.capacity, 512);
-        assert_eq!(report.ring.occupancy, 3);
-        assert_eq!(report.ring.sampled, 1);
-        assert_eq!(report.ring.last_slow, 0x00ab_00cd_00ef_0011);
-        assert_eq!(report.commands.len(), 1);
-        assert_eq!(report.commands[0].name, "RESOLVE");
-        assert_eq!(report.commands[0].max_us, 24);
-        assert_eq!(report.slow.len(), 1);
-        assert_eq!(report.slow[0].trace, 0x00ab_00cd_00ef_0011);
-        assert!(report.slow[0].ok);
-        assert_eq!(report.slow[0].spans, 5);
+        let idle = TopReport { ring: RingStats::default(), commands: Vec::new(), slow: Vec::new() };
+        for report in [fixtures::sample_top(), idle] {
+            let (_, data) = block(&crate::protocol::format_top(&report));
+            assert_eq!(parse_top(&data).expect("rendered by the server"), report);
+        }
         assert!(parse_top(&["CMD QUERY count=1".to_owned()]).is_err(), "RING line required");
         assert!(parse_top(&["RANDOM row".to_owned()]).is_err(), "unknown rows rejected");
     }
 
     #[test]
     fn trace_response_parses_the_span_tree_with_shards_and_args() {
-        let status = "OK trace=00ab00cd00ef0011 command=RESOLVE status=ok conn=3 \
-                      total_ns=24500 spans=5 dropped=0 name_digest=3735928559 k=3";
-        let data = vec![
-            "SPAN name=accept depth=0 start_ns=0 dur_ns=0".to_owned(),
-            "  SPAN name=shard depth=1 shard=2 start_ns=4000 dur_ns=10000 cands=4".to_owned(),
-        ];
-        let report = parse_trace(status, &data).expect("well-formed");
-        assert_eq!(report.id, 0x00ab_00cd_00ef_0011);
-        assert_eq!(report.command, "RESOLVE");
-        assert!(report.ok);
-        assert_eq!(report.conn, 3);
-        assert_eq!(report.total_ns, 24500);
-        assert_eq!(report.dropped_spans, 0);
-        assert_eq!(
-            report.args,
-            vec![("name_digest".to_owned(), 3_735_928_559), ("k".to_owned(), 3)]
-        );
-        assert_eq!(report.spans.len(), 2);
-        assert_eq!(report.spans[0].name, "accept");
-        assert_eq!(report.spans[0].shard, None);
-        assert_eq!(report.spans[1].shard, Some(2));
-        assert_eq!(report.spans[1].start_ns, 4000);
-        assert_eq!(report.spans[1].args, vec![("cands".to_owned(), 4)]);
-        assert!(
-            parse_trace(status, &["HIT seed=1 entity=1".to_owned()]).is_err(),
-            "non-SPAN data rejected"
-        );
+        let trace = fixtures::sample_trace();
+        let (status, data) = block(&crate::protocol::format_trace(&trace));
+        let report = parse_trace(&status, &data).expect("rendered by the server");
+        let owned = |args: &[(&str, u64)]| -> Vec<(String, u64)> {
+            args.iter().map(|&(key, value)| (key.to_owned(), value)).collect()
+        };
+        assert_eq!((report.id, report.command.as_str()), (trace.id, trace.command));
+        assert_eq!((report.ok, report.conn), (trace.ok, trace.conn));
+        assert_eq!((report.total_ns, report.dropped_spans), (trace.total_ns, trace.dropped_spans));
+        assert_eq!(report.args, owned(trace.args()));
+        assert_eq!(report.spans.len(), trace.spans().len());
+        for (row, span) in report.spans.iter().zip(trace.spans()) {
+            let start_ns = span.start_ns - trace.start_ns;
+            assert_eq!(row.name, span.name);
+            assert_eq!((row.depth, row.shard), (span.depth, span.shard()));
+            assert_eq!((row.start_ns, row.dur_ns), (start_ns, span.dur_ns));
+            assert_eq!(row.args, owned(span.args()));
+        }
+        let hit = ["HIT seed=1 entity=1".to_owned()];
+        assert!(parse_trace(&status, &hit).is_err(), "non-SPAN data rejected");
         assert!(
             parse_trace("OK trace=zz command=X status=ok conn=0 total_ns=0 spans=0 dropped=0", &[])
                 .is_err(),
@@ -1509,39 +1374,26 @@ mod tests {
 
     #[test]
     fn history_response_parses_summary_slo_and_bucket_rows() {
-        let status = "OK history metric=query window=5 now_epoch=9 buckets=2";
-        let data = vec![
-            "WINDOW count=4 mean_us=40 p50_us=24 p95_us=100 p99_us=100 min_us=10 max_us=100"
-                .to_owned(),
-            "SLO metric=query p=0.99 threshold_us=1000 window=60 short_window=10 state=ok \
-             burn_long_pct=0 burn_short_pct=0"
-                .to_owned(),
-            "BUCKET epoch=7 count=3 mean_us=20 p50_us=24 max_us=30".to_owned(),
-            "BUCKET epoch=8 count=1 mean_us=100 p50_us=100 max_us=100".to_owned(),
-        ];
-        let report = parse_history(status, &data).expect("well-formed");
-        assert_eq!(report.metric, "query");
-        assert_eq!(report.window, 5);
-        assert_eq!(report.now_epoch, 9);
-        assert_eq!(report.summary.count, 4);
-        assert_eq!(report.summary.p50_us, 24);
-        assert_eq!(report.summary.min_us, 10);
-        assert_eq!(report.summary.max_us, 100);
-        assert_eq!(report.slo.len(), 1);
-        assert_eq!(report.slo[0].metric, "query");
-        assert!((report.slo[0].p - 0.99).abs() < 1e-12);
-        assert_eq!(report.slo[0].threshold_us, 1000);
-        assert_eq!(report.slo[0].short_window, 10);
-        assert_eq!(report.slo[0].state, "ok");
-        assert_eq!(report.buckets.len(), 2);
-        assert_eq!(report.buckets[0].epoch, 7);
-        assert_eq!(report.buckets[0].count, 3);
-        assert_eq!(report.buckets[1].epoch, 8);
-        assert_eq!(report.buckets[1].mean_us, 100);
+        // The fixture's rule is `ok`; add one `warning` and one `firing`.
+        let mut busy = fixtures::sample_history();
+        let rule = busy.slo[0].0.clone();
+        for (state, burn) in [(SloState::Warning, 60), (SloState::Firing, 400)] {
+            let status = SloStatus { state, burn_long_pct: burn, burn_short_pct: burn * 2 };
+            busy.slo.push((SloRule { window: 30, ..rule.clone() }, status));
+        }
+        let empty = HistoryReport {
+            summary: LatencySummary::default(),
+            slo: Vec::new(),
+            buckets: Vec::new(),
+            ..busy.clone()
+        };
+        for report in [busy, empty] {
+            let (status, data) = block(&crate::protocol::format_history(&report));
+            assert_eq!(parse_history(&status, &data).expect("rendered by the server"), report);
+        }
+        let status = "OK history metric=query window=5 now_epoch=9 buckets=0";
         assert!(parse_history(status, &[]).is_err(), "WINDOW line required");
-        assert!(
-            parse_history(status, &["RANDOM row".to_owned()]).is_err(),
-            "unknown rows rejected"
-        );
+        let random = ["RANDOM row".to_owned()];
+        assert!(parse_history(status, &random).is_err(), "unknown rows rejected");
     }
 }

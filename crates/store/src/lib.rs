@@ -96,9 +96,8 @@ mod sync;
 pub mod wal;
 
 pub use client::{
-    Client, ClientError, ClientOptions, Connection, Pipeline, Protocol, Reply, HistoryBucketRow,
-    HistoryReport, HistorySloRow, HistorySummaryRow, ResolveRow, RingRow, SlowRow, SpanRow,
-    TopReport, TraceReport,
+    Client, ClientError, ClientOptions, Connection, Pipeline, Protocol, Reply, ResolveRow, SpanRow,
+    TraceReport,
 };
 pub use error::StoreError;
 pub use frame::{
@@ -106,7 +105,10 @@ pub use frame::{
     HELLO_OK, MAX_PAYLOAD, TRAILER_LEN,
 };
 pub use index::QueryIndex;
-pub use protocol::{CommandStats, Request, DEFAULT_TOP_SLOW};
+pub use protocol::{
+    CommandStats, HistoryBucketRow, HistoryReport, Request, SlowRow, StatsReport, TopReport,
+    DEFAULT_TOP_SLOW,
+};
 pub use server::{
     CommandMetrics, ServeOptions, ServerMetrics, DEFAULT_SLOW_LOG_CAP_BYTES,
     DEFAULT_TRACE_CAPACITY, DEFAULT_TRACE_SEED,

@@ -25,14 +25,14 @@
 //! < SHARD 1 records=1244 wal=0 wal_bytes=0
 //! < SHARD 2 records=1267 wal=0 wal_bytes=0
 //! < SHARD 3 records=1199 wal=0 wal_bytes=0
-//! < CMD QUERY count=240 errors=0 mean_us=412 p50_us=256 p95_us=1024 p99_us=2048 max_us=1940
-//! < CMD ADD count=12 errors=1 mean_us=95 p50_us=64 p95_us=256 p99_us=256 max_us=221
-//! < CMD SNAPSHOT count=1 errors=0 mean_us=5210 p50_us=8192 p95_us=8192 p99_us=8192 max_us=5210
+//! < CMD QUERY count=240 errors=0 mean_us=412 p50_us=301 p95_us=1190 p99_us=1812 max_us=1940
+//! < CMD ADD count=12 errors=1 mean_us=95 p50_us=88 p95_us=210 p99_us=221 max_us=221
+//! < CMD SNAPSHOT count=1 errors=0 mean_us=5210 p50_us=5210 p95_us=5210 p99_us=5210 max_us=5210
 //! < .
 //! > TOP k=1
 //! < OK top
 //! < RING capacity=512 occupancy=253 captured=253 evicted=0 sampled=2 last_slow_trace=b10e24d1fa8c0f37
-//! < CMD QUERY count=240 errors=0 mean_us=412 p50_us=256 p95_us=1024 p99_us=2048 max_us=1940
+//! < CMD QUERY count=240 errors=0 mean_us=412 p50_us=301 p95_us=1190 p99_us=1812 max_us=1940
 //! < ...
 //! < SLOW trace=b10e24d1fa8c0f37 command=RESOLVE status=ok conn=3 total_ns=2104930 spans=5
 //! < .
@@ -46,7 +46,7 @@
 //! < .
 //! > HISTORY query window=5
 //! < OK history metric=query window=5 now_epoch=93 buckets=2
-//! < WINDOW count=240 mean_us=412 p50_us=256 p95_us=1024 p99_us=2048 min_us=38 max_us=1940
+//! < WINDOW count=240 mean_us=412 p50_us=301 p95_us=1190 p99_us=1812 min_us=38 max_us=1940
 //! < SLO metric=query p=0.99 threshold_us=5000 window=60 short_window=10 state=ok burn_long_pct=0 burn_short_pct=0
 //! < BUCKET epoch=91 count=120 mean_us=400 p50_us=250 max_us=1800
 //! < BUCKET epoch=92 count=120 mean_us=424 p50_us=262 max_us=1940
@@ -71,7 +71,12 @@
 use crate::frame::RequestFrame;
 use yv_core::{PersonQuery, QueryHit};
 use yv_fuzzy::RankedEntity;
-use yv_obs::{RequestTrace, RingStats, SloRule, SloStatus, WindowView, WINDOW_BUCKETS};
+use crate::shard::ShardStats;
+use crate::store::StoreStats;
+use yv_obs::{
+    HistogramSnapshot, LatencySummary, RequestTrace, RingStats, SloRule, SloStatus, WindowView,
+    WINDOW_BUCKETS,
+};
 use yv_records::{DateParts, Gender, Record, RecordBuilder, SourceId};
 
 /// Slow-trace summary rows a bare `TOP` returns.
@@ -474,14 +479,16 @@ pub fn format_metrics(exposition: &str) -> String {
     out
 }
 
-/// One per-command row of the `STATS` response: request/error counts and
-/// a latency summary in integer microseconds (percentiles are histogram
-/// bucket upper bounds, hence powers of two). `count` is the number of
-/// latency-measured requests — successes *and* errors — read from the
-/// same histogram snapshot as the percentiles, so the row always
-/// describes one consistent instant.
+/// One `CMD` row of the `STATS` and `TOP` responses: request/error counts
+/// and a latency summary in integer microseconds
+/// ([`yv_obs::HistogramSnapshot::summary`]: interpolated percentiles,
+/// clamped to the exact min and max). `count` is the number of latency-measured
+/// requests — successes *and* errors — read from the same histogram
+/// snapshot as the percentiles, so the row always describes one
+/// consistent instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandStats {
+    /// The command's name, a row of [`COMMANDS`].
     pub name: &'static str,
     pub count: u64,
     pub errors: u64,
@@ -493,23 +500,86 @@ pub struct CommandStats {
     pub max_us: u64,
 }
 
+/// The `STATS` response: the store-wide counters of the status line, one
+/// `SHARD` row per shard (their count is the status line's `shards=`) and
+/// one `CMD` row per command kind.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct StatsReport {
+    pub records: usize,
+    pub sources: usize,
+    pub matches: usize,
+    pub wal_entries: usize,
+    pub wal_bytes: u64,
+    /// WAL `sync_data` calls since the server's store was opened.
+    pub wal_syncs: u64,
+    pub vocabulary: usize,
+    pub fuzzy_names: usize,
+    pub fuzzy_grams: usize,
+    pub fuzzy_postings: usize,
+    pub fuzzy_examined: u64,
+    pub fuzzy_pruned: u64,
+    /// Failed requests: parse failures plus every command's errors.
+    pub errors: u64,
+    pub shard_rows: Vec<ShardStats>,
+    pub commands: Vec<CommandStats>,
+}
+
+impl StatsReport {
+    /// The report for a store's counters, the server's error total and
+    /// its per-command rows.
+    #[must_use]
+    pub fn new(stats: StoreStats, errors: u64, commands: Vec<CommandStats>) -> StatsReport {
+        StatsReport {
+            records: stats.records,
+            sources: stats.sources,
+            matches: stats.matches,
+            wal_entries: stats.wal_entries,
+            wal_bytes: stats.wal_bytes,
+            wal_syncs: stats.wal_syncs,
+            vocabulary: stats.vocabulary,
+            fuzzy_names: stats.fuzzy_names,
+            fuzzy_grams: stats.fuzzy_grams,
+            fuzzy_postings: stats.fuzzy_postings,
+            fuzzy_examined: stats.fuzzy_examined,
+            fuzzy_pruned: stats.fuzzy_pruned,
+            errors,
+            shard_rows: stats.shards,
+            commands,
+        }
+    }
+}
+
 /// Render the `STATS` response: the store-wide status line, one `SHARD`
 /// data line per shard, one `CMD` data line per command kind, and the
 /// terminator.
 #[must_use]
-pub fn format_stats(
-    status: &str,
-    shards: &[crate::shard::ShardStats],
-    commands: &[CommandStats],
-) -> String {
-    let mut out = format!("{status}\n");
-    for s in shards {
+pub fn format_stats(r: &StatsReport) -> String {
+    let mut out = format!(
+        "OK records={} sources={} matches={} shards={} wal={} wal_bytes={} wal_syncs={} \
+         vocabulary={} fuzzy_names={} fuzzy_grams={} fuzzy_postings={} fuzzy_examined={} \
+         fuzzy_pruned={} errors={}\n",
+        r.records,
+        r.sources,
+        r.matches,
+        r.shard_rows.len(),
+        r.wal_entries,
+        r.wal_bytes,
+        r.wal_syncs,
+        r.vocabulary,
+        r.fuzzy_names,
+        r.fuzzy_grams,
+        r.fuzzy_postings,
+        r.fuzzy_examined,
+        r.fuzzy_pruned,
+        r.errors,
+    );
+    for s in &r.shard_rows {
         out.push_str(&format!(
             "SHARD {} records={} wal={} wal_bytes={}\n",
             s.shard, s.records, s.wal_entries, s.wal_bytes
         ));
     }
-    for c in commands {
+    for c in &r.commands {
         out.push_str(&format_cmd_row(c));
     }
     out.push_str(TERMINATOR);
@@ -589,29 +659,65 @@ pub fn format_trace(trace: &RequestTrace) -> String {
     out
 }
 
-/// Render the `TOP` response: status line, a `RING` data line with the
-/// capture-ring counters, one `CMD` row per command kind (same shape as
-/// `STATS`), and one `SLOW` summary line per recent tail-sampled trace,
-/// newest first.
+/// One `SLOW` row of the `TOP` response: a tail-sampled request's
+/// summary.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlowRow {
+    pub trace: u64,
+    /// The command name the trace was sealed with (a [`COMMANDS`] name,
+    /// `BATCH_ADD` or `INVALID`).
+    pub command: String,
+    pub ok: bool,
+    pub conn: u64,
+    pub total_ns: u64,
+    pub spans: usize,
+}
+
+impl From<&RequestTrace> for SlowRow {
+    fn from(trace: &RequestTrace) -> SlowRow {
+        SlowRow {
+            trace: trace.id,
+            command: trace.command.to_owned(),
+            ok: trace.ok,
+            conn: trace.conn,
+            total_ns: trace.total_ns,
+            spans: trace.spans().len(),
+        }
+    }
+}
+
+/// The `TOP` response: the capture-ring counters, one `CMD` row per
+/// command kind (the rows `STATS` prints) and the recent tail-sampled
+/// requests, newest first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TopReport {
+    pub ring: RingStats,
+    pub commands: Vec<CommandStats>,
+    pub slow: Vec<SlowRow>,
+}
+
+/// Render the `TOP` response: status line, a `RING` data line, the `CMD`
+/// rows and one `SLOW` line per slow row.
 #[must_use]
-pub fn format_top(ring: &RingStats, commands: &[CommandStats], slow: &[RequestTrace]) -> String {
+pub fn format_top(r: &TopReport) -> String {
+    let ring = &r.ring;
     let mut out = format!(
         "OK top\nRING capacity={} occupancy={} captured={} evicted={} sampled={} \
          last_slow_trace={:016x}\n",
         ring.capacity, ring.occupancy, ring.captured, ring.evicted, ring.sampled, ring.last_slow
     );
-    for c in commands {
+    for c in &r.commands {
         out.push_str(&format_cmd_row(c));
     }
-    for trace in slow {
+    for s in &r.slow {
         out.push_str(&format!(
             "SLOW trace={:016x} command={} status={} conn={} total_ns={} spans={}\n",
-            trace.id,
-            trace.command,
-            if trace.ok { "ok" } else { "err" },
-            trace.conn,
-            trace.total_ns,
-            trace.spans().len()
+            s.trace,
+            s.command,
+            if s.ok { "ok" } else { "err" },
+            s.conn,
+            s.total_ns,
+            s.spans
         ));
     }
     out.push_str(TERMINATOR);
@@ -619,52 +725,87 @@ pub fn format_top(ring: &RingStats, commands: &[CommandStats], slow: &[RequestTr
     out
 }
 
-/// One `SLO` row: the rule, its derived short window, and the evaluated
-/// burn-rate state.
-fn format_slo_row(rule: &SloRule, status: &SloStatus) -> String {
-    format!(
-        "SLO metric={} p={} threshold_us={} window={} short_window={} state={} \
-         burn_long_pct={} burn_short_pct={}\n",
-        rule.metric,
-        rule.p,
-        rule.threshold_us,
-        rule.window,
-        rule.short_window(),
-        status.state.label(),
-        status.burn_long_pct,
-        status.burn_short_pct
-    )
+/// One `BUCKET` row of the `HISTORY` response: a closed one-second
+/// bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistoryBucketRow {
+    pub epoch: u64,
+    pub count: u64,
+    pub mean_us: u64,
+    pub p50_us: u64,
+    pub max_us: u64,
+}
+
+/// The `HISTORY` response: the resolved metric and window, the `WINDOW`
+/// summary over every in-window sample, the SLO rule watching the metric
+/// (at most one) with its evaluated state, and the non-empty closed
+/// buckets (ascending epoch).
+#[derive(Debug, Clone, PartialEq)]
+pub struct HistoryReport {
+    pub metric: String,
+    pub window: usize,
+    /// The currently open epoch; buckets cover `[now_epoch - window,
+    /// now_epoch)`.
+    pub now_epoch: u64,
+    pub summary: LatencySummary,
+    pub slo: Vec<(SloRule, SloStatus)>,
+    pub buckets: Vec<HistoryBucketRow>,
+}
+
+impl HistoryReport {
+    /// The report for `metric`'s windowed view and its evaluated rules.
+    #[must_use]
+    pub fn new(metric: &str, view: &WindowView, slo: Vec<(SloRule, SloStatus)>) -> HistoryReport {
+        let bucket = |&(epoch, ref snap): &(u64, HistogramSnapshot)| {
+            let LatencySummary { count, mean_us, p50_us, max_us, .. } = snap.summary();
+            HistoryBucketRow { epoch, count, mean_us, p50_us, max_us }
+        };
+        HistoryReport {
+            metric: metric.to_owned(),
+            window: view.window,
+            now_epoch: view.now_epoch,
+            summary: view.merged.summary(),
+            slo,
+            buckets: view.buckets.iter().map(bucket).collect(),
+        }
+    }
 }
 
 /// Render the `HISTORY` response: a status line carrying the resolved
-/// metric/window, one `WINDOW` roll-up row over every in-window
-/// sample, one `SLO` row per rule watching this metric, and one `BUCKET`
-/// row per non-empty closed bucket (ascending epoch). Percentiles are
-/// interpolated and clamped to the window's observed min/max
-/// ([`yv_obs::HistogramSnapshot::percentile_interp_us`]), so a `p50_us`
-/// can never undershoot `min_us`.
+/// metric/window, the `WINDOW` row, one `SLO` row per rule (with its
+/// derived short window) and one `BUCKET` row per bucket.
 #[must_use]
-pub fn format_history(metric: &str, view: &WindowView, slo: &[(SloRule, SloStatus)]) -> String {
+pub fn format_history(r: &HistoryReport) -> String {
     let mut out = format!(
         "OK history metric={} window={} now_epoch={} buckets={}\n",
-        metric,
-        view.window,
-        view.now_epoch,
-        view.buckets.len()
+        r.metric,
+        r.window,
+        r.now_epoch,
+        r.buckets.len()
     );
-    let s = view.merged.summary_interp();
+    let s = &r.summary;
     out.push_str(&format!(
         "WINDOW count={} mean_us={} p50_us={} p95_us={} p99_us={} min_us={} max_us={}\n",
         s.count, s.mean_us, s.p50_us, s.p95_us, s.p99_us, s.min_us, s.max_us
     ));
-    for (rule, status) in slo {
-        out.push_str(&format_slo_row(rule, status));
+    for (rule, status) in &r.slo {
+        out.push_str(&format!(
+            "SLO metric={} p={} threshold_us={} window={} short_window={} state={} \
+             burn_long_pct={} burn_short_pct={}\n",
+            rule.metric,
+            rule.p,
+            rule.threshold_us,
+            rule.window,
+            rule.short_window(),
+            status.state.label(),
+            status.burn_long_pct,
+            status.burn_short_pct
+        ));
     }
-    for &(epoch, ref snap) in &view.buckets {
-        let b = snap.summary_interp();
+    for b in &r.buckets {
         out.push_str(&format!(
             "BUCKET epoch={} count={} mean_us={} p50_us={} max_us={}\n",
-            epoch, b.count, b.mean_us, b.p50_us, b.max_us
+            b.epoch, b.count, b.mean_us, b.p50_us, b.max_us
         ));
     }
     out.push_str(TERMINATOR);
@@ -673,7 +814,7 @@ pub fn format_history(metric: &str, view: &WindowView, slo: &[(SloRule, SloStatu
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::store::DEFAULT_RESOLVE_K;
     use yv_records::RecordId;
@@ -804,8 +945,7 @@ mod tests {
         assert_eq!(format_metrics("yv_x 3"), "OK metrics\nyv_x 3\n.\n");
     }
 
-    #[test]
-    fn stats_render_one_cmd_line_per_command() {
+    pub(crate) fn sample_stats() -> StatsReport {
         let rows = [
             CommandStats {
                 name: "QUERY",
@@ -828,21 +968,37 @@ mod tests {
                 max_us: 0,
             },
         ];
-        let shards = [
-            crate::shard::ShardStats { shard: 0, records: 5, wal_entries: 1, wal_bytes: 104 },
-            crate::shard::ShardStats { shard: 1, records: 2, wal_entries: 0, wal_bytes: 0 },
-        ];
-        let rendered = format_stats("OK records=7", &shards, &rows);
+        StatsReport {
+            records: 7,
+            sources: 2,
+            matches: 9,
+            wal_entries: 1,
+            wal_bytes: 104,
+            wal_syncs: 3,
+            errors: 1,
+            shard_rows: vec![
+                ShardStats { shard: 0, records: 5, wal_entries: 1, wal_bytes: 104 },
+                ShardStats { shard: 1, records: 2, wal_entries: 0, wal_bytes: 0 },
+            ],
+            commands: rows.to_vec(),
+            ..StatsReport::default()
+        }
+    }
+
+    #[test]
+    fn stats_render_one_cmd_line_per_command() {
         assert_eq!(
-            rendered,
-            "OK records=7\n\
+            format_stats(&sample_stats()),
+            "OK records=7 sources=2 matches=9 shards=2 wal=1 wal_bytes=104 wal_syncs=3 \
+             vocabulary=0 fuzzy_names=0 fuzzy_grams=0 fuzzy_postings=0 fuzzy_examined=0 \
+             fuzzy_pruned=0 errors=1\n\
              SHARD 0 records=5 wal=1 wal_bytes=104\n\
              SHARD 1 records=2 wal=0 wal_bytes=0\n\
              CMD QUERY count=3 errors=0 mean_us=40 p50_us=32 p95_us=64 p99_us=64 max_us=57\n\
              CMD ADD count=0 errors=1 mean_us=0 p50_us=0 p95_us=0 p99_us=0 max_us=0\n\
              .\n"
         );
-        assert_eq!(format_stats("OK records=7", &[], &[]), "OK records=7\n.\n");
+        assert!(format_stats(&StatsReport::default()).ends_with(" errors=0\n.\n"));
     }
 
     #[test]
@@ -992,7 +1148,7 @@ mod tests {
         }
     }
 
-    fn sample_view() -> (WindowView, SloRule, SloStatus) {
+    pub(crate) fn sample_history() -> HistoryReport {
         let h1 = yv_obs::Histogram::new();
         for us in [10u64, 20, 30] {
             h1.record_ns(us * 1_000);
@@ -1011,14 +1167,13 @@ mod tests {
         let rule =
             SloRule { metric: "query".to_owned(), p: 0.99, threshold_us: 1000, window: 60 };
         let status = rule.evaluate(&merged, &merged);
-        (view, rule, status)
+        HistoryReport::new("query", &view, vec![(rule, status)])
     }
 
     #[test]
     fn history_formats_exact_rows() {
-        let (view, rule, status) = sample_view();
         assert_eq!(
-            format_history("query", &view, &[(rule, status)]),
+            format_history(&sample_history()),
             "OK history metric=query window=5 now_epoch=9 buckets=2\n\
              WINDOW count=4 mean_us=40 p50_us=24 p95_us=100 p99_us=100 min_us=10 max_us=100\n\
              SLO metric=query p=0.99 threshold_us=1000 window=60 short_window=10 state=ok \
@@ -1044,7 +1199,7 @@ mod tests {
         assert_eq!(with_trace_token("OK 2\n.\n", 0), "OK 2\n.\n");
     }
 
-    fn sample_trace() -> RequestTrace {
+    pub(crate) fn sample_trace() -> RequestTrace {
         use std::sync::Arc;
         use yv_obs::{Clock, ManualClock, TraceCtx};
         let clock = Arc::new(ManualClock::at(50_000));
@@ -1087,8 +1242,7 @@ mod tests {
         assert_eq!(rendered, format_trace(&sample_trace()));
     }
 
-    #[test]
-    fn top_renders_ring_cmd_and_slow_rows() {
+    pub(crate) fn sample_top() -> TopReport {
         let ring = RingStats {
             capacity: 512,
             occupancy: 17,
@@ -1107,9 +1261,13 @@ mod tests {
             p99_us: 512,
             max_us: 497,
         }];
-        let slow = [sample_trace()];
+        TopReport { ring, commands: rows.to_vec(), slow: vec![SlowRow::from(&sample_trace())] }
+    }
+
+    #[test]
+    fn top_renders_ring_cmd_and_slow_rows() {
         assert_eq!(
-            format_top(&ring, &rows, &slow),
+            format_top(&sample_top()),
             "OK top\n\
              RING capacity=512 occupancy=17 captured=912 evicted=400 sampled=2 \
              last_slow_trace=00ab00cd00ef0011\n\
@@ -1120,7 +1278,7 @@ mod tests {
              .\n"
         );
         assert_eq!(
-            format_top(&RingStats::default(), &[], &[]),
+            format_top(&TopReport { ring: RingStats::default(), commands: vec![], slow: vec![] }),
             "OK top\nRING capacity=0 occupancy=0 captured=0 evicted=0 sampled=0 \
              last_slow_trace=0000000000000000\n.\n"
         );

@@ -32,7 +32,7 @@
 //! so a stock Prometheus scraper needs no protocol client. Per-shard
 //! gauges (`yv_shard_<i>_records` / `_wal_bytes`) expose the shard
 //! balance. Requests slower than [`ServeOptions::slow_us`] are
-//! logged as one JSON line each (see [`SlowLog`]), into a size-capped,
+//! logged as one JSON line each, into a size-capped,
 //! rotating file when [`ServeOptions::slow_log_file`] is set.
 //!
 //! Windowed telemetry: every command's latency histogram additionally
@@ -48,7 +48,9 @@
 
 use crate::error::StoreError;
 use crate::frame;
-use crate::protocol::{self, Command, CommandStats, Request, COMMANDS};
+use crate::protocol::{
+    self, Command, CommandStats, HistoryReport, Request, SlowRow, StatsReport, TopReport, COMMANDS,
+};
 use crate::store::Store;
 use crate::sync::Mutex;
 use yv_records::Record;
@@ -59,10 +61,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use yv_obs::{
     Clock, Counter, Histogram, MetricsRegistry, MonotonicClock, SloRule, SloStatus, TraceCtx,
-    TraceSink, WindowView, WindowedHistogram,
+    TraceSink, WindowedHistogram,
 };
 
-/// Default trace-capture capacity (~3.4 KiB per retained trace).
+/// Most recent traces the capture ring retains; its slow-or-ERR window
+/// holds a quarter of that (minimum 16). Memory grows with the traces
+/// actually captured, up to `(capacity + max(capacity / 4, 16)) ×
+/// size_of::<RequestTrace>()` — 3 416 B each, ≈ 2.1 MiB.
 pub const DEFAULT_TRACE_CAPACITY: usize = 512;
 
 /// Default seed for the deterministic trace-id generator.
@@ -82,12 +87,13 @@ const TICK_MILLIS: u64 = 250;
 const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Per-command metrics: success/error counters plus a lock-free latency
-/// histogram (percentiles via [`Histogram::summary`]). Latency covers the
-/// full command — lock acquisition included — so `STATS` reflects what
-/// clients actually wait, not just the critical section. The handles are
-/// shared with the server's [`MetricsRegistry`], which renders them as
-/// `yv_cmd_{kind}_ok_total` / `yv_cmd_{kind}_errors_total` /
-/// `yv_cmd_{kind}_latency_us` in the Prometheus exposition.
+/// histogram (percentiles via [`yv_obs::HistogramSnapshot::summary`]).
+/// Latency covers the full command — lock acquisition included — so
+/// `STATS` reflects what clients actually wait, not just the critical
+/// section. The handles are shared with the server's [`MetricsRegistry`],
+/// which renders them as `yv_cmd_{kind}_ok_total` /
+/// `yv_cmd_{kind}_errors_total` / `yv_cmd_{kind}_latency_us` in the
+/// Prometheus exposition.
 #[derive(Debug)]
 pub struct CommandMetrics {
     pub ok: Arc<Counter>,
@@ -331,7 +337,6 @@ pub struct ServeOptions {
     metrics_listener: Option<TcpListener>,
     slow_log: Option<Box<dyn Write + Send>>,
     slow_log_path: Option<PathBuf>,
-    trace_capacity: usize,
     trace_capture: bool,
     clock: Option<Arc<dyn Clock>>,
     slo: Vec<SloRule>,
@@ -350,7 +355,6 @@ impl ServeOptions {
             metrics_listener: None,
             slow_log: None,
             slow_log_path: None,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
             trace_capture: true,
             clock: None,
             slo: Vec::new(),
@@ -412,16 +416,6 @@ impl ServeOptions {
         self
     }
 
-    /// Most recent traces retained (minimum 1); the slow-or-ERR window
-    /// holds a quarter of that (minimum 16). Memory grows with the traces
-    /// actually captured, up to `(capacity + max(capacity / 4, 16)) ×
-    /// size_of::<RequestTrace>()` — 3 416 B each, ≈ 2.1 MiB at the default.
-    #[must_use]
-    pub fn trace_ring(mut self, capacity: usize) -> ServeOptions {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Enable or disable retaining completed traces. When disabled,
     /// requests still carry `trace=` ids on the wire, but `TOP`/`TRACE`
     /// see an empty window and the server holds no trace slot — how
@@ -453,7 +447,6 @@ impl ServeOptions {
             metrics_listener,
             slow_log,
             slow_log_path,
-            trace_capacity,
             trace_capture,
             clock,
             slo,
@@ -465,8 +458,8 @@ impl ServeOptions {
         // The tail sampler reuses the slow-log threshold; without one,
         // only ERR-status traces are tail-retained.
         let sampler_slow_ns = slow_us.map_or(u64::MAX, |us| us.saturating_mul(1_000));
-        let sink =
-            TraceSink::new(trace_capacity, sampler_slow_ns, DEFAULT_TRACE_SEED, trace_capture);
+        let capacity = DEFAULT_TRACE_CAPACITY;
+        let sink = TraceSink::new(capacity, sampler_slow_ns, DEFAULT_TRACE_SEED, trace_capture);
         let clock = clock.unwrap_or_else(|| Arc::new(MonotonicClock::new()));
         let slow = match (slow_us, slow_log_path) {
             (Some(us), Some(path)) => {
@@ -491,7 +484,6 @@ impl std::fmt::Debug for ServeOptions {
             .field("metrics_listener", &self.metrics_listener)
             .field("slow_log", &self.slow_log.as_ref().map(|_| "<sink>"))
             .field("slow_log_path", &self.slow_log_path)
-            .field("trace_capacity", &self.trace_capacity)
             .field("trace_capture", &self.trace_capture)
             .field("clock", &self.clock.as_ref().map(|_| "<injected>"))
             .field("slo", &self.slo)
@@ -552,20 +544,14 @@ impl Telemetry {
         }
     }
 
-    /// The windowed view `HISTORY` serves, or `None` for a metric the
-    /// server does not track.
-    fn view(&self, metric: &str, window: usize) -> Option<WindowView> {
+    /// The `HISTORY` report: `metric`'s windowed view and its rule,
+    /// evaluated. `None` for a metric the server does not track.
+    fn history(&self, metric: &str, window: usize) -> Option<HistoryReport> {
         self.rotate();
-        self.window_for(metric).map(|w| w.window(window))
-    }
-
-    /// Evaluate every SLO rule watching `metric` (for `HISTORY` rows).
-    fn slo_for(&self, metric: &str) -> Vec<(SloRule, SloStatus)> {
-        self.slo
-            .iter()
-            .filter(|rule| rule.metric == metric)
-            .filter_map(|rule| self.evaluate(rule).map(|status| (rule.clone(), status)))
-            .collect()
+        let view = self.window_for(metric)?.window(window);
+        let slo = self.slo.iter().filter(|rule| rule.metric == metric);
+        let slo = slo.filter_map(|rule| Some((rule.clone(), self.evaluate(rule)?))).collect();
+        Some(HistoryReport::new(metric, &view, slo))
     }
 
     fn evaluate(&self, rule: &SloRule) -> Option<SloStatus> {
@@ -1260,30 +1246,8 @@ fn dispatch(
             // Record before rendering so this request appears in its
             // own CMD row.
             cmd.record(true, elapsed());
-            protocol::format_stats(
-                &format!(
-                    "OK records={} sources={} matches={} shards={} wal={} wal_bytes={} \
-                     wal_syncs={} vocabulary={} \
-                     fuzzy_names={} fuzzy_grams={} fuzzy_postings={} \
-                     fuzzy_examined={} fuzzy_pruned={} errors={}",
-                    stats.records,
-                    stats.sources,
-                    stats.matches,
-                    stats.shards.len(),
-                    stats.wal_entries,
-                    stats.wal_bytes,
-                    stats.wal_syncs,
-                    stats.vocabulary,
-                    stats.fuzzy_names,
-                    stats.fuzzy_grams,
-                    stats.fuzzy_postings,
-                    stats.fuzzy_examined,
-                    stats.fuzzy_pruned,
-                    ctx.metrics.errors(),
-                ),
-                &stats.shards,
-                &ctx.metrics.command_stats(),
-            )
+            let commands = ctx.metrics.command_stats().to_vec();
+            protocol::format_stats(&StatsReport::new(stats, ctx.metrics.errors(), commands))
         }
         Request::Metrics => {
             // Record first so this scrape's own latency sample is in
@@ -1293,9 +1257,10 @@ fn dispatch(
         }
         Request::Top { k } => {
             let ring = ctx.sink.stats();
-            let slow_traces = ctx.sink.recent_slow(k);
+            let slow = ctx.sink.recent_slow(k).iter().map(SlowRow::from).collect();
             cmd.record(true, elapsed());
-            protocol::format_top(&ring, &ctx.metrics.command_stats(), &slow_traces)
+            let commands = ctx.metrics.command_stats().to_vec();
+            protocol::format_top(&TopReport { ring, commands, slow })
         }
         Request::Trace { id } => match ctx.sink.find(id) {
             Some(found) => {
@@ -1309,11 +1274,10 @@ fn dispatch(
                 ))
             }
         },
-        Request::History { metric, window } => match ctx.telemetry.view(&metric, window) {
-            Some(view) => {
-                let slo = ctx.telemetry.slo_for(&metric);
+        Request::History { metric, window } => match ctx.telemetry.history(&metric, window) {
+            Some(report) => {
                 cmd.record(true, elapsed());
-                protocol::format_history(&metric, &view, &slo)
+                protocol::format_history(&report)
             }
             None => {
                 cmd.record(false, elapsed());
@@ -1371,9 +1335,24 @@ mod tests {
         assert_eq!(row.errors, 1);
         assert_eq!(row.mean_us, 375);
         assert_eq!(row.p50_us, 256, "rank 2 of 4: the 200µs sample's bucket bound");
-        assert_eq!(row.p95_us, 1_024, "rank 4 of 4: the 800µs sample's bucket bound");
-        assert_eq!(row.p99_us, 1_024);
+        assert_eq!(row.p95_us, 800, "rank 4 of 4: its bucket bound (1 024) clamps to the max");
+        assert_eq!(row.p99_us, 800);
         assert_eq!(row.max_us, 800, "max is the exact worst sample, not a bucket bound");
+    }
+
+    /// A `CMD` row reports its percentiles under the `WINDOW` row's rule,
+    /// so none exceeds the slowest request it counts.
+    #[test]
+    fn cmd_row_percentiles_never_exceed_the_max() {
+        let metrics = ServerMetrics::default();
+        for (us, ok) in [(100u64, true), (200, true), (400, true), (800, false)] {
+            metrics.of(Command::Query).record(ok, us * 1_000);
+        }
+        metrics.of(Command::Add).record(true, 3_000);
+        for row in metrics.command_stats() {
+            assert!(row.p50_us <= row.p95_us && row.p95_us <= row.p99_us, "{row:?}");
+            assert!(row.p99_us <= row.max_us, "{row:?}");
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! rename is the commit point, and only then truncates the WALs — a crash
 //! anywhere in between reopens to the acknowledged state.
 //!
-//! Applies run in slices: up to [`APPLY_SLICE`] consecutive arrivals go
+//! Applies run in slices: up to 32 (`APPLY_SLICE`) consecutive arrivals go
 //! through [`IncrementalResolver::insert_batch`] under one hold of the
 //! state write lock — a `BATCH_ADD`'s shard group after its fsync, and a
 //! replay's run of re-scored record frames. Inside a slice
@@ -645,7 +645,7 @@ impl Store {
     /// sequence stamps.
     ///
     /// Each shard group is applied after its fsync in slices of at most
-    /// [`APPLY_SLICE`] arrivals, one state write-lock hold each, so reads
+    /// 32 (`APPLY_SLICE`) arrivals, one state write-lock hold each, so reads
     /// interleave with a batch of any size; each slice's matches frames
     /// follow, unsynced, once its state lock is released.
     pub fn add_records(

@@ -104,7 +104,6 @@ fn concurrent_clients_durable_adds_and_restart_identity() {
 
     let stats = writer.stats().unwrap();
     assert_eq!(stats.records, records_before + 2);
-    assert_eq!(stats.shards, 4);
     assert_eq!(stats.wal_entries, 2);
     assert!(stats.wal_bytes > 0);
     // Per-shard rows cover every shard exactly once and sum to the
@@ -313,7 +312,7 @@ fn metrics_command_and_sidecar_scrape_expose_prometheus_text() {
         ("yv_store_records", expected.records as u64, stats.records as u64),
         ("yv_store_sources", expected.sources as u64, stats.sources as u64),
         ("yv_store_matches", expected.matches as u64, stats.matches as u64),
-        ("yv_store_shards", 2, stats.shards as u64),
+        ("yv_store_shards", 2, stats.shard_rows.len() as u64),
         ("yv_store_wal_entries", expected.wal_entries as u64, stats.wal_entries as u64),
         ("yv_store_wal_bytes", expected.wal_bytes, stats.wal_bytes),
         ("yv_store_wal_syncs_total", expected.wal_syncs, stats.wal_syncs),
@@ -753,7 +752,8 @@ fn history_is_byte_identical_across_seeds_and_starts_empty_after_restart() {
         );
         assert_eq!(report.summary.count, expected.iter().map(|&(_, n)| n).sum::<u64>());
         assert_eq!(report.slo.len(), 1);
-        assert_eq!(report.slo[0].state, "ok", "zero-latency resolves never burn budget");
+        let state = report.slo[0].1.state;
+        assert_eq!(state, yv_obs::SloState::Ok, "zero-latency resolves never burn budget");
 
         drop(reader);
         drop(raw);

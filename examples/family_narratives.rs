@@ -51,7 +51,7 @@ fn main() {
         .filter(|&&(a, b)| generated.same_family(a, b)) // family oracle as ranker stand-in
         .map(|&(a, b)| RankedMatch::new(a, b, 1.0))
         .collect();
-    let resolution = Resolution::new(matches, vec![]);
+    let resolution = Resolution::new(matches);
     let mut entities = resolution.entities(Granularity::Family.default_certainty());
     entities.sort_by_key(|e| std::cmp::Reverse(e.len()));
 

@@ -128,7 +128,7 @@ fn main() {
         .iter()
         .map(|&(a, b)| RankedMatch::new(a, b, 1.0))
         .collect::<Vec<_>>();
-    let resolution = Resolution::new(matches, vec![]);
+    let resolution = Resolution::new(matches);
     let query = PersonQuery {
         first_name: Some("Guido".into()),
         last_name: Some("Foa".into()),

@@ -74,7 +74,7 @@ proptest! {
         threshold in -2.5f64..2.5,
     ) {
         let matches = matches_from(&a, &b, &halves, n);
-        let resolution = Resolution::new(matches.clone(), vec![]);
+        let resolution = Resolution::new(matches.clone());
         let mut shuffled = matches.clone();
         shuffled.shuffle(&mut StdRng::seed_from_u64(order));
         let resolver = resolver_over(shuffled);
