@@ -326,6 +326,9 @@ lost = levi - seeds("QUERY last=Lvei")
 assert not lost, f"QUERY last=Lvei lost seeds of QUERY last=Levi: {sorted(lost)}"
 refused = request("QUERY last=Levi similarity=NaN")
 assert refused[0].startswith("ERR"), refused
+# A NaN RESOLVE floor keeps no candidate; it is refused, not answered `OK 0`.
+refused = request("RESOLVE Levi min=NaN")
+assert refused[0].startswith("ERR"), refused
 # The seed span counts the vocabulary scan: last names scanned, passed by
 # the letter sketch, and matched (DESIGN.md §9 "Query index").
 _, spans = traced("QUERY last=Levi")
@@ -334,7 +337,7 @@ assert seed, f"QUERY's trace has no seed span: {spans}"
 counts = dict(t.split("=", 1) for t in seed[0][1:])
 scanned, admitted, matched = (int(counts[k]) for k in ("names", "admitted", "matched"))
 assert 1 <= matched <= admitted <= scanned, counts
-print(f"query smoke test: the transposition kept all {len(levi)} Levi seeds, NaN refused,"
+print(f"query smoke test: the transposition kept all {len(levi)} Levi seeds, NaNs refused,"
       f" seed span matched {matched} of {admitted} admitted of {scanned} names")
 PYEOF
 # Binary wire smoke test (DESIGN.md §13): one socket sends the HELLO

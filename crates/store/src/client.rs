@@ -51,7 +51,8 @@
 //! The line format is `key=value` tokens separated by whitespace, so not
 //! every [`Record`] is expressible there: values containing whitespace
 //! (or empty ones), `mothers_maiden`, and places have no encoding. Those
-//! surface as [`ClientError::Unencodable`] *before* anything is sent —
+//! surface as [`ClientError::Unencodable`], carrying the refusal of
+//! [`crate::protocol::render_request`], *before* anything is sent —
 //! an encoding gap never half-transmits a record. The binary codec
 //! carries every record verbatim.
 
@@ -60,8 +61,8 @@
 use crate::error::StoreError;
 use crate::frame::{BatchStatus, RequestFrame, ResponseFrame, HELLO_LINE, HELLO_OK};
 use crate::protocol::{
-    CommandStats, HistoryBucketRow, HistoryReport, SlowRow, StatsReport, TopReport, COMMANDS,
-    TERMINATOR,
+    render_request, CommandStats, HistoryBucketRow, HistoryReport, SlowRow, StatsReport,
+    TopReport, COMMANDS, TERMINATOR,
 };
 use crate::shard::ShardStats;
 use std::fmt;
@@ -71,7 +72,7 @@ use std::time::Duration;
 use yv_core::{PersonQuery, QueryHit};
 use yv_fuzzy::RankedEntity;
 use yv_obs::{LatencySummary, RingStats, SloRule, SloState, SloStatus};
-use yv_records::{Gender, Record, RecordId};
+use yv_records::{Record, RecordId};
 
 /// Everything that can go wrong talking to a `yv serve` server.
 #[derive(Debug)]
@@ -388,11 +389,7 @@ pub struct TextConnection {
 
 impl Connection for TextConnection {
     fn send(&mut self, request: &RequestFrame) -> Result<(), ClientError> {
-        // One write per request: splitting the line and its newline into
-        // two TCP segments lets Nagle hold the newline for the delayed
-        // ACK (~40ms per request on loopback).
-        let mut line = render_request(request)?;
-        line.push('\n');
+        let line = request_line(request)?;
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
         Ok(())
@@ -654,141 +651,15 @@ fn wire_u32(key: &'static str) -> impl Fn(usize) -> Result<u32, ClientError> {
     }
 }
 
-/// Render a request as its line-protocol form, exactly as the pre-frame
-/// client would have sent it. `BATCH_ADD` has no line form.
-fn render_request(request: &RequestFrame) -> Result<String, ClientError> {
-    Ok(match request {
-        RequestFrame::Query(query) => encode_query(query)?,
-        RequestFrame::Add(record) => encode_add(record)?,
-        RequestFrame::Resolve { name, k, min } => {
-            let mut line = String::from("RESOLVE");
-            line.push(' ');
-            line.push_str(wire_value("name", name)?);
-            if let Some(k) = k {
-                push_kv(&mut line, "k", &k.to_string())?;
-            }
-            if let Some(min) = min {
-                push_kv(&mut line, "min", &format!("{min}"))?;
-            }
-            line
-        }
-        RequestFrame::BatchAdd(_) => {
-            return Err(ClientError::Unencodable(
-                "BATCH_ADD has no line-protocol encoding; connect with Protocol::Binary"
-                    .to_owned(),
-            ))
-        }
-        RequestFrame::Stats => "STATS".to_owned(),
-        RequestFrame::Metrics => "METRICS".to_owned(),
-        RequestFrame::Top { k } => {
-            let mut line = String::from("TOP");
-            if let Some(k) = k {
-                push_kv(&mut line, "k", &k.to_string())?;
-            }
-            line
-        }
-        RequestFrame::Trace { id } => format!("TRACE {id:016x}"),
-        RequestFrame::History { metric, window } => {
-            let mut line = String::from("HISTORY");
-            line.push(' ');
-            line.push_str(wire_value("metric", metric)?);
-            if let Some(window) = window {
-                push_kv(&mut line, "window", &window.to_string())?;
-            }
-            line
-        }
-        RequestFrame::Snapshot => "SNAPSHOT".to_owned(),
-        RequestFrame::Shutdown => "SHUTDOWN".to_owned(),
-    })
-}
-
-/// Check a value is wire-safe (non-empty, no whitespace) and return it.
-fn wire_value<'a>(key: &str, value: &'a str) -> Result<&'a str, ClientError> {
-    if value.is_empty() {
-        return Err(ClientError::Unencodable(format!("{key} value is empty")));
-    }
-    if value.chars().any(char::is_whitespace) {
-        return Err(ClientError::Unencodable(format!(
-            "{key} value {value:?} contains whitespace"
-        )));
-    }
-    Ok(value)
-}
-
-fn push_kv(out: &mut String, key: &str, value: &str) -> Result<(), ClientError> {
-    out.push(' ');
-    out.push_str(key);
-    out.push('=');
-    out.push_str(wire_value(key, value)?);
-    Ok(())
-}
-
-/// Encode a query as a request line. Floats use plain `Display` (no
-/// fixed-precision truncation), which round-trips exactly through the
-/// server's `parse`.
-fn encode_query(query: &PersonQuery) -> Result<String, ClientError> {
-    let mut out = String::from("QUERY");
-    if let Some(first) = &query.first_name {
-        push_kv(&mut out, "first", first)?;
-    }
-    if let Some(last) = &query.last_name {
-        push_kv(&mut out, "last", last)?;
-    }
-    push_kv(&mut out, "similarity", &format!("{}", query.name_similarity))?;
-    push_kv(&mut out, "certainty", &format!("{}", query.certainty))?;
-    Ok(out)
-}
-
-/// Encode a record as an `ADD` line, or refuse with
-/// [`ClientError::Unencodable`] if the record holds anything the wire
-/// format cannot carry.
-fn encode_add(record: &Record) -> Result<String, ClientError> {
-    if record.mothers_maiden.is_some() {
-        return Err(ClientError::Unencodable(
-            "mothers_maiden has no ADD key".to_owned(),
-        ));
-    }
-    if record.places.iter().any(Option::is_some) {
-        return Err(ClientError::Unencodable("places have no ADD keys".to_owned()));
-    }
-    let mut out = String::from("ADD");
-    push_kv(&mut out, "book", &record.book_id.to_string())?;
-    push_kv(&mut out, "source", &record.source.0.to_string())?;
-    for first in &record.first_names {
-        push_kv(&mut out, "first", first)?;
-    }
-    for last in &record.last_names {
-        push_kv(&mut out, "last", last)?;
-    }
-    let scalars = [
-        ("maiden", &record.maiden_name),
-        ("father", &record.father_name),
-        ("mother", &record.mother_name),
-        ("spouse", &record.spouse_name),
-        ("profession", &record.profession),
-    ];
-    for (key, value) in scalars {
-        if let Some(value) = value {
-            push_kv(&mut out, key, value)?;
-        }
-    }
-    if let Some(gender) = record.gender {
-        let code = match gender {
-            Gender::Male => "m",
-            Gender::Female => "f",
-        };
-        push_kv(&mut out, "gender", code)?;
-    }
-    if let Some(day) = record.birth.day {
-        push_kv(&mut out, "day", &day.to_string())?;
-    }
-    if let Some(month) = record.birth.month {
-        push_kv(&mut out, "month", &month.to_string())?;
-    }
-    if let Some(year) = record.birth.year {
-        push_kv(&mut out, "year", &year.to_string())?;
-    }
-    Ok(out)
+/// The bytes a text connection writes for `request`: its line and the
+/// newline, in one string so they go out in one write (splitting them into
+/// two TCP segments lets Nagle hold the newline for the delayed ACK, ~40ms
+/// per request on loopback). Refused before anything is sent when the line
+/// format cannot carry the request.
+fn request_line(request: &RequestFrame) -> Result<String, ClientError> {
+    let mut line = render_request(request).map_err(ClientError::Unencodable)?;
+    line.push('\n');
+    Ok(line)
 }
 
 /// Parse one `HIT seed=N entity=A,B,C` data line.
@@ -1079,63 +950,36 @@ fn parse_stats(status: &str, data: &[String]) -> Result<StatsReport, ClientError
 mod tests {
     use super::*;
     use crate::protocol::tests as fixtures;
-    use crate::protocol::{parse_request, Request};
-    use yv_records::{DateParts, RecordBuilder, SourceId};
-
-    #[test]
-    fn encoded_add_round_trips_through_the_server_parser() {
-        let record = RecordBuilder::new(99, SourceId(2))
-            .first_name("Sara")
-            .first_name("Sura")
-            .last_name("Levi")
-            .maiden_name("Roth")
-            .father_name("Moshe")
-            .mother_name("Rivka")
-            .spouse_name("David")
-            .profession("tailor")
-            .gender(Gender::Female)
-            .birth(DateParts::full(3, 7, 1921))
-            .build();
-        let line = encode_add(&record).expect("encodable");
-        let Ok(Request::Add(parsed)) = parse_request(&line) else {
-            panic!("server rejected {line:?}")
-        };
-        assert_eq!(*parsed, record);
-    }
-
-    #[test]
-    fn encoded_query_round_trips_through_the_server_parser() {
-        let query = PersonQuery {
-            first_name: Some("Guido".into()),
-            last_name: Some("Foa".into()),
-            name_similarity: 0.91,
-            certainty: 1.25,
-        };
-        let line = encode_query(&query).expect("encodable");
-        let Ok(Request::Query(parsed)) = parse_request(&line) else {
-            panic!("server rejected {line:?}")
-        };
-        assert_eq!(parsed.first_name, query.first_name);
-        assert_eq!(parsed.last_name, query.last_name);
-        assert!((parsed.name_similarity - query.name_similarity).abs() < 1e-12);
-        assert!((parsed.certainty - query.certainty).abs() < 1e-12);
-    }
+    use yv_records::{RecordBuilder, SourceId};
 
     #[test]
     fn unencodable_records_are_refused_before_sending() {
+        // The refusal names what the line format cannot carry.
+        let refused = |request: RequestFrame| match request_line(&request) {
+            Err(ClientError::Unencodable(what)) => what,
+            other => panic!("expected Unencodable, got {other:?}"),
+        };
+        let add = |record: Record| refused(RequestFrame::Add(Box::new(record)));
         let spaced = RecordBuilder::new(1, SourceId(0)).first_name("Sara Lea").build();
-        assert!(matches!(encode_add(&spaced), Err(ClientError::Unencodable(_))));
+        assert_eq!(add(spaced), "first value \"Sara Lea\" contains whitespace");
 
         let empty = RecordBuilder::new(1, SourceId(0)).first_name("").build();
-        assert!(matches!(encode_add(&empty), Err(ClientError::Unencodable(_))));
+        assert_eq!(add(empty), "first value is empty");
 
         let mut with_mm = RecordBuilder::new(1, SourceId(0)).first_name("Sara").build();
         with_mm.mothers_maiden = Some("Katz".to_owned());
-        assert!(matches!(encode_add(&with_mm), Err(ClientError::Unencodable(_))));
+        assert_eq!(add(with_mm), "mothers_maiden has no ADD key");
 
         let spaced_query =
             PersonQuery { first_name: Some("Sara Lea".into()), ..PersonQuery::default() };
-        assert!(matches!(encode_query(&spaced_query), Err(ClientError::Unencodable(_))));
+        assert!(refused(RequestFrame::Query(spaced_query)).contains("contains whitespace"));
+        let metric = RequestFrame::History { metric: String::new(), window: None };
+        assert_eq!(refused(metric), "metric value is empty");
+        let batch = refused(RequestFrame::BatchAdd(Vec::new()));
+        assert!(batch.contains("BATCH_ADD has no line-protocol encoding"), "{batch}");
+
+        let line = request_line(&RequestFrame::Stats).expect("renderable");
+        assert_eq!(line, "STATS\n", "line and newline leave in one write");
     }
 
     /// A rendered response split into its status line and data lines,
@@ -1247,33 +1091,6 @@ mod tests {
         assert!(pipeline.flush().expect("empty flush").is_empty());
         assert_eq!(conn.max_outstanding, 3, "window must bound in-flight requests");
         assert_eq!(conn.sent.len(), 11);
-    }
-
-    #[test]
-    fn rendered_requests_round_trip_through_the_server_parser() {
-        let cases = [
-            (RequestFrame::Resolve { name: "levi".into(), k: Some(3), min: Some(0.25) }, ()),
-            (RequestFrame::Resolve { name: "levi".into(), k: None, min: None }, ()),
-            (RequestFrame::Stats, ()),
-            (RequestFrame::Metrics, ()),
-            (RequestFrame::Top { k: Some(7) }, ()),
-            (RequestFrame::Top { k: None }, ()),
-            (RequestFrame::Trace { id: 0x00ab_00cd_00ef_0011 }, ()),
-            (RequestFrame::History { metric: "query".into(), window: Some(5) }, ()),
-            (RequestFrame::Snapshot, ()),
-            (RequestFrame::Shutdown, ()),
-        ];
-        for (frame, ()) in cases {
-            let line = render_request(&frame).expect("renderable");
-            let parsed = parse_request(&line)
-                .unwrap_or_else(|e| panic!("server rejected {line:?}: {e}"));
-            let via_frame = frame.clone().into_request().expect("frame converts");
-            assert_eq!(parsed, via_frame, "text and binary disagree for {line:?}");
-        }
-        assert!(matches!(
-            render_request(&RequestFrame::BatchAdd(Vec::new())),
-            Err(ClientError::Unencodable(_))
-        ));
     }
 
     #[test]

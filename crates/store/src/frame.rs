@@ -22,6 +22,11 @@
 //! primitives (`Writer`/`Reader`), so an `ADD` record travels in exactly
 //! the encoding the WAL would log it in.
 //!
+//! A request has one type on both transports, [`RequestFrame`]: this
+//! module encodes and decodes it, `protocol.rs` parses and renders its text
+//! line, and [`RequestFrame::checked`] is the one semantic check either
+//! path ends with.
+//!
 //! Responses stay *semantically* identical to the text protocol: a
 //! [`ResponseFrame::Block`] carries the rendered response block (status
 //! line, data lines, `.` terminator) byte for byte as the text path would
@@ -37,8 +42,7 @@ use std::io::{ErrorKind, Read};
 use crate::codec::{self, Reader, Writer};
 use crate::error::StoreError;
 use crate::framed;
-use crate::protocol::{Request, DEFAULT_TOP_SLOW};
-use crate::store::DEFAULT_RESOLVE_K;
+use crate::protocol::{Command, COMMANDS};
 use yv_core::PersonQuery;
 use yv_obs::WINDOW_BUCKETS;
 use yv_records::Record;
@@ -83,10 +87,11 @@ const TAG_BATCH_ADD: u8 = 0x0b;
 const TAG_BLOCK: u8 = 0x20;
 const TAG_BATCH_STATUS: u8 = 0x21;
 
-/// One client request as it travels on the wire. Optional knobs stay
-/// optional here (mirroring what the text protocol lets a client omit);
-/// defaults are applied by [`RequestFrame::into_request`] on the server,
-/// so both transports resolve them to the same values.
+/// One client request, the one request type of both transports: the text
+/// parser returns it, the frame decoder returns it, the client sends it
+/// and the server executes it. Optional knobs stay optional (what a
+/// client may omit on either transport); the server applies their
+/// defaults where it reads them, so a request keeps what its client sent.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestFrame {
     Query(PersonQuery),
@@ -234,14 +239,14 @@ impl RequestFrame {
         Ok(frame)
     }
 
-    /// Apply the protocol's defaults and semantic checks. Both transports
-    /// end here — the binary one after [`RequestFrame::decode`], the text
-    /// one after `parse_request` has collected a line's raw optionals into
-    /// a frame — so a request means the same, and is refused with the same
-    /// `ERR` message, however it arrived. `BatchAdd` has no line-protocol
-    /// counterpart and is dispatched by the server before this conversion.
-    pub fn into_request(self) -> Result<Request, String> {
-        match self {
+    /// The semantic check every request passes before it runs. The text
+    /// parser ends with it and the server applies it after
+    /// [`RequestFrame::decode`], so a request is refused with the same
+    /// `ERR` message however it arrived. It refuses a NaN threshold, `k=0`,
+    /// trace id 0, an empty name or metric and a `HISTORY` window outside
+    /// 1..=[`WINDOW_BUCKETS`], and lowercases the `HISTORY` metric.
+    pub fn checked(mut self) -> Result<RequestFrame, String> {
+        match &mut self {
             RequestFrame::Query(q) => {
                 // A NaN threshold compares false with everything: no name
                 // would match, and every entity would fall apart.
@@ -251,58 +256,68 @@ impl RequestFrame {
                         return Err(format!("bad {what} value \"{value}\""));
                     }
                 }
-                Ok(Request::Query(q))
             }
             RequestFrame::Resolve { name, k, min } => {
                 if name.is_empty() {
                     return Err("RESOLVE: a name argument is required".to_owned());
                 }
-                let k = match k {
-                    None => DEFAULT_RESOLVE_K,
-                    Some(0) => return Err("RESOLVE: k must be at least 1".to_owned()),
-                    Some(k) => k as usize,
-                };
-                Ok(Request::Resolve { name, k, min })
-            }
-            RequestFrame::Add(record) => Ok(Request::Add(record)),
-            RequestFrame::BatchAdd(_) => {
-                Err("BATCH_ADD is a streaming request, not a single command".to_owned())
-            }
-            RequestFrame::Stats => Ok(Request::Stats),
-            RequestFrame::Metrics => Ok(Request::Metrics),
-            RequestFrame::Top { k } => {
-                Ok(Request::Top { k: k.map_or(DEFAULT_TOP_SLOW, |k| k as usize) })
-            }
-            RequestFrame::Trace { id } => {
-                if id == 0 {
-                    return Err("TRACE: trace id 0 means untraced".to_owned());
+                if *k == Some(0) {
+                    return Err("RESOLVE: k must be at least 1".to_owned());
                 }
-                Ok(Request::Trace { id })
+                // No score clears a NaN floor: the answer would be `OK 0`.
+                if min.is_some_and(f64::is_nan) {
+                    return Err("RESOLVE: bad min value \"NaN\"".to_owned());
+                }
             }
-            RequestFrame::History { mut metric, window } => {
+            RequestFrame::Trace { id: 0 } => {
+                return Err("TRACE: trace id 0 means untraced".to_owned());
+            }
+            RequestFrame::History { metric, window } => {
                 if metric.is_empty() {
                     return Err(
                         "HISTORY: a metric argument is required (a command kind, e.g. query)"
                             .to_owned(),
                     );
                 }
-                let window = match window {
-                    None => WINDOW_BUCKETS,
-                    Some(w) => {
-                        let w = w as usize;
-                        if w == 0 || w > WINDOW_BUCKETS {
-                            return Err(format!(
-                                "HISTORY: window {w} out of range (expected 1..={WINDOW_BUCKETS})"
-                            ));
-                        }
-                        w
+                if let Some(w) = *window {
+                    if w == 0 || w as usize > WINDOW_BUCKETS {
+                        return Err(format!(
+                            "HISTORY: window {w} out of range (expected 1..={WINDOW_BUCKETS})"
+                        ));
                     }
-                };
+                }
                 metric.make_ascii_lowercase();
-                Ok(Request::History { metric, window })
             }
-            RequestFrame::Snapshot => Ok(Request::Snapshot),
-            RequestFrame::Shutdown => Ok(Request::Shutdown),
+            _ => {}
+        }
+        Ok(self)
+    }
+
+    /// Which of the ten commands this request is. A `BATCH_ADD` is
+    /// measured as `ADD`s, one per record.
+    #[must_use]
+    pub const fn command(&self) -> Command {
+        match self {
+            RequestFrame::Query(_) => Command::Query,
+            RequestFrame::Resolve { .. } => Command::Resolve,
+            RequestFrame::Add(_) | RequestFrame::BatchAdd(_) => Command::Add,
+            RequestFrame::Stats => Command::Stats,
+            RequestFrame::Metrics => Command::Metrics,
+            RequestFrame::Top { .. } => Command::Top,
+            RequestFrame::Trace { .. } => Command::Trace,
+            RequestFrame::History { .. } => Command::History,
+            RequestFrame::Snapshot => Command::Snapshot,
+            RequestFrame::Shutdown => Command::Shutdown,
+        }
+    }
+
+    /// The canonical command name — a row of [`COMMANDS`], or `BATCH_ADD`:
+    /// a static string safe to embed in structured logs without escaping.
+    #[must_use]
+    pub const fn name(&self) -> &'static str {
+        match self {
+            RequestFrame::BatchAdd(_) => "BATCH_ADD",
+            _ => COMMANDS[self.command() as usize].1,
         }
     }
 
@@ -606,29 +621,42 @@ mod tests {
     }
 
     #[test]
-    fn into_request_applies_the_text_protocol_defaults_and_refusals() {
+    fn checked_refuses_with_the_text_parsers_messages() {
         use crate::protocol::parse_request;
-        // Defaults agree with the line parser.
-        let binary = RequestFrame::Resolve { name: "Lewi".to_owned(), k: None, min: None }
-            .into_request()
-            .unwrap();
-        assert_eq!(binary, parse_request("RESOLVE Lewi").unwrap());
-        let binary = RequestFrame::Top { k: None }.into_request().unwrap();
-        assert_eq!(binary, parse_request("TOP").unwrap());
-        let binary =
-            RequestFrame::History { metric: "QUERY".to_owned(), window: None }.into_request().unwrap();
-        assert_eq!(binary, parse_request("HISTORY query").unwrap());
+        // Omitted knobs stay omitted, and the metric is lowercased.
+        let checked = |frame: RequestFrame| frame.checked();
+        assert_eq!(
+            checked(RequestFrame::Resolve { name: "Lewi".to_owned(), k: None, min: None }),
+            parse_request("RESOLVE Lewi")
+        );
+        assert_eq!(checked(RequestFrame::Top { k: None }), parse_request("TOP"));
+        assert_eq!(
+            checked(RequestFrame::History { metric: "QUERY".to_owned(), window: None }),
+            Ok(RequestFrame::History { metric: "query".to_owned(), window: None })
+        );
         // Refusals carry the same ERR messages.
-        assert_eq!(
-            RequestFrame::Resolve { name: "x".to_owned(), k: Some(0), min: None }
-                .into_request()
-                .unwrap_err(),
-            parse_request("RESOLVE x k=0").unwrap_err()
-        );
-        assert_eq!(
-            RequestFrame::Trace { id: 0 }.into_request().unwrap_err(),
-            parse_request("TRACE 0").unwrap_err()
-        );
+        let over = u32::try_from(WINDOW_BUCKETS + 1).unwrap();
+        let refusals = [
+            (
+                RequestFrame::Resolve { name: "x".to_owned(), k: Some(0), min: None },
+                "RESOLVE x k=0",
+            ),
+            (RequestFrame::Resolve { name: String::new(), k: None, min: None }, "RESOLVE"),
+            (
+                RequestFrame::Resolve { name: "x".to_owned(), k: None, min: Some(f64::NAN) },
+                "RESOLVE x min=NaN",
+            ),
+            (RequestFrame::Trace { id: 0 }, "TRACE 0"),
+            (RequestFrame::History { metric: String::new(), window: None }, "HISTORY"),
+            (
+                RequestFrame::History { metric: "query".to_owned(), window: Some(over) },
+                &format!("HISTORY query window={over}"),
+            ),
+        ];
+        for (frame, line) in refusals {
+            let refused = checked(frame).expect_err(line);
+            assert_eq!(Err(refused), parse_request(line), "{line}");
+        }
         for (similarity, certainty, line, message) in [
             (f64::NAN, 0.0, "QUERY last=Levi similarity=NaN", "bad similarity value \"NaN\""),
             (0.88, f64::NAN, "QUERY last=Levi certainty=NaN", "bad certainty value \"NaN\""),
@@ -639,15 +667,8 @@ mod tests {
                 certainty,
                 ..PersonQuery::default()
             };
-            assert_eq!(RequestFrame::Query(query).into_request().unwrap_err(), message);
+            assert_eq!(checked(RequestFrame::Query(query)).unwrap_err(), message);
             assert_eq!(parse_request(line).unwrap_err(), message);
         }
-        let over = u32::try_from(WINDOW_BUCKETS + 1).unwrap();
-        assert_eq!(
-            RequestFrame::History { metric: "query".to_owned(), window: Some(over) }
-                .into_request()
-                .unwrap_err(),
-            parse_request(&format!("HISTORY query window={}", WINDOW_BUCKETS + 1)).unwrap_err()
-        );
     }
 }

@@ -45,7 +45,12 @@
 //!   length-prefixed, checksummed binary framing in [`frame`] (the
 //!   [`framed`] frame, read by a strict streaming reader; text
 //!   stays for telnet-style inspection), adding a `BATCH_ADD` frame
-//!   that streams many records per round trip;
+//!   that streams many records per round trip. Both transports hand the
+//!   server one request type, [`RequestFrame`], checked once by
+//!   [`RequestFrame::checked`], and reach one request path;
+//! - [`protocol`] — the text side of that request type
+//!   ([`protocol::parse_request`] and its inverse
+//!   [`protocol::render_request`]) and one renderer per reply kind;
 //! - [`client`] — a typed client for both transports: a [`Connection`]
 //!   trait with text and binary backends, a [`ClientOptions`] builder
 //!   (timeouts, `Text`/`Binary` protocol choice) and a
@@ -106,7 +111,7 @@ pub use frame::{
 };
 pub use index::QueryIndex;
 pub use protocol::{
-    CommandStats, HistoryBucketRow, HistoryReport, Request, SlowRow, StatsReport, TopReport,
+    CommandStats, HistoryBucketRow, HistoryReport, SlowRow, StatsReport, TopReport,
     DEFAULT_TOP_SLOW,
 };
 pub use server::{

@@ -1,9 +1,11 @@
 //! The `yv serve` line protocol.
 //!
 //! One request per line, `key=value` tokens separated by whitespace
-//! (values therefore cannot contain spaces — a binary protocol is a
-//! roadmap item). Responses are one `OK ...` or `ERR ...` status line,
-//! zero or more data lines, and a lone `.` terminator:
+//! (values therefore cannot contain spaces; the binary framing in
+//! [`crate::frame`] carries any value). [`parse_request`] reads a line into
+//! the one request type, [`RequestFrame`], and [`render_request`] writes
+//! one back. Responses are one `OK ...` or `ERR ...` status line, zero or
+//! more data lines, and a lone `.` terminator:
 //!
 //! ```text
 //! > QUERY first=Guido last=Foa certainty=1.0
@@ -82,42 +84,6 @@ use yv_records::{DateParts, Gender, Record, RecordBuilder, SourceId};
 /// Slow-trace summary rows a bare `TOP` returns.
 pub const DEFAULT_TOP_SLOW: usize = 5;
 
-/// A parsed client request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    Query(PersonQuery),
-    Resolve {
-        /// The (possibly misspelled) name to resolve.
-        name: String,
-        /// Maximum candidates returned (defaults to
-        /// [`crate::store::DEFAULT_RESOLVE_K`], never 0).
-        k: usize,
-        /// Minimum blended score, if the client set one.
-        min: Option<f64>,
-    },
-    Add(Box<Record>),
-    Stats,
-    Metrics,
-    Top {
-        /// Slow-trace summary rows to include (defaults to
-        /// [`DEFAULT_TOP_SLOW`]; 0 suppresses them).
-        k: usize,
-    },
-    Trace {
-        /// The trace id to look up (as issued in a `trace=` token).
-        id: u64,
-    },
-    History {
-        /// The windowed metric: a lowercase command kind (e.g. `query`).
-        metric: String,
-        /// Closed one-second buckets to cover, ending at the open one
-        /// (1..=[`WINDOW_BUCKETS`]).
-        window: usize,
-    },
-    Snapshot,
-    Shutdown,
-}
-
 /// The ten commands in protocol order; `as usize` is the command's row
 /// in [`COMMANDS`] and in the server's per-command metric sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,34 +119,14 @@ pub const COMMANDS: [(&str, &str); 10] = [
 /// The command kinds, as an error lists them: `query, resolve, … or
 /// shutdown`.
 pub(crate) fn command_kinds() -> String {
-    let [kinds @ .., (last, _)] = COMMANDS;
-    format!("{} or {last}", kinds.map(|(kind, _)| kind).join(", "))
+    command_list(|(kind, _)| kind)
 }
 
-impl Request {
-    /// Which of the ten commands this request is.
-    #[must_use]
-    pub const fn command(&self) -> Command {
-        match self {
-            Request::Query(_) => Command::Query,
-            Request::Resolve { .. } => Command::Resolve,
-            Request::Add(_) => Command::Add,
-            Request::Stats => Command::Stats,
-            Request::Metrics => Command::Metrics,
-            Request::Top { .. } => Command::Top,
-            Request::Trace { .. } => Command::Trace,
-            Request::History { .. } => Command::History,
-            Request::Snapshot => Command::Snapshot,
-            Request::Shutdown => Command::Shutdown,
-        }
-    }
-
-    /// The canonical command name — a static string safe to embed in
-    /// structured logs without escaping.
-    #[must_use]
-    pub const fn name(&self) -> &'static str {
-        COMMANDS[self.command() as usize].1
-    }
+/// The ten commands as an error lists them, `column` picking the kind or
+/// the name (`QUERY, RESOLVE, … or SHUTDOWN`).
+fn command_list(column: fn((&'static str, &'static str)) -> &'static str) -> String {
+    let [names @ .., last] = COMMANDS.map(column);
+    format!("{} or {last}", names.join(", "))
 }
 
 /// The response terminator line.
@@ -188,36 +134,37 @@ pub const TERMINATOR: &str = ".";
 
 /// Parse one request line. Errors are human-readable strings destined for
 /// an `ERR` response.
-pub fn parse_request(line: &str) -> Result<Request, String> {
+///
+/// The parsers own the *syntax* — numbers, keys, duplicates, argument
+/// order — and collect the raw optionals into a [`RequestFrame`]; the
+/// semantic refusals live once, in [`RequestFrame::checked`], for both
+/// transports.
+pub fn parse_request(line: &str) -> Result<RequestFrame, String> {
     let mut tokens = line.split_whitespace();
     let command = tokens.next().ok_or_else(|| "empty request".to_owned())?;
     let args: Vec<&str> = tokens.collect();
-    match command.to_ascii_uppercase().as_str() {
+    let no_args = |request: RequestFrame| expect_no_args(request.name(), &args).map(|()| request);
+    let request = match command.to_ascii_uppercase().as_str() {
         "QUERY" => parse_query(&args),
         "RESOLVE" => parse_resolve(&args),
-        "ADD" => parse_add(&args).map(|r| Request::Add(Box::new(r))),
-        "STATS" => expect_no_args("STATS", &args).map(|()| Request::Stats),
-        "METRICS" => expect_no_args("METRICS", &args).map(|()| Request::Metrics),
+        "ADD" => parse_add(&args).map(|r| RequestFrame::Add(Box::new(r))),
+        "STATS" => no_args(RequestFrame::Stats),
+        "METRICS" => no_args(RequestFrame::Metrics),
         "TOP" => parse_top(&args),
         "TRACE" => parse_trace(&args),
         "HISTORY" => parse_history(&args),
-        "SNAPSHOT" => expect_no_args("SNAPSHOT", &args).map(|()| Request::Snapshot),
-        "SHUTDOWN" => expect_no_args("SHUTDOWN", &args).map(|()| Request::Shutdown),
-        other => Err(format!(
-            "unknown command {other}; expected QUERY, RESOLVE, ADD, STATS, METRICS, TOP, \
-             TRACE, HISTORY, SNAPSHOT or SHUTDOWN"
-        )),
-    }
+        "SNAPSHOT" => no_args(RequestFrame::Snapshot),
+        "SHUTDOWN" => no_args(RequestFrame::Shutdown),
+        other => {
+            Err(format!("unknown command {other}; expected {}", command_list(|(_, name)| name)))
+        }
+    };
+    request.and_then(RequestFrame::checked)
 }
 
 /// Parse `TOP [k=N]` — live per-command stats plus the `N` most recent
 /// slow-trace summaries.
-///
-/// Like the four parsers below, this one owns the *syntax* — numbers,
-/// keys, duplicates, argument order — and collects the raw optionals into
-/// a [`RequestFrame`]; the defaults and semantic refusals live once, in
-/// [`RequestFrame::into_request`], for both transports.
-fn parse_top(args: &[&str]) -> Result<Request, String> {
+fn parse_top(args: &[&str]) -> Result<RequestFrame, String> {
     let mut k = None;
     for token in args {
         let (key, value) = split_kv(token, "TOP")?;
@@ -231,13 +178,13 @@ fn parse_top(args: &[&str]) -> Result<Request, String> {
             other => return Err(format!("TOP: unknown key {other}")),
         }
     }
-    RequestFrame::Top { k }.into_request()
+    Ok(RequestFrame::Top { k })
 }
 
 /// Parse `TRACE <id>`. The id is the hex token the server returned
 /// (`trace=` prefix tolerated, so the wire token can be pasted back
 /// verbatim); it takes no options.
-fn parse_trace(args: &[&str]) -> Result<Request, String> {
+fn parse_trace(args: &[&str]) -> Result<RequestFrame, String> {
     let Some((&raw, options)) = args.split_first() else {
         return Err("TRACE: a trace id argument is required".to_owned());
     };
@@ -248,14 +195,14 @@ fn parse_trace(args: &[&str]) -> Result<Request, String> {
         let (key, _) = split_kv(token, "TRACE")?;
         return Err(format!("TRACE: unknown key {key}"));
     }
-    RequestFrame::Trace { id }.into_request()
+    Ok(RequestFrame::Trace { id })
 }
 
 /// Parse `HISTORY <metric> [window=N]`.
 /// The metric comes first as a bare token (a command kind, matched
 /// case-insensitively so `HISTORY QUERY` and `HISTORY query` agree);
 /// the server rejects kinds it does not track.
-fn parse_history(args: &[&str]) -> Result<Request, String> {
+fn parse_history(args: &[&str]) -> Result<RequestFrame, String> {
     let (metric, options) = args.split_first().map_or(("", args), |(&m, rest)| (m, rest));
     if metric.contains('=') {
         return Err(format!("HISTORY: first argument must be a bare metric name, got {metric:?}"));
@@ -273,15 +220,15 @@ fn parse_history(args: &[&str]) -> Result<Request, String> {
             other => return Err(format!("HISTORY: unknown key {other}")),
         }
     }
-    RequestFrame::History { metric: metric.to_owned(), window }.into_request()
+    Ok(RequestFrame::History { metric: metric.to_owned(), window })
 }
 
 /// Parse `RESOLVE <name> [k=N] [min=SCORE]`. The name comes first as a
 /// bare token; the options follow as `key=value` with the same
-/// duplicate-key discipline as `QUERY`. `k=0` is rejected with a
-/// dedicated message — it would silently answer nothing — as are
-/// non-numeric `k`/`min` values.
-fn parse_resolve(args: &[&str]) -> Result<Request, String> {
+/// duplicate-key discipline as `QUERY`. Non-numeric `k`/`min` values are
+/// refused here; `k=0` and a NaN `min`, which would silently answer
+/// nothing, by [`RequestFrame::checked`].
+fn parse_resolve(args: &[&str]) -> Result<RequestFrame, String> {
     let (name, options) = args.split_first().map_or(("", args), |(&n, rest)| (n, rest));
     if name.contains('=') {
         return Err(format!("RESOLVE: the name must come before options, got {name:?}"));
@@ -305,7 +252,7 @@ fn parse_resolve(args: &[&str]) -> Result<Request, String> {
             other => return Err(format!("RESOLVE: unknown key {other}")),
         }
     }
-    RequestFrame::Resolve { name: name.to_owned(), k, min }.into_request()
+    Ok(RequestFrame::Resolve { name: name.to_owned(), k, min })
 }
 
 fn expect_no_args(command: &str, args: &[&str]) -> Result<(), String> {
@@ -322,7 +269,7 @@ fn split_kv<'a>(token: &'a str, command: &str) -> Result<(&'a str, &'a str), Str
         .ok_or_else(|| format!("{command}: expected key=value, got {token:?}"))
 }
 
-fn parse_query(args: &[&str]) -> Result<Request, String> {
+fn parse_query(args: &[&str]) -> Result<RequestFrame, String> {
     let mut query = PersonQuery::default();
     // Every QUERY key is single-valued, so a repeat is a client bug: the
     // earlier value would be silently discarded and the client would get
@@ -342,7 +289,7 @@ fn parse_query(args: &[&str]) -> Result<Request, String> {
         }
         seen.push(key);
     }
-    RequestFrame::Query(query).into_request()
+    Ok(RequestFrame::Query(query))
 }
 
 fn parse_add(args: &[&str]) -> Result<Record, String> {
@@ -419,6 +366,130 @@ fn parse_add(args: &[&str]) -> Result<Record, String> {
 
 fn parse_f64(what: &str, value: &str) -> Result<f64, String> {
     value.parse().map_err(|_| format!("bad {what} value {value:?}"))
+}
+
+/// Render a request as its text line (no newline), the inverse of
+/// [`parse_request`]: the line parses back to the request, checked. Floats
+/// use plain `Display`, which parses back to the same bits. A request the
+/// line format cannot carry is refused, naming what: `BATCH_ADD`, an empty
+/// value or one holding whitespace, a record's `mothers_maiden` or places.
+pub fn render_request(request: &RequestFrame) -> Result<String, String> {
+    let mut line = request.name().to_owned();
+    match request {
+        RequestFrame::Query(query) => {
+            if let Some(first) = &query.first_name {
+                push_kv(&mut line, "first", first)?;
+            }
+            if let Some(last) = &query.last_name {
+                push_kv(&mut line, "last", last)?;
+            }
+            push_kv(&mut line, "similarity", &query.name_similarity.to_string())?;
+            push_kv(&mut line, "certainty", &query.certainty.to_string())?;
+        }
+        RequestFrame::Resolve { name, k, min } => {
+            push_bare(&mut line, "name", name)?;
+            if let Some(k) = k {
+                push_kv(&mut line, "k", &k.to_string())?;
+            }
+            if let Some(min) = min {
+                push_kv(&mut line, "min", &min.to_string())?;
+            }
+        }
+        RequestFrame::Add(record) => render_add(&mut line, record)?,
+        RequestFrame::BatchAdd(_) => {
+            return Err(
+                "BATCH_ADD has no line-protocol encoding; connect with Protocol::Binary".to_owned()
+            )
+        }
+        RequestFrame::Top { k: Some(k) } => push_kv(&mut line, "k", &k.to_string())?,
+        RequestFrame::Trace { id } => line.push_str(&format!(" {id:016x}")),
+        RequestFrame::History { metric, window } => {
+            push_bare(&mut line, "metric", metric)?;
+            if let Some(window) = window {
+                push_kv(&mut line, "window", &window.to_string())?;
+            }
+        }
+        RequestFrame::Top { k: None }
+        | RequestFrame::Stats
+        | RequestFrame::Metrics
+        | RequestFrame::Snapshot
+        | RequestFrame::Shutdown => {}
+    }
+    Ok(line)
+}
+
+/// Check a value is wire-safe (non-empty, no whitespace) and return it.
+fn wire_value<'a>(key: &str, value: &'a str) -> Result<&'a str, String> {
+    if value.is_empty() {
+        return Err(format!("{key} value is empty"));
+    }
+    if value.chars().any(char::is_whitespace) {
+        return Err(format!("{key} value {value:?} contains whitespace"));
+    }
+    Ok(value)
+}
+
+/// Append a bare positional token (`RESOLVE`'s name, `HISTORY`'s metric).
+fn push_bare(out: &mut String, key: &str, value: &str) -> Result<(), String> {
+    out.push(' ');
+    out.push_str(wire_value(key, value)?);
+    Ok(())
+}
+
+fn push_kv(out: &mut String, key: &str, value: &str) -> Result<(), String> {
+    out.push(' ');
+    out.push_str(key);
+    out.push('=');
+    out.push_str(wire_value(key, value)?);
+    Ok(())
+}
+
+/// Append a record's `ADD` keys, or refuse if it holds anything the line
+/// format cannot carry.
+fn render_add(out: &mut String, record: &Record) -> Result<(), String> {
+    if record.mothers_maiden.is_some() {
+        return Err("mothers_maiden has no ADD key".to_owned());
+    }
+    if record.places.iter().any(Option::is_some) {
+        return Err("places have no ADD keys".to_owned());
+    }
+    push_kv(out, "book", &record.book_id.to_string())?;
+    push_kv(out, "source", &record.source.0.to_string())?;
+    for first in &record.first_names {
+        push_kv(out, "first", first)?;
+    }
+    for last in &record.last_names {
+        push_kv(out, "last", last)?;
+    }
+    let scalars = [
+        ("maiden", &record.maiden_name),
+        ("father", &record.father_name),
+        ("mother", &record.mother_name),
+        ("spouse", &record.spouse_name),
+        ("profession", &record.profession),
+    ];
+    for (key, value) in scalars {
+        if let Some(value) = value {
+            push_kv(out, key, value)?;
+        }
+    }
+    if let Some(gender) = record.gender {
+        let code = match gender {
+            Gender::Male => "m",
+            Gender::Female => "f",
+        };
+        push_kv(out, "gender", code)?;
+    }
+    if let Some(day) = record.birth.day {
+        push_kv(out, "day", &day.to_string())?;
+    }
+    if let Some(month) = record.birth.month {
+        push_kv(out, "month", &month.to_string())?;
+    }
+    if let Some(year) = record.birth.year {
+        push_kv(out, "year", &year.to_string())?;
+    }
+    Ok(())
 }
 
 /// Render query hits as response lines (status, data, terminator).
@@ -816,13 +887,12 @@ pub fn format_history(r: &HistoryReport) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::store::DEFAULT_RESOLVE_K;
     use yv_records::RecordId;
 
     #[test]
     fn query_parses_all_knobs() {
         let req = parse_request("QUERY first=Guido last=Foa similarity=0.9 certainty=1.5");
-        let Ok(Request::Query(q)) = req else { panic!("{req:?}") };
+        let Ok(RequestFrame::Query(q)) = req else { panic!("{req:?}") };
         assert_eq!(q.first_name.as_deref(), Some("Guido"));
         assert_eq!(q.last_name.as_deref(), Some("Foa"));
         assert!((q.name_similarity - 0.9).abs() < 1e-12);
@@ -831,7 +901,7 @@ pub(crate) mod tests {
 
     #[test]
     fn bare_query_is_unconstrained() {
-        let Ok(Request::Query(q)) = parse_request("QUERY") else { panic!() };
+        let Ok(RequestFrame::Query(q)) = parse_request("QUERY") else { panic!() };
         assert_eq!(q.first_name, None);
         assert_eq!(q.last_name, None);
     }
@@ -839,7 +909,7 @@ pub(crate) mod tests {
     #[test]
     fn add_builds_a_record() {
         let line = "ADD book=99 source=2 first=Sara last=Levi gender=f day=3 month=7 year=1921";
-        let Ok(Request::Add(r)) = parse_request(line) else { panic!() };
+        let Ok(RequestFrame::Add(r)) = parse_request(line) else { panic!() };
         assert_eq!(r.book_id, 99);
         assert_eq!(r.source, SourceId(2));
         assert_eq!(r.first_names, vec!["Sara".to_owned()]);
@@ -879,7 +949,7 @@ pub(crate) mod tests {
         }
         // ...while first/last repeat legitimately (records carry name
         // lists).
-        let Ok(Request::Add(r)) =
+        let Ok(RequestFrame::Add(r)) =
             parse_request("ADD book=1 source=0 first=Sara first=Sura last=Levi last=Lewi")
         else {
             panic!()
@@ -904,11 +974,11 @@ pub(crate) mod tests {
 
     #[test]
     fn metrics_parses_and_names_are_canonical() {
-        assert_eq!(parse_request("METRICS"), Ok(Request::Metrics));
-        assert_eq!(parse_request("metrics"), Ok(Request::Metrics));
-        assert_eq!(Request::Metrics.name(), "METRICS");
-        assert_eq!(Request::Stats.name(), "STATS");
-        assert_eq!(Request::Shutdown.name(), "SHUTDOWN");
+        assert_eq!(parse_request("METRICS"), Ok(RequestFrame::Metrics));
+        assert_eq!(parse_request("metrics"), Ok(RequestFrame::Metrics));
+        assert_eq!(RequestFrame::Metrics.name(), "METRICS");
+        assert_eq!(RequestFrame::Stats.name(), "STATS");
+        assert_eq!(RequestFrame::Shutdown.name(), "SHUTDOWN");
         // One request per command, in protocol order: the enum, the table
         // and the parser agree row by row.
         let lines = [
@@ -1003,22 +1073,22 @@ pub(crate) mod tests {
 
     #[test]
     fn resolve_parses_name_and_options() {
-        let Ok(Request::Resolve { name, k, min }) = parse_request("RESOLVE Lewi") else {
+        let Ok(RequestFrame::Resolve { name, k, min }) = parse_request("RESOLVE Lewi") else {
             panic!()
         };
         assert_eq!(name, "Lewi");
-        assert_eq!(k, DEFAULT_RESOLVE_K);
+        assert_eq!(k, None);
         assert_eq!(min, None);
 
-        let Ok(Request::Resolve { name, k, min }) = parse_request("resolve Foa k=3 min=0.5")
+        let Ok(RequestFrame::Resolve { name, k, min }) = parse_request("resolve Foa k=3 min=0.5")
         else {
             panic!()
         };
         assert_eq!(name, "Foa");
-        assert_eq!(k, 3);
+        assert_eq!(k, Some(3));
         assert!((min.expect("min set") - 0.5).abs() < 1e-12);
         // Negative thresholds are legal: scores are unbounded below.
-        let Ok(Request::Resolve { min, .. }) = parse_request("RESOLVE Foa min=-1.5") else {
+        let Ok(RequestFrame::Resolve { min, .. }) = parse_request("RESOLVE Foa min=-1.5") else {
             panic!()
         };
         assert!((min.expect("min set") + 1.5).abs() < 1e-12);
@@ -1044,6 +1114,118 @@ pub(crate) mod tests {
         assert!(err.contains("duplicate key min"), "{err}");
         let err = parse_request("RESOLVE Foa color=blue").expect_err("unknown key");
         assert!(err.contains("unknown key color"), "{err}");
+    }
+
+    /// No score clears a NaN floor, so `min=NaN` would answer `OK 0`.
+    #[test]
+    fn resolve_refuses_a_nan_min() {
+        let err = parse_request("RESOLVE Levi min=NaN").expect_err("NaN min");
+        assert_eq!(err, "RESOLVE: bad min value \"NaN\"");
+    }
+
+    /// A full text-encodable record: every `ADD` key set, names repeated.
+    fn text_record() -> Record {
+        RecordBuilder::new(99, SourceId(2))
+            .first_name("Sara")
+            .first_name("Sura")
+            .last_name("Levi")
+            .maiden_name("Roth")
+            .father_name("Moshe")
+            .mother_name("Rivka")
+            .spouse_name("David")
+            .profession("tailor")
+            .gender(Gender::Female)
+            .birth(DateParts::full(3, 7, 1921))
+            .build()
+    }
+
+    /// Rendering then parsing gives back the checked request, and encoding
+    /// then decoding gives back the request.
+    fn assert_round_trips(request: RequestFrame) {
+        let checked = request.clone().checked().expect("a valid request");
+        let line = render_request(&request).expect("renderable");
+        assert_eq!(parse_request(&line), Ok(checked), "{line}");
+        let bytes = request.encode().expect("encodable");
+        let decoded = RequestFrame::read(&mut bytes.as_slice()).expect("decodable");
+        assert_eq!(decoded, Some(request));
+    }
+
+    #[test]
+    fn query_round_trips() {
+        // Plain `Display` floats parse back to the same bits.
+        for (similarity, certainty) in [(0.91, 1.25), (0.1 + 0.2, 1.0 / 3.0), (-0.0, 1e300)] {
+            assert_round_trips(RequestFrame::Query(PersonQuery {
+                first_name: Some("Guido".into()),
+                last_name: Some("Foa".into()),
+                name_similarity: similarity,
+                certainty,
+            }));
+        }
+        assert_round_trips(RequestFrame::Query(PersonQuery::default()));
+    }
+
+    #[test]
+    fn resolve_round_trips() {
+        for (k, min) in [(Some(3), Some(0.25)), (None, Some(-1.5)), (None, None)] {
+            assert_round_trips(RequestFrame::Resolve { name: "levi".into(), k, min });
+        }
+    }
+
+    #[test]
+    fn add_round_trips() {
+        assert_round_trips(RequestFrame::Add(Box::new(text_record())));
+        let bare = RecordBuilder::new(1, SourceId(0)).build();
+        assert_round_trips(RequestFrame::Add(Box::new(bare)));
+    }
+
+    #[test]
+    fn batch_add_round_trips_as_a_frame_only() {
+        let batch = RequestFrame::BatchAdd(vec![text_record(), text_record()]);
+        let bytes = batch.encode().expect("encodable");
+        let decoded = RequestFrame::read(&mut bytes.as_slice()).expect("decodable");
+        assert_eq!(decoded, Some(batch.clone()));
+        let err = render_request(&batch).expect_err("no line form");
+        assert!(err.contains("BATCH_ADD has no line-protocol encoding"), "{err}");
+    }
+
+    #[test]
+    fn stats_round_trips() {
+        assert_round_trips(RequestFrame::Stats);
+    }
+
+    #[test]
+    fn metrics_round_trips() {
+        assert_round_trips(RequestFrame::Metrics);
+    }
+
+    #[test]
+    fn top_round_trips() {
+        assert_round_trips(RequestFrame::Top { k: Some(7) });
+        assert_round_trips(RequestFrame::Top { k: Some(0) });
+        assert_round_trips(RequestFrame::Top { k: None });
+    }
+
+    #[test]
+    fn trace_round_trips() {
+        assert_round_trips(RequestFrame::Trace { id: 0x00ab_00cd_00ef_0011 });
+        assert_round_trips(RequestFrame::Trace { id: u64::MAX });
+    }
+
+    #[test]
+    fn history_round_trips() {
+        assert_round_trips(RequestFrame::History { metric: "query".into(), window: Some(5) });
+        // The check lowercases the metric; the frame keeps what was sent.
+        assert_round_trips(RequestFrame::History { metric: "QUERY".into(), window: None });
+    }
+
+    #[test]
+    fn snapshot_round_trips() {
+        assert_round_trips(RequestFrame::Snapshot);
+    }
+
+    #[test]
+    fn shutdown_round_trips() {
+        assert_round_trips(RequestFrame::Shutdown);
     }
 
     #[test]
@@ -1074,9 +1256,9 @@ pub(crate) mod tests {
 
     #[test]
     fn top_parses_with_optional_k() {
-        assert_eq!(parse_request("TOP"), Ok(Request::Top { k: DEFAULT_TOP_SLOW }));
-        assert_eq!(parse_request("top k=0"), Ok(Request::Top { k: 0 }));
-        assert_eq!(parse_request("TOP k=12"), Ok(Request::Top { k: 12 }));
+        assert_eq!(parse_request("TOP"), Ok(RequestFrame::Top { k: None }));
+        assert_eq!(parse_request("top k=0"), Ok(RequestFrame::Top { k: Some(0) }));
+        assert_eq!(parse_request("TOP k=12"), Ok(RequestFrame::Top { k: Some(12) }));
         let err = parse_request("TOP k=many").expect_err("bad k");
         assert!(err.contains("bad k value"), "{err}");
         let err = parse_request("TOP k=1 k=2").expect_err("duplicate k");
@@ -1089,14 +1271,14 @@ pub(crate) mod tests {
     fn trace_parses_hex_ids_with_or_without_wire_prefix() {
         assert_eq!(
             parse_request("TRACE 00ab00cd00ef0011"),
-            Ok(Request::Trace { id: 0x00ab_00cd_00ef_0011 })
+            Ok(RequestFrame::Trace { id: 0x00ab_00cd_00ef_0011 })
         );
         // The exact token the server printed can be pasted back.
         assert_eq!(
             parse_request("trace trace=ff00000000000001"),
-            Ok(Request::Trace { id: 0xff00_0000_0000_0001 })
+            Ok(RequestFrame::Trace { id: 0xff00_0000_0000_0001 })
         );
-        assert_eq!(parse_request("TRACE 1f"), Ok(Request::Trace { id: 0x1f }));
+        assert_eq!(parse_request("TRACE 1f"), Ok(RequestFrame::Trace { id: 0x1f }));
         let err = parse_request("TRACE").expect_err("id required");
         assert!(err.contains("trace id argument is required"), "{err}");
         let err = parse_request("TRACE zebra").expect_err("bad hex");
@@ -1122,12 +1304,12 @@ pub(crate) mod tests {
     fn history_parses_metric_window_tier_and_format() {
         assert_eq!(
             parse_request("HISTORY query"),
-            Ok(Request::History { metric: "query".to_owned(), window: WINDOW_BUCKETS })
+            Ok(RequestFrame::History { metric: "query".to_owned(), window: None })
         );
         // The metric is case-insensitive.
         assert_eq!(
             parse_request("history QUERY window=5"),
-            Ok(Request::History { metric: "query".to_owned(), window: 5 })
+            Ok(RequestFrame::History { metric: "query".to_owned(), window: Some(5) })
         );
         let err = parse_request("HISTORY").expect_err("metric required");
         assert!(err.contains("metric argument is required"), "{err}");

@@ -47,13 +47,13 @@
 //! an empty history.
 
 use crate::error::StoreError;
-use crate::frame;
+use crate::frame::{self, BatchStatus, RequestFrame, ResponseFrame};
 use crate::protocol::{
-    self, Command, CommandStats, HistoryReport, Request, SlowRow, StatsReport, TopReport, COMMANDS,
+    self, Command, CommandStats, HistoryReport, SlowRow, StatsReport, TopReport, COMMANDS,
+    DEFAULT_TOP_SLOW,
 };
-use crate::store::Store;
+use crate::store::{Store, DEFAULT_RESOLVE_K};
 use crate::sync::Mutex;
-use yv_records::Record;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -61,7 +61,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use yv_obs::{
     Clock, Counter, Histogram, MetricsRegistry, MonotonicClock, SloRule, SloStatus, TraceCtx,
-    TraceSink, WindowedHistogram,
+    TraceSink, WindowedHistogram, WINDOW_BUCKETS,
 };
 
 /// Most recent traces the capture ring retains; its slow-or-ERR window
@@ -214,13 +214,12 @@ impl ServerMetrics {
 /// the client saw in its `trace=` token, so a logged slow request can be
 /// looked up with `TRACE <id>` while it is still in the ring.
 ///
-/// The log is **size-capped**: once `cap_bytes` of lines have been
-/// written the sink rotates — a file sink renames itself to `<path>.1`
-/// (replacing the previous generation, so disk usage is bounded at
-/// roughly `2 × cap_bytes`) and reopens fresh; a stream sink (stderr)
-/// cannot be renamed, so it emits a rotation marker line and resets its
-/// byte count. Rotations are counted and surfaced as the
-/// `yv_slow_log_rotations` gauge.
+/// A file log is **size-capped**: once `cap_bytes` of lines have been
+/// written it renames itself to `<path>.1` (replacing the previous
+/// generation, so disk usage is bounded at roughly `2 × cap_bytes`) and
+/// reopens fresh. Rotations are counted and surfaced as the
+/// `yv_slow_log_rotations` gauge. Any other writer (stderr, a test buffer)
+/// has nothing to rename and is written without a cap.
 struct SlowLog {
     threshold_ns: u64,
     cap_bytes: u64,
@@ -228,23 +227,27 @@ struct SlowLog {
     sink: Mutex<SlowSink>,
 }
 
-/// Where slow-request lines go, with the bytes written since the last
-/// rotation tracked alongside the handle it guards.
-enum SlowSink {
-    /// An opaque stream (stderr or a test buffer): rotation is logical.
-    Stream { out: Box<dyn Write + Send>, written: u64 },
-    /// A file we own: rotation renames it aside and reopens fresh.
-    File { path: PathBuf, out: std::fs::File, written: u64 },
+/// Where slow-request lines go: one writer, and the file it appends to
+/// when there is one to rotate, with the bytes written since the last
+/// rotation tracked alongside the handle they guard.
+struct SlowSink {
+    out: Box<dyn Write + Send>,
+    path: Option<PathBuf>,
+    written: u64,
 }
 
 impl SlowLog {
-    fn stream(threshold_us: u64, out: Box<dyn Write + Send>, cap_bytes: u64) -> SlowLog {
+    fn new(threshold_us: u64, sink: SlowSink, cap_bytes: u64) -> SlowLog {
         SlowLog {
             threshold_ns: threshold_us.saturating_mul(1_000),
             cap_bytes: cap_bytes.max(1),
             rotations: AtomicU64::new(0),
-            sink: Mutex::new(SlowSink::Stream { out, written: 0 }),
+            sink: Mutex::new(sink),
         }
+    }
+
+    fn stream(threshold_us: u64, out: Box<dyn Write + Send>) -> SlowLog {
+        SlowLog::new(threshold_us, SlowSink { out, path: None, written: 0 }, u64::MAX)
     }
 
     fn file(threshold_us: u64, path: &std::path::Path, cap_bytes: u64) -> Result<SlowLog, StoreError> {
@@ -255,12 +258,8 @@ impl SlowLog {
         }
         let out = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
         let written = out.metadata()?.len();
-        Ok(SlowLog {
-            threshold_ns: threshold_us.saturating_mul(1_000),
-            cap_bytes: cap_bytes.max(1),
-            rotations: AtomicU64::new(0),
-            sink: Mutex::new(SlowSink::File { path: path.to_path_buf(), out, written }),
-        })
+        let sink = SlowSink { out: Box::new(out), path: Some(path.to_path_buf()), written };
+        Ok(SlowLog::new(threshold_us, sink, cap_bytes))
     }
 
     /// Lifetime rotations performed by this log.
@@ -275,46 +274,29 @@ impl SlowLog {
              \"trace\":\"{trace:016x}\"}}\n",
             dur_ns / 1_000
         );
+        // The line is formatted before the lock; the lock serializes the
+        // rotate-check, write and flush.
         let mut sink = self.sink.lock();
-        match &mut *sink {
-            SlowSink::Stream { out, written } => {
-                if *written + line.len() as u64 > self.cap_bytes {
-                    let n = self.rotations.fetch_add(1, Ordering::Relaxed) + 1;
-                    // Written under the sink lock on purpose: the line was
-                    // formatted before acquisition, and the lock exists to
-                    // serialize exactly this rotate-check + write + flush
-                    // sequence into the JSONL sink.
-                    let _ = out.write_all(
-                        format!("{{\"slow_log_rotated\":true,\"generation\":{n}}}\n").as_bytes(),
-                    );
-                    *written = 0;
-                }
-                *written += line.len() as u64;
-                let _ = out.write_all(line.as_bytes());
+        let SlowSink { out, path, written } = &mut *sink;
+        if let Some(path) = path {
+            if *written + line.len() as u64 > self.cap_bytes {
                 let _ = out.flush();
-            }
-            SlowSink::File { path, out, written } => {
-                if *written + line.len() as u64 > self.cap_bytes {
-                    let _ = out.flush();
-                    let mut aside = path.clone().into_os_string();
-                    aside.push(".1");
-                    if std::fs::rename(path.as_path(), PathBuf::from(aside)).is_ok() {
-                        if let Ok(fresh) = std::fs::OpenOptions::new()
-                            .create(true)
-                            .append(true)
-                            .open(path.as_path())
-                        {
-                            *out = fresh;
-                            *written = 0;
-                            self.rotations.fetch_add(1, Ordering::Relaxed);
-                        }
+                let mut aside = path.clone().into_os_string();
+                aside.push(".1");
+                if std::fs::rename(path.as_path(), PathBuf::from(aside)).is_ok() {
+                    if let Ok(fresh) =
+                        std::fs::OpenOptions::new().create(true).append(true).open(path.as_path())
+                    {
+                        *out = Box::new(fresh);
+                        *written = 0;
+                        self.rotations.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                *written += line.len() as u64;
-                let _ = out.write_all(line.as_bytes());
-                let _ = out.flush();
             }
         }
+        *written += line.len() as u64;
+        let _ = out.write_all(line.as_bytes());
+        let _ = out.flush();
     }
 }
 
@@ -468,7 +450,6 @@ impl ServeOptions {
             (Some(us), None) => Some(SlowLog::stream(
                 us,
                 slow_log.unwrap_or_else(|| Box::new(std::io::stderr())),
-                DEFAULT_SLOW_LOG_CAP_BYTES,
             )),
             (None, _) => None,
         };
@@ -970,30 +951,23 @@ fn handle_connection(stream: TcpStream, conn: u64, ctx: &ServerCtx<'_>) {
             return;
         }
         first_request = false;
-        let started = ctx.clock.now_nanos();
-        // Every request gets a trace context from accept to reply. The
-        // accept span marks request admission (id issue + context setup);
-        // the stage spans follow inside the command arms.
-        let mut trace = TraceCtx::start(ctx.sink.next_id(), conn, Arc::clone(&ctx.clock));
-        trace.enter("accept");
-        trace.exit();
-        trace.enter("parse");
-        let parsed = if is_hello {
-            Err("HELLO: binary negotiation expects exactly `HELLO proto=binary` as the \
-                 first request on a fresh connection"
-                .to_owned())
-        } else {
-            protocol::parse_request(&line)
-        };
-        trace.exit();
         // Digest the argument text (everything after the command token)
         // so repeats of one query correlate in the slow log without the
         // arguments themselves ever being logged.
         let args = line.trim().split_once(char::is_whitespace).map_or("", |(_, rest)| rest);
         let args_digest = crate::codec::fnv1a64(args.as_bytes());
-        let (response, command, closing) = dispatch(ctx, parsed, &mut trace, started);
-        let response = seal_response(ctx, conn, command, args_digest, trace, started, response);
-        if writer.write_all(response.as_bytes()).is_err() {
+        let (reply, closing) = serve_request(ctx, conn, args_digest, || {
+            if is_hello {
+                Err("HELLO: binary negotiation expects exactly `HELLO proto=binary` as the \
+                     first request on a fresh connection"
+                    .to_owned())
+            } else {
+                protocol::parse_request(&line)
+            }
+        });
+        // The line parser never yields `BATCH_ADD`, the one batch reply.
+        let ResponseFrame::Block(block) = reply else { return };
+        if writer.write_all(block.as_bytes()).is_err() {
             return;
         }
         if closing {
@@ -1029,31 +1003,15 @@ fn handle_binary_connection(
                 return;
             }
         };
-        let started = ctx.clock.now_nanos();
-        let mut trace = TraceCtx::start(ctx.sink.next_id(), conn, Arc::clone(&ctx.clock));
-        trace.enter("accept");
-        trace.exit();
-        trace.enter("parse");
-        let decoded = frame::RequestFrame::decode(tag, &payload);
-        trace.exit();
         // The payload digest plays the role the argument-text digest
         // plays on the text path: correlating repeats in the slow log
         // without logging the arguments.
         let args_digest = crate::codec::fnv1a64(&payload);
-        let (reply, closing) = match decoded {
-            Ok(frame::RequestFrame::BatchAdd(records)) => {
-                (batch_add_reply(ctx, conn, records, args_digest, trace, started), false)
-            }
-            other => {
-                let parsed = other
-                    .map_err(|e| e.to_string())
-                    .and_then(frame::RequestFrame::into_request);
-                let (response, command, closing) = dispatch(ctx, parsed, &mut trace, started);
-                let response =
-                    seal_response(ctx, conn, command, args_digest, trace, started, response);
-                (frame::ResponseFrame::Block(response), closing)
-            }
-        };
+        let (reply, closing) = serve_request(ctx, conn, args_digest, || {
+            RequestFrame::decode(tag, &payload)
+                .map_err(|e| e.to_string())
+                .and_then(RequestFrame::checked)
+        });
         if write_response_frame(writer, &reply).is_err() {
             return;
         }
@@ -1064,57 +1022,12 @@ fn handle_binary_connection(
     }
 }
 
-/// Apply a `BATCH_ADD` frame via [`Store::add_records`] group commit:
-/// one WAL fsync per dirty shard for the whole frame, and every status
-/// in the reply refers to a record whose shard WAL has already been
-/// synced. A connection lost before the reply leaves only durable
-/// records behind — never a torn batch (a torn *frame* never reaches
-/// this function at all: the checksum gate drops it).
-fn batch_add_reply(
-    ctx: &ServerCtx<'_>,
-    conn: u64,
-    records: Vec<Record>,
-    args_digest: u64,
-    mut trace: TraceCtx,
-    started: u64,
-) -> frame::ResponseFrame {
-    trace.set_command("BATCH_ADD");
-    let count = records.len().max(1) as u64;
-    trace.annotate("records", records.len() as u64);
-    trace.enter("apply");
-    let apply_started = ctx.clock.now_nanos();
-    let outcomes = ctx.store.add_records(records);
-    let apply_ns = ctx.clock.now_nanos().saturating_sub(apply_started);
-    let mut statuses = Vec::with_capacity(outcomes.len());
-    let mut all_ok = true;
-    for outcome in outcomes {
-        // Per-record metrics under the ADD kind (amortized share of the
-        // batch): a batch of N shows up as N adds in every CMD row,
-        // latency window and HISTORY bucket, so the two transports
-        // report load on the same scale.
-        ctx.metrics.of(Command::Add).record(outcome.is_ok(), apply_ns / count);
-        statuses.push(match outcome {
-            Ok(matches) => frame::BatchStatus::Ok {
-                matches: u32::try_from(matches.len()).unwrap_or(u32::MAX),
-            },
-            Err(e) => {
-                all_ok = false;
-                frame::BatchStatus::Err(e.to_string())
-            }
-        });
-    }
-    trace.exit();
-    let dur_ns = ctx.clock.now_nanos().saturating_sub(started);
-    finish_request(ctx, conn, "BATCH_ADD", args_digest, dur_ns, trace, Some(all_ok));
-    frame::ResponseFrame::Batch(statuses)
-}
-
 /// Encode and write one response frame; an unencodable response (a
 /// status string past the u32 limit) surfaces as an IO error so the
 /// caller drops the connection rather than sending a half-frame.
 fn write_response_frame(
     writer: &mut TcpStream,
-    reply: &frame::ResponseFrame,
+    reply: &ResponseFrame,
 ) -> std::io::Result<()> {
     let bytes = reply.encode().map_err(|e| {
         std::io::Error::new(std::io::ErrorKind::InvalidData, format!("unencodable reply: {e}"))
@@ -1131,87 +1044,92 @@ fn unblock_acceptors(ctx: &ServerCtx<'_>) {
     }
 }
 
-/// The epilogue of every request, whichever path built its reply: one
-/// slow-log line if it crossed the threshold, then — for the commands
-/// whose traces are kept, `outcome` being their OK/ERR — the trace is
-/// sealed and captured. All *before* the reply is written, so a client
-/// can `TRACE` the id from the response it just read.
-fn finish_request(
+/// One request from admission to reply, the one path both transports
+/// take. `decode` turns the bytes already read into a checked request or
+/// the `ERR` message refusing them; it runs inside the trace's `parse`
+/// span. Returns the reply and whether the connection closes after it
+/// (`SHUTDOWN`).
+///
+/// After the command runs, a response block gets the `trace=` token of
+/// the commands whose traces are kept (the `reply` span). Then comes one
+/// slow-log line if the request crossed the threshold, and the kept
+/// trace is sealed and captured — all *before* the reply is written, so
+/// a client can `TRACE` the id from the response it just read.
+fn serve_request(
     ctx: &ServerCtx<'_>,
     conn: u64,
-    command: &'static str,
     args_digest: u64,
-    dur_ns: u64,
-    trace: TraceCtx,
-    outcome: Option<bool>,
-) {
+    decode: impl FnOnce() -> Result<RequestFrame, String>,
+) -> (ResponseFrame, bool) {
+    let started = ctx.clock.now_nanos();
+    // Every request gets a trace context from accept to reply. The accept
+    // span marks request admission (id issue + context setup); the stage
+    // spans follow inside the command arms.
+    let mut trace = TraceCtx::start(ctx.sink.next_id(), conn, Arc::clone(&ctx.clock));
+    trace.enter("accept");
+    trace.exit();
+    trace.enter("parse");
+    let decoded = decode();
+    trace.exit();
+    let command = decoded.as_ref().map_or("INVALID", RequestFrame::name);
+    trace.set_command(command);
+    let (mut reply, closing) = match decoded {
+        Ok(request) => dispatch(ctx, request, &mut trace, started),
+        Err(msg) => {
+            ctx.metrics.parse_errors.incr();
+            (ResponseFrame::Block(protocol::format_status(&format!("ERR {msg}"))), false)
+        }
+    };
+    let dur_ns = ctx.clock.now_nanos().saturating_sub(started);
+    // Reads, writes and refusals keep their traces; the introspection
+    // commands (STATS, TOP, TRACE, …) are slow-logged but leave none.
+    let kept =
+        matches!(command, "QUERY" | "RESOLVE" | "ADD" | "SNAPSHOT" | "BATCH_ADD" | "INVALID");
+    let ok = match &mut reply {
+        ResponseFrame::Block(block) => {
+            trace.enter("reply");
+            if kept {
+                *block = protocol::with_trace_token(block, trace.id());
+            }
+            trace.exit();
+            !block.starts_with("ERR")
+        }
+        ResponseFrame::Batch(statuses) => {
+            statuses.iter().all(|s| matches!(s, BatchStatus::Ok { .. }))
+        }
+    };
     if let Some(slow) = ctx.slow {
         if dur_ns >= slow.threshold_ns {
             slow.log(conn, command, args_digest, dur_ns, trace.id());
         }
     }
-    if let Some(done) = outcome.and_then(|ok| trace.finish(ok)) {
+    if let Some(done) = kept.then(|| trace.finish(ok)).flatten() {
         ctx.sink.capture(done);
     }
+    (reply, closing)
 }
 
-/// Post-process one response block identically on both transports:
-/// splice the trace token into traced commands' status lines (the
-/// `reply` span), then run the [`finish_request`] epilogue.
-fn seal_response(
-    ctx: &ServerCtx<'_>,
-    conn: u64,
-    command: &'static str,
-    args_digest: u64,
-    mut trace: TraceCtx,
-    started: u64,
-    response: String,
-) -> String {
-    let dur_ns = ctx.clock.now_nanos().saturating_sub(started);
-    trace.enter("reply");
-    let traced = matches!(command, "QUERY" | "RESOLVE" | "ADD" | "SNAPSHOT");
-    let response =
-        if traced { protocol::with_trace_token(&response, trace.id()) } else { response };
-    trace.exit();
-    // The introspection commands (STATS, TOP, TRACE, …) are slow-logged
-    // but leave no trace of their own.
-    let outcome = (traced || command == "INVALID").then(|| !response.starts_with("ERR"));
-    finish_request(ctx, conn, command, args_digest, dur_ns, trace, outcome);
-    response
-}
-
-/// Execute one parsed request (or format its parse/decode failure) and
-/// record its per-command metrics — the single dispatch point both the
-/// text and binary transports funnel through, so a command behaves
-/// identically however it arrived. Returns the rendered response block,
-/// the canonical command name, and whether the connection closes after
-/// the reply (`SHUTDOWN`).
+/// Execute one checked request and record its per-command metrics.
+/// Omitted knobs take their defaults here, where they are read. Returns
+/// the reply and whether the connection closes after it (`SHUTDOWN`).
 fn dispatch(
     ctx: &ServerCtx<'_>,
-    parsed: Result<Request, String>,
+    request: RequestFrame,
     trace: &mut TraceCtx,
     started: u64,
-) -> (String, &'static str, bool) {
-    let command = parsed.as_ref().map_or("INVALID", Request::name);
-    trace.set_command(command);
-    let request = match parsed {
-        Ok(request) => request,
-        Err(msg) => {
-            ctx.metrics.parse_errors.incr();
-            return (protocol::format_status(&format!("ERR {msg}")), command, false);
-        }
-    };
+) -> (ResponseFrame, bool) {
     let cmd = ctx.metrics.of(request.command());
     let mut closing = false;
     let elapsed = || ctx.clock.now_nanos().saturating_sub(started);
-    let response = match request {
-        Request::Query(query) => {
+    let block = match request {
+        RequestFrame::Query(query) => {
             let hits = ctx.store.query_traced(&query, trace);
             trace.annotate("hits", hits.len() as u64);
             cmd.record(true, elapsed());
             protocol::format_hits(&hits)
         }
-        Request::Resolve { name, k, min } => {
+        RequestFrame::Resolve { name, k, min } => {
+            let k = k.map_or(DEFAULT_RESOLVE_K, |k| k as usize);
             // The name itself never enters the trace — only its
             // sanctioned digest, same policy as the slow log.
             trace.annotate("name_digest", crate::codec::fnv1a64(name.as_bytes()));
@@ -1227,7 +1145,7 @@ fn dispatch(
             cmd.record(true, elapsed());
             protocol::format_candidates(&outcome.hits)
         }
-        Request::Add(record) => {
+        RequestFrame::Add(record) => {
             let shard = crate::shard::shard_of_record(&record, ctx.store.n_shards());
             trace.enter_shard("apply", shard as u32);
             let outcome = ctx.store.add_record(*record);
@@ -1241,28 +1159,58 @@ fn dispatch(
                 Err(e) => protocol::format_status(&format!("ERR {e}")),
             }
         }
-        Request::Stats => {
-            let stats = ctx.store.stats();
+        RequestFrame::BatchAdd(records) => {
+            // `Store::add_records` group commit: one WAL fsync per dirty
+            // shard for the whole frame, and every status in the reply
+            // refers to a record whose shard WAL has already been synced.
+            // A connection lost before the reply leaves only durable
+            // records behind — never a torn batch (a torn *frame* never
+            // decodes at all: the checksum gate drops it).
+            let count = records.len().max(1) as u64;
+            trace.annotate("records", records.len() as u64);
+            trace.enter("apply");
+            let apply_started = ctx.clock.now_nanos();
+            let outcomes = ctx.store.add_records(records);
+            let apply_ns = ctx.clock.now_nanos().saturating_sub(apply_started);
+            let mut statuses = Vec::with_capacity(outcomes.len());
+            for outcome in outcomes {
+                // Per-record metrics under the ADD kind (amortized share
+                // of the batch): a batch of N shows up as N adds in every
+                // CMD row, latency window and HISTORY bucket, so the two
+                // transports report load on the same scale.
+                cmd.record(outcome.is_ok(), apply_ns / count);
+                statuses.push(match outcome {
+                    Ok(matches) => BatchStatus::Ok {
+                        matches: u32::try_from(matches.len()).unwrap_or(u32::MAX),
+                    },
+                    Err(e) => BatchStatus::Err(e.to_string()),
+                });
+            }
+            trace.exit();
+            return (ResponseFrame::Batch(statuses), false);
+        }
+        RequestFrame::Stats => {            let stats = ctx.store.stats();
             // Record before rendering so this request appears in its
             // own CMD row.
             cmd.record(true, elapsed());
             let commands = ctx.metrics.command_stats().to_vec();
             protocol::format_stats(&StatsReport::new(stats, ctx.metrics.errors(), commands))
         }
-        Request::Metrics => {
+        RequestFrame::Metrics => {
             // Record first so this scrape's own latency sample is in
             // the exposition it returns.
             cmd.record(true, elapsed());
             protocol::format_metrics(&render_metrics(ctx))
         }
-        Request::Top { k } => {
+        RequestFrame::Top { k } => {
+            let k = k.map_or(DEFAULT_TOP_SLOW, |k| k as usize);
             let ring = ctx.sink.stats();
             let slow = ctx.sink.recent_slow(k).iter().map(SlowRow::from).collect();
             cmd.record(true, elapsed());
             let commands = ctx.metrics.command_stats().to_vec();
             protocol::format_top(&TopReport { ring, commands, slow })
         }
-        Request::Trace { id } => match ctx.sink.find(id) {
+        RequestFrame::Trace { id } => match ctx.sink.find(id) {
             Some(found) => {
                 cmd.record(true, elapsed());
                 protocol::format_trace(&found)
@@ -1274,20 +1222,23 @@ fn dispatch(
                 ))
             }
         },
-        Request::History { metric, window } => match ctx.telemetry.history(&metric, window) {
-            Some(report) => {
-                cmd.record(true, elapsed());
-                protocol::format_history(&report)
+        RequestFrame::History { metric, window } => {
+            let window = window.map_or(WINDOW_BUCKETS, |w| w as usize);
+            match ctx.telemetry.history(&metric, window) {
+                Some(report) => {
+                    cmd.record(true, elapsed());
+                    protocol::format_history(&report)
+                }
+                None => {
+                    cmd.record(false, elapsed());
+                    protocol::format_status(&format!(
+                        "ERR HISTORY: unknown metric {metric:?} (expected a command kind: {})",
+                        protocol::command_kinds()
+                    ))
+                }
             }
-            None => {
-                cmd.record(false, elapsed());
-                protocol::format_status(&format!(
-                    "ERR HISTORY: unknown metric {metric:?} (expected a command kind: {})",
-                    protocol::command_kinds()
-                ))
-            }
-        },
-        Request::Snapshot => {
+        }
+        RequestFrame::Snapshot => {
             trace.enter("snapshot");
             let outcome = ctx.store.snapshot();
             trace.exit();
@@ -1297,14 +1248,14 @@ fn dispatch(
                 Err(e) => protocol::format_status(&format!("ERR {e}")),
             }
         }
-        Request::Shutdown => {
+        RequestFrame::Shutdown => {
             ctx.shutdown.store(true, Ordering::SeqCst);
             cmd.record(true, elapsed());
             closing = true;
             protocol::format_status("OK bye")
         }
     };
-    (response, command, closing)
+    (ResponseFrame::Block(block), closing)
 }
 
 #[cfg(test)]
@@ -1408,7 +1359,7 @@ mod tests {
                 Ok(())
             }
         }
-        let slow = SlowLog::stream(0, Box::new(Sink(Arc::clone(&buf))), DEFAULT_SLOW_LOG_CAP_BYTES);
+        let slow = SlowLog::stream(0, Box::new(Sink(Arc::clone(&buf))));
         slow.log(7, "QUERY", 0xabcd, 1_234_567, 0x00ff_1122_3344_5566);
         let logged = String::from_utf8(buf.lock().clone()).expect("utf8 log line");
         assert_eq!(
@@ -1442,27 +1393,5 @@ mod tests {
         }
         // The newest line survived in the active file.
         assert!(head.contains("\"conn\":9,"));
-    }
-
-    #[test]
-    fn stream_slow_log_rotation_is_logical_with_a_marker() {
-        let buf = Arc::new(Mutex::new(Vec::<u8>::new()));
-        struct Sink(Arc<Mutex<Vec<u8>>>);
-        impl Write for Sink {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let slow = SlowLog::stream(1, Box::new(Sink(Arc::clone(&buf))), 200);
-        for conn in 0..4 {
-            slow.log(conn, "QUERY", conn, 5_000_000, conn);
-        }
-        assert!(slow.rotations() >= 1);
-        let logged = String::from_utf8(buf.lock().clone()).expect("utf8");
-        assert!(logged.contains("{\"slow_log_rotated\":true,\"generation\":1}\n"), "{logged}");
     }
 }

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use yv_core::PersonQuery;
 use yv_records::{RecordBuilder, SourceId};
 use yv_store::protocol::parse_request;
-use yv_store::{Request, RequestFrame, HEADER_LEN, TRAILER_LEN};
+use yv_store::{RequestFrame, HEADER_LEN, TRAILER_LEN};
 
 /// Commands, keys and values the line parser branches on, and values at
 /// the edges of what it parses.
@@ -45,11 +45,15 @@ fn text(code_points: &[u32]) -> String {
 }
 
 /// Parse one line; a refusal must fit on the one `ERR` line it is sent as,
-/// and an accepted `QUERY` carries no NaN threshold.
+/// an accepted `QUERY` carries no NaN threshold and an accepted `RESOLVE`
+/// no NaN `min`.
 fn assert_parses_or_refuses(line: &str) {
     match parse_request(line) {
-        Ok(Request::Query(q)) => {
+        Ok(RequestFrame::Query(q)) => {
             assert!(!q.name_similarity.is_nan() && !q.certainty.is_nan(), "{line:?}: {q:?}");
+        }
+        Ok(RequestFrame::Resolve { min, .. }) => {
+            assert!(!min.is_some_and(f64::is_nan), "{line:?}: min {min:?}");
         }
         Ok(_) => {}
         Err(message) => {
@@ -59,10 +63,10 @@ fn assert_parses_or_refuses(line: &str) {
     }
 }
 
-/// Decode one payload; what decodes must also convert or refuse cleanly.
+/// Decode one payload; what decodes must also pass or fail the check cleanly.
 fn decode(tag: u8, payload: &[u8]) {
     if let Ok(frame) = RequestFrame::decode(tag, payload) {
-        let _ = frame.into_request();
+        let _ = frame.checked();
     }
 }
 

@@ -3,8 +3,8 @@
 //! FNV-1a 64 of each file a 2-shard store writes — at `create`, after a
 //! source, a single record and a batch have arrived, and after `SNAPSHOT`
 //! — of a standalone WAL (synced and unsynced appends), of one encoded
-//! frame per request and response kind, and of `state_bytes` after a
-//! reopen. The fixture is
+//! frame per request and response kind, of the text line a client sends
+//! per request kind, and of `state_bytes` after a reopen. The fixture is
 //! hand-built (no datagen, no training), so only a change to a format can
 //! move a digest. A change meant to keep every byte must leave the tables
 //! alone; one that changes a format on purpose re-pins them from the table
@@ -17,6 +17,8 @@
 mod common;
 
 use common::ScratchDir;
+use std::io::Read;
+use std::net::TcpListener;
 use std::path::Path;
 use yv_adt::AdTree;
 use yv_blocking::ScoreFunction;
@@ -30,7 +32,7 @@ use yv_records::{
 use yv_similarity::ExpertWeights;
 use yv_store::codec::fnv1a64;
 use yv_store::{
-    wal_file_name, BatchStatus, RequestFrame, ResponseFrame, Store, Wal, MANIFEST_FILE,
+    wal_file_name, BatchStatus, Client, RequestFrame, ResponseFrame, Store, Wal, MANIFEST_FILE,
     SNAPSHOT_FILE,
 };
 
@@ -84,6 +86,22 @@ fn resolver() -> IncrementalResolver {
         IncrementalConfig::default(),
         matches,
     )
+}
+
+/// The lines a text [`Client`] writes for `requests`, read off the
+/// accepting end of a loopback socket.
+fn sent_lines(requests: &[RequestFrame]) -> Vec<String> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+    let (mut server, _) = listener.accept().unwrap();
+    let mut pipeline = client.pipeline(requests.len());
+    for frame in requests {
+        pipeline.push(frame).unwrap();
+    }
+    drop(client);
+    let mut sent = String::new();
+    server.read_to_string(&mut sent).unwrap();
+    sent.lines().map(str::to_owned).collect()
 }
 
 fn digest_file(out: &mut Vec<(String, u64)>, label: &str, path: &Path) {
@@ -223,6 +241,24 @@ fn wire_frames_are_byte_identical() {
     for frame in &responses {
         actual.push((format!("response {:#04x}", frame.tag()), fnv1a64(&frame.encode().unwrap())));
     }
+    // The same requests as text lines. `BATCH_ADD` has no line form, and
+    // the line protocol cannot carry the ADD record's mother's maiden name
+    // or places, so the text ADD drops those two fields.
+    let mut text_record = full_record(99);
+    text_record.mothers_maiden = None;
+    text_record.places = Default::default();
+    let text_requests: Vec<RequestFrame> = requests
+        .iter()
+        .filter(|frame| !matches!(frame, RequestFrame::BatchAdd(_)))
+        .map(|frame| match frame {
+            RequestFrame::Add(_) => RequestFrame::Add(Box::new(text_record.clone())),
+            other => other.clone(),
+        })
+        .collect();
+    for line in sent_lines(&text_requests) {
+        let command = line.split(' ').next().unwrap_or_default().to_owned();
+        actual.push((format!("text {command}"), fnv1a64(line.as_bytes())));
+    }
     check(
         "wire frame",
         &actual,
@@ -240,6 +276,16 @@ fn wire_frames_are_byte_identical() {
             ("request 0x0a", 0xff59e25de853c804),
             ("response 0x20", 0xe9cffbd49fb30b40),
             ("response 0x21", 0x90cc3455d2d94035),
+            ("text QUERY", 0x136b034a0fb16041),
+            ("text RESOLVE", 0xb1d4ecf0fc975e61),
+            ("text ADD", 0x5e336de6d89e5f4d),
+            ("text STATS", 0x9a0bc308546c8c6c),
+            ("text METRICS", 0xa1a1070dc7de0276),
+            ("text TOP", 0x083e45fb2988c419),
+            ("text TRACE", 0xddb51899bc1ec201),
+            ("text HISTORY", 0x43b40033fed5a3c3),
+            ("text SNAPSHOT", 0x11738c874cabf4ad),
+            ("text SHUTDOWN", 0xbee57e146050144b),
         ],
     );
 }

@@ -20,7 +20,7 @@ use yv_datagen::{tag_pairs, GenConfig};
 use yv_store::client::{Client, ClientError, ClientOptions, Protocol};
 use yv_store::protocol::parse_request;
 use yv_store::{
-    shard_of_record, BatchStatus, Request, RequestFrame, ServeOptions, Store, HELLO_LINE, HELLO_OK,
+    shard_of_record, BatchStatus, RequestFrame, ServeOptions, Store, HELLO_LINE, HELLO_OK,
 };
 
 fn trained_resolver(n_records: usize, seed: u64) -> IncrementalResolver {
@@ -666,7 +666,7 @@ fn trace_of_a_slow_resolve_serves_the_span_tree_and_top_deterministically() {
         // The request that still has a shard: an ADD's `apply` span
         // names the one its record routes to.
         let line = "ADD book=990001 source=0 first=Sara last=Levi";
-        let Ok(Request::Add(record)) = parse_request(line) else { panic!("{line}") };
+        let Ok(RequestFrame::Add(record)) = parse_request(line) else { panic!("{line}") };
         let (status, _) = raw_exchange(&mut raw, &mut reader, line);
         assert!(status.starts_with("OK "), "{status}");
         let add = client.trace_get(trace_id(&status)).unwrap();
