@@ -383,6 +383,70 @@ fn metrics_command_and_sidecar_scrape_expose_prometheus_text() {
     server.join().unwrap();
 }
 
+/// The whole `METRICS` exposition, byte for byte: a created 2-shard
+/// store served under a [`ManualClock`] with one SLO rule and a stream
+/// slow log answers a fixed request sequence, and the FNV-1a of the body
+/// is pinned. Only the allocator values are masked: they count the test
+/// process's own allocations, which depend on thread scheduling.
+#[test]
+fn metrics_exposition_bytes_are_pinned() {
+    let dir = ScratchDir::new("metrics-pin");
+    let store = Store::create(&dir, trained_resolver(150, 55), 2).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let clock = std::sync::Arc::new(yv_obs::ManualClock::at(0));
+    let driver_clock = clock.clone();
+    let server = std::thread::spawn(move || {
+        ServeOptions::new(store)
+            .workers(2)
+            .clock(clock)
+            .slow_us(1_000_000)
+            .slow_log(Box::new(std::io::sink()))
+            .slo(vec![yv_obs::SloRule::parse("query:p99<1000/60").unwrap()])
+            .serve(listener)
+            .unwrap()
+    });
+
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    for request in [
+        "QUERY first=Guido",
+        "QUERY last=Levi certainty=0.5",
+        "RESOLVE Levi k=3",
+        "ADD book=990001 source=0 first=Sara last=Levi",
+        "NOPE",
+        "STATS",
+        "TOP",
+        "TRACE 0000000000000001",
+        "HISTORY query window=5",
+        "HISTORY nope",
+    ] {
+        raw_exchange(&mut raw, &mut reader, request);
+        driver_clock.advance(400_000_000);
+    }
+    let (status, data) = raw_exchange(&mut raw, &mut reader, "METRICS");
+    assert!(status.starts_with("OK "), "{status}");
+    let masked: String = data
+        .iter()
+        .map(|line| match line.split_once(' ') {
+            Some((name, _)) if name.starts_with("yv_alloc_") || name.starts_with("yv_dealloc_") => {
+                format!("{name} <alloc>\n")
+            }
+            _ => line.clone(),
+        })
+        .collect();
+    drop(reader);
+    drop(raw);
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    server.join().unwrap();
+
+    assert_eq!(
+        yv_store::codec::fnv1a64(masked.as_bytes()),
+        12_927_484_745_312_914_070,
+        "METRICS exposition changed:\n{masked}"
+    );
+}
+
 #[test]
 fn slow_log_emits_one_json_line_per_slow_request() {
     let dir = ScratchDir::new("slow-log");
