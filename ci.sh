@@ -184,6 +184,10 @@ sample = re.compile(r'^[A-Za-z_:][A-Za-z0-9_:]*(\{[^}]*\})? \d+$')
 for line in body.splitlines():
     if line and not line.startswith("#"):
         assert sample.match(line), f"malformed sample line: {line!r}"
+# The renderer sorts and de-duplicates its samples itself: every metric
+# is typed once, in ascending name order.
+typed = [l.split()[2] for l in body.splitlines() if l.startswith("# TYPE ")]
+assert typed == sorted(set(typed)), "# TYPE names not unique and ascending"
 
 # Once the 12-second rule window drains, the SLO recovers: ok again.
 time.sleep(13)

@@ -11,7 +11,7 @@
 use crate::names::{self, nicknames};
 use crate::places;
 use crate::sets::Region;
-use yv_records::{Dataset, EquivalenceClasses, RecordId, Source};
+use yv_records::{Dataset, EquivalenceClasses, Source};
 
 /// Build the dictionary covering every nickname in the generator's tables
 /// and every gazetteer city that shares coordinates with another spelling
@@ -58,17 +58,11 @@ pub fn canonicalized_dataset(ds: &Dataset, eq: &EquivalenceClasses) -> Dataset {
     out
 }
 
-/// Convenience: record ids are stable across canonicalization.
-#[must_use]
-pub fn ids_preserved(a: &Dataset, b: &Dataset) -> bool {
-    a.len() == b.len()
-        && a.record_ids().zip(b.record_ids()).all(|(x, y): (RecordId, RecordId)| x == y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sets::GenConfig;
+    use yv_records::RecordId;
 
     #[test]
     fn dictionary_covers_nicknames_and_twins() {
@@ -83,7 +77,7 @@ mod tests {
         let gen = GenConfig::random(2_000, 77).generate();
         let eq = equivalence_classes();
         let canon = canonicalized_dataset(&gen.dataset, &eq);
-        assert!(ids_preserved(&gen.dataset, &canon));
+        assert!(gen.dataset.record_ids().eq(canon.record_ids()), "record ids are stable");
         assert!(
             canon.interner().len() < gen.dataset.interner().len(),
             "merging variants must shrink the item vocabulary: {} -> {}",

@@ -9,7 +9,7 @@
 
 use std::collections::HashSet;
 use yv_blocking::{mfi_blocks, MfiBlocksConfig};
-use yv_datagen::{tag_pairs, ExpertTag, Generated, TaggedPair};
+use yv_datagen::{tag_pairs, Generated, TaggedPair};
 use yv_records::RecordId;
 
 /// The tagged standard: expert-tagged pairs plus the derived matched-pair
@@ -22,12 +22,6 @@ pub struct TaggedStandard {
 }
 
 impl TaggedStandard {
-    /// Count of pairs with a given tag.
-    #[must_use]
-    pub fn tag_count(&self, tag: ExpertTag) -> usize {
-        self.pairs.iter().filter(|p| p.tag == tag).count()
-    }
-
     /// Pairs involving any record of `records` removed (used by the
     /// MV-ablation of Table 6).
     #[must_use]
@@ -82,6 +76,7 @@ pub fn build_tagged_standard(gen: &Generated, seed: u64) -> TaggedStandard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use yv_datagen::ExpertTag;
     use yv_datagen::GenConfig;
 
     fn standard() -> (Generated, TaggedStandard) {
@@ -117,7 +112,7 @@ mod tests {
     #[test]
     fn maybe_pairs_exist(){
         let (_, std) = standard();
-        assert!(std.tag_count(ExpertTag::Maybe) > 0);
+        assert!(std.pairs.iter().any(|p| p.tag == ExpertTag::Maybe));
     }
 
     #[test]

@@ -237,12 +237,6 @@ impl TraceCtx {
         self.trace.id
     }
 
-    /// True when this context records anything.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Name the command once parsing identified it.
     pub fn set_command(&mut self, command: &'static str) {
         self.trace.command = command;
@@ -440,7 +434,6 @@ mod tests {
     #[test]
     fn disabled_context_records_nothing() {
         let mut ctx = TraceCtx::disabled();
-        assert!(!ctx.is_enabled());
         assert_eq!(ctx.id(), 0);
         ctx.set_command("QUERY");
         ctx.enter("parse");

@@ -5,7 +5,7 @@
 //! behaviour — blocking quality and mining runtime across minsup levels —
 //! so every pipeline stage and the query server report through this crate.
 //!
-//! Four pieces:
+//! The pieces:
 //!
 //! - [`Clock`] / [`MonotonicClock`] / [`ManualClock`] — clock injection.
 //!   This crate is the **only sanctioned wall-clock owner** in the
@@ -31,10 +31,11 @@
 //!   injected clock, plus multi-window SLO burn-rate evaluation
 //!   (`ok`/`warning`/`firing`), surfaced by `yv serve` as the `HISTORY`
 //!   command and `yv_slo_*` gauges.
-//! - [`MetricsRegistry`] — a pull-based registry of named counters,
-//!   [`Gauge`]s and histograms with a Prometheus text-format (0.0.4)
-//!   renderer, scraped by `yv serve`'s `METRICS` command and
-//!   `--metrics-addr` sidecar listener.
+//! - [`render_prometheus`] / [`Sample`] — the Prometheus text-format
+//!   (0.0.4) renderer: the caller reads each counter, gauge and
+//!   histogram off its source at scrape time and renders the list in one
+//!   call, as `yv serve`'s `METRICS` command and `--metrics-addr` sidecar
+//!   listener do.
 //! - [`alloc_stats`] / [`CountingAlloc`] — allocation accounting via a
 //!   counting global allocator, installed by the `global-alloc` feature
 //!   (forwarded by `yv-cli`'s default `alloc-metrics` feature).
@@ -78,9 +79,9 @@
 pub mod alloc;
 pub mod clock;
 pub mod ctx;
+pub mod exposition;
 pub mod histogram;
 pub mod recorder;
-pub mod registry;
 pub mod ring;
 pub mod trace;
 pub mod window;
@@ -88,9 +89,9 @@ pub mod window;
 pub use alloc::{alloc_stats, reset_peak, AllocStats, CountingAlloc};
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use ctx::{RequestTrace, TraceCtx, TraceIdGen, TraceSpan, MAX_SPAN_ARGS, MAX_TRACE_SPANS};
+pub use exposition::{render_prometheus, Sample};
 pub use histogram::{Counter, Histogram, HistogramSnapshot, LatencySummary, BUCKET_COUNT};
 pub use recorder::{Recorder, Span, SpanRecord};
-pub use registry::{Gauge, MetricsRegistry};
 pub use ring::{RingStats, TraceSink};
 pub use trace::{chrome_trace, timings_table};
 pub use window::{SloRule, SloState, SloStatus, WindowView, WindowedHistogram, WINDOW_BUCKETS};

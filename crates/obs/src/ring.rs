@@ -85,13 +85,6 @@ impl TraceSink {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// False under `yv serve --no-trace`: requests still get trace ids
-    /// (the token stays on the wire) but `capture` is a no-op.
-    #[must_use]
-    pub fn capture_enabled(&self) -> bool {
-        self.capture
-    }
-
     /// Next trace id (deterministic per seed, never 0).
     #[must_use]
     pub fn next_id(&self) -> u64 {
@@ -259,7 +252,6 @@ mod tests {
     #[test]
     fn sink_routes_and_counts() {
         let sink = TraceSink::new(8, 1_000, 7, true);
-        assert!(sink.capture_enabled());
         let id = sink.next_id();
         assert_ne!(id, 0);
         assert!(sink.capture(trace_with(id, 3, 5_000, true)), "slow trace tail-sampled");
@@ -277,7 +269,6 @@ mod tests {
     #[test]
     fn disabled_sink_still_issues_ids_but_drops_traces() {
         let sink = TraceSink::new(8, 0, 1, false);
-        assert!(!sink.capture_enabled());
         let id = sink.next_id();
         assert!(!sink.capture(trace_with(id, 1, 9_999, false)));
         assert!(sink.find(id).is_none());

@@ -1,6 +1,6 @@
 //! Time-bucketed telemetry windows and SLO burn-rate evaluation.
 //!
-//! Every metric the registry exposes is cumulative since process start —
+//! Every metric the exposition carries is cumulative since process start —
 //! useless for "p99 over the last minute". This module derives *recent*
 //! views without touching the recording hot path: a [`WindowedHistogram`]
 //! owns a fixed ring of closed per-second [`HistogramSnapshot`] deltas
@@ -92,12 +92,6 @@ impl WindowedHistogram {
         WindowedHistogram { source, clock, ring: Mutex::new(ring) }
     }
 
-    /// The histogram this rollup windows over.
-    #[must_use]
-    pub fn source(&self) -> &Arc<Histogram> {
-        &self.source
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Ring> {
         match self.ring.lock() {
             Ok(guard) => guard,
@@ -158,7 +152,7 @@ impl WindowedHistogram {
 
 // ------------------------------------------------------------------ SLO
 
-/// Alert state of one [`SloRule`], published as a `yv_slo_*_state` gauge
+/// Alert state of one [`SloRule`], rendered as a `yv_slo_*_state` gauge
 /// (0 = ok, 1 = warning, 2 = firing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloState {

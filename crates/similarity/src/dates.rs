@@ -24,25 +24,6 @@ pub fn year_diff(a: i32, b: i32) -> u32 {
     a.abs_diff(b)
 }
 
-/// Day distance normalized by the maximal distance of 31; clamped to
-/// `[0, 1]`.
-#[must_use]
-pub fn day_dist_norm(a: u8, b: u8) -> f64 {
-    (f64::from(day_diff(a, b)) / 31.0).min(1.0)
-}
-
-/// Cyclic month distance normalized by 12.
-#[must_use]
-pub fn month_dist_norm(a: u8, b: u8) -> f64 {
-    (f64::from(month_diff(a, b)) / 12.0).min(1.0)
-}
-
-/// Year distance normalized by 100.
-#[must_use]
-pub fn year_dist_norm(a: i32, b: i32) -> f64 {
-    (f64::from(year_diff(a, b)) / 100.0).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,8 +32,6 @@ mod tests {
     #[test]
     fn day_distance() {
         assert_eq!(day_diff(2, 18), 16);
-        assert!((day_dist_norm(1, 31) - 30.0 / 31.0).abs() < 1e-12);
-        assert!((day_dist_norm(5, 5)).abs() < 1e-12);
     }
 
     #[test]
@@ -66,21 +45,9 @@ mod tests {
     #[test]
     fn year_distance() {
         assert_eq!(year_diff(1920, 1936), 16);
-        assert!((year_dist_norm(1900, 2050) - 1.0).abs() < 1e-12, "clamped at 1");
     }
 
     proptest! {
-        #[test]
-        fn normalized_distances_in_unit_interval(
-            d1 in 1u8..=31, d2 in 1u8..=31,
-            m1 in 1u8..=12, m2 in 1u8..=12,
-            y1 in 1850i32..1950, y2 in 1850i32..1950,
-        ) {
-            prop_assert!((0.0..=1.0).contains(&day_dist_norm(d1, d2)));
-            prop_assert!((0.0..=1.0).contains(&month_dist_norm(m1, m2)));
-            prop_assert!((0.0..=1.0).contains(&year_dist_norm(y1, y2)));
-        }
-
         #[test]
         fn month_diff_at_most_6(m1 in 1u8..=12, m2 in 1u8..=12) {
             prop_assert!(month_diff(m1, m2) <= 6);

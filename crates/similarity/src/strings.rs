@@ -36,16 +36,6 @@ impl Kernel for Levenshtein {
     }
 }
 
-/// Normalized Levenshtein similarity in `[0, 1]` (1 = identical).
-#[must_use]
-pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
-    let max = a.chars().count().max(b.chars().count());
-    if max == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / max as f64
-}
-
 /// Split a value into lowercase whitespace-delimited tokens.
 #[must_use]
 pub fn tokens(s: &str) -> Vec<String> {
@@ -135,13 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn levenshtein_sim_range() {
-        assert!((levenshtein_sim("guido", "guido") - 1.0).abs() < 1e-12);
-        assert!((levenshtein_sim("", "") - 1.0).abs() < 1e-12);
-        assert!(levenshtein_sim("abc", "xyz") < 1e-12);
-    }
-
-    #[test]
     fn qgrams_of_short_strings() {
         assert_eq!(qgrams("ab", 2), vec!["ab"]);
         assert_eq!(qgrams("a", 2), vec!["a"]);
@@ -206,12 +189,6 @@ mod tests {
             let n = s.chars().count();
             let grams = qgrams(&s, 2);
             prop_assert_eq!(grams.len(), if n <= 2 { 1 } else { n - 1 });
-        }
-
-        #[test]
-        fn levenshtein_sim_in_unit_interval(a in "[a-z]{0,12}", b in "[a-z]{0,12}") {
-            let s = levenshtein_sim(&a, &b);
-            prop_assert!((0.0..=1.0).contains(&s));
         }
     }
 }

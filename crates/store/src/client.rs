@@ -975,6 +975,11 @@ mod tests {
         assert!(refused(RequestFrame::Query(spaced_query)).contains("contains whitespace"));
         let metric = RequestFrame::History { metric: String::new(), window: None };
         assert_eq!(refused(metric), "metric value is empty");
+        // A bare token holding `=` would parse back as an option.
+        let resolve = RequestFrame::Resolve { name: "a=b".to_owned(), k: None, min: None };
+        assert_eq!(refused(resolve), "name value \"a=b\" contains '='");
+        let history = RequestFrame::History { metric: "a=b".to_owned(), window: None };
+        assert_eq!(refused(history), "metric value \"a=b\" contains '='");
         let batch = refused(RequestFrame::BatchAdd(Vec::new()));
         assert!(batch.contains("BATCH_ADD has no line-protocol encoding"), "{batch}");
 

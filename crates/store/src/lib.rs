@@ -31,9 +31,9 @@
 //!   frame carrying its global arrival sequence number so restart can
 //!   merge the shard logs back into one deterministic order;
 //! - [`server`] — a line-protocol TCP front end over a shared [`Store`],
-//!   with a scoped worker pool, per-request and per-shard metrics in a
-//!   [`yv_obs::MetricsRegistry`] (scraped via the `METRICS` command or a
-//!   `GET /metrics` sidecar listener), optional slow-request JSON
+//!   with a scoped worker pool, per-request and per-shard metrics
+//!   rendered from their sources at scrape time (via the `METRICS`
+//!   command or a `GET /metrics` sidecar listener), optional slow-request JSON
 //!   logging, and request-scoped tracing: every request carries a trace
 //!   id accept-to-reply, completed traces land in a bounded capture
 //!   window with a second one for slow-or-ERR requests, and the `TOP` /
@@ -115,8 +115,7 @@ pub use protocol::{
     DEFAULT_TOP_SLOW,
 };
 pub use server::{
-    CommandMetrics, ServeOptions, ServerMetrics, DEFAULT_SLOW_LOG_CAP_BYTES,
-    DEFAULT_TRACE_CAPACITY, DEFAULT_TRACE_SEED,
+    ServeOptions, DEFAULT_SLOW_LOG_CAP_BYTES, DEFAULT_TRACE_CAPACITY, DEFAULT_TRACE_SEED,
 };
 pub use shard::{shard_of_name, shard_of_record, Manifest, ShardStats, MANIFEST_FILE, ROUTING_RULE};
 pub use store::{

@@ -372,7 +372,8 @@ fn parse_f64(what: &str, value: &str) -> Result<f64, String> {
 /// [`parse_request`]: the line parses back to the request, checked. Floats
 /// use plain `Display`, which parses back to the same bits. A request the
 /// line format cannot carry is refused, naming what: `BATCH_ADD`, an empty
-/// value or one holding whitespace, a record's `mothers_maiden` or places.
+/// value or one holding whitespace, a bare token holding `=`, a record's
+/// `mothers_maiden` or places.
 pub fn render_request(request: &RequestFrame) -> Result<String, String> {
     let mut line = request.name().to_owned();
     match request {
@@ -430,7 +431,11 @@ fn wire_value<'a>(key: &str, value: &'a str) -> Result<&'a str, String> {
 }
 
 /// Append a bare positional token (`RESOLVE`'s name, `HISTORY`'s metric).
+/// A token holding `=` would parse back as an option, so it is refused.
 fn push_bare(out: &mut String, key: &str, value: &str) -> Result<(), String> {
+    if value.contains('=') {
+        return Err(format!("{key} value {value:?} contains '='"));
+    }
     out.push(' ');
     out.push_str(wire_value(key, value)?);
     Ok(())

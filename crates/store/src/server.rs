@@ -24,25 +24,27 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Observability: every command kind registers its counters and latency
-//! histogram in a [`MetricsRegistry`], scraped two ways — the `METRICS`
-//! protocol command, and (via [`ServeOptions::metrics_listener`]) a
-//! sidecar TCP listener answering
-//! `GET /metrics` in plain HTTP/1.1 with the Prometheus text exposition,
-//! so a stock Prometheus scraper needs no protocol client. Per-shard
-//! gauges (`yv_shard_<i>_records` / `_wal_bytes`) expose the shard
-//! balance. Requests slower than [`ServeOptions::slow_us`] are
-//! logged as one JSON line each, into a size-capped,
-//! rotating file when [`ServeOptions::slow_log_file`] is set.
+//! Observability: every command kind keeps its own counters and latency
+//! histogram, and the Prometheus text exposition is rendered from those
+//! and the store's, ring's and allocator's own readings at scrape time
+//! ([`yv_obs::render_prometheus`]). It is scraped two ways — the
+//! `METRICS` protocol command, and (via [`ServeOptions::metrics_listener`])
+//! a sidecar TCP listener answering `GET /metrics` in plain HTTP/1.1, so a
+//! stock Prometheus scraper needs no protocol client. Per-shard gauges
+//! (`yv_shard_<i>_records` / `_wal_bytes`) expose the shard balance.
+//! Requests slower than [`ServeOptions::slow_us`] are logged as one JSON
+//! line each, into a size-capped, rotating file when
+//! [`ServeOptions::slow_log_file`] is set.
 //!
 //! Windowed telemetry: every command's latency histogram additionally
 //! feeds a [`WindowedHistogram`] (an in-memory ring of 60 one-second
-//! snapshot deltas). A tick thread rotates the windows from the injected
-//! clock and re-evaluates the [`SloRule`]s from [`ServeOptions::slo`],
-//! publishing their burn-rate state as `yv_slo_*` gauges. The `HISTORY`
-//! command serves the recent-window rollups; rotation is *lazy and
-//! idempotent*, so `HISTORY`/`METRICS` stay correct under a
-//! [`yv_obs::ManualClock`] where the ticker never observes time moving.
+//! snapshot deltas) kept beside it. A tick thread rotates the windows
+//! from the injected clock; `METRICS` evaluates the [`SloRule`]s from
+//! [`ServeOptions::slo`] over them and renders their burn-rate state as
+//! `yv_slo_*` gauges. The `HISTORY` command serves the recent-window
+//! rollups; rotation is *lazy and idempotent*, so `HISTORY`/`METRICS`
+//! stay correct under a [`yv_obs::ManualClock`] where the ticker never
+//! observes time moving.
 //! Nothing of the windows is persisted: a restarted server starts with
 //! an empty history.
 
@@ -60,8 +62,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use yv_obs::{
-    Clock, Counter, Histogram, MetricsRegistry, MonotonicClock, SloRule, SloStatus, TraceCtx,
-    TraceSink, WindowedHistogram, WINDOW_BUCKETS,
+    Clock, Counter, Histogram, MonotonicClock, Sample, SloRule, SloStatus, TraceCtx, TraceSink,
+    WindowedHistogram, WINDOW_BUCKETS,
 };
 
 /// Most recent traces the capture ring retains; its slow-or-ERR window
@@ -86,38 +88,27 @@ const TICK_MILLIS: u64 = 250;
 /// refuses past [`frame::MAX_PAYLOAD`] the same way).
 const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// Per-command metrics: success/error counters plus a lock-free latency
-/// histogram (percentiles via [`yv_obs::HistogramSnapshot::summary`]).
-/// Latency covers the full command — lock acquisition included — so
-/// `STATS` reflects what clients actually wait, not just the critical
-/// section. The handles are shared with the server's [`MetricsRegistry`],
-/// which renders them as `yv_cmd_{kind}_ok_total` /
-/// `yv_cmd_{kind}_errors_total` / `yv_cmd_{kind}_latency_us` in the
-/// Prometheus exposition.
+/// One command kind's metrics: success/error counters, a lock-free
+/// latency histogram (percentiles via
+/// [`yv_obs::HistogramSnapshot::summary`]) and that histogram's 60 × 1 s
+/// [`WindowedHistogram`]. Latency covers the full command — lock
+/// acquisition included — so `STATS` reflects what clients actually wait,
+/// not just the critical section. A scrape renders the set as
+/// `yv_cmd_{kind}_ok_total` / `yv_cmd_{kind}_errors_total` /
+/// `yv_cmd_{kind}_latency_us`.
 #[derive(Debug)]
-pub struct CommandMetrics {
-    pub ok: Arc<Counter>,
-    pub errors: Arc<Counter>,
-    pub latency: Arc<Histogram>,
+struct CommandMetrics {
+    ok: Counter,
+    errors: Counter,
+    latency: Arc<Histogram>,
+    window: WindowedHistogram,
 }
 
 impl CommandMetrics {
-    /// Register one command's metric set under `yv_cmd_{kind}_*`.
-    fn register(registry: &MetricsRegistry, kind: &str, display: &str) -> CommandMetrics {
-        CommandMetrics {
-            ok: registry.counter(
-                &format!("yv_cmd_{kind}_ok_total"),
-                &format!("{display} requests answered successfully"),
-            ),
-            errors: registry.counter(
-                &format!("yv_cmd_{kind}_errors_total"),
-                &format!("{display} requests answered with an error"),
-            ),
-            latency: registry.histogram(
-                &format!("yv_cmd_{kind}_latency_us"),
-                &format!("{display} request latency (power-of-two microsecond buckets)"),
-            ),
-        }
+    fn new(clock: &Arc<dyn Clock>) -> CommandMetrics {
+        let latency = Arc::new(Histogram::new());
+        let window = WindowedHistogram::new(Arc::clone(&latency), Arc::clone(clock));
+        CommandMetrics { ok: Counter::new(), errors: Counter::new(), latency, window }
     }
 
     fn record(&self, ok: bool, dur_ns: u64) {
@@ -148,60 +139,139 @@ impl CommandMetrics {
     }
 }
 
-/// Per-request metrics, split by command kind and shared across workers.
+/// The server's metrics: one [`CommandMetrics`] per command kind, the
+/// parse-failure counter, and the SLO rules evaluated over the command
+/// windows (at most one per kind, see [`check_slo`]).
 ///
-/// The earlier design kept one latency accumulator and reported a single
-/// mean; a mean over a mixed QUERY/ADD/SNAPSHOT stream is dominated by
-/// whichever command runs most and hides tail latency entirely. Each
-/// command kind now gets its own counters and histogram, all registered
-/// in one [`MetricsRegistry`] so `METRICS` and the scrape sidecar see
-/// exactly what `STATS` reports.
+/// A mean over a mixed QUERY/ADD/SNAPSHOT stream is dominated by
+/// whichever command runs most and hides tail latency entirely, so each
+/// kind keeps its own counters and histogram; `STATS`, `METRICS` and the
+/// scrape sidecar all read these same sources. Every window read
+/// (`HISTORY`, `METRICS`, the SLO evaluator, the tick thread) rotates all
+/// windows through [`ServerMetrics::rotate`] first, so a bucket boundary
+/// closes at the same point for every kind.
 #[derive(Debug)]
-pub struct ServerMetrics {
-    pub registry: Arc<MetricsRegistry>,
-    /// One metric set per row of [`COMMANDS`]; read through [`Self::of`].
+struct ServerMetrics {
+    /// One set per row of [`COMMANDS`]; read through [`Self::of`].
     commands: [CommandMetrics; 10],
     /// Request lines that never parsed into a command.
-    pub parse_errors: Arc<Counter>,
-}
-
-impl Default for ServerMetrics {
-    fn default() -> ServerMetrics {
-        ServerMetrics::new(Arc::new(MetricsRegistry::new()))
-    }
+    parse_errors: Counter,
+    slo: Vec<SloRule>,
 }
 
 impl ServerMetrics {
-    /// Register every per-command metric set in `registry`.
-    #[must_use]
-    pub fn new(registry: Arc<MetricsRegistry>) -> ServerMetrics {
+    fn new(clock: &Arc<dyn Clock>, slo: Vec<SloRule>) -> ServerMetrics {
         ServerMetrics {
-            commands: COMMANDS.map(|(kind, name)| CommandMetrics::register(&registry, kind, name)),
-            parse_errors: registry.counter(
-                "yv_cmd_parse_errors_total",
-                "Request lines that never parsed into a command",
-            ),
-            registry,
+            commands: COMMANDS.map(|_| CommandMetrics::new(clock)),
+            parse_errors: Counter::new(),
+            slo,
         }
     }
 
     /// The set `command` records under. Each record of a `BATCH_ADD`
     /// frame counts as one [`Command::Add`].
-    #[must_use]
-    pub fn of(&self, command: Command) -> &CommandMetrics {
+    fn of(&self, command: Command) -> &CommandMetrics {
         &self.commands[command as usize]
     }
 
     /// Per-command stats rows in protocol order.
-    #[must_use]
-    pub fn command_stats(&self) -> [CommandStats; 10] {
+    fn command_stats(&self) -> [CommandStats; 10] {
         std::array::from_fn(|i| self.commands[i].stats(COMMANDS[i].1))
     }
 
     /// Total failed requests (parse failures plus per-command errors).
-    #[must_use]
-    pub fn errors(&self) -> u64 {
+    fn errors(&self) -> u64 {
         self.parse_errors.get() + self.commands.iter().map(|c| c.errors.get()).sum::<u64>()
+    }
+
+    /// The window of the command kind `metric` names, through its
+    /// [`COMMANDS`] row.
+    fn window(&self, metric: &str) -> Option<&WindowedHistogram> {
+        let row = COMMANDS.iter().position(|(kind, _)| *kind == metric)?;
+        Some(&self.commands[row].window)
+    }
+
+    /// Rotate every window. Idempotent: a second call at the same
+    /// instant changes nothing.
+    fn rotate(&self) {
+        for c in &self.commands {
+            c.window.rotate();
+        }
+    }
+
+    /// The `HISTORY` report: `metric`'s windowed view and its rule,
+    /// evaluated. `None` for a metric the server does not track.
+    fn history(&self, metric: &str, window: usize) -> Option<HistoryReport> {
+        self.rotate();
+        let view = self.window(metric)?.window(window);
+        let slo = self.slo.iter().filter(|rule| rule.metric == metric);
+        let slo = slo.filter_map(|rule| Some((rule.clone(), self.evaluate(rule)?))).collect();
+        Some(HistoryReport::new(metric, &view, slo))
+    }
+
+    fn evaluate(&self, rule: &SloRule) -> Option<SloStatus> {
+        let w = self.window(&rule.metric)?;
+        let long = w.window(rule.window).merged;
+        let short = w.window(rule.short_window()).merged;
+        Some(rule.evaluate(&long, &short))
+    }
+
+    /// The per-command series, `yv_cmd_parse_errors_total` and each
+    /// rule's `yv_slo_<metric>_*` gauges, read now.
+    fn samples(&self) -> Vec<Sample> {
+        let mut samples = Vec::new();
+        for (c, (kind, display)) in self.commands.iter().zip(COMMANDS) {
+            samples.extend([
+                Sample::counter(
+                    format!("yv_cmd_{kind}_ok_total"),
+                    format!("{display} requests answered successfully"),
+                    c.ok.get(),
+                ),
+                Sample::counter(
+                    format!("yv_cmd_{kind}_errors_total"),
+                    format!("{display} requests answered with an error"),
+                    c.errors.get(),
+                ),
+                Sample::histogram(
+                    format!("yv_cmd_{kind}_latency_us"),
+                    format!("{display} request latency (power-of-two microsecond buckets)"),
+                    c.latency.snapshot(),
+                ),
+            ]);
+        }
+        samples.push(Sample::counter(
+            "yv_cmd_parse_errors_total",
+            "Request lines that never parsed into a command",
+            self.parse_errors.get(),
+        ));
+        self.rotate();
+        for rule in &self.slo {
+            let Some(status) = self.evaluate(rule) else { continue };
+            let m = &rule.metric;
+            samples.extend([
+                Sample::gauge(
+                    format!("yv_slo_{m}_state"),
+                    "SLO burn-rate state (0 ok, 1 warning, 2 firing)",
+                    status.state.as_u64(),
+                ),
+                Sample::gauge(
+                    format!("yv_slo_{m}_burn_long_pct"),
+                    "Long-window SLO burn rate (percent of error budget consumed)",
+                    status.burn_long_pct,
+                ),
+                Sample::gauge(
+                    format!("yv_slo_{m}_burn_short_pct"),
+                    "Short-window SLO burn rate (percent of error budget consumed)",
+                    status.burn_short_pct,
+                ),
+                Sample::gauge(
+                    format!("yv_slo_{m}_threshold_us"),
+                    "SLO latency threshold (microseconds)",
+                    rule.threshold_us,
+                ),
+            ]);
+        }
+        samples
     }
 }
 
@@ -386,9 +456,9 @@ impl ServeOptions {
     }
 
     /// Watch latency SLOs: each rule's multi-window burn rate is
-    /// re-evaluated on the server tick (and on every `METRICS` scrape
-    /// and `HISTORY` request) and published as `yv_slo_<metric>_state`
-    /// / `_burn_long_pct` / `_burn_short_pct` gauges. [`Self::serve`]
+    /// evaluated on every `METRICS` scrape and `HISTORY` request, and
+    /// scraped as `yv_slo_<metric>_state` / `_burn_long_pct` /
+    /// `_burn_short_pct` / `_threshold_us` gauges. [`Self::serve`]
     /// refuses a rule whose metric is not a command kind
     /// ([`StoreError::UnknownSloMetric`]) and a second rule on one metric
     /// ([`StoreError::DuplicateSloMetric`]).
@@ -488,91 +558,6 @@ fn check_slo(rules: &[SloRule]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// The server's windowed-telemetry runtime: one [`WindowedHistogram`]
-/// per command kind (reading the same latency histograms `STATS`
-/// reports) and the configured SLO rules, at most one per kind.
-///
-/// Every read path (`HISTORY`, `METRICS`, the SLO evaluator, the tick
-/// thread) rotates all windows through [`Telemetry::rotate`] before
-/// touching one, so a bucket boundary closes at the same point for every
-/// kind.
-struct Telemetry {
-    windows: Vec<(&'static str, WindowedHistogram)>,
-    slo: Vec<SloRule>,
-}
-
-impl Telemetry {
-    fn new(metrics: &ServerMetrics, clock: &Arc<dyn Clock>, slo: Vec<SloRule>) -> Telemetry {
-        let windows = COMMANDS
-            .iter()
-            .zip(&metrics.commands)
-            .map(|((kind, _), m)| {
-                (*kind, WindowedHistogram::new(Arc::clone(&m.latency), Arc::clone(clock)))
-            })
-            .collect();
-        Telemetry { windows, slo }
-    }
-
-    fn window_for(&self, metric: &str) -> Option<&WindowedHistogram> {
-        self.windows.iter().find(|(kind, _)| *kind == metric).map(|(_, w)| w)
-    }
-
-    /// Rotate every window. Idempotent: a second call at the same
-    /// instant changes nothing.
-    fn rotate(&self) {
-        for (_, w) in &self.windows {
-            w.rotate();
-        }
-    }
-
-    /// The `HISTORY` report: `metric`'s windowed view and its rule,
-    /// evaluated. `None` for a metric the server does not track.
-    fn history(&self, metric: &str, window: usize) -> Option<HistoryReport> {
-        self.rotate();
-        let view = self.window_for(metric)?.window(window);
-        let slo = self.slo.iter().filter(|rule| rule.metric == metric);
-        let slo = slo.filter_map(|rule| Some((rule.clone(), self.evaluate(rule)?))).collect();
-        Some(HistoryReport::new(metric, &view, slo))
-    }
-
-    fn evaluate(&self, rule: &SloRule) -> Option<SloStatus> {
-        let w = self.window_for(&rule.metric)?;
-        let long = w.window(rule.window).merged;
-        let short = w.window(rule.short_window()).merged;
-        Some(rule.evaluate(&long, &short))
-    }
-
-    /// Re-evaluate every rule and publish its `yv_slo_<metric>_*` gauges
-    /// ([`check_slo`] leaves one rule per metric).
-    fn publish_slo(&self, reg: &MetricsRegistry) {
-        self.rotate();
-        for rule in &self.slo {
-            let Some(status) = self.evaluate(rule) else { continue };
-            let m = &rule.metric;
-            reg.set_gauge(
-                &format!("yv_slo_{m}_state"),
-                "SLO burn-rate state (0 ok, 1 warning, 2 firing)",
-                status.state.as_u64(),
-            );
-            reg.set_gauge(
-                &format!("yv_slo_{m}_burn_long_pct"),
-                "Long-window SLO burn rate (percent of error budget consumed)",
-                status.burn_long_pct,
-            );
-            reg.set_gauge(
-                &format!("yv_slo_{m}_burn_short_pct"),
-                "Short-window SLO burn rate (percent of error budget consumed)",
-                status.burn_short_pct,
-            );
-            reg.set_gauge(
-                &format!("yv_slo_{m}_threshold_us"),
-                "SLO latency threshold (microseconds)",
-                rule.threshold_us,
-            );
-        }
-    }
-}
-
 /// Shared per-connection context, bundled so worker closures borrow one
 /// struct instead of six loose references.
 struct ServerCtx<'a> {
@@ -587,8 +572,6 @@ struct ServerCtx<'a> {
     slow: Option<&'a SlowLog>,
     /// The trace id generator and capture store.
     sink: &'a TraceSink,
-    /// Windowed rollups and SLO rules.
-    telemetry: &'a Telemetry,
 }
 
 /// Take the next accepted connection off the workers' shared queue;
@@ -618,8 +601,7 @@ fn serve_inner(
         Some(l) => Some(l.local_addr()?),
         None => None,
     };
-    let metrics = ServerMetrics::default();
-    let telemetry = Telemetry::new(&metrics, &clock, slo);
+    let metrics = ServerMetrics::new(&clock, slo);
     let shutdown = AtomicBool::new(false);
     let conn_ids = AtomicU64::new(0);
     // One queue, many workers: `mpsc` has a single receiver, so the pool
@@ -635,7 +617,6 @@ fn serve_inner(
         metrics_addr,
         slow: slow.as_ref(),
         sink: &sink,
-        telemetry: &telemetry,
     };
 
     std::thread::scope(|s| {
@@ -651,15 +632,15 @@ fn serve_inner(
         // Only the workers keep the receiver alive, so `send` below fails
         // once every one of them is gone.
         drop(rx);
-        // The telemetry tick: rotate windows and refresh the SLO gauges
-        // every TICK_MILLIS of *real* time. Under a ManualClock no epoch
-        // ever passes, so the tick is a no-op and rotation happens lazily
-        // on the HISTORY/METRICS read paths — which keeps deterministic
-        // tests byte-identical regardless of ticker scheduling.
+        // The telemetry tick: rotate the windows every TICK_MILLIS of
+        // *real* time. Under a ManualClock no epoch ever passes, so the
+        // tick is a no-op and rotation happens lazily on the
+        // HISTORY/METRICS read paths — which keeps deterministic tests
+        // byte-identical regardless of ticker scheduling.
         s.spawn(move || {
             while !ctx.shutdown.load(Ordering::SeqCst) {
                 std::thread::sleep(std::time::Duration::from_millis(TICK_MILLIS));
-                ctx.telemetry.publish_slo(&ctx.metrics.registry);
+                ctx.metrics.rotate();
             }
         });
         if let Some(mlistener) = &metrics_listener {
@@ -702,156 +683,163 @@ fn serve_inner(
     Ok(store)
 }
 
-/// Refresh the store, shard and allocator gauges, then render the whole
-/// registry as Prometheus text exposition (format 0.0.4). Gauges are
-/// republished on every scrape, so the exposition always reflects the
-/// current store.
+/// The Prometheus text exposition (format 0.0.4), rendered from the
+/// sources at the read: the command metrics, the store, its last open,
+/// its shards, the trace ring, the SLO rules, the slow log and the
+/// allocator are each read now and rendered in one call.
 fn render_metrics(ctx: &ServerCtx<'_>) -> String {
     let stats = ctx.store.stats();
-    let reg = &ctx.metrics.registry;
-    reg.set_gauge("yv_store_records", "Records resident in the store", stats.records as u64);
-    reg.set_gauge("yv_store_sources", "Sources registered", stats.sources as u64);
-    reg.set_gauge("yv_store_matches", "Ranked matches resident", stats.matches as u64);
-    reg.set_gauge(
-        "yv_store_wal_entries",
-        "Arrivals pending in the WALs since the last snapshot",
-        stats.wal_entries as u64,
-    );
-    reg.set_gauge(
-        "yv_store_wal_bytes",
-        "On-disk WAL size in bytes, all shards",
-        stats.wal_bytes,
-    );
-    reg.set_gauge(
-        "yv_store_wal_syncs_total",
-        "WAL sync_data calls since open, all shards",
-        stats.wal_syncs,
-    );
-    reg.set_gauge(
-        "yv_store_vocabulary",
-        "Distinct lowercased first names plus distinct lowercased last names in the query index",
-        stats.vocabulary as u64,
-    );
-    reg.set_gauge(
-        "yv_store_postings",
-        "Total posting entries in the query index",
-        stats.postings as u64,
-    );
-    reg.set_gauge("yv_store_shards", "Shard count (fixed at create)", stats.shards.len() as u64);
     let opened = ctx.store.open_report();
-    reg.set_gauge(
-        "yv_store_open_frames_replayed",
-        "Arrivals (record and source frames) the last open replayed, all shards",
-        opened.frames,
-    );
-    reg.set_gauge(
-        "yv_store_open_rescored",
-        "Record frames the last open replayed without a matches frame, hence scored again",
-        opened.rescored,
-    );
-    reg.set_gauge(
-        "yv_store_open_torn_bytes",
-        "Torn-tail WAL bytes the last open dropped, all shards",
-        opened.torn_bytes,
-    );
-    reg.set_gauge(
-        "yv_store_open_replay_us",
-        "Wall time of the last open's WAL merge and replay in microseconds",
-        opened.replay_ns / 1_000,
-    );
-    reg.set_gauge(
-        "yv_store_fuzzy_names",
-        "Distinct lowercased names in the fuzzy q-gram index",
-        stats.fuzzy_names as u64,
-    );
-    reg.set_gauge(
-        "yv_store_fuzzy_grams",
-        "Distinct q-grams in the fuzzy index",
-        stats.fuzzy_grams as u64,
-    );
-    reg.set_gauge(
-        "yv_store_fuzzy_postings",
-        "Gram-to-name posting entries in the fuzzy index",
-        stats.fuzzy_postings as u64,
-    );
-    reg.counter_value(
-        "yv_store_fuzzy_examined_total",
-        "Lifetime candidate names examined by RESOLVE",
-    )
-    .set(stats.fuzzy_examined);
-    reg.counter_value(
-        "yv_store_fuzzy_pruned_total",
-        "Lifetime candidate names pruned by the RESOLVE length and count filters",
-    )
-    .set(stats.fuzzy_pruned);
-    // The registry has no label support (it renders plain name→value
-    // pairs deterministically), so per-shard gauges mangle the shard
-    // index into the metric name.
+    let ring = ctx.sink.stats();
+    let alloc = yv_obs::alloc_stats();
+    let mut samples = ctx.metrics.samples();
+    samples.extend([
+        Sample::gauge(
+            "yv_store_records",
+            "Records resident in the store",
+            stats.records as u64,
+        ),
+        Sample::gauge("yv_store_sources", "Sources registered", stats.sources as u64),
+        Sample::gauge("yv_store_matches", "Ranked matches resident", stats.matches as u64),
+        Sample::gauge(
+            "yv_store_wal_entries",
+            "Arrivals pending in the WALs since the last snapshot",
+            stats.wal_entries as u64,
+        ),
+        Sample::gauge(
+            "yv_store_wal_bytes",
+            "On-disk WAL size in bytes, all shards",
+            stats.wal_bytes,
+        ),
+        Sample::gauge(
+            "yv_store_wal_syncs_total",
+            "WAL sync_data calls since open, all shards",
+            stats.wal_syncs,
+        ),
+        Sample::gauge(
+            "yv_store_vocabulary",
+            "Distinct lowercased first names plus distinct lowercased last names in the query index",
+            stats.vocabulary as u64,
+        ),
+        Sample::gauge(
+            "yv_store_postings",
+            "Total posting entries in the query index",
+            stats.postings as u64,
+        ),
+        Sample::gauge(
+            "yv_store_shards",
+            "Shard count (fixed at create)",
+            stats.shards.len() as u64,
+        ),
+        Sample::gauge(
+            "yv_store_open_frames_replayed",
+            "Arrivals (record and source frames) the last open replayed, all shards",
+            opened.frames,
+        ),
+        Sample::gauge(
+            "yv_store_open_rescored",
+            "Record frames the last open replayed without a matches frame, hence scored again",
+            opened.rescored,
+        ),
+        Sample::gauge(
+            "yv_store_open_torn_bytes",
+            "Torn-tail WAL bytes the last open dropped, all shards",
+            opened.torn_bytes,
+        ),
+        Sample::gauge(
+            "yv_store_open_replay_us",
+            "Wall time of the last open's WAL merge and replay in microseconds",
+            opened.replay_ns / 1_000,
+        ),
+        Sample::gauge(
+            "yv_store_fuzzy_names",
+            "Distinct lowercased names in the fuzzy q-gram index",
+            stats.fuzzy_names as u64,
+        ),
+        Sample::gauge(
+            "yv_store_fuzzy_grams",
+            "Distinct q-grams in the fuzzy index",
+            stats.fuzzy_grams as u64,
+        ),
+        Sample::gauge(
+            "yv_store_fuzzy_postings",
+            "Gram-to-name posting entries in the fuzzy index",
+            stats.fuzzy_postings as u64,
+        ),
+        Sample::counter(
+            "yv_store_fuzzy_examined_total",
+            "Lifetime candidate names examined by RESOLVE",
+            stats.fuzzy_examined,
+        ),
+        Sample::counter(
+            "yv_store_fuzzy_pruned_total",
+            "Lifetime candidate names pruned by the RESOLVE length and count filters",
+            stats.fuzzy_pruned,
+        ),
+        Sample::gauge("yv_trace_ring_capacity", "Trace capture ring slot count", ring.capacity),
+        Sample::gauge(
+            "yv_trace_ring_occupancy",
+            "Completed traces currently resident in the capture ring",
+            ring.occupancy,
+        ),
+        Sample::counter(
+            "yv_trace_ring_captured_total",
+            "Lifetime traces captured into the ring",
+            ring.captured,
+        ),
+        Sample::counter(
+            "yv_trace_ring_evicted_total",
+            "Lifetime traces displaced by drop-oldest overwrites",
+            ring.evicted,
+        ),
+        Sample::counter(
+            "yv_trace_ring_sampled_total",
+            "Lifetime traces retained by the tail sampler (slow or ERR)",
+            ring.sampled,
+        ),
+        Sample::gauge(
+            "yv_trace_last_slow_id",
+            "Trace id of the most recent tail-sampled request (0 when none)",
+            ring.last_slow,
+        ),
+        Sample::counter(
+            "yv_alloc_bytes_total",
+            "Bytes allocated since process start",
+            alloc.alloc_bytes,
+        ),
+        Sample::counter(
+            "yv_dealloc_bytes_total",
+            "Bytes deallocated since process start",
+            alloc.dealloc_bytes,
+        ),
+        Sample::gauge("yv_alloc_live_bytes", "Bytes currently allocated", alloc.live_bytes),
+        Sample::gauge("yv_alloc_peak_bytes", "High-water mark of live bytes", alloc.peak_bytes),
+    ]);
+    // The exposition carries no labels, so per-shard gauges mangle the
+    // shard index into the metric name.
     for s in &stats.shards {
         let i = s.shard;
-        reg.set_gauge(
-            &format!("yv_shard_{i}_records"),
-            "Records routed to this shard",
-            s.records as u64,
-        );
-        reg.set_gauge(
-            &format!("yv_shard_{i}_wal_bytes"),
-            "On-disk size of this shard's WAL in bytes",
-            s.wal_bytes,
-        );
+        samples.extend([
+            Sample::gauge(
+                format!("yv_shard_{i}_records"),
+                "Records routed to this shard",
+                s.records as u64,
+            ),
+            Sample::gauge(
+                format!("yv_shard_{i}_wal_bytes"),
+                "On-disk size of this shard's WAL in bytes",
+                s.wal_bytes,
+            ),
+        ]);
     }
-
-    let t = ctx.sink.stats();
-    reg.set_gauge("yv_trace_ring_capacity", "Trace capture ring slot count", t.capacity);
-    reg.set_gauge(
-        "yv_trace_ring_occupancy",
-        "Completed traces currently resident in the capture ring",
-        t.occupancy,
-    );
-    reg.counter_value(
-        "yv_trace_ring_captured_total",
-        "Lifetime traces captured into the ring",
-    )
-    .set(t.captured);
-    reg.counter_value(
-        "yv_trace_ring_evicted_total",
-        "Lifetime traces displaced by drop-oldest overwrites",
-    )
-    .set(t.evicted);
-    reg.counter_value(
-        "yv_trace_ring_sampled_total",
-        "Lifetime traces retained by the tail sampler (slow or ERR)",
-    )
-    .set(t.sampled);
-    reg.set_gauge(
-        "yv_trace_last_slow_id",
-        "Trace id of the most recent tail-sampled request (0 when none)",
-        t.last_slow,
-    );
-
-    // Windowed telemetry: refresh the SLO gauges (rotating any buckets
-    // that closed since the last tick on the way).
-    ctx.telemetry.publish_slo(reg);
     if let Some(slow) = ctx.slow {
-        reg.set_gauge(
+        samples.push(Sample::gauge(
             "yv_slow_log_rotations",
             "Slow-request log rotations performed by this process",
             slow.rotations(),
-        );
+        ));
     }
-
-    let alloc = yv_obs::alloc_stats();
-    reg.counter_value("yv_alloc_bytes_total", "Bytes allocated since process start")
-        .set(alloc.alloc_bytes);
-    reg.counter_value("yv_dealloc_bytes_total", "Bytes deallocated since process start")
-        .set(alloc.dealloc_bytes);
-    reg.set_gauge("yv_alloc_live_bytes", "Bytes currently allocated", alloc.live_bytes);
-    reg.set_gauge(
-        "yv_alloc_peak_bytes",
-        "High-water mark of live bytes",
-        alloc.peak_bytes,
-    );
-    reg.render_prometheus()
+    yv_obs::render_prometheus(samples)
 }
 
 /// Answer one sidecar connection: a hand-rolled HTTP/1.1 exchange — read
@@ -1224,7 +1212,7 @@ fn dispatch(
         },
         RequestFrame::History { metric, window } => {
             let window = window.map_or(WINDOW_BUCKETS, |w| w as usize);
-            match ctx.telemetry.history(&metric, window) {
+            match ctx.metrics.history(&metric, window) {
                 Some(report) => {
                     cmd.record(true, elapsed());
                     protocol::format_history(&report)
@@ -1262,6 +1250,10 @@ fn dispatch(
 mod tests {
     use super::*;
 
+    fn server_metrics() -> ServerMetrics {
+        ServerMetrics::new(&(Arc::new(MonotonicClock::new()) as Arc<dyn Clock>), Vec::new())
+    }
+
     /// Regression test for the `STATS` consistency bug: `count` used to
     /// come from the `ok` counter while the percentiles came from a
     /// separately-read histogram, so a row could report `count=0` with
@@ -1270,7 +1262,7 @@ mod tests {
     /// [`yv_obs::ManualClock`] pins the exact row.
     #[test]
     fn command_stats_row_derives_from_one_snapshot() {
-        let metrics = ServerMetrics::default();
+        let metrics = server_metrics();
         let clock = yv_obs::ManualClock::new();
         // Three successes and one error, with known latencies.
         for (us, ok) in [(100u64, true), (200, true), (400, true), (800, false)] {
@@ -1295,7 +1287,7 @@ mod tests {
     /// so none exceeds the slowest request it counts.
     #[test]
     fn cmd_row_percentiles_never_exceed_the_max() {
-        let metrics = ServerMetrics::default();
+        let metrics = server_metrics();
         for (us, ok) in [(100u64, true), (200, true), (400, true), (800, false)] {
             metrics.of(Command::Query).record(ok, us * 1_000);
         }
@@ -1308,9 +1300,9 @@ mod tests {
 
     #[test]
     fn server_metrics_register_one_set_per_command() {
-        let metrics = ServerMetrics::default();
+        let metrics = server_metrics();
         metrics.of(Command::Add).record(true, 5_000);
-        let rendered = metrics.registry.render_prometheus();
+        let rendered = yv_obs::render_prometheus(metrics.samples());
         for kind in [
             "query", "resolve", "add", "stats", "metrics", "top", "trace", "history", "snapshot",
             "shutdown",
@@ -1328,7 +1320,7 @@ mod tests {
 
     #[test]
     fn errors_sum_every_command_and_parse_failures() {
-        let metrics = ServerMetrics::default();
+        let metrics = server_metrics();
         metrics.parse_errors.incr();
         metrics.of(Command::Add).record(false, 1_000);
         metrics.of(Command::Snapshot).record(false, 1_000);

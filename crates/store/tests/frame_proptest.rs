@@ -1,8 +1,9 @@
 //! Property tests over the binary wire framing (`yv_store::frame`):
 //! every request and response frame kind round-trips through a byte
-//! stream unchanged, any torn tail is a typed error (never a clean EOF,
-//! never a panic), and checksummed-but-overlong payloads are refused as
-//! trailing garbage.
+//! stream unchanged, every request the text line can carry round-trips
+//! through `render_request` / `parse_request`, any torn tail is a typed
+//! error (never a clean EOF, never a panic), and checksummed-but-overlong
+//! payloads are refused as trailing garbage.
 //!
 //! The vendored proptest is generate-only (no combinators), so each
 //! case draws a bag of random scalars and deterministically builds one
@@ -17,6 +18,7 @@ use proptest::prelude::*;
 use std::io::Cursor;
 use yv_core::PersonQuery;
 use yv_records::{DateParts, Gender, Record, RecordBuilder, SourceId};
+use yv_store::protocol::{parse_request, render_request};
 use yv_store::{
     frame_checksum, BatchStatus, RequestFrame, ResponseFrame, StoreError, HEADER_LEN,
     TRAILER_LEN,
@@ -140,6 +142,30 @@ proptest! {
             let back = RequestFrame::read(&mut cursor).unwrap().unwrap();
             prop_assert_eq!(back, frame);
             prop_assert!(RequestFrame::read(&mut cursor).unwrap().is_none());
+        }
+    }
+
+    /// The text line's round-trip law, for every request kind: either
+    /// `render_request` refuses the frame, or its line parses back to the
+    /// frame, checked (the same request, or the same `ERR`). Names and the
+    /// `HISTORY` metric come from an alphabet holding `=`, a space and the
+    /// empty string: what a bare token or a `key=value` pair can be
+    /// misread around.
+    #[test]
+    fn rendered_request_lines_parse_back_checked(
+        book in 0u64..u64::MAX,
+        source in 0u32..4,
+        first in "[Ab= ]{0,3}",
+        last in "[Ab= ]{0,3}",
+        knob in 0u32..100,
+        frac in 0.0f64..1.0,
+        flags in 0u32..8192,
+    ) {
+        let draw = draw(book, source, first, last, knob, frac, flags);
+        for frame in all_request_frames(&draw) {
+            if let Ok(line) = render_request(&frame) {
+                prop_assert_eq!(parse_request(&line), frame.checked(), "{}", line);
+            }
         }
     }
 
