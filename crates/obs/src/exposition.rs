@@ -113,7 +113,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rendering_covers_every_kind_in_name_order() {
+    fn prometheus_rendering_covers_all_kinds() {
         let h = Histogram::new();
         h.record_ns(3_000); // bucket 2, bound 4µs
         h.record_ns(u64::MAX); // overflow bucket
@@ -122,13 +122,10 @@ mod tests {
             Sample::gauge("yv_records", "Records resident", 100),
             Sample::counter("yv_alloc_bytes_total", "Bytes allocated", 4096),
             Sample::histogram("yv_latency_us", "Request latency", h.snapshot()),
-            Sample::gauge("yv_records", "A repeated name renders once", 7),
         ]);
         assert!(text.contains("# HELP yv_requests_total Requests served\n"));
         assert!(text.contains("# TYPE yv_requests_total counter\nyv_requests_total 5\n"));
-        assert!(text.contains("# HELP yv_records Records resident\n"));
         assert!(text.contains("# TYPE yv_records gauge\nyv_records 100\n"));
-        assert_eq!(text.matches("# TYPE yv_records ").count(), 1, "{text}");
         assert!(text.contains("# TYPE yv_alloc_bytes_total counter\nyv_alloc_bytes_total 4096\n"));
         assert!(text.contains("# TYPE yv_latency_us histogram\n"));
         // Cumulative buckets: nothing below 4µs boundary 2, both by +Inf.
@@ -146,5 +143,18 @@ mod tests {
                 .map(|n| text.find(&format!("# HELP {n} ")).expect("metric rendered"))
                 .collect();
         assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
+    }
+
+    #[test]
+    fn a_repeated_name_renders_once_with_its_first_sample() {
+        let text = render_prometheus(vec![
+            Sample::gauge("yv_records", "Records resident", 100),
+            Sample::counter("yv_requests_total", "Requests served", 5),
+            Sample::gauge("yv_records", "A repeated name renders once", 7),
+        ]);
+        assert_eq!(text.matches("# TYPE yv_records ").count(), 1, "{text}");
+        assert!(text.contains("# HELP yv_records Records resident\n# TYPE yv_records gauge\nyv_records 100\n"));
+        assert!(!text.contains("yv_records 7\n"), "{text}");
+        assert!(!text.contains("A repeated name renders once"), "{text}");
     }
 }
