@@ -14,6 +14,13 @@ cargo test --workspace -q
 for _ in $(seq 1 10); do
     cargo test -q -p yv-cli --test alloc_guards > /dev/null
 done
+# The parallel miner's merge and the split blocking stages see another
+# schedule on every run, so their exactness tests (any partition of the
+# top-level branches, forced worker counts against the eager reference)
+# run five times, stopping at the first failure.
+for _ in $(seq 1 5); do
+    cargo test -q -p yv-mfi -p yv-blocking > /dev/null
+done
 # yv-benchmark is a package of its own, outside the workspace, driving the
 # product crates' public APIs (`extract`, `AdTree::score`,
 # `Pipeline::score_pair`/`resolve_recorded`, the string kernels, the store,
@@ -64,6 +71,11 @@ events = trace["traceEvents"]
 names = {e["name"] for e in events if e.get("ph") == "X"}
 for span in ["blocking", "prune_items", "iteration", "mine", "find_support", "score_blocks", "ng_filter"]:
     assert span in names, f"trace is missing span {span!r}: {sorted(names)}"
+# The three split stages say how many threads they were given: 300
+# records are far below the size thresholds, so one each.
+for e in events:
+    if e.get("ph") == "X" and e["name"] in ("mine", "find_support", "score_blocks"):
+        assert e.get("args", {}).get("workers") == 1, f"{e['name']} span lacks workers=1: {e}"
 counters = {e["name"] for e in events if e.get("ph") == "C"}
 assert "candidate_pairs" in counters, f"missing counter: {sorted(counters)}"
 print(f"trace smoke test: {len(events)} events, span taxonomy present")
@@ -154,7 +166,7 @@ for name in ["yv_store_records", "yv_store_wal_bytes", "yv_store_postings",
              "yv_alloc_live_bytes", "yv_alloc_peak_bytes",
              "yv_trace_ring_capacity", "yv_trace_ring_occupancy",
              "yv_trace_ring_captured_total", "yv_trace_ring_evicted_total",
-             "yv_trace_ring_sampled_total", "yv_trace_last_slow_id",
+             "yv_trace_ring_sampled_total",
              "yv_slow_log_rotations", "yv_slo_query_threshold_us"]:
     assert any(l.startswith(name + " ") for l in body.splitlines()), f"missing {name}"
 # Every query breaches the injected 1µs threshold, so both burn windows
@@ -165,11 +177,14 @@ assert gauge(body, "yv_slo_query_burn_short_pct") >= 100
 assert gauge(body, "yv_slo_query_threshold_us") == 1
 assert gauge(body, "yv_cmd_parse_errors_total") == 1, "the FROB line is the one parse error"
 # --slow-us 1 makes the QUERY above slow, so the tail sampler must have
-# retained it and published its id.
+# retained it and published its id: exactly, on TOP's RING row (METRICS
+# has no slow-id sample, whose float64 would round ids above 2^53).
 captured = [l for l in body.splitlines() if l.startswith("yv_trace_ring_captured_total ")]
 assert captured and int(captured[0].split()[-1]) >= 1, captured
-last_slow = [l for l in body.splitlines() if l.startswith("yv_trace_last_slow_id ")]
-assert last_slow and int(last_slow[0].split()[-1]) != 0, last_slow
+assert not any(l.startswith("yv_trace_last_slow_id ") for l in body.splitlines())
+ring = [l for l in request("TOP") if l.startswith("RING ")]
+last_slow = re.search(r"last_slow_trace=([0-9a-f]{16})", ring[0]) if ring else None
+assert last_slow and int(last_slow.group(1), 16) != 0, ring
 total = [l for l in body.splitlines() if l.startswith("yv_alloc_bytes_total ")]
 assert total and int(total[0].split()[-1]) > 0, "counting allocator not installed"
 alloc_total = gauge(body, "yv_alloc_bytes_total")

@@ -47,5 +47,5 @@ pub mod score;
 pub use config::{MfiBlocksConfig, ScoreFunction};
 pub use diagnostics::{audit, BlockingDiagnostics};
 pub use mfiblocks::{
-    mfi_blocks, mfi_blocks_recorded, Block, BlockingResult, BlockingStats,
+    mfi_blocks, mfi_blocks_on, mfi_blocks_recorded, Block, BlockingResult, BlockingStats,
 };

@@ -5,7 +5,8 @@ use crate::csr::{group_by_key, row};
 use crate::neighborhood::ng_threshold;
 use crate::score::{block_score_above, pair_score};
 use std::time::Duration;
-use yv_mfi::{common_items, mine_maximal, signature, top_frequent};
+use yv_mfi::{common_items, mine_maximal_on, signature, top_frequent};
+use yv_obs::par::for_each_run;
 use yv_obs::Recorder;
 use yv_records::{Dataset, ItemId, RecordId};
 
@@ -61,6 +62,40 @@ pub struct BlockingResult {
 /// the scored prefix doubles from there.
 const FIRST_PREFIX: usize = 16;
 
+/// Uncovered bags below which an iteration mines on the calling thread.
+const PARALLEL_MIN_BAGS: usize = 4_096;
+
+/// Candidate blocks below which the support lookup and block scoring stay
+/// on the calling thread, and blocks below which one round of the lazy
+/// scoring walk does.
+const PARALLEL_MIN_BLOCKS: usize = 4_096;
+const PARALLEL_MIN_ROUND: usize = 512;
+
+/// The longest runs the stages hand out: candidate blocks whose supports
+/// are looked up, blocks whose one-pair bound is taken, blocks scored.
+const SUPPORT_RUN: usize = 256;
+const BOUND_RUN: usize = 1_024;
+const SCORE_RUN: usize = 64;
+
+/// Threads a blocking stage may use.
+#[derive(Debug, Clone, Copy)]
+enum Workers {
+    /// The host's, for a stage at least its size threshold.
+    Auto,
+    /// Exactly this many, whatever the stage's size.
+    Exactly(usize),
+}
+
+impl Workers {
+    fn for_stage(self, size: usize, threshold: usize) -> usize {
+        match self {
+            Workers::Auto if size < threshold => 1,
+            Workers::Auto => yv_obs::par::workers(),
+            Workers::Exactly(workers) => workers.max(1),
+        }
+    }
+}
+
 /// Run MFIBlocks over a dataset.
 ///
 /// Timings in [`BlockingStats`] come from an internal wall-clock
@@ -83,6 +118,12 @@ pub fn mfi_blocks(ds: &Dataset, config: &MfiBlocksConfig) -> BlockingResult {
 ///     └── ng_filter            surviving blocks: pairs + coverage update
 /// ```
 ///
+/// `mine`, `find_support` and `score_blocks` carry a `workers` argument:
+/// the threads the stage was given, 1 when it stayed on the calling thread
+/// (mining below 4 096 uncovered bags, the other two below 4 096
+/// candidate blocks; a scoring round below 512 blocks stays there too).
+/// The output does not depend on it.
+///
 /// The clock is injected through the recorder, so this function never
 /// reads the wall clock itself (clippy's `disallowed-methods` would
 /// refuse it) and timing can never influence which blocks survive.
@@ -91,6 +132,28 @@ pub fn mfi_blocks_recorded(
     ds: &Dataset,
     config: &MfiBlocksConfig,
     rec: &Recorder,
+) -> BlockingResult {
+    mfi_blocks_with(ds, config, rec, Workers::Auto)
+}
+
+/// [`mfi_blocks_recorded`] with every stage on exactly `workers` threads,
+/// the calling thread included, however small: the same blocks, scores
+/// and pairs, bit for bit.
+#[must_use]
+pub fn mfi_blocks_on(
+    ds: &Dataset,
+    config: &MfiBlocksConfig,
+    rec: &Recorder,
+    workers: usize,
+) -> BlockingResult {
+    mfi_blocks_with(ds, config, rec, Workers::Exactly(workers))
+}
+
+fn mfi_blocks_with(
+    ds: &Dataset,
+    config: &MfiBlocksConfig,
+    rec: &Recorder,
+    workers: Workers,
 ) -> BlockingResult {
     let blocking_span = rec.span("blocking");
     let n = ds.len();
@@ -138,15 +201,35 @@ pub fn mfi_blocks_recorded(
         let iteration_span = rec.span_with("iteration", &[("minsup", minsup)]);
         // Mine MFIs from the uncovered records (line 6).
         let subset: Vec<&[u32]> = uncovered.iter().map(|&i| mining_bags[i].as_slice()).collect();
-        let mine_span = rec.span_with("mine", &[("minsup", minsup)]);
-        let mfis = mine_maximal(&subset, minsup);
+        let mine_workers = workers.for_stage(subset.len(), PARALLEL_MIN_BAGS);
+        let mine_span = rec.span_with("mine", &[("minsup", minsup), ("workers", mine_workers as u64)]);
+        let mfis = mine_maximal_on(&subset, minsup, mine_workers);
         mining_ns += mine_span.finish();
         stats.mfis_mined += mfis.len();
         stats.iterations += 1;
 
+        // Filter blocks larger than minsup * p (line 8). A block is its
+        // MFI's support set, whose size the miner already counted, so
+        // oversized ones are dropped without being materialized — and the
+        // rest are laid out before any is looked up. Candidate block `i` is
+        // keyed by `mfis[keys[i]]` and holds `row(&members, &offsets, i)`.
+        let size_cap = ((minsup as f64 * config.p).floor() as u64).max(2);
+        let keys: Vec<usize> = (0..mfis.len()).filter(|&mi| mfis[mi].support <= size_cap).collect();
+        let mut offsets = Vec::with_capacity(keys.len() + 1);
+        offsets.push(0u32);
+        for &mi in &keys {
+            offsets.push(offsets[offsets.len() - 1] + mfis[mi].support as u32);
+        }
+        stats.blocks_considered += keys.len();
+
         // FindSupport (line 7): inverted index and item signatures over
-        // the uncovered subset.
-        let support_span = rec.span_with("find_support", &[("minsup", minsup)]);
+        // the uncovered subset, then each run of keys fills its own slice
+        // of `members`.
+        let support_workers = workers.for_stage(keys.len(), PARALLEL_MIN_BLOCKS);
+        let support_span = rec.span_with(
+            "find_support",
+            &[("minsup", minsup), ("workers", support_workers as u64)],
+        );
         let (starts, locals) = group_by_key(
             n_items,
             subset.iter().enumerate().flat_map(|(local, bag)| {
@@ -154,21 +237,21 @@ pub fn mfi_blocks_recorded(
             }),
         );
         let signatures: Vec<u64> = subset.iter().map(|bag| signature(bag)).collect();
-        // Filter blocks larger than minsup * p (line 8). A block is its
-        // MFI's support set, whose size the miner already counted, so
-        // oversized ones are dropped without being materialized.
-        let size_cap = ((minsup as f64 * config.p).floor() as u64).max(2);
-        // Candidate blocks, flat: block `i` is keyed by `mfis[keys[i]]` and
-        // holds `row(&members, &offsets, i)`.
-        let (mut keys, mut members, mut offsets) = (Vec::new(), Vec::new(), vec![0u32]);
-        for (mi, mfi) in mfis.iter().enumerate().filter(|(_, mfi)| mfi.support <= size_cap) {
-            let support = support_of(&starts, &locals, &signatures, &subset, &mfi.items);
-            members.extend(support.map(|local| RecordId(uncovered[local as usize] as u32)));
-            debug_assert_eq!(members.len() as u64, u64::from(offsets[keys.len()]) + mfi.support);
-            keys.push(mi);
-            offsets.push(members.len() as u32);
-        }
-        stats.blocks_considered += keys.len();
+        let mut members = vec![RecordId(0); offsets[keys.len()] as usize];
+        let cut = |i: usize| offsets[i] as usize;
+        for_each_run(&mut members, keys.len(), cut, SUPPORT_RUN, support_workers, |run, mut rest| {
+            for &mi in &keys[run] {
+                let (block, tail) = std::mem::take(&mut rest).split_at_mut(mfis[mi].support as usize);
+                rest = tail;
+                let support = support_of(&starts, &locals, &signatures, &subset, &mfis[mi].items);
+                let mut filled = 0;
+                for (slot, local) in block.iter_mut().zip(support) {
+                    *slot = RecordId(uncovered[local as usize] as u32);
+                    filled += 1;
+                }
+                debug_assert_eq!(filled, block.len(), "the miner counted the support");
+            }
+        });
         support_span.finish();
 
         // Score blocks, lazily: only a block scoring above minTh survives,
@@ -178,12 +261,22 @@ pub fn mfi_blocks_recorded(
         // while its running minimum stays above the threshold of the blocks
         // scored before it, until no remaining bound is above that
         // threshold: every block left out scores at or below the final one,
-        // which is therefore the threshold of all blocks.
-        let score_span = rec.span_with("score_blocks", &[("minsup", minsup)]);
+        // which is therefore the threshold of all blocks. A round scores
+        // its blocks against one fixed threshold, so they split over the
+        // workers and are taken back in `order`.
+        let score_workers = workers.for_stage(keys.len(), PARALLEL_MIN_BLOCKS);
+        let score_span = rec.span_with(
+            "score_blocks",
+            &[("minsup", minsup), ("workers", score_workers as u64)],
+        );
         let records_of = |ci: u32| row(&members, &offsets, ci as usize);
-        let bounds: Vec<f64> = (0..keys.len() as u32)
-            .map(|ci| pair_score(ds, records_of(ci)[0], records_of(ci)[1], &config.score))
-            .collect();
+        let mut bounds = vec![0.0; keys.len()];
+        for_each_run(&mut bounds, keys.len(), |i| i, BOUND_RUN, score_workers, |run, out| {
+            for (ci, bound) in run.zip(out) {
+                let records = records_of(ci as u32);
+                *bound = pair_score(ds, records[0], records[1], &config.score);
+            }
+        });
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| {
             bounds[b as usize].total_cmp(&bounds[a as usize]).then(a.cmp(&b))
@@ -191,13 +284,23 @@ pub fn mfi_blocks_recorded(
         // −∞ marks a block not scored to the end: it is at or below minTh.
         let mut scores = vec![f64::NEG_INFINITY; keys.len()];
         let mut scored: Vec<u32> = Vec::new();
+        let mut round: Vec<f64> = Vec::new();
         let (mut min_th, mut next) = (f64::NEG_INFINITY, 0);
         while next < order.len() && bounds[order[next] as usize] > min_th {
             // A doubling prefix keeps the thresholds' total cost linear.
             let end = (2 * next).max(FIRST_PREFIX).min(order.len());
-            for &ci in &order[next..end] {
-                let bound = bounds[ci as usize];
-                let score = block_score_above(ds, records_of(ci), &config.score, bound, min_th);
+            let blocks = &order[next..end];
+            let round_workers =
+                workers.for_stage(blocks.len(), PARALLEL_MIN_ROUND).min(score_workers);
+            round.clear();
+            round.resize(blocks.len(), 0.0);
+            for_each_run(&mut round, blocks.len(), |i| i, SCORE_RUN, round_workers, |run, out| {
+                for (&ci, score) in blocks[run].iter().zip(out) {
+                    let bound = bounds[ci as usize];
+                    *score = block_score_above(ds, records_of(ci), &config.score, bound, min_th);
+                }
+            });
+            for (&ci, &score) in blocks.iter().zip(&round) {
                 if score > min_th {
                     scores[ci as usize] = score;
                     scored.push(ci);
@@ -399,6 +502,38 @@ mod tests {
         }
         assert!(trace_a.contains("\"minsup\":5"), "iteration spans carry their minsup level");
         assert!(trace_a.contains("\"name\":\"candidate_pairs\""), "counters are exported");
+    }
+
+    /// The 2 000-record corpus a model is trained on (and the allocation
+    /// guard's blocking run) sits below every size threshold: each split
+    /// stage reports one worker, so nothing is spawned.
+    #[test]
+    fn a_training_size_corpus_stays_on_the_calling_thread() {
+        let gen = GenConfig::random(2_000, 10).generate();
+        let rec = Recorder::monotonic();
+        let result = mfi_blocks_recorded(&gen.dataset, &MfiBlocksConfig::default(), &rec);
+        assert!(!result.candidate_pairs.is_empty());
+        let split = ["mine", "find_support", "score_blocks"];
+        let spans: Vec<_> = rec.spans().into_iter().filter(|s| split.contains(&s.name.as_str())).collect();
+        assert_eq!(spans.len(), 3 * result.stats.iterations as usize);
+        for span in spans {
+            assert!(span.args.contains(&("workers".to_owned(), 1)), "{span:?}");
+        }
+    }
+
+    #[test]
+    fn forced_workers_show_on_the_spans_and_change_no_pair() {
+        let gen = generated();
+        let config = MfiBlocksConfig::default();
+        let serial = mfi_blocks(&gen.dataset, &config);
+        let rec = Recorder::monotonic();
+        let split = mfi_blocks_on(&gen.dataset, &config, &rec, 3);
+        assert_eq!(split.candidate_pairs, serial.candidate_pairs);
+        let scores = |r: &BlockingResult| r.blocks.iter().map(|b| b.score.to_bits()).collect::<Vec<_>>();
+        assert_eq!(scores(&split), scores(&serial));
+        for span in rec.spans().into_iter().filter(|s| s.name == "mine") {
+            assert!(span.args.contains(&("workers".to_owned(), 3)), "{span:?}");
+        }
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub(crate) fn mfi_blocks_eager(
 mod tests {
     use super::*;
     use crate::config::ScoreFunction;
-    use crate::mfiblocks::mfi_blocks;
+    use crate::mfiblocks::{mfi_blocks, mfi_blocks_on, BlockingResult};
     use proptest::prelude::*;
     use yv_records::{DateParts, Gender, RecordBuilder, Source, SourceId};
     use yv_similarity::ExpertWeights;
@@ -141,7 +141,10 @@ mod tests {
     }
 
     fn assert_lazy_equals_eager(ds: &Dataset, config: &MfiBlocksConfig) {
-        let lazy = mfi_blocks(ds, config);
+        assert_equals_eager(ds, config, &mfi_blocks(ds, config));
+    }
+
+    fn assert_equals_eager(ds: &Dataset, config: &MfiBlocksConfig, lazy: &BlockingResult) {
         let (blocks, pairs) = mfi_blocks_eager(ds, config);
         let key = |b: &Block| (b.minsup, b.score.to_bits(), b.items.clone(), b.records.clone());
         assert_eq!(
@@ -179,6 +182,25 @@ mod tests {
             let ds = corpus(&rows);
             for config in configs() {
                 assert_lazy_equals_eager(&ds, &config);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Every stage split over 1, 2 or 3 threads, whatever its size:
+        /// the supports, bounds and rounds of scores come back in their
+        /// places, so the blocks, score bits and pairs are the eager ones.
+        #[test]
+        fn lazy_pass_on_forced_workers_equals_the_eager_one(
+            rows in proptest::collection::vec(proptest::collection::vec(0u32..5, 5..6), 0..200)
+        ) {
+            let ds = corpus(&rows);
+            for config in configs() {
+                for workers in [1, 2, 3] {
+                    let lazy = mfi_blocks_on(&ds, &config, &yv_obs::Recorder::monotonic(), workers);
+                    assert_equals_eager(&ds, &config, &lazy);
+                }
             }
         }
     }

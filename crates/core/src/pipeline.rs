@@ -3,9 +3,10 @@
 
 use crate::model::RankedMatch;
 use crate::resolution::Resolution;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::borrow::Cow;
 use yv_adt::{train, AdTree, TrainConfig, TrainSet};
-use yv_blocking::{mfi_blocks_recorded, MfiBlocksConfig};
+use yv_blocking::{mfi_blocks_on, mfi_blocks_recorded, MfiBlocksConfig};
+use yv_obs::par::{for_each_run, workers};
 use yv_obs::Recorder;
 use yv_records::{Dataset, RecordId};
 use yv_similarity::{extract, feature, FeatureId, FEATURE_COUNT};
@@ -50,18 +51,9 @@ fn score_on_demand(model: &AdTree, mut compute: impl FnMut(FeatureId) -> Option<
 /// place, a replay's or a `BATCH_ADD` slice's thousands are not.
 const PARALLEL_MIN_PAIRS: usize = 2_048;
 
-/// Pairs a [`Pipeline::score_pairs`] worker takes at a time (≈ 0.3 ms of
-/// scoring). Runs are handed out as workers free up rather than one fixed
-/// share each, so a worker the scheduler delays holds the others up by one
-/// run, not by its whole share.
+/// The most pairs a [`Pipeline::score_pairs`] worker takes at a time
+/// (≈ 0.3 ms of scoring).
 const SCORE_RUN: usize = 256;
-
-/// Workers for [`Pipeline::score_pairs`]: the host's parallelism, asked
-/// once per process — the query is a syscall, and arrivals are many.
-fn scoring_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
-}
 
 /// A trained pipeline: the ADTree model ready to score candidate pairs.
 #[derive(Debug, Clone)]
@@ -98,13 +90,14 @@ impl Pipeline {
 
     /// Score many pairs: `out[i]` is `score_pair(ds, pairs[i].0,
     /// pairs[i].1)`, bit for bit. A score is a pure function of its two
-    /// records, so the pairs are cut into runs of 256 (`SCORE_RUN`) that the
-    /// calling thread and its workers take in turn, each writing its run's
-    /// own slice of the output — unless there are fewer than
-    /// 2 048 (`PARALLEL_MIN_PAIRS`), which are scored in place.
+    /// records, so the pairs are cut into runs of at most 256 (`SCORE_RUN`)
+    /// that the calling thread and the host's other cores take in turn
+    /// ([`yv_obs::par::for_each_run`]), each writing its run's own slice of
+    /// the output — unless there are fewer than 2 048
+    /// (`PARALLEL_MIN_PAIRS`), which are scored in place.
     #[must_use]
     pub fn score_pairs(&self, ds: &Dataset, pairs: &[(RecordId, RecordId)]) -> Vec<f64> {
-        let workers = if pairs.len() < PARALLEL_MIN_PAIRS { 1 } else { scoring_workers() };
+        let workers = if pairs.len() < PARALLEL_MIN_PAIRS { 1 } else { workers() };
         self.score_pairs_on(ds, pairs, workers)
     }
 
@@ -117,21 +110,10 @@ impl Pipeline {
         workers: usize,
     ) -> Vec<f64> {
         let mut out = vec![0.0; pairs.len()];
-        let runs = Mutex::new(pairs.chunks(SCORE_RUN).zip(out.chunks_mut(SCORE_RUN)));
-        let work = || loop {
-            // The guard drops at the end of this statement: runs are
-            // handed out under the lock, scored outside it.
-            let next = runs.lock().unwrap_or_else(PoisonError::into_inner).next();
-            let Some((pairs, out)) = next else { break };
-            for (&(a, b), score) in pairs.iter().zip(out) {
+        for_each_run(&mut out, pairs.len(), |i| i, SCORE_RUN, workers, |run, out| {
+            for (&(a, b), score) in pairs[run].iter().zip(out) {
                 *score = self.score_pair(ds, a, b);
             }
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(work);
-            }
-            work();
         });
         out
     }
@@ -147,13 +129,13 @@ impl Pipeline {
     /// counters (`candidate_pairs`, `pairs_discarded_same_src`,
     /// `pairs_scored`, `matches_kept`) on `rec`.
     ///
-    /// Feature extraction and model scoring run fused per pair — the tree
-    /// walk computes each feature it reaches, once (what
-    /// [`Pipeline::score_pair`] does). Time spent computing features is
-    /// charged to `extract`, the rest of the walk to `score`; both are
-    /// accumulated against the recorder's clock and emitted as two
-    /// adjacent sibling spans, so the stage split survives into traces
-    /// without a per-pair span explosion.
+    /// Candidate pairs go through `SameSrc`, then
+    /// [`Pipeline::score_pairs`] — the path arrivals take — then `Cls`.
+    /// Features are computed on demand inside the tree walk, on every core,
+    /// so the two cannot be timed apart without a clock read per feature:
+    /// `extract` covers `SameSrc` and the scoring (feature extraction
+    /// fused with the walk), `score` the `Cls` filter and the ranked list.
+    /// The two spans are adjacent and together cover the stage.
     #[must_use]
     pub fn resolve_recorded(
         &self,
@@ -161,38 +143,46 @@ impl Pipeline {
         config: &PipelineConfig,
         rec: &Recorder,
     ) -> Resolution {
-        let blocked = mfi_blocks_recorded(ds, &config.blocking, rec);
+        self.resolve_with(ds, config, rec, None)
+    }
 
-        let loop_start = rec.now_ns();
-        let mut extract_ns = 0u64;
-        let mut score_ns = 0u64;
-        let mut discarded = 0u64;
-        let mut matches = Vec::with_capacity(blocked.candidate_pairs.len());
-        for &(a, b) in &blocked.candidate_pairs {
-            if config.same_src_discard && ds.same_source(a, b) {
-                discarded += 1;
-                continue;
+    /// [`Pipeline::resolve_recorded`]; `Some(workers)` runs blocking and
+    /// scoring on exactly that many threads whatever their sizes.
+    fn resolve_with(
+        &self,
+        ds: &Dataset,
+        config: &PipelineConfig,
+        rec: &Recorder,
+        forced: Option<usize>,
+    ) -> Resolution {
+        let blocked = match forced {
+            Some(workers) => mfi_blocks_on(ds, &config.blocking, rec, workers),
+            None => mfi_blocks_recorded(ds, &config.blocking, rec),
+        };
+
+        let extract_start = rec.now_ns();
+        let candidates = &blocked.candidate_pairs;
+        let pairs: Cow<'_, [(RecordId, RecordId)]> = if config.same_src_discard {
+            candidates.iter().copied().filter(|&(a, b)| !ds.same_source(a, b)).collect()
+        } else {
+            Cow::Borrowed(candidates)
+        };
+        let scores = match forced {
+            Some(workers) => self.score_pairs_on(ds, &pairs, workers),
+            None => self.score_pairs(ds, &pairs),
+        };
+        let score_start = rec.now_ns();
+        let mut matches = Vec::with_capacity(pairs.len());
+        for (&(a, b), score) in pairs.iter().zip(scores) {
+            if !config.classify || score > 0.0 {
+                matches.push(RankedMatch::new(a, b, score));
             }
-            let (ra, rb) = (ds.record(a), ds.record(b));
-            let t0 = rec.now_ns();
-            let mut pair_extract_ns = 0u64;
-            let score = score_on_demand(&self.model, |f| {
-                let started = rec.now_ns();
-                let value = feature(f, ra, rb);
-                pair_extract_ns += rec.now_ns().saturating_sub(started);
-                value
-            });
-            score_ns += rec.now_ns().saturating_sub(t0).saturating_sub(pair_extract_ns);
-            extract_ns += pair_extract_ns;
-            if config.classify && score <= 0.0 {
-                continue;
-            }
-            matches.push(RankedMatch::new(a, b, score));
         }
-        rec.record_span("extract", loop_start, extract_ns);
-        rec.record_span("score", loop_start.saturating_add(extract_ns), score_ns);
-        rec.incr("pairs_discarded_same_src", discarded);
-        rec.incr("pairs_scored", blocked.candidate_pairs.len() as u64 - discarded);
+        let score_end = rec.now_ns();
+        rec.record_span("extract", extract_start, score_start.saturating_sub(extract_start));
+        rec.record_span("score", score_start, score_end.saturating_sub(score_start));
+        rec.incr("pairs_discarded_same_src", (candidates.len() - pairs.len()) as u64);
+        rec.incr("pairs_scored", pairs.len() as u64);
         rec.incr("matches_kept", matches.len() as u64);
 
         let resolve_span = rec.span("resolve");
@@ -312,6 +302,27 @@ mod tests {
             assert!(pipeline.score_pairs_on(&gen.dataset, &[], workers).is_empty());
         }
         assert_eq!(bits(pipeline.score_pairs(&gen.dataset, &pairs)), serial);
+    }
+
+    /// Blocking and scoring forced onto 1, 2 and 3 threads, whatever
+    /// their sizes: the serial match list, scores compared bit for bit,
+    /// with the `SameSrc` and `Cls` filters both off and both on.
+    #[test]
+    fn resolve_on_forced_workers_gives_the_serial_matches() {
+        let (gen, pipeline, config) = fixture();
+        let key = |r: &Resolution| -> Vec<(RecordId, RecordId, u64)> {
+            r.matches.iter().map(|m| (m.a, m.b, m.score.to_bits())).collect()
+        };
+        for (same_src_discard, classify) in [(false, false), (true, true)] {
+            let config = PipelineConfig { same_src_discard, classify, ..config.clone() };
+            let serial = key(&pipeline.resolve(&gen.dataset, &config));
+            assert!(!serial.is_empty());
+            for workers in [1, 2, 3] {
+                let rec = Recorder::monotonic();
+                let split = pipeline.resolve_with(&gen.dataset, &config, &rec, Some(workers));
+                assert_eq!(key(&split), serial, "{workers} workers");
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@ pub struct FpTree {
     parent: Vec<u32>,
     /// Next node carrying the same rank (header chain).
     link: Vec<u32>,
+    /// Child lists, only needed while nodes are added: a tree built by
+    /// [`FpTree::from_bags`] drops them once it is built.
     first_child: Vec<u32>,
     next_sibling: Vec<u32>,
     /// First node of each rank's header chain.
@@ -26,6 +28,9 @@ pub struct FpTree {
     rank_counts: Vec<u64>,
     /// Original item id per rank, frequency-descending.
     rank_to_item: Vec<u32>,
+    /// Rank per original item id (`NIL` for an infrequent one) in a tree
+    /// built by [`FpTree::from_bags`]; empty in a conditional tree.
+    item_to_rank: Vec<u32>,
     /// Set when some node receives a second child.
     branching: bool,
 }
@@ -80,6 +85,8 @@ impl FpTree {
             flat.extend_from_slice(&run);
         }
         runs.sort_unstable_by(|a: &(usize, usize), b| flat[a.0..a.1].cmp(&flat[b.0..b.1]));
+        // Each rank of `flat` adds at most one node.
+        tree.reserve_nodes(flat.len());
         let mut path: Vec<u32> = Vec::new();
         let mut previous: &[u32] = &[];
         for &(start, end) in &runs {
@@ -95,7 +102,28 @@ impl FpTree {
             }
             previous = run;
         }
+        tree.item_to_rank = item_to_rank;
+        // Nothing is inserted into this tree again (conditional builds
+        // only walk its chains and parents, from every miner at once): its
+        // child lists go, and the node arrays give back what `flat`
+        // reserved beyond the nodes made.
+        tree.first_child = Vec::new();
+        tree.next_sibling = Vec::new();
+        tree.item.shrink_to_fit();
+        tree.count.shrink_to_fit();
+        tree.parent.shrink_to_fit();
+        tree.link.shrink_to_fit();
         tree
+    }
+
+    /// Room for `additional` more nodes.
+    fn reserve_nodes(&mut self, additional: usize) {
+        self.item.reserve_exact(additional);
+        self.count.reserve_exact(additional);
+        self.parent.reserve_exact(additional);
+        self.link.reserve_exact(additional);
+        self.first_child.reserve_exact(additional);
+        self.next_sibling.reserve_exact(additional);
     }
 
     /// Empty the tree down to a bare root, keeping the arrays' capacity.
@@ -174,6 +202,12 @@ impl FpTree {
         &self.rank_to_item
     }
 
+    /// Rank per original item id, `NIL` (`u32::MAX`) for an item that is
+    /// not frequent, for a tree built by [`FpTree::from_bags`].
+    pub(crate) fn item_ranks(&self) -> &[u32] {
+        &self.item_to_rank
+    }
+
     /// Support of a rank's single-item set.
     #[must_use]
     pub fn rank_count(&self, rank: usize) -> u64 {
@@ -190,11 +224,13 @@ impl FpTree {
     }
 }
 
-/// What one mining run works on: `trees[d]` is the tree at recursion depth
-/// `d`, rebuilt in place for every conditional tree of that depth, and the
-/// scratch of the conditional build, indexed by ranks of the tree being
-/// conditioned (never more than the top-level tree's). Between calls
-/// `counts` is all zero and `remap` all `NIL`.
+/// What one miner works on below the top-level tree, which it shares
+/// read-only with the other miners of its run: `trees[d - 1]` is its tree
+/// at recursion depth `d ≥ 1`, rebuilt in place for every conditional tree
+/// of that depth, and the scratch of the conditional build, indexed by
+/// ranks of the tree being conditioned (never more than the top-level
+/// tree's). Between calls `counts` is all zero and `remap` all `NIL`.
+/// Every method takes the top-level tree as `top`.
 #[derive(Debug, Default)]
 pub(crate) struct Forest {
     trees: Vec<FpTree>,
@@ -208,19 +244,14 @@ pub(crate) struct Forest {
 }
 
 impl Forest {
-    /// Make the tree over `bags` the top-level tree (depth 0).
-    pub(crate) fn plant<B: AsRef<[u32]>>(&mut self, bags: &[B], minsup: u64) {
-        let top = FpTree::from_bags(bags, minsup);
+    /// Size the scratch for mining under `top`.
+    pub(crate) fn fit(&mut self, top: &FpTree) {
         self.counts.resize(self.counts.len().max(top.items().len()), 0);
         self.remap.resize(self.remap.len().max(top.items().len()), NIL);
-        match self.trees.first_mut() {
-            Some(slot) => *slot = top,
-            None => self.trees.push(top),
-        }
     }
 
-    pub(crate) fn tree(&self, depth: usize) -> &FpTree {
-        &self.trees[depth]
+    pub(crate) fn tree<'a>(&'a self, top: &'a FpTree, depth: usize) -> &'a FpTree {
+        depth.checked_sub(1).map_or(top, |d| &self.trees[d])
     }
 
     /// First half of the conditional build for `rank` of the tree at
@@ -228,8 +259,14 @@ impl Forest {
     /// rank's header chain accumulates the conditional base's item counts;
     /// the ranks reaching `minsup` become `frequent`, ordered by (count
     /// descending, item id ascending). Returns whether there are any.
-    pub(crate) fn conditional_ranks(&mut self, depth: usize, rank: usize, minsup: u64) -> bool {
-        let tree = &self.trees[depth];
+    pub(crate) fn conditional_ranks(
+        &mut self,
+        top: &FpTree,
+        depth: usize,
+        rank: usize,
+        minsup: u64,
+    ) -> bool {
+        let tree = depth.checked_sub(1).map_or(top, |d| &self.trees[d]);
         self.touched.clear();
         for node in tree.chain(rank) {
             for r in tree.ancestors(node) {
@@ -253,20 +290,26 @@ impl Forest {
 
     /// Item ids of the ranks the last [`Forest::conditional_ranks`], run
     /// at `depth`, found frequent.
-    pub(crate) fn conditional_items(&self, depth: usize) -> impl Iterator<Item = u32> + '_ {
-        self.frequent.iter().map(move |&(r, _)| self.trees[depth].rank_to_item[r as usize])
+    pub(crate) fn conditional_items<'a>(
+        &'a self,
+        top: &'a FpTree,
+        depth: usize,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let tree = self.tree(top, depth);
+        self.frequent.iter().map(move |&(r, _)| tree.rank_to_item[r as usize])
     }
 
     /// Second half: rebuild the pooled tree at `depth + 1` as the
     /// conditional tree over those ranks. A second walk over the header
     /// chain remaps every prefix path into the new rank space and inserts
     /// it with the chain node's count.
-    pub(crate) fn build_conditional(&mut self, depth: usize, rank: usize) {
-        if self.trees.len() == depth + 1 {
+    pub(crate) fn build_conditional(&mut self, top: &FpTree, depth: usize, rank: usize) {
+        if self.trees.len() == depth {
             self.trees.push(FpTree::default());
         }
-        let (parents, pool) = self.trees.split_at_mut(depth + 1);
-        let (tree, into) = (&parents[depth], &mut pool[0]);
+        let (parents, pool) = self.trees.split_at_mut(depth);
+        let tree = depth.checked_sub(1).map_or(top, |d| &parents[d]);
+        let into = &mut pool[0];
         into.reset();
         for (new, &(old, count)) in self.frequent.iter().enumerate() {
             self.remap[old as usize] = new as u32;
@@ -302,11 +345,12 @@ mod tests {
     /// The conditional tree of `item` in the tree over `bags`, or `None`
     /// when nothing is frequent in its conditional base.
     fn conditional(bags: &[Vec<u32>], item: u32, minsup: u64) -> Option<FpTree> {
+        let top = FpTree::from_bags(bags, 1);
         let mut forest = Forest::default();
-        forest.plant(bags, 1);
-        let rank = forest.tree(0).items().iter().position(|&i| i == item).unwrap();
-        forest.conditional_ranks(0, rank, minsup).then(|| {
-            forest.build_conditional(0, rank);
+        forest.fit(&top);
+        let rank = top.items().iter().position(|&i| i == item).unwrap();
+        forest.conditional_ranks(&top, 0, rank, minsup).then(|| {
+            forest.build_conditional(&top, 0, rank);
             forest.trees.pop().unwrap()
         })
     }
@@ -315,7 +359,7 @@ mod tests {
     fn infrequent_items_are_dropped() {
         let tree = FpTree::from_bags(&tiny(), 2);
         // Frequent at minsup 2: item 1 (3x), item 2 (2x).
-                assert_eq!(tree.items(), [1, 2]);
+        assert_eq!(tree.items(), [1, 2]);
         assert_eq!(tree.rank_count(0), 3);
         assert_eq!(tree.rank_count(1), 2);
     }

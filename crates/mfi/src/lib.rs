@@ -44,5 +44,5 @@ pub mod prune;
 #[cfg(test)]
 mod reference;
 
-pub use maximal::{mine_maximal, signature, Itemset};
+pub use maximal::{mine_maximal, mine_maximal_on, signature, Itemset};
 pub use prune::{common_items, item_frequencies, prune_common_items, top_frequent};

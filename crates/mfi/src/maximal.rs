@@ -12,7 +12,8 @@
 //!    conditional tree`) is checked against the MFI set; subsumed branches
 //!    are skipped wholesale.
 
-use crate::fptree::Forest;
+use crate::fptree::{Forest, FpTree};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A mined itemset: sorted item ids and the number of supporting
 /// transactions.
@@ -63,7 +64,9 @@ pub fn signature(items: &[u32]) -> u64 {
 }
 
 /// The running MFI collection with posting-list-indexed subsumption
-/// checks: `postings[item]` lists the recorded sets containing `item`, so
+/// checks: `postings[rank[item]]` lists the recorded sets containing
+/// `item`, indexed by the item's rank in the top-level tree (ranks are
+/// few, item ids many, and every miner holds its own postings), so
 /// a subsumption test only inspects sets sharing the candidate's rarest
 /// item instead of the whole collection (large minsup-2 runs record
 /// hundreds of thousands of MFIs).
@@ -72,21 +75,36 @@ pub fn signature(items: &[u32]) -> u64 {
 /// least to most frequent, so a candidate from a later branch never
 /// contains the item an earlier sibling branch (at this or any enclosing
 /// level) was conditioned on, while every set recorded from that branch
-/// does: no later candidate can be a superset of a recorded set.
+/// does: no later candidate can be a superset of a recorded set. Each
+/// miner of a parallel run keeps a collection of its own and takes its
+/// top-level branches in that order too, so the argument holds within
+/// each collection; across them, [`merge`] settles it.
 #[derive(Debug)]
-struct MfiSet {
+struct MfiSet<'t> {
+    /// Rank of each item id in the top-level tree.
+    rank: &'t [u32],
     sets: Vec<Itemset>,
     /// `signature` of each recorded set.
     signatures: Vec<u64>,
-    /// Indexed by item id.
+    /// Indexed by rank.
     postings: Vec<Vec<u32>>,
 }
 
-impl MfiSet {
+impl<'t> MfiSet<'t> {
+    /// An empty collection of sets of items with ranks below `n_ranks`.
+    fn new(rank: &'t [u32], n_ranks: usize) -> MfiSet<'t> {
+        let postings = vec![Vec::new(); n_ranks];
+        MfiSet { rank, sets: Vec::new(), signatures: Vec::new(), postings }
+    }
+
+    fn postings(&self, item: u32) -> &[u32] {
+        &self.postings[self.rank[item as usize] as usize]
+    }
+
     /// True when `candidate` (sorted) is a subset of an already-recorded
     /// MFI.
     fn subsumed(&self, candidate: &[u32]) -> bool {
-        let lists = candidate.iter().map(|&i| &self.postings[i as usize]);
+        let lists = candidate.iter().map(|&i| self.postings(i));
         let mask = signature(candidate);
         // The empty set is never recorded.
         lists.min_by_key(|list| list.len()).is_some_and(|rarest| {
@@ -100,14 +118,14 @@ impl MfiSet {
     /// Record a frequent candidate (sorted) no recorded set subsumes.
     fn record(&mut self, items: &[u32], support: u64) {
         debug_assert!(!self.subsumed(items));
-        let mut sharing = items.iter().flat_map(|&i| &self.postings[i as usize]);
+        let mut sharing = items.iter().flat_map(|&i| self.postings(i));
         debug_assert!(
             !sharing.any(|&idx| self.sets[idx as usize].is_subset_of(items)),
             "FPMax order: {items:?} contains an earlier MFI"
         );
         let idx = self.sets.len() as u32;
         for &item in items {
-            self.postings[item as usize].push(idx);
+            self.postings[self.rank[item as usize] as usize].push(idx);
         }
         self.signatures.push(signature(items));
         self.sets.push(Itemset { items: items.to_vec(), support });
@@ -122,33 +140,146 @@ impl MfiSet {
 /// interner ids.
 #[must_use]
 pub fn mine_maximal<B: AsRef<[u32]>>(bags: &[B], minsup: u64) -> Vec<Itemset> {
-    mine_maximal_in(&mut Forest::default(), bags, minsup)
+    mine_maximal_on(bags, minsup, 1)
+}
+
+/// [`mine_maximal`] on `workers` threads, the calling thread included: the
+/// same sets, whatever the count and the schedule.
+///
+/// The top-level tree is built once and read by every worker; each worker
+/// claims top-level ranks from a shared counter, least frequent first as
+/// the serial loop takes them, and mines each branch with its own deeper
+/// trees, scratch and MFI collection. Within one worker ranks still
+/// descend, so nothing it records is superseded by its own later sets. A
+/// set one worker records may be a strict subset of a set another worker
+/// mined from an earlier (less frequent) branch at the same time, whose
+/// record would have pruned it in a serial run; a final merge drops exactly
+/// those. The claim counter is the only thing the workers write in common,
+/// once per top-level branch.
+#[must_use]
+pub fn mine_maximal_on<B: AsRef<[u32]>>(bags: &[B], minsup: u64, workers: usize) -> Vec<Itemset> {
+    assert!(minsup >= 1, "minsup must be at least 1");
+    let top = FpTree::from_bags(bags, minsup);
+    let n_ranks = top.items().len();
+    if top.is_single_path() {
+        // Every rank sits on the one path: its deepest level is the only
+        // maximal set (shallower levels are its subsets).
+        let mut items = top.items().to_vec();
+        items.sort_unstable();
+        return (n_ranks > 0)
+            .then(|| Itemset { items, support: top.rank_count(n_ranks - 1) })
+            .into_iter()
+            .collect();
+    }
+    // `Relaxed` is enough: the counter publishes no data, and `fetch_add`
+    // hands out each rank once at any ordering. The tree was built before
+    // the workers start, and their collections come back through the joins.
+    let claimed = AtomicUsize::new(0);
+    let claim = || {
+        std::iter::from_fn(|| {
+            let k = claimed.fetch_add(1, Ordering::Relaxed);
+            (k < n_ranks).then(|| n_ranks - 1 - k)
+        })
+    };
+    let miners = vec![(); workers.max(1)];
+    merge(on_threads(miners, |()| mine_ranks(&top, &mut Forest::default(), claim(), minsup)))
+}
+
+/// `f` of each input, the first on the calling thread and each other on a
+/// scoped thread of its own, results in input order; a worker's panic
+/// resumes here.
+fn on_threads<I: Send, T: Send>(inputs: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    let f = &f;
+    let mut inputs = inputs.into_iter();
+    let first = inputs.next();
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = inputs.map(|input| scope.spawn(move || f(input))).collect();
+        let mut out: Vec<T> = first.map(f).into_iter().collect();
+        for worker in spawned {
+            out.push(worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        out
+    })
 }
 
 /// [`mine_maximal`] on a caller-owned forest, whose pooled trees and
 /// scratch a later run reuses.
+#[cfg(test)]
 pub(crate) fn mine_maximal_in<B: AsRef<[u32]>>(
     forest: &mut Forest,
     bags: &[B],
     minsup: u64,
 ) -> Vec<Itemset> {
-    assert!(minsup >= 1, "minsup must be at least 1");
-    forest.plant(bags, minsup);
-    let mut head = forest.tree(0).items().to_vec();
-    head.sort_unstable();
-    let n_ids = head.last().map_or(0, |&max| max as usize + 1);
-    let mut mfis =
-        MfiSet { sets: Vec::new(), signatures: Vec::new(), postings: vec![Vec::new(); n_ids] };
-    fpmax(forest, 0, &mut Vec::new(), &mut head, minsup, &mut mfis);
-    mfis.sets.sort();
-    mfis.sets
+    let top = FpTree::from_bags(bags, minsup);
+    let n_ranks = top.items().len();
+    merge(vec![mine_ranks(&top, forest, (0..n_ranks).rev(), minsup)])
+}
+
+/// One worker's part of a run: the top-level branches of `ranks`, which
+/// must descend, mined under `top` into a collection of their own.
+fn mine_ranks<'t>(
+    top: &'t FpTree,
+    forest: &mut Forest,
+    ranks: impl Iterator<Item = usize>,
+    minsup: u64,
+) -> MfiSet<'t> {
+    forest.fit(top);
+    let mut mfis = MfiSet::new(top.item_ranks(), top.items().len());
+    let (mut prefix, mut head) = (Vec::new(), Vec::new());
+    let mut last = usize::MAX;
+    for rank in ranks {
+        debug_assert!(rank < last, "a worker's top-level ranks descend");
+        last = rank;
+        branch(top, forest, 0, rank, &mut prefix, &mut head, minsup, &mut mfis);
+    }
+    mfis
+}
+
+/// The maximal elements of the union of the workers' collections: a set
+/// another worker's collection subsumes is dropped (no set is in two
+/// collections — a set's least frequent item names the one top-level
+/// branch that can record it), and the rest come out sorted. Each
+/// collection is filtered, then sorted, on a thread of its own, and the
+/// sorted runs are merged.
+///
+/// Every frequent itemset is a subset of a set its own branch's worker
+/// recorded (head pruning only skips what a recorded set covers), and
+/// every recorded set is frequent, so these maximal elements are exactly
+/// the MFIs, which are unique.
+fn merge(groups: Vec<MfiSet>) -> Vec<Itemset> {
+    let kept = on_threads((0..groups.len()).collect(), |g| {
+        let others = groups.iter().enumerate().filter(|&(h, _)| h != g).map(|(_, other)| other);
+        let subsumed = |set: &Itemset| others.clone().any(|other| other.subsumed(&set.items));
+        groups[g].sets.iter().map(|set| !subsumed(set)).collect::<Vec<bool>>()
+    });
+    // The postings go before the runs are sorted.
+    let runs = groups.into_iter().map(|group| group.sets).zip(kept).collect();
+    let mut runs = on_threads(runs, |(mut sets, kept)| {
+        let mut kept = kept.into_iter();
+        sets.retain(|_| kept.next().unwrap_or(false));
+        sets.sort_unstable();
+        sets
+    });
+    if runs.len() <= 1 {
+        return runs.pop().unwrap_or_default();
+    }
+    // Merged by hand: a stable sort of the concatenation would merge the
+    // runs too, through a scratch copy of them at the mining peak.
+    let mut sets = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut runs: Vec<_> = runs.into_iter().map(|run| run.into_iter().peekable()).collect();
+    loop {
+        let heads = runs.iter_mut().enumerate().filter_map(|(r, run)| Some((r, run.peek()?)));
+        let Some((first, _)) = heads.min_by(|a, b| a.1.cmp(b.1)) else { break };
+        sets.extend(runs[first].next());
+    }
+    sets
 }
 
 /// Mine the tree at `depth`, whose `head` — `prefix` plus all its items,
 /// sorted: the largest set it can produce — the caller has checked is not
-/// subsumed (trivially so at depth 0, where nothing is recorded yet). The
-/// buffer is reused for the heads further down.
+/// subsumed. The buffer is reused for the heads further down.
 fn fpmax(
+    top: &FpTree,
     forest: &mut Forest,
     depth: usize,
     prefix: &mut Vec<u32>,
@@ -156,7 +287,7 @@ fn fpmax(
     minsup: u64,
     mfis: &mut MfiSet,
 ) {
-    let tree = forest.tree(depth);
+    let tree = forest.tree(top, depth);
     let n_ranks = tree.items().len();
     if tree.is_single_path() {
         // Single path: the deepest level is the only candidate that can be
@@ -170,25 +301,43 @@ fn fpmax(
     }
     // Least frequent rank first.
     for rank in (0..n_ranks).rev() {
-        let tree = forest.tree(depth);
-        let support = tree.rank_count(rank);
-        prefix.push(tree.items()[rank]);
-        let extends = forest.conditional_ranks(depth, rank, minsup);
-        // Head pruning, before the conditional tree is built.
-        head.clear();
-        head.extend_from_slice(prefix);
-        head.extend(forest.conditional_items(depth));
-        head.sort_unstable();
-        if !mfis.subsumed(head) {
-            if extends {
-                forest.build_conditional(depth, rank);
-                fpmax(forest, depth + 1, prefix, head, minsup, mfis);
-            } else {
-                mfis.record(head, support);
-            }
-        }
-        prefix.pop();
+        branch(top, forest, depth, rank, prefix, head, minsup, mfis);
     }
+}
+
+/// The branch of `rank` in the tree at `depth`: condition on it, and
+/// unless the largest set the branch could produce is subsumed, record
+/// that set (nothing is frequent beside the rank) or mine the conditional
+/// tree.
+#[allow(clippy::too_many_arguments, reason = "the recursion's state, threaded through")]
+fn branch(
+    top: &FpTree,
+    forest: &mut Forest,
+    depth: usize,
+    rank: usize,
+    prefix: &mut Vec<u32>,
+    head: &mut Vec<u32>,
+    minsup: u64,
+    mfis: &mut MfiSet,
+) {
+    let tree = forest.tree(top, depth);
+    let support = tree.rank_count(rank);
+    prefix.push(tree.items()[rank]);
+    let extends = forest.conditional_ranks(top, depth, rank, minsup);
+    // Head pruning, before the conditional tree is built.
+    head.clear();
+    head.extend_from_slice(prefix);
+    head.extend(forest.conditional_items(top, depth));
+    head.sort_unstable();
+    if !mfis.subsumed(head) {
+        if extends {
+            forest.build_conditional(top, depth, rank);
+            fpmax(top, forest, depth + 1, prefix, head, minsup, mfis);
+        } else {
+            mfis.record(head, support);
+        }
+    }
+    prefix.pop();
 }
 
 #[cfg(test)]
@@ -298,8 +447,8 @@ mod tests {
         // `twin` has item 1's signature, so {0, twin} passes the filter
         // against the recorded {0, 1} and only the subset test rejects it.
         let twin = (2..).find(|&i| signature(&[i]) == signature(&[1])).expect("64 bits, u32 ids");
-        let postings = vec![Vec::new(); twin as usize + 1];
-        let mut mfis = MfiSet { sets: Vec::new(), signatures: Vec::new(), postings };
+        let rank: Vec<u32> = (0..=twin).collect();
+        let mut mfis = MfiSet::new(&rank, rank.len());
         mfis.record(&[0, 1], 2);
         mfis.record(&[2, twin], 2);
         assert_eq!(signature(&[0, twin]), mfis.signatures[0]);
@@ -382,6 +531,42 @@ mod tests {
                         .count() as u64;
                     prop_assert_eq!(mfi.support, true_support);
                     prop_assert!(mfi.support >= minsup);
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// Whatever top-level ranks each worker of a parallel run
+            /// happens to claim, the merge gives the serial sets: each of
+            /// 1–4 groups of an arbitrary partition is mined, descending,
+            /// into a collection of its own, then the groups are merged.
+            #[test]
+            fn any_partition_of_the_top_level_ranks_merges_to_the_serial_sets(
+                bags in bags(),
+                minsup in 1u64..5,
+                k in 1usize..5,
+                owner in proptest::collection::vec(0usize..4, 14..15),
+            ) {
+                let top = FpTree::from_bags(&bags, minsup);
+                let n_ranks = top.items().len();
+                let groups: Vec<MfiSet> = (0..k)
+                    .map(|g| {
+                        let ranks = (0..n_ranks).rev().filter(|&r| owner[r] % k == g);
+                        mine_ranks(&top, &mut Forest::default(), ranks, minsup)
+                    })
+                    .collect();
+                let merged = merge(groups);
+                prop_assert_eq!(&merged, &mine_maximal(&bags, minsup));
+                prop_assert_eq!(&merged, &crate::reference::mine_maximal(&bags, minsup));
+            }
+
+            /// The same on real threads, whose claims the scheduler decides.
+            #[test]
+            fn threads_give_the_serial_sets(bags in bags(), minsup in 1u64..5) {
+                let serial = mine_maximal(&bags, minsup);
+                for workers in [2, 3, 4] {
+                    prop_assert_eq!(&mine_maximal_on(&bags, minsup, workers), &serial);
                 }
             }
         }

@@ -39,6 +39,9 @@
 //! - [`alloc_stats`] / [`CountingAlloc`] — allocation accounting via a
 //!   counting global allocator, installed by the `global-alloc` feature
 //!   (forwarded by `yv-cli`'s default `alloc-metrics` feature).
+//! - [`par::workers`] / [`par::for_each_run`] — the host's worker count,
+//!   asked once per process, and the one splitter that hands a batch
+//!   stage's output out in runs to that many threads.
 //! - [`chrome_trace`] / [`timings_table`] — sinks: Chrome-trace JSON
 //!   (`yv block --trace-json out.json`) and a human stage table
 //!   (`yv block --timings`).
@@ -81,6 +84,7 @@ pub mod clock;
 pub mod ctx;
 pub mod exposition;
 pub mod histogram;
+pub mod par;
 pub mod recorder;
 pub mod ring;
 pub mod trace;

@@ -711,7 +711,7 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
             "On-disk WAL size in bytes, all shards",
             stats.wal_bytes,
         ),
-        Sample::gauge(
+        Sample::counter(
             "yv_store_wal_syncs_total",
             "WAL sync_data calls since open, all shards",
             stats.wal_syncs,
@@ -796,11 +796,6 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
             "yv_trace_ring_sampled_total",
             "Lifetime traces retained by the tail sampler (slow or ERR)",
             ring.sampled,
-        ),
-        Sample::gauge(
-            "yv_trace_last_slow_id",
-            "Trace id of the most recent tail-sampled request (0 when none)",
-            ring.last_slow,
         ),
         Sample::counter(
             "yv_alloc_bytes_total",
