@@ -21,6 +21,13 @@ done
 for _ in $(seq 1 5); do
     cargo test -q -p yv-mfi -p yv-blocking > /dev/null
 done
+# `Store::open` loads a large snapshot on two threads that hand records
+# over a channel, so its tests (forced worker counts build the same store;
+# every damaged store fails alike on one thread and on two) see another
+# schedule on every run too: five runs, stopping at the first failure.
+for _ in $(seq 1 5); do
+    cargo test -q -p yv-store --lib store::tests::open_on_ > /dev/null
+done
 # yv-benchmark is a package of its own, outside the workspace, driving the
 # product crates' public APIs (`extract`, `AdTree::score`,
 # `Pipeline::score_pair`/`resolve_recorded`, the string kernels, the store,
@@ -530,13 +537,16 @@ replayed = gauge("yv_store_open_frames_replayed")
 assert wal_before > 0, "the fill left nothing in the WALs to replay"
 assert replayed == wal_before, f"reopen replayed {replayed} frames; STATS counted wal={wal_before}"
 assert gauge("yv_store_open_torn_bytes") == 0, "a killed idle server left a torn WAL tail"
-assert gauge("yv_store_open_replay_us") > 0, "a reopen that replayed frames took no time"
+replay_us, open_us = gauge("yv_store_open_replay_us"), gauge("yv_store_open_us")
+assert replay_us > 0, "a reopen that replayed frames took no time"
+assert open_us >= replay_us, f"the whole open ({open_us} us) took less than its replay ({replay_us} us)"
 rescored = gauge("yv_store_open_rescored")
 assert rescored == 0, f"a kill -9 lost {rescored} matches frames the page cache held"
 # Nothing has been appended since the reopen: the count starts at open.
 assert gauge("yv_store_wal_syncs_total") == 0, "a reopen that appended nothing synced a WAL"
 print(f"replay report smoke: reopen after kill -9 replayed all {replayed} WAL arrivals from"
-      f" their logged matches, 0 rescored, 0 torn bytes ({syncs_before} WAL syncs before the kill)")
+      f" their logged matches, 0 rescored, 0 torn bytes ({syncs_before} WAL syncs before the kill;"
+      f" open {open_us} us, replay {replay_us} us)")
 
 def fnv1a64(data):
     h = 0xCBF29CE484222325

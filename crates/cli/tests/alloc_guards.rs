@@ -11,6 +11,8 @@
 //!   names it examines;
 //! - filing a record whose items are all known allocates its bag, not a
 //!   string per item;
+//! - routing a record to its shard and indexing its known ASCII names
+//!   lowercase them without a `String`;
 //! - blocking (mining, support, scoring and the NG filter) allocates per
 //!   result — one itemset per MFI, two vectors per kept block, plus buffer
 //!   growth — not per block considered or record pair scored;
@@ -33,18 +35,19 @@ use yv_records::{
     SourceId,
 };
 use yv_store::frame::read_raw_frame;
-use yv_store::{QueryIndex, ResolveOptions, StoreError, MAX_PAYLOAD};
+use yv_store::{shard_of_name, shard_of_record, QueryIndex, ResolveOptions, StoreError, MAX_PAYLOAD};
 
 /// `(name, guard)` pairs, in the order `main` runs them.
 macro_rules! named {
     ($($guard:ident),* $(,)?) => { [$((stringify!($guard), $guard as fn())),*] };
 }
 
-const GUARDS: [(&str, fn()); 6] = named![
+const GUARDS: [(&str, fn()); 7] = named![
     score_pair_does_not_allocate,
     query_seeds_allocate_per_match_not_per_name,
     candidate_scans_allocate_the_same_whatever_they_examine,
     filing_a_record_of_known_items_allocates_its_bag,
+    routing_and_indexing_known_ascii_names_lowercase_in_place,
     blocking_allocates_per_result_not_per_candidate,
     a_claimed_length_is_not_allocated_before_its_bytes_arrive,
 ];
@@ -206,6 +209,33 @@ fn filing_a_record_of_known_items_allocates_its_bag() {
         assert!(calls <= 3, "add_record of known items made {calls} allocator calls");
     }
     assert_eq!(ds.interner().len(), items);
+}
+
+fn routing_and_indexing_known_ascii_names_lowercase_in_place() {
+    let record = RecordBuilder::new(1, SourceId(0))
+        .first_name("Guido")
+        .first_name("ABRAMO")
+        .last_name("Foa")
+        .build();
+    let routing = alloc_calls(|| {
+        for name in ["Levi", "LEVI", "levi", "Foa", ""] {
+            assert!(shard_of_name(name, 4) < 4);
+        }
+        assert!(shard_of_record(&record, 8) < 8);
+    });
+    assert_eq!(routing, 0, "routing made {routing} allocator calls");
+
+    let mut index = QueryIndex::default();
+    index.add_record(RecordId(0), &record);
+    let copies = 64;
+    // Only the postings' doublings: three names, two lists each.
+    let calls = alloc_calls(|| {
+        for rid in 1..=copies {
+            index.add_record(RecordId(rid), &record);
+        }
+    });
+    assert!(calls < u64::from(copies), "indexing {copies} records made {calls} allocator calls");
+    assert_eq!(index.fuzzy().names(), 3);
 }
 
 fn blocking_allocates_per_result_not_per_candidate() {

@@ -30,6 +30,7 @@
 //! [`yv_similarity::jaccard::jaccard_sets`]) is the final arbiter.
 
 use std::collections::HashMap;
+use yv_records::interner::lowercased;
 use yv_records::{Record, RecordId};
 use yv_similarity::letter_sketch;
 use yv_similarity::strings::padded_qgrams;
@@ -52,7 +53,7 @@ const EPS: f64 = 1e-9;
 /// One distinct lowercased name and the records that report it. Every
 /// posting list is in arrival order, deduplicated against the tail (a
 /// record listing the same name twice posts once).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NameEntry {
     /// The lowercased name.
     pub name: String,
@@ -97,7 +98,7 @@ impl Role {
 /// array by name id so the scan streams through 32 bytes a name and touches
 /// the name itself only for the few that pass
 /// ([`yv_similarity::JaroWinklerFilter`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NameSketch {
     /// [`letter_sketch`] of the name.
     pub letters: u128,
@@ -156,6 +157,9 @@ pub struct FuzzyIndex {
     grams: HashMap<String, Vec<u32>>,
     /// Total gram → name posting entries, tracked for the size gauges.
     gram_postings: usize,
+    /// Lowercasing buffer of [`FuzzyIndex::add_record`], reused across
+    /// calls.
+    scratch: String,
 }
 
 impl FuzzyIndex {
@@ -166,12 +170,14 @@ impl FuzzyIndex {
 
     /// Index every first and last name of a record, each under its role.
     /// An empty name gets an entry too — `QUERY` can ask for it — but it
-    /// has no grams, so no candidate scan ever reaches it.
+    /// has no grams, so no candidate scan ever reaches it. An ASCII name
+    /// already indexed is looked up without an allocation.
     pub fn add_record(&mut self, rid: RecordId, record: &Record) {
+        let mut scratch = std::mem::take(&mut self.scratch);
         for (role, names) in [(Role::First, &record.first_names), (Role::Last, &record.last_names)]
         {
             for name in names {
-                let id = self.intern(&name.to_lowercase());
+                let id = self.intern(lowercased(name, &mut scratch));
                 self.sketches[id].roles |= role.bit();
                 let entry = &mut self.names[id];
                 post(&mut entry.records, rid);
@@ -184,6 +190,7 @@ impl FuzzyIndex {
                 );
             }
         }
+        self.scratch = scratch;
     }
 
     /// The id of a lowercased name, allocated on first sight.

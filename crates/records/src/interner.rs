@@ -134,20 +134,25 @@ pub fn normalize(value: &str) -> String {
     value.trim().to_lowercase()
 }
 
-/// [`normalize`] without the `String` where it can: an ASCII value that is
-/// already lowercase is returned trimmed in place, other ASCII is lowercased
-/// into `buf`, and only non-ASCII goes through `str::to_lowercase`, which
-/// knows the context rules (a final capital sigma) a per-char map does not.
+/// [`normalize`] without the `String` where it can: [`lowercased`], trimmed.
 fn normalized<'a>(value: &'a str, buf: &'a mut String) -> &'a str {
-    let trimmed = value.trim();
-    if !trimmed.is_ascii() {
-        *buf = trimmed.to_lowercase();
-    } else if trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+    lowercased(value.trim(), buf)
+}
+
+/// `value.to_lowercase()` without the `String` where it can: an ASCII
+/// value that is already lowercase is returned as is, other ASCII is
+/// lowercased into `buf`, and only non-ASCII goes through
+/// `str::to_lowercase`, which knows the context rules (a final capital
+/// sigma) a per-char map does not.
+pub fn lowercased<'a>(value: &'a str, buf: &'a mut String) -> &'a str {
+    if !value.is_ascii() {
+        *buf = value.to_lowercase();
+    } else if value.bytes().any(|b| b.is_ascii_uppercase()) {
         buf.clear();
-        buf.push_str(trimmed);
+        buf.push_str(value);
         buf.make_ascii_lowercase();
     } else {
-        return trimmed;
+        return value;
     }
     buf
 }

@@ -31,14 +31,15 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// ([`crate::framed`]) folds more than one part: a header (tag, extra)
 /// plus a payload of up to 32 MiB that is already in memory.
 pub(crate) fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    fnv1a64_bytes(parts.iter().flat_map(|part| part.iter().copied()))
+}
+
+/// FNV-1a 64-bit of a byte stream, for bytes that are not in memory as a
+/// slice: the shard routing hash of a lowercased name.
+pub(crate) fn fnv1a64_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 // ---------------------------------------------------------------- writer

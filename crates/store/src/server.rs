@@ -752,6 +752,11 @@ fn render_metrics(ctx: &ServerCtx<'_>) -> String {
             opened.replay_ns / 1_000,
         ),
         Sample::gauge(
+            "yv_store_open_us",
+            "Wall time of the whole last open, replay included, in microseconds",
+            opened.open_ns / 1_000,
+        ),
+        Sample::gauge(
             "yv_store_fuzzy_names",
             "Distinct lowercased names in the fuzzy q-gram index",
             stats.fuzzy_names as u64,

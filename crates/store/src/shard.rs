@@ -15,7 +15,7 @@
 //! manifest records the routing rule verbatim and `open` refuses anything
 //! it does not recognise.
 
-use crate::codec::fnv1a64;
+use crate::codec::{fnv1a64, fnv1a64_bytes};
 use crate::error::StoreError;
 use std::path::Path;
 use yv_records::Record;
@@ -37,10 +37,19 @@ pub const MAX_SHARDS: usize = 1024;
 /// function as the WAL and snapshot checksums) — *never* substitute a
 /// `RandomState`-seeded hasher here, or the same store directory routes
 /// differently across processes.
+///
+/// An ASCII name is lowercased byte by byte as it is hashed — the bytes
+/// `to_lowercase` gives, without the `String`; only a non-ASCII one goes
+/// through `str::to_lowercase`.
 #[must_use]
 pub fn shard_of_name(last_name: &str, shards: usize) -> usize {
     debug_assert!(shards > 0);
-    (fnv1a64(last_name.to_lowercase().as_bytes()) % shards as u64) as usize
+    let hash = if last_name.is_ascii() {
+        fnv1a64_bytes(last_name.bytes().map(|b| b.to_ascii_lowercase()))
+    } else {
+        fnv1a64(last_name.to_lowercase().as_bytes())
+    };
+    (hash % shards as u64) as usize
 }
 
 /// The shard owning a record: routed by its first reported last name,

@@ -16,11 +16,15 @@
 //! [`state_bytes`] is sources, record count, ranked matches, ADT model
 //! text, pipeline + incremental configuration, then every record behind
 //! its u32 record id, ids 0..n in order — so the file on disk and the
-//! canonical identity encoding are one encoder, and [`from_bytes`] is
-//! their one decoder. `folded_seq` is the first arrival sequence number
-//! the snapshot does *not* hold: `open` skips WAL frames below it (a crash
-//! between `SNAPSHOT`'s rename and its WAL truncation leaves them behind)
-//! and replays the rest.
+//! canonical identity encoding are one encoder, and one decoder reads
+//! them back: the payload's head, then its records a chunk at a time.
+//! [`from_bytes`] files each chunk as it comes; `Store::open` on a large
+//! snapshot streams the chunks to a second thread that files them.
+//!
+//! `folded_seq` is the first arrival sequence number the snapshot does
+//! *not* hold: `open` skips WAL frames below it (a crash between
+//! `SNAPSHOT`'s rename and its WAL truncation leaves them behind) and
+//! replays the rest.
 //!
 //! The encoding is deterministic (floats as IEEE bits, insertion-ordered
 //! collections), so re-snapshotting a loaded store reproduces the file
@@ -36,9 +40,10 @@ use crate::framed;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
+use yv_adt::AdTree;
 use yv_blocking::{MfiBlocksConfig, ScoreFunction};
 use yv_core::{IncrementalConfig, IncrementalResolver, Pipeline, PipelineConfig, RankedMatch};
-use yv_records::{Dataset, RecordId};
+use yv_records::{Dataset, Record, RecordId, Source};
 
 /// File magic: identifies a yv-store snapshot.
 pub const MAGIC: [u8; 8] = *b"YVSTORE\0";
@@ -109,22 +114,125 @@ fn write_state(p: &mut Writer, resolver: &IncrementalResolver) -> Result<(), Sto
 /// declared count, record ids out of order and records of unknown
 /// sources, all with typed errors.
 pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
-    let mut r = Reader::new(framed::check_header(bytes, MAGIC, VERSION)?);
-    let payload_len = usize::try_from(r.u64("payload length")?)
-        .map_err(|_| StoreError::Corrupt("declared payload length overflows usize".to_owned()))?;
-    let payload = r.take(payload_len, "payload")?;
-    let expected = r.u64("checksum")?;
-    let actual = codec::fnv1a64(payload);
-    if expected != actual {
-        return Err(StoreError::ChecksumMismatch { expected, actual });
+    let framed = Framed::parse(bytes)?;
+    let payload = framed.payload;
+    framed.verify()?;
+    let (mut head, mut records) = decode_head(payload)?;
+    let mut ds = Dataset::new();
+    for source in std::mem::take(&mut head.sources) {
+        ds.add_source(source);
     }
-    r.finish("snapshot checksum")?;
+    while let Some(chunk) = records.next_chunk()? {
+        for record in chunk {
+            ds.add_record(record);
+        }
+    }
+    Ok(Snapshot { folded_seq: head.folded_seq, resolver: head.resolver(ds) })
+}
 
+/// A snapshot file split at its frame: the payload, and the checksum and
+/// end that [`Framed::verify`] holds it to. Only the header and the
+/// lengths are read to split it, so the payload can be decoded while its
+/// checksum is taken.
+pub(crate) struct Framed<'a> {
+    pub(crate) payload: &'a [u8],
+    expected: u64,
+    /// The bytes after the checksum: none, in a well-formed file.
+    rest: Reader<'a>,
+}
+
+impl<'a> Framed<'a> {
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<Framed<'a>, StoreError> {
+        let mut r = Reader::new(framed::check_header(bytes, MAGIC, VERSION)?);
+        let payload_len = usize::try_from(r.u64("payload length")?).map_err(|_| {
+            StoreError::Corrupt("declared payload length overflows usize".to_owned())
+        })?;
+        let payload = r.take(payload_len, "payload")?;
+        let expected = r.u64("checksum")?;
+        Ok(Framed { payload, expected, rest: r })
+    }
+
+    /// The payload hashes to its checksum and nothing follows it.
+    pub(crate) fn verify(self) -> Result<(), StoreError> {
+        let actual = codec::fnv1a64(self.payload);
+        if self.expected != actual {
+            return Err(StoreError::ChecksumMismatch { expected: self.expected, actual });
+        }
+        self.rest.finish("snapshot checksum")
+    }
+}
+
+/// Everything a snapshot payload holds before its records.
+pub(crate) struct Head {
+    pub(crate) folded_seq: u64,
+    pub(crate) sources: Vec<Source>,
+    matches: Vec<RankedMatch>,
+    model: AdTree,
+    config: PipelineConfig,
+    inc: IncrementalConfig,
+}
+
+impl Head {
+    /// The resolver the snapshot holds, over `ds`: its sources and
+    /// records, added in payload order.
+    pub(crate) fn resolver(self, ds: Dataset) -> IncrementalResolver {
+        let pipeline = Pipeline::with_model(self.model);
+        IncrementalResolver::from_parts(ds, pipeline, self.config, self.inc, self.matches)
+    }
+}
+
+/// Records decoded in one chunk: enough that handing a chunk from one
+/// thread to another costs nothing next to decoding it.
+const RECORD_CHUNK: u32 = 256;
+
+/// A payload's records, in id order, behind its [`Head`].
+pub(crate) struct Records<'a> {
+    p: Reader<'a>,
+    sources: usize,
+    next: u32,
+    count: u32,
+}
+
+impl Records<'_> {
+    /// The next records, at most [`RECORD_CHUNK`] of them; `None` once
+    /// every record is read and nothing trails them.
+    pub(crate) fn next_chunk(&mut self) -> Result<Option<Vec<Record>>, StoreError> {
+        if self.next == self.count {
+            std::mem::replace(&mut self.p, Reader::new(&[])).finish("snapshot")?;
+            return Ok(None);
+        }
+        let end = self.count.min(self.next.saturating_add(RECORD_CHUNK));
+        let mut chunk = Vec::with_capacity((end - self.next) as usize);
+        for expected in self.next..end {
+            let rid = self.p.u32("record id")?;
+            if rid != expected {
+                return Err(StoreError::Corrupt(format!(
+                    "snapshot record id {rid} out of order; expected {expected}"
+                )));
+            }
+            let record = codec::read_record(&mut self.p)?;
+            if record.source.index() >= self.sources {
+                return Err(StoreError::Corrupt(format!(
+                    "record {} references unknown source {}",
+                    record.book_id, record.source.0
+                )));
+            }
+            chunk.push(record);
+        }
+        self.next = end;
+        Ok(Some(chunk))
+    }
+}
+
+/// Decode a payload up to its records, which the returned [`Records`]
+/// then reads.
+pub(crate) fn decode_head(payload: &[u8]) -> Result<(Head, Records<'_>), StoreError> {
     let mut p = Reader::new(payload);
     let folded_seq = p.u64("folded seq")?;
-    let mut ds = Dataset::new();
-    for _ in 0..p.u32("source count")? {
-        ds.add_source(codec::read_source(&mut p)?);
+    let n_sources = p.u32("source count")?;
+    let mut sources = Vec::new();
+    for _ in 0..n_sources {
+        sources.push(codec::read_source(&mut p)?);
     }
     let n_records = p.u32("record count")?;
     let n_matches = p.u32("match count")?;
@@ -148,26 +256,8 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
             .map_err(|_| StoreError::Corrupt("min_shared_items overflows usize".into()))?,
         common_fraction: p.f64("common fraction")?,
     };
-    for expected in 0..n_records {
-        let rid = p.u32("record id")?;
-        if rid != expected {
-            return Err(StoreError::Corrupt(format!(
-                "snapshot record id {rid} out of order; expected {expected}"
-            )));
-        }
-        let record = codec::read_record(&mut p)?;
-        if record.source.index() >= ds.sources().len() {
-            return Err(StoreError::Corrupt(format!(
-                "record {} references unknown source {}",
-                record.book_id, record.source.0
-            )));
-        }
-        ds.add_record(record);
-    }
-    p.finish("snapshot")?;
-    let resolver =
-        IncrementalResolver::from_parts(ds, Pipeline::with_model(model), config, inc, matches);
-    Ok(Snapshot { folded_seq, resolver })
+    let records = Records { p, sources: sources.len(), next: 0, count: n_records };
+    Ok((Head { folded_seq, sources, matches, model, config, inc }, records))
 }
 
 fn write_pipeline_config(w: &mut Writer, c: &PipelineConfig) {

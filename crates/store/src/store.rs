@@ -36,7 +36,10 @@
 //! *last* arrival is the ordinary crash-mid-append case and recovers
 //! cleanly; the truncation reuses the length the scan found, so each WAL
 //! is read and decoded once. [`Store::open_report`] says what the replay
-//! did.
+//! did and how long the whole open took. A snapshot of 1 MiB or more is
+//! loaded on two threads: one decodes it and indexes the names, the other
+//! takes its checksum, scans the WALs and files the decoded records — the
+//! same store, and the same first error, as one thread loads.
 //! `snapshot` quiesces all shards, writes a fresh snapshot whose durable
 //! rename is the commit point, and only then truncates the WALs — a crash
 //! anywhere in between reopens to the acknowledged state.
@@ -46,8 +49,8 @@
 //! state write lock — a `BATCH_ADD`'s shard group after its fsync, and a
 //! replay's run of re-scored record frames. Inside a slice
 //! the candidate pairs are scored on every core (`Pipeline::score_pairs`),
-//! the store's one use of threads. A read therefore waits on at most one
-//! slice, whatever size of batch a client sends.
+//! the store's one use of threads besides `open`. A read therefore waits on
+//! at most one slice, whatever size of batch a client sends.
 
 use crate::error::StoreError;
 use crate::index::QueryIndex;
@@ -57,7 +60,7 @@ use crate::sync::{Mutex, RwLock};
 use crate::wal::{Wal, WalEntry, WalScan};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, PoisonError};
+use std::sync::{mpsc, Condvar, PoisonError};
 use yv_core::{IncrementalResolver, PersonQuery, QueryHit, RankedMatch, Resolution};
 use yv_fuzzy::{rank_entities, RankedEntity, ScoreBlend, DEFAULT_QGRAM_BOUND};
 use yv_obs::{Clock, Counter, MonotonicClock, TraceCtx};
@@ -265,6 +268,9 @@ pub struct OpenReport {
     pub torn_bytes: u64,
     /// Wall time of the merge and replay, on the `yv_obs` monotonic clock.
     pub replay_ns: u64,
+    /// Wall time of the whole open, the replay included, on the same
+    /// clock.
+    pub open_ns: u64,
 }
 
 /// A durable, queryable, sharded resolution store rooted at a directory.
@@ -293,6 +299,122 @@ fn records_per_shard(ds: &Dataset, n_shards: usize) -> Vec<usize> {
         counts[shard::shard_of_record(record, n_shards)] += 1;
     }
     counts
+}
+
+/// Snapshots below this many bytes (≈ 5 000 records) load on the calling
+/// thread, as most test and demo stores do: the two-leg load pays for its
+/// thread and channel only on a store whose open takes tens of
+/// milliseconds.
+const PARALLEL_MIN_SNAPSHOT_BYTES: usize = 1 << 20;
+
+/// What the snapshot decode leg streams to the file leg: the sources, then
+/// the records in id order, a chunk at a time.
+enum Part {
+    Sources(Vec<Source>),
+    Records(Vec<Record>),
+}
+
+/// Each shard's WAL scan, and whether the file was an emptied version-2
+/// log, which has nothing to replay.
+type Logs = Vec<(WalScan, bool)>;
+
+/// Every shard's WAL, read and scanned in shard order up to the first
+/// error.
+fn scan_wals(dir: &Path, n_shards: usize) -> Result<Logs, StoreError> {
+    (0..n_shards)
+        .map(|s| {
+            let path = dir.join(wal_file_name(s));
+            if !path.exists() {
+                return Err(StoreError::Corrupt(format!(
+                    "shard {s} WAL ({}) is missing",
+                    wal_file_name(s)
+                )));
+            }
+            let bytes = std::fs::read(&path)?;
+            // A version-2 log holding only its header — what `SNAPSHOT`
+            // left with the previous build — has nothing to replay.
+            if bytes == crate::framed::header(crate::wal::MAGIC, 2) {
+                let scan = WalScan { entries: Vec::new(), valid_len: bytes.len(), torn_bytes: 0 };
+                return Ok((scan, true));
+            }
+            Ok((crate::wal::scan(&bytes)?, false))
+        })
+        .collect()
+}
+
+/// [`Store::open_on`]'s two legs over the snapshot file's `bytes`: the
+/// snapshot as its folded seq and the state over it, and the WAL scans.
+fn load_on_two_legs(
+    bytes: &[u8],
+    dir: &Path,
+    n_shards: usize,
+) -> Result<(u64, State, Logs), StoreError> {
+    let framed = snapshot::Framed::parse(bytes)?;
+    let payload = framed.payload;
+    let (parts, arriving) = mpsc::channel();
+    let (decoded, filed) = std::thread::scope(|scope| {
+        let decoder = scope.spawn(move || decode_leg(payload, &parts));
+        let filed = file_leg(framed, dir, n_shards, arriving);
+        (decoder.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), filed)
+    });
+    let (ds, logs) = filed?;
+    let (head, index) = decoded?;
+    let logs = logs?;
+    Ok((head.folded_seq, State { resolver: head.resolver(ds), index }, logs))
+}
+
+/// Decode the snapshot payload: the head, then the records, each chunk
+/// indexed and then sent. A send is refused only once the file leg has
+/// failed the checksum, whose error wins; the leg stops there.
+fn decode_leg(
+    payload: &[u8],
+    parts: &mpsc::Sender<Part>,
+) -> Result<(snapshot::Head, QueryIndex), StoreError> {
+    let (mut head, mut records) = snapshot::decode_head(payload)?;
+    let mut index = QueryIndex::default();
+    if parts.send(Part::Sources(std::mem::take(&mut head.sources))).is_err() {
+        return Ok((head, index));
+    }
+    let mut rid = 0;
+    while let Some(chunk) = records.next_chunk()? {
+        for record in &chunk {
+            index.add_record(RecordId(rid), record);
+            rid += 1;
+        }
+        if parts.send(Part::Records(chunk)).is_err() {
+            break;
+        }
+    }
+    Ok((head, index))
+}
+
+/// Check the snapshot checksum, scan the WALs, then file what the decode
+/// leg sends into a dataset until it stops sending. The outer error is the
+/// checksum's; the WALs' is kept apart, since a decode error outranks it.
+fn file_leg(
+    framed: snapshot::Framed<'_>,
+    dir: &Path,
+    n_shards: usize,
+    arriving: mpsc::Receiver<Part>,
+) -> Result<(Dataset, Result<Logs, StoreError>), StoreError> {
+    framed.verify()?;
+    let logs = scan_wals(dir, n_shards);
+    let mut ds = Dataset::new();
+    for part in arriving {
+        match part {
+            Part::Sources(sources) => {
+                for source in sources {
+                    ds.add_source(source);
+                }
+            }
+            Part::Records(chunk) => {
+                for record in chunk {
+                    ds.add_record(record);
+                }
+            }
+        }
+    }
+    Ok((ds, logs))
 }
 
 impl Store {
@@ -330,34 +452,52 @@ impl Store {
     /// snapshot, scan every shard's WAL, merge the frames the snapshot
     /// does not hold back into global arrival order, replay them, and
     /// position the WALs for further appends.
+    ///
+    /// A snapshot of at least 1 MiB (≈ 5 000 records) is loaded on two
+    /// threads when the host has two cores, in the two legs of
+    /// `Store::open_on`. The store opened is the same either way.
     pub fn open(dir: &Path) -> Result<Store, StoreError> {
+        Store::open_on(dir, None)
+    }
+
+    /// [`Store::open`]; `Some(workers)` loads the snapshot on the calling
+    /// thread alone for 1 and on two legs for any more, whatever its size.
+    ///
+    /// The two legs run in one thread scope. The decode leg reads the
+    /// snapshot payload and streams its records, in id order and in
+    /// chunks, to the file leg, indexing each chunk's names before it
+    /// sends it. The file leg takes the snapshot checksum, reads and scans
+    /// the WALs, and then files each chunk into the dataset as it arrives,
+    /// so items and records get the ids a serial load gives them. Errors
+    /// keep the serial order: a checksum mismatch, then the payload's
+    /// first decode error, then the first WAL's in shard order.
+    fn open_on(dir: &Path, workers: Option<usize>) -> Result<Store, StoreError> {
+        let clock = MonotonicClock::new();
+        let opened = clock.now_nanos();
         let snap_path = dir.join(SNAPSHOT_FILE);
         if !snap_path.exists() {
             return Err(StoreError::MissingSnapshot(dir.to_path_buf()));
         }
         let n_shards = Manifest::read(dir)?.shards;
-        let snapshot::Snapshot { folded_seq, resolver } = snapshot::read_file(&snap_path)?;
-        let mut state = State::build(resolver);
+        let bytes = std::fs::read(&snap_path)?;
+        let workers = workers.unwrap_or_else(|| {
+            if bytes.len() < PARALLEL_MIN_SNAPSHOT_BYTES {
+                1
+            } else {
+                yv_obs::par::workers()
+            }
+        });
+        let (folded_seq, mut state, logs) = if workers > 1 {
+            load_on_two_legs(&bytes, dir, n_shards)?
+        } else {
+            let snapshot::Snapshot { folded_seq, resolver } = snapshot::from_bytes(&bytes)?;
+            (folded_seq, State::build(resolver), scan_wals(dir, n_shards)?)
+        };
+        drop(bytes);
         let mut scans = Vec::with_capacity(n_shards);
         // WALs to rewrite empty instead of appending to.
         let mut rewrite = Vec::with_capacity(n_shards);
-        for s in 0..n_shards {
-            let path = dir.join(wal_file_name(s));
-            if !path.exists() {
-                return Err(StoreError::Corrupt(format!(
-                    "shard {s} WAL ({}) is missing",
-                    wal_file_name(s)
-                )));
-            }
-            let bytes = std::fs::read(&path)?;
-            // A version-2 log holding only its header — what `SNAPSHOT`
-            // left with the previous build — has nothing to replay.
-            let emptied_v2 = bytes == crate::framed::header(crate::wal::MAGIC, 2);
-            let scan = if emptied_v2 {
-                WalScan { entries: Vec::new(), valid_len: bytes.len(), torn_bytes: 0 }
-            } else {
-                crate::wal::scan(&bytes)?
-            };
+        for (scan, emptied_v2) in logs {
             // A WAL whose frames all sit below `folded_seq` (seqs increase
             // within a WAL, so its last frame decides) outlived a crash
             // between `snapshot`'s rename and its truncation.
@@ -366,7 +506,6 @@ impl Store {
             scans.push(scan);
         }
 
-        let clock = MonotonicClock::new();
         let replay_started = clock.now_nanos();
         // Merge the frames the snapshot does not hold back into global
         // arrival order and demand the sequence is gapless from
@@ -465,12 +604,7 @@ impl Store {
             }
         }
         state.apply_batch(slice);
-        let open_report = OpenReport {
-            frames: wal_entries_total,
-            rescored,
-            torn_bytes: scans.iter().map(|scan| scan.torn_bytes as u64).sum(),
-            replay_ns: clock.now_nanos().saturating_sub(replay_started),
-        };
+        let replay_ns = clock.now_nanos().saturating_sub(replay_started);
 
         let records = records_per_shard(state.resolver.dataset(), n_shards);
         let mut shard_states = Vec::with_capacity(n_shards);
@@ -489,6 +623,13 @@ impl Store {
                 records,
             }));
         }
+        let open_report = OpenReport {
+            frames: wal_entries_total,
+            rescored,
+            torn_bytes: scans.iter().map(|scan| scan.torn_bytes as u64).sum(),
+            replay_ns,
+            open_ns: clock.now_nanos().saturating_sub(opened),
+        };
         Ok(Store {
             state: RwLock::new(state),
             shards: shard_states,
@@ -915,6 +1056,246 @@ mod tests {
         let pipeline = Pipeline::with_model(AdTree::prior(0.0));
         let (config, inc) = (PipelineConfig::default(), IncrementalConfig::default());
         IncrementalResolver::bootstrap(ds, pipeline, config, inc)
+    }
+
+    /// A resolver over the first `base` of `n` generated reports, with no
+    /// matches yet and the model [`trained_split`] trains; the other
+    /// reports come back as arrivals.
+    fn generated_split(n: usize, base: usize) -> (IncrementalResolver, Vec<Record>) {
+        let trained = trained_split(160).0;
+        let gen = yv_datagen::GenConfig::random(n, 9).generate();
+        assert!(gen.dataset.len() > base, "{} reports generated", gen.dataset.len());
+        let mut ds = Dataset::new();
+        for source in gen.dataset.sources() {
+            ds.add_source(source.clone());
+        }
+        for record in &gen.dataset.records()[..base] {
+            ds.add_record(record.clone());
+        }
+        let (pipeline, config) = (trained.pipeline().clone(), trained.config().clone());
+        let resolver =
+            IncrementalResolver::from_parts(ds, pipeline, config, trained.inc_config(), Vec::new());
+        (resolver, gen.dataset.records()[base..].to_vec())
+    }
+
+    /// Create a store of `base` generated reports on `shards` shards, file
+    /// `folded` arrivals and fold them into the snapshot, then leave in the
+    /// WALs `logged` arrivals with their matches frames and `rescored`
+    /// record frames without one, as a crash that lost those leaves them.
+    fn store_with_arrivals(dir: &Path, base: usize, shards: usize, arrivals: [usize; 3]) {
+        let [folded, logged, rescored] = arrivals;
+        let (resolver, records) = generated_split(base + folded + logged + rescored + 40, base);
+        let store = Store::create(dir, resolver, shards).expect("create");
+        assert!(store.add_records(records[..folded].to_vec()).iter().all(Result::is_ok));
+        store.snapshot().expect("snapshot");
+        let logged_end = folded + logged;
+        assert!(store.add_records(records[folded..logged_end].to_vec()).iter().all(Result::is_ok));
+        drop(store);
+        let unmatched = &records[logged_end..logged_end + rescored];
+        for (seq, record) in (logged_end as u64..).zip(unmatched) {
+            let path = dir.join(wal_file_name(shard::shard_of_record(record, shards)));
+            let len = std::fs::metadata(&path).expect("WAL").len();
+            let mut wal = Wal::open(&path, usize::try_from(len).expect("WAL length")).expect("WAL");
+            wal.append_record(seq, record).expect("append");
+        }
+    }
+
+    /// Everything an open builds that a read can see, or that the next
+    /// open or snapshot writes: the state bytes, every record's item bag,
+    /// every item with its type, value, occurrences and place, the name
+    /// table, the `STATS` counts with their `SHARD` rows, and the replay
+    /// counts.
+    #[derive(Debug, PartialEq)]
+    struct Opened {
+        state: Vec<u8>,
+        bags: Vec<Vec<yv_records::ItemId>>,
+        items: Vec<(yv_records::ItemType, String, u64, Option<yv_records::GeoPoint>)>,
+        names: Vec<yv_fuzzy::NameEntry>,
+        sketches: Vec<yv_fuzzy::NameSketch>,
+        stats: StoreStats,
+        replayed: (u64, u64, u64),
+    }
+
+    impl Opened {
+        fn of(store: &Store) -> Opened {
+            let (stats, report) = (store.stats(), store.open_report());
+            let state = store.state.read();
+            let ds = state.resolver.dataset();
+            let interner = ds.interner();
+            let items = interner
+                .ids()
+                .map(|id| {
+                    let value = interner.value(id).to_owned();
+                    (interner.item_type(id), value, interner.occurrences(id), interner.geo(id))
+                })
+                .collect();
+            Opened {
+                state: snapshot::state_bytes(&state.resolver).expect("state bytes"),
+                bags: ds.bags().to_vec(),
+                items,
+                names: state.index.fuzzy().entries().to_vec(),
+                sketches: state.index.fuzzy().sketches().to_vec(),
+                stats,
+                replayed: (report.frames, report.rescored, report.torn_bytes),
+            }
+        }
+    }
+
+    /// Above the size threshold, with folded, logged and re-scored
+    /// arrivals, the two-leg open builds what the serial one does, at any
+    /// forced worker count and at the host's.
+    #[test]
+    fn open_on_one_two_or_three_workers_builds_the_same_store() {
+        let dir = crate::scratch::ScratchDir::new("open-workers");
+        store_with_arrivals(&dir, 5_600, 3, [48, 48, 16]);
+        let snapshot = std::fs::metadata(dir.join(SNAPSHOT_FILE)).expect("snapshot").len();
+        assert!(snapshot >= PARALLEL_MIN_SNAPSHOT_BYTES as u64, "{snapshot} bytes stay serial");
+        let serial = Opened::of(&Store::open_on(&dir, Some(1)).expect("open"));
+        assert_eq!(serial.replayed, (64, 16, 0));
+        assert!(serial.stats.matches > 0 && serial.names.len() > 1_000);
+        for workers in [Some(2), Some(3), None] {
+            let opened = Opened::of(&Store::open_on(&dir, workers).expect("open"));
+            assert!(opened == serial, "{workers:?} workers opened another store");
+        }
+    }
+
+    /// The store directory's files, by name.
+    fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("store dir")
+            .map(|entry| {
+                let path = entry.expect("dir entry").path();
+                let name = path.file_name().expect("file name").to_string_lossy().into_owned();
+                (name, std::fs::read(&path).expect("store file"))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Lay `files` down as the whole store directory and open it on
+    /// `workers` threads: the error, or the digest of the state opened. A
+    /// failed open must leave every file as it was — no WAL created or
+    /// truncated.
+    fn open_files(dir: &Path, files: &[(String, Vec<u8>)], workers: usize) -> String {
+        for (name, _) in dir_files(dir) {
+            std::fs::remove_file(dir.join(name)).expect("clear store dir");
+        }
+        for (name, bytes) in files {
+            std::fs::write(dir.join(name), bytes).expect("lay store file down");
+        }
+        match Store::open_on(dir, Some(workers)) {
+            Ok(store) => {
+                let state = store.state_bytes().expect("state bytes");
+                format!("opened {:#x}", crate::codec::fnv1a64(&state))
+            }
+            Err(e) => {
+                assert!(dir_files(dir) == files, "a failed open changed the store directory");
+                format!("{e:?}")
+            }
+        }
+    }
+
+    /// How opening `files` ends, the same on one thread and on two.
+    fn open_alike(dir: &Path, files: &[(String, Vec<u8>)]) -> String {
+        let serial = open_files(dir, files, 1);
+        assert_eq!(open_files(dir, files, 2), serial);
+        serial
+    }
+
+    /// A snapshot file around `payload`, with its length and checksum.
+    fn framed_snapshot(payload: &[u8]) -> Vec<u8> {
+        let header = crate::framed::header(snapshot::MAGIC, snapshot::VERSION);
+        let len = (payload.len() as u64).to_le_bytes();
+        let checksum = crate::codec::fnv1a64(payload).to_le_bytes();
+        [&header[..], &len, payload, &checksum].concat()
+    }
+
+    /// `files` with the one named `name` replaced (or, for `None`,
+    /// removed).
+    fn with_file(
+        files: &[(String, Vec<u8>)],
+        name: &str,
+        bytes: Option<Vec<u8>>,
+    ) -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<_> = files.iter().filter(|(n, _)| n != name).cloned().collect();
+        out.extend(bytes.map(|bytes| (name.to_owned(), bytes)));
+        out.sort();
+        out
+    }
+
+    /// A damaged store fails the same way on one thread and on two, and
+    /// the first fault in the serial order names the error: the manifest,
+    /// then the snapshot checksum, then the payload, then each WAL in shard
+    /// order. Cuts fall on record and chunk boundaries of a three-chunk
+    /// snapshot, and bit flips sweep it with and without a mended checksum.
+    #[test]
+    fn open_on_one_or_two_workers_fails_alike() {
+        let dir = crate::scratch::ScratchDir::new("open-errors");
+        store_with_arrivals(&dir, 600, 2, [0, 12, 4]);
+        let files = dir_files(&dir);
+        assert!(open_alike(&dir, &files).starts_with("opened"));
+        let snap = files.iter().find(|(n, _)| n == SNAPSHOT_FILE).expect("snapshot").1.clone();
+        let payload = &snap[20..snap.len() - 8];
+        let with_snapshot = |bytes: Vec<u8>| with_file(&files, SNAPSHOT_FILE, Some(bytes));
+
+        // Where each snapshot record begins in the payload, and where the
+        // records end.
+        let resolver = snapshot::from_bytes(&snap).expect("snapshot").resolver;
+        let mut starts = vec![payload.len()];
+        for record in resolver.dataset().records().iter().rev() {
+            let mut w = crate::codec::Writer::new();
+            crate::codec::write_record(&mut w, record).expect("encode");
+            starts.push(starts.last().expect("a start") - 4 - w.into_bytes().len());
+        }
+        starts.reverse();
+        assert_eq!(starts.len(), 601);
+        for r in [0, 1, 100, 255, 256, 257, 511, 512, 513, 599, 600] {
+            for cut in [starts[r], starts[r] + 3] {
+                let cut = cut.min(payload.len());
+                let reframed = open_alike(&dir, &with_snapshot(framed_snapshot(&payload[..cut])));
+                assert_eq!(reframed.starts_with("opened"), cut == payload.len(), "{reframed}");
+                let torn = open_alike(&dir, &with_snapshot(snap[..20 + cut].to_vec()));
+                assert!(torn.starts_with("Corrupt"), "{torn}");
+            }
+        }
+
+        for bit in (3..snap.len() * 8).step_by(snap.len() * 8 / 150) {
+            let mut flipped = snap.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let unmended = open_alike(&dir, &with_snapshot(flipped.clone()));
+            if (20..snap.len() - 8).contains(&(bit / 8)) {
+                assert!(unmended.starts_with("ChecksumMismatch"), "bit {bit}: {unmended}");
+                let mended = framed_snapshot(&flipped[20..snap.len() - 8]);
+                open_alike(&dir, &with_snapshot(mended));
+            }
+        }
+
+        // Each fault alone, then with every later one: the first wins. The
+        // snapshot whose checksum fails holds a decode error too.
+        let mut decode = payload.to_vec();
+        decode[starts[300]] ^= 1;
+        let decode = framed_snapshot(&decode);
+        let mut checksum = decode.clone();
+        *checksum.last_mut().expect("checksum") ^= 1;
+        let faults: [(&str, Option<Vec<u8>>); 5] = [
+            (crate::shard::MANIFEST_FILE, Some(b"yv-store-manifest v9\n".to_vec())),
+            (SNAPSHOT_FILE, Some(checksum)),
+            (SNAPSHOT_FILE, Some(decode)),
+            (&wal_file_name(0), Some(crate::framed::header(crate::wal::MAGIC, 9).to_vec())),
+            (&wal_file_name(1), None),
+        ];
+        for (i, (name, bytes)) in faults.iter().enumerate() {
+            let alone = open_alike(&dir, &with_file(&files, name, bytes.clone()));
+            assert!(!alone.starts_with("opened"), "fault {i} opened");
+            let mut all = with_file(&files, name, bytes.clone());
+            for (later, bytes) in faults.iter().skip(i + 1) {
+                if later != name {
+                    all = with_file(&all, later, bytes.clone());
+                }
+            }
+            assert_eq!(open_alike(&dir, &all), alone, "fault {i} is not the first reported");
+        }
     }
 
     /// The `seed` span counts what the vocabulary scan did — and only
