@@ -4,7 +4,8 @@
 //! source, a single record and a batch have arrived, and after `SNAPSHOT`
 //! — of a standalone WAL (synced and unsynced appends), of one encoded
 //! frame per request and response kind, of the text line a client sends
-//! per request kind, and of `state_bytes` after a reopen. The fixture is
+//! per request kind, of the reply blocks the server renders for `QUERY`,
+//! `RESOLVE` and a bare status, and of `state_bytes` after a reopen. The fixture is
 //! hand-built (no datagen, no training), so only a change to a format can
 //! move a digest. A change meant to keep every byte must leave the tables
 //! alone; one that changes a format on purpose re-pins them from the table
@@ -23,7 +24,8 @@ use std::path::Path;
 use yv_adt::AdTree;
 use yv_blocking::ScoreFunction;
 use yv_core::{
-    IncrementalConfig, IncrementalResolver, PersonQuery, Pipeline, PipelineConfig, RankedMatch,
+    IncrementalConfig, IncrementalResolver, PersonQuery, Pipeline, PipelineConfig, QueryHit,
+    RankedMatch,
 };
 use yv_records::{
     Dataset, DateParts, Gender, GeoPoint, Place, PlaceType, Record, RecordBuilder, RecordId,
@@ -31,9 +33,10 @@ use yv_records::{
 };
 use yv_similarity::ExpertWeights;
 use yv_store::codec::fnv1a64;
+use yv_store::protocol::{format_candidates, format_hits, format_status};
 use yv_store::{
-    wal_file_name, BatchStatus, Client, RequestFrame, ResponseFrame, Store, Wal, MANIFEST_FILE,
-    SNAPSHOT_FILE,
+    wal_file_name, BatchStatus, Client, RankedEntity, RequestFrame, ResponseFrame, Store, Wal,
+    MANIFEST_FILE, SNAPSHOT_FILE,
 };
 
 fn record(book: u64, source: u32, first: &str, last: &str) -> Record {
@@ -286,6 +289,88 @@ fn wire_frames_are_byte_identical() {
             ("text HISTORY", 0x43b40033fed5a3c3),
             ("text SNAPSHOT", 0x11738c874cabf4ad),
             ("text SHUTDOWN", 0xbee57e146050144b),
+        ],
+    );
+}
+
+fn ids(ids: &[u32]) -> Vec<RecordId> {
+    ids.iter().copied().map(RecordId).collect()
+}
+
+fn candidate(entity: u32, score: f64, name: &str, members: &[u32]) -> RankedEntity {
+    RankedEntity { entity: RecordId(entity), score, name: name.to_owned(), members: ids(members) }
+}
+
+#[test]
+fn reply_blocks_are_byte_identical() {
+    let top = u32::MAX;
+    let hit_lists = [
+        ("no hits", vec![]),
+        ("singleton", vec![QueryHit { seed: RecordId(5), entity: ids(&[5]) }]),
+        (
+            "multi-id",
+            vec![
+                QueryHit { seed: RecordId(17), entity: ids(&[17, 203, 5044]) },
+                QueryHit { seed: RecordId(203), entity: ids(&[17, 203, 5044]) },
+                QueryHit { seed: RecordId(0), entity: ids(&[0, 9]) },
+            ],
+        ),
+        (
+            "near u32::MAX",
+            vec![
+                QueryHit { seed: RecordId(top), entity: ids(&[top - 1, top]) },
+                QueryHit { seed: RecordId(top - 1), entity: ids(&[999_999_999, top - 1, top]) },
+            ],
+        ),
+    ];
+    let candidate_lists = [
+        ("no candidates", vec![]),
+        (
+            "scores",
+            vec![
+                candidate(17, 0.1 + 0.2, "levi", &[17, 203]),
+                candidate(88, -0.0, "lewin", &[88]),
+                candidate(90, 1e-300, "lewy", &[90, 91, 92]),
+                candidate(top, 0.123_456_789_012_345_68, "levy", &[top]),
+            ],
+        ),
+        (
+            "non-ASCII name",
+            vec![candidate(3, 0.75, "łódź", &[3, 4]), candidate(4, -1.5, "müller", &[4])],
+        ),
+    ];
+    let statuses = [
+        "OK matches=3",
+        "OK snapshot",
+        "OK bye",
+        "ERR RESOLVE: k must be at least 1",
+    ];
+    let mut actual = Vec::new();
+    for (label, hits) in &hit_lists {
+        actual.push((format!("hits {label}"), fnv1a64(format_hits(hits).as_bytes())));
+    }
+    for (label, candidates) in &candidate_lists {
+        let block = format_candidates(candidates);
+        actual.push((format!("candidates {label}"), fnv1a64(block.as_bytes())));
+    }
+    for status in statuses {
+        actual.push((format!("status {status}"), fnv1a64(format_status(status).as_bytes())));
+    }
+    check(
+        "reply block",
+        &actual,
+        &[
+            ("hits no hits", 0xaaa5aa6e2d6240d3),
+            ("hits singleton", 0x7b6f7c31acff068f),
+            ("hits multi-id", 0xe1d4ee65ac3485df),
+            ("hits near u32::MAX", 0x531326d8d6992045),
+            ("candidates no candidates", 0xaaa5aa6e2d6240d3),
+            ("candidates scores", 0x21da6a57a402e90a),
+            ("candidates non-ASCII name", 0x00e23df3d16048d9),
+            ("status OK matches=3", 0xa37ad369d29297bc),
+            ("status OK snapshot", 0xbdef0c31c05496e9),
+            ("status OK bye", 0x4e6a97ded364d5e7),
+            ("status ERR RESOLVE: k must be at least 1", 0x468b284b628073ea),
         ],
     );
 }

@@ -1050,6 +1050,90 @@ fn binary_negotiation_matches_text_semantics_and_streams_batches() {
     assert_eq!(store.stats().records, records_before + 6);
 }
 
+/// The whole reply block of a raw text exchange, status line through
+/// terminator, as the bytes arrived.
+fn raw_text_block(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    line: &str,
+) -> String {
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut block = String::new();
+    loop {
+        let start = block.len();
+        assert!(reader.read_line(&mut block).unwrap() > 0, "connection closed mid-response");
+        if start > 0 && &block[start..] == ".\n" {
+            return block;
+        }
+    }
+}
+
+/// The block a `BLOCK` frame carries, read off a raw binary socket.
+fn raw_binary_block(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    line: &str,
+) -> String {
+    stream.write_all(&parse_request(line).unwrap().encode().unwrap()).unwrap();
+    match yv_store::ResponseFrame::read(reader).unwrap() {
+        Some(yv_store::ResponseFrame::Block(block)) => block,
+        other => panic!("expected a BLOCK frame, got {other:?}"),
+    }
+}
+
+/// The same `QUERY` and `RESOLVE` over a raw text socket and a raw
+/// binary one: each status line carries exactly one `trace=` token of 16
+/// hex digits, and with it removed the two blocks are the same bytes.
+#[test]
+fn text_and_binary_reply_blocks_differ_only_in_their_trace_tokens() {
+    let dir = ScratchDir::new("reply-bytes");
+    let store = Store::create(&dir, trained_resolver(250, 21), 2).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server =
+        std::thread::spawn(move || ServeOptions::new(store).workers(4).serve(listener).unwrap());
+
+    let mut text = TcpStream::connect(addr).unwrap();
+    let mut text_reader = BufReader::new(text.try_clone().unwrap());
+    let mut binary = TcpStream::connect(addr).unwrap();
+    let mut binary_reader = BufReader::new(binary.try_clone().unwrap());
+    raw_hello(&mut binary, &mut binary_reader);
+
+    let untokened = |block: &str| -> String {
+        let (status, rest) = block.split_once('\n').unwrap();
+        let tokens: Vec<&str> = status.split(' ').filter(|t| t.starts_with("trace=")).collect();
+        assert_eq!(tokens.len(), 1, "{status:?}");
+        let hex = &tokens[0]["trace=".len()..];
+        assert!(hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit()), "{status:?}");
+        assert!(status.ends_with(tokens[0]), "the token closes the status line: {status:?}");
+        format!("{}\n{rest}", status.replace(&format!(" {}", tokens[0]), ""))
+    };
+    // Names of the first generated person: answers with several hits.
+    let gen = GenConfig::random(250, 21).generate();
+    let person = gen.dataset.record(yv_records::RecordId(0));
+    let (first, last) = (&person.first_names[0], &person.last_names[0]);
+    let requests = [
+        (format!("QUERY first={first} last={last}"), "HIT "),
+        (format!("QUERY last={last} certainty=0.5"), "HIT "),
+        (format!("RESOLVE {last} k=5"), "CAND "),
+        (format!("RESOLVE {first}"), "CAND "),
+    ];
+    for (line, row) in &requests {
+        let line = line.as_str();
+        let over_text = raw_text_block(&mut text, &mut text_reader, line);
+        let over_binary = raw_binary_block(&mut binary, &mut binary_reader, line);
+        assert!(over_text.starts_with("OK "), "{line}: {over_text:?}");
+        let data: Vec<&str> = over_text.lines().skip(1).take_while(|l| *l != ".").collect();
+        assert!(!data.is_empty(), "{line} answered nothing");
+        assert!(data.iter().all(|l| l.starts_with(row)), "{line}: {data:?}");
+        assert_eq!(untokened(&over_text), untokened(&over_binary), "{line}");
+    }
+
+    drop((binary, binary_reader, text, text_reader));
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    server.join().unwrap();
+}
+
 /// A peer that never sends a newline must not grow a worker's line
 /// buffer without bound: past the 64 KiB cap the server answers `ERR`
 /// and closes — while the peer is still mid-"line" — counts a parse
