@@ -286,7 +286,7 @@ echo "resolve smoke test: misspelled RESOLVE ranked the gold entity, k=0 refused
 # shards — the routing rule, computed here from outside the process).
 # That ADD files one record: 325 from here on.
 python3 - "$shard_addr" <<'PYEOF'
-import socket, sys
+import re, socket, sys
 
 host, port = sys.argv[1].rsplit(":", 1)
 sock = socket.create_connection((host, int(port)), timeout=10)
@@ -348,6 +348,13 @@ def seeds(line):
 
 levi = seeds("QUERY last=Levi")
 assert levi, "QUERY last=Levi found none of the planted Levi records"
+# The server puts the trace token into the rendered block in place
+# (DESIGN.md §13 "Reply path"): a text QUERY's status line carries exactly
+# one trace= token of 16 hex digits, and every data line is a HIT line.
+reply = request("QUERY last=Levi")
+tokens = [t for t in reply[0].split() if t.startswith("trace=")]
+assert len(tokens) == 1 and re.fullmatch(r"trace=[0-9a-f]{16}", tokens[0]), reply[0]
+assert reply[1:] and all(l.startswith("HIT ") for l in reply[1:]), reply
 lost = levi - seeds("QUERY last=Lvei")
 assert not lost, f"QUERY last=Lvei lost seeds of QUERY last=Levi: {sorted(lost)}"
 refused = request("QUERY last=Levi similarity=NaN")

@@ -18,7 +18,12 @@
 //!   growth — not per block considered or record pair scored;
 //! - the frame reader buffers the bytes that arrived, not the length the
 //!   header claimed, so a peer that sends a header and goes quiet cannot
-//!   pin `MAX_PAYLOAD` per worker.
+//!   pin `MAX_PAYLOAD` per worker;
+//! - a `QUERY` or `RESOLVE` reply is rendered, given its trace token and
+//!   framed in two allocator calls (its block and its frame), and read
+//!   back and parsed in one more than the values it parses to (the
+//!   payload that becomes the block, the row `Vec`, and per hit its
+//!   entity, per candidate its name and members).
 //!
 //! The counter is process-wide, so this binary has no test harness: `main`
 //! runs the guards one after another on its own thread, and no other
@@ -28,21 +33,24 @@
 
 use yv_blocking::score::block_score;
 use yv_blocking::{mfi_blocks, MfiBlocksConfig, ScoreFunction};
-use yv_core::{PersonQuery, Pipeline, PipelineConfig};
+use yv_core::{PersonQuery, Pipeline, PipelineConfig, QueryHit};
 use yv_datagen::{tag_pairs, GenConfig};
 use yv_records::{
     Dataset, DateParts, Gender, GeoPoint, Place, PlaceType, RecordBuilder, RecordId, Source,
     SourceId,
 };
 use yv_store::frame::read_raw_frame;
-use yv_store::{shard_of_name, shard_of_record, QueryIndex, ResolveOptions, StoreError, MAX_PAYLOAD};
+use yv_store::{
+    protocol, shard_of_name, shard_of_record, ClientError, QueryIndex, RankedEntity,
+    ReplyBlock, ResolveOptions, ResponseFrame, StoreError, MAX_PAYLOAD,
+};
 
 /// `(name, guard)` pairs, in the order `main` runs them.
 macro_rules! named {
     ($($guard:ident),* $(,)?) => { [$((stringify!($guard), $guard as fn())),*] };
 }
 
-const GUARDS: [(&str, fn()); 7] = named![
+const GUARDS: [(&str, fn()); 11] = named![
     score_pair_does_not_allocate,
     query_seeds_allocate_per_match_not_per_name,
     candidate_scans_allocate_the_same_whatever_they_examine,
@@ -50,6 +58,10 @@ const GUARDS: [(&str, fn()); 7] = named![
     routing_and_indexing_known_ascii_names_lowercase_in_place,
     blocking_allocates_per_result_not_per_candidate,
     a_claimed_length_is_not_allocated_before_its_bytes_arrive,
+    a_query_reply_renders_and_frames_in_two_allocator_calls,
+    a_query_reply_decodes_and_parses_in_a_call_per_hit_and_three,
+    a_resolve_reply_renders_and_frames_in_two_allocator_calls,
+    a_resolve_reply_decodes_and_parses_in_two_calls_per_candidate_and_three,
 ];
 
 fn main() {
@@ -278,4 +290,89 @@ fn a_claimed_length_is_not_allocated_before_its_bytes_arrive() {
         other => panic!("expected a torn-frame error, got {other:?}"),
     }
     assert!(grown < 1024 * 1024, "a 16-byte body grew the heap by {grown} bytes");
+}
+
+/// A 50-hit `QUERY` reply of 84 entity ids, two hits in three singletons:
+/// the shape of `serve_read`'s average reply (49.6 hits, 83 ids).
+fn query_hits() -> Vec<QueryHit> {
+    (0..50u32)
+        .map(|i| {
+            let seed = 10_000 + 37 * i;
+            let size = if i % 3 == 0 { 3 } else { 1 };
+            QueryHit { seed: RecordId(seed), entity: (seed..seed + size).map(RecordId).collect() }
+        })
+        .collect()
+}
+
+/// A 10-candidate `RESOLVE` reply, `RESOLVE`'s default `k`.
+fn resolve_candidates() -> Vec<RankedEntity> {
+    (0..10u32)
+        .map(|i| RankedEntity {
+            entity: RecordId(20_000 + 101 * i),
+            score: 0.931_102_904_071 - f64::from(i) / 7.0,
+            name: format!("levi{i}"),
+            members: (0..1 + i % 4).map(|m| RecordId(20_000 + 101 * i + m)).collect(),
+        })
+        .collect()
+}
+
+/// Allocator calls the server makes to turn a reply into a frame: render
+/// the block, put its trace token in, encode the frame. Returns them and
+/// the frame.
+fn served(render: impl FnOnce() -> String) -> (u64, Vec<u8>) {
+    let mut frame = Vec::new();
+    let calls = alloc_calls(|| {
+        let mut block = render();
+        protocol::insert_trace_token(&mut block, 0xb10e_24d1_fa8c_0f37);
+        frame = ResponseFrame::Block(block).encode().expect("encodable");
+    });
+    (calls, frame)
+}
+
+/// Allocator calls a binary client makes to turn that frame back into
+/// rows: read it off the stream into a block, parse the block's lines
+/// with `parse`. Returns them and the rows.
+fn received<T>(
+    frame: &[u8],
+    parse: impl FnOnce(&ReplyBlock) -> Result<Vec<T>, ClientError>,
+) -> (u64, Vec<T>) {
+    let mut rows = Vec::new();
+    let calls = alloc_calls(|| {
+        let Ok(Some(ResponseFrame::Block(text))) = ResponseFrame::read(&mut &frame[..]) else {
+            panic!("expected a BLOCK frame");
+        };
+        rows = parse(&ReplyBlock::new(text).expect("a whole block")).expect("parses");
+    });
+    (calls, rows)
+}
+
+fn a_query_reply_renders_and_frames_in_two_allocator_calls() {
+    let hits = query_hits();
+    let (calls, _) = served(|| protocol::format_hits(&hits));
+    assert!(calls <= 2, "a {}-hit QUERY reply made {calls} allocator calls", hits.len());
+}
+
+fn a_query_reply_decodes_and_parses_in_a_call_per_hit_and_three() {
+    let hits = query_hits();
+    let (_, frame) = served(|| protocol::format_hits(&hits));
+    let (calls, parsed) = received(&frame, ReplyBlock::hits);
+    assert_eq!(parsed, hits);
+    let bound = hits.len() as u64 + 3;
+    assert!(calls <= bound, "parsing {} hits made {calls} allocator calls", hits.len());
+}
+
+fn a_resolve_reply_renders_and_frames_in_two_allocator_calls() {
+    let candidates = resolve_candidates();
+    let (calls, _) = served(|| protocol::format_candidates(&candidates));
+    let n = candidates.len();
+    assert!(calls <= 2, "a {n}-candidate RESOLVE reply made {calls} allocator calls");
+}
+
+fn a_resolve_reply_decodes_and_parses_in_two_calls_per_candidate_and_three() {
+    let candidates = resolve_candidates();
+    let (_, frame) = served(|| protocol::format_candidates(&candidates));
+    let (calls, parsed) = received(&frame, ReplyBlock::candidates);
+    assert_eq!(parsed, candidates);
+    let bound = 2 * candidates.len() as u64 + 3;
+    assert!(calls <= bound, "parsing {} candidates made {calls} allocator calls", candidates.len());
 }

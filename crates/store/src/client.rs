@@ -38,9 +38,11 @@
 //! # Ok::<(), yv_store::client::ClientError>(())
 //! ```
 //!
-//! Every typed call works identically on both transports (binary
+//! Every typed call works identically on both transports: binary
 //! replies carry the same rendered block the text server would have
-//! written, so even the parsers are shared). The binary transport adds
+//! written, both connections hand it back as one [`ReplyBlock`] — one
+//! `String`, status line to terminator — and one set of line parsers
+//! reads `&str` lines out of it. The binary transport adds
 //! [`Client::batch_add`] — many records in one round trip with
 //! per-record [`BatchStatus`] outcomes — and [`Client::pipeline`], which
 //! keeps a bounded window of requests in flight and hands replies back
@@ -276,7 +278,8 @@ impl ClientOptions {
                 writer.write_all(HELLO_LINE.as_bytes())?;
                 writer.write_all(b"\n")?;
                 writer.flush()?;
-                let (status, _) = read_text_block(&mut reader)?;
+                let hello = read_text_block(&mut reader)?;
+                let status = hello.status();
                 if status != HELLO_OK {
                     return Err(match status.strip_prefix("ERR ") {
                         Some(msg) => ClientError::Server(msg.to_owned()),
@@ -308,6 +311,94 @@ impl ClientOptions {
     }
 }
 
+/// One response block as it came off either transport, in the one
+/// `String` it arrived in: the status line, the data lines and the lone
+/// `.` terminator line. The binary frame's payload becomes it without a
+/// copy; the text reader appends lines into it up to the terminator. The
+/// line parsers read `&str` lines out of it, so a reply's only further
+/// allocations are the values it parses to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplyBlock {
+    text: String,
+    /// Where the status line's newline sits.
+    status_end: usize,
+    /// Where the terminator line starts.
+    data_end: usize,
+}
+
+impl ReplyBlock {
+    /// Check that `text` is a whole block — a status line, data lines,
+    /// and a terminator line closing it — and keep it.
+    pub fn new(text: String) -> Result<ReplyBlock, ClientError> {
+        let closed = text.strip_suffix('\n').unwrap_or(&text);
+        let closed = closed.strip_suffix('\r').unwrap_or(closed);
+        let data_end = closed.len().saturating_sub(TERMINATOR.len());
+        match text.find('\n') {
+            Some(status_end)
+                if closed.ends_with(TERMINATOR)
+                    && data_end > status_end
+                    && text.as_bytes()[data_end - 1] == b'\n' =>
+            {
+                Ok(ReplyBlock { text, status_end, data_end })
+            }
+            _ => Err(ClientError::Protocol(format!(
+                "response block has no status line or no terminator: {text:?}"
+            ))),
+        }
+    }
+
+    /// The status line, without its line ending.
+    #[must_use]
+    pub fn status(&self) -> &str {
+        let status = &self.text[..self.status_end];
+        status.strip_suffix('\r').unwrap_or(status)
+    }
+
+    /// The data lines between the status line and the terminator.
+    pub fn data(&self) -> std::str::Lines<'_> {
+        self.data_text().lines()
+    }
+
+    /// The whole block as it arrived, terminator included.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// Parse the data lines of a `QUERY` reply, one `HIT` line each.
+    pub fn hits(&self) -> Result<Vec<QueryHit>, ClientError> {
+        self.rows(parse_hit)
+    }
+
+    /// Parse the data lines of a `RESOLVE` reply, one `CAND` line each.
+    pub fn candidates(&self) -> Result<Vec<RankedEntity>, ClientError> {
+        self.rows(parse_cand)
+    }
+
+    /// The data lines' text, every line with its newline.
+    fn data_text(&self) -> &str {
+        &self.text[self.status_end + 1..self.data_end]
+    }
+
+    /// The data lines' text, in the block's own buffer.
+    fn into_data(self) -> String {
+        let mut text = self.text;
+        text.truncate(self.data_end);
+        text.drain(..=self.status_end);
+        text
+    }
+
+    /// One row per data line, in a `Vec` sized for them up front.
+    fn rows<T>(&self, parse: fn(&str) -> Result<T, ClientError>) -> Result<Vec<T>, ClientError> {
+        let lines = self.data_text().bytes().filter(|&b| b == b'\n').count();
+        let mut rows = Vec::with_capacity(lines);
+        for line in self.data() {
+            rows.push(parse(line)?);
+        }
+        Ok(rows)
+    }
+}
+
 /// One reply off the wire, still in transport shape. [`Reply::block`]
 /// and [`Reply::batch`] convert to the typed forms (mapping `ERR`
 /// statuses to [`ClientError::Server`]); pipelined callers get `Reply`
@@ -315,13 +406,9 @@ impl ClientOptions {
 /// it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
-    /// A rendered response block: the status line plus the data lines
-    /// (terminator already consumed). Both transports produce these —
-    /// the binary framing carries the same rendered text.
-    Block {
-        status: String,
-        data: Vec<String>,
-    },
+    /// A rendered response block. Both transports produce these — the
+    /// binary framing carries the same rendered text.
+    Block(ReplyBlock),
     /// Per-record `BATCH_ADD` outcomes, in request order (binary only).
     Batch(Vec<BatchStatus>),
 }
@@ -329,9 +416,10 @@ pub enum Reply {
 impl Reply {
     /// This reply as a successful text block. `ERR` statuses become
     /// [`ClientError::Server`]; a batch reply here is a protocol breach.
-    pub fn block(self) -> Result<(String, Vec<String>), ClientError> {
+    pub fn block(self) -> Result<ReplyBlock, ClientError> {
         match self {
-            Reply::Block { status, data } => {
+            Reply::Block(block) => {
+                let status = block.status();
                 if let Some(msg) = status.strip_prefix("ERR ") {
                     return Err(ClientError::Server(msg.to_owned()));
                 }
@@ -340,7 +428,7 @@ impl Reply {
                         "expected an OK or ERR status line, got {status:?}"
                     )));
                 }
-                Ok((status, data))
+                Ok(block)
             }
             Reply::Batch(_) => Err(ClientError::Protocol(
                 "expected a response block, got a BATCH_ADD status frame".to_owned(),
@@ -352,7 +440,8 @@ impl Reply {
     pub fn batch(self) -> Result<Vec<BatchStatus>, ClientError> {
         match self {
             Reply::Batch(statuses) => Ok(statuses),
-            Reply::Block { status, .. } => {
+            Reply::Block(block) => {
+                let status = block.status();
                 if let Some(msg) = status.strip_prefix("ERR ") {
                     return Err(ClientError::Server(msg.to_owned()));
                 }
@@ -396,8 +485,7 @@ impl Connection for TextConnection {
     }
 
     fn recv(&mut self) -> Result<Reply, ClientError> {
-        let (status, data) = read_text_block(&mut self.reader)?;
-        Ok(Reply::Block { status, data })
+        read_text_block(&mut self.reader).map(Reply::Block)
     }
 }
 
@@ -421,19 +509,7 @@ impl Connection for BinaryConnection {
         match ResponseFrame::read(&mut self.reader)? {
             None => Err(ClientError::Protocol("connection closed mid-response".to_owned())),
             Some(ResponseFrame::Batch(statuses)) => Ok(Reply::Batch(statuses)),
-            Some(ResponseFrame::Block(block)) => {
-                let mut lines = block.lines().map(str::to_owned);
-                let status = lines.next().ok_or_else(|| {
-                    ClientError::Protocol("empty response block frame".to_owned())
-                })?;
-                let mut data: Vec<String> = lines.collect();
-                if data.pop().as_deref() != Some(TERMINATOR) {
-                    return Err(ClientError::Protocol(
-                        "response block frame has no terminator".to_owned(),
-                    ));
-                }
-                Ok(Reply::Block { status, data })
-            }
+            Some(ResponseFrame::Block(text)) => ReplyBlock::new(text).map(Reply::Block),
         }
     }
 }
@@ -462,21 +538,16 @@ impl Client {
 
     /// Run a `QUERY` and parse the hits.
     pub fn query(&mut self, query: &PersonQuery) -> Result<Vec<QueryHit>, ClientError> {
-        let (_, data) = self.request(&RequestFrame::Query(query.clone()))?;
-        data.iter().map(|line| parse_hit(line)).collect()
+        self.request(&RequestFrame::Query(query.clone()))?.hits()
     }
 
     /// Run an `ADD`, returning the number of ranked matches the new
     /// record produced.
     pub fn add(&mut self, record: &Record) -> Result<usize, ClientError> {
-        let (status, _) = self.request(&RequestFrame::Add(Box::new(record.clone())))?;
+        let block = self.request(&RequestFrame::Add(Box::new(record.clone())))?;
         // Token scan, not a prefix match: OK status lines may carry a
         // trailing `trace=<id>` token after the matches count.
-        status
-            .split_whitespace()
-            .find_map(|token| token.strip_prefix("matches="))
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| ClientError::Protocol(format!("expected OK matches=N, got {status:?}")))
+        field(block.status(), "matches")
     }
 
     /// Run a `BATCH_ADD`: all `records` in one round trip, answered with
@@ -499,40 +570,30 @@ impl Client {
     ) -> Result<Vec<RankedEntity>, ClientError> {
         let k = k.map(wire_u32("k")).transpose()?;
         let frame = RequestFrame::Resolve { name: name.to_owned(), k, min };
-        let (_, data) = self.request(&frame)?;
-        data.iter().map(|line| parse_cand(line)).collect()
+        self.request(&frame)?.candidates()
     }
 
     /// Run `STATS` and parse the report.
     pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
-        let (status, data) = self.request(&RequestFrame::Stats)?;
-        parse_stats(&status, &data)
+        parse_stats(&self.request(&RequestFrame::Stats)?)
     }
 
     /// Run `METRICS`, returning the Prometheus text exposition verbatim.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let (_, data) = self.request(&RequestFrame::Metrics)?;
-        let mut out = String::new();
-        for line in data {
-            out.push_str(&line);
-            out.push('\n');
-        }
-        Ok(out)
+        Ok(self.request(&RequestFrame::Metrics)?.into_data())
     }
 
     /// Run `TOP` and parse the live introspection report. `k` bounds the
     /// number of `SLOW` rows; the server default applies when absent.
     pub fn top(&mut self, k: Option<usize>) -> Result<TopReport, ClientError> {
         let k = k.map(wire_u32("k")).transpose()?;
-        let (_, data) = self.request(&RequestFrame::Top { k })?;
-        parse_top(&data)
+        parse_top(&self.request(&RequestFrame::Top { k })?)
     }
 
     /// Run `TRACE <id>` and parse the span tree for one captured request.
     /// Ids come from the `trace=` token on OK status lines (or `TOP`).
     pub fn trace_get(&mut self, id: u64) -> Result<TraceReport, ClientError> {
-        let (status, data) = self.request(&RequestFrame::Trace { id })?;
-        parse_trace(&status, &data)
+        parse_trace(&self.request(&RequestFrame::Trace { id })?)
     }
 
     /// Run `HISTORY <metric>` and parse the windowed-rollup report.
@@ -547,8 +608,7 @@ impl Client {
             metric: metric.to_owned(),
             window: window.map(wire_u32("window")).transpose()?,
         };
-        let (status, data) = self.request(&frame)?;
-        parse_history(&status, &data)
+        parse_history(&self.request(&frame)?)
     }
 
     /// Ask the server to fold its WALs into a fresh snapshot.
@@ -568,8 +628,8 @@ impl Client {
         Pipeline { conn: self.conn.as_mut(), window: window.max(1), in_flight: 0, replies: Vec::new() }
     }
 
-    /// One request/reply exchange, unwrapped to (status, data lines).
-    fn request(&mut self, frame: &RequestFrame) -> Result<(String, Vec<String>), ClientError> {
+    /// One request/reply exchange, unwrapped to its `OK` block.
+    fn request(&mut self, frame: &RequestFrame) -> Result<ReplyBlock, ClientError> {
         self.conn.send(frame)?;
         self.conn.recv()?.block()
     }
@@ -617,30 +677,30 @@ impl Pipeline<'_> {
     }
 }
 
-/// Read one text-protocol response block: the status line plus data
-/// lines up to (and consuming) the terminator.
-fn read_text_block<R: BufRead>(reader: &mut R) -> Result<(String, Vec<String>), ClientError> {
-    let status = read_line(reader)?;
-    let mut data = Vec::new();
+/// Read one text-protocol response block, the status line then lines up
+/// to (and consuming) the terminator, appended into one `String`. It is
+/// sized from the bytes already buffered, which usually hold the whole
+/// block.
+fn read_text_block<R: BufRead>(reader: &mut R) -> Result<ReplyBlock, ClientError> {
+    let buffered = reader.fill_buf()?;
+    let mut text = String::with_capacity(block_len(buffered).unwrap_or(buffered.len()));
     loop {
-        let line = read_line(reader)?;
-        if line == TERMINATOR {
-            break;
+        let start = text.len();
+        if reader.read_line(&mut text)? == 0 {
+            return Err(ClientError::Protocol("connection closed mid-response".to_owned()));
         }
-        data.push(line);
+        if start > 0 && text[start..].trim_end_matches(['\n', '\r']) == TERMINATOR {
+            return ReplyBlock::new(text);
+        }
     }
-    Ok((status, data))
 }
 
-fn read_line<R: BufRead>(reader: &mut R) -> Result<String, ClientError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(ClientError::Protocol("connection closed mid-response".to_owned()));
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(line)
+/// The length of the block `bytes` open with, through the first
+/// terminator line after its status line, if it is all there.
+fn block_len(bytes: &[u8]) -> Option<usize> {
+    let status_end = bytes.iter().position(|&b| b == b'\n')?;
+    let closing = bytes[status_end..].windows(3).position(|w| w == b"\n.\n")?;
+    Some(status_end + closing + 3)
 }
 
 /// Narrow a caller-facing `usize` knob to the wire's `u32`.
@@ -662,54 +722,58 @@ fn request_line(request: &RequestFrame) -> Result<String, ClientError> {
     Ok(line)
 }
 
-/// Parse one `HIT seed=N entity=A,B,C` data line.
+/// Parse one `HIT seed=N entity=A,B,C` data line. The entity's `Vec` is
+/// its one allocation.
 fn parse_hit(line: &str) -> Result<QueryHit, ClientError> {
     let malformed = || ClientError::Protocol(format!("malformed HIT line {line:?}"));
     let rest = line.strip_prefix("HIT seed=").ok_or_else(malformed)?;
     let (seed, entity) = rest.split_once(" entity=").ok_or_else(malformed)?;
     let seed = RecordId(seed.parse().map_err(|_| malformed())?);
-    let entity = entity
-        .split(',')
-        .map(|r| r.parse().map(RecordId))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|_| malformed())?;
+    let entity = parse_ids(entity).ok_or_else(malformed)?;
     Ok(QueryHit { seed, entity })
 }
 
-/// Parse one `CAND entity=N score=S name=X members=A,B,C` data line.
+/// Parse one `CAND entity=N score=S name=X members=A,B,C` data line. The
+/// name's `String` and the members' `Vec` are its allocations.
 fn parse_cand(line: &str) -> Result<RankedEntity, ClientError> {
     let malformed = || ClientError::Protocol(format!("malformed CAND line {line:?}"));
     if !line.starts_with("CAND ") {
         return Err(malformed());
     }
-    let members: String = field(line, "members")?;
-    let members = members
-        .split(',')
-        .map(|r| r.parse().map(RecordId))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|_| malformed())?;
+    let members = value(line, "members")
+        .ok_or_else(|| ClientError::Protocol(format!("no members= field in {line:?}")))?;
     Ok(RankedEntity {
         entity: RecordId(field(line, "entity")?),
         score: field(line, "score")?,
-        name: field::<String>(line, "name")?,
-        members,
+        name: field(line, "name")?,
+        members: parse_ids(members).ok_or_else(malformed)?,
     })
+}
+
+/// A comma-separated id list, in one `Vec` sized for it.
+fn parse_ids(list: &str) -> Option<Vec<RecordId>> {
+    let mut ids = Vec::with_capacity(list.bytes().filter(|&b| b == b',').count() + 1);
+    for id in list.split(',') {
+        ids.push(RecordId(id.parse().ok()?));
+    }
+    Some(ids)
+}
+
+/// The value of a whitespace-tokenized line's `key=value` token.
+fn value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    line.split_whitespace().find_map(|token| token.strip_prefix(key)?.strip_prefix('='))
 }
 
 /// Pull `key=` out of a whitespace-tokenized line and parse it.
 fn field<T: std::str::FromStr>(line: &str, key: &str) -> Result<T, ClientError> {
-    let prefix = format!("{key}=");
-    line.split_whitespace()
-        .find_map(|token| token.strip_prefix(&prefix))
+    value(line, key)
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| ClientError::Protocol(format!("no {key}= field in {line:?}")))
 }
 
 /// Like [`field`], but for the zero-padded hex trace ids.
 fn hex_field(line: &str, key: &str) -> Result<u64, ClientError> {
-    let prefix = format!("{key}=");
-    line.split_whitespace()
-        .find_map(|token| token.strip_prefix(&prefix))
+    value(line, key)
         .and_then(|v| u64::from_str_radix(v, 16).ok())
         .ok_or_else(|| ClientError::Protocol(format!("no hex {key}= field in {line:?}")))
 }
@@ -747,21 +811,22 @@ fn parse_cmd_row(line: &str) -> Result<CommandStats, ClientError> {
 
 /// Parse the `ok`/`err` value of a `status=` token.
 fn status_flag(line: &str) -> Result<bool, ClientError> {
-    match field::<String>(line, "status")?.as_str() {
-        "ok" => Ok(true),
-        "err" => Ok(false),
-        other => Err(ClientError::Protocol(format!(
+    match value(line, "status") {
+        Some("ok") => Ok(true),
+        Some("err") => Ok(false),
+        Some(other) => Err(ClientError::Protocol(format!(
             "unexpected status={other:?} in {line:?}"
         ))),
+        None => Err(ClientError::Protocol(format!("no status= field in {line:?}"))),
     }
 }
 
 /// Parse the `TOP` data rows: `RING`, `CMD` and `SLOW` lines.
-fn parse_top(data: &[String]) -> Result<TopReport, ClientError> {
+fn parse_top(block: &ReplyBlock) -> Result<TopReport, ClientError> {
     let mut ring = None;
     let mut commands = Vec::new();
     let mut slow = Vec::new();
-    for line in data {
+    for line in block.data() {
         if line.starts_with("RING ") {
             ring = Some(RingStats {
                 capacity: field(line, "capacity")?,
@@ -794,7 +859,8 @@ fn parse_top(data: &[String]) -> Result<TopReport, ClientError> {
 }
 
 /// Parse the `TRACE` status line plus the indented `SPAN` tree.
-fn parse_trace(status: &str, data: &[String]) -> Result<TraceReport, ClientError> {
+fn parse_trace(block: &ReplyBlock) -> Result<TraceReport, ClientError> {
+    let status = block.status();
     const KNOWN: &[&str] = &["trace", "command", "status", "conn", "total_ns", "spans", "dropped"];
     const SPAN_KNOWN: &[&str] = &["name", "depth", "shard", "start_ns", "dur_ns"];
     let mut report = TraceReport {
@@ -807,13 +873,13 @@ fn parse_trace(status: &str, data: &[String]) -> Result<TraceReport, ClientError
         args: extra_args(status, KNOWN),
         spans: Vec::new(),
     };
-    for line in data {
+    for line in block.data() {
         if !line.trim_start().starts_with("SPAN ") {
             return Err(ClientError::Protocol(format!(
                 "unexpected TRACE data line {line:?}"
             )));
         }
-        let shard = match line.split_whitespace().find_map(|t| t.strip_prefix("shard=")) {
+        let shard = match value(line, "shard") {
             Some(v) => Some(v.parse().map_err(|_| {
                 ClientError::Protocol(format!("malformed shard= in {line:?}"))
             })?),
@@ -840,7 +906,8 @@ fn parse_slo_row(line: &str) -> Result<(SloRule, SloStatus), ClientError> {
         threshold_us: field(line, "threshold_us")?,
         window: field(line, "window")?,
     };
-    let label: String = field(line, "state")?;
+    let label = value(line, "state")
+        .ok_or_else(|| ClientError::Protocol(format!("no state= field in {line:?}")))?;
     let state = [SloState::Ok, SloState::Warning, SloState::Firing]
         .into_iter()
         .find(|state| state.label() == label)
@@ -854,11 +921,12 @@ fn parse_slo_row(line: &str) -> Result<(SloRule, SloStatus), ClientError> {
 }
 
 /// Parse the `HISTORY` status line plus `WINDOW` / `SLO` / `BUCKET` rows.
-fn parse_history(status: &str, data: &[String]) -> Result<HistoryReport, ClientError> {
+fn parse_history(block: &ReplyBlock) -> Result<HistoryReport, ClientError> {
+    let status = block.status();
     let mut summary = None;
     let mut slo = Vec::new();
     let mut buckets = Vec::new();
-    for line in data {
+    for line in block.data() {
         if line.starts_with("WINDOW ") {
             summary = Some(LatencySummary {
                 count: field(line, "count")?,
@@ -899,7 +967,8 @@ fn parse_history(status: &str, data: &[String]) -> Result<HistoryReport, ClientE
 
 /// Parse the `STATS` status line plus `SHARD` / `CMD` data rows; the
 /// status line's `shards=` must count the `SHARD` rows.
-fn parse_stats(status: &str, data: &[String]) -> Result<StatsReport, ClientError> {
+fn parse_stats(block: &ReplyBlock) -> Result<StatsReport, ClientError> {
+    let status = block.status();
     let mut report = StatsReport {
         records: field(status, "records")?,
         sources: field(status, "sources")?,
@@ -916,7 +985,7 @@ fn parse_stats(status: &str, data: &[String]) -> Result<StatsReport, ClientError
         errors: field(status, "errors")?,
         ..StatsReport::default()
     };
-    for line in data {
+    for line in block.data() {
         if let Some(rest) = line.strip_prefix("SHARD ") {
             let shard = rest
                 .split_whitespace()
@@ -987,9 +1056,8 @@ mod tests {
         assert_eq!(line, "STATS\n", "line and newline leave in one write");
     }
 
-    /// A rendered response split into its status line and data lines,
-    /// as [`read_text_block`] reads it off a socket.
-    fn block(rendered: &str) -> (String, Vec<String>) {
+    /// A rendered response as [`read_text_block`] reads it off a socket.
+    fn block(rendered: &str) -> ReplyBlock {
         read_text_block(&mut rendered.as_bytes()).expect("a whole response block")
     }
 
@@ -1003,8 +1071,7 @@ mod tests {
             QueryHit { seed: RecordId(17), entity: ids(&[17, 203, 5044]) },
             QueryHit { seed: RecordId(9), entity: ids(&[9]) },
         ];
-        let (_, data) = block(&crate::protocol::format_hits(&hits));
-        let parsed: Result<Vec<_>, _> = data.iter().map(|line| parse_hit(line)).collect();
+        let parsed = block(&crate::protocol::format_hits(&hits)).hits();
         assert_eq!(parsed.expect("rendered by the server"), hits);
         assert!(parse_hit("HIT seed=17").is_err());
         assert!(parse_hit("seed=17 entity=1").is_err());
@@ -1028,9 +1095,8 @@ mod tests {
                 members: ids(&[id, 203]),
             })
             .collect();
-        let (_, data) = block(&crate::protocol::format_candidates(&hits));
-        let parsed: Vec<RankedEntity> =
-            data.iter().map(|line| parse_cand(line).expect("rendered by the server")).collect();
+        let parsed =
+            block(&crate::protocol::format_candidates(&hits)).candidates().expect("rendered");
         assert_eq!(parsed, hits);
         let bits = |rows: &[RankedEntity]| -> Vec<u64> {
             rows.iter().map(|r| r.score.to_bits()).collect()
@@ -1039,6 +1105,97 @@ mod tests {
         assert!(parse_cand("CAND entity=17 score=0.5 name=levi").is_err());
         assert!(parse_cand("HIT seed=17 entity=1").is_err());
         assert!(parse_cand("CAND entity=17 score=x name=levi members=17").is_err());
+    }
+
+    /// A score from its bits, or for a third of the picks one of the
+    /// values plain `Display` is likeliest to get wrong: signed zeros,
+    /// subnormals, the extremes, and a sum 17 significant digits long.
+    fn score(bits: u64, pick: usize) -> f64 {
+        const EDGES: [f64; 8] = [
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            0.300_000_000_000_000_04,
+        ];
+        match (EDGES.get(pick), f64::from_bits(bits)) {
+            (Some(&edge), _) => edge,
+            (None, drawn) if drawn.is_finite() => drawn,
+            (None, _) => EDGES[pick % EDGES.len()],
+        }
+    }
+
+    /// A block the server rendered, as each transport hands it back: read
+    /// off a text stream, and carried in a `BLOCK` frame. Both get the
+    /// in-place trace token first, as a served `QUERY` or `RESOLVE` does.
+    fn over_both_transports(mut rendered: String) -> [ReplyBlock; 2] {
+        crate::protocol::insert_trace_token(&mut rendered, 0x00c0_ffee_0000_0001);
+        let text = read_text_block(&mut rendered.as_bytes()).expect("a whole text block");
+        let frame = ResponseFrame::Block(rendered).encode().expect("encodable");
+        let Ok(Some(ResponseFrame::Block(carried))) = ResponseFrame::read(&mut frame.as_slice())
+        else {
+            panic!("the frame decodes to a block");
+        };
+        [text, ReplyBlock::new(carried).expect("a whole framed block")]
+    }
+
+    use proptest::collection::vec as draws;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The reply half of the round-trip law: what the server renders
+        /// for any `QUERY` hits or `RESOLVE` candidates — any `u32` ids,
+        /// any finite score, names from the text-encodable alphabet —
+        /// parses back to them bit for bit over both transports, and the
+        /// renderers write the bytes of the allocating reference.
+        #[test]
+        fn rendered_replies_parse_back_bit_for_bit(
+            seeds in draws(0u32..=u32::MAX, 0..14),
+            lists in draws(draws(0u32..=u32::MAX, 1..7), 14..15),
+            bits in draws(0u64..=u64::MAX, 14..15),
+            picks in draws(0usize..24, 14..15),
+            names in draws("[a-zA-Z0-9łóźüéßא'=.,_-]{0,10}", 14..15),
+        ) {
+            let hits: Vec<QueryHit> = seeds
+                .iter()
+                .zip(&lists)
+                .map(|(&seed, list)| QueryHit { seed: RecordId(seed), entity: ids(list) })
+                .collect();
+            let rendered = crate::protocol::format_hits(&hits);
+            proptest::prop_assert_eq!(&rendered, &fixtures::reference_format_hits(&hits));
+            for block in over_both_transports(rendered) {
+                proptest::prop_assert_eq!(&block.hits().expect("parses"), &hits);
+            }
+
+            let candidates: Vec<RankedEntity> = seeds
+                .iter()
+                .zip(&lists)
+                .zip(bits.iter().zip(&picks))
+                .zip(&names)
+                .map(|(((&entity, list), (&bits, &pick)), name)| RankedEntity {
+                    entity: RecordId(entity),
+                    score: score(bits, pick),
+                    name: name.clone(),
+                    members: ids(list),
+                })
+                .collect();
+            let exact = |rows: &[RankedEntity]| -> Vec<(u32, u64, String, Vec<RecordId>)> {
+                rows.iter()
+                    .map(|r| (r.entity.0, r.score.to_bits(), r.name.clone(), r.members.clone()))
+                    .collect()
+            };
+            let rendered = crate::protocol::format_candidates(&candidates);
+            let reference = fixtures::reference_format_candidates(&candidates);
+            proptest::prop_assert_eq!(&rendered, &reference);
+            for block in over_both_transports(rendered) {
+                let parsed = block.candidates().expect("parses");
+                proptest::prop_assert_eq!(exact(&parsed), exact(&candidates));
+            }
+        }
     }
 
     /// A scripted [`Connection`] that records the high-water mark of
@@ -1070,7 +1227,7 @@ mod tests {
             self.outstanding -= 1;
             let n = self.next_reply;
             self.next_reply += 1;
-            Ok(Reply::Block { status: format!("OK reply={n}"), data: Vec::new() })
+            ReplyBlock::new(format!("OK reply={n}\n.\n")).map(Reply::Block)
         }
     }
 
@@ -1086,7 +1243,7 @@ mod tests {
         assert_eq!(replies.len(), 10);
         for (n, reply) in replies.iter().enumerate() {
             let expected = format!("OK reply={n}");
-            assert!(matches!(reply, Reply::Block { status, .. } if *status == expected));
+            assert!(matches!(reply, Reply::Block(block) if block.status() == expected));
         }
         // The pipeline stays usable after a flush, and a fresh flush
         // only returns replies pushed since.
@@ -1100,20 +1257,44 @@ mod tests {
 
     #[test]
     fn reply_conversions_map_err_statuses_to_server_errors() {
-        let err = Reply::Block { status: "ERR no such metric".to_owned(), data: Vec::new() };
+        let reply = |status: &str| Reply::Block(block(&format!("{status}\n.\n")));
+        let err = reply("ERR no such metric");
         assert!(matches!(err.clone().block(), Err(ClientError::Server(msg)) if msg == "no such metric"));
         assert!(matches!(err.batch(), Err(ClientError::Server(_))));
 
-        let ok = Reply::Block { status: "OK matches=2".to_owned(), data: Vec::new() };
-        assert_eq!(ok.clone().block().expect("ok").0, "OK matches=2");
+        let ok = reply("OK matches=2");
+        assert_eq!(ok.clone().block().expect("ok").status(), "OK matches=2");
         assert!(matches!(ok.batch(), Err(ClientError::Protocol(_))));
 
         let batch = Reply::Batch(vec![BatchStatus::Ok { matches: 1 }]);
         assert!(matches!(batch.clone().block(), Err(ClientError::Protocol(_))));
         assert_eq!(batch.batch().expect("batch").len(), 1);
 
-        let garbled = Reply::Block { status: "HELLO?".to_owned(), data: Vec::new() };
+        let garbled = reply("HELLO?");
         assert!(matches!(garbled.block(), Err(ClientError::Protocol(_))));
+    }
+
+    #[test]
+    fn a_block_needs_a_status_line_and_a_closing_terminator() {
+        let whole = |text: &str| ReplyBlock::new(text.to_owned()).ok();
+        let parts = |b: ReplyBlock| (b.status().to_owned(), b.data().map(str::to_owned).collect());
+        let split = |text: &str| whole(text).map(parts);
+        let lines = |data: &[&str]| data.iter().map(|l| (*l).to_owned()).collect::<Vec<_>>();
+        assert_eq!(split("OK 0\n.\n"), Some(("OK 0".to_owned(), lines(&[]))));
+        assert_eq!(split("OK 1\nHIT a\n.\n"), Some(("OK 1".to_owned(), lines(&["HIT a"]))));
+        assert_eq!(split("OK 1\r\nHIT a\r\n.\r\n"), Some(("OK 1".to_owned(), lines(&["HIT a"]))));
+        // The status line is never the terminator, however it reads.
+        assert_eq!(split(".\n.\n"), Some((".".to_owned(), lines(&[]))));
+        for broken in ["", ".\n", "OK 2\n", "OK 2\nHIT a\n", "OK.\n", "OK 1\nHIT a.\n"] {
+            assert_eq!(whole(broken), None, "{broken:?}");
+        }
+        // A text reply closes at its first terminator line; what follows
+        // is the next reply's.
+        let mut stream = "OK 1\nHIT a\n.\nOK 0\n.\n".as_bytes();
+        assert_eq!(read_text_block(&mut stream).expect("first").as_str(), "OK 1\nHIT a\n.\n");
+        assert_eq!(read_text_block(&mut stream).expect("second").as_str(), "OK 0\n.\n");
+        assert!(read_text_block(&mut stream).is_err(), "closed mid-response");
+        assert_eq!(block("OK metrics\na 1\nb 2\n.\n").into_data(), "a 1\nb 2\n");
     }
 
     #[test]
@@ -1145,31 +1326,31 @@ mod tests {
     fn stats_response_parses_shard_and_cmd_rows() {
         let report = fixtures::sample_stats();
         let rendered = crate::protocol::format_stats(&report);
-        let (status, data) = block(&rendered);
-        assert_eq!(parse_stats(&status, &data).expect("rendered by the server"), report);
-        let (skewed, _) = block(&rendered.replace("shards=2", "shards=3"));
-        assert!(parse_stats(&skewed, &data).is_err(), "shards= must count the SHARD rows");
-        let unknown: Vec<String> = data.iter().map(|l| l.replace("CMD ADD", "CMD FROB")).collect();
-        assert!(parse_stats(&status, &unknown).is_err(), "CMD names come from COMMANDS");
-        assert!(parse_stats("OK records=7", &[]).is_err(), "missing fields rejected");
+        assert_eq!(parse_stats(&block(&rendered)).expect("rendered by the server"), report);
+        let skewed = block(&rendered.replace("shards=2", "shards=3"));
+        assert!(parse_stats(&skewed).is_err(), "shards= must count the SHARD rows");
+        let unknown = block(&rendered.replace("CMD ADD", "CMD FROB"));
+        assert!(parse_stats(&unknown).is_err(), "CMD names come from COMMANDS");
+        assert!(parse_stats(&block("OK records=7\n.\n")).is_err(), "missing fields rejected");
     }
 
     #[test]
     fn top_response_parses_ring_cmd_and_slow_rows() {
         let idle = TopReport { ring: RingStats::default(), commands: Vec::new(), slow: Vec::new() };
         for report in [fixtures::sample_top(), idle] {
-            let (_, data) = block(&crate::protocol::format_top(&report));
-            assert_eq!(parse_top(&data).expect("rendered by the server"), report);
+            let rendered = block(&crate::protocol::format_top(&report));
+            assert_eq!(parse_top(&rendered).expect("rendered by the server"), report);
         }
-        assert!(parse_top(&["CMD QUERY count=1".to_owned()]).is_err(), "RING line required");
-        assert!(parse_top(&["RANDOM row".to_owned()]).is_err(), "unknown rows rejected");
+        let cmd_only = block("OK top\nCMD QUERY count=1\n.\n");
+        assert!(parse_top(&cmd_only).is_err(), "RING line required");
+        assert!(parse_top(&block("OK top\nRANDOM row\n.\n")).is_err(), "unknown rows rejected");
     }
 
     #[test]
     fn trace_response_parses_the_span_tree_with_shards_and_args() {
         let trace = fixtures::sample_trace();
-        let (status, data) = block(&crate::protocol::format_trace(&trace));
-        let report = parse_trace(&status, &data).expect("rendered by the server");
+        let rendered = crate::protocol::format_trace(&trace);
+        let report = parse_trace(&block(&rendered)).expect("rendered by the server");
         let owned = |args: &[(&str, u64)]| -> Vec<(String, u64)> {
             args.iter().map(|&(key, value)| (key.to_owned(), value)).collect()
         };
@@ -1185,13 +1366,11 @@ mod tests {
             assert_eq!((row.start_ns, row.dur_ns), (start_ns, span.dur_ns));
             assert_eq!(row.args, owned(span.args()));
         }
-        let hit = ["HIT seed=1 entity=1".to_owned()];
-        assert!(parse_trace(&status, &hit).is_err(), "non-SPAN data rejected");
-        assert!(
-            parse_trace("OK trace=zz command=X status=ok conn=0 total_ns=0 spans=0 dropped=0", &[])
-                .is_err(),
-            "bad hex id rejected"
-        );
+        let status = rendered.lines().next().expect("a status line");
+        let hit = block(&format!("{status}\nHIT seed=1 entity=1\n.\n"));
+        assert!(parse_trace(&hit).is_err(), "non-SPAN data rejected");
+        let bad_id = "OK trace=zz command=X status=ok conn=0 total_ns=0 spans=0 dropped=0\n.\n";
+        assert!(parse_trace(&block(bad_id)).is_err(), "bad hex id rejected");
     }
 
     #[test]
@@ -1210,12 +1389,12 @@ mod tests {
             ..busy.clone()
         };
         for report in [busy, empty] {
-            let (status, data) = block(&crate::protocol::format_history(&report));
-            assert_eq!(parse_history(&status, &data).expect("rendered by the server"), report);
+            let rendered = block(&crate::protocol::format_history(&report));
+            assert_eq!(parse_history(&rendered).expect("rendered by the server"), report);
         }
         let status = "OK history metric=query window=5 now_epoch=9 buckets=0";
-        assert!(parse_history(status, &[]).is_err(), "WINDOW line required");
-        let random = ["RANDOM row".to_owned()];
-        assert!(parse_history(status, &random).is_err(), "unknown rows rejected");
+        assert!(parse_history(&block(&format!("{status}\n.\n"))).is_err(), "WINDOW line required");
+        let random = block(&format!("{status}\nRANDOM row\n.\n"));
+        assert!(parse_history(&random).is_err(), "unknown rows rejected");
     }
 }

@@ -56,9 +56,20 @@ impl Writer {
         Writer { buf: Vec::new() }
     }
 
+    /// A writer appending behind what `buf` already holds.
+    #[must_use]
+    pub fn behind(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Bytes as they are, with no prefix.
+    pub fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     pub fn u8(&mut self, v: u8) {
@@ -102,7 +113,7 @@ impl Writer {
     /// Length-prefixed string.
     pub fn str(&mut self, s: &str) -> Result<(), StoreError> {
         self.len(s.len(), "string")?;
-        self.buf.extend_from_slice(s.as_bytes());
+        self.raw(s.as_bytes());
         Ok(())
     }
 

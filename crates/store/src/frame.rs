@@ -149,8 +149,7 @@ impl RequestFrame {
         }
     }
 
-    fn payload(&self) -> Result<Vec<u8>, StoreError> {
-        let mut w = Writer::new();
+    fn write_payload(&self, w: &mut Writer) -> Result<(), StoreError> {
         match self {
             RequestFrame::Query(q) => {
                 w.opt_str(q.first_name.as_deref())?;
@@ -163,11 +162,11 @@ impl RequestFrame {
                 w.opt(*k, Writer::u32);
                 w.opt(*min, Writer::f64);
             }
-            RequestFrame::Add(record) => codec::write_record(&mut w, record)?,
+            RequestFrame::Add(record) => codec::write_record(w, record)?,
             RequestFrame::BatchAdd(records) => {
                 w.len(records.len(), "BATCH_ADD record count")?;
                 for record in records {
-                    codec::write_record(&mut w, record)?;
+                    codec::write_record(w, record)?;
                 }
             }
             RequestFrame::Stats
@@ -181,12 +180,12 @@ impl RequestFrame {
                 w.opt(*window, Writer::u32);
             }
         }
-        Ok(w.into_bytes())
+        Ok(())
     }
 
     /// Encode into a complete frame (header + payload + checksum).
     pub fn encode(&self) -> Result<Vec<u8>, StoreError> {
-        encode_frame(self.tag(), &self.payload()?)
+        encode_frame(self.tag(), 0, |w| self.write_payload(w))
     }
 
     /// Decode a request payload for a known tag. Rejects unknown tags,
@@ -341,8 +340,7 @@ impl ResponseFrame {
         }
     }
 
-    fn payload(&self) -> Result<Vec<u8>, StoreError> {
-        let mut w = Writer::new();
+    fn write_payload(&self, w: &mut Writer) -> Result<(), StoreError> {
         match self {
             ResponseFrame::Block(text) => w.str(text)?,
             ResponseFrame::Batch(statuses) => {
@@ -361,19 +359,36 @@ impl ResponseFrame {
                 }
             }
         }
-        Ok(w.into_bytes())
+        Ok(())
     }
 
-    /// Encode into a complete frame (header + payload + checksum).
+    /// Encode into a complete frame (header + payload + checksum), in one
+    /// buffer: a block's exact size is known, so it is the frame's only
+    /// allocation.
     pub fn encode(&self) -> Result<Vec<u8>, StoreError> {
-        encode_frame(self.tag(), &self.payload()?)
+        let capacity = match self {
+            ResponseFrame::Block(text) => 4 + text.len(),
+            ResponseFrame::Batch(statuses) => 4 + 5 * statuses.len(),
+        };
+        encode_frame(self.tag(), capacity, |w| self.write_payload(w))
     }
 
-    /// Decode a response payload for a known tag.
-    pub fn decode(tag: u8, payload: &[u8]) -> Result<ResponseFrame, StoreError> {
-        let mut r = Reader::new(payload);
+    /// Decode a response payload for a known tag. A block is made from
+    /// the payload's own buffer: its length prefix is shifted out, and the
+    /// bytes become the `String` without a copy.
+    pub fn decode(tag: u8, mut payload: Vec<u8>) -> Result<ResponseFrame, StoreError> {
+        let mut r = Reader::new(&payload);
         let frame = match tag {
-            TAG_BLOCK => ResponseFrame::Block(r.str("response block")?),
+            TAG_BLOCK => {
+                let len = r.u32("response block")? as usize;
+                r.take(len, "response block")?;
+                r.finish("response frame")?;
+                payload.drain(..4);
+                let text = String::from_utf8(payload).map_err(|_| {
+                    StoreError::Corrupt("invalid UTF-8 in response block".to_owned())
+                })?;
+                return Ok(ResponseFrame::Block(text));
+            }
             TAG_BATCH_STATUS => {
                 let count = r.u32("batch status count")? as usize;
                 if count > payload.len() {
@@ -408,18 +423,25 @@ impl ResponseFrame {
     pub fn read<R: Read>(r: &mut R) -> Result<Option<ResponseFrame>, StoreError> {
         match read_raw_frame(r)? {
             None => Ok(None),
-            Some((tag, payload)) => Ok(Some(ResponseFrame::decode(tag, &payload)?)),
+            Some((tag, payload)) => Ok(Some(ResponseFrame::decode(tag, payload)?)),
         }
     }
 }
 
-/// Assemble a complete frame ([`framed::encode`] with no `extra`),
-/// refusing a payload over [`MAX_PAYLOAD`].
-fn encode_frame(tag: u8, payload: &[u8]) -> Result<Vec<u8>, StoreError> {
-    if payload.len() > MAX_PAYLOAD as usize {
-        return Err(StoreError::LimitExceeded { what: "frame payload", len: payload.len() });
+/// Assemble a complete frame ([`framed::encode_with`] with no `extra`),
+/// `write` putting the payload straight into it, and refuse a payload
+/// over [`MAX_PAYLOAD`].
+fn encode_frame(
+    tag: u8,
+    capacity: usize,
+    write: impl FnOnce(&mut Writer) -> Result<(), StoreError>,
+) -> Result<Vec<u8>, StoreError> {
+    let frame = framed::encode_with(tag, &[], capacity, write)?;
+    let len = frame.len() - HEADER_LEN - TRAILER_LEN;
+    if len > MAX_PAYLOAD as usize {
+        return Err(StoreError::LimitExceeded { what: "frame payload", len });
     }
-    framed::encode(tag, &[], payload)
+    Ok(frame)
 }
 
 /// The checksum a frame's trailer must carry: FNV-1a 64 over the tag
@@ -589,10 +611,12 @@ mod tests {
     fn trailing_garbage_inside_a_checksummed_payload_is_corrupt() {
         // Build a payload with extra bytes, checksum it correctly — the
         // frame layer passes, the decoder must still refuse the surplus.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&RequestFrame::Stats.payload().unwrap());
-        payload.push(0xAB);
-        let framed = encode_frame(TAG_STATS, &payload).unwrap();
+        let framed = encode_frame(TAG_STATS, 1, |w| {
+            RequestFrame::Stats.write_payload(w)?;
+            w.u8(0xAB);
+            Ok(())
+        })
+        .unwrap();
         let mut cursor = Cursor::new(framed);
         match RequestFrame::read(&mut cursor) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("trailing garbage"), "{msg}"),
@@ -613,7 +637,7 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_corrupt_on_both_sides() {
-        let framed = encode_frame(0x7f, &[]).unwrap();
+        let framed = encode_frame(0x7f, 0, |_| Ok(())).unwrap();
         let mut cursor = Cursor::new(framed.clone());
         assert!(matches!(RequestFrame::read(&mut cursor), Err(StoreError::Corrupt(_))));
         let mut cursor = Cursor::new(framed);

@@ -9,15 +9,16 @@
 //! ```
 //!
 //! `extra` is the WAL's u64 arrival sequence number; the wire passes
-//! none. Integers are little-endian. [`encode`] is the only
-//! function that writes a frame, `check_header` the only one that reads
+//! none. Integers are little-endian. [`encode_with`] is the only
+//! function that writes a frame ([`encode`] hands it a payload already
+//! built), `check_header` the only one that reads
 //! a header, `scan` the only one that reads a log (the wire's strict
 //! streaming reader is [`crate::frame::read_raw_frame`]), and `LogFile`
 //! the only append handle — the one place a fault injector has to wrap.
 
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::codec::fnv1a64_parts;
+use crate::codec::{fnv1a64_parts, Writer};
 use crate::error::StoreError;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek as _, SeekFrom, Write as _};
@@ -62,14 +63,35 @@ pub(crate) fn checksum(tag: u8, extra: &[u8], payload: &[u8]) -> u64 {
 /// Encode one complete frame. A payload whose length does not fit the
 /// u32 prefix is [`StoreError::LimitExceeded`].
 pub fn encode(tag: u8, extra: &[u8], payload: &[u8]) -> Result<Vec<u8>, StoreError> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| StoreError::LimitExceeded { what: "frame payload", len: payload.len() })?;
-    let mut frame = Vec::with_capacity(1 + extra.len() + 4 + payload.len() + 8);
+    encode_with(tag, extra, payload.len(), |w| {
+        w.raw(payload);
+        Ok(())
+    })
+}
+
+/// [`encode`] a payload that `write` puts straight into the frame's one
+/// buffer, behind the header and with `capacity` payload bytes reserved:
+/// the payload is never built apart and copied in.
+pub fn encode_with(
+    tag: u8,
+    extra: &[u8],
+    capacity: usize,
+    write: impl FnOnce(&mut Writer) -> Result<(), StoreError>,
+) -> Result<Vec<u8>, StoreError> {
+    let head = 1 + extra.len() + 4;
+    let mut frame = Vec::with_capacity(head + capacity + 8);
     frame.push(tag);
     frame.extend_from_slice(extra);
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame.extend_from_slice(&checksum(tag, extra, payload).to_le_bytes());
+    frame.extend_from_slice(&[0; 4]);
+    let mut w = Writer::behind(frame);
+    write(&mut w)?;
+    let mut frame = w.into_bytes();
+    let payload_len = frame.len() - head;
+    let len = u32::try_from(payload_len)
+        .map_err(|_| StoreError::LimitExceeded { what: "frame payload", len: payload_len })?;
+    frame[head - 4..head].copy_from_slice(&len.to_le_bytes());
+    let sum = checksum(tag, extra, &frame[head..]);
+    frame.extend_from_slice(&sum.to_le_bytes());
     Ok(frame)
 }
 

@@ -101,8 +101,8 @@ mod sync;
 pub mod wal;
 
 pub use client::{
-    Client, ClientError, ClientOptions, Connection, Pipeline, Protocol, Reply, ResolveRow, SpanRow,
-    TraceReport,
+    Client, ClientError, ClientOptions, Connection, Pipeline, Protocol, Reply, ReplyBlock,
+    ResolveRow, SpanRow, TraceReport,
 };
 pub use error::StoreError;
 pub use frame::{

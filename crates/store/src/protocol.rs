@@ -71,6 +71,7 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use crate::frame::RequestFrame;
+use std::fmt::{self, Write as _};
 use yv_core::{PersonQuery, QueryHit};
 use yv_fuzzy::RankedEntity;
 use crate::shard::ShardStats;
@@ -79,7 +80,7 @@ use yv_obs::{
     HistogramSnapshot, LatencySummary, RequestTrace, RingStats, SloRule, SloStatus, WindowView,
     WINDOW_BUCKETS,
 };
-use yv_records::{DateParts, Gender, Record, RecordBuilder, SourceId};
+use yv_records::{DateParts, Gender, Record, RecordBuilder, RecordId, SourceId};
 
 /// Slow-trace summary rows a bare `TOP` returns.
 pub const DEFAULT_TOP_SLOW: usize = 5;
@@ -403,7 +404,9 @@ pub fn render_request(request: &RequestFrame) -> Result<String, String> {
             )
         }
         RequestFrame::Top { k: Some(k) } => push_kv(&mut line, "k", &k.to_string())?,
-        RequestFrame::Trace { id } => line.push_str(&format!(" {id:016x}")),
+        RequestFrame::Trace { id } => {
+            let _ = write!(line, " {id:016x}");
+        }
         RequestFrame::History { metric, window } => {
             push_bare(&mut line, "metric", metric)?;
             if let Some(window) = window {
@@ -497,45 +500,110 @@ fn render_add(out: &mut String, record: &Record) -> Result<(), String> {
     Ok(())
 }
 
-/// Render query hits as response lines (status, data, terminator).
+/// Bytes a `trace=<id>` token adds to a status line: a space, `trace=`
+/// and 16 hex digits. [`format_hits`], [`format_candidates`] and
+/// [`format_status`] leave this much room behind their block, so
+/// [`insert_trace_token`] neither copies nor grows it.
+pub const TRACE_TOKEN_LEN: usize = 23;
+
+/// Bytes of a status line `OK <n>`, its newline, and the terminator line.
+fn counted_block_len(n: usize) -> usize {
+    "OK ".len() + display_len(n) + 1 + TERMINATOR.len() + 1
+}
+
+/// Bytes `value`'s `Display` writes, counted without writing them.
+fn display_len(value: impl fmt::Display) -> usize {
+    struct Count(usize);
+    impl fmt::Write for Count {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut count = Count(0);
+    let _ = write!(count, "{value}");
+    count.0
+}
+
+/// Decimal digits of `n`.
+fn digits(n: u32) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// Bytes of `ids` rendered comma-separated.
+fn ids_len(ids: &[RecordId]) -> usize {
+    ids.iter().map(|id| digits(id.0)).sum::<usize>() + ids.len().saturating_sub(1)
+}
+
+fn push_ids(out: &mut String, ids: &[RecordId]) {
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}", id.0);
+    }
+}
+
+/// Render query hits as response lines (status, data, terminator), into
+/// one `String` sized for them and a trace token.
 #[must_use]
 pub fn format_hits(hits: &[QueryHit]) -> String {
-    let mut out = format!("OK {}\n", hits.len());
+    const HIT: usize = "HIT seed= entity=\n".len();
+    let len = counted_block_len(hits.len())
+        + hits.iter().map(|hit| HIT + digits(hit.seed.0) + ids_len(&hit.entity)).sum::<usize>();
+    let mut out = String::with_capacity(len + TRACE_TOKEN_LEN);
+    let _ = writeln!(out, "OK {}", hits.len());
     for hit in hits {
-        let entity: Vec<String> = hit.entity.iter().map(|r| r.0.to_string()).collect();
-        out.push_str(&format!("HIT seed={} entity={}\n", hit.seed.0, entity.join(",")));
+        let _ = write!(out, "HIT seed={} entity=", hit.seed.0);
+        push_ids(&mut out, &hit.entity);
+        out.push('\n');
     }
     out.push_str(TERMINATOR);
     out.push('\n');
+    debug_assert_eq!(out.len(), len);
     out
 }
 
 /// Render ranked `RESOLVE` candidates as response lines (status, one
-/// `CAND` line per hit, terminator). Scores use plain `Display` — no
-/// fixed-precision rounding — so identical rankings render to identical
-/// bytes and the restart-identity tests can compare responses directly.
+/// `CAND` line per hit, terminator), into one `String` sized for them and
+/// a trace token. Scores use plain `Display` — no fixed-precision
+/// rounding — so identical rankings render to identical bytes and the
+/// restart-identity tests can compare responses directly.
 #[must_use]
 pub fn format_candidates(hits: &[RankedEntity]) -> String {
-    let mut out = format!("OK {}\n", hits.len());
+    const CAND: usize = "CAND entity= score= name= members=\n".len();
+    let cand_len = |hit: &RankedEntity| {
+        let fields = digits(hit.entity.0) + display_len(hit.score) + hit.name.len();
+        CAND + fields + ids_len(&hit.members)
+    };
+    let len = counted_block_len(hits.len()) + hits.iter().map(cand_len).sum::<usize>();
+    let mut out = String::with_capacity(len + TRACE_TOKEN_LEN);
+    let _ = writeln!(out, "OK {}", hits.len());
     for hit in hits {
-        let members: Vec<String> = hit.members.iter().map(|r| r.0.to_string()).collect();
-        out.push_str(&format!(
-            "CAND entity={} score={} name={} members={}\n",
-            hit.entity.0,
-            hit.score,
-            hit.name,
-            members.join(",")
-        ));
+        let _ = write!(
+            out,
+            "CAND entity={} score={} name={} members=",
+            hit.entity.0, hit.score, hit.name
+        );
+        push_ids(&mut out, &hit.members);
+        out.push('\n');
     }
     out.push_str(TERMINATOR);
     out.push('\n');
+    debug_assert_eq!(out.len(), len);
     out
 }
 
-/// Render a single-status response (`OK ...` / `ERR ...`).
+/// Render a single-status response (`OK ...` / `ERR ...`), into one
+/// `String` sized for it and a trace token. `format_args!` renders a
+/// formatted status without a `String` of its own.
 #[must_use]
-pub fn format_status(status: &str) -> String {
-    format!("{status}\n{TERMINATOR}\n")
+pub fn format_status(status: impl fmt::Display) -> String {
+    let len = display_len(&status) + 1 + TERMINATOR.len() + 1;
+    let mut out = String::with_capacity(len + TRACE_TOKEN_LEN);
+    let _ = write!(out, "{status}\n{TERMINATOR}\n");
+    debug_assert_eq!(out.len(), len);
+    out
 }
 
 /// Render a `METRICS` response: status line, the Prometheus text
@@ -650,43 +718,52 @@ pub fn format_stats(r: &StatsReport) -> String {
         r.errors,
     );
     for s in &r.shard_rows {
-        out.push_str(&format!(
-            "SHARD {} records={} wal={} wal_bytes={}\n",
+        let _ = writeln!(
+            out,
+            "SHARD {} records={} wal={} wal_bytes={}",
             s.shard, s.records, s.wal_entries, s.wal_bytes
-        ));
+        );
     }
     for c in &r.commands {
-        out.push_str(&format_cmd_row(c));
+        push_cmd_row(&mut out, c);
     }
     out.push_str(TERMINATOR);
     out.push('\n');
     out
 }
 
-fn format_cmd_row(c: &CommandStats) -> String {
-    format!(
-        "CMD {} count={} errors={} mean_us={} p50_us={} p95_us={} p99_us={} max_us={}\n",
+fn push_cmd_row(out: &mut String, c: &CommandStats) {
+    let _ = writeln!(
+        out,
+        "CMD {} count={} errors={} mean_us={} p50_us={} p95_us={} p99_us={} max_us={}",
         c.name, c.count, c.errors, c.mean_us, c.p50_us, c.p95_us, c.p99_us, c.max_us
-    )
+    );
 }
 
-/// Splice a `trace=<id>` token onto the end of a response's `OK` status
-/// line. `ERR` responses and the untraced id 0 pass through untouched —
-/// the token is a success artifact a client can paste into `TRACE`.
-#[must_use]
-pub fn with_trace_token(response: &str, trace_id: u64) -> String {
-    if trace_id == 0 || !response.starts_with("OK") {
-        return response.to_owned();
+/// Put a `trace=<id>` token at the end of a response's `OK` status line,
+/// in place: the block's later lines move up by [`TRACE_TOKEN_LEN`] bytes
+/// into the room its renderer left. `ERR` responses and the untraced id 0
+/// stay untouched — the token is a success artifact a client can paste
+/// into `TRACE`.
+pub fn insert_trace_token(block: &mut String, trace_id: u64) {
+    if trace_id == 0 || !block.starts_with("OK") {
+        return;
     }
-    match response.split_once('\n') {
-        Some((status, rest)) => format!("{status} trace={trace_id:016x}\n{rest}"),
-        None => format!("{response} trace={trace_id:016x}"),
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut token = *b" trace=0000000000000000";
+    for (pair, byte) in token[7..].chunks_exact_mut(2).zip(trace_id.to_be_bytes()) {
+        pair[0] = HEX[usize::from(byte >> 4)];
+        pair[1] = HEX[usize::from(byte & 0xf)];
+    }
+    let end = block.find('\n').unwrap_or(block.len());
+    if let Ok(token) = std::str::from_utf8(&token) {
+        block.insert_str(end, token);
     }
 }
 
 fn push_span_args(out: &mut String, args: &[(&'static str, u64)]) {
     for (key, value) in args {
-        out.push_str(&format!(" {key}={value}"));
+        let _ = write!(out, " {key}={value}");
     }
 }
 
@@ -715,18 +792,16 @@ pub fn format_trace(trace: &RequestTrace) -> String {
         for _ in 0..span.depth {
             out.push_str("  ");
         }
-        out.push_str(&format!(
-            "SPAN name={} depth={}",
-            span.name, span.depth
-        ));
+        let _ = write!(out, "SPAN name={} depth={}", span.name, span.depth);
         if let Some(shard) = span.shard() {
-            out.push_str(&format!(" shard={shard}"));
+            let _ = write!(out, " shard={shard}");
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             " start_ns={} dur_ns={}",
             span.start_ns.saturating_sub(trace.start_ns),
             span.dur_ns
-        ));
+        );
         push_span_args(&mut out, span.args());
         out.push('\n');
     }
@@ -783,18 +858,19 @@ pub fn format_top(r: &TopReport) -> String {
         ring.capacity, ring.occupancy, ring.captured, ring.evicted, ring.sampled, ring.last_slow
     );
     for c in &r.commands {
-        out.push_str(&format_cmd_row(c));
+        push_cmd_row(&mut out, c);
     }
     for s in &r.slow {
-        out.push_str(&format!(
-            "SLOW trace={:016x} command={} status={} conn={} total_ns={} spans={}\n",
+        let _ = writeln!(
+            out,
+            "SLOW trace={:016x} command={} status={} conn={} total_ns={} spans={}",
             s.trace,
             s.command,
             if s.ok { "ok" } else { "err" },
             s.conn,
             s.total_ns,
             s.spans
-        ));
+        );
     }
     out.push_str(TERMINATOR);
     out.push('\n');
@@ -860,14 +936,16 @@ pub fn format_history(r: &HistoryReport) -> String {
         r.buckets.len()
     );
     let s = &r.summary;
-    out.push_str(&format!(
-        "WINDOW count={} mean_us={} p50_us={} p95_us={} p99_us={} min_us={} max_us={}\n",
+    let _ = writeln!(
+        out,
+        "WINDOW count={} mean_us={} p50_us={} p95_us={} p99_us={} min_us={} max_us={}",
         s.count, s.mean_us, s.p50_us, s.p95_us, s.p99_us, s.min_us, s.max_us
-    ));
+    );
     for (rule, status) in &r.slo {
-        out.push_str(&format!(
+        let _ = writeln!(
+            out,
             "SLO metric={} p={} threshold_us={} window={} short_window={} state={} \
-             burn_long_pct={} burn_short_pct={}\n",
+             burn_long_pct={} burn_short_pct={}",
             rule.metric,
             rule.p,
             rule.threshold_us,
@@ -876,13 +954,14 @@ pub fn format_history(r: &HistoryReport) -> String {
             status.state.label(),
             status.burn_long_pct,
             status.burn_short_pct
-        ));
+        );
     }
     for b in &r.buckets {
-        out.push_str(&format!(
-            "BUCKET epoch={} count={} mean_us={} p50_us={} max_us={}\n",
+        let _ = writeln!(
+            out,
+            "BUCKET epoch={} count={} mean_us={} p50_us={} max_us={}",
             b.epoch, b.count, b.mean_us, b.p50_us, b.max_us
-        ));
+        );
     }
     out.push_str(TERMINATOR);
     out.push('\n');
@@ -1371,19 +1450,60 @@ pub(crate) mod tests {
         );
     }
 
+    /// The allocating `format_hits` the one-buffer renderer replaced, kept
+    /// as the reference its bytes are checked against.
+    pub(crate) fn reference_format_hits(hits: &[QueryHit]) -> String {
+        let mut out = format!("OK {}\n", hits.len());
+        for hit in hits {
+            let entity: Vec<String> = hit.entity.iter().map(|r| r.0.to_string()).collect();
+            out.push_str(&format!("HIT seed={} entity={}\n", hit.seed.0, entity.join(",")));
+        }
+        out + ".\n"
+    }
+
+    /// The allocating `format_candidates`, kept as a reference likewise.
+    pub(crate) fn reference_format_candidates(hits: &[RankedEntity]) -> String {
+        let mut out = format!("OK {}\n", hits.len());
+        for hit in hits {
+            let members: Vec<String> = hit.members.iter().map(|r| r.0.to_string()).collect();
+            out.push_str(&format!(
+                "CAND entity={} score={} name={} members={}\n",
+                hit.entity.0,
+                hit.score,
+                hit.name,
+                members.join(",")
+            ));
+        }
+        out + ".\n"
+    }
+
+    /// `block` with the token of `trace_id` put in, and whether that kept
+    /// to the room its renderer left.
+    fn traced(mut block: String, trace_id: u64) -> (String, bool) {
+        let room = block.capacity();
+        insert_trace_token(&mut block, trace_id);
+        let in_place = block.capacity() == room;
+        (block, in_place)
+    }
+
     #[test]
     fn trace_token_splices_onto_ok_status_lines_only() {
+        let hits = [QueryHit { seed: RecordId(1), entity: vec![RecordId(1)] }];
         assert_eq!(
-            with_trace_token("OK 2\nHIT seed=1 entity=1\n.\n", 0xab),
-            "OK 2 trace=00000000000000ab\nHIT seed=1 entity=1\n.\n"
+            traced(format_hits(&hits), 0xab),
+            ("OK 1 trace=00000000000000ab\nHIT seed=1 entity=1\n.\n".to_owned(), true)
         );
         assert_eq!(
-            with_trace_token("OK matches=3\n.\n", 0x1234_5678_9abc_def0),
-            "OK matches=3 trace=123456789abcdef0\n.\n"
+            traced(format_status("OK matches=3"), 0x1234_5678_9abc_def0),
+            ("OK matches=3 trace=123456789abcdef0\n.\n".to_owned(), true)
         );
-        // ERR responses and untraced requests pass through untouched.
-        assert_eq!(with_trace_token("ERR nope\n.\n", 0xab), "ERR nope\n.\n");
-        assert_eq!(with_trace_token("OK 2\n.\n", 0), "OK 2\n.\n");
+        assert_eq!(
+            traced(format_candidates(&[]), u64::MAX),
+            ("OK 0 trace=ffffffffffffffff\n.\n".to_owned(), true)
+        );
+        // ERR responses and untraced requests stay untouched.
+        assert_eq!(traced(format_status("ERR nope"), 0xab).0, "ERR nope\n.\n");
+        assert_eq!(traced(format_hits(&[]), 0).0, "OK 0\n.\n");
     }
 
     pub(crate) fn sample_trace() -> RequestTrace {

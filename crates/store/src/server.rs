@@ -1065,7 +1065,7 @@ fn serve_request(
         Ok(request) => dispatch(ctx, request, &mut trace, started),
         Err(msg) => {
             ctx.metrics.parse_errors.incr();
-            (ResponseFrame::Block(protocol::format_status(&format!("ERR {msg}"))), false)
+            (ResponseFrame::Block(protocol::format_status(format_args!("ERR {msg}"))), false)
         }
     };
     let dur_ns = ctx.clock.now_nanos().saturating_sub(started);
@@ -1077,7 +1077,7 @@ fn serve_request(
         ResponseFrame::Block(block) => {
             trace.enter("reply");
             if kept {
-                *block = protocol::with_trace_token(block, trace.id());
+                protocol::insert_trace_token(block, trace.id());
             }
             trace.exit();
             !block.starts_with("ERR")
@@ -1142,9 +1142,9 @@ fn dispatch(
             match outcome {
                 Ok(matches) => {
                     trace.annotate("matches", matches.len() as u64);
-                    protocol::format_status(&format!("OK matches={}", matches.len()))
+                    protocol::format_status(format_args!("OK matches={}", matches.len()))
                 }
-                Err(e) => protocol::format_status(&format!("ERR {e}")),
+                Err(e) => protocol::format_status(format_args!("ERR {e}")),
             }
         }
         RequestFrame::BatchAdd(records) => {
@@ -1177,7 +1177,8 @@ fn dispatch(
             trace.exit();
             return (ResponseFrame::Batch(statuses), false);
         }
-        RequestFrame::Stats => {            let stats = ctx.store.stats();
+        RequestFrame::Stats => {
+            let stats = ctx.store.stats();
             // Record before rendering so this request appears in its
             // own CMD row.
             cmd.record(true, elapsed());
@@ -1205,7 +1206,7 @@ fn dispatch(
             }
             None => {
                 cmd.record(false, elapsed());
-                protocol::format_status(&format!(
+                protocol::format_status(format_args!(
                     "ERR TRACE: no trace {id:016x} (never captured or already evicted)"
                 ))
             }
@@ -1219,7 +1220,7 @@ fn dispatch(
                 }
                 None => {
                     cmd.record(false, elapsed());
-                    protocol::format_status(&format!(
+                    protocol::format_status(format_args!(
                         "ERR HISTORY: unknown metric {metric:?} (expected a command kind: {})",
                         protocol::command_kinds()
                     ))
@@ -1233,7 +1234,7 @@ fn dispatch(
             cmd.record(outcome.is_ok(), elapsed());
             match outcome {
                 Ok(()) => protocol::format_status("OK snapshot"),
-                Err(e) => protocol::format_status(&format!("ERR {e}")),
+                Err(e) => protocol::format_status(format_args!("ERR {e}")),
             }
         }
         RequestFrame::Shutdown => {

@@ -342,50 +342,53 @@ fn scan_wals(dir: &Path, n_shards: usize) -> Result<Logs, StoreError> {
         .collect()
 }
 
-/// [`Store::open_on`]'s two legs over the snapshot file's `bytes`: the
-/// snapshot as its folded seq and the state over it, and the WAL scans.
-fn load_on_two_legs(
-    bytes: &[u8],
-    dir: &Path,
-    n_shards: usize,
-) -> Result<(u64, State, Logs), StoreError> {
+/// What a snapshot loads to: its folded seq, the state over it, the
+/// records it holds per shard, and the WAL scans.
+type Loaded = (u64, State, Vec<usize>, Logs);
+
+/// [`Store::open_on`]'s two legs over the snapshot file's `bytes`.
+fn load_on_two_legs(bytes: &[u8], dir: &Path, n_shards: usize) -> Result<Loaded, StoreError> {
     let framed = snapshot::Framed::parse(bytes)?;
     let payload = framed.payload;
     let (parts, arriving) = mpsc::channel();
     let (decoded, filed) = std::thread::scope(|scope| {
-        let decoder = scope.spawn(move || decode_leg(payload, &parts));
+        let decoder = scope.spawn(move || decode_leg(payload, n_shards, &parts));
         let filed = file_leg(framed, dir, n_shards, arriving);
         (decoder.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), filed)
     });
     let (ds, logs) = filed?;
-    let (head, index) = decoded?;
+    let (head, index, records) = decoded?;
     let logs = logs?;
-    Ok((head.folded_seq, State { resolver: head.resolver(ds), index }, logs))
+    Ok((head.folded_seq, State { resolver: head.resolver(ds), index }, records, logs))
 }
 
 /// Decode the snapshot payload: the head, then the records, each chunk
-/// indexed and then sent. A send is refused only once the file leg has
-/// failed the checksum, whose error wins; the leg stops there.
+/// indexed, counted on its shard and then sent. A send is refused only
+/// once the file leg has failed the checksum, whose error wins; the leg
+/// stops there.
 fn decode_leg(
     payload: &[u8],
+    n_shards: usize,
     parts: &mpsc::Sender<Part>,
-) -> Result<(snapshot::Head, QueryIndex), StoreError> {
+) -> Result<(snapshot::Head, QueryIndex, Vec<usize>), StoreError> {
     let (mut head, mut records) = snapshot::decode_head(payload)?;
     let mut index = QueryIndex::default();
+    let mut per_shard = vec![0; n_shards];
     if parts.send(Part::Sources(std::mem::take(&mut head.sources))).is_err() {
-        return Ok((head, index));
+        return Ok((head, index, per_shard));
     }
     let mut rid = 0;
     while let Some(chunk) = records.next_chunk()? {
         for record in &chunk {
             index.add_record(RecordId(rid), record);
+            per_shard[shard::shard_of_record(record, n_shards)] += 1;
             rid += 1;
         }
         if parts.send(Part::Records(chunk)).is_err() {
             break;
         }
     }
-    Ok((head, index))
+    Ok((head, index, per_shard))
 }
 
 /// Check the snapshot checksum, scan the WALs, then file what the decode
@@ -487,11 +490,14 @@ impl Store {
                 yv_obs::par::workers()
             }
         });
-        let (folded_seq, mut state, logs) = if workers > 1 {
+        // Each record's shard is counted once, where the load handles the
+        // record: the snapshot's here, the WALs' in the replay below.
+        let (folded_seq, mut state, mut per_shard, logs) = if workers > 1 {
             load_on_two_legs(&bytes, dir, n_shards)?
         } else {
             let snapshot::Snapshot { folded_seq, resolver } = snapshot::from_bytes(&bytes)?;
-            (folded_seq, State::build(resolver), scan_wals(dir, n_shards)?)
+            let records = records_per_shard(resolver.dataset(), n_shards);
+            (folded_seq, State::build(resolver), records, scan_wals(dir, n_shards)?)
         };
         drop(bytes);
         let mut scans = Vec::with_capacity(n_shards);
@@ -570,6 +576,7 @@ impl Store {
                             record.book_id
                         )));
                     }
+                    per_shard[s] += 1;
                     if record.source.index() >= state.resolver.dataset().sources().len() {
                         return Err(StoreError::Corrupt(format!(
                             "WAL record {} references unknown source {}",
@@ -606,9 +613,8 @@ impl Store {
         state.apply_batch(slice);
         let replay_ns = clock.now_nanos().saturating_sub(replay_started);
 
-        let records = records_per_shard(state.resolver.dataset(), n_shards);
         let mut shard_states = Vec::with_capacity(n_shards);
-        for (s, (scan, records)) in scans.iter().zip(records).enumerate() {
+        for (s, (scan, records)) in scans.iter().zip(per_shard).enumerate() {
             let path = dir.join(wal_file_name(s));
             // A folded WAL is truncated to its header, finishing the
             // interrupted snapshot, and an emptied version-2 one gets this

@@ -181,9 +181,7 @@ impl Wal {
         write: impl FnOnce(&mut Writer) -> Result<(), StoreError>,
         sync: bool,
     ) -> Result<(), StoreError> {
-        let mut w = Writer::new();
-        write(&mut w)?;
-        self.log.append(&framed::encode(tag, &seq.to_le_bytes(), &w.into_bytes())?, sync)
+        self.log.append(&framed::encode_with(tag, &seq.to_le_bytes(), 0, write)?, sync)
     }
 }
 
