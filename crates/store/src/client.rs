@@ -341,28 +341,22 @@ impl ReplyBlock {
             {
                 Ok(ReplyBlock { text, status_end, data_end })
             }
-            _ => Err(ClientError::Protocol(format!(
-                "response block has no status line or no terminator: {text:?}"
-            ))),
+            _ => Err(ClientError::Protocol(
+                "response block has no status line or no terminator line".to_owned(),
+            )),
         }
     }
 
     /// The status line, without its line ending.
     #[must_use]
-    pub fn status(&self) -> &str {
+    pub(crate) fn status(&self) -> &str {
         let status = &self.text[..self.status_end];
         status.strip_suffix('\r').unwrap_or(status)
     }
 
     /// The data lines between the status line and the terminator.
-    pub fn data(&self) -> std::str::Lines<'_> {
+    pub(crate) fn data(&self) -> std::str::Lines<'_> {
         self.data_text().lines()
-    }
-
-    /// The whole block as it arrived, terminator included.
-    #[must_use]
-    pub fn as_str(&self) -> &str {
-        &self.text
     }
 
     /// Parse the data lines of a `QUERY` reply, one `HIT` line each.
@@ -1291,8 +1285,8 @@ mod tests {
         // A text reply closes at its first terminator line; what follows
         // is the next reply's.
         let mut stream = "OK 1\nHIT a\n.\nOK 0\n.\n".as_bytes();
-        assert_eq!(read_text_block(&mut stream).expect("first").as_str(), "OK 1\nHIT a\n.\n");
-        assert_eq!(read_text_block(&mut stream).expect("second").as_str(), "OK 0\n.\n");
+        assert_eq!(read_text_block(&mut stream).ok(), whole("OK 1\nHIT a\n.\n"));
+        assert_eq!(read_text_block(&mut stream).ok(), whole("OK 0\n.\n"));
         assert!(read_text_block(&mut stream).is_err(), "closed mid-response");
         assert_eq!(block("OK metrics\na 1\nb 2\n.\n").into_data(), "a 1\nb 2\n");
     }

@@ -58,7 +58,7 @@ impl Writer {
 
     /// A writer appending behind what `buf` already holds.
     #[must_use]
-    pub fn behind(buf: Vec<u8>) -> Self {
+    pub(crate) fn behind(buf: Vec<u8>) -> Self {
         Writer { buf }
     }
 
@@ -68,7 +68,7 @@ impl Writer {
     }
 
     /// Bytes as they are, with no prefix.
-    pub fn raw(&mut self, bytes: &[u8]) {
+    pub(crate) fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 

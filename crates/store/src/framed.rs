@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `extra` is the WAL's u64 arrival sequence number; the wire passes
-//! none. Integers are little-endian. [`encode_with`] is the only
+//! none. Integers are little-endian. `encode_with` is the only
 //! function that writes a frame ([`encode`] hands it a payload already
 //! built), `check_header` the only one that reads
 //! a header, `scan` the only one that reads a log (the wire's strict
@@ -72,7 +72,7 @@ pub fn encode(tag: u8, extra: &[u8], payload: &[u8]) -> Result<Vec<u8>, StoreErr
 /// [`encode`] a payload that `write` puts straight into the frame's one
 /// buffer, behind the header and with `capacity` payload bytes reserved:
 /// the payload is never built apart and copied in.
-pub fn encode_with(
+pub(crate) fn encode_with(
     tag: u8,
     extra: &[u8],
     capacity: usize,

@@ -504,7 +504,7 @@ fn render_add(out: &mut String, record: &Record) -> Result<(), String> {
 /// and 16 hex digits. [`format_hits`], [`format_candidates`] and
 /// [`format_status`] leave this much room behind their block, so
 /// [`insert_trace_token`] neither copies nor grows it.
-pub const TRACE_TOKEN_LEN: usize = 23;
+const TRACE_TOKEN_LEN: usize = 23;
 
 /// Bytes of a status line `OK <n>`, its newline, and the terminator line.
 fn counted_block_len(n: usize) -> usize {
@@ -540,7 +540,27 @@ fn push_ids(out: &mut String, ids: &[RecordId]) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}", id.0);
+        push_id(out, id.0);
+    }
+}
+
+/// Append `id` in decimal without the formatting machinery: ids are most
+/// of a `QUERY` reply's bytes.
+fn push_id(out: &mut String, id: u32) {
+    const DIGITS: &[u8; 10] = b"0123456789";
+    let mut buf = [0u8; 10];
+    let mut at = buf.len();
+    let mut rest = id;
+    loop {
+        at -= 1;
+        buf[at] = DIGITS[(rest % 10) as usize];
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if let Ok(digits) = std::str::from_utf8(&buf[at..]) {
+        out.push_str(digits);
     }
 }
 
@@ -554,7 +574,9 @@ pub fn format_hits(hits: &[QueryHit]) -> String {
     let mut out = String::with_capacity(len + TRACE_TOKEN_LEN);
     let _ = writeln!(out, "OK {}", hits.len());
     for hit in hits {
-        let _ = write!(out, "HIT seed={} entity=", hit.seed.0);
+        out.push_str("HIT seed=");
+        push_id(&mut out, hit.seed.0);
+        out.push_str(" entity=");
         push_ids(&mut out, &hit.entity);
         out.push('\n');
     }
@@ -580,11 +602,12 @@ pub fn format_candidates(hits: &[RankedEntity]) -> String {
     let mut out = String::with_capacity(len + TRACE_TOKEN_LEN);
     let _ = writeln!(out, "OK {}", hits.len());
     for hit in hits {
-        let _ = write!(
-            out,
-            "CAND entity={} score={} name={} members=",
-            hit.entity.0, hit.score, hit.name
-        );
+        out.push_str("CAND entity=");
+        push_id(&mut out, hit.entity.0);
+        let _ = write!(out, " score={}", hit.score);
+        out.push_str(" name=");
+        out.push_str(&hit.name);
+        out.push_str(" members=");
         push_ids(&mut out, &hit.members);
         out.push('\n');
     }
@@ -741,7 +764,7 @@ fn push_cmd_row(out: &mut String, c: &CommandStats) {
 }
 
 /// Put a `trace=<id>` token at the end of a response's `OK` status line,
-/// in place: the block's later lines move up by [`TRACE_TOKEN_LEN`] bytes
+/// in place: the block's later lines move up by `TRACE_TOKEN_LEN` bytes
 /// into the room its renderer left. `ERR` responses and the untraced id 0
 /// stay untouched — the token is a success artifact a client can paste
 /// into `TRACE`.
