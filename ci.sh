@@ -14,12 +14,14 @@ cargo test --workspace -q
 for _ in $(seq 1 10); do
     cargo test -q -p yv-cli --test alloc_guards > /dev/null
 done
-# The parallel miner's merge and the split blocking stages see another
-# schedule on every run, so their exactness tests (any partition of the
-# top-level branches, forced worker counts against the eager reference)
-# run five times, stopping at the first failure.
+# The splitter (`yv_obs::par`, which also hands the miner its top-level
+# ranks), the parallel miner's merge and the split blocking stages see
+# another schedule on every run, so their tests (the splitter's edge cases
+# and a worker's panic, any partition of the top-level branches, forced
+# worker counts against the eager reference) run five times, stopping at
+# the first failure.
 for _ in $(seq 1 5); do
-    cargo test -q -p yv-mfi -p yv-blocking > /dev/null
+    cargo test -q -p yv-obs -p yv-mfi -p yv-blocking > /dev/null
 done
 # `Store::open` loads a large snapshot on two threads that hand records
 # over a channel, so its tests (forced worker counts build the same store;
@@ -42,7 +44,9 @@ cargo test --offline -q --manifest-path yv-benchmark/Cargo.toml
 # printing in the serving crates (`print_stdout` / `print_stderr` in
 # yv-store, yv-obs, yv-fuzzy), panics (`unwrap_used` workspace-wide, the
 # `#![deny(clippy::expect_used, clippy::panic, …)]` of the seven serving
-# crates) and wall-clock reads (`disallowed-methods` in clippy.toml).
+# crates), wall-clock reads, and thread starts outside `yv_obs::par` and
+# the pipelines, pools and clients that carry an `#[allow]` (both
+# `disallowed-methods` in clippy.toml).
 cargo clippy --workspace --all-targets -- -D warnings -A clippy::cast_possible_truncation
 # The docs build clean: a doc link to a deleted or private item, or a paper
 # citation like `[18]` left unescaped, is a rustdoc warning and fails here.

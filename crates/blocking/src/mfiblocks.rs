@@ -6,7 +6,7 @@ use crate::neighborhood::ng_threshold;
 use crate::score::{block_score_above, pair_score};
 use std::time::Duration;
 use yv_mfi::{common_items, mine_maximal_on, signature, top_frequent};
-use yv_obs::par::for_each_run;
+use yv_obs::par::{for_each_run, Workers};
 use yv_obs::Recorder;
 use yv_records::{Dataset, ItemId, RecordId};
 
@@ -77,25 +77,6 @@ const SUPPORT_RUN: usize = 256;
 const BOUND_RUN: usize = 1_024;
 const SCORE_RUN: usize = 64;
 
-/// Threads a blocking stage may use.
-#[derive(Debug, Clone, Copy)]
-enum Workers {
-    /// The host's, for a stage at least its size threshold.
-    Auto,
-    /// Exactly this many, whatever the stage's size.
-    Exactly(usize),
-}
-
-impl Workers {
-    fn for_stage(self, size: usize, threshold: usize) -> usize {
-        match self {
-            Workers::Auto if size < threshold => 1,
-            Workers::Auto => yv_obs::par::workers(),
-            Workers::Exactly(workers) => workers.max(1),
-        }
-    }
-}
-
 /// Run MFIBlocks over a dataset.
 ///
 /// Timings in [`BlockingStats`] come from an internal wall-clock
@@ -119,10 +100,8 @@ pub fn mfi_blocks(ds: &Dataset, config: &MfiBlocksConfig) -> BlockingResult {
 /// ```
 ///
 /// `mine`, `find_support` and `score_blocks` carry a `workers` argument:
-/// the threads the stage was given, 1 when it stayed on the calling thread
-/// (mining below 4 096 uncovered bags, the other two below 4 096
-/// candidate blocks; a scoring round below 512 blocks stays there too).
-/// The output does not depend on it.
+/// the threads [`Workers::for_stage`] gave the stage, 1 below its size
+/// threshold (`PARALLEL_MIN_*`). The output does not depend on it.
 ///
 /// The clock is injected through the recorder, so this function never
 /// reads the wall clock itself (clippy's `disallowed-methods` would
@@ -133,23 +112,15 @@ pub fn mfi_blocks_recorded(
     config: &MfiBlocksConfig,
     rec: &Recorder,
 ) -> BlockingResult {
-    mfi_blocks_with(ds, config, rec, Workers::Auto)
+    mfi_blocks_on(ds, config, rec, Workers::Auto)
 }
 
-/// [`mfi_blocks_recorded`] with every stage on exactly `workers` threads,
-/// the calling thread included, however small: the same blocks, scores
-/// and pairs, bit for bit.
+/// [`mfi_blocks_recorded`] with each stage's threads decided by `workers`:
+/// [`Workers::Exactly`] puts every stage on that many, the calling thread
+/// included, however small. The same blocks, scores and pairs, bit for
+/// bit.
 #[must_use]
 pub fn mfi_blocks_on(
-    ds: &Dataset,
-    config: &MfiBlocksConfig,
-    rec: &Recorder,
-    workers: usize,
-) -> BlockingResult {
-    mfi_blocks_with(ds, config, rec, Workers::Exactly(workers))
-}
-
-fn mfi_blocks_with(
     ds: &Dataset,
     config: &MfiBlocksConfig,
     rec: &Recorder,
@@ -527,7 +498,7 @@ mod tests {
         let config = MfiBlocksConfig::default();
         let serial = mfi_blocks(&gen.dataset, &config);
         let rec = Recorder::monotonic();
-        let split = mfi_blocks_on(&gen.dataset, &config, &rec, 3);
+        let split = mfi_blocks_on(&gen.dataset, &config, &rec, Workers::Exactly(3));
         assert_eq!(split.candidate_pairs, serial.candidate_pairs);
         let scores = |r: &BlockingResult| r.blocks.iter().map(|b| b.score.to_bits()).collect::<Vec<_>>();
         assert_eq!(scores(&split), scores(&serial));

@@ -198,7 +198,8 @@ mod tests {
             let ds = corpus(&rows);
             for config in configs() {
                 for workers in [1, 2, 3] {
-                    let lazy = mfi_blocks_on(&ds, &config, &yv_obs::Recorder::monotonic(), workers);
+                    let forced = yv_obs::par::Workers::Exactly(workers);
+                    let lazy = mfi_blocks_on(&ds, &config, &yv_obs::Recorder::monotonic(), forced);
                     assert_equals_eager(&ds, &config, &lazy);
                 }
             }

@@ -588,6 +588,7 @@ const LOAD_PIPELINE_WINDOW: usize = 4;
 /// server's stats line and a digest of a fixed query battery (equal
 /// digests ⇔ equal logical state), optionally sending SHUTDOWN. This is
 /// the client half of ci.sh's sharded smoke test.
+#[allow(clippy::disallowed_methods, reason = "each client connection drives the server; it splits no work")]
 pub fn load(args: &Args) -> CliResult {
     let Some(addr) = args.get("addr") else {
         return Err("load requires --addr <host:port>".to_owned());

@@ -5,8 +5,8 @@ use crate::model::RankedMatch;
 use crate::resolution::Resolution;
 use std::borrow::Cow;
 use yv_adt::{train, AdTree, TrainConfig, TrainSet};
-use yv_blocking::{mfi_blocks_on, mfi_blocks_recorded, MfiBlocksConfig};
-use yv_obs::par::{for_each_run, workers};
+use yv_blocking::{mfi_blocks_on, MfiBlocksConfig};
+use yv_obs::par::{for_each_run, Workers};
 use yv_obs::Recorder;
 use yv_records::{Dataset, RecordId};
 use yv_similarity::{extract, feature, FeatureId, FEATURE_COUNT};
@@ -97,18 +97,18 @@ impl Pipeline {
     /// (`PARALLEL_MIN_PAIRS`), which are scored in place.
     #[must_use]
     pub fn score_pairs(&self, ds: &Dataset, pairs: &[(RecordId, RecordId)]) -> Vec<f64> {
-        let workers = if pairs.len() < PARALLEL_MIN_PAIRS { 1 } else { workers() };
-        self.score_pairs_on(ds, pairs, workers)
+        self.score_pairs_on(ds, pairs, Workers::Auto)
     }
 
-    /// [`Pipeline::score_pairs`] on exactly `workers` threads, the calling
-    /// thread included.
+    /// [`Pipeline::score_pairs`] on the threads `workers` decides, the
+    /// calling thread included.
     fn score_pairs_on(
         &self,
         ds: &Dataset,
         pairs: &[(RecordId, RecordId)],
-        workers: usize,
+        workers: Workers,
     ) -> Vec<f64> {
+        let workers = workers.for_stage(pairs.len(), PARALLEL_MIN_PAIRS);
         let mut out = vec![0.0; pairs.len()];
         for_each_run(&mut out, pairs.len(), |i| i, SCORE_RUN, workers, |run, out| {
             for (&(a, b), score) in pairs[run].iter().zip(out) {
@@ -143,22 +143,19 @@ impl Pipeline {
         config: &PipelineConfig,
         rec: &Recorder,
     ) -> Resolution {
-        self.resolve_with(ds, config, rec, None)
+        self.resolve_with(ds, config, rec, Workers::Auto)
     }
 
-    /// [`Pipeline::resolve_recorded`]; `Some(workers)` runs blocking and
-    /// scoring on exactly that many threads whatever their sizes.
+    /// [`Pipeline::resolve_recorded`] with the threads of blocking and
+    /// scoring decided by `workers`.
     fn resolve_with(
         &self,
         ds: &Dataset,
         config: &PipelineConfig,
         rec: &Recorder,
-        forced: Option<usize>,
+        workers: Workers,
     ) -> Resolution {
-        let blocked = match forced {
-            Some(workers) => mfi_blocks_on(ds, &config.blocking, rec, workers),
-            None => mfi_blocks_recorded(ds, &config.blocking, rec),
-        };
+        let blocked = mfi_blocks_on(ds, &config.blocking, rec, workers);
 
         let extract_start = rec.now_ns();
         let candidates = &blocked.candidate_pairs;
@@ -167,10 +164,7 @@ impl Pipeline {
         } else {
             Cow::Borrowed(candidates)
         };
-        let scores = match forced {
-            Some(workers) => self.score_pairs_on(ds, &pairs, workers),
-            None => self.score_pairs(ds, &pairs),
-        };
+        let scores = self.score_pairs_on(ds, &pairs, workers);
         let score_start = rec.now_ns();
         let mut matches = Vec::with_capacity(pairs.len());
         for (&(a, b), score) in pairs.iter().zip(scores) {
@@ -295,11 +289,11 @@ mod tests {
         let serial =
             bits(pairs.iter().map(|&(a, b)| pipeline.score_pair(&gen.dataset, a, b)).collect());
         for workers in [1, 2, 3, 8] {
-            let split = pipeline.score_pairs_on(&gen.dataset, &pairs, workers);
+            let split = pipeline.score_pairs_on(&gen.dataset, &pairs, Workers::Exactly(workers));
             assert_eq!(bits(split), serial, "{workers} workers");
-            let short = pipeline.score_pairs_on(&gen.dataset, &pairs[..2], workers);
+            let short = pipeline.score_pairs_on(&gen.dataset, &pairs[..2], Workers::Exactly(workers));
             assert_eq!(bits(short), serial[..2], "{workers} workers, 2 pairs");
-            assert!(pipeline.score_pairs_on(&gen.dataset, &[], workers).is_empty());
+            assert!(pipeline.score_pairs_on(&gen.dataset, &[], Workers::Exactly(workers)).is_empty());
         }
         assert_eq!(bits(pipeline.score_pairs(&gen.dataset, &pairs)), serial);
     }
@@ -319,7 +313,7 @@ mod tests {
             assert!(!serial.is_empty());
             for workers in [1, 2, 3] {
                 let rec = Recorder::monotonic();
-                let split = pipeline.resolve_with(&gen.dataset, &config, &rec, Some(workers));
+                let split = pipeline.resolve_with(&gen.dataset, &config, &rec, Workers::Exactly(workers));
                 assert_eq!(key(&split), serial, "{workers} workers");
             }
         }

@@ -13,7 +13,7 @@
 //!    are skipped wholesale.
 
 use crate::fptree::{Forest, FpTree};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use yv_obs::par::{for_each_run, for_each_run_with};
 
 /// A mined itemset: sorted item ids and the number of supporting
 /// transactions.
@@ -21,14 +21,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct Itemset {
     pub items: Vec<u32>,
     pub support: u64,
-}
-
-impl Itemset {
-    /// True when `self.items ⊆ other` (both sorted).
-    #[must_use]
-    pub fn is_subset_of(&self, other: &[u32]) -> bool {
-        is_subset(&self.items, other)
-    }
 }
 
 /// Subset test over two sorted slices.
@@ -120,7 +112,7 @@ impl<'t> MfiSet<'t> {
         debug_assert!(!self.subsumed(items));
         let mut sharing = items.iter().flat_map(|&i| self.postings(i));
         debug_assert!(
-            !sharing.any(|&idx| self.sets[idx as usize].is_subset_of(items)),
+            !sharing.any(|&idx| is_subset(&self.sets[idx as usize].items, items)),
             "FPMax order: {items:?} contains an earlier MFI"
         );
         let idx = self.sets.len() as u32;
@@ -146,77 +138,37 @@ pub fn mine_maximal<B: AsRef<[u32]>>(bags: &[B], minsup: u64) -> Vec<Itemset> {
 /// [`mine_maximal`] on `workers` threads, the calling thread included: the
 /// same sets, whatever the count and the schedule.
 ///
-/// The top-level tree is built once and read by every worker; each worker
-/// claims top-level ranks from a shared counter, least frequent first as
-/// the serial loop takes them, and mines each branch with its own deeper
-/// trees, scratch and MFI collection. Within one worker ranks still
-/// descend, so nothing it records is superseded by its own later sets. A
-/// set one worker records may be a strict subset of a set another worker
-/// mined from an earlier (less frequent) branch at the same time, whose
-/// record would have pruned it in a serial run; a final merge drops exactly
-/// those. The claim counter is the only thing the workers write in common,
-/// once per top-level branch.
+/// The top-level tree is built once and read by every worker. Its ranks are
+/// the items of a [`for_each_run_with`], one per run, item `i` being rank
+/// `n_ranks - 1 - i`: the runs one worker gets ascend, so its ranks descend,
+/// least frequent first as the serial loop takes them, and nothing it
+/// records is superseded by its own later sets. Each worker's state is its
+/// deeper trees, scratch, recursion buffers and MFI collection. A set one worker records may
+/// be a strict subset of a set another worker mined from an earlier (less
+/// frequent) branch at the same time, whose record would have pruned it in
+/// a serial run; a final merge drops exactly those. The splitter's
+/// hand-out is all the workers write in common, once per top-level branch.
 #[must_use]
 pub fn mine_maximal_on<B: AsRef<[u32]>>(bags: &[B], minsup: u64, workers: usize) -> Vec<Itemset> {
     assert!(minsup >= 1, "minsup must be at least 1");
     let top = FpTree::from_bags(bags, minsup);
     let n_ranks = top.items().len();
-    if top.is_single_path() {
-        // Every rank sits on the one path: its deepest level is the only
-        // maximal set (shallower levels are its subsets).
-        let mut items = top.items().to_vec();
-        items.sort_unstable();
-        return (n_ranks > 0)
-            .then(|| Itemset { items, support: top.rank_count(n_ranks - 1) })
-            .into_iter()
-            .collect();
-    }
-    // `Relaxed` is enough: the counter publishes no data, and `fetch_add`
-    // hands out each rank once at any ordering. The tree was built before
-    // the workers start, and their collections come back through the joins.
-    let claimed = AtomicUsize::new(0);
-    let claim = || {
-        std::iter::from_fn(|| {
-            let k = claimed.fetch_add(1, Ordering::Relaxed);
-            (k < n_ranks).then(|| n_ranks - 1 - k)
-        })
+    let miner = || {
+        let mut forest = Forest::default();
+        forest.fit(&top);
+        (forest, Vec::new(), Vec::new(), MfiSet::new(top.item_ranks(), n_ranks))
     };
-    let miners = vec![(); workers.max(1)];
-    merge(on_threads(miners, |()| mine_ranks(&top, &mut Forest::default(), claim(), minsup)))
+    let miners = for_each_run_with(&mut [], n_ranks, |_| 0, 1, workers, miner, |(forest, prefix, head, mfis), items, _: &mut [()]| {
+        mine_branches(&top, forest, items.map(|i| n_ranks - 1 - i), prefix, head, minsup, mfis);
+    });
+    merge(miners.into_iter().map(|(.., mfis)| mfis).collect())
 }
 
-/// `f` of each input, the first on the calling thread and each other on a
-/// scoped thread of its own, results in input order; a worker's panic
-/// resumes here.
-fn on_threads<I: Send, T: Send>(inputs: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    let f = &f;
-    let mut inputs = inputs.into_iter();
-    let first = inputs.next();
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = inputs.map(|input| scope.spawn(move || f(input))).collect();
-        let mut out: Vec<T> = first.map(f).into_iter().collect();
-        for worker in spawned {
-            out.push(worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-        }
-        out
-    })
-}
-
-/// [`mine_maximal`] on a caller-owned forest, whose pooled trees and
-/// scratch a later run reuses.
+/// One worker's part of a run, as [`mine_maximal_on`]'s workers mine it:
+/// the top-level branches of `ranks`, which must descend, mined under
+/// `top` into a collection of their own, with a caller-owned forest whose
+/// pooled trees and scratch a later run reuses.
 #[cfg(test)]
-pub(crate) fn mine_maximal_in<B: AsRef<[u32]>>(
-    forest: &mut Forest,
-    bags: &[B],
-    minsup: u64,
-) -> Vec<Itemset> {
-    let top = FpTree::from_bags(bags, minsup);
-    let n_ranks = top.items().len();
-    merge(vec![mine_ranks(&top, forest, (0..n_ranks).rev(), minsup)])
-}
-
-/// One worker's part of a run: the top-level branches of `ranks`, which
-/// must descend, mined under `top` into a collection of their own.
 fn mine_ranks<'t>(
     top: &'t FpTree,
     forest: &mut Forest,
@@ -225,40 +177,59 @@ fn mine_ranks<'t>(
 ) -> MfiSet<'t> {
     forest.fit(top);
     let mut mfis = MfiSet::new(top.item_ranks(), top.items().len());
-    let (mut prefix, mut head) = (Vec::new(), Vec::new());
+    mine_branches(top, forest, ranks, &mut Vec::new(), &mut Vec::new(), minsup, &mut mfis);
+    mfis
+}
+
+/// The top-level branches of `ranks`, which must descend, mined under
+/// `top` (which `forest` fits) into `mfis`, with the recursion's buffers.
+fn mine_branches(
+    top: &FpTree,
+    forest: &mut Forest,
+    ranks: impl Iterator<Item = usize>,
+    prefix: &mut Vec<u32>,
+    head: &mut Vec<u32>,
+    minsup: u64,
+    mfis: &mut MfiSet,
+) {
     let mut last = usize::MAX;
     for rank in ranks {
         debug_assert!(rank < last, "a worker's top-level ranks descend");
         last = rank;
-        branch(top, forest, 0, rank, &mut prefix, &mut head, minsup, &mut mfis);
+        branch(top, forest, 0, rank, prefix, head, minsup, mfis);
     }
-    mfis
 }
 
 /// The maximal elements of the union of the workers' collections: a set
 /// another worker's collection subsumes is dropped (no set is in two
 /// collections — a set's least frequent item names the one top-level
 /// branch that can record it), and the rest come out sorted. Each
-/// collection is filtered, then sorted, on a thread of its own, and the
-/// sorted runs are merged.
+/// collection is filtered, then sorted, as one run of a [`for_each_run`]
+/// on as many workers as there are collections, and the sorted runs are
+/// merged.
 ///
 /// Every frequent itemset is a subset of a set its own branch's worker
 /// recorded (head pruning only skips what a recorded set covers), and
 /// every recorded set is frequent, so these maximal elements are exactly
 /// the MFIs, which are unique.
 fn merge(groups: Vec<MfiSet>) -> Vec<Itemset> {
-    let kept = on_threads((0..groups.len()).collect(), |g| {
-        let others = groups.iter().enumerate().filter(|&(h, _)| h != g).map(|(_, other)| other);
-        let subsumed = |set: &Itemset| others.clone().any(|other| other.subsumed(&set.items));
-        groups[g].sets.iter().map(|set| !subsumed(set)).collect::<Vec<bool>>()
+    let n = groups.len();
+    let mut kept = vec![Vec::new(); n];
+    for_each_run(&mut kept, n, |g| g, 1, n, |run, out| {
+        for (g, kept) in run.zip(out) {
+            let others = groups.iter().enumerate().filter(|&(h, _)| h != g).map(|(_, other)| other);
+            let subsumed = |set: &Itemset| others.clone().any(|other| other.subsumed(&set.items));
+            *kept = groups[g].sets.iter().map(|set| !subsumed(set)).collect();
+        }
     });
     // The postings go before the runs are sorted.
-    let runs = groups.into_iter().map(|group| group.sets).zip(kept).collect();
-    let mut runs = on_threads(runs, |(mut sets, kept)| {
-        let mut kept = kept.into_iter();
-        sets.retain(|_| kept.next().unwrap_or(false));
-        sets.sort_unstable();
-        sets
+    let mut runs: Vec<Vec<Itemset>> = groups.into_iter().map(|group| group.sets).collect();
+    for_each_run(&mut runs, n, |g| g, 1, n, |run, out| {
+        for (kept, sets) in kept[run].iter().zip(out) {
+            let mut kept = kept.iter();
+            sets.retain(|_| kept.next().copied().unwrap_or(false));
+            sets.sort_unstable();
+        }
     });
     if runs.len() <= 1 {
         return runs.pop().unwrap_or_default();
@@ -469,7 +440,8 @@ mod tests {
         let mut forest = Forest::default();
         for minsup in 1..=4 {
             for bags in [&deep, &shallow, &deep] {
-                let pooled = mine_maximal_in(&mut forest, bags, minsup);
+                let top = FpTree::from_bags(bags, minsup);
+                let pooled = merge(vec![mine_ranks(&top, &mut forest, (0..top.items().len()).rev(), minsup)]);
                 assert!(forest.is_clean(), "scratch arrays dirty after a run");
                 assert_eq!(pooled, mine_maximal(bags, minsup), "minsup={minsup}");
             }

@@ -39,9 +39,11 @@
 //! - [`alloc_stats`] / [`CountingAlloc`] — allocation accounting via a
 //!   counting global allocator, installed by the `global-alloc` feature
 //!   (forwarded by `yv-cli`'s default `alloc-metrics` feature).
-//! - [`par::workers`] / [`par::for_each_run`] — the host's worker count,
-//!   asked once per process, and the one splitter that hands a batch
-//!   stage's output out in runs to that many threads.
+//! - [`par::Workers`] / [`par::for_each_run`] — the one splitter: each
+//!   stage's thread count, and runs of its items handed out to that many
+//!   threads. The miner and its merge (`yv-mfi`), support lookup, block
+//!   bounds and scoring (`yv-blocking`) and pair scoring (`yv-core`) split
+//!   through it; `Store::open` (`yv-store`) takes its count from it.
 //! - [`chrome_trace`] / [`timings_table`] — sinks: Chrome-trace JSON
 //!   (`yv block --trace-json out.json`) and a human stage table
 //!   (`yv block --timings`).

@@ -279,6 +279,7 @@ mod tests {
     /// while readers continuously scan: a reader must only ever see whole
     /// traces, and the eviction count must come out exact.
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "reader and producer threads race the ring")]
     fn contended_reads_are_never_torn_and_evictions_are_exact() {
         const PRODUCERS: u64 = 4;
         const PER_PRODUCER: u64 = 2_000;

@@ -586,6 +586,7 @@ fn next_connection(
 }
 
 #[allow(clippy::too_many_arguments)]
+#[allow(clippy::disallowed_methods, reason = "the connection pool serves clients; it splits no work")]
 fn serve_inner(
     store: Store,
     listener: TcpListener,

@@ -63,6 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Condvar, PoisonError};
 use yv_core::{IncrementalResolver, PersonQuery, QueryHit, RankedMatch, Resolution};
 use yv_fuzzy::{rank_entities, RankedEntity, ScoreBlend, DEFAULT_QGRAM_BOUND};
+use yv_obs::par::Workers;
 use yv_obs::{Clock, Counter, MonotonicClock, TraceCtx};
 use yv_records::{Dataset, Record, RecordId, Source, SourceId};
 
@@ -347,6 +348,7 @@ fn scan_wals(dir: &Path, n_shards: usize) -> Result<Logs, StoreError> {
 type Loaded = (u64, State, Vec<usize>, Logs);
 
 /// [`Store::open_on`]'s two legs over the snapshot file's `bytes`.
+#[allow(clippy::disallowed_methods, reason = "the open's two legs are a pipeline, not a split")]
 fn load_on_two_legs(bytes: &[u8], dir: &Path, n_shards: usize) -> Result<Loaded, StoreError> {
     let framed = snapshot::Framed::parse(bytes)?;
     let payload = framed.payload;
@@ -460,11 +462,11 @@ impl Store {
     /// threads when the host has two cores, in the two legs of
     /// `Store::open_on`. The store opened is the same either way.
     pub fn open(dir: &Path) -> Result<Store, StoreError> {
-        Store::open_on(dir, None)
+        Store::open_on(dir, Workers::Auto)
     }
 
-    /// [`Store::open`]; `Some(workers)` loads the snapshot on the calling
-    /// thread alone for 1 and on two legs for any more, whatever its size.
+    /// [`Store::open`] with the snapshot's threads decided by `workers`:
+    /// one loads it on the calling thread alone, any more on two legs.
     ///
     /// The two legs run in one thread scope. The decode leg reads the
     /// snapshot payload and streams its records, in id order and in
@@ -474,7 +476,7 @@ impl Store {
     /// so items and records get the ids a serial load gives them. Errors
     /// keep the serial order: a checksum mismatch, then the payload's
     /// first decode error, then the first WAL's in shard order.
-    fn open_on(dir: &Path, workers: Option<usize>) -> Result<Store, StoreError> {
+    fn open_on(dir: &Path, workers: Workers) -> Result<Store, StoreError> {
         let clock = MonotonicClock::new();
         let opened = clock.now_nanos();
         let snap_path = dir.join(SNAPSHOT_FILE);
@@ -483,13 +485,7 @@ impl Store {
         }
         let n_shards = Manifest::read(dir)?.shards;
         let bytes = std::fs::read(&snap_path)?;
-        let workers = workers.unwrap_or_else(|| {
-            if bytes.len() < PARALLEL_MIN_SNAPSHOT_BYTES {
-                1
-            } else {
-                yv_obs::par::workers()
-            }
-        });
+        let workers = workers.for_stage(bytes.len(), PARALLEL_MIN_SNAPSHOT_BYTES);
         // Each record's shard is counted once, where the load handles the
         // record: the snapshot's here, the WALs' in the replay below.
         let (folded_seq, mut state, mut per_shard, logs) = if workers > 1 {
@@ -1022,6 +1018,7 @@ impl Store {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "reader threads race the store's writers")]
 mod tests {
     use super::*;
     use yv_adt::AdTree;
@@ -1156,10 +1153,10 @@ mod tests {
         store_with_arrivals(&dir, 5_600, 3, [48, 48, 16]);
         let snapshot = std::fs::metadata(dir.join(SNAPSHOT_FILE)).expect("snapshot").len();
         assert!(snapshot >= PARALLEL_MIN_SNAPSHOT_BYTES as u64, "{snapshot} bytes stay serial");
-        let serial = Opened::of(&Store::open_on(&dir, Some(1)).expect("open"));
+        let serial = Opened::of(&Store::open_on(&dir, Workers::Exactly(1)).expect("open"));
         assert_eq!(serial.replayed, (64, 16, 0));
         assert!(serial.stats.matches > 0 && serial.names.len() > 1_000);
-        for workers in [Some(2), Some(3), None] {
+        for workers in [Workers::Exactly(2), Workers::Exactly(3), Workers::Auto] {
             let opened = Opened::of(&Store::open_on(&dir, workers).expect("open"));
             assert!(opened == serial, "{workers:?} workers opened another store");
         }
@@ -1190,7 +1187,7 @@ mod tests {
         for (name, bytes) in files {
             std::fs::write(dir.join(name), bytes).expect("lay store file down");
         }
-        match Store::open_on(dir, Some(workers)) {
+        match Store::open_on(dir, Workers::Exactly(workers)) {
             Ok(store) => {
                 let state = store.state_bytes().expect("state bytes");
                 format!("opened {:#x}", crate::codec::fnv1a64(&state))

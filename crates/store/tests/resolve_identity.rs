@@ -9,6 +9,7 @@
 // Test-only binary: helper fns outside #[test] may unwrap freely (the
 // workspace unwrap_used deny targets library code).
 #![allow(clippy::unwrap_used)]
+#![allow(clippy::disallowed_methods, reason = "client threads drive the store; they split no work")]
 
 mod common;
 

@@ -7,6 +7,7 @@
 // Test-only binary: helper fns outside #[test] may unwrap freely (the
 // workspace unwrap_used deny targets library code).
 #![allow(clippy::unwrap_used)]
+#![allow(clippy::disallowed_methods, reason = "client threads drive the store; they split no work")]
 
 mod common;
 
@@ -53,6 +54,18 @@ fn queries() -> Vec<PersonQuery> {
     ]
 }
 
+/// Serve `store` as `options` configure it, on a fresh local port and a
+/// thread of its own: the address, and the thread, which hands the store
+/// back once a `SHUTDOWN` has stopped it.
+fn serve(
+    store: Store,
+    options: impl FnOnce(ServeOptions) -> ServeOptions + Send + 'static,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<Store>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    (addr, std::thread::spawn(move || options(ServeOptions::new(store)).serve(listener).unwrap()))
+}
+
 /// Run the battery over one connection.
 fn run_battery(addr: std::net::SocketAddr) -> Vec<Vec<QueryHit>> {
     let mut client = Client::connect(addr).unwrap();
@@ -66,10 +79,7 @@ fn concurrent_clients_durable_adds_and_restart_identity() {
     let records_before = store.stats().records;
 
     // ---- first server lifetime -------------------------------------
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || ServeOptions::new(store).workers(6).serve(listener).unwrap());
+    let (addr, server) = serve(store, |options| options.workers(6));
 
     // Four clients hammer queries concurrently.
     let concurrent: Vec<_> =
@@ -154,10 +164,7 @@ fn concurrent_clients_durable_adds_and_restart_identity() {
     let store = Store::open(&dir).unwrap();
     assert_eq!(store.stats().records, records_before + 2);
     assert_eq!(store.n_shards(), 4, "shard count persists in the manifest");
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr2 = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || ServeOptions::new(store).workers(4).serve(listener).unwrap());
+    let (addr2, server) = serve(store, |options| options.workers(4));
     let after_restart = run_battery(addr2);
     assert_eq!(
         after_adds, after_restart,
@@ -172,10 +179,7 @@ fn resolve_serves_ranked_candidates_and_typed_errors() {
     let dir = ScratchDir::new("resolve-e2e");
     let store = Store::create(&dir, trained_resolver(200, 77), 3).unwrap();
     let records_before = store.stats().records;
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || ServeOptions::new(store).workers(2).serve(listener).unwrap());
+    let (addr, server) = serve(store, |options| options.workers(2));
 
     let mut client = Client::connect(addr).unwrap();
     // Plant a known name, then resolve a one-edit misspelling of it.
@@ -270,17 +274,9 @@ fn metrics_command_and_sidecar_scrape_expose_prometheus_text() {
     // store gauge must read below.
     let expected = store.stats();
 
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
     let metrics_listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let metrics_addr = metrics_listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || {
-        ServeOptions::new(store)
-            .workers(2)
-            .metrics_listener(metrics_listener)
-            .serve(listener)
-            .unwrap()
-    });
+    let (addr, server) = serve(store, move |options| options.workers(2).metrics_listener(metrics_listener));
 
     // Generate some traffic, then scrape through the protocol command.
     let mut client = Client::connect(addr).unwrap();
@@ -397,19 +393,15 @@ fn metrics_command_and_sidecar_scrape_expose_prometheus_text() {
 fn metrics_exposition_bytes_are_pinned() {
     let dir = ScratchDir::new("metrics-pin");
     let store = Store::create(&dir, trained_resolver(150, 55), 2).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
     let clock = std::sync::Arc::new(yv_obs::ManualClock::at(0));
     let driver_clock = clock.clone();
-    let server = std::thread::spawn(move || {
-        ServeOptions::new(store)
+    let (addr, server) = serve(store, move |options| {
+        options
             .workers(2)
             .clock(clock)
             .slow_us(1_000_000)
             .slow_log(Box::new(std::io::sink()))
             .slo(vec![yv_obs::SloRule::parse("query:p99<1000/60").unwrap()])
-            .serve(listener)
-            .unwrap()
     });
 
     let mut raw = TcpStream::connect(addr).unwrap();
@@ -456,19 +448,15 @@ fn metrics_exposition_bytes_are_pinned() {
 fn slow_log_emits_one_json_line_per_slow_request() {
     let dir = ScratchDir::new("slow-log");
     let store = Store::create(&dir, trained_resolver(120, 66), 1).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
     let sink = SharedSink(std::sync::Arc::new(std::sync::Mutex::new(Vec::new())));
     let log = sink.clone();
-    let server = std::thread::spawn(move || {
-        ServeOptions::new(store)
+    let (addr, server) = serve(store, move |options| {
+        options
             .workers(2)
             // Threshold zero: every request is "slow", making the test
             // deterministic without timing games.
             .slow_us(0)
             .slow_log(Box::new(log))
-            .serve(listener)
-            .unwrap()
     });
 
     let mut client = Client::connect(addr).unwrap();
@@ -558,16 +546,14 @@ fn no_operator_sink_carries_a_raw_name() {
     let dir = ScratchDir::new("sentinel-name");
     let store = Store::create(&dir, trained_resolver(150, 55), 2).unwrap();
     let filed = store.stats().records as u32;
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
     let metrics_listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let metrics_addr = metrics_listener.local_addr().unwrap();
     let sink = SharedSink(std::sync::Arc::new(std::sync::Mutex::new(Vec::new())));
     let log = sink.clone();
     let clock = std::sync::Arc::new(yv_obs::ManualClock::at(0));
     let driver_clock = clock.clone();
-    let server = std::thread::spawn(move || {
-        ServeOptions::new(store)
+    let (addr, server) = serve(store, move |options| {
+        options
             .workers(2)
             // Threshold zero under a manual clock: every request is
             // logged and tail-sampled, no timing games.
@@ -575,8 +561,6 @@ fn no_operator_sink_carries_a_raw_name() {
             .slow_log(Box::new(log))
             .metrics_listener(metrics_listener)
             .clock(clock)
-            .serve(listener)
-            .unwrap()
     });
 
     // File the record: over the binary transport, which carries places,
@@ -672,19 +656,15 @@ fn trace_of_a_slow_resolve_serves_the_span_tree_and_top_deterministically() {
     fn run(tag: &str) -> String {
         let dir = ScratchDir::new(tag);
         let store = Store::create(&dir, trained_resolver(200, 88), 4).unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
         let clock = std::sync::Arc::new(yv_obs::ManualClock::at(0));
-        let server = std::thread::spawn(move || {
-            ServeOptions::new(store)
+        let (addr, server) = serve(store, move |options| {
+            options
                 .workers(2)
                 // Threshold zero under a manual clock: every captured
                 // request tail-samples, no timing games.
                 .slow_us(0)
                 .slow_log(Box::new(std::io::sink()))
                 .clock(clock)
-                .serve(listener)
-                .unwrap()
         });
 
         let mut raw = TcpStream::connect(addr).unwrap();
@@ -768,21 +748,17 @@ fn trace_of_a_slow_resolve_serves_the_span_tree_and_top_deterministically() {
 #[test]
 fn history_is_byte_identical_across_seeds_and_starts_empty_after_restart() {
     fn drive(store: Store, telemetry_dir: &std::path::Path, traffic: bool) -> String {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
         let clock = std::sync::Arc::new(yv_obs::ManualClock::at(0));
         let driver_clock = clock.clone();
         // What `yv serve --telemetry-dir DIR --slow-us N` configures.
         let slow_log = telemetry_dir.join("slow.jsonl");
-        let server = std::thread::spawn(move || {
-            ServeOptions::new(store)
+        let (addr, server) = serve(store, move |options| {
+            options
                 .workers(2)
                 .clock(clock)
                 .slow_us(1_000_000)
                 .slow_log_file(slow_log)
                 .slo(vec![yv_obs::SloRule::parse("resolve:p99<1000000/60").unwrap()])
-                .serve(listener)
-                .unwrap()
         });
 
         let mut raw = TcpStream::connect(addr).unwrap();
@@ -973,10 +949,7 @@ fn binary_negotiation_matches_text_semantics_and_streams_batches() {
     let dir = ScratchDir::new("binary-parity");
     let store = Store::create(&dir, trained_resolver(250, 21), 4).unwrap();
     let records_before = store.stats().records;
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || ServeOptions::new(store).workers(4).serve(listener).unwrap());
+    let (addr, server) = serve(store, |options| options.workers(4));
 
     // Two concurrent sessions, one per transport. The plain text session
     // keeps working while binary frames flow on the other.
@@ -1088,10 +1061,7 @@ fn raw_binary_block(
 fn text_and_binary_reply_blocks_differ_only_in_their_trace_tokens() {
     let dir = ScratchDir::new("reply-bytes");
     let store = Store::create(&dir, trained_resolver(250, 21), 2).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || ServeOptions::new(store).workers(4).serve(listener).unwrap());
+    let (addr, server) = serve(store, |options| options.workers(4));
 
     let mut text = TcpStream::connect(addr).unwrap();
     let mut text_reader = BufReader::new(text.try_clone().unwrap());
@@ -1142,10 +1112,7 @@ fn text_and_binary_reply_blocks_differ_only_in_their_trace_tokens() {
 fn overlong_text_line_is_refused_before_its_newline() {
     let dir = ScratchDir::new("line-cap");
     let store = Store::create(&dir, trained_resolver(200, 33), 2).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || ServeOptions::new(store).workers(2).serve(listener).unwrap());
+    let (addr, server) = serve(store, |options| options.workers(2));
 
     let mut hostile = TcpStream::connect(addr).unwrap();
     hostile.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
@@ -1177,13 +1144,9 @@ fn overlong_text_line_is_refused_before_its_newline() {
 fn overlong_scrape_head_is_refused_and_the_sidecar_keeps_serving() {
     let dir = ScratchDir::new("scrape-cap");
     let store = Store::create(&dir, trained_resolver(200, 33), 2).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
     let metrics_listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let metrics_addr = metrics_listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || {
-        ServeOptions::new(store).workers(2).metrics_listener(metrics_listener).serve(listener).unwrap()
-    });
+    let (addr, server) = serve(store, move |options| options.workers(2).metrics_listener(metrics_listener));
 
     let mut hostile = TcpStream::connect(metrics_addr).unwrap();
     hostile.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
@@ -1221,10 +1184,7 @@ fn mid_frame_connection_drop_applies_nothing_from_the_torn_batch() {
     let dir = ScratchDir::new("torn-batch");
     let store = Store::create(&dir, trained_resolver(200, 33), 4).unwrap();
     let records_before = store.stats().records;
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || ServeOptions::new(store).workers(2).serve(listener).unwrap());
+    let (addr, server) = serve(store, |options| options.workers(2));
 
     let batch = |base: u64, n: u64| -> Vec<yv_records::Record> {
         (0..n)
